@@ -17,7 +17,7 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use idm_bench::{build, BuildOptions, Workbench, TABLE4_QUERIES};
+use idm_bench::{build, percentile, BuildOptions, Workbench, TABLE4_QUERIES};
 use idm_query::{ExecOptions, ExpansionStrategy, QueryBudget};
 
 /// The acceptance bound on cancel p99.
@@ -116,14 +116,6 @@ fn cancel_overshoots(bench: &Workbench, parallelism: usize, reps: usize) -> Vec<
         }
     }
     samples
-}
-
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let rank = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 struct Sweep {

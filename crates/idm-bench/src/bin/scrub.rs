@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use idm_bench::{build, BuildOptions};
+use idm_bench::{build, percentile, BuildOptions};
 use idm_core::durability::{ScrubBudget, Scrubber};
 use idm_query::ExpansionStrategy;
 use idm_system::Pdsms;
@@ -70,14 +70,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let rank = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// The foreground mix: one latency sample per preset workbench query,

@@ -7,26 +7,28 @@
 //! |---|---|---|
 //! | Table 2 (dataset characteristics) | `table2` | — |
 //! | Table 3 (index sizes) | `table3` | — |
-//! | Figure 5 (indexing times) | `figure5` | `indexing` |
+//! | Figure 5 (indexing times) | `figure5` | — |
 //! | Table 4 (queries + result counts) | `table4` | — |
-//! | Figure 6 (query response times) | `figure6` | `queries` |
+//! | Figure 6 (query response times) | `figure6` | — |
 //! | Expansion-strategy ablation (ours) | — | `expansion` |
-//! | Index micro-benchmarks (ours) | — | `components` |
-//! | Converter throughput (ours) | — | `converters` |
+//! | Thread scaling + cache hit rates (ours) | — | `scaling` |
+//! | Budget overshoot, scrub interference, chaos (ours) | `overload`, `scrub`, `chaos` | — |
 //!
 //! Run binaries as
 //! `cargo run --release -p idm-bench --bin table4 -- --sf 0.1`.
+//! Ingest throughput, WAL, index, converter and per-query latencies are
+//! measured by the end-to-end benchmark in `bench-e2e/` (see
+//! `BENCHMARK.json`), not here.
 
 #![warn(missing_docs)]
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use idm_core::durability::{DurabilityOptions, SyncPolicy, GROUP_HISTOGRAM_BUCKETS};
 use idm_dataset::{generate, DatasetConfig, GeneratedDataset};
 use idm_email::LatencyModel;
 use idm_query::{ExpansionStrategy, QueryProcessor};
-use idm_system::{BulkIngestOptions, FsPlugin, ImapPlugin, Pdsms, RssPlugin, SourceIngestStats};
+use idm_system::{FsPlugin, ImapPlugin, Pdsms, RssPlugin, SourceIngestStats};
 use idm_vfs::NodeId;
 
 /// The Table 4 queries, verbatim from the paper.
@@ -143,156 +145,6 @@ pub fn build(options: BuildOptions) -> Workbench {
     }
 }
 
-/// How a measured ingest run drives the write path.
-#[derive(Debug, Clone, Copy)]
-pub enum IngestMode {
-    /// `index_all`: record-at-a-time appends and inline indexing.
-    Sequential,
-    /// `index_all_bulk` with the given tuning.
-    Bulk(BulkIngestOptions),
-}
-
-impl IngestMode {
-    /// Short label for reports ("sequential" / "bulk").
-    pub fn label(&self) -> &'static str {
-        match self {
-            IngestMode::Sequential => "sequential",
-            IngestMode::Bulk(_) => "bulk",
-        }
-    }
-}
-
-/// One measured ingest run — a row of `BENCH_ingest.json`.
-#[derive(Debug, Clone)]
-pub struct IngestMeasurement {
-    /// `"sequential"` or `"bulk"`.
-    pub mode: &'static str,
-    /// Dataset scale factor.
-    pub scale: f64,
-    /// Views ingested (base + derived, all sources).
-    pub views: usize,
-    /// Wall time of the ingest.
-    pub elapsed: Duration,
-    /// WAL records appended (0 when not durable).
-    pub wal_records: u64,
-    /// WAL write groups issued.
-    pub wal_batches: u64,
-    /// Fsyncs issued by the WAL writer.
-    pub fsyncs: u64,
-    /// Fsyncs avoided versus one-per-record.
-    pub fsyncs_saved: u64,
-    /// Index segments built by the bulk pipeline.
-    pub segments: usize,
-    /// Largest coalesced write group.
-    pub largest_group: u64,
-    /// Power-of-two group-size histogram (bucket i = groups of
-    /// `[2^i, 2^(i+1))` records; the last bucket is open-ended).
-    pub histogram: [u64; GROUP_HISTOGRAM_BUCKETS],
-}
-
-impl IngestMeasurement {
-    /// Ingested views per second.
-    pub fn views_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.views as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    /// The row as a JSON object (hand-rolled; no serde in-tree).
-    pub fn to_json(&self) -> String {
-        let histogram = self
-            .histogram
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            concat!(
-                "{{\"mode\":\"{}\",\"sf\":{},\"views\":{},\"elapsed_s\":{:.4},",
-                "\"views_per_sec\":{:.1},\"wal_records\":{},\"wal_batches\":{},",
-                "\"fsyncs\":{},\"fsyncs_saved\":{},\"segments\":{},",
-                "\"largest_group\":{},\"batch_size_histogram\":[{}]}}"
-            ),
-            self.mode,
-            self.scale,
-            self.views,
-            self.elapsed.as_secs_f64(),
-            self.views_per_sec(),
-            self.wal_records,
-            self.wal_batches,
-            self.fsyncs,
-            self.fsyncs_saved,
-            self.segments,
-            self.largest_group,
-            histogram
-        )
-    }
-}
-
-/// Builds a workbench, durable when `wal_dir` is given (under
-/// `SyncPolicy::Fsync`, so fsync counts measure real write barriers),
-/// ingesting through the chosen mode and measuring the write path.
-pub fn build_measured(
-    options: BuildOptions,
-    wal_dir: Option<&std::path::Path>,
-    mode: IngestMode,
-) -> (Workbench, IngestMeasurement) {
-    let (dataset, mut system) = assemble(options);
-    if let Some(dir) = wal_dir {
-        system
-            .make_durable_with(dir, DurabilityOptions::new(SyncPolicy::Fsync))
-            .expect("make durable");
-    }
-
-    let before = system.store().wal_telemetry();
-    let start = Instant::now();
-    let (stats, segments) = match mode {
-        IngestMode::Sequential => (system.index_all().expect("ingestion succeeds"), 0),
-        IngestMode::Bulk(bulk) => {
-            let report = system.index_all_bulk(&bulk).expect("ingestion succeeds");
-            let segments = report.throughput.segments;
-            (report.stats, segments)
-        }
-    };
-    let elapsed = start.elapsed();
-    let after = system.store().wal_telemetry();
-
-    let mut measurement = IngestMeasurement {
-        mode: mode.label(),
-        scale: options.scale,
-        views: stats.iter().map(SourceIngestStats::total_views).sum(),
-        elapsed,
-        wal_records: 0,
-        wal_batches: 0,
-        fsyncs: 0,
-        fsyncs_saved: 0,
-        segments,
-        largest_group: 0,
-        histogram: [0; GROUP_HISTOGRAM_BUCKETS],
-    };
-    if let (Some(before), Some(after)) = (before, after) {
-        measurement.wal_records = after.frames - before.frames;
-        measurement.wal_batches = after.groups - before.groups;
-        measurement.fsyncs = after.syncs - before.syncs;
-        measurement.fsyncs_saved = after.syncs_saved().saturating_sub(before.syncs_saved());
-        measurement.largest_group = after.largest_group;
-        for (i, bucket) in measurement.histogram.iter_mut().enumerate() {
-            *bucket = after.histogram[i] - before.histogram[i];
-        }
-    }
-
-    let workbench = Workbench {
-        dataset,
-        system,
-        stats,
-        ingest_time: elapsed,
-    };
-    (workbench, measurement)
-}
-
 impl Workbench {
     /// A query processor with the given expansion strategy.
     pub fn processor(&self, strategy: ExpansionStrategy) -> QueryProcessor {
@@ -377,6 +229,16 @@ pub fn cli_options() -> BuildOptions {
         }
     }
     options
+}
+
+/// The `p`-quantile (`0.0..=1.0`) of ascending-sorted samples, by
+/// nearest rank; zero for no samples.
+pub fn percentile(sorted: &[Duration], p: f64) -> Duration {
+    if sorted.is_empty() {
+        return Duration::ZERO;
+    }
+    let rank = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// Formats a byte count as MB with one decimal.

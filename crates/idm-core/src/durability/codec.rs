@@ -1,7 +1,6 @@
 //! The binary codec shared by every durable file format in the system:
-//! the write-ahead log and checkpoint snapshots here, and the index
-//! bundle format in `idm-index` (which re-exports these types so its
-//! `IDMIDX02` files speak the same dialect).
+//! the write-ahead log and checkpoint snapshots here, and the `IDMIDX02`
+//! index bundle format in `idm-index`.
 //!
 //! Primitives are LEB128 varints (zigzag for signed), length-prefixed
 //! strings/bytes and little-endian IEEE-754 doubles. On top of those sit
@@ -12,16 +11,26 @@ use std::io;
 
 use crate::value::{Attribute, Domain, Schema, Timestamp, TupleComponent, Value};
 
-/// FNV-1a 64-bit hash — the content checksum of every durable record
-/// and file in the system. Not cryptographic; it detects torn writes
-/// and bit rot, which is all recovery needs.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit offset basis: the hash of the empty input, and the
+/// state a resumable hash ([`fnv1a64_update`]) starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into a running FNV-1a 64 state — the resumable form,
+/// for callers that see their input in slices (the budgeted scrubber).
+pub fn fnv1a64_update(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// FNV-1a 64-bit hash — the content checksum of every durable record
+/// and file in the system, and the stable fingerprint of query plans.
+/// Not cryptographic; it detects torn writes and bit rot, which is all
+/// recovery needs.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_update(FNV_OFFSET, bytes)
 }
 
 /// A growable binary writer with varint primitives.
@@ -39,21 +48,6 @@ impl Encoder {
     /// The encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// The bytes written so far.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Raw bytes, no length prefix (headers, magics).
@@ -134,20 +128,6 @@ impl<'a> Decoder<'a> {
     /// Bytes remaining.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
-    }
-
-    /// Current read offset.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Skips `n` bytes (header fields already validated by the caller).
-    pub fn skip(&mut self, n: usize) -> io::Result<()> {
-        if self.remaining() < n {
-            return Err(Self::err("truncated header"));
-        }
-        self.pos += n;
-        Ok(())
     }
 
     /// LEB128 unsigned varint.
@@ -393,6 +373,9 @@ mod tests {
     #[test]
     fn fnv_is_stable_and_sensitive() {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        let data = b"the quick brown fox jumps over the lazy dog";
+        let resumed = data.chunks(5).fold(FNV_OFFSET, fnv1a64_update);
+        assert_eq!(resumed, fnv1a64(data), "resumable form agrees");
         assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
         let payload = b"the quick brown fox";
         let mut tampered = payload.to_vec();

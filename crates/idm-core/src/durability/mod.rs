@@ -32,6 +32,7 @@
 //! providers are process-local closures; forced *groups* are made
 //! durable at force time via [`record::ChangeRecord::GroupForced`].
 
+pub mod artifact;
 pub mod codec;
 pub mod group_commit;
 pub mod record;
@@ -218,8 +219,7 @@ pub struct DurabilityManager {
     sync: SyncPolicy,
     /// Fault point consulted between WAL rotation and snapshot write
     /// during [`DurabilityManager::checkpoint`] (the double-fault crash
-    /// matrix injects here). The field always exists; the check is
-    /// compiled behind the `fault-injection` feature.
+    /// matrix injects here).
     checkpoint_fault: FaultPoint,
 }
 
@@ -614,7 +614,6 @@ impl DurabilityManager {
         // Double-fault injection site: the WAL has rotated but the
         // snapshot is not yet on disk. A crash here must still recover
         // an exact mutation prefix (previous snapshot + full chain).
-        #[cfg(feature = "fault-injection")]
         self.checkpoint_fault
             .check("durability", "checkpoint-snapshot")
             .map_err(|e| io::Error::other(e.to_string()))?;
@@ -768,8 +767,7 @@ impl DurabilityManager {
     }
 
     /// The fault point consulted mid-checkpoint, between WAL rotation
-    /// and snapshot write (crash-matrix tests inject here; the check is
-    /// compiled behind the `fault-injection` feature).
+    /// and snapshot write (crash-matrix tests inject here).
     pub fn checkpoint_fault_point(&self) -> &FaultPoint {
         &self.checkpoint_fault
     }

@@ -33,20 +33,10 @@ use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-use super::snapshot::{sync_parent_dir, SNAP_MAGIC};
+use super::artifact::sync_parent_dir;
+use super::codec::{fnv1a64_update, FNV_OFFSET};
+use super::snapshot::SNAP_MAGIC;
 use super::wal::{MAX_RECORD_LEN, WAL_MAGIC};
-
-/// FNV-1a 64-bit offset basis (matches [`super::codec::fnv1a64`]).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a64_update(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 // ---------------------------------------------------------------------------
 // Budget
@@ -620,16 +610,6 @@ mod tests {
             bytes.extend_from_slice(p);
         }
         std::fs::write(path, &bytes).unwrap();
-    }
-
-    #[test]
-    fn incremental_fnv_matches_one_shot() {
-        let data = b"the quick brown fox jumps over the lazy dog";
-        let mut hash = FNV_OFFSET;
-        for chunk in data.chunks(5) {
-            hash = fnv1a64_update(hash, chunk);
-        }
-        assert_eq!(hash, codec::fnv1a64(data));
     }
 
     #[test]

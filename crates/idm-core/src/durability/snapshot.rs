@@ -3,26 +3,19 @@
 //!
 //! ## On-disk format
 //!
-//! ```text
-//! [magic "IDMSNAP1"] [payload] [checksum: u64 LE]
-//! ```
-//!
-//! The payload is one `Encoder` stream: base LSN, next vid, the class
-//! registry (definitions in id order, so interned ids survive), every
-//! live view as `(vid, version, SerialView)`, and the lineage edges. The
-//! checksum is FNV-1a-64 over *everything* before it (magic included), so
-//! any truncation or bit flip fails loudly. Snapshots are written to a
-//! temp file, fsynced, and atomically renamed into place — a crash
-//! leaves either the old snapshot or the new one, never a hybrid.
+//! A sealed [`artifact`] with magic `IDMSNAP1`. The payload is one
+//! `Encoder` stream: base LSN, next vid, the class registry (definitions
+//! in id order, so interned ids survive), every live view as
+//! `(vid, version, SerialView)`, and the lineage edges.
 
-use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::Path;
 
 use crate::class::{
     ChildClasses, ClassDef, ClassId, Constraints, Emptiness, Finiteness, SchemaConstraint,
 };
-use crate::durability::codec::{fnv1a64, get_schema, put_schema, Decoder, Encoder};
+use crate::durability::artifact;
+use crate::durability::codec::{get_schema, put_schema, Decoder, Encoder};
 use crate::durability::record::SerialView;
 use crate::lineage::Derivation;
 use crate::store::Vid;
@@ -224,28 +217,12 @@ pub fn to_bytes(data: &SnapshotData) -> Vec<u8> {
         enc.put_str(transform);
     }
 
-    let checksum = fnv1a64(enc.as_bytes());
-    let mut bytes = enc.into_bytes();
-    bytes.extend_from_slice(&checksum.to_le_bytes());
-    bytes
+    artifact::seal(enc)
 }
 
 /// Deserializes and fully validates a snapshot image.
 pub fn from_bytes(bytes: &[u8]) -> io::Result<SnapshotData> {
-    if bytes.len() < 16 {
-        return Err(Decoder::err("snapshot shorter than magic + checksum"));
-    }
-    if &bytes[..8] != SNAP_MAGIC {
-        return Err(Decoder::err("bad snapshot magic"));
-    }
-    let body = &bytes[..bytes.len() - 8];
-    let mut tail = [0u8; 8];
-    tail.copy_from_slice(&bytes[bytes.len() - 8..]);
-    if fnv1a64(body) != u64::from_le_bytes(tail) {
-        return Err(Decoder::err("snapshot checksum mismatch"));
-    }
-
-    let mut dec = Decoder::new(&body[8..]);
+    let mut dec = Decoder::new(artifact::unseal(bytes, SNAP_MAGIC)?);
     let base_lsn = dec.get_u64()?;
     let next_vid = dec.get_u64()?;
 
@@ -301,69 +278,24 @@ pub fn from_bytes(bytes: &[u8]) -> io::Result<SnapshotData> {
     })
 }
 
-/// Fsyncs the directory containing `path`, making a just-completed
-/// rename or file creation in it durable.
-///
-/// Real I/O errors propagate — a failed directory sync means the
-/// metadata may not survive a crash and callers must not acknowledge
-/// the operation. Only two cases stay silent, and only because they
-/// signal *inability*, not failure: the platform cannot open
-/// directories for syncing at all (`File::open` fails), or the
-/// filesystem rejects the fsync as unsupported
-/// (`ErrorKind::Unsupported`, the `ENOTSUP`/`EINVAL` family).
-pub fn sync_parent_dir(path: &Path) -> io::Result<()> {
-    let Some(parent) = path.parent() else {
-        return Ok(());
-    };
-    let Ok(dir) = File::open(parent) else {
-        return Ok(());
-    };
-    match dir.sync_all() {
-        Ok(()) => Ok(()),
-        Err(e)
-            if e.kind() == io::ErrorKind::Unsupported
-                || e.raw_os_error() == Some(libc_einval()) =>
-        {
-            Ok(())
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// `EINVAL` — what Linux returns for fsync on filesystems that do not
-/// support directory syncing (kept literal to avoid a libc dependency).
-const fn libc_einval() -> i32 {
-    22
-}
-
-/// Writes a snapshot atomically: temp file in the same directory,
-/// `fsync`, rename over the final name, then an fsync of the directory
-/// so the rename itself is durable (see [`sync_parent_dir`] for which
-/// failures are tolerated). Returns the byte size.
+/// Writes a snapshot atomically ([`artifact::write_atomic`]). Returns
+/// the byte size.
 pub fn write(path: &Path, data: &SnapshotData) -> io::Result<u64> {
     let bytes = to_bytes(data);
-    let tmp = path.with_extension("idmsnap.tmp");
-    {
-        let mut file = File::create(&tmp)?;
-        file.write_all(&bytes)?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    sync_parent_dir(path)?;
+    artifact::write_atomic(path, &bytes)?;
     Ok(bytes.len() as u64)
 }
 
 /// Reads and validates a snapshot file.
 pub fn read(path: &Path) -> io::Result<SnapshotData> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    from_bytes(&bytes)
+    from_bytes(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::class::ClassRegistry;
+    use crate::durability::codec::fnv1a64;
     use crate::durability::record::{SerialContent, SerialGroup};
     use crate::value::{TupleComponent, Value};
 
@@ -402,6 +334,15 @@ mod tests {
             ],
             lineage: vec![(2, 1, "copy".into())],
         }
+    }
+
+    /// The `IDMSNAP1` bytes of [`sample`] are pinned: a change here is
+    /// a format change, and existing dataspace directories stop opening.
+    #[test]
+    fn format_is_pinned() {
+        let bytes = to_bytes(&sample());
+        assert_eq!(bytes.len(), 721);
+        assert_eq!(fnv1a64(&bytes), 0x6e3a_8221_4a50_06f4);
     }
 
     #[test]

@@ -26,9 +26,7 @@ use parking_lot::Mutex;
 
 use crate::durability::codec::fnv1a64;
 use crate::durability::record::ChangeRecord;
-#[cfg(feature = "fault-injection")]
-use crate::fault::FaultAction;
-use crate::fault::FaultPoint;
+use crate::fault::{FaultAction, FaultPoint};
 
 /// Magic bytes opening every WAL segment.
 pub const WAL_MAGIC: &[u8; 8] = b"IDMWAL01";
@@ -115,7 +113,7 @@ pub struct WalWriter {
     dead: AtomicBool,
     error: Mutex<Option<String>>,
     /// Crash/torn-write injection point (`source = "durability"`,
-    /// `op = "wal-append"`), consulted only with `fault-injection` on.
+    /// `op = "wal-append"`), inert until a plan is installed.
     fault: FaultPoint,
     /// Telemetry counters (see [`WalStats`]). `largest_group` and the
     /// histogram are updated under the inner lock; the plain counters
@@ -263,7 +261,6 @@ impl WalWriter {
             return Err(self.dead_error());
         }
 
-        #[cfg(feature = "fault-injection")]
         match self.fault.check("durability", "wal-append") {
             Ok(FaultAction::Proceed) => {}
             Ok(FaultAction::Truncate(keep)) => {
@@ -386,7 +383,7 @@ impl WalWriter {
         if let Err(e) = file
             .write_all(WAL_MAGIC)
             .and_then(|()| file.sync_all())
-            .and_then(|()| super::snapshot::sync_parent_dir(new_path))
+            .and_then(|()| super::artifact::sync_parent_dir(new_path))
         {
             // A segment whose directory entry may not survive a crash
             // must not accept appends.

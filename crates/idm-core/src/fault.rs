@@ -9,9 +9,11 @@
 //! deterministic so chaos tests are reproducible:
 //!
 //! - [`FaultPlan`] / [`FaultInjector`] / [`FaultPoint`] — a scriptable
-//!   fault model substrates install behind the `fault-injection` cargo
-//!   feature (fail-the-first-N, fail-every-Nth, seeded failure rate,
-//!   latency, torn reads).
+//!   fault model (fail-the-first-N, fail-every-Nth, seeded failure rate,
+//!   latency, torn reads, crashes and torn writes). Every substrate and
+//!   the WAL writer embed a [`FaultPoint`] and consult it on each call;
+//!   it is always compiled and inert until a plan is installed, so the
+//!   build that is tested is the build that ships.
 //! - [`RetryPolicy`] — bounded exponential backoff with deterministic
 //!   jitter and a per-call time budget.
 //! - [`CircuitBreaker`] — the classic closed/open/half-open state
@@ -289,11 +291,8 @@ impl FaultInjector {
 }
 
 /// The installation point a substrate embeds: an optional injector
-/// behind a mutex, free when no plan is installed.
-///
-/// Substrates compile the *calls* to [`FaultPoint::check`] behind their
-/// `fault-injection` cargo feature; the type itself always exists so
-/// plumbing does not need feature-gated struct layouts.
+/// behind a mutex. With no plan installed, [`FaultPoint::check`] is one
+/// uncontended lock on calls that already lock or do I/O.
 #[derive(Debug, Default)]
 pub struct FaultPoint {
     injector: Mutex<Option<Arc<FaultInjector>>>,

@@ -636,7 +636,6 @@ use proptest::{prop_assert, prop_assert_eq};
 
 // ---- fault-injected crashes ----------------------------------------------
 
-#[cfg(feature = "fault-injection")]
 mod injected {
     use super::*;
     use idm_core::fault::FaultPlan;
@@ -816,7 +815,6 @@ fn crash_during_recovery_replay_recovers_the_same_prefix_on_reboot() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[cfg(feature = "fault-injection")]
 mod double_fault {
     use super::*;
     use idm_core::durability::{ScrubBudget, Scrubber};

@@ -122,7 +122,6 @@ pub struct ImapServer {
     simulated: Mutex<Duration>,
     sleep: bool,
     subscribers: Mutex<Vec<Sender<MailEvent>>>,
-    #[cfg(feature = "fault-injection")]
     faults: FaultPoint,
 }
 
@@ -145,33 +144,23 @@ impl ImapServer {
             simulated: Mutex::new(Duration::ZERO),
             sleep,
             subscribers: Mutex::new(Vec::new()),
-            #[cfg(feature = "fault-injection")]
             faults: FaultPoint::new(),
         }
     }
 
     /// Installs a fault plan on this server's protocol round trips;
     /// returns the injector for call/fault counting.
-    #[cfg(feature = "fault-injection")]
     pub fn install_faults(&self, plan: FaultPlan) -> std::sync::Arc<FaultInjector> {
         self.faults.install(plan)
     }
 
     /// Removes any installed fault plan (the link heals).
-    #[cfg(feature = "fault-injection")]
     pub fn clear_faults(&self) {
         self.faults.clear()
     }
 
-    #[cfg(feature = "fault-injection")]
     fn fault_check(&self, op: &str) -> Result<FaultAction> {
         self.faults.check("imap", op)
-    }
-
-    #[cfg(not(feature = "fault-injection"))]
-    #[inline(always)]
-    fn fault_check(&self, _op: &str) -> Result<FaultAction> {
-        Ok(FaultAction::Proceed)
     }
 
     /// A latency-free server for tests.

@@ -4,295 +4,48 @@
 //! and the full-text indexes in Lucene — both disk-backed, so a PDSMS
 //! restart did not re-scan the user's dataspace. This module provides
 //! the same property from scratch: a compact, versioned binary format
-//! (varint-compressed, length-prefixed) that serializes the whole
-//! [`IndexBundle`] and loads it back, byte-for-byte deterministic.
+//! that serializes the whole [`IndexBundle`] and loads it back,
+//! byte-for-byte deterministic.
 //!
-//! The on-disk layout (version 2, `IDMIDX02`) is a magic header, the
-//! store **epoch** (the WAL log sequence number the index was built
-//! against — the durability layer's recovery handshake), five sections
-//! (catalog, name, tuple, content, group), and a trailing FNV-1a-64
-//! checksum over everything before it. Version-1 files (`IDMIDX01`,
-//! no epoch, no checksum) still load; they report no epoch and so are
-//! always treated as stale by the handshake.
-//!
-//! Saves are atomic: write a sibling temp file, fsync, rename over the
-//! target, fsync the directory — a crash mid-save never corrupts an
-//! existing index.
+//! An index file is a sealed [`artifact`] with magic `IDMIDX02`, written
+//! in the shared durability [`codec`](idm_core::durability::codec): its
+//! payload is the store **epoch** (the WAL log sequence number the index
+//! was built against — the durability layer's recovery handshake)
+//! followed by five sections (catalog, name, tuple, content, group).
+//! Framing, checksum and the atomic save all belong to
+//! `idm-core::durability`; this module only knows the sections.
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::Path;
 
-use idm_core::durability::codec::fnv1a64;
-use idm_core::prelude::{Domain, Schema, Timestamp, TupleComponent, Value};
+use idm_core::durability::artifact;
+use idm_core::durability::codec::{get_tuple, put_tuple, Decoder, Encoder};
+use idm_core::durability::Artifact;
 
 use crate::bundle::IndexBundle;
 use crate::catalog::CatalogEntry;
 
-const MAGIC: &[u8; 8] = b"IDMIDX01";
-const MAGIC_V2: &[u8; 8] = b"IDMIDX02";
+const MAGIC: &[u8; 8] = b"IDMIDX02";
 
-// ---- primitive codec ----------------------------------------------------
-
-/// A growable binary writer with varint primitives.
-#[derive(Default)]
-pub struct Encoder {
-    buf: Vec<u8>,
-}
-
-impl Encoder {
-    /// A fresh encoder.
-    pub fn new() -> Self {
-        Encoder::default()
+/// The index file at `path` as a scrubbable [`Artifact`], for
+/// [`verify_artifact`](idm_core::durability::scrub::verify_artifact).
+pub fn artifact_at(path: &Path) -> Artifact {
+    Artifact::TrailingChecksum {
+        path: path.to_path_buf(),
+        magic: *MAGIC,
     }
-
-    /// The encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// LEB128 unsigned varint.
-    pub fn put_u64(&mut self, mut v: u64) {
-        loop {
-            let byte = (v & 0x7F) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.buf.push(byte);
-                return;
-            }
-            self.buf.push(byte | 0x80);
-        }
-    }
-
-    /// Zigzag-encoded signed varint.
-    pub fn put_i64(&mut self, v: i64) {
-        self.put_u64(((v << 1) ^ (v >> 63)) as u64);
-    }
-
-    /// Length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Raw bytes with length prefix.
-    pub fn put_bytes(&mut self, b: &[u8]) {
-        self.put_u64(b.len() as u64);
-        self.buf.extend_from_slice(b);
-    }
-
-    /// One byte.
-    pub fn put_u8(&mut self, b: u8) {
-        self.buf.push(b);
-    }
-
-    /// IEEE-754 double, little endian.
-    pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bits_bytes());
-    }
-}
-
-trait F64Bytes {
-    fn to_le_bits_bytes(self) -> [u8; 8];
-}
-impl F64Bytes for f64 {
-    fn to_le_bits_bytes(self) -> [u8; 8] {
-        self.to_bits().to_le_bytes()
-    }
-}
-
-/// A binary reader matching [`Encoder`].
-pub struct Decoder<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Decoder<'a> {
-    /// A decoder over bytes.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Decoder { buf, pos: 0 }
-    }
-
-    fn err(message: &str) -> io::Error {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("idm index file: {message}"),
-        )
-    }
-
-    /// Bytes remaining.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// LEB128 unsigned varint.
-    pub fn get_u64(&mut self) -> io::Result<u64> {
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = *self
-                .buf
-                .get(self.pos)
-                .ok_or_else(|| Self::err("truncated varint"))?;
-            self.pos += 1;
-            if shift >= 64 {
-                return Err(Self::err("varint overflow"));
-            }
-            value |= u64::from(byte & 0x7F) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-        }
-    }
-
-    /// Zigzag-encoded signed varint.
-    pub fn get_i64(&mut self) -> io::Result<i64> {
-        let v = self.get_u64()?;
-        Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
-    }
-
-    /// Length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> io::Result<String> {
-        let bytes = self.get_raw()?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| Self::err("invalid utf-8"))
-    }
-
-    /// Length-prefixed raw bytes.
-    pub fn get_raw(&mut self) -> io::Result<&'a [u8]> {
-        let len = self.get_u64()? as usize;
-        if self.remaining() < len {
-            return Err(Self::err("truncated bytes"));
-        }
-        let slice = &self.buf[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(slice)
-    }
-
-    /// One byte.
-    pub fn get_u8(&mut self) -> io::Result<u8> {
-        let byte = *self
-            .buf
-            .get(self.pos)
-            .ok_or_else(|| Self::err("truncated byte"))?;
-        self.pos += 1;
-        Ok(byte)
-    }
-
-    /// IEEE-754 double, little endian.
-    pub fn get_f64(&mut self) -> io::Result<f64> {
-        if self.remaining() < 8 {
-            return Err(Self::err("truncated f64"));
-        }
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(&self.buf[self.pos..self.pos + 8]);
-        self.pos += 8;
-        Ok(f64::from_bits(u64::from_le_bytes(bytes)))
-    }
-}
-
-// ---- value / tuple codec -------------------------------------------------
-
-fn put_value(enc: &mut Encoder, value: &Value) {
-    match value {
-        Value::Text(s) => {
-            enc.put_u8(0);
-            enc.put_str(s);
-        }
-        Value::Integer(i) => {
-            enc.put_u8(1);
-            enc.put_i64(*i);
-        }
-        Value::Float(f) => {
-            enc.put_u8(2);
-            enc.put_f64(*f);
-        }
-        Value::Boolean(b) => {
-            enc.put_u8(3);
-            enc.put_u8(u8::from(*b));
-        }
-        Value::Date(t) => {
-            enc.put_u8(4);
-            enc.put_i64(t.0);
-        }
-    }
-}
-
-fn get_value(dec: &mut Decoder) -> io::Result<Value> {
-    Ok(match dec.get_u8()? {
-        0 => Value::Text(dec.get_str()?),
-        1 => Value::Integer(dec.get_i64()?),
-        2 => Value::Float(dec.get_f64()?),
-        3 => Value::Boolean(dec.get_u8()? != 0),
-        4 => Value::Date(Timestamp(dec.get_i64()?)),
-        other => return Err(Decoder::err(&format!("unknown value tag {other}"))),
-    })
-}
-
-fn domain_tag(domain: Domain) -> u8 {
-    match domain {
-        Domain::Text => 0,
-        Domain::Integer => 1,
-        Domain::Float => 2,
-        Domain::Boolean => 3,
-        Domain::Date => 4,
-    }
-}
-
-fn tag_domain(tag: u8) -> io::Result<Domain> {
-    Ok(match tag {
-        0 => Domain::Text,
-        1 => Domain::Integer,
-        2 => Domain::Float,
-        3 => Domain::Boolean,
-        4 => Domain::Date,
-        other => return Err(Decoder::err(&format!("unknown domain tag {other}"))),
-    })
-}
-
-fn put_tuple(enc: &mut Encoder, tuple: &TupleComponent) {
-    enc.put_u64(tuple.schema().arity() as u64);
-    for (attr, value) in tuple.iter() {
-        enc.put_str(&attr.name);
-        enc.put_u8(domain_tag(attr.domain));
-        put_value(enc, value);
-    }
-}
-
-fn get_tuple(dec: &mut Decoder) -> io::Result<TupleComponent> {
-    let arity = dec.get_u64()? as usize;
-    let mut attrs = Vec::with_capacity(arity);
-    let mut values = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        let name = dec.get_str()?;
-        let domain = tag_domain(dec.get_u8()?)?;
-        let value = get_value(dec)?;
-        attrs.push(idm_core::prelude::Attribute::new(name, domain));
-        values.push(value);
-    }
-    TupleComponent::new(Schema::new(attrs), values)
-        .map_err(|e| Decoder::err(&format!("tuple does not validate: {e}")))
 }
 
 // ---- bundle sections -------------------------------------------------------
 
-/// Serializes the bundle to bytes (current format, epoch 0 — use
-/// [`to_bytes_with_epoch`] when the index belongs to a durable store).
-pub fn to_bytes(bundle: &IndexBundle) -> Vec<u8> {
-    to_bytes_with_epoch(bundle, 0)
-}
-
 /// Serializes the bundle in the `IDMIDX02` format: magic, epoch, the
-/// five sections, then a trailing FNV-1a-64 checksum over all preceding
-/// bytes.
+/// five sections, then the trailing checksum.
 pub fn to_bytes_with_epoch(bundle: &IndexBundle, epoch: u64) -> Vec<u8> {
     let mut enc = Encoder::new();
-    enc.buf.extend_from_slice(MAGIC_V2);
+    enc.put_raw(MAGIC);
     enc.put_u64(epoch);
     put_sections(&mut enc, bundle);
-    let mut bytes = enc.into_bytes();
-    let checksum = fnv1a64(&bytes);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
-    bytes
+    artifact::seal(enc)
 }
 
 fn put_sections(enc: &mut Encoder, bundle: &IndexBundle) {
@@ -302,13 +55,7 @@ fn put_sections(enc: &mut Encoder, bundle: &IndexBundle) {
     for row in rows {
         enc.put_u64(row.vid);
         enc.put_str(&row.name);
-        match &row.class {
-            Some(class) => {
-                enc.put_u8(1);
-                enc.put_str(class);
-            }
-            None => enc.put_u8(0),
-        }
+        enc.put_opt_str(row.class.as_deref());
         enc.put_str(&row.source);
         match row.content_size {
             Some(size) => {
@@ -374,12 +121,6 @@ fn put_sections(enc: &mut Encoder, bundle: &IndexBundle) {
     }
 }
 
-/// Deserializes a bundle from bytes (either format; the epoch, if
-/// present, is discarded — see [`from_bytes_with_epoch`]).
-pub fn from_bytes(bytes: &[u8]) -> io::Result<IndexBundle> {
-    from_bytes_with_epoch(bytes).map(|(bundle, _)| bundle)
-}
-
 fn get_sections(dec: &mut Decoder) -> io::Result<IndexBundle> {
     let bundle = IndexBundle::new();
 
@@ -389,11 +130,7 @@ fn get_sections(dec: &mut Decoder) -> io::Result<IndexBundle> {
     for _ in 0..row_count {
         let vid = dec.get_u64()?;
         let name = dec.get_str()?;
-        let class = if dec.get_u8()? == 1 {
-            Some(dec.get_str()?)
-        } else {
-            None
-        };
+        let class = dec.get_opt_str()?;
         let source = dec.get_str()?;
         let content_size = if dec.get_u8()? == 1 {
             Some(dec.get_u64()?)
@@ -482,106 +219,33 @@ fn get_sections(dec: &mut Decoder) -> io::Result<IndexBundle> {
     Ok(bundle)
 }
 
-/// Deserializes a bundle and, for `IDMIDX02` files, the store epoch it
-/// was built against. Legacy `IDMIDX01` files load with no epoch.
-pub fn from_bytes_with_epoch(bytes: &[u8]) -> io::Result<(IndexBundle, Option<u64>)> {
-    if bytes.len() < 8 {
-        return Err(Decoder::err("missing header"));
-    }
-    if &bytes[..8] == MAGIC {
-        // Legacy v1: no epoch, no checksum.
-        let mut dec = Decoder::new(&bytes[8..]);
-        return Ok((get_sections(&mut dec)?, None));
-    }
-    if &bytes[..8] != MAGIC_V2 {
-        return Err(Decoder::err("bad magic (not an iDM index file?)"));
-    }
-    if bytes.len() < 16 {
-        return Err(Decoder::err("truncated checksum"));
-    }
-    let body_len = bytes.len() - 8;
-    let stored = u64::from_le_bytes(
-        bytes[body_len..]
-            .try_into()
-            .map_err(|_| Decoder::err("truncated checksum"))?,
-    );
-    if fnv1a64(&bytes[..body_len]) != stored {
-        return Err(Decoder::err("checksum mismatch (corrupt index file)"));
-    }
-    let mut dec = Decoder::new(&bytes[8..body_len]);
+/// Deserializes a verified bundle and the store epoch it was built
+/// against. Anything that is not a sealed `IDMIDX02` artifact —
+/// truncated, flipped, or opening with any other magic — is an error.
+pub fn from_bytes_with_epoch(bytes: &[u8]) -> io::Result<(IndexBundle, u64)> {
+    let mut dec = Decoder::new(artifact::unseal(bytes, MAGIC)?);
     let epoch = dec.get_u64()?;
     let bundle = get_sections(&mut dec)?;
-    Ok((bundle, Some(epoch)))
+    Ok((bundle, epoch))
 }
 
-/// Integrity-checks an index artifact without materializing the bundle:
-/// magic plus, for `IDMIDX02`, the trailing FNV-1a-64 over every
-/// preceding byte — so any single-byte flip fails verification. Legacy
-/// `IDMIDX01` files carry no checksum and verify vacuously (the live
-/// system always writes v2). `Err(InvalidData)` means damaged.
-pub fn verify(path: &Path) -> io::Result<u64> {
-    let bytes = std::fs::read(path)?;
-    if bytes.len() < 8 {
-        return Err(Decoder::err("missing header"));
-    }
-    if &bytes[..8] == MAGIC {
-        return Ok(bytes.len() as u64);
-    }
-    if &bytes[..8] != MAGIC_V2 || bytes.len() < 16 {
-        return Err(Decoder::err("bad magic (not an iDM index file?)"));
-    }
-    let body_len = bytes.len() - 8;
-    let stored = u64::from_le_bytes(
-        bytes[body_len..]
-            .try_into()
-            .map_err(|_| Decoder::err("truncated checksum"))?,
-    );
-    if fnv1a64(&bytes[..body_len]) != stored {
-        return Err(Decoder::err("checksum mismatch (corrupt index file)"));
-    }
-    Ok(bytes.len() as u64)
-}
-
-/// Saves the bundle to a file atomically (sibling temp file + fsync +
-/// rename + directory fsync): a crash mid-save never corrupts an
-/// existing index.
-pub fn save(bundle: &IndexBundle, path: &Path) -> io::Result<()> {
-    save_with_epoch(bundle, path, 0)
-}
-
-/// Saves the bundle atomically, stamping the store epoch it was built
-/// against (the recovery handshake: on open, a mismatched epoch means
-/// the index is stale and must be rebuilt).
+/// Saves the bundle atomically ([`artifact::write_atomic`]), stamping
+/// the store epoch it was built against (the recovery handshake: on
+/// open, a mismatched epoch means the index is stale and must be
+/// rebuilt).
 pub fn save_with_epoch(bundle: &IndexBundle, path: &Path, epoch: u64) -> io::Result<()> {
-    let bytes = to_bytes_with_epoch(bundle, epoch);
-    let tmp = path.with_extension("idm.tmp");
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&bytes)?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    // Durability of the rename itself; real fsync errors propagate,
-    // only cannot-sync-directories platforms stay silent.
-    idm_core::durability::snapshot::sync_parent_dir(path)?;
-    Ok(())
+    artifact::write_atomic(path, &to_bytes_with_epoch(bundle, epoch))
 }
 
-/// Loads a bundle from a file.
-pub fn load(path: &Path) -> io::Result<IndexBundle> {
-    load_with_epoch(path).map(|(bundle, _)| bundle)
-}
-
-/// Loads a bundle and its stored epoch (`None` for legacy v1 files).
-pub fn load_with_epoch(path: &Path) -> io::Result<(IndexBundle, Option<u64>)> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    from_bytes_with_epoch(&bytes)
+/// Loads a bundle and its stored epoch.
+pub fn load_with_epoch(path: &Path) -> io::Result<(IndexBundle, u64)> {
+    from_bytes_with_epoch(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use idm_core::durability::codec::fnv1a64;
     use idm_core::prelude::*;
 
     fn populated_bundle() -> (ViewStore, IndexBundle) {
@@ -617,11 +281,23 @@ mod tests {
         assert_eq!(a.tuple.export_replica(), b.tuple.export_replica());
     }
 
+    /// The `IDMIDX02` bytes of [`populated_bundle`] are pinned: a change
+    /// here is a format change, and existing index files stop loading.
+    #[test]
+    fn format_is_pinned() {
+        let (_store, bundle) = populated_bundle();
+        let bytes = to_bytes_with_epoch(&bundle, 7);
+        assert_eq!(bytes.len(), 2662);
+        assert_eq!(fnv1a64(&bytes), 0x5be0_7941_0298_978e);
+    }
+
     #[test]
     fn roundtrip_preserves_everything() {
         let (_store, bundle) = populated_bundle();
-        let bytes = to_bytes(&bundle);
-        let loaded = from_bytes(&bytes).unwrap();
+        let bytes = to_bytes_with_epoch(&bundle, 12345);
+        assert_eq!(&bytes[..8], MAGIC);
+        let (loaded, epoch) = from_bytes_with_epoch(&bytes).unwrap();
+        assert_eq!(epoch, 12345);
         assert_equivalent(&bundle, &loaded);
 
         // And the loaded bundle answers queries identically.
@@ -648,63 +324,22 @@ mod tests {
     fn serialization_is_deterministic() {
         let (_s1, b1) = populated_bundle();
         let (_s2, b2) = populated_bundle();
-        assert_eq!(to_bytes(&b1), to_bytes(&b2));
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let (_store, bundle) = populated_bundle();
-        let dir = std::env::temp_dir().join(format!("idm-persist-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("indexes.idm");
-        save(&bundle, &path).unwrap();
-        let loaded = load(&path).unwrap();
-        assert_equivalent(&bundle, &loaded);
-        // The file size should be in the same ballpark as the
-        // footprint estimate (the estimate models this very format).
-        let file_len = std::fs::metadata(&path).unwrap().len() as usize;
-        let estimated = bundle.sizes().name + bundle.sizes().content;
-        assert!(file_len > estimated / 2, "{file_len} vs {estimated}");
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(to_bytes_with_epoch(&b1, 0), to_bytes_with_epoch(&b2, 0));
     }
 
     #[test]
     fn corrupt_inputs_are_errors_not_panics() {
         let (_store, bundle) = populated_bundle();
-        let bytes = to_bytes(&bundle);
-        assert!(from_bytes(b"").is_err());
-        assert!(from_bytes(b"NOTMAGIC").is_err());
-        assert!(from_bytes(&bytes[..bytes.len() / 2]).is_err());
+        let bytes = to_bytes_with_epoch(&bundle, 0);
+        assert!(from_bytes_with_epoch(b"").is_err());
+        assert!(from_bytes_with_epoch(b"NOTMAGIC").is_err());
+        assert!(from_bytes_with_epoch(&bytes[..bytes.len() / 2]).is_err());
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(from_bytes(&trailing).is_err());
+        assert!(from_bytes_with_epoch(&trailing).is_err());
         let mut wrong_magic = bytes;
         wrong_magic[0] ^= 0xFF;
-        assert!(from_bytes(&wrong_magic).is_err());
-    }
-
-    #[test]
-    fn epoch_roundtrips_through_v2_format() {
-        let (_store, bundle) = populated_bundle();
-        let bytes = to_bytes_with_epoch(&bundle, 12345);
-        assert_eq!(&bytes[..8], MAGIC_V2);
-        let (loaded, epoch) = from_bytes_with_epoch(&bytes).unwrap();
-        assert_eq!(epoch, Some(12345));
-        assert_equivalent(&bundle, &loaded);
-    }
-
-    #[test]
-    fn legacy_v1_files_still_load_with_no_epoch() {
-        let (_store, bundle) = populated_bundle();
-        // Re-create a v1 file: old magic, sections, no epoch, no checksum.
-        let mut enc = Encoder::new();
-        enc.buf.extend_from_slice(MAGIC);
-        put_sections(&mut enc, &bundle);
-        let legacy = enc.into_bytes();
-        let (loaded, epoch) = from_bytes_with_epoch(&legacy).unwrap();
-        assert_eq!(epoch, None);
-        assert_equivalent(&bundle, &loaded);
-        assert_equivalent(&bundle, &from_bytes(&legacy).unwrap());
+        assert!(from_bytes_with_epoch(&wrong_magic).is_err());
     }
 
     #[test]
@@ -729,38 +364,17 @@ mod tests {
         let path = dir.join("indexes.idm");
         save_with_epoch(&bundle, &path, 99).unwrap();
         let (loaded, epoch) = load_with_epoch(&path).unwrap();
-        assert_eq!(epoch, Some(99));
+        assert_eq!(epoch, 99);
         assert_equivalent(&bundle, &loaded);
         assert!(
             !path.with_extension("idm.tmp").exists(),
             "temp file cleaned up"
         );
+        // The file size should be in the same ballpark as the
+        // footprint estimate (the estimate models this very format).
+        let file_len = std::fs::metadata(&path).unwrap().len() as usize;
+        let estimated = bundle.sizes().name + bundle.sizes().content;
+        assert!(file_len > estimated / 2, "{file_len} vs {estimated}");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn varint_primitives_roundtrip() {
-        let mut enc = Encoder::new();
-        let values = [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX];
-        for &v in &values {
-            enc.put_u64(v);
-        }
-        let signed = [0i64, -1, 1, i64::MIN, i64::MAX, -123456789];
-        for &v in &signed {
-            enc.put_i64(v);
-        }
-        enc.put_str("héllo wörld");
-        enc.put_f64(std::f64::consts::PI);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        for &v in &values {
-            assert_eq!(dec.get_u64().unwrap(), v);
-        }
-        for &v in &signed {
-            assert_eq!(dec.get_i64().unwrap(), v);
-        }
-        assert_eq!(dec.get_str().unwrap(), "héllo wörld");
-        assert_eq!(dec.get_f64().unwrap(), std::f64::consts::PI);
-        assert_eq!(dec.remaining(), 0);
     }
 }

@@ -236,21 +236,21 @@ proptest! {
             bundle.index_view(&store, vid, "prop").unwrap();
             prev = Some(vid);
         }
-        let bytes = idm_index::persist::to_bytes(&bundle);
-        let loaded = idm_index::persist::from_bytes(&bytes).expect("roundtrip");
+        let bytes = idm_index::persist::to_bytes_with_epoch(&bundle, 0);
+        let (loaded, _) = idm_index::persist::from_bytes_with_epoch(&bytes).expect("roundtrip");
         prop_assert_eq!(loaded.catalog.export_rows(), bundle.catalog.export_rows());
         prop_assert_eq!(loaded.name.export_names(), bundle.name.export_names());
         prop_assert_eq!(loaded.content.export_postings(), bundle.content.export_postings());
         prop_assert_eq!(loaded.group.export_edges(), bundle.group.export_edges());
         prop_assert_eq!(loaded.tuple.export_replica(), bundle.tuple.export_replica());
         // Determinism: re-encoding the loaded bundle gives the same bytes.
-        prop_assert_eq!(idm_index::persist::to_bytes(&loaded), bytes);
+        prop_assert_eq!(idm_index::persist::to_bytes_with_epoch(&loaded, 0), bytes);
     }
 
     /// The decoder never panics on arbitrary bytes.
     #[test]
     fn persist_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
-        let _ = idm_index::persist::from_bytes(&bytes);
+        let _ = idm_index::persist::from_bytes_with_epoch(&bytes);
     }
 
     /// Any byte-level truncation of a checksummed index file is an
@@ -293,4 +293,53 @@ fn small_bundle() -> idm_index::IndexBundle {
         .insert();
     bundle.index_view(&store, parent, "prop").unwrap();
     bundle
+}
+
+/// A tuple arity of 2^62 must be an error, not a "capacity overflow"
+/// panic — both in the pre-checksum `IDMIDX01` spelling (rejected at
+/// the magic) and sealed as a checksum-valid `IDMIDX02` artifact (which
+/// reaches the tuple decoder and its allocation cap).
+#[test]
+fn huge_tuple_arity_is_an_error_not_a_panic() {
+    use idm_core::durability::artifact;
+    use idm_core::durability::codec::Encoder;
+
+    let mut sections = Encoder::new();
+    sections.put_u64(0); // catalog rows
+    sections.put_u64(0); // names
+    sections.put_u64(1); // tuples
+    sections.put_u64(0); // vid
+    sections.put_u64(1 << 62); // arity
+    let sections = sections.into_bytes();
+
+    let legacy = [b"IDMIDX01".as_slice(), &sections].concat();
+    assert!(idm_index::persist::from_bytes_with_epoch(&legacy).is_err());
+
+    let mut sealed = Encoder::new();
+    sealed.put_raw(b"IDMIDX02");
+    sealed.put_u64(0); // epoch
+    sealed.put_raw(&sections);
+    let sealed = artifact::seal(sealed);
+    assert!(idm_index::persist::from_bytes_with_epoch(&sealed).is_err());
+}
+
+/// A file whose magic says `IDMIDX01` is damage to the loader and to
+/// artifact verification alike, even with an otherwise intact body.
+#[test]
+fn legacy_magic_is_rejected_by_load_and_by_verification() {
+    use idm_core::durability::scrub::verify_artifact;
+    use idm_core::durability::Verdict;
+
+    let dir = std::env::temp_dir().join(format!("idm-index-legacy-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("indexes.idm");
+    let mut bytes = idm_index::persist::to_bytes_with_epoch(&small_bundle(), 3);
+    assert_eq!(&bytes[..8], b"IDMIDX02");
+    bytes[7] = b'1';
+    std::fs::write(&path, &bytes).unwrap();
+
+    assert!(idm_index::persist::load_with_epoch(&path).is_err());
+    let verdict = verify_artifact(&idm_index::persist::artifact_at(&path)).unwrap();
+    assert!(matches!(verdict, Verdict::Damaged(_)), "{verdict:?}");
+    std::fs::remove_dir_all(&dir).ok();
 }

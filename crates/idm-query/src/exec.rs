@@ -112,8 +112,9 @@ pub struct ExecStats {
     /// Physical operators executed, by kind. Always equal to the plan's
     /// [`Plan::operator_counts`] — the plan/exec agreement invariant.
     pub ops: OperatorCounts,
-    /// Whole results served from the [`ResultCache`] (only via
-    /// [`QueryProcessor::execute_cached`]).
+    /// Whole results served from the [`ResultCache`] (only for
+    /// [`QueryRequest::cached`](crate::request::QueryRequest::cached)
+    /// requests).
     pub result_cache_hits: u64,
     /// Whether a partial-mode budget tripped and truncated this result
     /// to a sound subset of the true rows. Always `false` on unbudgeted
@@ -193,7 +194,7 @@ pub struct QueryProcessor {
     options: ExecOptions,
     cache: ExpansionCache,
     /// Whole-result cache keyed by plan fingerprint (opt-in via
-    /// [`QueryProcessor::execute_cached`]).
+    /// [`QueryRequest::cached`](crate::request::QueryRequest::cached)).
     results: ResultCache,
     /// Shared fault counters of the system's source guards, when the
     /// embedding system installs them; lets per-query stats report the
@@ -318,24 +319,15 @@ impl QueryProcessor {
         Ok(QueryResult { rows, stats })
     }
 
-    /// Like [`QueryProcessor::execute`], but consults the whole-result
-    /// cache first, keyed by the plan's normalized fingerprint. A hit
-    /// returns the cached rows without touching the indexes (stats show
-    /// `result_cache_hits = 1` and no operator work); a miss executes
-    /// the plan and seeds a delta-maintained standing result. Store
-    /// changes no longer clear the cache — pending [`ChangeRecord`]s
-    /// are applied to each entry on its next lookup
-    /// ([`crate::delta`]).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `QueryProcessor::run` with `QueryRequest::new(iql).cached()`"
-    )]
-    pub fn execute_cached(&self, iql: &str) -> Result<QueryResult> {
-        self.run(&crate::request::QueryRequest::new(iql).cached())
-            .map(|response| response.result)
-    }
-
-    /// The cached execution path over an already-built plan.
+    /// The cached execution path over an already-built plan
+    /// ([`QueryRequest::cached`](crate::request::QueryRequest::cached)):
+    /// consults the whole-result cache first, keyed by the plan's
+    /// normalized fingerprint. A hit returns the cached rows without
+    /// touching the indexes (stats show `result_cache_hits = 1` and no
+    /// operator work); a miss executes the plan and seeds a
+    /// delta-maintained standing result. Store changes do not clear the
+    /// cache — pending [`ChangeRecord`]s are applied to each entry on
+    /// its next lookup ([`crate::delta`]).
     pub(crate) fn run_cached(&self, plan: &Plan, budget: QueryBudget) -> Result<QueryResult> {
         let fingerprint = plan.fingerprint();
         if let Some(rows) = self.results.lookup(self, fingerprint) {

@@ -23,6 +23,7 @@
 //! used by the [`crate::cache::ResultCache`] and by the
 //! planner-determinism guard in `idm-bench`.
 
+use idm_core::durability::codec::fnv1a64;
 use idm_core::prelude::{IdmError, Result};
 use idm_index::name::NamePattern;
 use idm_index::tuple::CompareOp;
@@ -201,11 +202,13 @@ impl Plan {
     /// A stable 64-bit fingerprint of the normalized plan structure
     /// (operators, accesses and rewrite decisions; estimates excluded).
     /// Same query + same catalog statistics ⇒ identical fingerprint,
-    /// which is what lets result caches key on it.
+    /// which is what lets result caches key on it. FNV-1a is
+    /// deterministic across runs, processes and platforms (unlike the
+    /// std hasher, whose keys are unspecified).
     pub fn fingerprint(&self) -> u64 {
         let mut canonical = String::new();
         canonicalize(&self.root, &mut canonical);
-        fnv1a(canonical.as_bytes())
+        fnv1a64(canonical.as_bytes())
     }
 }
 
@@ -244,17 +247,6 @@ fn count_ops(node: &PlanNode, counts: &mut OperatorCounts) {
             count_ops(right, counts);
         }
     }
-}
-
-/// FNV-1a, 64-bit: deterministic across runs, processes and platforms
-/// (unlike the std hasher, whose keys are unspecified).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 fn canonicalize(node: &PlanNode, out: &mut String) {

@@ -1,16 +1,11 @@
 //! The unified query entry point: [`QueryRequest`] → [`QueryResponse`].
 //!
-//! The processor and system layers historically grew one method per
-//! execution mode — `execute` / `execute_cached` / `execute_ranked` on
-//! [`QueryProcessor`], `query` / `query_budgeted` / `query_explained`
-//! on the system facade — each combining the same four orthogonal
-//! switches (budget, explain, ranking, result caching) in a different
-//! hard-coded way. [`QueryRequest`] is the product type those methods
-//! were projections of: one builder carrying all the switches, one
-//! [`QueryProcessor::run`] that plans **once** and feeds every
-//! requested view of the execution from that single plan object. The
-//! legacy methods survive as thin `#[deprecated]` wrappers, so the
-//! migration is mechanical and the old spellings stay byte-compatible.
+//! A query execution combines four orthogonal switches — budget,
+//! explain, ranking, result caching. [`QueryRequest`] is one builder
+//! carrying all of them, and [`QueryProcessor::run`] plans **once** and
+//! feeds every requested view of the execution from that single plan
+//! object. `Pdsms::run` and `Federation::run` in `idm-system` take the
+//! same request.
 //!
 //! ```
 //! # use idm_core::prelude::*;
@@ -37,7 +32,7 @@ use crate::exec::{ExecStats, QueryProcessor, QueryResult};
 use crate::rank::{RankWeights, RankedResult};
 
 /// A declarative description of one query execution: the iQL text plus
-/// the orthogonal switches the legacy method zoo used to hard-wire.
+/// the orthogonal switches.
 ///
 /// Build with [`QueryRequest::new`] and chain the switches; every
 /// combination is valid (e.g. `.cached().ranked().explain()` ranks the
@@ -208,7 +203,7 @@ mod tests {
         let response = p.run(&QueryRequest::new(r#""database""#)).unwrap();
         let direct = p.execute(r#""database""#).unwrap();
         assert_eq!(response.result, direct);
-        assert_eq!(response.stats, direct.stats);
+        assert_eq!(response.stats, response.result.stats, "stats are hoisted");
         assert!(response.explain.is_none());
         assert!(response.ranked.is_none());
     }

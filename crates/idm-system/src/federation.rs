@@ -103,8 +103,7 @@ impl Federation {
     }
 
     /// Runs a [`QueryRequest`] on every peer; rows are tagged with
-    /// their peer. This is the single federated entry point — the
-    /// legacy `query*` methods are deprecated spellings of it.
+    /// their peer. This is the single federated entry point.
     ///
     /// The plan is built once at the coordinator and executed per peer.
     /// Peers that fail to execute it (a class unknown to that peer's
@@ -172,34 +171,6 @@ impl Federation {
             });
         }
         Ok(result)
-    }
-
-    /// Runs a query on every peer; rows are tagged with their peer.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Federation::run` with `QueryRequest::new(iql)`"
-    )]
-    pub fn query(&self, iql: &str) -> Result<FederatedResult> {
-        self.run(&QueryRequest::new(iql))
-    }
-
-    /// [`Federation::run`] under a total resource budget.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Federation::run` with `QueryRequest::new(iql).budget(budget)`"
-    )]
-    pub fn query_budgeted(&self, iql: &str, budget: QueryBudget) -> Result<FederatedResult> {
-        self.run(&QueryRequest::new(iql).budget(budget))
-    }
-
-    /// Runs a ranked query on every peer and merges by score (global
-    /// ranking across the federation).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Federation::run` with `QueryRequest::new(iql).ranked()`"
-    )]
-    pub fn query_ranked(&self, iql: &str) -> Result<FederatedResult> {
-        self.run(&QueryRequest::new(iql).ranked())
     }
 
     /// Per-peer result counts for a query (the P2P dashboard number).

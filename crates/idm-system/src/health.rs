@@ -12,7 +12,7 @@
 //! 2. verifies the **index artifact** (`indexes.idm`) checksum; a
 //!    damaged file is quarantined and rewritten from the live bundle;
 //! 3. cross-checks a **sample of index postings** against the store
-//!    ([`idm_index::audit`]), escalating to a full audit every
+//!    ([`mod@idm_index::audit`]), escalating to a full audit every
 //!    [`HealthConfig::full_audit_every`] rounds, and rebuilds any
 //!    drifted view through the segment path.
 //!
@@ -23,7 +23,8 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use idm_core::durability::{ScrubBudget, ScrubReport, Scrubber};
+use idm_core::durability::scrub::verify_artifact;
+use idm_core::durability::{ScrubBudget, ScrubReport, Scrubber, Verdict};
 use idm_core::prelude::*;
 use idm_index::{AuditMemo, AuditReport, AuditScope};
 
@@ -276,12 +277,15 @@ impl Pdsms {
             (guard.dir().to_path_buf(), guard.lsn())
         };
         let path = dir.join(INDEX_FILE);
-        match idm_index::persist::verify(&path) {
-            Ok(bytes) => Ok(Some(IndexArtifactOutcome::Clean { bytes })),
+        match verify_artifact(&idm_index::persist::artifact_at(&path)) {
+            Ok(Verdict::Clean) => {
+                let bytes = std::fs::metadata(&path).map_err(durability_err)?.len();
+                Ok(Some(IndexArtifactOutcome::Clean { bytes }))
+            }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 Ok(Some(IndexArtifactOutcome::Missing))
             }
-            Err(_) => {
+            Ok(Verdict::Damaged(_)) | Err(_) => {
                 let quarantined =
                     idm_core::durability::quarantine(&path).map_err(durability_err)?;
                 idm_index::persist::save_with_epoch(&self.indexes, &path, lsn)
@@ -292,7 +296,7 @@ impl Pdsms {
     }
 
     /// Cross-checks index postings against the live store (see
-    /// [`idm_index::audit`]).
+    /// [`mod@idm_index::audit`]).
     pub fn audit_indexes(
         &self,
         scope: AuditScope,
@@ -373,8 +377,8 @@ mod tests {
             Some(IndexArtifactOutcome::Repaired { .. })
         ));
         assert!(dir.join("indexes.idm.quarantine").exists());
-        // The rewritten artifact verifies and loads.
-        assert!(idm_index::persist::verify(&path).is_ok());
+        // The rewritten artifact loads.
+        assert!(idm_index::persist::load_with_epoch(&path).is_ok());
         let next = monitor.round(&system).unwrap();
         assert!(next.healthy(), "{next}");
         std::fs::remove_dir_all(&dir).ok();

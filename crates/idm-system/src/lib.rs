@@ -56,7 +56,7 @@ use std::sync::Arc;
 use idm_core::lineage::LineageGraph;
 use idm_core::prelude::*;
 use idm_index::IndexBundle;
-use idm_query::{ExpansionStrategy, QueryBudget, QueryProcessor, QueryResult};
+use idm_query::{ExpansionStrategy, QueryProcessor};
 use parking_lot::Mutex;
 
 /// File name of the persisted index bundle inside a dataspace directory.
@@ -72,8 +72,8 @@ pub enum IndexFate {
     /// (its epoch differed from the recovered log sequence number) —
     /// rebuilt from the recovered views.
     RebuiltStaleEpoch,
-    /// A bundle file existed but could not be read (corrupt, torn,
-    /// legacy with no epoch) — rebuilt.
+    /// A bundle file existed but could not be read (corrupt, torn, or
+    /// not an `IDMIDX02` file) — rebuilt.
     RebuiltUnreadable,
     /// No bundle file was present — rebuilt.
     RebuiltMissing,
@@ -186,9 +186,7 @@ impl Pdsms {
 
         let index_path = dir.join(INDEX_FILE);
         let (indexes, fate) = match idm_index::persist::load_with_epoch(&index_path) {
-            Ok((bundle, Some(epoch))) if epoch == recovery.lsn => {
-                (Arc::new(bundle), IndexFate::Loaded)
-            }
+            Ok((bundle, epoch)) if epoch == recovery.lsn => (Arc::new(bundle), IndexFate::Loaded),
             Ok((stale, _)) => (
                 Arc::new(Pdsms::rebuild_indexes(&store, Some(&stale))?),
                 IndexFate::RebuiltStaleEpoch,
@@ -407,7 +405,7 @@ impl Pdsms {
     /// Enables admission control: at most `config.max_concurrent`
     /// queries run at once, at most `config.max_queued` wait, and
     /// waiters are shed at the queue deadline. Applies to
-    /// [`Pdsms::query`] and [`Pdsms::query_budgeted`].
+    /// [`Pdsms::run`].
     pub fn enable_governor(&mut self, config: govern::GovernorConfig) {
         self.governor = Some(govern::AdmissionGate::new(config));
     }
@@ -427,8 +425,7 @@ impl Pdsms {
     /// Executes a [`QueryRequest`] under the system's configured
     /// expansion strategy and through the admission gate, when enabled:
     /// the request's wall-clock deadline (if any) also caps its
-    /// admission-queue wait. This is the single query entry point — the
-    /// legacy `query*` methods are deprecated spellings of it.
+    /// admission-queue wait. This is the single query entry point.
     pub fn run(&self, request: &QueryRequest) -> Result<QueryResponse> {
         // Hold the permit for the whole execution; dropping it on any
         // return path (including budget-exhaustion errors) frees the
@@ -441,48 +438,11 @@ impl Pdsms {
         self.query_processor().run(request)
     }
 
-    /// Parses, plans and executes an iQL query under the system's
-    /// configured expansion strategy (and through the admission gate,
-    /// when enabled).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Pdsms::run` with `QueryRequest::new(iql)`"
-    )]
-    pub fn query(&self, iql: &str) -> Result<QueryResult> {
-        self.run(&QueryRequest::new(iql)).map(|r| r.result)
-    }
-
-    /// Like [`Pdsms::run`] with a budgeted request: the query's
-    /// wall-clock deadline also caps its admission-queue wait, and the
-    /// budget (deadline, memory/row/node caps, partial-result opt-in)
-    /// bounds execution itself.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Pdsms::run` with `QueryRequest::new(iql).budget(budget)`"
-    )]
-    pub fn query_budgeted(&self, iql: &str, budget: QueryBudget) -> Result<QueryResult> {
-        self.run(&QueryRequest::new(iql).budget(budget))
-            .map(|r| r.result)
-    }
-
     /// Renders the execution plan of a query — under the system's
     /// configured expansion strategy, so EXPLAIN always matches what
     /// [`Pdsms::run`] would run.
     pub fn explain(&self, iql: &str) -> Result<String> {
         self.query_processor().explain(iql)
-    }
-
-    /// Executes a query and returns its result *together with* the
-    /// rendered plan. The plan is built exactly once; the executor runs
-    /// it and the renderer prints it — the two cannot diverge.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Pdsms::run` with `QueryRequest::new(iql).explain()`"
-    )]
-    pub fn query_explained(&self, iql: &str) -> Result<(QueryResult, String)> {
-        let response = self.run(&QueryRequest::new(iql).explain())?;
-        let plan = response.explain.unwrap_or_default();
-        Ok((response.result, plan))
     }
 }
 
@@ -631,11 +591,11 @@ mod tests {
         let mut system = Pdsms::new();
         system.register_source(Arc::new(FsPlugin::new(fs, NodeId::ROOT)));
         system.index_all().unwrap();
-        let response = system
-            .run(&QueryRequest::new(r#"//docs//*["database"]"#).explain())
-            .unwrap();
+        let iql = r#"//docs//*["database"]"#;
+        let response = system.run(&QueryRequest::new(iql).explain()).unwrap();
         let (result, plan) = (response.result, response.explain.unwrap());
         assert_eq!(result.rows.len(), 1);
+        assert_eq!(plan, system.explain(iql).unwrap(), "one renderer");
         // The rendered operators are the executed operators.
         assert!(plan.contains("Relate"), "{plan}");
         assert_eq!(result.stats.ops.relates, 1);

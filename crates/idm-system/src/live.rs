@@ -121,20 +121,16 @@ pub struct SubscriptionRegistry {
     /// Deterministic failure injection for tests and the chaos
     /// simulator: each pending count fails one maintenance (or resync)
     /// call.
-    #[cfg(any(test, feature = "fault-injection"))]
     inject_maintain_failures: AtomicU64,
-    #[cfg(any(test, feature = "fault-injection"))]
     inject_resync_failures: AtomicU64,
 }
 
-#[cfg(any(test, feature = "fault-injection"))]
 fn take_one(counter: &AtomicU64) -> bool {
     counter
         .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1))
         .is_ok()
 }
 
-#[cfg(any(test, feature = "fault-injection"))]
 fn injected_error(op: &str) -> IdmError {
     IdmError::Provider {
         detail: format!("injected {op} failure"),
@@ -154,9 +150,7 @@ impl SubscriptionRegistry {
             maintain_failures: AtomicU64::new(0),
             resyncs: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            #[cfg(any(test, feature = "fault-injection"))]
             inject_maintain_failures: AtomicU64::new(0),
-            #[cfg(any(test, feature = "fault-injection"))]
             inject_resync_failures: AtomicU64::new(0),
         }
     }
@@ -208,15 +202,11 @@ impl SubscriptionRegistry {
             let maintained = if sub.consecutive_failures > 0 {
                 None
             } else {
-                #[cfg(any(test, feature = "fault-injection"))]
-                let result = if take_one(&self.inject_maintain_failures) {
+                Some(if take_one(&self.inject_maintain_failures) {
                     Err(injected_error("maintain"))
                 } else {
                     self.processor.maintain(&mut sub.standing, records)
-                };
-                #[cfg(not(any(test, feature = "fault-injection")))]
-                let result = self.processor.maintain(&mut sub.standing, records);
-                Some(result)
+                })
             };
 
             let delta = match maintained {
@@ -233,14 +223,11 @@ impl SubscriptionRegistry {
                     if failed.is_some() {
                         self.maintain_failures.fetch_add(1, Ordering::Relaxed);
                     }
-                    #[cfg(any(test, feature = "fault-injection"))]
                     let resynced = if take_one(&self.inject_resync_failures) {
                         Err(injected_error("resync"))
                     } else {
                         self.processor.resync(&mut sub.standing)
                     };
-                    #[cfg(not(any(test, feature = "fault-injection")))]
-                    let resynced = self.processor.resync(&mut sub.standing);
 
                     match resynced {
                         Ok(delta) => {
@@ -294,7 +281,6 @@ impl SubscriptionRegistry {
     /// `maintain` failing-calls and `resync` failing-calls each error.
     /// Tests and the chaos simulator use this to exercise the
     /// resync-then-drop path without a real substrate fault.
-    #[cfg(any(test, feature = "fault-injection"))]
     pub fn inject_failures(&self, maintain: u64, resync: u64) {
         self.inject_maintain_failures
             .fetch_add(maintain, Ordering::Relaxed);
@@ -370,7 +356,6 @@ impl Pdsms {
 
     /// Arms deterministic live-maintenance failure injection (see
     /// [`SubscriptionRegistry::inject_failures`]).
-    #[cfg(any(test, feature = "fault-injection"))]
     pub fn inject_live_failures(&self, maintain: u64, resync: u64) {
         self.live_state().registry.inject_failures(maintain, resync);
     }

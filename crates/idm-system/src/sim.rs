@@ -80,6 +80,7 @@ pub struct SimCounters {
     pub crashes: u64,
     pub records_replayed: u64,
     pub faults_injected: u64,
+    pub resyncs: u64,
 }
 
 /// What one simulation run did and found.
@@ -583,14 +584,21 @@ impl Sim {
     /// Arms a deterministic live-maintenance failure, then mutates and
     /// pumps: the subscription must survive via counted resync.
     fn fault_and_pump(&mut self, step: usize) -> Result<()> {
-        #[cfg(any(test, feature = "fault-injection"))]
-        {
-            self.system()?.inject_live_failures(1, 0);
-            self.counters.faults_injected += 1;
-        }
+        let before = self.system()?.live_stats().resyncs;
+        self.system()?.inject_live_failures(1, 0);
+        self.counters.faults_injected += 1;
         self.event(step, "inject live maintenance fault".into());
         self.mutate(step)?;
-        self.pump(step)
+        self.pump(step)?;
+        let resyncs = self.system()?.live_stats().resyncs - before;
+        self.counters.resyncs += resyncs;
+        if resyncs != 1 {
+            self.violation(
+                step,
+                format!("injected maintenance fault led to {resyncs} resync(s), not 1"),
+            );
+        }
+        Ok(())
     }
 
     fn step(&mut self, step: usize) -> Result<()> {

@@ -1,8 +1,6 @@
 //! Chaos tests: seeded, deterministic fault injection against the full
 //! system — sync rounds, circuit breakers and stale reads under
-//! substrate failure. Compiled only with `--features fault-injection`.
-
-#![cfg(feature = "fault-injection")]
+//! substrate failure.
 
 use std::sync::Arc;
 use std::time::Duration;

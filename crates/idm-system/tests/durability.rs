@@ -157,7 +157,7 @@ fn stale_index_epoch_rebuild_matches_fresh_ingest_queries() {
     // Re-stamp the (valid) index file with a wrong epoch.
     let index_path = dir.join("indexes.idm");
     let (bundle, epoch) = idm_index::persist::load_with_epoch(&index_path).unwrap();
-    idm_index::persist::save_with_epoch(&bundle, &index_path, epoch.unwrap() + 17).unwrap();
+    idm_index::persist::save_with_epoch(&bundle, &index_path, epoch + 17).unwrap();
 
     let (reopened, report) = Pdsms::open(&dir).unwrap();
     assert_eq!(report.index, IndexFate::RebuiltStaleEpoch, "{report}");

@@ -49,4 +49,6 @@ fn long_schedule_exercises_every_operation_class() {
     assert!(c.corruptions > 0, "{c:?}");
     assert!(c.repairs > 0, "{c:?}");
     assert!(c.crashes > 0, "{c:?}");
+    assert!(c.faults_injected > 0, "{c:?}");
+    assert!(c.resyncs > 0, "{c:?}");
 }

@@ -175,7 +175,6 @@ pub struct VirtualFs {
     subscribers: Mutex<Vec<Sender<FsEvent>>>,
     latency: Mutex<DiskLatency>,
     simulated: Mutex<std::time::Duration>,
-    #[cfg(feature = "fault-injection")]
     faults: FaultPoint,
 }
 
@@ -210,33 +209,23 @@ impl VirtualFs {
             subscribers: Mutex::new(Vec::new()),
             latency: Mutex::new(DiskLatency::none()),
             simulated: Mutex::new(std::time::Duration::ZERO),
-            #[cfg(feature = "fault-injection")]
             faults: FaultPoint::new(),
         }
     }
 
     /// Installs a fault plan on this filesystem's read/list/walk calls;
     /// returns the injector for call/fault counting.
-    #[cfg(feature = "fault-injection")]
     pub fn install_faults(&self, plan: FaultPlan) -> Arc<FaultInjector> {
         self.faults.install(plan)
     }
 
     /// Removes any installed fault plan (the disk heals).
-    #[cfg(feature = "fault-injection")]
     pub fn clear_faults(&self) {
         self.faults.clear()
     }
 
-    #[cfg(feature = "fault-injection")]
     fn fault_check(&self, op: &str) -> Result<FaultAction> {
         self.faults.check("filesystem", op)
-    }
-
-    #[cfg(not(feature = "fault-injection"))]
-    #[inline(always)]
-    fn fault_check(&self, _op: &str) -> Result<FaultAction> {
-        Ok(FaultAction::Proceed)
     }
 
     /// Installs a disk latency model (reads and listings pay it).

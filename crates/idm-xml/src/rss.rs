@@ -118,7 +118,6 @@ impl Feed {
 #[derive(Default)]
 pub struct FeedServer {
     feeds: RwLock<HashMap<String, Feed>>,
-    #[cfg(feature = "fault-injection")]
     faults: FaultPoint,
 }
 
@@ -130,26 +129,17 @@ impl FeedServer {
 
     /// Installs a fault plan on this server's fetches; returns the
     /// injector for call/fault counting.
-    #[cfg(feature = "fault-injection")]
     pub fn install_faults(&self, plan: FaultPlan) -> std::sync::Arc<FaultInjector> {
         self.faults.install(plan)
     }
 
     /// Removes any installed fault plan (the server heals).
-    #[cfg(feature = "fault-injection")]
     pub fn clear_faults(&self) {
         self.faults.clear()
     }
 
-    #[cfg(feature = "fault-injection")]
     fn fault_check(&self, op: &str) -> Result<FaultAction> {
         self.faults.check("rss", op)
-    }
-
-    #[cfg(not(feature = "fault-injection"))]
-    #[inline(always)]
-    fn fault_check(&self, _op: &str) -> Result<FaultAction> {
-        Ok(FaultAction::Proceed)
     }
 
     /// Creates (or replaces) the feed at `url`.

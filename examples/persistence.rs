@@ -47,7 +47,7 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     let ingest_time = ingest_start.elapsed();
 
     let path = std::env::temp_dir().join("imemex-example-indexes.idm");
-    persist::save(system.indexes(), &path)?;
+    persist::save_with_epoch(system.indexes(), &path, 0)?;
     let file_size = std::fs::metadata(&path)?.len();
     println!(
         "session 1: ingested {} views in {:.1} ms; saved indexes ({} bytes) to {}",
@@ -65,7 +65,7 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
 
     // Session 2: restart — load the indexes, no re-scan.
     let load_start = Instant::now();
-    let restored = Arc::new(persist::load(&path)?);
+    let restored = Arc::new(persist::load_with_epoch(&path)?.0);
     let load_time = load_start.elapsed();
     let fresh_store = Arc::new(ViewStore::new());
     let processor = QueryProcessor::new(fresh_store, restored);

@@ -523,7 +523,7 @@ fn main() {
                 "stats" => shell.stats(),
                 "save" => {
                     let path = std::path::Path::new(arg.trim());
-                    match imemex::index::persist::save(shell.system.indexes(), path) {
+                    match imemex::index::persist::save_with_epoch(shell.system.indexes(), path, 0) {
                         Ok(()) => println!(
                             "saved {} bytes to {}",
                             std::fs::metadata(path).map(|m| m.len()).unwrap_or(0),

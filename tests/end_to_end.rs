@@ -198,8 +198,9 @@ fn indexes_survive_a_restart() {
     // and catalog are self-sufficient for query processing.
     use imemex::index::persist;
     let w = world();
-    let bytes = persist::to_bytes(w.system.indexes());
-    let restored = std::sync::Arc::new(persist::from_bytes(&bytes).expect("load"));
+    let bytes = persist::to_bytes_with_epoch(w.system.indexes(), 0);
+    let (restored, _) = persist::from_bytes_with_epoch(&bytes).expect("load");
+    let restored = std::sync::Arc::new(restored);
 
     let fresh_store = std::sync::Arc::new(imemex::core::prelude::ViewStore::new());
     let processor = imemex::query::QueryProcessor::new(fresh_store, restored);
