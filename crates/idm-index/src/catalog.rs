@@ -115,6 +115,11 @@ impl ResourceViewCatalog {
         out
     }
 
+    /// `by_class(class).len()` without reading the posting list.
+    pub fn class_count(&self, class: &str) -> usize {
+        self.inner.read().by_class.get(class).map_or(0, Vec::len)
+    }
+
     /// All views registered from a data source.
     pub fn by_source(&self, source: &str) -> Vec<Vid> {
         let mut out = self

@@ -1,8 +1,31 @@
 //! The Name Index & Replica: maps resource view names to vids and
 //! answers the wildcard name patterns iQL paths use (`*Vision`,
 //! `?onclusion*`, `VLDB200?`, `*.tex`, bare `*`).
+//!
+//! The sorted dictionary `by_name` is the replica and the persisted
+//! form. Beside it sits a **k-gram dictionary** (k = 3; Manning,
+//! Raghavan & Schütze, *Introduction to Information Retrieval*,
+//! §3.2.2) over the *distinct names*: every byte trigram of a name's
+//! UTF-8 form maps to the sorted ids of the names containing it. It is
+//! derived, never written to disk, updated only when a name is first
+//! seen or loses its last vid, and rebuilt by `import_names`.
+//!
+//! [`NameIndex::matching`] picks the narrowest access per pattern:
+//!
+//! 1. no wildcard — one dictionary lookup;
+//! 2. a literal prefix (`VLDB200?`, `figure*`) — a range scan over the
+//!    names sharing the prefix;
+//! 3. a literal run of at least three bytes anywhere (`*Vision`,
+//!    `?onclusion*`, `*.tex`) — the run's trigram postings intersected
+//!    rarest-first, and only the surviving names glob-verified. Byte
+//!    trigrams are sound for any UTF-8 name (a literal run's bytes occur
+//!    in the bytes of every name it matches), and every candidate is
+//!    verified, so this path only ever prunes;
+//! 4. anything else (`*a?`, bare `*`) — a scan of the whole dictionary.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 
 use idm_core::prelude::Vid;
 use parking_lot::RwLock;
@@ -28,7 +51,7 @@ impl NamePattern {
 
     /// Whether this pattern contains no wildcards (exact lookup).
     pub fn is_exact(&self) -> bool {
-        !self.raw.contains(['*', '?'])
+        !self.raw.contains(WILDCARDS)
     }
 
     /// The raw pattern text.
@@ -36,40 +59,161 @@ impl NamePattern {
         &self.raw
     }
 
-    /// Glob matching (iterative two-pointer with backtracking on `*`).
+    /// The literal text before the first wildcard.
+    fn literal_prefix(&self) -> &str {
+        &self.raw[..self.raw.find(WILDCARDS).unwrap_or(self.raw.len())]
+    }
+
+    /// The maximal wildcard-free runs of the pattern; each occurs as a
+    /// substring in every name the pattern matches.
+    fn literal_runs(&self) -> impl Iterator<Item = &str> {
+        self.raw.split(WILDCARDS)
+    }
+
+    /// Glob matching (iterative two-pointer with backtracking on `*`),
+    /// directly over the UTF-8 bytes. The wildcards are ASCII, so they
+    /// never occur inside a multi-byte char; literal bytes consumed from
+    /// a char boundary of `name` end on one, and `?` and the `*`
+    /// backtrack step skip whole chars — so the text position only
+    /// leaves a char boundary in the middle of a literal char.
     pub fn matches(&self, name: &str) -> bool {
-        let pattern: Vec<char> = self.raw.chars().collect();
-        let text: Vec<char> = name.chars().collect();
+        let (pattern, text) = (self.raw.as_bytes(), name.as_bytes());
         let (mut p, mut t) = (0usize, 0usize);
         let (mut star, mut star_t) = (None::<usize>, 0usize);
         while t < text.len() {
-            if p < pattern.len() && (pattern[p] == '?' || pattern[p] == text[t]) {
-                p += 1;
-                t += 1;
-            } else if p < pattern.len() && pattern[p] == '*' {
-                star = Some(p);
-                star_t = t;
-                p += 1;
-            } else if let Some(sp) = star {
-                p = sp + 1;
-                star_t += 1;
-                t = star_t;
-            } else {
-                return false;
+            match pattern.get(p) {
+                Some(b'?') => {
+                    p += 1;
+                    t = next_char(text, t);
+                }
+                // Before the `*` arm: facing a `*` in the name, a pattern
+                // `*` is taken as that literal.
+                Some(&literal) if literal == text[t] => {
+                    p += 1;
+                    t += 1;
+                }
+                Some(b'*') => {
+                    star = Some(p);
+                    star_t = t;
+                    p += 1;
+                }
+                _ => match star {
+                    Some(sp) => {
+                        p = sp + 1;
+                        star_t = next_char(text, star_t);
+                        t = star_t;
+                    }
+                    None => return false,
+                },
             }
         }
-        while p < pattern.len() && pattern[p] == '*' {
-            p += 1;
-        }
-        p == pattern.len()
+        pattern[p..].iter().all(|b| *b == b'*')
     }
+}
+
+const WILDCARDS: [char; 2] = ['*', '?'];
+
+/// The byte offset of the char after the one starting at `at`.
+fn next_char(text: &[u8], at: usize) -> usize {
+    let mut next = at + 1;
+    while next < text.len() && text[next] & 0xC0 == 0x80 {
+        next += 1;
+    }
+    next
+}
+
+/// The byte trigrams of a string, in order (none for fewer than three
+/// bytes).
+fn trigrams(text: &str) -> impl Iterator<Item = [u8; 3]> + '_ {
+    text.as_bytes().windows(3).map(|w| [w[0], w[1], w[2]])
+}
+
+/// The k-gram dictionary over the distinct indexed names.
+#[derive(Default)]
+struct GramDictionary {
+    /// Name id → name. An empty string marks a free slot (indexed names
+    /// are never empty).
+    names: Vec<String>,
+    /// Free slots of `names`, reused before it grows.
+    free: Vec<u32>,
+    /// Trigram → sorted ids of the names containing it.
+    postings: HashMap<[u8; 3], Vec<u32>>,
+}
+
+impl GramDictionary {
+    /// Adds a name the dictionary does not hold yet; returns its id.
+    fn insert(&mut self, name: &str) -> u32 {
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.names.push(String::new());
+            u32::try_from(self.names.len() - 1).expect("fewer than 2^32 distinct names")
+        });
+        self.names[id as usize] = name.to_owned();
+        for gram in trigrams(name) {
+            let ids = self.postings.entry(gram).or_default();
+            if let Err(i) = ids.binary_search(&id) {
+                ids.insert(i, id);
+            }
+        }
+        id
+    }
+
+    /// Drops the name with this id and frees the id for reuse.
+    fn remove(&mut self, id: u32) {
+        let name = std::mem::take(&mut self.names[id as usize]);
+        for gram in trigrams(&name) {
+            let Some(ids) = self.postings.get_mut(&gram) else {
+                continue;
+            };
+            if let Ok(i) = ids.binary_search(&id) {
+                ids.remove(i);
+            }
+            if ids.is_empty() {
+                self.postings.remove(&gram);
+            }
+        }
+        self.free.push(id);
+    }
+
+    /// Ids of the names that contain every trigram of every literal run
+    /// of `pattern` — a superset of the names it matches. `None` when no
+    /// run is three bytes long, i.e. the trigrams say nothing.
+    fn candidates(&self, pattern: &NamePattern) -> Option<Vec<u32>> {
+        let mut lists: Vec<&[u32]> = Vec::new();
+        for gram in pattern.literal_runs().flat_map(trigrams) {
+            match self.postings.get(&gram) {
+                Some(ids) => lists.push(ids),
+                None => return Some(Vec::new()),
+            }
+        }
+        // Rarest first: the shortest list drives, the others are probed
+        // shortest first so a miss is found early.
+        lists.sort_by_key(|ids| ids.len());
+        let (rarest, rest) = lists.split_first()?;
+        Some(
+            rarest
+                .iter()
+                .copied()
+                .filter(|id| rest.iter().all(|ids| ids.binary_search(id).is_ok()))
+                .collect(),
+        )
+    }
+}
+
+/// One dictionary entry: the vids carrying a name.
+struct Posting {
+    /// The name's id in the k-gram dictionary.
+    id: u32,
+    /// Sorted, duplicate-free.
+    vids: Vec<Vid>,
 }
 
 #[derive(Default)]
 struct Inner {
     /// Name → vids with that exact name (the replica: names stored).
-    by_name: BTreeMap<String, Vec<Vid>>,
+    by_name: BTreeMap<String, Posting>,
     entries: usize,
+    /// Derived from the keys of `by_name`; not persisted.
+    grams: GramDictionary,
 }
 
 /// The name index.
@@ -92,9 +236,18 @@ impl NameIndex {
         }
         let mut inner = self.inner.write();
         let inner = &mut *inner;
-        let vids = inner.by_name.entry(name.to_owned()).or_default();
-        if let Err(i) = vids.binary_search(&vid) {
-            vids.insert(i, vid);
+        let posting = match inner.by_name.entry(name.to_owned()) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(entry) => {
+                let id = inner.grams.insert(name);
+                entry.insert(Posting {
+                    id,
+                    vids: Vec::new(),
+                })
+            }
+        };
+        if let Err(i) = posting.vids.binary_search(&vid) {
+            posting.vids.insert(i, vid);
             inner.entries += 1;
         }
     }
@@ -103,15 +256,15 @@ impl NameIndex {
     pub fn remove(&self, vid: Vid, name: &str) {
         let mut inner = self.inner.write();
         let inner = &mut *inner;
-        let mut emptied = false;
-        if let Some(vids) = inner.by_name.get_mut(name) {
-            if let Ok(i) = vids.binary_search(&vid) {
-                vids.remove(i);
-                inner.entries -= 1;
-            }
-            emptied = vids.is_empty();
+        let Some(posting) = inner.by_name.get_mut(name) else {
+            return;
+        };
+        if let Ok(i) = posting.vids.binary_search(&vid) {
+            posting.vids.remove(i);
+            inner.entries -= 1;
         }
-        if emptied {
+        if posting.vids.is_empty() {
+            inner.grams.remove(posting.id);
             inner.by_name.remove(name);
         }
     }
@@ -122,41 +275,66 @@ impl NameIndex {
             .read()
             .by_name
             .get(name)
-            .cloned()
+            .map(|posting| posting.vids.clone())
             .unwrap_or_default()
     }
 
-    /// Views whose name matches the pattern. Uses a prefix scan over the
-    /// sorted dictionary when the pattern has a literal prefix.
+    /// `exact(name).len()` without reading the posting list.
+    pub fn exact_count(&self, name: &str) -> usize {
+        self.inner
+            .read()
+            .by_name
+            .get(name)
+            .map_or(0, |posting| posting.vids.len())
+    }
+
+    /// Views whose name matches the pattern, sorted by vid (see the
+    /// module doc for the access chosen per pattern shape).
     pub fn matching(&self, pattern: &NamePattern) -> Vec<Vid> {
+        self.matching_counted(pattern).0
+    }
+
+    /// [`NameIndex::matching`], plus how many dictionary names it had to
+    /// glob-verify to get there.
+    fn matching_counted(&self, pattern: &NamePattern) -> (Vec<Vid>, usize) {
         if pattern.is_exact() {
-            return self.exact(pattern.as_str());
+            return (self.exact(pattern.as_str()), 0);
         }
         let inner = self.inner.read();
         let mut out = Vec::new();
-        // Literal prefix before the first wildcard bounds the scan.
-        let prefix: String = pattern
-            .as_str()
-            .chars()
-            .take_while(|c| *c != '*' && *c != '?')
-            .collect();
-        let range: Box<dyn Iterator<Item = (&String, &Vec<Vid>)>> = if prefix.is_empty() {
-            Box::new(inner.by_name.iter())
-        } else {
-            Box::new(
-                inner
-                    .by_name
-                    .range(prefix.clone()..)
-                    .take_while(move |(name, _)| name.starts_with(&prefix)),
-            )
+        let mut verified = 0usize;
+        let mut matches = |name: &str| {
+            verified += 1;
+            pattern.matches(name)
         };
-        for (name, vids) in range {
-            if pattern.matches(name) {
-                out.extend_from_slice(vids);
+        let prefix = pattern.literal_prefix();
+        if !prefix.is_empty() {
+            let from_prefix = (Bound::Included(prefix), Bound::Unbounded);
+            for (name, posting) in inner
+                .by_name
+                .range::<str, _>(from_prefix)
+                .take_while(|(name, _)| name.starts_with(prefix))
+            {
+                if matches(name) {
+                    out.extend_from_slice(&posting.vids);
+                }
+            }
+        } else if let Some(ids) = inner.grams.candidates(pattern) {
+            for id in ids {
+                let name = &inner.grams.names[id as usize];
+                if matches(name) {
+                    out.extend_from_slice(&inner.by_name[name].vids);
+                }
+            }
+        } else {
+            for (name, posting) in &inner.by_name {
+                if matches(name) {
+                    out.extend_from_slice(&posting.vids);
+                }
             }
         }
         out.sort();
-        out
+        (out, verified)
     }
 
     /// Exports the name dictionary for persistence.
@@ -165,18 +343,29 @@ impl NameIndex {
         inner
             .by_name
             .iter()
-            .map(|(name, vids)| (name.clone(), vids.iter().map(|v| v.as_u64()).collect()))
+            .map(|(name, posting)| {
+                let vids = posting.vids.iter().map(|v| v.as_u64()).collect();
+                (name.clone(), vids)
+            })
             .collect()
     }
 
-    /// Rebuilds the index from an export.
+    /// Rebuilds the index (and its k-gram dictionary) from an export.
     pub fn import_names(&self, names: Vec<(String, Vec<u64>)>) {
         let mut inner = self.inner.write();
+        let inner = &mut *inner;
         inner.entries = names.iter().map(|(_, v)| v.len()).sum();
         inner.by_name = names
             .into_iter()
-            .map(|(name, vids)| (name, vids.into_iter().map(Vid::from_raw).collect()))
+            .map(|(name, vids)| {
+                let vids = vids.into_iter().map(Vid::from_raw).collect();
+                (name, Posting { id: 0, vids })
+            })
             .collect();
+        inner.grams = GramDictionary::default();
+        for (name, posting) in &mut inner.by_name {
+            posting.id = inner.grams.insert(name);
+        }
     }
 
     /// Number of distinct indexed names.
@@ -190,7 +379,8 @@ impl NameIndex {
     }
 
     /// Serialized index size in bytes: the name replica (the strings
-    /// themselves) plus delta-varint vid postings.
+    /// themselves) plus delta-varint vid postings. The k-gram dictionary
+    /// is not serialized and not counted.
     pub fn footprint_bytes(&self) -> usize {
         fn varint(v: u64) -> usize {
             (64 - v.leading_zeros() as usize).max(1).div_ceil(7)
@@ -199,7 +389,8 @@ impl NameIndex {
         inner
             .by_name
             .iter()
-            .map(|(name, vids)| {
+            .map(|(name, posting)| {
+                let vids = &posting.vids;
                 let mut bytes = name.len() + varint(vids.len() as u64) + 4;
                 let mut prev = 0u64;
                 for vid in vids {
@@ -243,6 +434,14 @@ mod tests {
             ("a*b*c", "aXXbYYc", true),
             ("a*b*c", "abc", true),
             ("a*b*c", "acb", false),
+            // `?` is one char, however many bytes.
+            ("?", "é", true),
+            ("??", "é", false),
+            ("*??", "é→", true),
+            ("caf?", "café", true),
+            ("*é?", "café→", true),
+            ("?onclusion*", "→onclusions", true),
+            ("*→", "a→b", false),
         ];
         for (pattern, name, expected) in cases {
             assert_eq!(
@@ -300,6 +499,102 @@ mod tests {
         let index = NameIndex::new();
         index.index(vid(1), "");
         assert_eq!(index.entry_count(), 0);
+    }
+
+    /// Every exported name the pattern matches, by brute force.
+    fn brute_force(index: &NameIndex, pattern: &NamePattern) -> Vec<Vid> {
+        let mut out: Vec<Vid> = index
+            .export_names()
+            .into_iter()
+            .filter(|(name, _)| pattern.matches(name))
+            .flat_map(|(_, vids)| vids.into_iter().map(Vid::from_raw))
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// `i` spelled in letters, so generated names carry no digits.
+    fn letters(mut i: usize) -> String {
+        let mut out = String::new();
+        loop {
+            out.push((b'a' + (i % 26) as u8) as char);
+            i /= 26;
+            if i == 0 {
+                return out;
+            }
+        }
+    }
+
+    #[test]
+    fn wildcards_verify_a_sliver_of_a_large_dictionary() {
+        const STEMS: [&str; 6] = ["note ", "Section ", "report-", "img_", "Re: ", "draft "];
+        const EXTS: [&str; 5] = [".txt", ".pdf", ".xml", ".jpg", ""];
+        let index = NameIndex::new();
+        let mut next = 0u64;
+        let mut add = |name: String| {
+            // Two views per name: grams are keyed by name, not by entry.
+            for _ in 0..2 {
+                index.index(vid(next), &name);
+                next += 1;
+            }
+        };
+        for i in 0..12_000 {
+            add(format!("{}{}{}", STEMS[i % 6], letters(i), EXTS[i % 5]));
+        }
+        for i in 0..60 {
+            add(format!("A {} Vision", letters(i)));
+            add(format!("Conclusion {}", letters(i)));
+            add(format!("{} 2006", letters(i)));
+            add(format!("VLDB2005 {}", letters(i))); // shares "200", not "006"
+            add(format!("{}.tex", letters(i)));
+            add(format!("textbook {}.pdf", letters(i))); // shares "tex", not ".te"
+        }
+        let names = index.name_count();
+        assert!(names >= 10_000, "{names}");
+
+        for (pattern, hits) in [
+            ("*Vision", 120),
+            ("?onclusion*", 120),
+            ("*.tex", 120),
+            ("*2006*", 120),
+        ] {
+            let pattern = NamePattern::new(pattern);
+            let (got, verified) = index.matching_counted(&pattern);
+            assert_eq!(got.len(), hits, "{pattern:?}");
+            assert_eq!(got, brute_force(&index, &pattern), "{pattern:?}");
+            assert!(
+                verified * 50 < names,
+                "{pattern:?} verified {verified} of {names} names"
+            );
+        }
+
+        // No literal run of three bytes: the scan fallback still answers.
+        let pattern = NamePattern::new("*a?");
+        let (got, verified) = index.matching_counted(&pattern);
+        assert_eq!(verified, names);
+        assert!(!got.is_empty());
+        assert_eq!(got, brute_force(&index, &pattern));
+    }
+
+    #[test]
+    fn grams_follow_the_last_vid_of_a_name() {
+        let index = NameIndex::new();
+        index.index(vid(1), "vldb 2006.tex");
+        index.index(vid(2), "vldb 2006.tex");
+        index.index(vid(3), "other.tex");
+        let tex = NamePattern::new("*.tex");
+        index.remove(vid(1), "vldb 2006.tex");
+        assert_eq!(index.matching(&tex), vec![vid(2), vid(3)]);
+        index.remove(vid(2), "vldb 2006.tex");
+        assert_eq!(index.matching_counted(&tex), (vec![vid(3)], 1));
+        // A re-added name reuses the freed slot and is found again.
+        index.index(vid(4), "vldb 2006.tex");
+        assert_eq!(index.matching(&tex), vec![vid(3), vid(4)]);
+        assert_eq!(index.matching(&NamePattern::new("*2006*")), vec![vid(4)]);
+
+        let restored = NameIndex::new();
+        restored.import_names(index.export_names());
+        assert_eq!(restored.matching_counted(&tex), (vec![vid(3), vid(4)], 2));
     }
 
     #[test]

@@ -4,11 +4,15 @@
 //!
 //! Each attribute name gets its own sorted column of `(value, vid)`
 //! pairs, so predicates like `[size > 42000 and lastmodified <
-//! yesterday()]` resolve with two binary searches per attribute. iDM
-//! schemas are per-tuple, so the same attribute name may carry values
-//! from different domains in different views; the column orders values
-//! by `(domain rank, value)` and comparisons only consider the
-//! compatible domain section.
+//! yesterday()]` resolve with two binary searches per attribute, under
+//! the read lock (a column dirtied by a write is sorted once, by the
+//! next read, under the write lock). iDM schemas are per-tuple, so the
+//! same attribute name may carry values from different domains in
+//! different views; the column orders values by `(domain section,
+//! value)` and comparisons only consider the compatible section. The
+//! one section [`Value::compare`] does not order totally is the numeric
+//! one once a float is involved (`NaN`, `i64`↔`f64` rounding); there the
+//! section is filtered entry by entry instead.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -51,27 +55,49 @@ impl CompareOp {
     }
 }
 
-/// Total order over values for column sorting: domain rank first (with
-/// integers and floats sharing a numeric rank), value order within.
+/// The domain section a value sorts into; values compare
+/// ([`Value::compare`]) only within one section.
+fn section(v: &Value) -> u8 {
+    match v {
+        Value::Integer(_) | Value::Float(_) => 0,
+        Value::Text(_) => 1,
+        Value::Boolean(_) => 2,
+        Value::Date(_) => 3,
+    }
+}
+
+/// Total order over values for column sorting: section first, value
+/// order within. [`Value::compare`] is a total order on every section
+/// but the numeric one once that holds a float (`NaN` compares with
+/// nothing, `i64`→`f64` rounds), so numbers sort by their `f64` image
+/// under `total_cmp`, a float before the integers of the same image,
+/// those by integer value — on an all-integer section, integer order.
 fn sort_cmp(a: &Value, b: &Value) -> Ordering {
-    fn rank(v: &Value) -> u8 {
+    fn numeric_key(v: &Value) -> Option<(f64, Option<i64>)> {
         match v {
-            Value::Integer(_) | Value::Float(_) => 0,
-            Value::Text(_) => 1,
-            Value::Boolean(_) => 2,
-            Value::Date(_) => 3,
+            Value::Integer(i) => Some((*i as f64, Some(*i))),
+            Value::Float(x) => Some((*x, None)),
+            _ => None,
         }
     }
-    rank(a)
-        .cmp(&rank(b))
-        .then_with(|| a.compare(b).unwrap_or(Ordering::Equal))
+    section(a)
+        .cmp(&section(b))
+        .then_with(|| match (numeric_key(a), numeric_key(b)) {
+            (Some((fa, ia)), Some((fb, ib))) => fa.total_cmp(&fb).then(ia.cmp(&ib)),
+            _ => a.compare(b).unwrap_or(Ordering::Equal),
+        })
 }
 
 #[derive(Default)]
 struct Column {
-    /// Sorted by `sort_cmp(value)`, ties by vid.
+    /// Sorted by `sort_cmp(value)`, ties by vid — once `sorted`.
     entries: Vec<(Value, Vid)>,
     sorted: bool,
+    /// Whether the numeric section held a float at the last sort.
+    has_float: bool,
+    /// Distinct views with an entry (a tuple may name an attribute
+    /// twice).
+    views: usize,
 }
 
 impl Column {
@@ -79,9 +105,61 @@ impl Column {
         if !self.sorted {
             self.entries
                 .sort_by(|(va, a), (vb, b)| sort_cmp(va, vb).then(a.cmp(b)));
+            self.has_float = self
+                .entries
+                .iter()
+                .any(|(v, _)| matches!(v, Value::Float(_)));
             self.sorted = true;
         }
     }
+
+    /// The vids whose value satisfies `op` against `constant`, sorted.
+    /// Requires a sorted column.
+    fn select(&self, op: CompareOp, constant: &Value) -> Vec<Vid> {
+        // Only the constant's domain section can match.
+        let rank = section(constant);
+        let lo = self.entries.partition_point(|(v, _)| section(v) < rank);
+        let hi = self.entries.partition_point(|(v, _)| section(v) <= rank);
+        let domain = &self.entries[lo..hi];
+        let floats = self.has_float || matches!(constant, Value::Float(_));
+        let mut out: Vec<Vid> = if rank == 0 && floats {
+            // Not provably totally ordered: test every entry.
+            domain
+                .iter()
+                .filter(|(v, _)| v.compare(constant).is_some_and(|ord| op.accepts(ord)))
+                .map(|(_, vid)| *vid)
+                .collect()
+        } else {
+            // Two binary searches split the section into the entries
+            // less than, equal to and greater than the constant.
+            let less = domain.partition_point(|(v, _)| v.compare(constant) == Some(Ordering::Less));
+            let less_eq =
+                domain.partition_point(|(v, _)| v.compare(constant) != Some(Ordering::Greater));
+            let (head, tail) = match op {
+                CompareOp::Eq => (less..less_eq, 0..0),
+                CompareOp::Ne => (0..less, less_eq..domain.len()),
+                CompareOp::Lt => (0..less, 0..0),
+                CompareOp::Le => (0..less_eq, 0..0),
+                CompareOp::Gt => (less_eq..domain.len(), 0..0),
+                CompareOp::Ge => (less..domain.len(), 0..0),
+            };
+            domain[head]
+                .iter()
+                .chain(&domain[tail])
+                .map(|(_, vid)| *vid)
+                .collect()
+        };
+        out.sort();
+        out.dedup();
+        out
+    }
+}
+
+/// Whether attribute `i` of the tuple is the first of its name (a schema
+/// may repeat a name; the view still counts once in that column).
+fn first_of_its_name(tuple: &TupleComponent, i: usize) -> bool {
+    let schema = tuple.schema();
+    schema.position(&schema.attributes()[i].name) == Some(i)
 }
 
 #[derive(Default)]
@@ -90,6 +168,22 @@ struct Inner {
     /// Tuple replica: vid → tuple component (enables join field access
     /// like `B.tuple.label` without touching the data source).
     replica: HashMap<Vid, TupleComponent>,
+}
+
+impl Inner {
+    /// Drops the column entries `tuple` gave `vid`: only the columns the
+    /// tuple names hold any.
+    fn drop_entries(&mut self, vid: Vid, tuple: &TupleComponent) {
+        for (i, attr) in tuple.schema().attributes().iter().enumerate() {
+            if !first_of_its_name(tuple, i) {
+                continue;
+            }
+            if let Some(column) = self.columns.get_mut(&attr.name) {
+                column.entries.retain(|(_, v)| *v != vid);
+                column.views -= 1;
+            }
+        }
+    }
 }
 
 /// The vertically partitioned tuple index plus replica.
@@ -107,26 +201,23 @@ impl TupleIndex {
     /// Indexes a view's tuple component (and replicates it).
     pub fn index(&self, vid: Vid, tuple: &TupleComponent) {
         let mut inner = self.inner.write();
-        if inner.replica.insert(vid, tuple.clone()).is_some() {
+        if let Some(old) = inner.replica.insert(vid, tuple.clone()) {
             // Re-index: drop stale column entries first.
-            for column in inner.columns.values_mut() {
-                column.entries.retain(|(_, v)| *v != vid);
-            }
+            inner.drop_entries(vid, &old);
         }
-        for (attr, value) in tuple.iter() {
+        for (i, (attr, value)) in tuple.iter().enumerate() {
             let column = inner.columns.entry(attr.name.clone()).or_default();
             column.entries.push((value.clone(), vid));
             column.sorted = false;
+            column.views += usize::from(first_of_its_name(tuple, i));
         }
     }
 
     /// Removes a view's tuple from index and replica.
     pub fn remove(&self, vid: Vid) {
         let mut inner = self.inner.write();
-        if inner.replica.remove(&vid).is_some() {
-            for column in inner.columns.values_mut() {
-                column.entries.retain(|(_, v)| *v != vid);
-            }
+        if let Some(old) = inner.replica.remove(&vid) {
+            inner.drop_entries(vid, &old);
         }
     }
 
@@ -147,24 +238,30 @@ impl TupleIndex {
     /// Views whose `attr` value satisfies `op` against `constant`.
     /// Views whose value is of an incomparable domain never match.
     pub fn compare(&self, attr: &str, op: CompareOp, constant: &Value) -> Vec<Vid> {
+        {
+            let inner = self.inner.read();
+            match inner.columns.get(attr) {
+                None => return Vec::new(),
+                Some(column) if column.sorted => return column.select(op, constant),
+                Some(_) => {}
+            }
+        }
+        // Dirtied since the last read: sort it once, under the write lock.
         let mut inner = self.inner.write();
         let Some(column) = inner.columns.get_mut(attr) else {
             return Vec::new();
         };
         column.ensure_sorted();
-        let mut out: Vec<Vid> = column
-            .entries
-            .iter()
-            .filter_map(|(value, vid)| {
-                value
-                    .compare(constant)
-                    .filter(|ord| op.accepts(*ord))
-                    .map(|_| *vid)
-            })
-            .collect();
-        out.sort();
-        out.dedup();
-        out
+        column.select(op, constant)
+    }
+
+    /// `has_attribute(attr).len()` without reading the column.
+    pub fn attribute_count(&self, attr: &str) -> usize {
+        self.inner
+            .read()
+            .columns
+            .get(attr)
+            .map_or(0, |column| column.views)
     }
 
     /// Views carrying any value for `attr`.

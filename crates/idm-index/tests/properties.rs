@@ -3,7 +3,8 @@
 
 use std::cmp::Ordering;
 
-use idm_core::prelude::{TupleComponent, Value, Vid};
+use idm_core::prelude::{Timestamp, TupleComponent, Value, Vid};
+use idm_index::catalog::{CatalogEntry, ResourceViewCatalog};
 use idm_index::name::{NameIndex, NamePattern};
 use idm_index::tuple::{CompareOp, TupleIndex};
 use idm_index::{tokenize, FullTextIndex, GroupReplica};
@@ -115,7 +116,80 @@ proptest! {
     }
 }
 
+/// Every exported name the pattern matches, by brute force.
+fn matching_by_scan(index: &NameIndex, pattern: &NamePattern) -> Vec<Vid> {
+    let mut out: Vec<Vid> = index
+        .export_names()
+        .into_iter()
+        .filter(|(name, _)| pattern.matches(name))
+        .flat_map(|(_, vids)| vids.into_iter().map(Vid::from_raw))
+        .collect();
+    out.sort();
+    out
+}
+
+proptest! {
+    /// Whatever path `matching` takes (lookup, prefix range, trigram
+    /// postings, scan), after any interleaving of index / remove /
+    /// export→import it returns what a scan of the exported dictionary
+    /// returns. The alphabet makes names collide and re-appear, `é` and
+    /// `→` put multi-byte chars under `?` and across trigram windows,
+    /// and the short patterns mix runs below and above three bytes.
+    #[test]
+    fn name_matching_equals_dictionary_scan(
+        pool in proptest::collection::vec("[abé→.]{1,7}", 2..6),
+        script in proptest::collection::vec((0usize..8, 0u64..10, 0usize..6), 1..40),
+        patterns in proptest::collection::vec("[abé→.*?]{1,7}", 1..6),
+    ) {
+        let mut index = NameIndex::new();
+        let mut named: std::collections::HashMap<u64, &str> = Default::default();
+        for (op, vid, pick) in script {
+            match op {
+                // (Re)name a view, as `IndexBundle` does: old name out first.
+                0..=4 => {
+                    let name = pool[pick % pool.len()].as_str();
+                    if let Some(old) = named.insert(vid, name) {
+                        index.remove(Vid::from_raw(vid), old);
+                    }
+                    index.index(Vid::from_raw(vid), name);
+                }
+                5 | 6 => {
+                    if let Some(old) = named.remove(&vid) {
+                        index.remove(Vid::from_raw(vid), old);
+                    }
+                }
+                _ => {
+                    let restored = NameIndex::new();
+                    restored.import_names(index.export_names());
+                    index = restored;
+                }
+            }
+            for pattern in &patterns {
+                let pattern = NamePattern::new(pattern.as_str());
+                prop_assert_eq!(
+                    index.matching(&pattern),
+                    matching_by_scan(&index, &pattern),
+                    "pattern {:?} over {:?}", pattern, index.export_names()
+                );
+            }
+            for name in &pool {
+                prop_assert_eq!(index.exact_count(name), index.exact(name).len());
+            }
+            prop_assert_eq!(index.entry_count(), named.len());
+        }
+    }
+}
+
 // ---- Tuple index vs naive filter ----------------------------------------
+
+const OPS: [CompareOp; 6] = [
+    CompareOp::Eq,
+    CompareOp::Ne,
+    CompareOp::Lt,
+    CompareOp::Le,
+    CompareOp::Gt,
+    CompareOp::Ge,
+];
 
 proptest! {
     /// compare() agrees with a naive filter over the stored tuples.
@@ -123,9 +197,7 @@ proptest! {
     fn tuple_compare_matches_naive(values in proptest::collection::vec(-50i64..50, 1..25),
                                    constant in -50i64..50,
                                    op_choice in 0usize..6) {
-        let ops = [CompareOp::Eq, CompareOp::Ne, CompareOp::Lt,
-                   CompareOp::Le, CompareOp::Gt, CompareOp::Ge];
-        let op = ops[op_choice];
+        let op = OPS[op_choice];
         let index = TupleIndex::new();
         for (i, v) in values.iter().enumerate() {
             index.index(
@@ -153,6 +225,102 @@ proptest! {
         prop_assert_eq!(CompareOp::Gt.accepts(ord), a > b);
         prop_assert_eq!(CompareOp::Ge.accepts(ord), a >= b);
         let _ = Ordering::Equal; // keep the import honest
+    }
+}
+
+fn arb_value() -> impl Strategy<Value = Value> {
+    // 2^53 + 1 is the first integer `as f64` rounds (to 2^53).
+    const ROUNDS: i64 = (1 << 53) + 1;
+    prop_oneof![
+        4 => (-3i64..4).prop_map(Value::Integer),
+        1 => prop_oneof![Just(ROUNDS), Just(ROUNDS - 1), Just(i64::MIN), Just(i64::MAX)]
+            .prop_map(Value::Integer),
+        2 => prop_oneof![
+            Just(f64::NAN), Just(-0.0), Just(0.0), Just(1.5), Just(2.0),
+            Just((ROUNDS - 1) as f64), Just(f64::INFINITY), Just(f64::NEG_INFINITY),
+        ].prop_map(Value::Float),
+        2 => "[ab]{0,2}".prop_map(Value::Text),
+        1 => any::<bool>().prop_map(Value::Boolean),
+        2 => (-2i64..3).prop_map(|day| Value::Date(Timestamp(day * 86_400))),
+    ]
+}
+
+proptest! {
+    /// compare() — binary-searched or filtered, whichever the column
+    /// allows — equals the linear `Value::compare` filter over the
+    /// tuples a model holds, on columns mixing every domain (floats
+    /// incl. `NaN`, integers that round as `f64`, an attribute named
+    /// twice in one tuple), after every index / re-index / remove; and
+    /// attribute_count() equals has_attribute().len() throughout.
+    #[test]
+    fn tuple_compare_equals_linear_filter(
+        script in proptest::collection::vec(
+            (0u64..8, 0usize..4, proptest::collection::vec(("[xy]", arb_value()), 1..4)),
+            1..30,
+        ),
+        constants in proptest::collection::vec(arb_value(), 1..5),
+    ) {
+        let index = TupleIndex::new();
+        let mut model: std::collections::BTreeMap<u64, Vec<(String, Value)>> = Default::default();
+        for (vid, op, pairs) in script {
+            if op == 0 {
+                model.remove(&vid);
+                index.remove(Vid::from_raw(vid));
+            } else {
+                let tuple = TupleComponent::of(
+                    pairs.iter().map(|(a, v)| (a.as_str(), v.clone())).collect(),
+                );
+                index.index(Vid::from_raw(vid), &tuple);
+                model.insert(vid, pairs);
+            }
+            for attr in ["x", "y", "ghost"] {
+                let holders = model.values()
+                    .filter(|pairs| pairs.iter().any(|(a, _)| a == attr))
+                    .count();
+                prop_assert_eq!(index.attribute_count(attr), holders);
+                prop_assert_eq!(index.has_attribute(attr).len(), holders);
+                for constant in &constants {
+                    for op in OPS {
+                        let want: Vec<Vid> = model.iter()
+                            .filter(|(_, pairs)| pairs.iter().any(|(a, v)| {
+                                a == attr && v.compare(constant).is_some_and(|ord| op.accepts(ord))
+                            }))
+                            .map(|(vid, _)| Vid::from_raw(*vid))
+                            .collect();
+                        prop_assert_eq!(
+                            index.compare(attr, op, constant), want,
+                            "{} {:?} {:?} over {:?}", attr, op, constant, model
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// class_count() equals by_class().len() after any register /
+    /// re-register / unregister script.
+    #[test]
+    fn class_count_equals_by_class_len(
+        script in proptest::collection::vec((0u64..8, 0usize..4), 1..40),
+    ) {
+        const CLASSES: [Option<&str>; 3] = [Some("file"), Some("folder"), None];
+        let catalog = ResourceViewCatalog::new();
+        for (vid, op) in script {
+            match CLASSES.get(op) {
+                Some(class) => catalog.register(CatalogEntry {
+                    vid,
+                    name: "n".to_owned(),
+                    class: class.map(str::to_owned),
+                    source: "prop".to_owned(),
+                    content_size: None,
+                    content_indexed: false,
+                }),
+                None => catalog.unregister(Vid::from_raw(vid)),
+            }
+            for class in ["file", "folder", "ghost"] {
+                prop_assert_eq!(catalog.class_count(class), catalog.by_class(class).len());
+            }
+        }
     }
 }
 

@@ -69,12 +69,7 @@ impl QueryProcessor {
                 let rows = registry
                     .subclasses(target)
                     .into_iter()
-                    .map(|c| {
-                        self.index_bundle()
-                            .catalog
-                            .by_class(&registry.name(c))
-                            .len()
-                    })
+                    .map(|c| self.index_bundle().catalog.class_count(&registry.name(c)))
                     .sum();
                 Estimate::exact(rows)
             }
@@ -84,8 +79,7 @@ impl QueryProcessor {
                 let column = self
                     .index_bundle()
                     .tuple
-                    .has_attribute(&resolve_attr(attr))
-                    .len();
+                    .attribute_count(&resolve_attr(attr));
                 let rows = match op {
                     idm_index::tuple::CompareOp::Eq => column / 10,
                     idm_index::tuple::CompareOp::Ne => column,
@@ -118,9 +112,9 @@ impl QueryProcessor {
         if pattern.matches_all() {
             Estimate::guess(self.universe())
         } else if pattern.is_exact() {
-            Estimate::exact(self.index_bundle().name.exact(pattern.as_str()).len())
+            Estimate::exact(self.index_bundle().name.exact_count(pattern.as_str()))
         } else {
-            // Wildcards: assume they hit 5% of distinct names.
+            // Wildcards: assume they hit 5% of the (name, vid) entries.
             Estimate::guess((self.index_bundle().name.entry_count() / 20).max(1))
         }
     }

@@ -312,7 +312,7 @@ fn sorted_minus(base: &[Vid], remove: &[Vid]) -> Vec<Vid> {
         .collect()
 }
 
-fn contains(sorted: &[Vid], v: Vid) -> bool {
+pub(crate) fn contains(sorted: &[Vid], v: Vid) -> bool {
     sorted.binary_search(&v).is_ok()
 }
 

@@ -25,6 +25,7 @@ use idm_index::IndexBundle;
 use crate::ast::*;
 use crate::budget::{BudgetConsumption, BudgetTracker, QueryBudget, Tick};
 use crate::cache::{ExpansionCache, ResultCache};
+use crate::delta;
 use crate::par;
 use crate::parser::parse;
 use crate::plan::{AccessKind, BuildSide, OperatorCounts, Plan, PlanNode, PlanOp};
@@ -159,6 +160,15 @@ impl ResultRows {
         match self {
             ResultRows::Views(v) => v.clone(),
             ResultRows::Pairs(p) => p.iter().map(|(a, _)| *a).collect(),
+        }
+    }
+
+    /// [`ResultRows::views`] of an owned result, without copying a
+    /// plain one.
+    pub fn into_views(self) -> Vec<Vid> {
+        match self {
+            ResultRows::Views(v) => v,
+            ResultRows::Pairs(p) => p.into_iter().map(|(a, _)| a).collect(),
         }
     }
 }
@@ -437,26 +447,26 @@ impl QueryProcessor {
             PlanOp::Intersect(inputs) => {
                 stats.ops.intersects += 1;
                 // Inputs arrive in the planner's order (smallest
-                // estimate first); intersect left to right. Every leaf
-                // list is sorted, so the running intersection stays
-                // sorted regardless of the chosen order. All inputs are
-                // always evaluated (ops invariant); under truncation
-                // each input yields a subset, and an intersection of
-                // subsets is a subset of the true intersection.
+                // estimate first); intersect left to right. Every
+                // operator's output is sorted, so later inputs are
+                // probed by binary search and the running intersection
+                // stays sorted regardless of the chosen order. All
+                // inputs are always evaluated (ops invariant); under
+                // truncation each input yields a subset, and an
+                // intersection of subsets is a subset of the true
+                // intersection.
                 let mut iter = inputs.iter();
                 let mut acc = match iter.next() {
                     Some(first) => self
                         .eval_node(first, stats, tracker, cap.as_deref_mut())?
-                        .views(),
+                        .into_views(),
                     None => Vec::new(),
                 };
                 for input in iter {
-                    let set: HashSet<Vid> = self
+                    let sorted = self
                         .eval_node(input, stats, tracker, cap.as_deref_mut())?
-                        .views()
-                        .into_iter()
-                        .collect();
-                    acc.retain(|v| set.contains(v));
+                        .into_views();
+                    acc.retain(|v| delta::contains(&sorted, *v));
                 }
                 stats.candidates_examined += acc.len();
                 tracker.charge_rows(acc.len(), "intersect")?;
@@ -485,7 +495,7 @@ impl QueryProcessor {
                 stats.ops.complements += 1;
                 let exclude: HashSet<Vid> = self
                     .eval_node(exclude, stats, tracker, cap.as_deref_mut())?
-                    .views()
+                    .into_views()
                     .into_iter()
                     .collect();
                 // The one inverting operator: complementing a truncated
@@ -511,10 +521,10 @@ impl QueryProcessor {
                 stats.ops.relates += 1;
                 let ctx = self
                     .eval_node(context, stats, tracker, cap.as_deref_mut())?
-                    .views();
+                    .into_views();
                 let cand = self
                     .eval_node(candidates, stats, tracker, cap.as_deref_mut())?
-                    .views();
+                    .into_views();
                 ResultRows::Views(self.relate(&ctx, cand, *axis, *strategy, stats, tracker)?)
             }
             PlanOp::HashJoin {
@@ -528,10 +538,10 @@ impl QueryProcessor {
                 stats.ops.hash_joins += 1;
                 let left_rows = self
                     .eval_node(left, stats, tracker, cap.as_deref_mut())?
-                    .views();
+                    .into_views();
                 let right_rows = self
                     .eval_node(right, stats, tracker, cap.as_deref_mut())?
-                    .views();
+                    .into_views();
                 self.hash_join(
                     left_rows,
                     right_rows,
@@ -548,19 +558,12 @@ impl QueryProcessor {
         Ok(rows)
     }
 
-    /// One index posting-list read — the plan's leaf accesses.
+    /// One index posting-list read — the plan's leaf accesses. Every
+    /// index returns its vids sorted.
     pub(crate) fn eval_access(&self, access: &AccessKind) -> Vec<Vid> {
         match access {
-            AccessKind::Name(pattern) => {
-                let mut v = self.indexes.name.matching(pattern);
-                v.sort();
-                v
-            }
-            AccessKind::Content(phrase) => {
-                let mut v = self.indexes.content.phrase_query(phrase);
-                v.sort();
-                v
-            }
+            AccessKind::Name(pattern) => self.indexes.name.matching(pattern),
+            AccessKind::Content(phrase) => self.indexes.content.phrase_query(phrase),
             AccessKind::Catalog(class_name) => self.class_members(class_name),
             AccessKind::Tuple { attr, op, value } => {
                 let constant = self.literal_value(value);
