@@ -74,7 +74,7 @@ struct Queue {
 /// A [`WalWriter`] front end that coalesces appends into group commits.
 pub struct GroupCommitWal {
     wal: Arc<WalWriter>,
-    config: Option<GroupCommitConfig>,
+    config: GroupCommitConfig,
     queue: Mutex<Queue>,
     flushed: Condvar,
     /// Nesting depth of active bulk scopes (0 = leader/follower mode).
@@ -88,9 +88,9 @@ impl GroupCommitWal {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Wraps `wal`. With `config == None` every append passes straight
-    /// through to the underlying writer (the PR 5 behavior).
-    pub fn new(wal: Arc<WalWriter>, config: Option<GroupCommitConfig>) -> Self {
+    /// Wraps `wal`. With `config.max_batch <= 1` every append passes
+    /// straight through to the underlying writer (the PR 5 behavior).
+    pub fn new(wal: Arc<WalWriter>, config: GroupCommitConfig) -> Self {
         GroupCommitWal {
             wal,
             config,
@@ -118,10 +118,10 @@ impl GroupCommitWal {
         if self.bulk_depth.load(Ordering::Acquire) > 0 {
             return self.append_bulk(record);
         }
-        let config = match self.config {
-            Some(c) if c.max_batch > 1 => c,
-            _ => return self.wal.append(record),
-        };
+        let config = self.config;
+        if config.max_batch <= 1 {
+            return self.wal.append(record);
+        }
 
         let mut queue = self.lock_queue();
         let my_seq = queue.next_seq;
@@ -198,10 +198,7 @@ impl GroupCommitWal {
     /// covering sync whenever the count crosses a `max_batch` boundary.
     fn note_bulk_written(&self, count: u64) -> io::Result<()> {
         let after = self.bulk_pending.fetch_add(count, Ordering::AcqRel) + count;
-        let sync_every = self
-            .config
-            .map(|c| c.max_batch.max(1) as u64)
-            .unwrap_or(u64::MAX);
+        let sync_every = self.config.max_batch.max(1) as u64;
         if after / sync_every > (after - count) / sync_every
             && matches!(self.wal.sync_policy(), super::SyncPolicy::Fsync)
         {
@@ -361,7 +358,7 @@ mod tests {
     #[test]
     fn single_threaded_groups_of_one_match_plain_appends() {
         let (dir, wal) = temp_wal(SyncPolicy::Fsync);
-        let sink = GroupCommitWal::new(Arc::clone(&wal), Some(GroupCommitConfig::default()));
+        let sink = GroupCommitWal::new(Arc::clone(&wal), GroupCommitConfig::default());
         for n in 0..10 {
             sink.append(&record(n)).expect("append");
         }
@@ -379,10 +376,10 @@ mod tests {
         let (dir, wal) = temp_wal(SyncPolicy::Fsync);
         let sink = Arc::new(GroupCommitWal::new(
             Arc::clone(&wal),
-            Some(GroupCommitConfig {
+            GroupCommitConfig {
                 max_batch: 64,
                 max_delay: Duration::from_millis(2),
-            }),
+            },
         ));
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 50;
@@ -411,10 +408,10 @@ mod tests {
         let (dir, wal) = temp_wal(SyncPolicy::Fsync);
         let sink = Arc::new(GroupCommitWal::new(
             Arc::clone(&wal),
-            Some(GroupCommitConfig {
+            GroupCommitConfig {
                 max_batch: 32,
                 max_delay: Duration::ZERO,
-            }),
+            },
         ));
         let scope = sink.begin_bulk();
         for n in 0..100 {
@@ -432,7 +429,11 @@ mod tests {
     #[test]
     fn passthrough_without_config_matches_raw_writer() {
         let (_dir, wal) = temp_wal(SyncPolicy::WriteBack);
-        let sink = GroupCommitWal::new(Arc::clone(&wal), None);
+        let ungrouped = GroupCommitConfig {
+            max_batch: 1,
+            ..GroupCommitConfig::default()
+        };
+        let sink = GroupCommitWal::new(Arc::clone(&wal), ungrouped);
         for n in 0..5 {
             sink.append(&record(n)).expect("append");
         }

@@ -63,18 +63,17 @@ pub use scrub::{
 pub use wal::{SyncPolicy, WalStats, GROUP_HISTOGRAM_BUCKETS};
 
 /// How a dataspace directory is attached or opened: the sync discipline
-/// plus the (optional) group-commit coalescing configuration. The
-/// plain [`DurabilityManager::attach`]/[`DurabilityManager::open`]
-/// entry points use the default — group commit enabled with
-/// `max_delay == 0`, which is byte-for-byte identical to the ungrouped
-/// writer for single-threaded callers.
+/// plus the group-commit coalescing configuration. The plain
+/// [`DurabilityManager::attach`]/[`DurabilityManager::open`] entry
+/// points use the default — `max_delay == 0`, which is byte-for-byte
+/// identical to the ungrouped writer for single-threaded callers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurabilityOptions {
     /// When appends are made durable ([`SyncPolicy`]).
     pub sync: SyncPolicy,
-    /// Group-commit coalescing; `None` disables the queue entirely and
-    /// every append goes straight to the raw writer.
-    pub group_commit: Option<GroupCommitConfig>,
+    /// Group-commit coalescing (`max_batch <= 1` sends every append
+    /// straight to the raw writer).
+    pub group_commit: GroupCommitConfig,
 }
 
 impl DurabilityOptions {
@@ -82,7 +81,7 @@ impl DurabilityOptions {
     pub fn new(sync: SyncPolicy) -> Self {
         DurabilityOptions {
             sync,
-            group_commit: Some(GroupCommitConfig::default()),
+            group_commit: GroupCommitConfig::default(),
         }
     }
 }

@@ -19,6 +19,7 @@
 //!   infinite message stream.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod base64;
 pub mod convert;

@@ -16,6 +16,7 @@
 //!   is what makes the resulting subgraph a graph rather than a tree.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod convert;
 pub mod parser;

@@ -1,4 +1,5 @@
-//! Bounded memoization of forced lazy components (Section 4.1).
+//! Bounded memoization of forced lazy components (Section 4.1) and of
+//! whole query results.
 //!
 //! Forcing an intensional component — a [`idm_core::group::GroupProvider`]
 //! turning a LaTeX file into a subgraph, a
@@ -10,21 +11,95 @@
 //! [`ExpansionCache`] sits between the query executor and the store: a
 //! bounded LRU keyed by `(Vid, component)` whose entries carry the store's
 //! per-view mutation version. An entry is valid only while the view's
-//! version is unchanged; [`ChangeEvent`]s drained from a store subscription
-//! evict entries eagerly, and the version check catches anything the event
-//! channel has not delivered yet. Hit/miss/eviction counters are atomics so
-//! parallel query workers can share one cache, and are surfaced per query
-//! through [`crate::exec::ExecStats`].
+//! version is unchanged, and every lookup reads that version first — which
+//! is also what fails for a removed view — so the cache subscribes to
+//! nothing; a dead view's entry ages out by capacity. Hit/miss/eviction
+//! counters are atomics so parallel query workers can share one cache, and
+//! are surfaced per query through [`crate::exec::ExecStats`].
+//!
+//! [`ResultCache`] keeps delta-maintained standing results by plan
+//! fingerprint and is this crate's one reader of the store's record feed.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use idm_core::prelude::*;
-use idm_core::store::{ChangeEvent, GroupSnapshot};
+use idm_core::store::GroupSnapshot;
 use parking_lot::Mutex;
+
+/// The recency bookkeeping both caches share. Capacity, counters and
+/// locking are the owner's.
+struct Lru<K, V> {
+    entries: HashMap<K, (u64, V)>,
+    /// LRU order: tick → key. Ticks are unique, so the first entry is the
+    /// least recently used.
+    order: BTreeMap<u64, K>,
+    next_tick: u64,
+}
+
+impl<K: Copy + Eq + Hash, V> Lru<K, V> {
+    fn new() -> Self {
+        Lru {
+            entries: HashMap::new(),
+            order: BTreeMap::new(),
+            next_tick: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The value under `key`, recency untouched.
+    fn get(&self, key: &K) -> Option<&V> {
+        self.entries.get(key).map(|(_, value)| value)
+    }
+
+    fn values(&self) -> impl Iterator<Item = &V> {
+        self.entries.values().map(|(_, value)| value)
+    }
+
+    /// The value under `key`, marked most recently used.
+    fn touch(&mut self, key: &K) -> Option<&mut V> {
+        let (tick, value) = self.entries.get_mut(key)?;
+        self.order.remove(tick);
+        *tick = self.next_tick;
+        self.order.insert(*tick, *key);
+        self.next_tick += 1;
+        Some(value)
+    }
+
+    /// Stores `value` as most recently used; returns what it replaced.
+    fn insert(&mut self, key: K, value: V) -> Option<V> {
+        let tick = self.next_tick;
+        self.next_tick += 1;
+        self.order.insert(tick, key);
+        let (old_tick, old) = self.entries.insert(key, (tick, value))?;
+        self.order.remove(&old_tick);
+        Some(old)
+    }
+
+    fn remove(&mut self, key: &K) -> Option<V> {
+        let (tick, value) = self.entries.remove(key)?;
+        self.order.remove(&tick);
+        Some(value)
+    }
+
+    /// Drops the least recently used entry.
+    fn pop_lru(&mut self) -> Option<V> {
+        let (_, key) = self.order.pop_first()?;
+        self.entries.remove(&key).map(|(_, value)| value)
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.order.clear();
+    }
+}
 
 /// Which component of a view an entry memoizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -44,16 +119,7 @@ enum CachedValue {
 
 struct Entry {
     version: u64,
-    tick: u64,
     value: CachedValue,
-}
-
-struct CacheInner {
-    entries: HashMap<(Vid, Component), Entry>,
-    /// LRU order: tick → key. Ticks are unique, so the first entry is the
-    /// least recently used.
-    order: BTreeMap<u64, (Vid, Component)>,
-    next_tick: u64,
 }
 
 /// Live counter totals for an [`ExpansionCache`].
@@ -63,20 +129,19 @@ pub struct CacheCounters {
     pub hits: u64,
     /// Lookups that had to force the component.
     pub misses: u64,
-    /// Entries dropped for capacity, removal, or replaced after their
-    /// view mutated.
+    /// Entries dropped for capacity, or replaced after their view
+    /// mutated.
     pub evictions: u64,
     /// Degraded reads answered from a stale last-known-good entry after
     /// a force failed.
     pub stale_served: u64,
 }
 
-/// Bounded LRU over forced lazy-component results, invalidated by view
-/// version and by store change events.
+/// Bounded LRU over forced lazy-component results, validated against the
+/// view's slot version on every lookup.
 pub struct ExpansionCache {
-    inner: Mutex<CacheInner>,
+    inner: Mutex<Lru<(Vid, Component), Entry>>,
     capacity: usize,
-    events: Receiver<ChangeEvent>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -84,17 +149,11 @@ pub struct ExpansionCache {
 }
 
 impl ExpansionCache {
-    /// A cache over `store` holding at most `capacity` entries. The cache
-    /// subscribes to the store's change events for eager invalidation.
-    pub fn new(store: &ViewStore, capacity: usize) -> Self {
+    /// A cache holding at most `capacity` entries.
+    pub fn new(capacity: usize) -> Self {
         ExpansionCache {
-            inner: Mutex::new(CacheInner {
-                entries: HashMap::new(),
-                order: BTreeMap::new(),
-                next_tick: 0,
-            }),
+            inner: Mutex::new(Lru::new()),
             capacity: capacity.max(1),
-            events: store.subscribe(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -109,7 +168,7 @@ impl ExpansionCache {
 
     /// Current number of live entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        self.inner.lock().len()
     }
 
     /// Whether the cache is empty.
@@ -124,36 +183,6 @@ impl ExpansionCache {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             stale_served: self.stale_served.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Drains pending change events, dropping entries for *removed*
-    /// views. Called at query start.
-    ///
-    /// Entries of merely *mutated* views are deliberately retained: the
-    /// per-entry version check already hides them from fresh reads, and
-    /// keeping them preserves a last-known-good value for degraded reads
-    /// when the recompute fails ([`ExpansionCache::group_with_fallback`]).
-    pub fn drain_invalidations(&self) {
-        let mut removed: Vec<Vid> = self
-            .events
-            .try_iter()
-            .filter(|e| e.kind == ChangeKind::Removed)
-            .map(|e| e.vid)
-            .collect();
-        if removed.is_empty() {
-            return;
-        }
-        removed.sort_unstable();
-        removed.dedup();
-        let mut inner = self.inner.lock();
-        for vid in removed {
-            for component in [Component::Group, Component::Content] {
-                if let Some(entry) = inner.entries.remove(&(vid, component)) {
-                    inner.order.remove(&entry.tick);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
         }
     }
 
@@ -242,73 +271,45 @@ impl ExpansionCache {
     }
 
     fn lookup(&self, vid: Vid, component: Component, version: u64) -> Option<CachedValue> {
-        let mut inner = self.inner.lock();
         let key = (vid, component);
-        match inner.entries.get(&key) {
-            Some(entry) if entry.version == version => {
-                let old_tick = entry.tick;
-                let value = entry.value.clone();
-                let tick = inner.next_tick;
-                inner.next_tick += 1;
-                inner.order.remove(&old_tick);
-                inner.order.insert(tick, key);
-                inner.entries.get_mut(&key).expect("present").tick = tick;
-                drop(inner);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(value)
-            }
-            Some(_) => {
-                // Stale version: the view mutated since the entry was
-                // made. The entry is retained as last-known-good for
-                // degraded reads; a successful recompute replaces it (and
-                // counts the eviction) in `store_entry`.
-                drop(inner);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                drop(inner);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let mut inner = self.inner.lock();
+        // A version mismatch means the view mutated since the entry was
+        // made. The entry is retained as last-known-good for degraded
+        // reads; a successful recompute replaces it (and counts the
+        // eviction) in `store_entry`.
+        let current = inner.get(&key).is_some_and(|e| e.version == version);
+        let value = if current {
+            inner.touch(&key).map(|e| e.value.clone())
+        } else {
+            None
+        };
+        drop(inner);
+        let counter = if value.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        value
     }
 
     /// A last-known-good value for `key`, regardless of version. Only
     /// consulted after a recompute failed with a degradable error.
     fn lookup_stale(&self, vid: Vid, component: Component) -> Option<CachedValue> {
         let inner = self.inner.lock();
-        inner
-            .entries
-            .get(&(vid, component))
-            .map(|e| e.value.clone())
+        inner.get(&(vid, component)).map(|e| e.value.clone())
     }
 
     fn store_entry(&self, vid: Vid, component: Component, version: u64, value: CachedValue) {
         let mut inner = self.inner.lock();
-        let tick = inner.next_tick;
-        inner.next_tick += 1;
-        let key = (vid, component);
-        if let Some(old) = inner.entries.insert(
-            key,
-            Entry {
-                version,
-                tick,
-                value,
-            },
-        ) {
-            inner.order.remove(&old.tick);
+        if let Some(old) = inner.insert((vid, component), Entry { version, value }) {
             if old.version != version {
                 // The retained-stale entry from a mutated view is now
                 // superseded; this is where its eviction is accounted.
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        inner.order.insert(tick, key);
-        while inner.entries.len() > self.capacity {
-            let (&lru_tick, &lru_key) = inner.order.iter().next().expect("order tracks entries");
-            inner.order.remove(&lru_tick);
-            inner.entries.remove(&lru_key);
+        while inner.len() > self.capacity && inner.pop_lru().is_some() {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -349,17 +350,14 @@ pub struct ResultCacheCounters {
 const MAX_PENDING_RECORDS: usize = 8192;
 
 struct ResultEntry {
-    tick: u64,
     /// Absolute record-log offset this entry's state is current through.
     applied: u64,
     state: crate::delta::MaintainedPlan,
 }
 
 struct ResultCacheInner {
-    entries: HashMap<u64, ResultEntry>,
-    /// LRU order: tick → fingerprint (ticks are unique).
-    order: BTreeMap<u64, u64>,
-    next_tick: u64,
+    /// Standing results by plan fingerprint.
+    entries: Lru<u64, ResultEntry>,
     /// Lazily-opened store record subscription: arming change-record
     /// fan-out costs every mutation a record clone, so it waits until
     /// the cached path is actually used.
@@ -403,7 +401,9 @@ impl ResultCacheInner {
 /// **Only complete results belong here.** A budget-truncated
 /// (`stats.partial`) result is a sound *subset* of the true rows;
 /// admitting one would serve (and maintain!) it as the complete answer
-/// forever. The admit site in `run_cached` checks `partial` first.
+/// forever. `run_cached` admits only what
+/// [`crate::exec::QueryProcessor::execute_standing`] seeded, and that
+/// checks `partial` first.
 pub struct ResultCache {
     inner: Mutex<ResultCacheInner>,
     capacity: usize,
@@ -420,9 +420,7 @@ impl ResultCache {
     pub fn new(store: &Arc<ViewStore>, capacity: usize) -> Self {
         ResultCache {
             inner: Mutex::new(ResultCacheInner {
-                entries: HashMap::new(),
-                order: BTreeMap::new(),
-                next_tick: 0,
+                entries: Lru::new(),
                 records: None,
                 log: VecDeque::new(),
                 log_base: 0,
@@ -459,24 +457,17 @@ impl ResultCache {
         }
     }
 
-    fn ensure_subscribed(&self, inner: &mut ResultCacheInner) {
-        if inner.records.is_none() {
-            inner.records = Some(self.store.subscribe_records());
-        }
-    }
-
-    /// Pulls pending store records into the shared log; on pathological
-    /// backlog, clears every entry instead of replaying it.
+    /// Pulls pending store records into the shared log (subscribing on
+    /// first use); on pathological backlog, clears every entry instead
+    /// of replaying it.
     fn drain_records(&self, inner: &mut ResultCacheInner) {
-        if let Some(rx) = &inner.records {
-            while let Ok(record) = rx.try_recv() {
-                inner.log.push_back(record);
-            }
-        }
+        let rx = inner
+            .records
+            .get_or_insert_with(|| self.store.subscribe_records());
+        inner.log.extend(rx.try_iter());
         if inner.log.len() > MAX_PENDING_RECORDS {
             let dropped = inner.entries.len() as u64;
             inner.entries.clear();
-            inner.order.clear();
             self.invalidations.fetch_add(dropped, Ordering::Relaxed);
             self.trim(inner);
         }
@@ -513,46 +504,39 @@ impl ResultCache {
         processor: &crate::exec::QueryProcessor,
         fingerprint: u64,
     ) -> Option<crate::exec::ResultRows> {
-        let mut inner = self.inner.lock();
-        self.ensure_subscribed(&mut inner);
-        self.drain_records(&mut inner);
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        self.drain_records(inner);
         let end = inner.log_end();
-        let Some(entry) = inner.entries.get(&fingerprint) else {
-            drop(inner);
+        let Some(entry) = inner.entries.touch(&fingerprint) else {
+            drop(guard);
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         };
-        if entry.applied < end {
+        let behind = entry.applied < end;
+        if behind {
             let from = (entry.applied - inner.log_base) as usize;
             let pending: Vec<ChangeRecord> = inner.log.iter().skip(from).cloned().collect();
-            let entry = inner.entries.get_mut(&fingerprint).expect("present");
             match processor.maintain(&mut entry.state, &pending) {
                 Ok(_) => {
                     entry.applied = end;
                     self.maintained.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(_) => {
-                    let tick = entry.tick;
                     inner.entries.remove(&fingerprint);
-                    inner.order.remove(&tick);
-                    self.trim(&mut inner);
-                    drop(inner);
+                    self.trim(inner);
+                    drop(guard);
                     self.invalidations.fetch_add(1, Ordering::Relaxed);
                     self.misses.fetch_add(1, Ordering::Relaxed);
                     return None;
                 }
             }
-            self.trim(&mut inner);
         }
-        let entry = inner.entries.get(&fingerprint).expect("present");
-        let old_tick = entry.tick;
         let rows = entry.state.rows();
-        let tick = inner.next_tick;
-        inner.next_tick += 1;
-        inner.order.remove(&old_tick);
-        inner.order.insert(tick, fingerprint);
-        inner.entries.get_mut(&fingerprint).expect("present").tick = tick;
-        drop(inner);
+        if behind {
+            self.trim(inner);
+        }
+        drop(guard);
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(rows)
     }
@@ -561,7 +545,6 @@ impl ResultCache {
     /// offset and pins the log at it until `admit` or `release`.
     pub(crate) fn mark(&self) -> u64 {
         let mut inner = self.inner.lock();
-        self.ensure_subscribed(&mut inner);
         self.drain_records(&mut inner);
         let mark = inner.log_end();
         inner.marks.push(mark);
@@ -593,23 +576,12 @@ impl ResultCache {
             self.invalidations.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let tick = inner.next_tick;
-        inner.next_tick += 1;
-        if let Some(old) = inner.entries.insert(
-            fingerprint,
-            ResultEntry {
-                tick,
-                applied: mark,
-                state,
-            },
-        ) {
-            inner.order.remove(&old.tick);
-        }
-        inner.order.insert(tick, fingerprint);
-        while inner.entries.len() > self.capacity {
-            let (&lru_tick, &lru_key) = inner.order.iter().next().expect("order tracks entries");
-            inner.order.remove(&lru_tick);
-            inner.entries.remove(&lru_key);
+        let entry = ResultEntry {
+            applied: mark,
+            state,
+        };
+        inner.entries.insert(fingerprint, entry);
+        while inner.entries.len() > self.capacity && inner.entries.pop_lru().is_some() {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         self.trim(&mut inner);
@@ -646,7 +618,7 @@ mod tests {
     #[test]
     fn group_hits_after_first_force() {
         let (store, vid, calls) = counting_lazy_store();
-        let cache = ExpansionCache::new(&store, 16);
+        let cache = ExpansionCache::new(16);
         let first = cache.group(&store, vid).unwrap().finite_members();
         let second = cache.group(&store, vid).unwrap().finite_members();
         assert_eq!(first, second);
@@ -660,27 +632,26 @@ mod tests {
         let store = Arc::new(ViewStore::new());
         let a = store.build("a").insert();
         let parent = store.build("p").children(vec![a]).insert();
-        let cache = ExpansionCache::new(&store, 16);
+        let cache = ExpansionCache::new(16);
         assert_eq!(
             cache.group(&store, parent).unwrap().finite_members(),
             vec![a]
         );
         let b = store.build("b").insert();
         store.add_group_member(parent, b, false).unwrap();
-        // Without draining events, the version check alone must notice.
+        // The version check alone must notice.
         let members = cache.group(&store, parent).unwrap().finite_members();
         assert_eq!(members.len(), 2);
         assert!(cache.counters().evictions >= 1);
     }
 
     #[test]
-    fn drain_invalidations_hides_changed_views_but_retains_last_known_good() {
+    fn changed_views_are_hidden_but_retained_as_last_known_good() {
         let store = Arc::new(ViewStore::new());
         let vid = store.build("x").text("old").insert();
-        let cache = ExpansionCache::new(&store, 16);
+        let cache = ExpansionCache::new(16);
         assert_eq!(&cache.content(&store, vid).unwrap()[..], b"old");
         store.set_content(vid, Content::text("new")).unwrap();
-        cache.drain_invalidations();
         // Mutated entries are retained (as degraded-read fallback) but
         // never served fresh: the version check forces a recompute.
         assert_eq!(cache.len(), 1);
@@ -689,21 +660,42 @@ mod tests {
     }
 
     #[test]
-    fn drain_invalidations_drops_removed_views() {
+    fn removed_views_error_and_their_entries_age_out() {
         let store = Arc::new(ViewStore::new());
         let vid = store.build("x").text("bytes").insert();
-        let cache = ExpansionCache::new(&store, 16);
+        let cache = ExpansionCache::new(2);
         cache.content(&store, vid).unwrap();
         store.remove(vid).unwrap();
-        cache.drain_invalidations();
-        assert!(cache.is_empty());
+        // No subscription tells the cache; the version read does. The
+        // error is not degradable, so not even the fallback path serves
+        // the dead view's bytes.
+        assert!(cache.content(&store, vid).is_err());
+        assert!(cache.content_with_fallback(&store, vid).is_err());
+        assert_eq!(cache.counters().stale_served, 0);
+        assert_eq!(cache.counters().hits, 0);
+        // The unreachable entry is ordinary LRU ballast: two newer
+        // entries push it out.
+        assert_eq!(cache.len(), 1);
+        let others: Vec<Vid> = ["y", "z"]
+            .iter()
+            .map(|name| store.build(*name).text("other").insert())
+            .collect();
+        for &other in &others {
+            cache.content(&store, other).unwrap();
+        }
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.counters().evictions, 1);
+        for &other in &others {
+            cache.content(&store, other).unwrap();
+        }
+        assert_eq!(cache.counters().hits, 2, "the live entries survived");
     }
 
     #[test]
     fn fallback_serves_stale_value_when_force_fails() {
         let store = Arc::new(ViewStore::new());
         let vid = store.build("msg").text("good").insert();
-        let cache = ExpansionCache::new(&store, 16);
+        let cache = ExpansionCache::new(16);
 
         let (bytes, stale) = cache.content_with_fallback(&store, vid).unwrap();
         assert_eq!((&bytes[..], stale), (&b"good"[..], false));
@@ -728,7 +720,7 @@ mod tests {
         let vids: Vec<Vid> = (0..4)
             .map(|i| store.build(format!("v{i}")).insert())
             .collect();
-        let cache = ExpansionCache::new(&store, 2);
+        let cache = ExpansionCache::new(2);
         cache.group(&store, vids[0]).unwrap();
         cache.group(&store, vids[1]).unwrap();
         cache.group(&store, vids[0]).unwrap(); // touch 0: now 1 is LRU
@@ -753,7 +745,7 @@ mod tests {
             .build_unnamed()
             .content(Content::lazy(provider))
             .insert();
-        let cache = ExpansionCache::new(&store, 4);
+        let cache = ExpansionCache::new(4);
         assert_eq!(&cache.content(&store, vid).unwrap()[..], b"computed");
         assert_eq!(&cache.content(&store, vid).unwrap()[..], b"computed");
         assert_eq!(CALLS.load(Ordering::SeqCst), 1);
@@ -763,7 +755,7 @@ mod tests {
     #[test]
     fn unknown_vid_is_an_error_not_a_cache_entry() {
         let store = Arc::new(ViewStore::new());
-        let cache = ExpansionCache::new(&store, 4);
+        let cache = ExpansionCache::new(4);
         assert!(cache.group(&store, Vid::from_raw(99)).is_err());
         assert!(cache.is_empty());
     }

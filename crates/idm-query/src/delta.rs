@@ -341,11 +341,7 @@ impl QueryProcessor {
     /// execution produced (post-order, children before parents).
     /// Returns `None` for plan shapes the delta engine cannot maintain
     /// (a hash join below the root — which the planner never emits).
-    pub(crate) fn seed_maintained(
-        &self,
-        plan: &Plan,
-        captured: Vec<ResultRows>,
-    ) -> Option<MaintainedPlan> {
+    fn seed_maintained(&self, plan: &Plan, captured: Vec<ResultRows>) -> Option<MaintainedPlan> {
         let mut pos = 0usize;
         let root = match &plan.root.op {
             PlanOp::HashJoin {
@@ -626,23 +622,21 @@ impl QueryProcessor {
         self.recompute_all(standing)
     }
 
-    /// The counted whole-plan fallback: re-execute (unbudgeted,
-    /// capturing) and re-seed, diffing old rows against new.
+    /// The counted whole-plan fallback: re-execute (unbudgeted) and
+    /// re-seed, diffing old rows against new.
     fn recompute_all(&self, standing: &mut MaintainedPlan) -> Result<ResultDelta> {
         let old = standing.rows();
-        let mut captured = Vec::new();
-        let QueryResult { rows, .. } =
-            self.execute_plan_with(&standing.plan, QueryBudget::none(), Some(&mut captured))?;
-        let mut stats = standing.stats;
-        stats.full_recomputes += 1;
-        let Some(mut fresh) = self.seed_maintained(&standing.plan, captured) else {
+        let (QueryResult { rows, .. }, fresh) =
+            self.execute_standing(&standing.plan, QueryBudget::none())?;
+        let Some(mut fresh) = fresh else {
             return Err(IdmError::Provider {
                 detail: "delta: plan shape is not maintainable".into(),
                 source: None,
                 vid: None,
             });
         };
-        fresh.stats = stats;
+        fresh.stats = standing.stats;
+        fresh.stats.full_recomputes += 1;
         *standing = fresh;
         let total = rows.len();
         let (added, removed) = match (&old, &rows) {
@@ -867,20 +861,23 @@ impl QueryProcessor {
     }
 
     /// Executes `plan` under `budget` and seeds a standing result from
-    /// the run. A partial (budget-truncated) execution returns
-    /// `(result, None)`: a subset must never become a standing result
-    /// (the PR 7 cache gate, extended to subscriptions).
+    /// the run — the one place a capturing execution becomes standing
+    /// state, for subscriptions, the result cache and resyncs alike. A
+    /// partial (budget-truncated) execution returns `(result, None)`: a
+    /// subset must never become a standing result. So does a plan shape
+    /// the delta engine cannot maintain.
     pub fn execute_standing(
         &self,
         plan: &Plan,
         budget: QueryBudget,
     ) -> Result<(QueryResult, Option<MaintainedPlan>)> {
         let mut captured = Vec::new();
-        let result = self.execute_plan_with(plan, budget, Some(&mut captured))?;
-        if result.stats.partial {
-            return Ok((result, None));
-        }
-        let standing = self.seed_maintained(plan, captured);
+        let result = self.execute_capturing(plan, budget, Some(&mut captured))?;
+        let standing = if result.stats.partial {
+            None
+        } else {
+            self.seed_maintained(plan, captured)
+        };
         Ok((result, standing))
     }
 }

@@ -53,9 +53,11 @@ pub struct ExecOptions {
     pub expansion: ExpansionStrategy,
     /// The clock used by `yesterday()`/`today()`/`now()`.
     pub now: Timestamp,
-    /// Worker threads for the parallel executor. `1` (the default) runs
-    /// the exact sequential code paths; `N > 1` parallelizes full scans,
-    /// frontier expansion, and join builds over `N` scoped threads.
+    /// Worker threads for full scans, frontier expansion and join
+    /// builds. Every operator has one body, written over contiguous
+    /// chunks of its input ([`crate::par`]): `1` (the default) is that
+    /// body with one chunk on the calling thread, `N > 1` forks up to
+    /// `N` scoped threads where the input is large enough to pay.
     pub parallelism: usize,
     /// Capacity of the lazy-expansion memo cache (entries, not bytes).
     pub cache_capacity: usize,
@@ -216,7 +218,7 @@ impl QueryProcessor {
     /// A processor over a store and its index bundle.
     pub fn new(store: Arc<ViewStore>, indexes: Arc<IndexBundle>) -> Self {
         let options = ExecOptions::default();
-        let cache = ExpansionCache::new(&store, options.cache_capacity);
+        let cache = ExpansionCache::new(options.cache_capacity);
         let results = ResultCache::new(&store, RESULT_CACHE_CAPACITY);
         QueryProcessor {
             store,
@@ -238,7 +240,7 @@ impl QueryProcessor {
     /// recreates (and empties) the expansion cache.
     pub fn with_options(mut self, options: ExecOptions) -> Self {
         if options.cache_capacity != self.options.cache_capacity {
-            self.cache = ExpansionCache::new(&self.store, options.cache_capacity);
+            self.cache = ExpansionCache::new(options.cache_capacity);
         }
         self.options = options;
         self
@@ -287,27 +289,32 @@ impl QueryProcessor {
         self.execute_plan(&plan)
     }
 
-    /// Executes a plan — the same object [`Plan::render`] prints. This
-    /// is the only evaluation path; `execute`/`execute_ast` are
-    /// parse/plan front-ends to it.
+    /// Executes a plan — the same object [`Plan::render`] prints —
+    /// under the processor's configured budget. This is the only
+    /// evaluation path; `execute`/`execute_ast` are parse/plan
+    /// front-ends to it.
     pub fn execute_plan(&self, plan: &Plan) -> Result<QueryResult> {
-        self.execute_plan_with(plan, self.options.budget, None)
+        self.execute_plan_with(plan, self.options.budget)
     }
 
-    /// [`QueryProcessor::execute_plan`] with an explicit budget and an
-    /// optional per-node row capture. When `cap` is given, every plan
-    /// node pushes its output rows in post-order (children before
-    /// parents, inputs in plan order) — the seed a
-    /// [`crate::delta::MaintainedPlan`] is built from. A truncated
-    /// (partial) run may capture fewer entries than the plan has nodes;
-    /// partial captures are never used.
-    pub(crate) fn execute_plan_with(
+    /// [`QueryProcessor::execute_plan`] under an explicit budget (a
+    /// request's own, or a federation peer's slice of the deadline).
+    pub fn execute_plan_with(&self, plan: &Plan, budget: QueryBudget) -> Result<QueryResult> {
+        self.execute_capturing(plan, budget, None)
+    }
+
+    /// [`QueryProcessor::execute_plan_with`] with an optional per-node
+    /// row capture. When `cap` is given, every plan node pushes its
+    /// output rows in post-order (children before parents, inputs in
+    /// plan order) — the seed a [`crate::delta::MaintainedPlan`] is
+    /// built from. A truncated (partial) run may capture fewer entries
+    /// than the plan has nodes; partial captures are never used.
+    pub(crate) fn execute_capturing(
         &self,
         plan: &Plan,
         budget: QueryBudget,
         cap: Option<&mut Vec<ResultRows>>,
     ) -> Result<QueryResult> {
-        self.cache.drain_invalidations();
         let before = self.cache.counters();
         let fault_before = self.fault_stats.as_ref().map(|s| s.snapshot());
         let tracker = BudgetTracker::start(budget);
@@ -352,24 +359,19 @@ impl QueryProcessor {
         // (delta application is convergent, so replaying a change the
         // execution already saw is harmless).
         let mark = self.results.mark();
-        let mut captured = Vec::new();
-        let result = match self.execute_plan_with(plan, budget, Some(&mut captured)) {
-            Ok(result) => result,
+        let (result, standing) = match self.execute_standing(plan, budget) {
+            Ok(seeded) => seeded,
             Err(err) => {
                 self.results.release(mark);
                 return Err(err);
             }
         };
-        // A truncated (partial-budget) result is a subset of the true
-        // rows; caching it would serve it as complete. Only full
-        // results seed standing state.
-        if result.stats.partial {
-            self.results.release(mark);
-        } else {
-            match self.seed_maintained(plan, captured) {
-                Some(state) => self.results.admit(fingerprint, state, mark),
-                None => self.results.release(mark),
-            }
+        // No standing state — a truncated (partial-budget) run, whose
+        // subset of the true rows must never be served as complete, or
+        // an unmaintainable plan shape — leaves nothing to admit.
+        match standing {
+            Some(state) => self.results.admit(fingerprint, state, mark),
+            None => self.results.release(mark),
         }
         Ok(result)
     }
@@ -505,8 +507,8 @@ impl QueryProcessor {
                 if tracker.tripped() {
                     return Ok(ResultRows::Views(Vec::new()));
                 }
-                // Full scan over the catalog; chunked across workers when
-                // parallelism is enabled (order-preserving either way).
+                // Full scan over the catalog, chunked across the workers
+                // (order-preserving at any parallelism).
                 let vids = par::filter(self.all_vids(), self.threads(), |v| !exclude.contains(v));
                 stats.candidates_examined += vids.len();
                 tracker.charge_rows(vids.len(), "complement")?;
@@ -638,32 +640,9 @@ impl QueryProcessor {
                 // `reachable` a subset, and filtering candidates against
                 // a subset keeps a subset.
                 let mut reachable: HashSet<Vid> = HashSet::new();
-                if threads <= 1 {
-                    for &vid in context {
-                        if tracker.checkpoint("relate")? == Tick::Truncate {
-                            break;
-                        }
-                        let children = self.children_of(vid);
-                        stats.nodes_expanded += children.len();
-                        tracker.charge_nodes(children.len(), "relate")?;
-                        reachable.extend(children);
-                    }
-                } else {
-                    for children in par::try_map_chunks(context, threads, |_, chunk| {
-                        let mut out: Vec<Vid> = Vec::new();
-                        for &vid in chunk {
-                            if tracker.checkpoint("relate")? == Tick::Truncate {
-                                break;
-                            }
-                            let children = self.children_of(vid);
-                            tracker.charge_nodes(children.len(), "relate")?;
-                            out.extend(children);
-                        }
-                        Ok::<_, IdmError>(out)
-                    })? {
-                        stats.nodes_expanded += children.len();
-                        reachable.extend(children);
-                    }
+                for children in self.expand(context, "relate", tracker)? {
+                    stats.nodes_expanded += children.len();
+                    reachable.extend(children);
                 }
                 Ok(par::filter(candidates, threads, |v| reachable.contains(v)))
             }
@@ -671,169 +650,101 @@ impl QueryProcessor {
                 let reachable = self.multi_source_descendants(context, stats, tracker)?;
                 Ok(par::filter(candidates, threads, |v| reachable.contains(v)))
             }
-            (ExpansionStrategy::Backward, Axis::Child) => {
+            (ExpansionStrategy::Backward, _) => {
                 let ctx: HashSet<Vid> = context.iter().copied().collect();
-                if threads <= 1 {
-                    let mut kept = Vec::new();
-                    for v in candidates {
-                        if tracker.checkpoint("relate")? == Tick::Truncate {
-                            break;
-                        }
-                        let parents = self.indexes.group.parents(v);
-                        stats.nodes_expanded += parents.len();
-                        tracker.charge_nodes(parents.len(), "relate")?;
-                        if parents.iter().any(|p| ctx.contains(p)) {
-                            kept.push(v);
-                        }
-                    }
-                    Ok(kept)
-                } else {
-                    let chunks = par::try_map_chunks(&candidates, threads, |_, chunk| {
-                        let mut kept = Vec::new();
-                        let mut expanded = 0usize;
-                        for &v in chunk {
-                            if tracker.checkpoint("relate")? == Tick::Truncate {
-                                break;
-                            }
-                            let parents = self.indexes.group.parents(v);
-                            expanded += parents.len();
-                            tracker.charge_nodes(parents.len(), "relate")?;
-                            if parents.iter().any(|p| ctx.contains(p)) {
-                                kept.push(v);
-                            }
-                        }
-                        Ok::<_, IdmError>((kept, expanded))
-                    })?;
-                    let mut out = Vec::new();
-                    for (kept, expanded) in chunks {
-                        stats.nodes_expanded += expanded;
-                        out.extend(kept);
-                    }
-                    Ok(out)
-                }
-            }
-            (ExpansionStrategy::Backward, Axis::Descendant) => {
-                let ctx: HashSet<Vid> = context.iter().copied().collect();
-                if threads <= 1 {
-                    // Positive cache: nodes known to reach the context.
+                // For the descendant axis each chunk keeps its own
+                // positive cache of nodes known to reach the context:
+                // the kept rows never depend on it, only
+                // `nodes_expanded` can (a candidate whose ancestor is a
+                // kept candidate of *another* chunk walks further).
+                // Chunking is deterministic, so repeated runs at the
+                // same parallelism agree exactly.
+                let chunks = par::try_map_chunks(&candidates, threads, |_, chunk| {
+                    let mut local = ExecStats::default();
                     let mut reaches_ctx: HashSet<Vid> = HashSet::new();
-                    let mut kept = Vec::new();
-                    for v in candidates {
+                    let mut kept: Vec<Vid> = Vec::new();
+                    for &v in chunk {
                         if tracker.checkpoint("relate")? == Tick::Truncate {
                             break;
                         }
-                        if self.reverse_reaches(v, &ctx, &mut reaches_ctx, stats, tracker)? {
-                            kept.push(v);
-                        }
-                    }
-                    Ok(kept)
-                } else {
-                    // Each worker keeps a chunk-local positive cache: the
-                    // kept rows are identical to sequential, only
-                    // `nodes_expanded` can differ (fewer cross-candidate
-                    // cache hits). Chunking is deterministic, so repeated
-                    // runs at the same parallelism agree exactly.
-                    let chunks = par::try_map_chunks(&candidates, threads, |_, chunk| {
-                        let mut local = ExecStats::default();
-                        let mut reaches_ctx: HashSet<Vid> = HashSet::new();
-                        let mut kept: Vec<Vid> = Vec::new();
-                        for &v in chunk {
-                            if tracker.checkpoint("relate")? == Tick::Truncate {
-                                break;
+                        let related = match axis {
+                            Axis::Child => {
+                                let parents = self.indexes.group.parents(v);
+                                local.nodes_expanded += parents.len();
+                                tracker.charge_nodes(parents.len(), "relate")?;
+                                parents.iter().any(|p| ctx.contains(p))
                             }
-                            if self.reverse_reaches(
+                            Axis::Descendant => self.reverse_reaches(
                                 v,
                                 &ctx,
                                 &mut reaches_ctx,
                                 &mut local,
                                 tracker,
-                            )? {
-                                kept.push(v);
-                            }
+                            )?,
+                        };
+                        if related {
+                            kept.push(v);
                         }
-                        Ok::<_, IdmError>((kept, local.nodes_expanded))
-                    })?;
-                    let mut out = Vec::new();
-                    for (kept, expanded) in chunks {
-                        stats.nodes_expanded += expanded;
-                        out.extend(kept);
                     }
-                    Ok(out)
-                }
+                    Ok::<_, IdmError>((kept, local.nodes_expanded))
+                })?;
+                stats.nodes_expanded += chunks.iter().map(|(_, expanded)| expanded).sum::<usize>();
+                Ok(par::concat(chunks.into_iter().map(|(kept, _)| kept)))
             }
             (ExpansionStrategy::Bidirectional, _) => unreachable!("resolved above"),
         }
     }
 
+    /// The group edges out of every node of `frontier`: one child list
+    /// per chunk, in frontier order. One checkpoint per expanded node —
+    /// a deadline firing mid-walk (e.g. during a slow lazy force) aborts
+    /// before the next force; a truncated walk expands a prefix of each
+    /// chunk, which yields a subset of the true edges.
+    fn expand(
+        &self,
+        frontier: &[Vid],
+        phase: &'static str,
+        tracker: &BudgetTracker,
+    ) -> Result<Vec<Vec<Vid>>> {
+        par::try_map_chunks(frontier, self.threads(), |_, chunk| {
+            let mut out: Vec<Vid> = Vec::with_capacity(chunk.len());
+            for &vid in chunk {
+                if tracker.checkpoint(phase)? == Tick::Truncate {
+                    break;
+                }
+                let children = self.children_of(vid);
+                tracker.charge_nodes(children.len(), phase)?;
+                par::append(&mut out, &children);
+            }
+            Ok(out)
+        })
+    }
+
+    /// Level-synchronous BFS: every frontier node is expanded exactly
+    /// once (so `nodes_expanded`, the edges scanned, is the same at any
+    /// parallelism, and the visit order is the FIFO order); the
+    /// coordinator merges and dedups between levels. A truncated BFS
+    /// visits a prefix of the reachable set — a sound subset.
     fn multi_source_descendants(
         &self,
         sources: &[Vid],
         stats: &mut ExecStats,
         tracker: &BudgetTracker,
     ) -> Result<HashSet<Vid>> {
-        if self.threads() <= 1 {
-            let mut visited: HashSet<Vid> = HashSet::new();
-            let mut queue: VecDeque<Vid> = sources.iter().copied().collect();
-            while let Some(vid) = queue.pop_front() {
-                // One checkpoint per expanded frontier node: a deadline
-                // firing mid-BFS (e.g. during a slow lazy force) aborts
-                // before the next force. A truncated BFS visits a prefix
-                // of the reachable set — a sound subset.
-                if tracker.checkpoint("expand")? == Tick::Truncate {
-                    break;
-                }
-                let children = self.children_of(vid);
-                tracker.charge_nodes(children.len(), "expand")?;
-                for child in children {
-                    stats.nodes_expanded += 1;
-                    if visited.insert(child) {
-                        queue.push_back(child);
-                    }
-                }
-            }
-            return Ok(visited);
-        }
-        // Level-synchronous parallel BFS: every frontier node is expanded
-        // by some worker against a read-only view of `visited`; the
-        // coordinator merges and dedups between levels. Each node is
-        // expanded exactly once, so `nodes_expanded` (edges scanned)
-        // matches the sequential walk.
-        let threads = self.threads();
         let mut visited: HashSet<Vid> = HashSet::new();
         let mut frontier: Vec<Vid> = sources.to_vec();
         while !frontier.is_empty() {
             if tracker.checkpoint("expand")? == Tick::Truncate {
                 break;
             }
-            let visited_ref = &visited;
-            let chunks = par::try_map_chunks(&frontier, threads, |_, chunk| {
-                let mut fresh = Vec::new();
-                let mut edges = 0usize;
-                for &vid in chunk {
-                    if tracker.checkpoint("expand")? == Tick::Truncate {
-                        break;
-                    }
-                    let children = self.children_of(vid);
-                    tracker.charge_nodes(children.len(), "expand")?;
-                    for child in children {
-                        edges += 1;
-                        if !visited_ref.contains(&child) {
-                            fresh.push(child);
-                        }
-                    }
-                }
-                Ok::<_, IdmError>((fresh, edges))
-            })?;
-            let mut next = Vec::new();
-            for (fresh, edges) in chunks {
-                stats.nodes_expanded += edges;
-                for child in fresh {
-                    if visited.insert(child) {
-                        next.push(child);
-                    }
-                }
+            // The unvisited children, filtered in place in chunk order,
+            // are the next level: no buffer beside `expand`'s own.
+            let mut chunks = self.expand(&frontier, "expand", tracker)?;
+            for children in &mut chunks {
+                stats.nodes_expanded += children.len();
+                children.retain(|&child| visited.insert(child));
             }
-            frontier = next;
+            frontier = par::concat(chunks);
         }
         Ok(visited)
     }
@@ -933,39 +844,27 @@ impl QueryProcessor {
             BuildSide::Right => (&right_rows, &left_rows, right_field, left_field, false),
         };
 
-        // Hash-table build, chunk-parallel when enabled: workers extract
+        // Hash-table build over chunks of the build side: workers extract
         // `(key, vid)` pairs and the coordinator merges them in chunk
-        // order, so per-key row order equals the sequential build. A
-        // build truncated mid-way keys a subset of rows; probing it
-        // yields a subset of the true pairs.
+        // order, so per-key row order is the input order at any
+        // parallelism. A build truncated mid-way keys a subset of rows;
+        // probing it yields a subset of the true pairs.
         let mut table: HashMap<String, Vec<Vid>> = HashMap::with_capacity(build_rows.len());
-        if self.threads() <= 1 {
-            for &vid in build_rows {
+        for chunk in par::try_map_chunks(build_rows, self.threads(), |_, chunk| {
+            let mut out: Vec<(String, Vid)> = Vec::with_capacity(chunk.len());
+            for &vid in chunk {
                 if tracker.checkpoint("join-build")? == Tick::Truncate {
                     break;
                 }
                 tracker.charge_nodes(1, "join-build")?;
                 if let Some(key) = self.field_key(vid, build_field) {
-                    table.entry(key).or_default().push(vid);
+                    out.push((key, vid));
                 }
             }
-        } else {
-            for chunk in par::try_map_chunks(build_rows, self.threads(), |_, chunk| {
-                let mut out: Vec<(String, Vid)> = Vec::new();
-                for &vid in chunk {
-                    if tracker.checkpoint("join-build")? == Tick::Truncate {
-                        break;
-                    }
-                    tracker.charge_nodes(1, "join-build")?;
-                    if let Some(key) = self.field_key(vid, build_field) {
-                        out.push((key, vid));
-                    }
-                }
-                Ok::<_, IdmError>(out)
-            })? {
-                for (key, vid) in chunk {
-                    table.entry(key).or_default().push(vid);
-                }
+            Ok::<_, IdmError>(out)
+        })? {
+            for (key, vid) in chunk {
+                table.entry(key).or_default().push(vid);
             }
         }
         let mut pairs = Vec::new();
@@ -1293,6 +1192,68 @@ mod tests {
         let r = p.execute(r#"//papers//*"#).unwrap();
         assert!(r.stats.nodes_expanded > 0);
         assert!(r.stats.candidates_examined > 0);
+    }
+
+    /// A tree wide enough that every chunked operator really forks at
+    /// 8 threads (frontiers of 1 200 > 64 × 8): `wide` holds 1 200
+    /// folders `d<i>`, each holding one `leaf<i>.txt`.
+    fn wide_dataspace() -> (Arc<ViewStore>, Arc<IndexBundle>) {
+        let store = Arc::new(ViewStore::new());
+        let indexes = Arc::new(IndexBundle::new());
+        let folders: Vec<Vid> = (0..1_200)
+            .map(|i| {
+                let leaf = store.build(format!("leaf{i}.txt")).text("wide").insert();
+                store.build(format!("d{i}")).children(vec![leaf]).insert()
+            })
+            .collect();
+        store.build("wide").children(folders).insert();
+        for vid in store.vids() {
+            indexes.index_view(&store, vid, "filesystem").unwrap();
+        }
+        (store, indexes)
+    }
+
+    #[test]
+    fn one_body_per_operator_agrees_at_every_parallelism() {
+        let (store, indexes) = wide_dataspace();
+        // (query, rows): a child step and a descendant step whose
+        // context (Forward) and candidate (Backward) frontiers are both
+        // 1 200 wide, plus a join whose build side is.
+        let queries = [
+            ("//d*/leaf*", 1_200),
+            ("//wide//leaf*", 1_200),
+            (
+                "join( //wide/d* as A, //wide//leaf* as B, A.name = B.name )",
+                0,
+            ),
+        ];
+        for strategy in [ExpansionStrategy::Forward, ExpansionStrategy::Backward] {
+            let run = |parallelism: usize, iql: &str| {
+                QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes))
+                    .with_options(ExecOptions {
+                        expansion: strategy,
+                        parallelism,
+                        ..ExecOptions::default()
+                    })
+                    .execute(iql)
+                    .unwrap()
+            };
+            for (iql, rows) in queries {
+                let one = run(1, iql);
+                assert_eq!(one.rows.len(), rows, "{iql} under {strategy:?}");
+                assert!(one.stats.nodes_expanded >= 1_200, "{iql}: a wide walk");
+                for parallelism in [2, 4, 8] {
+                    // Rows, row order and every counter: no candidate is
+                    // another's ancestor here, so even the chunk-local
+                    // reverse-reachability caches cannot differ.
+                    assert_eq!(
+                        run(parallelism, iql),
+                        one,
+                        "{iql} under {strategy:?} at parallelism {parallelism}"
+                    );
+                }
+            }
+        }
     }
 
     // ---- resource governance -----------------------------------------

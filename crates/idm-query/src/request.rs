@@ -163,7 +163,7 @@ impl QueryProcessor {
         let result = if request.wants_cached() {
             self.run_cached(&plan, budget)?
         } else {
-            self.execute_plan_with(&plan, budget, None)?
+            self.execute_plan_with(&plan, budget)?
         };
         let ranked = request
             .wants_ranked()

@@ -14,6 +14,7 @@
 //! first access from the store's current contents.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use std::fmt;
 use std::sync::Arc;

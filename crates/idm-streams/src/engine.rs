@@ -102,15 +102,6 @@ pub struct PumpGuard {
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
-impl PumpGuard {
-    pub(crate) fn new(stop: Arc<AtomicBool>, handle: std::thread::JoinHandle<()>) -> Self {
-        PumpGuard {
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
 impl Drop for PumpGuard {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);

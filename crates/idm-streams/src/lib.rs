@@ -7,7 +7,10 @@
 //!
 //! - [`engine`] — the push-operator machinery: operators register for
 //!   change events on resource view components and process them
-//!   immediately, in the spirit of data-driven DSMS processing,
+//!   immediately, in the spirit of data-driven DSMS processing (the
+//!   *logical change record* feed needs no engine: its consumers — live
+//!   queries in `idm-system`, the result cache in `idm-query` — read
+//!   [`idm_core::store::ViewStore::subscribe_records`] directly),
 //! - [`window`] — stream windows over infinite group components
 //!   (Section 5.2: "infinite group components are managed using a
 //!   stream window"),
@@ -21,11 +24,9 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod engine;
-pub mod records;
 pub mod sources;
 pub mod window;
 
 pub use engine::{PumpGuard, PushEngine, PushOperator};
-pub use records::{RecordEngine, RecordOperator};
 pub use sources::{GeneratorTupleStream, PollingStream, RssStreamSource};
 pub use window::StreamWindow;

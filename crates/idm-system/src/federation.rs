@@ -96,10 +96,10 @@ impl Federation {
     fn coordinate(&self, iql: &str) -> Result<Option<Plan>> {
         // Validate the syntax once, even with no peers to plan on.
         idm_query::parse(iql)?;
-        match self.peers.first() {
-            Some((_, coordinator)) => Ok(Some(coordinator.query_processor().plan_iql(iql)?)),
-            None => Ok(None),
-        }
+        self.peers
+            .first()
+            .map(|(_, coordinator)| coordinator.processor().plan_iql(iql))
+            .transpose()
     }
 
     /// Runs a [`QueryRequest`] on every peer; rows are tagged with
@@ -133,9 +133,10 @@ impl Federation {
                 // first checkpoint trips), keeping the error structured.
                 peer_budget.deadline = Some(total.saturating_sub(started.elapsed()));
             }
-            let mut processor = system.query_processor();
-            processor.set_budget(peer_budget);
-            match processor.execute_plan(&plan) {
+            // Straight onto the peer's processor: the coordinator's
+            // plan, the peer's slice of the budget, no admission gate.
+            let processor = system.processor();
+            match processor.execute_plan_with(&plan, peer_budget) {
                 Ok(answer) => match request.wants_ranked() {
                     Some(weights) => {
                         for RankedResult { vid, score } in
@@ -181,7 +182,7 @@ impl Federation {
         let mut out = Vec::with_capacity(self.peers.len());
         for (name, system) in &self.peers {
             let count = system
-                .query_processor()
+                .processor()
                 .execute_plan(&plan)
                 .map(|r| r.rows.len())
                 .unwrap_or(0);

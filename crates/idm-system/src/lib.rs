@@ -113,23 +113,23 @@ fn durability_err(e: io::Error) -> IdmError {
 /// The iMeMex Personal Dataspace Management System facade.
 ///
 /// Owns one resource view store, its index bundle, the resource view
-/// manager and a query processor.
+/// manager and the dataspace's one query processor (Figure 4).
 pub struct Pdsms {
     store: Arc<ViewStore>,
     indexes: Arc<IndexBundle>,
     lineage: Arc<LineageGraph>,
     rvm: ResourceViewManager,
     durability: Option<Mutex<idm_core::durability::DurabilityManager>>,
-    /// The expansion strategy every query processor of this system uses
-    /// — and therefore the one its plans record and `explain` renders.
-    expansion: ExpansionStrategy,
+    /// The one processor every query path of this system borrows; its
+    /// expansion strategy is the system's, its caches live as long.
+    processor: QueryProcessor,
     /// Admission control over the query path, when enabled: max
     /// concurrent queries plus a bounded, deadline-shedding wait queue.
     governor: Option<govern::AdmissionGate>,
-    /// Live-query machinery (record engine + subscription registry),
-    /// created lazily on first [`Pdsms::subscribe`] so systems without
-    /// standing queries never arm the store's record fan-out.
-    live: std::sync::OnceLock<live::LiveState>,
+    /// The subscription registry, created lazily on first
+    /// [`Pdsms::subscribe`] so systems without standing queries never
+    /// arm the store's record fan-out.
+    live: std::sync::OnceLock<live::SubscriptionRegistry>,
 }
 
 impl Pdsms {
@@ -148,13 +148,15 @@ impl Pdsms {
         durability: Option<idm_core::durability::DurabilityManager>,
     ) -> Self {
         let rvm = ResourceViewManager::new(Arc::clone(&store), Arc::clone(&indexes));
+        let mut processor = QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes));
+        processor.set_fault_stats(Arc::clone(rvm.fault_stats()));
         Pdsms {
             store,
             indexes,
             lineage,
             rvm,
             durability: durability.map(Mutex::new),
-            expansion: ExpansionStrategy::default(),
+            processor,
             governor: None,
             live: std::sync::OnceLock::new(),
         }
@@ -324,12 +326,14 @@ impl Pdsms {
     /// Sets the expansion strategy used by this system's queries (and
     /// rendered in its plans).
     pub fn set_expansion(&mut self, strategy: ExpansionStrategy) {
-        self.expansion = strategy;
+        // Plans record the strategy, so the processor's caches need no
+        // flush: a different strategy yields a different fingerprint.
+        self.processor.set_expansion(strategy);
     }
 
     /// The configured expansion strategy.
     pub fn expansion(&self) -> ExpansionStrategy {
-        self.expansion
+        self.processor.options().expansion
     }
 
     /// The resource view store.
@@ -392,13 +396,22 @@ impl Pdsms {
         self.rvm.fault_stats()
     }
 
-    /// A query processor over this dataspace (cheap to construct). It
-    /// shares the system's fault counters, so query-time retries and
-    /// breaker trips show up in [`idm_query::ExecStats`].
+    /// The system's own query processor — the one [`Pdsms::run`],
+    /// [`Pdsms::explain`], [`Pdsms::subscribe`] and federation peers use,
+    /// with caches that stay warm across calls. It shares the system's
+    /// fault counters, so query-time retries and breaker trips show up in
+    /// [`idm_query::ExecStats`]. Calling it bypasses the admission gate.
+    pub fn processor(&self) -> &QueryProcessor {
+        &self.processor
+    }
+
+    /// An *additional*, owned processor for a caller that wants options
+    /// of its own (parallelism, budget): the system's strategy and fault
+    /// counters, but caches of its own, which die with it.
     pub fn query_processor(&self) -> QueryProcessor {
         let mut processor = QueryProcessor::new(Arc::clone(&self.store), Arc::clone(&self.indexes));
         processor.set_fault_stats(Arc::clone(self.rvm.fault_stats()));
-        processor.set_expansion(self.expansion);
+        processor.set_expansion(self.expansion());
         processor
     }
 
@@ -422,27 +435,31 @@ impl Pdsms {
         self.governor.as_ref().map(govern::AdmissionGate::snapshot)
     }
 
-    /// Executes a [`QueryRequest`] under the system's configured
-    /// expansion strategy and through the admission gate, when enabled:
-    /// the request's wall-clock deadline (if any) also caps its
-    /// admission-queue wait. This is the single query entry point.
-    pub fn run(&self, request: &QueryRequest) -> Result<QueryResponse> {
-        // Hold the permit for the whole execution; dropping it on any
-        // return path (including budget-exhaustion errors) frees the
-        // slot and wakes one queued waiter.
+    /// Waits for an admission slot, when the governor is enabled; the
+    /// request's wall-clock deadline (if any) also caps the wait.
+    /// Dropping the permit on any return path (including
+    /// budget-exhaustion errors) frees the slot and wakes one waiter.
+    fn admit(&self, request: &QueryRequest) -> Result<Option<govern::AdmissionPermit<'_>>> {
         let deadline = request.requested_budget().and_then(|b| b.deadline);
-        let _permit = match &self.governor {
-            Some(gate) => Some(gate.admit(deadline)?),
-            None => None,
-        };
-        self.query_processor().run(request)
+        self.governor
+            .as_ref()
+            .map(|gate| gate.admit(deadline))
+            .transpose()
+    }
+
+    /// Executes a [`QueryRequest`] on the system's processor (so a
+    /// repeated [`QueryRequest::cached`] request hits) and through the
+    /// admission gate, when enabled. This is the single query entry point.
+    pub fn run(&self, request: &QueryRequest) -> Result<QueryResponse> {
+        let _permit = self.admit(request)?;
+        self.processor.run(request)
     }
 
     /// Renders the execution plan of a query — under the system's
     /// configured expansion strategy, so EXPLAIN always matches what
     /// [`Pdsms::run`] would run.
     pub fn explain(&self, iql: &str) -> Result<String> {
-        self.query_processor().explain(iql)
+        self.processor.explain(iql)
     }
 }
 
@@ -580,6 +597,20 @@ mod tests {
             .unwrap();
         assert!(plan.contains("Backward expansion"), "{plan}");
         assert!(!plan.contains("Forward expansion"), "{plan}");
+    }
+
+    #[test]
+    fn cached_requests_pass_the_admission_gate_on_miss_and_hit() {
+        // The shell's route: `.cached()` through `run`, not around it.
+        let mut system = Pdsms::new();
+        system.enable_governor(GovernorConfig::default());
+        let request = QueryRequest::new(r#""anything""#).cached();
+        system.run(&request).unwrap();
+        assert_eq!(system.governor_stats().unwrap().admitted, 1);
+        // A result-cache hit is still a query: admitted and completed.
+        system.run(&request).unwrap();
+        let gate = system.governor_stats().unwrap();
+        assert_eq!((gate.admitted, gate.completed, gate.running), (2, 2, 0));
     }
 
     #[test]

@@ -4,14 +4,15 @@
 //! [`Pdsms::subscribe`] executes it once, seeds a delta-maintained
 //! standing result ([`idm_query::MaintainedPlan`]), and hands back a
 //! [`LiveQuery`] — the initial rows plus a channel of
-//! [`ResultDelta`] batches. From then on, every store mutation's
-//! logical [`ChangeRecord`]s flow through an [`idm_streams::RecordEngine`]
-//! into the [`SubscriptionRegistry`], which maintains each standing
-//! result incrementally (falling back to bounded re-expansion or full
-//! recompute only where a node cannot be maintained soundly) and pushes
-//! the non-empty deltas to subscribers.
+//! [`ResultDelta`] batches. From then on, the [`SubscriptionRegistry`]
+//! reads every store mutation's logical [`ChangeRecord`]s straight off
+//! the store's record feed ([`ViewStore::subscribe_records`] — the only
+//! such subscription in this crate) and maintains each standing result
+//! incrementally on the system's one query processor (falling back to
+//! bounded re-expansion or full recompute only where a node cannot be
+//! maintained soundly), pushing the non-empty deltas to subscribers.
 //!
-//! Delivery is pull-paced: the engine dispatches when
+//! Delivery is pull-paced: pending records are applied when
 //! [`Pdsms::pump_subscriptions`] runs — which the ingest paths
 //! (`index_all*`) do automatically, and which sync-round drivers (RSS
 //! polls, IMAP rounds, filesystem notification sweeps) call after each
@@ -25,14 +26,12 @@
 //! result is never updated from partial state.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use idm_core::prelude::*;
 use idm_query::{
     MaintainedPlan, QueryBudget, QueryProcessor, QueryRequest, QueryResult, ResultDelta,
 };
-use idm_streams::{RecordEngine, RecordOperator};
 use parking_lot::Mutex;
 
 use crate::Pdsms;
@@ -106,11 +105,12 @@ pub struct LiveStats {
     pub dropped: u64,
 }
 
-/// Maintains every standing query against incoming change-record
-/// batches. Registered as a [`RecordOperator`] on the system's
-/// [`RecordEngine`], so pumping the engine maintains all subscriptions.
+/// Maintains every standing query against the store's change records:
+/// it holds the record feed, and each [`Pdsms::pump_subscriptions`]
+/// applies whatever is pending, as one batch, to every subscription.
+/// The processor is the caller's (the system's one), never its own.
 pub struct SubscriptionRegistry {
-    processor: QueryProcessor,
+    records: Receiver<ChangeRecord>,
     subs: Mutex<Vec<Subscription>>,
     next_id: AtomicU64,
     deltas_pushed: AtomicU64,
@@ -140,9 +140,11 @@ fn injected_error(op: &str) -> IdmError {
 }
 
 impl SubscriptionRegistry {
-    fn new(processor: QueryProcessor) -> Self {
+    /// Subscribes to `store`'s record feed; only records committed
+    /// from here on flow.
+    fn attach(store: &ViewStore) -> Self {
         SubscriptionRegistry {
-            processor,
+            records: store.subscribe_records(),
             subs: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(1),
             deltas_pushed: AtomicU64::new(0),
@@ -155,10 +157,10 @@ impl SubscriptionRegistry {
         }
     }
 
-    fn subscribe(&self, request: &QueryRequest) -> Result<LiveQuery> {
-        let plan = self.processor.plan_iql(request.iql())?;
+    fn subscribe(&self, processor: &QueryProcessor, request: &QueryRequest) -> Result<LiveQuery> {
+        let plan = processor.plan_iql(request.iql())?;
         let budget = request.requested_budget().unwrap_or(QueryBudget::none());
-        let (result, standing) = self.processor.execute_standing(&plan, budget)?;
+        let (result, standing) = processor.execute_standing(&plan, budget)?;
         let Some(standing) = standing else {
             // Either the budget truncated the execution (a partial
             // result must never seed a standing one) or the plan shape
@@ -188,9 +190,13 @@ impl SubscriptionRegistry {
         })
     }
 
-    fn apply(&self, records: &[ChangeRecord]) {
+    /// Drains the record feed and applies what was pending, as one
+    /// coalesced batch, to every subscription; returns how many records
+    /// that was (0 = nothing pending, nothing touched).
+    fn pump(&self, processor: &QueryProcessor) -> usize {
+        let records: Vec<ChangeRecord> = self.records.try_iter().collect();
         if records.is_empty() {
-            return;
+            return 0;
         }
         let mut subs = self.subs.lock();
         self.records_applied
@@ -205,7 +211,7 @@ impl SubscriptionRegistry {
                 Some(if take_one(&self.inject_maintain_failures) {
                     Err(injected_error("maintain"))
                 } else {
-                    self.processor.maintain(&mut sub.standing, records)
+                    processor.maintain(&mut sub.standing, &records)
                 })
             };
 
@@ -226,7 +232,7 @@ impl SubscriptionRegistry {
                     let resynced = if take_one(&self.inject_resync_failures) {
                         Err(injected_error("resync"))
                     } else {
-                        self.processor.resync(&mut sub.standing)
+                        processor.resync(&mut sub.standing)
                     };
 
                     match resynced {
@@ -264,6 +270,7 @@ impl SubscriptionRegistry {
                 false
             }
         });
+        records.len()
     }
 
     fn stats(&self) -> LiveStats {
@@ -289,27 +296,10 @@ impl SubscriptionRegistry {
     }
 }
 
-impl RecordOperator for SubscriptionRegistry {
-    fn on_records(&self, _store: &ViewStore, records: &[ChangeRecord]) {
-        self.apply(records);
-    }
-}
-
-/// The lazily-created live-query machinery of one [`Pdsms`]: a record
-/// engine over the store with the subscription registry attached.
-pub(crate) struct LiveState {
-    engine: Arc<RecordEngine>,
-    registry: Arc<SubscriptionRegistry>,
-}
-
 impl Pdsms {
-    fn live_state(&self) -> &LiveState {
-        self.live.get_or_init(|| {
-            let engine = Arc::new(RecordEngine::attach(Arc::clone(&self.store)));
-            let registry = Arc::new(SubscriptionRegistry::new(self.query_processor()));
-            engine.register(Arc::clone(&registry) as Arc<dyn RecordOperator>);
-            LiveState { engine, registry }
-        })
+    fn registry(&self) -> &SubscriptionRegistry {
+        self.live
+            .get_or_init(|| SubscriptionRegistry::attach(&self.store))
     }
 
     /// Registers `request` as a standing query: executes it once (under
@@ -319,19 +309,15 @@ impl Pdsms {
     /// A request whose budget truncates the execution is rejected — a
     /// partial result never seeds a standing one.
     pub fn subscribe(&self, request: &QueryRequest) -> Result<LiveQuery> {
-        let state = self.live_state();
-        let deadline = request.requested_budget().and_then(|b| b.deadline);
-        let _permit = match &self.governor {
-            Some(gate) => Some(gate.admit(deadline)?),
-            None => None,
-        };
+        let registry = self.registry();
+        let _permit = self.admit(request)?;
         // Deliver anything pending first, so existing subscriptions are
         // current and the new standing result seeds against a drained
         // record log. (Records racing past this point are re-applied on
         // the next pump; delta maintenance is convergent, so replaying
         // a change the seeding execution already saw is harmless.)
-        state.engine.pump();
-        state.registry.subscribe(request)
+        registry.pump(&self.processor);
+        registry.subscribe(&self.processor, request)
     }
 
     /// Drives every live query: drains pending change records and
@@ -340,24 +326,23 @@ impl Pdsms {
     /// ingest paths call this automatically; sync-round drivers should
     /// call it after each round.
     pub fn pump_subscriptions(&self) -> usize {
-        match self.live.get() {
-            Some(state) => state.engine.pump(),
-            None => 0,
-        }
+        self.live
+            .get()
+            .map_or(0, |registry| registry.pump(&self.processor))
     }
 
     /// Counter totals for this system's live queries.
     pub fn live_stats(&self) -> LiveStats {
-        match self.live.get() {
-            Some(state) => state.registry.stats(),
-            None => LiveStats::default(),
-        }
+        self.live
+            .get()
+            .map(SubscriptionRegistry::stats)
+            .unwrap_or_default()
     }
 
     /// Arms deterministic live-maintenance failure injection (see
     /// [`SubscriptionRegistry::inject_failures`]).
     pub fn inject_live_failures(&self, maintain: u64, resync: u64) {
-        self.live_state().registry.inject_failures(maintain, resync);
+        self.registry().inject_failures(maintain, resync);
     }
 }
 
@@ -366,6 +351,7 @@ mod tests {
     use super::*;
     use crate::FsPlugin;
     use idm_vfs::{NodeId, VirtualFs};
+    use std::sync::Arc;
 
     fn t() -> Timestamp {
         Timestamp::from_ymd(2006, 8, 1).unwrap()
@@ -406,7 +392,8 @@ mod tests {
         fs.create_file(dir, "b.txt", "more database notes", t())
             .unwrap();
         sync.sync_round().unwrap();
-        system.pump_subscriptions();
+        assert!(system.pump_subscriptions() >= 1, "the round's records");
+        assert_eq!(system.pump_subscriptions(), 0, "nothing left pending");
 
         let deltas = live.poll();
         assert_eq!(deltas.len(), 1, "one coalesced batch per round");
@@ -416,6 +403,58 @@ mod tests {
         let fresh = system.run(&QueryRequest::new(r#""database""#)).unwrap();
         assert_eq!(deltas[0].total, fresh.result.rows.len());
         assert!(system.live_stats().deltas_pushed >= 1);
+    }
+
+    #[test]
+    fn cached_requests_hit_and_are_maintained_through_the_facade() {
+        // `Pdsms::run` answers on the system's long-lived processor, so
+        // its result cache outlives the call (a per-call processor took
+        // the cache with it: zero hits, ever).
+        let (fs, system, sync) = system_with_file("a.txt", "database tuning");
+        let request = QueryRequest::new(r#""database""#).cached();
+        assert_eq!(system.run(&request).unwrap().stats.result_cache_hits, 0);
+        assert_eq!(system.run(&request).unwrap().stats.result_cache_hits, 1);
+
+        let dir = fs.resolve("/docs").unwrap();
+        fs.create_file(dir, "b.txt", "more database notes", t())
+            .unwrap();
+        sync.sync_round().unwrap();
+        let third = system.run(&request).unwrap();
+        assert_eq!(third.stats.result_cache_hits, 1, "maintained, not re-run");
+        let fresh = system.run(&QueryRequest::new(r#""database""#)).unwrap();
+        assert_eq!(third.result.rows, fresh.result.rows);
+        assert_eq!(third.result.rows.len(), 2);
+        assert!(system.processor().result_cache().counters().maintained >= 1);
+    }
+
+    #[test]
+    fn subscriptions_follow_the_systems_current_strategy() {
+        // The registry has no processor of its own: a strategy set after
+        // the first subscription applies to the next one, exactly as it
+        // does to `run`. Three files under /docs, one matching: a forward
+        // walk scans three edges, a backward walk one.
+        let (fs, mut system, sync) = system_with_file("a.txt", "database tuning");
+        let dir = fs.resolve("/docs").unwrap();
+        for name in ["b.txt", "c.txt"] {
+            fs.create_file(dir, name, "tomato soup recipe", t())
+                .unwrap();
+        }
+        sync.sync_round().unwrap();
+        let _first = system
+            .subscribe(&QueryRequest::new(r#""database""#))
+            .unwrap();
+
+        let request = QueryRequest::new(r#"//docs//*["database"]"#);
+        let forward = system.run(&request).unwrap().result;
+        system.set_expansion(idm_query::ExpansionStrategy::Backward);
+        let live = system.subscribe(&request).unwrap();
+        let backward = system.run(&request).unwrap().result;
+        assert_eq!(live.initial().rows, backward.rows);
+        assert_eq!(live.initial().stats, backward.stats);
+        assert_ne!(
+            backward.stats.nodes_expanded, forward.stats.nodes_expanded,
+            "the two walks are told apart by this fixture"
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 
 use idm_core::durability::codec::fnv1a64;
-use idm_core::durability::{DurabilityOptions, ScrubBudget, Scrubber, SyncPolicy};
+use idm_core::durability::{ScrubBudget, Scrubber};
 use idm_core::prelude::*;
 
 use crate::health::{HealthConfig, HealthMonitor, IndexArtifactOutcome};
@@ -152,15 +152,11 @@ impl Sim {
             sim.insert(usize::MAX)?;
         }
         if let Some(system) = sim.system.as_mut() {
-            system.make_durable_with(
-                &sim.dir,
-                DurabilityOptions {
-                    sync: SyncPolicy::WriteBack,
-                    // No group-commit queue: a dropped system must lose
-                    // nothing, so every append goes straight to the file.
-                    group_commit: None,
-                },
-            )?;
+            // The configuration every other caller runs (and the one a
+            // simulated crash reopens with). A dropped system must lose
+            // nothing: with one appender each group is one record,
+            // written before `append` returns.
+            system.make_durable(&sim.dir)?;
         }
         sim.subscribe_live()?;
         Ok(sim)

@@ -108,7 +108,7 @@ fn tripped_breaker_serves_stale_and_recovers_after_cooldown() {
         .insert();
 
     // Prime the cache with the healthy value.
-    let cache = ExpansionCache::new(&store, 16);
+    let cache = ExpansionCache::new(16);
     let (bytes, stale) = cache.content_with_fallback(&store, vid).unwrap();
     assert_eq!(bytes.as_ref(), b"good");
     assert!(!stale);

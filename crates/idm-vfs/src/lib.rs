@@ -16,6 +16,7 @@
 //! shapes, not absolute times.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod convert;
 

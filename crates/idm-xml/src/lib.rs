@@ -19,6 +19,7 @@
 //! converter needed from office-document XML.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod convert;
 pub mod parser;

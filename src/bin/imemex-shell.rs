@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use imemex::core::durability::{ScrubBudget, Scrubber};
 use imemex::dataset::{generate, DatasetConfig};
-use imemex::query::{ExpansionStrategy, QueryBudget, QueryProcessor, QueryRequest};
+use imemex::query::{ExpansionStrategy, QueryBudget, QueryRequest};
 use imemex::system::{
     FsPlugin, GovernorConfig, HealthConfig, HealthMonitor, ImapPlugin, IndexArtifactOutcome,
     LiveQuery, Pdsms, RssPlugin,
@@ -25,11 +25,9 @@ use imemex::system::{
 use imemex::vfs::NodeId;
 
 struct Shell {
+    /// The dataspace, whose one long-lived processor keeps the
+    /// expansion and whole-result caches warm across commands.
     system: Pdsms,
-    strategy: ExpansionStrategy,
-    /// One long-lived processor, so the expansion and whole-result
-    /// caches stay warm across commands.
-    processor: QueryProcessor,
     /// The session budget every query runs under (`\budget`).
     budget: QueryBudget,
     /// Standing queries registered with `\subscribe`, polled by `\live`.
@@ -71,22 +69,12 @@ impl Shell {
                 t.wal_records, t.wal_batches, t.fsyncs, t.fsyncs_saved
             );
         }
-        let processor = system.query_processor();
         Shell {
             system,
-            strategy: ExpansionStrategy::Forward,
-            processor,
             budget: QueryBudget::none(),
             subscriptions: Vec::new(),
             monitor: HealthMonitor::new(HealthConfig::default()),
         }
-    }
-
-    fn set_strategy(&mut self, strategy: ExpansionStrategy) {
-        self.strategy = strategy;
-        // Plans record the strategy, so the processor's caches need no
-        // flush: a different strategy yields a different fingerprint.
-        self.processor.set_expansion(strategy);
     }
 
     fn describe(&self, vid: imemex::Vid) -> String {
@@ -105,20 +93,11 @@ impl Shell {
     }
 
     fn run_query(&self, iql: &str) {
-        // Queries go through the admission gate when `\governor` enabled
-        // it, so overload behavior is observable interactively.
-        let _permit = match self.system.governor() {
-            Some(gate) => match gate.admit(self.budget.deadline) {
-                Ok(permit) => Some(permit),
-                Err(e) => {
-                    println!("error: {e}");
-                    return;
-                }
-            },
-            None => None,
-        };
+        // `Pdsms::run` goes through the admission gate when `\governor`
+        // enabled it, so overload behavior is observable interactively.
         let start = Instant::now();
-        match self.processor.run(&QueryRequest::new(iql).cached()) {
+        let request = QueryRequest::new(iql).cached().budget(self.budget);
+        match self.system.run(&request) {
             Ok(response) => {
                 let result = response.result;
                 let elapsed = start.elapsed();
@@ -185,7 +164,6 @@ impl Shell {
                 }
             }
         }
-        self.processor.set_budget(self.budget);
         println!("budget: {}", self.describe_budget());
     }
 
@@ -240,7 +218,12 @@ impl Shell {
     }
 
     fn run_ranked(&self, iql: &str) {
-        match self.processor.execute_ranked(iql) {
+        let request = QueryRequest::new(iql).ranked().budget(self.budget);
+        match self
+            .system
+            .run(&request)
+            .map(|r| r.ranked.unwrap_or_default())
+        {
             Ok(ranked) => {
                 println!("{} result(s), ranked:", ranked.len());
                 for r in ranked.iter().take(10) {
@@ -308,7 +291,7 @@ impl Shell {
     }
 
     fn run_update(&self, statement: &str) {
-        match self.processor.execute_update(statement) {
+        match self.system.processor().execute_update(statement) {
             Ok(outcome) => println!(
                 "matched {} view(s), applied {}",
                 outcome.matched, outcome.applied
@@ -328,11 +311,10 @@ impl Shell {
         let dir = std::path::Path::new(path);
         if has_dataspace(dir) {
             match Pdsms::open(dir) {
-                Ok((system, report)) => {
+                Ok((mut system, report)) => {
                     println!("{report}");
+                    system.set_expansion(self.system.expansion());
                     self.system = system;
-                    self.processor = self.system.query_processor();
-                    self.processor.set_expansion(self.strategy);
                     self.monitor = HealthMonitor::new(HealthConfig::default());
                 }
                 Err(e) => println!("error: {e}"),
@@ -423,8 +405,8 @@ impl Shell {
             mb(sizes.group),
             mb(sizes.catalog)
         );
-        println!("expansion:        {:?}", self.strategy);
-        let results = self.processor.result_cache().counters();
+        println!("expansion:        {:?}", self.system.expansion());
+        let results = self.system.processor().result_cache().counters();
         println!(
             "result cache:     {} hit(s), {} miss(es), {} maintained, {} invalidation(s)",
             results.hits, results.misses, results.maintained, results.invalidations
@@ -543,12 +525,15 @@ fn main() {
                 "rank" => shell.run_ranked(arg.trim()),
                 "update" => shell.run_update(arg.trim()),
                 "estimate" => {
-                    match imemex::query::explain_with_estimates(&shell.processor, arg.trim()) {
+                    match imemex::query::explain_with_estimates(
+                        shell.system.processor(),
+                        arg.trim(),
+                    ) {
                         Ok(plan) => print!("{plan}"),
                         Err(e) => println!("error: {e}"),
                     }
                 }
-                "explain" => match shell.processor.explain(arg.trim()) {
+                "explain" => match shell.system.explain(arg.trim()) {
                     Ok(plan) => print!("{plan}"),
                     Err(e) => println!("error: {e}"),
                 },
@@ -562,8 +547,8 @@ fn main() {
                             continue;
                         }
                     };
-                    shell.set_strategy(strategy);
-                    println!("expansion strategy: {:?}", shell.strategy);
+                    shell.system.set_expansion(strategy);
+                    println!("expansion strategy: {strategy:?}");
                 }
                 other => println!("unknown command ':{other}' — :help lists commands"),
             }
