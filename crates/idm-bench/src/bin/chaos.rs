@@ -13,7 +13,7 @@
 //! `FAILING SEED <n>` — rerun that seed locally with `--seed <n>` to
 //! get the identical schedule.
 
-use idm_system::{run_sim, SimConfig};
+use idm_system::{run_sim, SimConfig, SimCounters};
 
 struct Args {
     seeds: u64,
@@ -64,12 +64,14 @@ fn parse_args() -> Args {
     args
 }
 
-fn run_seed(seed: u64, ops: usize, verbose: bool) -> bool {
+/// Runs one seed; `None` when it failed (everything needed to reproduce
+/// it is printed), its counters otherwise.
+fn run_seed(seed: u64, ops: usize, verbose: bool) -> Option<SimCounters> {
     let outcome = match run_sim(&SimConfig::new(seed, ops)) {
         Ok(outcome) => outcome,
         Err(e) => {
             println!("FAILING SEED {seed}: hard error: {e}");
-            return false;
+            return None;
         }
     };
     if verbose {
@@ -80,7 +82,7 @@ fn run_seed(seed: u64, ops: usize, verbose: bool) -> bool {
         }
     }
     if outcome.violations.is_empty() {
-        return true;
+        return Some(outcome.counters);
     }
     println!(
         "FAILING SEED {seed} ({} violation(s), fingerprint {:#018x})",
@@ -94,22 +96,28 @@ fn run_seed(seed: u64, ops: usize, verbose: bool) -> bool {
     for event in &outcome.events {
         println!("    {event}");
     }
-    false
+    None
 }
 
 fn main() {
     let args = parse_args();
     if let Some(seed) = args.single {
-        let ok = run_seed(seed, args.ops, true);
+        let ok = run_seed(seed, args.ops, true).is_some();
         std::process::exit(if ok { 0 } else { 1 });
     }
 
     let mut totals = (0u64, 0u64);
+    // Reopens by index fate: loaded, caught up, rebuilt.
+    let mut reopens = (0u64, 0u64, 0u64);
     for seed in args.first_seed..args.first_seed + args.seeds {
-        if run_seed(seed, args.ops, false) {
-            totals.0 += 1;
-        } else {
-            totals.1 += 1;
+        match run_seed(seed, args.ops, false) {
+            Some(counters) => {
+                totals.0 += 1;
+                reopens.0 += counters.reopens_loaded;
+                reopens.1 += counters.reopens_caught_up;
+                reopens.2 += counters.reopens_rebuilt;
+            }
+            None => totals.1 += 1,
         }
         if seed % 50 == 0 {
             println!("... {} seed(s) done", seed - args.first_seed + 1);
@@ -119,7 +127,17 @@ fn main() {
         "chaos: {} seed(s) passed, {} failed ({} ops each)",
         totals.0, totals.1, args.ops
     );
+    println!(
+        "reopens (each followed by a clean full index audit): {} loaded, {} caught up, {} rebuilt",
+        reopens.0, reopens.1, reopens.2
+    );
     if totals.1 > 0 {
+        std::process::exit(1);
+    }
+    if args.seeds >= 50 && reopens.1 == 0 {
+        println!(
+            "no reopen caught up from the WAL tail: every one fell back to loading or rebuilding"
+        );
         std::process::exit(1);
     }
 }

@@ -23,14 +23,18 @@
 //! 4. **Recover** ([`DurabilityManager::open`]): load the newest *valid*
 //!    snapshot (corrupt ones are skipped and counted), replay every WAL
 //!    segment at or after it, truncate at the first torn or corrupt
-//!    record, and report what happened in a [`RecoveryReport`].
+//!    record, and report what happened in a [`RecoveryReport`] —
+//!    including the vids the replayed records name, which is what any
+//!    derived state saved since the snapshot is behind by.
 //!
 //! What survives a `kill -9`: every extensional component of every
 //! committed mutation, class bindings, version counters, the vid
 //! allocator, and lineage edges as of the last checkpoint. Intensional
-//! (lazy) components that were never forced recover as empty — their
-//! providers are process-local closures; forced *groups* are made
-//! durable at force time via [`record::ChangeRecord::GroupForced`].
+//! (lazy) components that were not forced *when their view was logged*
+//! replay as empty — their providers are process-local closures; forced
+//! *groups* are made durable at force time via
+//! [`record::ChangeRecord::GroupForced`], lazy content forced later
+//! becomes durable only with the next snapshot.
 
 pub mod artifact;
 pub mod codec;
@@ -40,7 +44,7 @@ pub mod scrub;
 pub mod snapshot;
 pub mod wal;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -110,6 +114,11 @@ pub struct RecoveryReport {
     pub dangling_group_edges: usize,
     /// Live views after recovery.
     pub views: usize,
+    /// The distinct vids named by the replayed records, ascending —
+    /// including records that failed to apply. Derived state built at
+    /// the snapshot's base LSN (`lsn - records_replayed`) or later is
+    /// behind the recovered store in exactly these views.
+    pub touched_vids: Vec<u64>,
 }
 
 impl fmt::Display for RecoveryReport {
@@ -510,8 +519,10 @@ impl DurabilityManager {
             lsn: base_lsn,
             dangling_group_edges: 0,
             views: 0,
+            touched_vids: Vec::new(),
         };
 
+        let mut touched = BTreeSet::new();
         let mut live: Option<(u64, u64)> = None; // (seq, valid_len)
         let mut expected = first_seq;
         let mut broken = false;
@@ -533,6 +544,7 @@ impl DurabilityManager {
             report.bytes_truncated += torn;
             for record in segment.records {
                 report.records_replayed += 1;
+                touched.insert(record.vid());
                 if apply_record(&store, record).is_err() {
                     report.replay_errors += 1;
                 }
@@ -543,6 +555,7 @@ impl DurabilityManager {
             }
         }
         report.lsn = base_lsn + report.records_replayed;
+        report.touched_vids = touched.into_iter().collect();
 
         // Reopen the live segment for appending (truncating its torn
         // tail), or start a fresh one if none survived.
@@ -813,6 +826,7 @@ mod tests {
             DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
         assert_eq!(report.snapshot_seq, Some(2));
         assert_eq!(report.records_replayed, 0, "checkpoint folded the log");
+        assert!(report.touched_vids.is_empty());
         assert_eq!(report.views, 2);
         assert_eq!(report.lsn, 2);
         assert_eq!(store2.name(a).unwrap().as_deref(), Some("a2.txt"));
@@ -838,6 +852,7 @@ mod tests {
         let (store2, _, _, report) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
         assert_eq!(report.records_replayed, 3);
         assert_eq!(report.replay_errors, 0);
+        assert_eq!(report.touched_vids, vec![v.as_u64()], "named once");
         assert_eq!(store2.name(v).unwrap().as_deref(), Some("doc2"));
         assert_eq!(
             store2.content(v).unwrap().bytes().unwrap().as_ref(),

@@ -9,17 +9,18 @@
 //! cheap: a [`AuditMemo`] remembers the version each view last verified
 //! clean at, and an unchanged view is skipped entirely.
 //!
-//! Repair reuses the ingest path: mismatched views are removed from
-//! every structure and rebuilt through [`IndexSegment::build`] +
-//! [`IndexBundle::merge_segment`] — the same code recovery uses, so a
-//! repaired index is indistinguishable from a freshly built one.
+//! Repair is [`IndexBundle::reindex_views`] over the audit's findings —
+//! the same body a reopen uses to catch a loaded bundle up with the
+//! WAL tail: the views are removed from every structure and the live
+//! ones rebuilt through [`IndexSegment::build`](crate::IndexSegment::build)
+//! and [`IndexBundle::merge_segment`], so a repaired index is
+//! indistinguishable from a freshly built one.
 
 use std::collections::HashMap;
 
 use idm_core::prelude::*;
 
 use crate::bundle::IndexBundle;
-use crate::segment::IndexSegment;
 use crate::tokenizer;
 
 /// How much of the store one audit round cross-checks.
@@ -126,8 +127,9 @@ fn check_view(bundle: &IndexBundle, store: &ViewStore, vid: Vid) -> Result<Optio
         )));
     }
 
-    // Name index: the store's name must resolve back to this vid.
-    if let Some(name) = &store_name {
+    // Name index: the store's name must resolve back to this vid (the
+    // empty name is, like no name, not indexed).
+    if let Some(name) = store_name.as_deref().filter(|n| !n.is_empty()) {
         if !bundle.name.exact(name).contains(&vid) {
             return Ok(Some(format!("name index misses {name:?}")));
         }
@@ -263,35 +265,20 @@ pub fn audit(
     Ok(report)
 }
 
-/// Repairs every finding of `report`: stale catalog entries are removed
-/// from all structures, drifted views are removed and rebuilt through
-/// the segment path (grouped by their catalog source so source
-/// accounting survives the rebuild). Returns the number of views
-/// repaired.
+/// Repairs every finding of `report` through
+/// [`IndexBundle::reindex_views`]: stale catalog entries leave every
+/// structure, drifted views are removed and rebuilt through the segment
+/// path under their catalog source, so source accounting survives the
+/// rebuild. Returns the number of views repaired.
 pub fn repair(bundle: &IndexBundle, store: &ViewStore, report: &AuditReport) -> Result<usize> {
-    for &vid in &report.stale_entries {
-        bundle.remove_view(Vid::from_raw(vid));
-    }
-    let mut by_source: HashMap<String, Vec<Vid>> = HashMap::new();
-    for mismatch in &report.mismatches {
-        let vid = Vid::from_raw(mismatch.vid);
-        let source = bundle
-            .catalog
-            .entry(vid)
-            .map(|e| e.source)
-            .unwrap_or_else(|| "dataspace".to_owned());
-        bundle.remove_view(vid);
-        if store.contains(vid) {
-            by_source.entry(source).or_default().push(vid);
-        }
-    }
-    let mut repaired = report.stale_entries.len();
-    for (source, vids) in by_source {
-        let segment = IndexSegment::build(store, &vids, &source)?;
-        repaired += segment.len();
-        bundle.merge_segment(segment);
-    }
-    Ok(repaired)
+    let vids: Vec<Vid> = report
+        .stale_entries
+        .iter()
+        .chain(report.mismatches.iter().map(|m| &m.vid))
+        .map(|&vid| Vid::from_raw(vid))
+        .collect();
+    let rebuilt = bundle.reindex_views(store, &vids)?;
+    Ok(report.stale_entries.len() + rebuilt)
 }
 
 #[cfg(test)]

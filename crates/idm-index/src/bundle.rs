@@ -175,15 +175,25 @@ impl IndexBundle {
 
     /// Removes a view from every structure.
     pub fn remove_view(&self, vid: Vid) {
-        if let Some(entry) = self.catalog.entry(vid) {
-            if !entry.name.is_empty() {
-                self.name.remove(vid, &entry.name);
+        self.remove_views(&[vid]);
+    }
+
+    /// Removes a set of views from every structure. The structures
+    /// whose removal walks more than the view's own entries — the term
+    /// map, the tuple columns, the catalog's class and source lists —
+    /// are walked once for the whole set.
+    pub fn remove_views(&self, vids: &[Vid]) {
+        for &vid in vids {
+            if let Some(entry) = self.catalog.entry(vid) {
+                if !entry.name.is_empty() {
+                    self.name.remove(vid, &entry.name);
+                }
             }
+            self.group.remove(vid);
         }
-        self.tuple.remove(vid);
-        self.content.remove(vid);
-        self.group.remove(vid);
-        self.catalog.unregister(vid);
+        self.tuple.remove_all(vids);
+        self.content.remove_all(vids);
+        self.catalog.unregister_all(vids);
     }
 
     /// Current byte sizes of all structures.

@@ -5,7 +5,7 @@
 //! and serde serialization for size accounting (Table 3 reports the
 //! catalog as a separate size column).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use idm_core::prelude::Vid;
 use parking_lot::RwLock;
@@ -37,6 +37,37 @@ struct Inner {
     by_source: HashMap<String, Vec<Vid>>,
 }
 
+impl Inner {
+    /// Drops the rows of `vids` and their entries in the class and source
+    /// lists; a list nobody is left in goes with them.
+    fn drop_rows(&mut self, vids: &[Vid]) {
+        let mut gone: Vec<Vid> = Vec::new();
+        let mut classes: HashSet<String> = HashSet::new();
+        let mut sources: HashSet<String> = HashSet::new();
+        for vid in vids {
+            if let Some(old) = self.rows.remove(vid) {
+                gone.push(*vid);
+                classes.extend(old.class);
+                sources.insert(old.source);
+            }
+        }
+        gone.sort_unstable();
+        for (lists, keys) in [
+            (&mut self.by_class, classes),
+            (&mut self.by_source, sources),
+        ] {
+            for key in keys {
+                if let Some(list) = lists.get_mut(&key) {
+                    list.retain(|v| gone.binary_search(v).is_err());
+                    if list.is_empty() {
+                        lists.remove(&key);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The resource view catalog.
 #[derive(Default)]
 pub struct ResourceViewCatalog {
@@ -53,16 +84,7 @@ impl ResourceViewCatalog {
     pub fn register(&self, entry: CatalogEntry) {
         let vid = Vid::from_raw(entry.vid);
         let mut inner = self.inner.write();
-        if let Some(old) = inner.rows.insert(vid, entry.clone()) {
-            if let Some(class) = &old.class {
-                if let Some(vids) = inner.by_class.get_mut(class) {
-                    vids.retain(|v| *v != vid);
-                }
-            }
-            if let Some(vids) = inner.by_source.get_mut(&old.source) {
-                vids.retain(|v| *v != vid);
-            }
-        }
+        inner.drop_rows(&[vid]);
         if let Some(class) = &entry.class {
             inner.by_class.entry(class.clone()).or_default().push(vid);
         }
@@ -71,21 +93,18 @@ impl ResourceViewCatalog {
             .entry(entry.source.clone())
             .or_default()
             .push(vid);
+        inner.rows.insert(vid, entry);
     }
 
     /// Unregisters a view.
     pub fn unregister(&self, vid: Vid) {
-        let mut inner = self.inner.write();
-        if let Some(old) = inner.rows.remove(&vid) {
-            if let Some(class) = &old.class {
-                if let Some(vids) = inner.by_class.get_mut(class) {
-                    vids.retain(|v| *v != vid);
-                }
-            }
-            if let Some(vids) = inner.by_source.get_mut(&old.source) {
-                vids.retain(|v| *v != vid);
-            }
-        }
+        self.unregister_all(&[vid]);
+    }
+
+    /// Unregisters a set of views: each class and source list they sit
+    /// in is walked once for the whole set, not once per view.
+    pub fn unregister_all(&self, vids: &[Vid]) {
+        self.inner.write().drop_rows(vids);
     }
 
     /// The row for a view.

@@ -102,18 +102,66 @@ impl FullTextIndex {
 
     /// Removes a document from the index.
     pub fn remove(&self, vid: Vid) {
+        self.remove_all(&[vid]);
+    }
+
+    /// Removes a set of documents in **one** walk of the term map. Per
+    /// term, the shorter of the two sorted lists (the set, the posting
+    /// list) is searched in the longer, so one document costs a binary
+    /// search per term and a large set costs at most a pass over the
+    /// postings.
+    pub fn remove_all(&self, vids: &[Vid]) {
+        let mut vids = vids.to_vec();
+        vids.sort_unstable();
+        vids.dedup();
+        if vids.is_empty() {
+            return;
+        }
+        // Which of `vids` had a posting, and how many tokens went.
+        let mut hit = vec![false; vids.len()];
+        let mut tokens = 0u64;
+        // Ascending indices of the postings to drop from one list.
+        let mut found: Vec<usize> = Vec::new();
         let mut inner = self.inner.write();
-        let mut removed_any = false;
         inner.postings.retain(|_, postings| {
-            if let Ok(i) = postings.binary_search_by_key(&vid, |p| p.vid) {
-                postings.remove(i);
-                removed_any = true;
+            found.clear();
+            if vids.len() <= postings.len() {
+                for (at, vid) in vids.iter().enumerate() {
+                    if let Ok(i) = postings.binary_search_by_key(vid, |p| p.vid) {
+                        found.push(i);
+                        hit[at] = true;
+                    }
+                }
+            } else {
+                for (i, posting) in postings.iter().enumerate() {
+                    if let Ok(at) = vids.binary_search(&posting.vid) {
+                        found.push(i);
+                        hit[at] = true;
+                    }
+                }
+            }
+            tokens += found
+                .iter()
+                .map(|&i| postings[i].positions.len() as u64)
+                .sum::<u64>();
+            match found[..] {
+                [] => {}
+                [i] => drop(postings.remove(i)),
+                _ => {
+                    let mut gone = found.iter().peekable();
+                    let mut i = 0;
+                    postings.retain(|_| {
+                        let dropped = gone.next_if_eq(&&i).is_some();
+                        i += 1;
+                        !dropped
+                    });
+                }
             }
             !postings.is_empty()
         });
-        if removed_any {
-            inner.documents = inner.documents.saturating_sub(1);
-        }
+        let documents = hit.iter().filter(|h| **h).count();
+        inner.documents = inner.documents.saturating_sub(documents);
+        inner.tokens = inner.tokens.saturating_sub(tokens);
     }
 
     /// Documents containing `term` (normalized).
@@ -388,6 +436,7 @@ mod tests {
         index.remove(vid(1));
         assert_eq!(index.term_query("database"), vec![vid(2)]);
         assert_eq!(index.document_count(), 2);
+        assert_eq!(index.token_count(), 3 + 5, "doc 1's five tokens went");
         assert!(index.phrase_query("database tuning").is_empty());
         // Removing twice is a no-op.
         index.remove(vid(1));

@@ -41,6 +41,9 @@ impl GroupReplica {
             for child in old {
                 if let Some(parents) = inner.reverse.get_mut(&child) {
                     parents.retain(|p| *p != parent);
+                    if parents.is_empty() {
+                        inner.reverse.remove(&child);
+                    }
                 }
             }
         }
@@ -261,6 +264,26 @@ mod tests {
         assert!(!replica.parents(vid(2)).contains(&vid(1)));
         assert!(replica.parents(vid(4)).contains(&vid(1)));
         assert_eq!(replica.edge_count(), 3);
+    }
+
+    #[test]
+    fn detached_children_leave_nothing_behind() {
+        let churned = GroupReplica::new();
+        churned.index(vid(1), &[vid(2)]);
+        for child in 100..200 {
+            churned.index(vid(child + 1000), &[vid(child)]);
+            churned.index(vid(1), &[vid(2), vid(child)]);
+            churned.index(vid(1), &[vid(2)]);
+            churned.remove(vid(child + 1000));
+        }
+        let copy = GroupReplica::new();
+        copy.import_edges(churned.export_edges());
+        assert_eq!(churned.footprint_bytes(), copy.footprint_bytes());
+        assert_eq!(churned.edge_count(), 1);
+        for child in 100..200 {
+            assert_eq!(churned.parents(vid(child)), copy.parents(vid(child)));
+        }
+        assert_eq!(churned.parents(vid(2)), vec![vid(1)]);
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //!   The merged bundle is stamped with its LSN epoch at the next
 //!   checkpoint (`save_with_epoch`), same as sequential ingest.
 
+use std::collections::BTreeMap;
+
 use idm_core::prelude::*;
 
 use crate::bundle::{is_texty, ContentIndexing, IndexBundle};
@@ -161,6 +163,44 @@ impl IndexBundle {
             }
             self.catalog.register(entry.catalog);
         }
+    }
+
+    /// Brings `vids` up to date with the store — the one re-index body
+    /// behind audit repair and the reopen catch-up. Each view is removed
+    /// from every structure ([`IndexBundle::remove_views`], set-wise)
+    /// and, if the store still holds it, rebuilt through
+    /// [`IndexSegment::build`] + [`IndexBundle::merge_segment`] under
+    /// the source label its catalog row carried (`"dataspace"` when it
+    /// had none). A vid neither the catalog nor the store knows is
+    /// skipped. Idempotent; the result is the bundle a rebuild from the
+    /// same store with the same labels produces. Returns the number of
+    /// views rebuilt.
+    pub fn reindex_views(&self, store: &ViewStore, vids: &[Vid]) -> Result<usize> {
+        let mut vids = vids.to_vec();
+        vids.sort_unstable();
+        vids.dedup();
+        let mut known = Vec::new();
+        let mut by_source: BTreeMap<String, Vec<Vid>> = BTreeMap::new();
+        for vid in vids {
+            let entry = self.catalog.entry(vid);
+            let live = store.contains(vid);
+            if entry.is_none() && !live {
+                continue;
+            }
+            known.push(vid);
+            if live {
+                let source = entry.map_or_else(|| "dataspace".to_owned(), |e| e.source);
+                by_source.entry(source).or_default().push(vid);
+            }
+        }
+        self.remove_views(&known);
+        let mut rebuilt = 0;
+        for (source, vids) in by_source {
+            let segment = IndexSegment::build(store, &vids, &source)?;
+            rebuilt += segment.len();
+            self.merge_segment(segment);
+        }
+        Ok(rebuilt)
     }
 }
 

@@ -171,16 +171,33 @@ struct Inner {
 }
 
 impl Inner {
-    /// Drops the column entries `tuple` gave `vid`: only the columns the
-    /// tuple names hold any.
-    fn drop_entries(&mut self, vid: Vid, tuple: &TupleComponent) {
-        for (i, attr) in tuple.schema().attributes().iter().enumerate() {
-            if !first_of_its_name(tuple, i) {
+    /// Drops the replica rows of `vids` and the column entries their
+    /// tuples gave them: one pass per column those tuples name, for the
+    /// whole set. `vids` is sorted.
+    fn drop_views(&mut self, vids: &[Vid]) {
+        // Column → how many of the dropped views had an entry in it.
+        let mut dropped: HashMap<String, usize> = HashMap::new();
+        for vid in vids {
+            let Some(tuple) = self.replica.remove(vid) else {
                 continue;
+            };
+            for (i, attr) in tuple.schema().attributes().iter().enumerate() {
+                if first_of_its_name(&tuple, i) {
+                    *dropped.entry(attr.name.clone()).or_default() += 1;
+                }
             }
-            if let Some(column) = self.columns.get_mut(&attr.name) {
-                column.entries.retain(|(_, v)| *v != vid);
-                column.views -= 1;
+        }
+        for (name, views) in dropped {
+            let Some(column) = self.columns.get_mut(&name) else {
+                continue;
+            };
+            column
+                .entries
+                .retain(|(_, v)| vids.binary_search(v).is_err());
+            column.views -= views;
+            // A column nobody names is gone, as in a rebuilt index.
+            if column.entries.is_empty() {
+                self.columns.remove(&name);
             }
         }
     }
@@ -201,10 +218,9 @@ impl TupleIndex {
     /// Indexes a view's tuple component (and replicates it).
     pub fn index(&self, vid: Vid, tuple: &TupleComponent) {
         let mut inner = self.inner.write();
-        if let Some(old) = inner.replica.insert(vid, tuple.clone()) {
-            // Re-index: drop stale column entries first.
-            inner.drop_entries(vid, &old);
-        }
+        // Re-index: drop stale column entries first.
+        inner.drop_views(&[vid]);
+        inner.replica.insert(vid, tuple.clone());
         for (i, (attr, value)) in tuple.iter().enumerate() {
             let column = inner.columns.entry(attr.name.clone()).or_default();
             column.entries.push((value.clone(), vid));
@@ -215,10 +231,15 @@ impl TupleIndex {
 
     /// Removes a view's tuple from index and replica.
     pub fn remove(&self, vid: Vid) {
-        let mut inner = self.inner.write();
-        if let Some(old) = inner.replica.remove(&vid) {
-            inner.drop_entries(vid, &old);
-        }
+        self.remove_all(&[vid]);
+    }
+
+    /// Removes a set of views' tuples: each column they name is walked
+    /// once for the whole set, not once per view.
+    pub fn remove_all(&self, vids: &[Vid]) {
+        let mut vids = vids.to_vec();
+        vids.sort_unstable();
+        self.inner.write().drop_views(&vids);
     }
 
     /// The replicated tuple component of a view.

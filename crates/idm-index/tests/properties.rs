@@ -381,6 +381,131 @@ proptest! {
     }
 }
 
+// ---- set-wise removal and re-indexing vs the single-view path ---------------
+
+type ArbView = (String, String, i64, bool);
+
+fn arb_views(max: usize) -> impl Strategy<Value = Vec<ArbView>> {
+    proptest::collection::vec(
+        ("[a-d ]{0,20}", "[a-c]{1,3}", -5i64..5, any::<bool>()),
+        1..max,
+    )
+}
+
+/// Inserts the views (each the child of its predecessor, classes and
+/// sources alternating) and indexes them one by one.
+fn indexed(
+    views: &[ArbView],
+) -> (
+    idm_core::prelude::ViewStore,
+    idm_index::IndexBundle,
+    Vec<Vid>,
+) {
+    let store = idm_core::prelude::ViewStore::new();
+    let bundle = idm_index::IndexBundle::new();
+    let mut vids: Vec<Vid> = Vec::new();
+    for (text, name, size, flag) in views {
+        let mut builder = store
+            .build(name.clone())
+            .text(text.clone())
+            .tuple(TupleComponent::of(vec![("size", Value::Integer(*size))]))
+            .class_named(if *flag { "file" } else { "folder" });
+        if let Some(prev) = vids.last() {
+            builder = builder.children(vec![*prev]);
+        }
+        let vid = builder.insert();
+        bundle
+            .index_view(&store, vid, if *flag { "left" } else { "right" })
+            .unwrap();
+        vids.push(vid);
+    }
+    (store, bundle, vids)
+}
+
+/// Everything observable about a bundle: its serialized form (which
+/// carries `document_count` and `token_count`) and the planner's
+/// counters, which are not serialized.
+fn observable(bundle: &idm_index::IndexBundle) -> (Vec<u8>, Vec<usize>) {
+    let counters = vec![
+        bundle.content.document_count(),
+        bundle.content.term_count(),
+        bundle.name.entry_count(),
+        bundle.tuple.view_count(),
+        bundle.tuple.attribute_count("size"),
+        bundle.group.edge_count(),
+        bundle.catalog.class_count("file"),
+        bundle.catalog.class_count("folder"),
+        bundle.catalog.by_source("left").len(),
+        bundle.sizes().total(),
+    ];
+    (idm_index::persist::to_bytes_with_epoch(bundle, 0), counters)
+}
+
+proptest! {
+    /// Removing a set of views in one call leaves exactly what removing
+    /// them one by one leaves — small sets against long posting lists and
+    /// large sets against short ones alike.
+    #[test]
+    fn set_removal_equals_single_removals(views in arb_views(30),
+                                          picks in proptest::collection::vec(0usize..40, 0..30)) {
+        let (_s1, set_wise, vids) = indexed(&views);
+        let (_s2, one_by_one, _) = indexed(&views);
+        // Duplicates and vids the bundle never saw are part of the input.
+        let victims: Vec<Vid> = picks
+            .iter()
+            .map(|&p| vids.get(p).copied().unwrap_or(Vid::from_raw(1_000 + p as u64)))
+            .collect();
+        set_wise.remove_views(&victims);
+        for &vid in &victims {
+            one_by_one.remove_view(vid);
+        }
+        prop_assert_eq!(observable(&set_wise), observable(&one_by_one));
+        let survivors = vids.iter().filter(|v| !victims.contains(v)).count();
+        prop_assert_eq!(set_wise.catalog.len(), survivors);
+    }
+
+    /// `reindex_views` over the views a store changed behind the bundle's
+    /// back yields the bundle a rebuild from that store yields.
+    #[test]
+    fn reindex_views_equals_rebuild(views in arb_views(20),
+                                    edits in proptest::collection::vec((0usize..20, 0u8..4, "[a-d ]{0,12}"), 0..20)) {
+        let (store, bundle, vids) = indexed(&views);
+        let mut touched = Vec::new();
+        for (pick, kind, text) in edits {
+            let vid = vids[pick % vids.len()];
+            touched.push(vid);
+            if !store.contains(vid) {
+                continue;
+            }
+            match kind {
+                0 => store.set_name(vid, Some(text)).unwrap(),
+                1 => store.set_content(vid, idm_core::prelude::Content::text(text)).unwrap(),
+                2 => store.set_tuple(vid, None).unwrap(),
+                _ => drop(store.remove(vid).unwrap()),
+            }
+        }
+        // A view created and removed again is named but known to no one.
+        let ghost = store.build("ghost").insert();
+        store.remove(ghost).unwrap();
+        touched.push(ghost);
+
+        let rebuilt_count = bundle.reindex_views(&store, &touched).unwrap();
+        let mut live: Vec<Vid> = touched.iter().copied().filter(|v| store.contains(*v)).collect();
+        live.sort();
+        live.dedup();
+        prop_assert_eq!(rebuilt_count, live.len());
+
+        let rebuilt = idm_index::IndexBundle::new();
+        for vid in store.vids() {
+            let source = bundle.catalog.entry(vid).map(|e| e.source).unwrap();
+            rebuilt.index_view(&store, vid, &source).unwrap();
+        }
+        prop_assert_eq!(observable(&bundle), observable(&rebuilt));
+        let report = idm_index::audit(&bundle, &store, idm_index::AuditScope::Full, None).unwrap();
+        prop_assert!(report.is_clean(), "{:?}", report);
+    }
+}
+
 // ---- persistence roundtrip on arbitrary bundles ---------------------------
 
 proptest! {

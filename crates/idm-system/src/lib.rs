@@ -18,7 +18,12 @@
 //!    (notifications where available, polling otherwise) and keeps
 //!    catalog, replicas and indexes current.
 //!
-//! [`Pdsms`] is the user-facing facade tying everything together.
+//! [`Pdsms`] is the user-facing facade tying everything together. A
+//! durable dataspace pairs the store's snapshot + WAL with a persisted
+//! index bundle stamped with the LSN it was built at; [`Pdsms::open`]
+//! recovers the store and then loads the bundle, re-indexing only the
+//! views the replayed WAL tail names ([`IndexFate::CaughtUp`]) — the
+//! Replica&Indexes module is derived state a start-up must not rebuild.
 
 #![warn(missing_docs)]
 // Substrate-facing code must degrade, not panic; tests unwrap freely.
@@ -62,14 +67,25 @@ use parking_lot::Mutex;
 /// File name of the persisted index bundle inside a dataspace directory.
 const INDEX_FILE: &str = "indexes.idm";
 
-/// How [`Pdsms::open`] obtained its index bundle.
+/// How [`Pdsms::open`] obtained its index bundle. With `L` the
+/// recovered log sequence number and `B = L − records_replayed` the
+/// base LSN of the snapshot recovery started from, a readable file
+/// stamped with epoch `E` is `Loaded` when `E == L`, `CaughtUp` when
+/// `B ≤ E < L`, and not to be trusted otherwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexFate {
     /// The stored bundle's epoch matched the recovered store — loaded
     /// as-is, no reindexing.
     Loaded,
-    /// A bundle existed but was built against a different store state
-    /// (its epoch differed from the recovered log sequence number) —
+    /// The stored bundle's epoch lay inside the replayed window, so it
+    /// was behind the store in exactly the views the replayed records
+    /// name: loaded, and those views re-indexed from the recovered store
+    /// ([`IndexBundle::reindex_views`], the body audit repair uses).
+    CaughtUp,
+    /// A bundle existed but its epoch lay outside the replayed window —
+    /// older than the snapshot recovery started from, or newer than the
+    /// recovered log (it indexes records recovery discarded; the rebuilt
+    /// bundle is saved over it so no later open can catch up from it) —
     /// rebuilt from the recovered views.
     RebuiltStaleEpoch,
     /// A bundle file existed but could not be read (corrupt, torn, or
@@ -87,6 +103,11 @@ pub struct OpenReport {
     pub recovery: idm_core::durability::RecoveryReport,
     /// How the index bundle was obtained.
     pub index: IndexFate,
+    /// Views indexed from the recovered store during the open: none when
+    /// `Loaded`, the live ones among
+    /// [`touched_vids`](idm_core::durability::RecoveryReport::touched_vids)
+    /// when `CaughtUp`, every view when rebuilt.
+    pub reindexed: usize,
 }
 
 impl fmt::Display for OpenReport {
@@ -94,6 +115,11 @@ impl fmt::Display for OpenReport {
         write!(f, "{}; indexes ", self.recovery)?;
         match self.index {
             IndexFate::Loaded => write!(f, "loaded (epoch matched)"),
+            IndexFate::CaughtUp => write!(
+                f,
+                "caught up: {} view(s) re-indexed from {} replayed record(s)",
+                self.reindexed, self.recovery.records_replayed
+            ),
             IndexFate::RebuiltStaleEpoch => write!(f, "rebuilt (stale epoch)"),
             IndexFate::RebuiltUnreadable => write!(f, "rebuilt (file unreadable)"),
             IndexFate::RebuiltMissing => write!(f, "rebuilt (no index file)"),
@@ -164,8 +190,11 @@ impl Pdsms {
 
     /// Opens (recovers) a durable dataspace from `dir`: newest valid
     /// snapshot, WAL tail replay, torn-tail truncation, then the index
-    /// epoch handshake — the stored bundle is used only if it was built
-    /// against exactly the recovered store state, and rebuilt otherwise.
+    /// epoch handshake ([`IndexFate`]) — the stored bundle is loaded when
+    /// its epoch is the recovered store state or lies inside the replayed
+    /// window, in which case the views the replayed records name are
+    /// re-indexed into it; it is rebuilt otherwise. The cost is
+    /// O(snapshot + tail), not O(dataspace × indexing).
     pub fn open(dir: impl AsRef<Path>) -> Result<(Pdsms, OpenReport)> {
         Pdsms::open_with(
             dir,
@@ -187,28 +216,54 @@ impl Pdsms {
                 .map_err(durability_err)?;
 
         let index_path = dir.join(INDEX_FILE);
+        let base_lsn = recovery.lsn - recovery.records_replayed;
+        // A rebuild indexes every view; the two loading arms say less.
+        let mut reindexed = store.len();
         let (indexes, fate) = match idm_index::persist::load_with_epoch(&index_path) {
-            Ok((bundle, epoch)) if epoch == recovery.lsn => (Arc::new(bundle), IndexFate::Loaded),
-            Ok((stale, _)) => (
-                Arc::new(Pdsms::rebuild_indexes(&store, Some(&stale))?),
-                IndexFate::RebuiltStaleEpoch,
-            ),
+            Ok((bundle, epoch)) if epoch == recovery.lsn => {
+                reindexed = 0;
+                (bundle, IndexFate::Loaded)
+            }
+            Ok((bundle, epoch)) if (base_lsn..recovery.lsn).contains(&epoch) => {
+                // The file is behind the store in the views the replayed
+                // records name, and in no others.
+                let touched: Vec<Vid> = recovery
+                    .touched_vids
+                    .iter()
+                    .map(|&vid| Vid::from_raw(vid))
+                    .collect();
+                reindexed = bundle.reindex_views(&store, &touched)?;
+                (bundle, IndexFate::CaughtUp)
+            }
+            Ok((stale, epoch)) => {
+                let bundle = Pdsms::rebuild_indexes(&store, Some(&stale))?;
+                if epoch > recovery.lsn {
+                    // The file indexes records recovery has just thrown
+                    // away. Left in place it would pass for catch-up-able
+                    // once the new history grows past its epoch, so the
+                    // rebuilt bundle replaces it now.
+                    idm_index::persist::save_with_epoch(&bundle, &index_path, recovery.lsn)
+                        .map_err(durability_err)?;
+                }
+                (bundle, IndexFate::RebuiltStaleEpoch)
+            }
             Err(e) if e.kind() == io::ErrorKind::NotFound => (
-                Arc::new(Pdsms::rebuild_indexes(&store, None)?),
+                Pdsms::rebuild_indexes(&store, None)?,
                 IndexFate::RebuiltMissing,
             ),
             Err(_) => (
-                Arc::new(Pdsms::rebuild_indexes(&store, None)?),
+                Pdsms::rebuild_indexes(&store, None)?,
                 IndexFate::RebuiltUnreadable,
             ),
         };
 
-        let system = Pdsms::assemble(store, indexes, lineage, Some(manager));
+        let system = Pdsms::assemble(store, Arc::new(indexes), lineage, Some(manager));
         Ok((
             system,
             OpenReport {
                 recovery,
                 index: fate,
+                reindexed,
             },
         ))
     }

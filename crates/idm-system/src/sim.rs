@@ -6,7 +6,8 @@
 //! live-maintenance fault injection — all interleaved by a SplitMix64
 //! scheduler, with an in-memory **model oracle** (the ground-truth map
 //! of view names and content words) checked after every query-bearing
-//! step.
+//! step, and a full index audit after every reopen, whichever way the
+//! reopen got its indexes (counted per [`IndexFate`]).
 //!
 //! Determinism is the contract: the engine uses no wall-clock and no
 //! ambient randomness, so the same seed always produces the same event
@@ -25,10 +26,11 @@ use std::path::PathBuf;
 use idm_core::durability::codec::fnv1a64;
 use idm_core::durability::{ScrubBudget, Scrubber};
 use idm_core::prelude::*;
+use idm_index::AuditScope;
 
 use crate::health::{HealthConfig, HealthMonitor, IndexArtifactOutcome};
 use crate::live::LiveQuery;
-use crate::{durability_err, Pdsms, QueryRequest};
+use crate::{durability_err, IndexFate, Pdsms, QueryRequest};
 
 /// Closed content vocabulary: every simulated view's text is drawn from
 /// these words, and every oracle-checked keyword query asks for one of
@@ -78,6 +80,10 @@ pub struct SimCounters {
     pub corruptions: u64,
     pub repairs: u64,
     pub crashes: u64,
+    /// Reopens by [`IndexFate`]: `Loaded`, `CaughtUp`, any `Rebuilt*`.
+    pub reopens_loaded: u64,
+    pub reopens_caught_up: u64,
+    pub reopens_rebuilt: u64,
     pub records_replayed: u64,
     pub faults_injected: u64,
     pub resyncs: u64,
@@ -561,6 +567,13 @@ impl Sim {
         self.system = None; // drop: no shutdown hook runs
         let (system, report) = Pdsms::open(&self.dir)?;
         self.counters.crashes += 1;
+        match report.index {
+            IndexFate::Loaded => self.counters.reopens_loaded += 1,
+            IndexFate::CaughtUp => self.counters.reopens_caught_up += 1,
+            IndexFate::RebuiltStaleEpoch
+            | IndexFate::RebuiltUnreadable
+            | IndexFate::RebuiltMissing => self.counters.reopens_rebuilt += 1,
+        }
         self.counters.records_replayed += report.recovery.records_replayed;
         self.event(
             step,
@@ -569,6 +582,18 @@ impl Sim {
                 report.recovery.records_replayed, report.index
             ),
         );
+        // Whatever the fate, the bundle must be the store's: every view
+        // cross-checked before anything else touches it.
+        let audit = system.audit_indexes(AuditScope::Full, None)?;
+        if !audit.is_clean() {
+            self.violation(
+                step,
+                format!(
+                    "index {:?} after reopen: drifted {:?} stale {:?}",
+                    report.index, audit.mismatches, audit.stale_entries
+                ),
+            );
+        }
         self.system = Some(system);
         // Fresh monitor: scrub cursors and audit memos died with the
         // process being simulated.

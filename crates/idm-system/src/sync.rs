@@ -7,7 +7,7 @@
 //! bypassing the RVM layer it also supports a full polling pass that
 //! diffs the source against the catalog.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crossbeam::channel::Receiver;
@@ -54,6 +54,41 @@ impl SyncReport {
     }
 }
 
+/// Path → base view, and the base vids as a set: a derived subtree is
+/// removed on every change, and must never take a base view it reaches
+/// through a folder link with it.
+#[derive(Default)]
+struct BaseViews {
+    by_path: HashMap<String, Vid>,
+    vids: HashSet<Vid>,
+}
+
+impl BaseViews {
+    fn insert(&mut self, path: String, vid: Vid) {
+        if let Some(old) = self.by_path.insert(path, vid) {
+            self.vids.remove(&old);
+        }
+        self.vids.insert(vid);
+    }
+
+    /// Forgets `path` and the paths under it (sub-paths disappear with
+    /// their parent); returns the view `path` itself had.
+    fn remove_tree(&mut self, path: &str) -> Option<Vid> {
+        let vid = self.by_path.remove(path)?;
+        self.vids.remove(&vid);
+        let prefix = format!("{path}/");
+        let BaseViews { by_path, vids } = self;
+        by_path.retain(|p, v| {
+            let keep = !p.starts_with(&prefix);
+            if !keep {
+                vids.remove(v);
+            }
+            keep
+        });
+        Some(vid)
+    }
+}
+
 /// A synchronization manager for one filesystem source.
 pub struct SynchronizationManager {
     store: Arc<ViewStore>,
@@ -62,9 +97,9 @@ pub struct SynchronizationManager {
     plugin: Arc<FsPlugin>,
     events: Receiver<FsEvent>,
     converters: ConverterRegistry,
-    /// Path → base view, maintained across events (needed because a
-    /// removal notification arrives after the node is gone).
-    paths: Mutex<HashMap<String, Vid>>,
+    /// Maintained across events (needed because a removal notification
+    /// arrives after the node is gone).
+    paths: Mutex<BaseViews>,
 }
 
 impl SynchronizationManager {
@@ -77,7 +112,7 @@ impl SynchronizationManager {
     ) -> Result<Self> {
         let fs = Arc::clone(plugin.fs());
         let events = fs.subscribe();
-        let mut paths = HashMap::new();
+        let mut paths = BaseViews::default();
         for (node, _depth) in fs.walk(NodeId::ROOT)? {
             if let Some(vid) = plugin.view_of(node) {
                 paths.insert(fs.path_of(node)?, vid);
@@ -113,7 +148,7 @@ impl SynchronizationManager {
         let mut report = SyncReport::default();
         for (node, _depth) in self.fs.walk(NodeId::ROOT)? {
             let path = self.fs.path_of(node)?;
-            if !self.paths.lock().contains_key(&path) {
+            if !self.paths.lock().by_path.contains_key(&path) {
                 report.created += self.create_node(node, &path)?;
             }
         }
@@ -126,11 +161,11 @@ impl SynchronizationManager {
             Some((dir, _)) => dir.to_owned(),
             None => return None,
         };
-        self.paths.lock().get(&dir).copied()
+        self.paths.lock().by_path.get(&dir).copied()
     }
 
     fn on_created(&self, path: &str) -> Result<usize> {
-        if self.paths.lock().contains_key(path) {
+        if self.paths.lock().by_path.contains_key(path) {
             return Ok(0);
         }
         let node = self.fs.resolve(path)?;
@@ -143,16 +178,16 @@ impl SynchronizationManager {
         let kind = self.fs.kind(node)?;
 
         let vid = match kind {
-            NodeKind::File => {
-                let fs = Arc::clone(&self.fs);
-                let provider = Arc::new(move || fs.read_file(node));
-                self.store
-                    .build(name)
-                    .tuple(meta.to_tuple())
-                    .content(Content::lazy(provider))
-                    .class_named("file")
-                    .insert()
-            }
+            // Read now: conversion and indexing force the content in
+            // this same call, and only what the view is logged with
+            // survives a WAL-tail replay.
+            NodeKind::File => self
+                .store
+                .build(name)
+                .tuple(meta.to_tuple())
+                .content(Content::inline(self.fs.read_file(node)?))
+                .class_named("file")
+                .insert(),
             NodeKind::Folder => self
                 .store
                 .build(name)
@@ -205,21 +240,25 @@ impl SynchronizationManager {
     }
 
     fn on_modified(&self, path: &str) -> Result<usize> {
-        let Some(vid) = self.paths.lock().get(path).copied() else {
+        let Some(vid) = self.paths.lock().by_path.get(path).copied() else {
             return Ok(0);
         };
+        // Everything the source has to say, before anything is changed;
+        // the content is read now for the same reason as in `create_node`.
         let node = self.fs.resolve(path)?;
         let meta = self.fs.metadata(node)?;
+        let content = match self.fs.kind(node)? {
+            NodeKind::File => Some(Content::inline(self.fs.read_file(node)?)),
+            _ => None,
+        };
 
         // Drop the stale derived subgraph.
-        self.remove_derived_subtree(vid)?;
+        let mut stale = self.remove_derived_subtree(vid)?;
+        stale.push(vid);
 
-        // Fresh tuple and content (the old lazy handle caches old bytes).
         self.store.set_tuple(vid, Some(meta.to_tuple()))?;
-        if self.fs.kind(node)? == NodeKind::File {
-            let fs = Arc::clone(&self.fs);
-            let provider = Arc::new(move || fs.read_file(node));
-            self.store.set_content(vid, Content::lazy(provider))?;
+        if let Some(content) = content {
+            self.store.set_content(vid, content)?;
         }
         self.store.set_group(vid, Group::Empty)?;
         if let Some(class) = self.store.classes().lookup("file") {
@@ -228,7 +267,7 @@ impl SynchronizationManager {
 
         // Reconvert and reindex.
         self.converters.convert_view(&self.store, vid)?;
-        self.indexes.remove_view(vid);
+        self.indexes.remove_views(&stale);
         self.indexes.index_view(&self.store, vid, "filesystem")?;
         for member in idm_core::graph::descendants(&self.store, vid, usize::MAX)? {
             if !self.indexes.catalog.contains(member) {
@@ -239,17 +278,11 @@ impl SynchronizationManager {
     }
 
     fn on_removed(&self, path: &str) -> Result<usize> {
-        let vid = {
-            let mut paths = self.paths.lock();
-            let Some(vid) = paths.remove(path) else {
-                return Ok(0);
-            };
-            // Sub-paths disappear with their parent.
-            let prefix = format!("{path}/");
-            paths.retain(|p, _| !p.starts_with(&prefix));
-            vid
+        let Some(vid) = self.paths.lock().remove_tree(path) else {
+            return Ok(0);
         };
-        let removed = self.remove_derived_subtree(vid)? + 1;
+        let mut gone = self.remove_derived_subtree(vid)?;
+        gone.push(vid);
         // Detach from the parent's group.
         if let Some(parent) = self.parent_view(path) {
             if let Ok(snapshot) = self.store.group(parent) {
@@ -263,30 +296,30 @@ impl SynchronizationManager {
                 self.indexes.group.index(parent, &members);
             }
         }
-        self.indexes.remove_view(vid);
+        self.indexes.remove_views(&gone);
         if self.store.contains(vid) {
             self.store.remove(vid)?;
         }
-        Ok(removed)
+        Ok(gone.len())
     }
 
     /// Removes every view derived from `vid`'s content (its descendant
-    /// subgraph), from store and indexes. Returns how many were removed.
-    fn remove_derived_subtree(&self, vid: Vid) -> Result<usize> {
-        let mut removed = 0;
-        let base: Vec<Vid> = self.paths.lock().values().copied().collect();
-        for member in idm_core::graph::descendants(&self.store, vid, usize::MAX)? {
+    /// subgraph) from the store and returns them; the caller takes them
+    /// out of the indexes, together with `vid` itself, in one
+    /// [`IndexBundle::remove_views`] call.
+    fn remove_derived_subtree(&self, vid: Vid) -> Result<Vec<Vid>> {
+        let mut derived = idm_core::graph::descendants(&self.store, vid, usize::MAX)?;
+        {
             // Never remove other *base* views reachable via folder links.
-            if member == vid || base.contains(&member) {
-                continue;
-            }
-            self.indexes.remove_view(member);
+            let paths = self.paths.lock();
+            derived.retain(|member| *member != vid && !paths.vids.contains(member));
+        }
+        for &member in &derived {
             if self.store.contains(member) {
                 self.store.remove(member)?;
             }
-            removed += 1;
         }
-        Ok(removed)
+        Ok(derived)
     }
 }
 
@@ -381,8 +414,8 @@ impl ImapSynchronizationManager {
         subtree.extend(idm_core::graph::descendants(&self.store, vid, usize::MAX)?);
         subtree.sort();
         subtree.dedup();
+        self.indexes.remove_views(&subtree);
         for member in subtree {
-            self.indexes.remove_view(member);
             if self.store.contains(member) {
                 self.store.remove(member)?;
                 removed += 1;

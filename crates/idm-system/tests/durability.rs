@@ -9,7 +9,7 @@ use std::sync::Arc;
 use idm_core::prelude::*;
 use idm_email::message::{Attachment, EmailMessage};
 use idm_email::ImapServer;
-use idm_system::{FsPlugin, ImapPlugin, IndexFate, Pdsms, QueryRequest};
+use idm_system::{FsPlugin, ImapPlugin, IndexFate, Pdsms, QueryRequest, SynchronizationManager};
 use idm_vfs::{NodeId, VirtualFs};
 
 fn t() -> Timestamp {
@@ -128,20 +128,86 @@ fn post_checkpoint_mutations_replay_from_the_wal() {
 
     let (reopened, report) = Pdsms::open(&dir).unwrap();
     assert_eq!(report.recovery.records_replayed, 2, "{report}");
-    // The index was stamped at attach time (epoch 0), but the store
-    // replayed 2 records past it — stale, so it must be rebuilt.
-    assert_eq!(report.index, IndexFate::RebuiltStaleEpoch);
+    // The index was stamped at attach time (epoch 0) and the store
+    // replayed 2 records past it, both naming one view: the file is
+    // loaded and that view re-indexed into it.
+    assert_eq!(report.index, IndexFate::CaughtUp, "{report}");
+    assert_eq!(report.reindexed, 1);
     assert_eq!(
         reopened.store().name(extra).unwrap().as_deref(),
         Some("renamed.txt")
     );
-    // The rebuilt index covers the replayed view.
+    // The caught-up index covers the replayed view.
     let rows = reopened
         .run(&QueryRequest::new(r#""post snapshot""#))
         .unwrap()
         .result
         .rows;
     assert_eq!(rows.views(), &[extra]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What the live index answered is what a tail replay brings back: a
+/// file created or rewritten through the synchronization manager after
+/// the last checkpoint is logged with the content it was indexed with.
+#[test]
+fn files_synced_after_the_checkpoint_keep_their_content_across_a_kill() {
+    let dir = tmp("synctail");
+    let fs = Arc::new(VirtualFs::new(t()));
+    let papers = fs.mkdir_p("/papers", t()).unwrap();
+    let a = fs
+        .create_file(papers, "a.tex", "\\section{One}\nalpha bravo", t())
+        .unwrap();
+    fs.create_file(papers, "c.tex", "\\section{Two}\nbravo omega", t())
+        .unwrap();
+
+    let mut system = Pdsms::new();
+    let plugin = Arc::new(FsPlugin::new(Arc::clone(&fs), NodeId::ROOT));
+    system.register_source(Arc::clone(&plugin) as _);
+    system.index_all().unwrap();
+    system.make_durable(&dir).unwrap();
+
+    let sync = SynchronizationManager::attach(
+        Arc::clone(&plugin),
+        Arc::clone(system.store()),
+        Arc::clone(system.indexes()),
+    )
+    .unwrap();
+    let b = fs
+        .create_file(papers, "b.tex", "\\section{Three}\nbravo omega", t())
+        .unwrap();
+    fs.write_file(a, "\\section{One}\nbravo omega", t().plus_days(1))
+        .unwrap();
+    let round = sync.sync_round().unwrap();
+    assert_eq!((round.created > 0, round.modified), (true, 1), "{round:?}");
+
+    let count = |system: &Pdsms, word: &str| {
+        system
+            .run(&QueryRequest::new(format!("\"{word}\"")))
+            .unwrap()
+            .result
+            .rows
+            .len()
+    };
+    let words = ["bravo", "omega", "alpha"];
+    let before = words.map(|w| count(&system, w));
+    // Every file (and what the LaTeX converter derived from it) says
+    // "bravo" and "omega" now; nothing says "alpha" any more.
+    assert!(
+        before[0] >= 3 && before[0] == before[1] && before[2] == 0,
+        "{before:?}"
+    );
+    let files = [a, b].map(|node| plugin.view_of(node).unwrap());
+    drop(sync);
+    drop(system);
+
+    let (reopened, report) = Pdsms::open(&dir).unwrap();
+    assert_eq!(report.index, IndexFate::CaughtUp, "{report}");
+    assert_eq!(words.map(|w| count(&reopened, w)), before);
+    for vid in files {
+        let content = reopened.store().content(vid).unwrap();
+        assert!(!content.is_empty(), "view {vid:?} recovered without a body");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -49,6 +49,14 @@ fn long_schedule_exercises_every_operation_class() {
     assert!(c.corruptions > 0, "{c:?}");
     assert!(c.repairs > 0, "{c:?}");
     assert!(c.crashes > 0, "{c:?}");
+    // A reopen after a write loads the index file and catches it up; a
+    // change that silently falls back to rebuilding shows here.
+    assert!(c.reopens_caught_up > 0, "{c:?}");
+    assert_eq!(
+        c.reopens_loaded + c.reopens_caught_up + c.reopens_rebuilt,
+        c.crashes,
+        "{c:?}"
+    );
     assert!(c.faults_injected > 0, "{c:?}");
     assert!(c.resyncs > 0, "{c:?}");
 }

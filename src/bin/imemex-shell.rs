@@ -300,9 +300,10 @@ impl Shell {
         }
     }
 
-    /// `\open <dir>`: opens an existing durable dataspace (recovery),
-    /// or makes the current in-memory dataspace durable in a fresh
-    /// directory.
+    /// `\open <dir>`: opens an existing durable dataspace (recovery; the
+    /// printed report ends with how the indexes came back — loaded,
+    /// caught up from the WAL tail, or rebuilt), or makes the current
+    /// in-memory dataspace durable in a fresh directory.
     fn open_dataspace(&mut self, path: &str) {
         if path.is_empty() {
             println!("usage: \\open <directory>");
@@ -452,7 +453,8 @@ commands:
   :strategy <s>         forward | backward | bidirectional
   :save <path>          persist the index bundle to a file
   \\open <dir>           open a durable dataspace (prints the recovery
-                        report), or make this one durable in a new dir
+                        report: indexes loaded / caught up / rebuilt), or
+                        make this one durable in a new dir
   \\checkpoint           fold the write-ahead log into a fresh snapshot
   \\scrub                full integrity pass over snapshots, WAL and the
                         index artifact; damage is quarantined + repaired
