@@ -1,5 +1,6 @@
-//! Quick probe of parallel-executor scaling (development aid for the
-//! `scaling` bench): times the Table 4 mix per strategy and thread count.
+//! Manual timing aid for the two ablations: times the Table 4 mix per
+//! expansion strategy and executor thread count. (That the rows are the
+//! same at every thread count is a test, `tests/determinism.rs`.)
 
 use std::time::Instant;
 

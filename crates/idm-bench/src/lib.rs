@@ -3,16 +3,15 @@
 //! Shared machinery for regenerating every table and figure of the
 //! paper's evaluation over the synthetic personal dataspace:
 //!
-//! | Target | Binary | Criterion bench |
-//! |---|---|---|
-//! | Table 2 (dataset characteristics) | `table2` | — |
-//! | Table 3 (index sizes) | `table3` | — |
-//! | Figure 5 (indexing times) | `figure5` | — |
-//! | Table 4 (queries + result counts) | `table4` | — |
-//! | Figure 6 (query response times) | `figure6` | — |
-//! | Expansion-strategy ablation (ours) | — | `expansion` |
-//! | Thread scaling + cache hit rates (ours) | — | `scaling` |
-//! | Budget overshoot, scrub interference, chaos (ours) | `overload`, `scrub`, `chaos` | — |
+//! | Target | Binary |
+//! |---|---|
+//! | Table 2 (dataset characteristics) | `table2` |
+//! | Table 3 (index sizes) | `table3` |
+//! | Figure 5 (indexing times) | `figure5` |
+//! | Table 4 (queries + result counts) | `table4` |
+//! | Figure 6 (query response times) | `figure6` |
+//! | Expansion strategies × executor threads (ours) | example `scaling_probe` |
+//! | Budget overshoot, scrub interference, chaos (ours) | `overload`, `scrub`, `chaos` |
 //!
 //! Run binaries as
 //! `cargo run --release -p idm-bench --bin table4 -- --sf 0.1`.

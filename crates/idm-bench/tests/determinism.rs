@@ -176,3 +176,38 @@ fn parallelism_one_is_the_default_and_bitwise_stable() {
         );
     }
 }
+
+/// The Figure 6 workload through the expansion cache: the Table 4 mix
+/// twice through one `live_expansion` processor (group edges resolved
+/// through the memoizing `ExpansionCache` instead of the replica) returns
+/// the same rows, and the second pass is at least 90 % cache hits.
+#[test]
+fn a_second_pass_under_live_expansion_is_served_from_the_cache() {
+    let bench = build(bench_options());
+    let processor = bench
+        .processor(ExpansionStrategy::Forward)
+        .with_options(ExecOptions {
+            live_expansion: true,
+            cache_capacity: 1 << 17,
+            ..ExecOptions::default()
+        });
+    let run_mix = || -> Vec<QueryResult> {
+        TABLE4_QUERIES
+            .iter()
+            .map(|(_, iql)| processor.execute(iql).expect("mix query"))
+            .collect()
+    };
+    let cold = run_mix();
+    let warm = run_mix();
+    let (mut hits, mut misses) = (0, 0);
+    for (((qname, _), cold), warm) in TABLE4_QUERIES.iter().zip(&cold).zip(&warm) {
+        assert_eq!(warm.rows, cold.rows, "{qname}: the cache changed the rows");
+        hits += warm.stats.cache_hits;
+        misses += warm.stats.cache_misses;
+    }
+    assert!(hits > 0, "the mix expands through the cache");
+    assert!(
+        hits * 10 >= (hits + misses) * 9,
+        "warm pass: {hits} hit(s), {misses} miss(es)"
+    );
+}

@@ -17,7 +17,7 @@
 //!   size" vs. "total size" distinction of Table 3 is meaningful.
 //!
 //! Everything scales with [`DatasetConfig::scale`]; the default bench
-//! configuration uses a small scale factor so `cargo bench` stays
+//! configuration uses a small scale factor so the harness stays
 //! laptop-friendly, while `--sf 1.0` reproduces paper-sized counts.
 
 #![warn(missing_docs)]

@@ -28,7 +28,6 @@ pub mod bundle;
 pub mod catalog;
 pub mod fulltext;
 pub mod group;
-pub mod histogram;
 pub mod name;
 pub mod persist;
 pub mod segment;
@@ -40,7 +39,6 @@ pub use bundle::{ContentIndexing, IndexBundle, IndexSizes};
 pub use catalog::{CatalogEntry, ResourceViewCatalog};
 pub use fulltext::FullTextIndex;
 pub use group::GroupReplica;
-pub use histogram::{HistogramIndex, Signature};
 pub use name::NameIndex;
 pub use segment::IndexSegment;
 pub use tokenizer::tokenize;

@@ -17,19 +17,24 @@
 //! counters are atomics so parallel query workers can share one cache, and
 //! are surfaced per query through [`crate::exec::ExecStats`].
 //!
-//! [`ResultCache`] keeps delta-maintained standing results by plan
-//! fingerprint and is this crate's one reader of the store's record feed.
+//! [`ResultCache`] is the one table of delta-maintained standing
+//! results, keyed by plan fingerprint — a `.cached()` answer and a live
+//! subscription ([`LiveQuery`]) are the same entry — and the one reader
+//! of the store's record feed.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
+use crossbeam::channel::{Receiver, Sender};
 use idm_core::prelude::*;
 use idm_core::store::GroupSnapshot;
 use parking_lot::Mutex;
+
+use crate::delta::{MaintainedPlan, ResultDelta};
+use crate::exec::{QueryProcessor, QueryResult, ResultRows};
 
 /// The recency bookkeeping both caches share. Capacity, counters and
 /// locking are the owner's.
@@ -57,6 +62,10 @@ impl<K: Copy + Eq + Hash, V> Lru<K, V> {
     /// The value under `key`, recency untouched.
     fn get(&self, key: &K) -> Option<&V> {
         self.entries.get(key).map(|(_, value)| value)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.entries.iter().map(|(key, (_, value))| (key, value))
     }
 
     fn values(&self) -> impl Iterator<Item = &V> {
@@ -89,15 +98,25 @@ impl<K: Copy + Eq + Hash, V> Lru<K, V> {
         Some(value)
     }
 
-    /// Drops the least recently used entry.
-    fn pop_lru(&mut self) -> Option<V> {
-        let (_, key) = self.order.pop_first()?;
+    /// Drops the least recently used entry that is `evictable`.
+    fn pop_lru(&mut self, evictable: impl Fn(&V) -> bool) -> Option<V> {
+        let (&tick, &key) = self
+            .order
+            .iter()
+            .find(|(_, key)| self.entries.get(key).is_some_and(|(_, v)| evictable(v)))?;
+        self.order.remove(&tick);
         self.entries.remove(&key).map(|(_, value)| value)
     }
 
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
+    /// Drops every entry `keep` rejects.
+    fn retain(&mut self, mut keep: impl FnMut(&mut V) -> bool) {
+        let order = &mut self.order;
+        self.entries.retain(|_, (tick, value)| {
+            keep(value) || {
+                order.remove(tick);
+                false
+            }
+        });
     }
 }
 
@@ -309,7 +328,7 @@ impl ExpansionCache {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        while inner.len() > self.capacity && inner.pop_lru().is_some() {
+        while inner.len() > self.capacity && inner.pop_lru(|_| true).is_some() {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -325,7 +344,7 @@ impl std::fmt::Debug for ExpansionCache {
     }
 }
 
-// ---- whole-result caching over plan fingerprints ---------------------
+// ---- standing results over plan fingerprints --------------------------
 
 /// Live counter totals for a [`ResultCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -337,41 +356,129 @@ pub struct ResultCacheCounters {
     /// Entries dropped for capacity.
     pub evictions: u64,
     /// Entries dropped because they could not be brought up to date
-    /// (maintenance error, record-log overflow, or a stale admission).
+    /// (maintenance error or record-log overflow).
     pub invalidations: u64,
     /// Maintenance passes that applied pending change records to an
-    /// entry on lookup (the maintain-on-change hit path).
+    /// entry — on a lookup, or (for an entry with listeners) on a pump.
     pub maintained: u64,
 }
 
-/// Pending change records held beyond this many force a full clear: the
-/// store churned so much since the last cached lookup that replaying
-/// the backlog would cost more than re-executing.
+/// Counter totals for a processor's live queries.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LiveStats {
+    /// Currently attached [`LiveQuery`] handles.
+    pub active: u64,
+    /// Non-empty delta batches pushed, counted once per handle.
+    pub deltas_pushed: u64,
+    /// Change records handed to maintenance passes of standing results
+    /// that have listeners: records × *distinct plans* subscribed to,
+    /// however many handles share each.
+    pub records_applied: u64,
+    /// Maintenance passes that failed (each triggers a resync attempt).
+    pub maintain_failures: u64,
+    /// Standing results rebuilt by a counted full recompute after a
+    /// failed maintenance pass or a record-log overflow.
+    pub resyncs: u64,
+    /// Handles pruned (receiver dropped, or the standing result failed
+    /// [`MAX_CONSECUTIVE_MAINTENANCE_FAILURES`] resyncs in a row).
+    pub dropped: u64,
+}
+
+/// How many *consecutive* failed resyncs a standing result with
+/// listeners survives before they are dropped. A transient substrate
+/// fault costs a counted resync, not the subscription; only persistent
+/// failure ends it.
+pub const MAX_CONSECUTIVE_MAINTENANCE_FAILURES: u32 = 3;
+
+/// A standing query handle: the rows at subscription time plus the
+/// stream of changes since. Dropping it unsubscribes (the handle is
+/// pruned on the next non-empty push).
+pub struct LiveQuery {
+    pub(crate) initial: QueryResult,
+    pub(crate) deltas: Receiver<ResultDelta>,
+}
+
+impl std::fmt::Debug for LiveQuery {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LiveQuery")
+            .field("initial_rows", &self.initial.rows.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl LiveQuery {
+    /// The full result at subscription time.
+    pub fn initial(&self) -> &QueryResult {
+        &self.initial
+    }
+
+    /// Drains every delta pushed since the last poll (empty when
+    /// nothing relevant changed).
+    pub fn poll(&self) -> Vec<ResultDelta> {
+        self.deltas.try_iter().collect()
+    }
+}
+
+/// Pending change records held beyond this many are not replayed: the
+/// store churned so much since anyone read a standing result that plain
+/// entries are cleared and the entries with listeners that are that far
+/// behind resynced.
 const MAX_PENDING_RECORDS: usize = 8192;
 
 struct ResultEntry {
-    /// Absolute record-log offset this entry's state is current through.
-    applied: u64,
-    state: crate::delta::MaintainedPlan,
+    /// Absolute record-log offset the rows are current through; `None`
+    /// once only a resync can make them current (a maintenance pass
+    /// failed, or the overflow rule dropped the records it needed).
+    applied: Option<u64>,
+    state: MaintainedPlan,
+    /// The live-query handles this result feeds; empty for a plain
+    /// cache entry.
+    listeners: Vec<Sender<ResultDelta>>,
+    /// Failed resyncs since the last successful pass.
+    consecutive_failures: u32,
+}
+
+impl ResultEntry {
+    /// Sends a non-empty `delta` to every listener, pruning the handles
+    /// whose receiver is gone.
+    fn push(&mut self, delta: &ResultDelta, live: &mut LiveStats) {
+        if delta.is_empty() {
+            return;
+        }
+        let before = self.listeners.len();
+        live.deltas_pushed += before as u64;
+        self.listeners.retain(|tx| tx.send(delta.clone()).is_ok());
+        live.dropped += (before - self.listeners.len()) as u64;
+    }
 }
 
 struct ResultCacheInner {
     /// Standing results by plan fingerprint.
     entries: Lru<u64, ResultEntry>,
     /// Lazily-opened store record subscription: arming change-record
-    /// fan-out costs every mutation a record clone, so it waits until
-    /// the cached path is actually used.
+    /// fan-out costs every mutation a record clone, so it waits for the
+    /// first cached request or subscription.
     records: Option<Receiver<ChangeRecord>>,
     /// Shared log of drained records; `log_base` is the absolute offset
     /// of `log[0]`. Entries apply the suffix past their own `applied`
-    /// offset on lookup, and the prefix below every entry's offset (and
-    /// every outstanding execution mark) is trimmed.
-    log: VecDeque<ChangeRecord>,
+    /// offset, and the prefix below every entry's offset (and every
+    /// outstanding execution mark) is trimmed.
+    log: Vec<ChangeRecord>,
     log_base: u64,
     /// Offsets of in-flight executions (taken before executing, consumed
     /// by `admit`/`release`) — they pin the log so records committed
     /// mid-execution are still replayable onto the admitted entry.
     marks: Vec<u64>,
+    /// The log's end at the previous pump.
+    pumped: u64,
+    counters: ResultCacheCounters,
+    /// Everything [`LiveStats`] reports except `active`.
+    live: LiveStats,
+    /// Deterministic failure injection for tests and the chaos
+    /// simulator: each pending count fails one maintain (or resync)
+    /// call of an entry with listeners.
+    inject_maintain_failures: u64,
+    inject_resync_failures: u64,
 }
 
 impl ResultCacheInner {
@@ -380,59 +487,100 @@ impl ResultCacheInner {
     }
 }
 
-/// Bounded LRU over **delta-maintained standing results**, keyed by the
-/// normalized plan fingerprint ([`crate::plan::Plan::fingerprint`]).
+fn take_one(counter: &mut u64) -> bool {
+    let armed = *counter > 0;
+    *counter -= u64::from(armed);
+    armed
+}
+
+fn injected_error(op: &str) -> IdmError {
+    IdmError::Provider {
+        detail: format!("injected {op} failure"),
+        source: Some("live".into()),
+        vid: None,
+    }
+}
+
+/// The one table of **delta-maintained standing results**, keyed by the
+/// normalized plan fingerprint ([`crate::plan::Plan::fingerprint`]): a
+/// `.cached()` answer and a live subscription are the same entry, the
+/// second merely has listeners.
 ///
 /// Keying on the plan rather than the query string means two spellings
 /// that plan identically (whitespace, conjunct order the optimizer
 /// normalizes away) share one entry, and a strategy change — which
 /// produces a different plan — correctly misses.
 ///
-/// Where the first iteration of this cache cleared wholesale on any
-/// store change, entries now carry a [`crate::delta::MaintainedPlan`]:
-/// pending logical [`ChangeRecord`]s from the store are kept in a
-/// shared log, and a lookup first applies the suffix the entry has not
-/// seen ([`crate::exec::QueryProcessor::maintain`]) before serving the
-/// rows. Application is version-gated by per-entry log offsets, and
-/// convergent — replaying records an execution already observed is a
-/// no-op — which is what makes the mark/admit protocol below safe
-/// without blocking writers.
+/// Pending logical [`ChangeRecord`]s from the store are kept in a
+/// shared log, and whoever reads an entry — a cached lookup, or
+/// [`crate::exec::QueryProcessor::pump`] for entries with listeners —
+/// first takes it through one private `advance` step: apply the log
+/// suffix the entry has not seen
+/// ([`crate::exec::QueryProcessor::maintain`]), stamp it at the log's
+/// end, send the non-empty delta to its listeners. A subscriber so never
+/// misses a change a lookup applied first, and a cached query of a
+/// subscribed plan is a free hit. Application is version-gated by
+/// per-entry log offsets, and convergent — replaying records an
+/// execution already observed is a no-op — which is what makes the
+/// mark/admit protocol safe without blocking writers.
+///
+/// What listeners change:
+/// - **Failure.** A plain entry that fails to maintain is evicted and
+///   the lookup reports a miss. An entry with listeners is resynced
+///   instead ([`crate::exec::QueryProcessor::resync`], counted); while a
+///   resync keeps failing the entry serves nobody and every later
+///   advance goes straight to another resync, and after
+///   [`MAX_CONSECUTIVE_MAINTENANCE_FAILURES`] of them the listeners are
+///   dropped and the entry evicted.
+/// - **Pruning.** A handle whose receiver is gone is noticed on the next
+///   non-empty push; when the last one leaves, the entry is an ordinary
+///   cache entry again.
+/// - **Capacity** counts plain entries only: an entry with listeners is
+///   never evicted for room and does not push plain entries out.
+/// - **Overflow.** A log of more than `MAX_PENDING_RECORDS` records
+///   clears the plain entries; an entry with listeners that is itself
+///   that many records behind is resynced (counted) at the log's end
+///   instead of replaying them — a feed is never silently cut — and one
+///   that a recent pump made current just applies its short suffix.
+///
+/// **Locking.** The table has one mutex and `advance` runs under it,
+/// including a resync — a full, unbudgeted re-execution — and `pump`
+/// advances every entry with listeners in one critical section. While
+/// that lasts, every other `.cached()` lookup, `mark`/`admit`,
+/// subscription and `live_stats` call on this processor waits. The
+/// ordinary case is an incremental `maintain` of a short suffix; a
+/// resync only follows a fault or an overflow.
 ///
 /// **Only complete results belong here.** A budget-truncated
 /// (`stats.partial`) result is a sound *subset* of the true rows;
 /// admitting one would serve (and maintain!) it as the complete answer
-/// forever. `run_cached` admits only what
-/// [`crate::exec::QueryProcessor::execute_standing`] seeded, and that
-/// checks `partial` first.
+/// forever. Only what
+/// [`crate::exec::QueryProcessor::execute_standing`] seeded is admitted,
+/// and that checks `partial` first.
 pub struct ResultCache {
     inner: Mutex<ResultCacheInner>,
     capacity: usize,
     store: Arc<ViewStore>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
-    maintained: AtomicU64,
 }
 
 impl ResultCache {
-    /// A cache over `store` holding at most `capacity` results.
+    /// A cache over `store` holding at most `capacity` plain results.
     pub fn new(store: &Arc<ViewStore>, capacity: usize) -> Self {
         ResultCache {
             inner: Mutex::new(ResultCacheInner {
                 entries: Lru::new(),
                 records: None,
-                log: VecDeque::new(),
+                log: Vec::new(),
                 log_base: 0,
                 marks: Vec::new(),
+                pumped: 0,
+                counters: ResultCacheCounters::default(),
+                live: LiveStats::default(),
+                inject_maintain_failures: 0,
+                inject_resync_failures: 0,
             }),
             capacity: capacity.max(1),
             store: Arc::clone(store),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            maintained: AtomicU64::new(0),
         }
     }
 
@@ -448,27 +596,53 @@ impl ResultCache {
 
     /// Counter totals since construction.
     pub fn counters(&self) -> ResultCacheCounters {
-        ResultCacheCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            maintained: self.maintained.load(Ordering::Relaxed),
+        self.inner.lock().counters
+    }
+
+    /// Live-query counter totals since construction.
+    pub fn live_stats(&self) -> LiveStats {
+        let inner = self.inner.lock();
+        let active = inner
+            .entries
+            .values()
+            .map(|e| e.listeners.len())
+            .sum::<usize>();
+        LiveStats {
+            active: active as u64,
+            ..inner.live
         }
     }
 
+    /// Arms deterministic maintenance-failure injection: the next
+    /// `maintain` maintain calls and `resync` resync calls of entries
+    /// with listeners each error. Tests and the chaos simulator use this
+    /// to exercise the resync-then-drop path without a real substrate
+    /// fault.
+    pub fn inject_live_failures(&self, maintain: u64, resync: u64) {
+        let mut inner = self.inner.lock();
+        inner.inject_maintain_failures += maintain;
+        inner.inject_resync_failures += resync;
+    }
+
     /// Pulls pending store records into the shared log (subscribing on
-    /// first use); on pathological backlog, clears every entry instead
-    /// of replaying it.
+    /// first use) and applies the overflow rule.
     fn drain_records(&self, inner: &mut ResultCacheInner) {
         let rx = inner
             .records
             .get_or_insert_with(|| self.store.subscribe_records());
         inner.log.extend(rx.try_iter());
         if inner.log.len() > MAX_PENDING_RECORDS {
-            let dropped = inner.entries.len() as u64;
-            inner.entries.clear();
-            self.invalidations.fetch_add(dropped, Ordering::Relaxed);
+            // Plain entries go; of those with listeners only the ones
+            // that really are that far behind lose their offset — a feed
+            // the last pump made current keeps its short suffix even if
+            // a stale plain entry (or an execution mark) pinned the log.
+            let oldest = inner.log_end() - MAX_PENDING_RECORDS as u64;
+            let before = inner.entries.len();
+            inner.entries.retain(|entry| {
+                entry.applied = entry.applied.filter(|&applied| applied >= oldest);
+                !entry.listeners.is_empty()
+            });
+            inner.counters.invalidations += (before - inner.entries.len()) as u64;
             self.trim(inner);
         }
     }
@@ -479,66 +653,143 @@ impl ResultCache {
         let floor = inner
             .entries
             .values()
-            .map(|e| e.applied)
+            .filter_map(|e| e.applied)
             .chain(inner.marks.iter().copied())
-            .min();
-        match floor {
-            None => {
-                inner.log_base = inner.log_end();
-                inner.log.clear();
-            }
-            Some(floor) => {
-                while inner.log_base < floor {
-                    inner.log.pop_front();
-                    inner.log_base += 1;
-                }
-            }
-        }
+            .min()
+            .unwrap_or(inner.log_end());
+        inner.log.drain(..(floor - inner.log_base) as usize);
+        inner.log_base = floor;
     }
 
-    /// The maintained rows for a plan fingerprint. Applies any pending
-    /// change records to the entry first; a maintenance failure evicts
-    /// the entry and reports a miss.
+    /// Brings the entry under `fingerprint` up to the log's end and
+    /// sends the resulting delta to its listeners — the one step every
+    /// reader of a standing result goes through, and the only caller of
+    /// `maintain` and `resync`. Returns whether the entry exists and its
+    /// rows are now current; one that could not be brought up to date
+    /// is evicted, or (with listeners, below the failure limit) kept
+    /// for the next attempt.
+    fn advance(
+        &self,
+        processor: &QueryProcessor,
+        inner: &mut ResultCacheInner,
+        fingerprint: u64,
+    ) -> bool {
+        let end = inner.log_end();
+        let Some(entry) = inner.entries.touch(&fingerprint) else {
+            return false;
+        };
+        if entry.applied == Some(end) {
+            return true;
+        }
+        let watched = !entry.listeners.is_empty();
+        // The offset is void until a pass succeeds.
+        let maintained = entry.applied.take().map(|applied| {
+            let pending = &inner.log[(applied - inner.log_base) as usize..];
+            if watched {
+                inner.live.records_applied += pending.len() as u64;
+            }
+            if watched && take_one(&mut inner.inject_maintain_failures) {
+                Err(injected_error("maintain"))
+            } else {
+                processor.maintain(&mut entry.state, pending)
+            }
+        });
+        let delta = match maintained {
+            Some(Ok(delta)) => {
+                inner.counters.maintained += 1;
+                Some(delta)
+            }
+            // The rows can no longer be trusted as-is. Someone is
+            // listening, so resynchronize them with a counted full
+            // recompute rather than cutting the feed.
+            failed if watched => {
+                inner.live.maintain_failures += u64::from(failed.is_some());
+                let resynced = if take_one(&mut inner.inject_resync_failures) {
+                    Err(injected_error("resync"))
+                } else {
+                    processor.resync(&mut entry.state)
+                };
+                inner.live.resyncs += u64::from(resynced.is_ok());
+                resynced.ok()
+            }
+            _ => None,
+        };
+        let Some(delta) = delta else {
+            // A plain entry is simply dropped. Listeners are kept for a
+            // few more attempts — the fault may be transient — and
+            // dropped once failure is persistent: stale rows must not
+            // keep masquerading as live.
+            entry.consecutive_failures += 1;
+            if !watched || entry.consecutive_failures >= MAX_CONSECUTIVE_MAINTENANCE_FAILURES {
+                inner.live.dropped += entry.listeners.len() as u64;
+                inner.entries.remove(&fingerprint);
+                inner.counters.invalidations += 1;
+            }
+            return false;
+        };
+        entry.applied = Some(end);
+        entry.consecutive_failures = 0;
+        entry.push(&delta, &mut inner.live);
+        true
+    }
+
+    /// The maintained rows for a plan fingerprint, brought up to date
+    /// first; `listener`, when given, is attached to the entry in the
+    /// same step, so the rows returned are exactly what its deltas
+    /// build on. `None` (a miss) when there is no entry or it could not
+    /// be made current.
     pub(crate) fn lookup(
         &self,
-        processor: &crate::exec::QueryProcessor,
+        processor: &QueryProcessor,
         fingerprint: u64,
-    ) -> Option<crate::exec::ResultRows> {
+        listener: Option<&Sender<ResultDelta>>,
+    ) -> Option<ResultRows> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         self.drain_records(inner);
-        let end = inner.log_end();
-        let Some(entry) = inner.entries.touch(&fingerprint) else {
-            drop(guard);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
+        let rows = if self.advance(processor, inner, fingerprint) {
+            inner.entries.touch(&fingerprint).map(|entry| {
+                entry.listeners.extend(listener.cloned());
+                entry.state.rows()
+            })
+        } else {
+            None
         };
-        let behind = entry.applied < end;
-        if behind {
-            let from = (entry.applied - inner.log_base) as usize;
-            let pending: Vec<ChangeRecord> = inner.log.iter().skip(from).cloned().collect();
-            match processor.maintain(&mut entry.state, &pending) {
-                Ok(_) => {
-                    entry.applied = end;
-                    self.maintained.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    inner.entries.remove(&fingerprint);
-                    self.trim(inner);
-                    drop(guard);
-                    self.invalidations.fetch_add(1, Ordering::Relaxed);
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                }
-            }
+        self.trim(inner);
+        match rows {
+            Some(_) => inner.counters.hits += 1,
+            None => inner.counters.misses += 1,
         }
-        let rows = entry.state.rows();
-        if behind {
-            self.trim(inner);
+        rows
+    }
+
+    /// Brings every entry that has listeners up to the log's end (the
+    /// push side of a subscription). Returns how many records entered
+    /// the log since the previous pump; a cache whose record feed was
+    /// never armed has nothing to pump and stays unarmed.
+    pub(crate) fn pump(&self, processor: &QueryProcessor) -> usize {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        if inner.records.is_none() {
+            return 0;
         }
-        drop(guard);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(rows)
+        self.drain_records(inner);
+        let mut watched: Vec<u64> = inner
+            .entries
+            .iter()
+            .filter(|(_, entry)| !entry.listeners.is_empty())
+            .map(|(fingerprint, _)| *fingerprint)
+            .collect();
+        // Hash order differs between runs; injected failures must not.
+        watched.sort_unstable();
+        for fingerprint in watched {
+            self.advance(processor, inner, fingerprint);
+        }
+        self.trim(inner);
+        let end = inner.log_end();
+        let fresh = end - inner.pumped;
+        inner.pumped = end;
+        fresh as usize
     }
 
     /// Registers an in-flight execution: returns the current record-log
@@ -562,29 +813,49 @@ impl ResultCache {
     }
 
     /// Admits a freshly-seeded standing result whose execution began at
-    /// `mark`. Records logged since the mark are applied on the entry's
-    /// next lookup; if the log was force-cleared past the mark, the
-    /// entry cannot be caught up and is dropped instead.
-    pub(crate) fn admit(&self, fingerprint: u64, state: crate::delta::MaintainedPlan, mark: u64) {
-        let mut inner = self.inner.lock();
+    /// `mark`, attaching `listener` when given. Records logged since the
+    /// mark are applied on the entry's next advance. An entry that
+    /// already has listeners (a racing admission, or one whose resyncs
+    /// are failing) takes over the fresh state and tells them what
+    /// changed, so no handle falls out of step.
+    pub(crate) fn admit(
+        &self,
+        fingerprint: u64,
+        state: MaintainedPlan,
+        mark: u64,
+        listener: Option<&Sender<ResultDelta>>,
+    ) {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         if let Some(pos) = inner.marks.iter().position(|&m| m == mark) {
             inner.marks.swap_remove(pos);
         }
-        if mark < inner.log_base {
-            self.trim(&mut inner);
-            drop(inner);
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-            return;
+        debug_assert!(mark >= inner.log_base, "a mark pins the log");
+        match inner.entries.touch(&fingerprint) {
+            Some(entry) if !entry.listeners.is_empty() => {
+                let delta = entry.state.replace_with(state);
+                entry.applied = Some(mark);
+                entry.consecutive_failures = 0;
+                entry.push(&delta, &mut inner.live);
+                entry.listeners.extend(listener.cloned());
+            }
+            _ => {
+                let entry = ResultEntry {
+                    applied: Some(mark),
+                    state,
+                    listeners: listener.cloned().into_iter().collect(),
+                    consecutive_failures: 0,
+                };
+                inner.entries.insert(fingerprint, entry);
+                let plain = |e: &ResultEntry| e.listeners.is_empty();
+                let held = inner.entries.values().filter(|e| plain(e)).count();
+                for _ in self.capacity..held {
+                    inner.entries.pop_lru(plain);
+                    inner.counters.evictions += 1;
+                }
+            }
         }
-        let entry = ResultEntry {
-            applied: mark,
-            state,
-        };
-        inner.entries.insert(fingerprint, entry);
-        while inner.entries.len() > self.capacity && inner.entries.pop_lru().is_some() {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        self.trim(&mut inner);
+        self.trim(inner);
     }
 }
 
@@ -594,6 +865,7 @@ impl std::fmt::Debug for ResultCache {
             .field("len", &self.len())
             .field("capacity", &self.capacity)
             .field("counters", &self.counters())
+            .field("live", &self.live_stats())
             .finish()
     }
 }
@@ -761,11 +1033,7 @@ mod tests {
     }
 
     /// An indexed store + processor for result-cache tests.
-    fn query_fixture() -> (
-        Arc<ViewStore>,
-        Arc<idm_index::IndexBundle>,
-        crate::exec::QueryProcessor,
-    ) {
+    fn query_fixture() -> (Arc<ViewStore>, Arc<idm_index::IndexBundle>, QueryProcessor) {
         let store = Arc::new(ViewStore::new());
         let indexes = Arc::new(idm_index::IndexBundle::new());
         let draft = store.build("draft.tex").text("a dataspace vision").insert();
@@ -834,19 +1102,163 @@ mod tests {
         let seed = |plan: &Plan| {
             let mark = cache.mark();
             let (_, standing) = p.execute_standing(plan, QueryBudget::none()).unwrap();
-            cache.admit(plan.fingerprint(), standing.unwrap(), mark);
+            cache.admit(plan.fingerprint(), standing.unwrap(), mark, None);
         };
         seed(&plans[0]);
         seed(&plans[1]);
         // Touch 0: now 1 is LRU.
-        assert!(cache.lookup(&p, plans[0].fingerprint()).is_some());
+        assert!(cache.lookup(&p, plans[0].fingerprint(), None).is_some());
         seed(&plans[2]);
         assert_eq!(cache.len(), 2);
         assert!(
-            cache.lookup(&p, plans[1].fingerprint()).is_none(),
+            cache.lookup(&p, plans[1].fingerprint(), None).is_none(),
             "1 was evicted"
         );
-        assert!(cache.lookup(&p, plans[0].fingerprint()).is_some());
+        assert!(cache.lookup(&p, plans[0].fingerprint(), None).is_some());
         assert_eq!(cache.counters().evictions, 1);
+    }
+
+    use crate::request::QueryRequest;
+
+    /// A handle's rows: what it started with, moved by every delta.
+    fn accumulated(live: &LiveQuery) -> ResultRows {
+        let mut rows: std::collections::BTreeSet<Vid> =
+            live.initial().rows.views().into_iter().collect();
+        for delta in live.poll() {
+            for vid in delta.removed.views() {
+                rows.remove(&vid);
+            }
+            rows.extend(delta.added.views());
+        }
+        ResultRows::Views(rows.into_iter().collect())
+    }
+
+    #[test]
+    fn the_record_feed_stays_unarmed_until_a_standing_result_is_asked_for() {
+        let (store, indexes, p) = query_fixture();
+        let armed = |p: &QueryProcessor| p.result_cache().inner.lock().records.is_some();
+        p.run(&QueryRequest::new(r#""dataspace""#)).unwrap();
+        let vid = store.build("more.tex").text("dataspace redux").insert();
+        indexes.index_view(&store, vid, "filesystem").unwrap();
+        assert_eq!(p.pump(), 0);
+        p.run(&QueryRequest::new(r#""dataspace""#)).unwrap();
+        assert!(!armed(&p), "plain runs and pumps never subscribe");
+        p.run(&QueryRequest::new(r#""dataspace""#).cached())
+            .unwrap();
+        assert!(armed(&p));
+    }
+
+    #[test]
+    fn capacity_never_evicts_an_entry_with_listeners() {
+        use crate::exec::RESULT_CACHE_CAPACITY;
+        let (store, indexes, p) = query_fixture();
+        let watched = QueryRequest::new(r#""dataspace""#);
+        let live = p.subscribe(&watched).unwrap();
+        let flood = |prefix: &str| {
+            for i in 0..RESULT_CACHE_CAPACITY + 8 {
+                p.run(&QueryRequest::new(format!("\"{prefix}{i}\"")).cached())
+                    .unwrap();
+            }
+        };
+        flood("a");
+        // Held beside the capacity, not inside it.
+        assert_eq!(p.result_cache().len(), RESULT_CACHE_CAPACITY + 1);
+        assert_eq!(p.result_cache().counters().evictions, 8);
+        let hit = p.run(&watched.clone().cached()).unwrap();
+        assert_eq!(
+            hit.stats.result_cache_hits, 1,
+            "the subscribed entry survived"
+        );
+
+        // Once the last handle is gone and a push found that out, the
+        // entry is ordinary LRU ballast.
+        drop(live);
+        let vid = store.build("more.tex").text("dataspace redux").insert();
+        indexes.index_view(&store, vid, "filesystem").unwrap();
+        p.pump();
+        assert_eq!(p.result_cache().live_stats().active, 0);
+        assert_eq!(p.result_cache().live_stats().dropped, 1);
+        flood("b");
+        assert_eq!(p.result_cache().len(), RESULT_CACHE_CAPACITY);
+        let miss = p.run(&watched.cached()).unwrap();
+        assert_eq!(miss.stats.result_cache_hits, 0, "evicted like any other");
+    }
+
+    #[test]
+    fn a_record_backlog_resyncs_a_feed_instead_of_cutting_it() {
+        let (store, indexes, p) = query_fixture();
+        let watched = QueryRequest::new(r#""dataspace""#);
+        let live = p.subscribe(&watched).unwrap();
+        p.run(&QueryRequest::new(r#""meeting""#).cached()).unwrap();
+
+        let vid = store.build("more.tex").text("nothing yet").insert();
+        for i in 0..=MAX_PENDING_RECORDS {
+            store
+                .set_content(vid, Content::text(format!("draft {i}")))
+                .unwrap();
+        }
+        store
+            .set_content(vid, Content::text("dataspace redux"))
+            .unwrap();
+        indexes.index_view(&store, vid, "filesystem").unwrap();
+        assert!(p.pump() > MAX_PENDING_RECORDS);
+
+        let stats = p.result_cache().live_stats();
+        assert_eq!((stats.resyncs, stats.active, stats.dropped), (1, 1, 0));
+        assert_eq!(
+            stats.maintain_failures, 0,
+            "nothing failed; the log was cut"
+        );
+        assert_eq!(
+            p.result_cache().counters().invalidations,
+            1,
+            "the plain entry"
+        );
+        assert_eq!(p.result_cache().len(), 1);
+        let fresh = p.run(&watched).unwrap().result.rows;
+        assert!(fresh.views().contains(&vid));
+        assert_eq!(accumulated(&live), fresh);
+        // Stamped at the log's end: the next pump has nothing to redo.
+        assert_eq!(p.pump(), 0);
+        assert_eq!(p.result_cache().live_stats().resyncs, 1);
+    }
+
+    /// The overflow rule is about how far *an entry* is behind, not how
+    /// long the log got: a plain entry nobody reads again pins the log,
+    /// and must not cost a regularly pumped feed a full recompute.
+    #[test]
+    fn a_stale_cache_entry_does_not_force_a_current_feed_to_resync() {
+        let (store, indexes, p) = query_fixture();
+        let watched = QueryRequest::new(r#""dataspace""#);
+        let live = p.subscribe(&watched).unwrap();
+        p.run(&QueryRequest::new(r#""meeting""#).cached()).unwrap();
+
+        let vid = store.build("more.tex").text("nothing yet").insert();
+        let chunk = MAX_PENDING_RECORDS / 4 + 1;
+        for round in 0..4 {
+            for i in 0..chunk {
+                store
+                    .set_content(vid, Content::text(format!("draft {round}.{i}")))
+                    .unwrap();
+            }
+            assert!(p.pump() >= chunk);
+        }
+        store
+            .set_content(vid, Content::text("dataspace redux"))
+            .unwrap();
+        indexes.index_view(&store, vid, "filesystem").unwrap();
+        assert!(p.pump() >= 1);
+
+        assert_eq!(
+            p.result_cache().counters().invalidations,
+            1,
+            "the log did overflow, behind the plain entry"
+        );
+        let stats = p.result_cache().live_stats();
+        assert_eq!((stats.resyncs, stats.maintain_failures), (0, 0));
+        assert!(stats.records_applied > MAX_PENDING_RECORDS as u64);
+        let fresh = p.run(&watched).unwrap().result.rows;
+        assert!(fresh.views().contains(&vid));
+        assert_eq!(accumulated(&live), fresh);
     }
 }

@@ -246,6 +246,32 @@ impl MaintainedPlan {
     pub fn stats(&self) -> DeltaStats {
         self.stats
     }
+
+    /// Swaps in `fresh` — a newly seeded state of the same plan — keeping
+    /// the maintenance history, and returns what changed between the
+    /// two row sets.
+    pub(crate) fn replace_with(&mut self, mut fresh: MaintainedPlan) -> ResultDelta {
+        fresh.stats = self.stats;
+        let old = std::mem::replace(self, fresh);
+        let (added, removed) = match (&old.root, &self.root) {
+            (MaintainedRoot::Views(o), MaintainedRoot::Views(n)) => {
+                let (a, r) = diff_sorted(&o.rows, &n.rows);
+                (ResultRows::Views(a), ResultRows::Views(r))
+            }
+            (MaintainedRoot::Join { pairs: o, .. }, MaintainedRoot::Join { pairs: n, .. }) => {
+                let (a, r) = diff_sorted(o, n);
+                (ResultRows::Pairs(a), ResultRows::Pairs(r))
+            }
+            // Shape flip cannot happen (the plan is unchanged); report
+            // a full replacement if it somehow does.
+            _ => (self.rows(), old.rows()),
+        };
+        ResultDelta {
+            added,
+            removed,
+            total: self.len(),
+        }
+    }
 }
 
 // ---- sorted-vec set algebra ------------------------------------------
@@ -625,38 +651,17 @@ impl QueryProcessor {
     /// The counted whole-plan fallback: re-execute (unbudgeted) and
     /// re-seed, diffing old rows against new.
     fn recompute_all(&self, standing: &mut MaintainedPlan) -> Result<ResultDelta> {
-        let old = standing.rows();
-        let (QueryResult { rows, .. }, fresh) =
-            self.execute_standing(&standing.plan, QueryBudget::none())?;
-        let Some(mut fresh) = fresh else {
+        let (_, fresh) = self.execute_standing(&standing.plan, QueryBudget::none())?;
+        let Some(fresh) = fresh else {
             return Err(IdmError::Provider {
                 detail: "delta: plan shape is not maintainable".into(),
                 source: None,
                 vid: None,
             });
         };
-        fresh.stats = standing.stats;
-        fresh.stats.full_recomputes += 1;
-        *standing = fresh;
-        let total = rows.len();
-        let (added, removed) = match (&old, &rows) {
-            (ResultRows::Views(o), ResultRows::Views(n)) => {
-                let (a, r) = diff_sorted(o, n);
-                (ResultRows::Views(a), ResultRows::Views(r))
-            }
-            (ResultRows::Pairs(o), ResultRows::Pairs(n)) => {
-                let (a, r) = diff_sorted(o, n);
-                (ResultRows::Pairs(a), ResultRows::Pairs(r))
-            }
-            // Shape flip cannot happen (the plan is unchanged); report
-            // a full replacement if it somehow does.
-            _ => (rows.clone(), old.clone()),
-        };
-        Ok(ResultDelta {
-            added,
-            removed,
-            total,
-        })
+        let delta = standing.replace_with(fresh);
+        standing.stats.full_recomputes += 1;
+        Ok(delta)
     }
 
     /// Maintains one view-producing node (and its subtree). Returns

@@ -19,19 +19,22 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
+use crossbeam::channel::{unbounded, Sender};
 use idm_core::prelude::*;
 use idm_index::IndexBundle;
 
 use crate::ast::*;
 use crate::budget::{BudgetConsumption, BudgetTracker, QueryBudget, Tick};
-use crate::cache::{ExpansionCache, ResultCache};
-use crate::delta;
+use crate::cache::{ExpansionCache, LiveQuery, ResultCache};
+use crate::delta::{self, ResultDelta};
 use crate::par;
 use crate::parser::parse;
 use crate::plan::{AccessKind, BuildSide, OperatorCounts, Plan, PlanNode, PlanOp};
+use crate::request::QueryRequest;
 
-/// Capacity of the per-processor whole-result cache (entries).
-const RESULT_CACHE_CAPACITY: usize = 256;
+/// Capacity of the per-processor standing-result table (plain entries;
+/// those with listeners are held beside it).
+pub(crate) const RESULT_CACHE_CAPACITY: usize = 256;
 
 /// How `//` (and `/`) steps relate candidates to the current context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -338,21 +341,33 @@ impl QueryProcessor {
 
     /// The cached execution path over an already-built plan
     /// ([`QueryRequest::cached`](crate::request::QueryRequest::cached)):
-    /// consults the whole-result cache first, keyed by the plan's
-    /// normalized fingerprint. A hit returns the cached rows without
+    /// consults the standing-result table first, keyed by the plan's
+    /// normalized fingerprint. A hit returns the maintained rows without
     /// touching the indexes (stats show `result_cache_hits = 1` and no
     /// operator work); a miss executes the plan and seeds a
     /// delta-maintained standing result. Store changes do not clear the
-    /// cache — pending [`ChangeRecord`]s are applied to each entry on
-    /// its next lookup ([`crate::delta`]).
+    /// cache — pending [`ChangeRecord`]s are applied to each entry when
+    /// it is next read ([`crate::delta`]).
     pub(crate) fn run_cached(&self, plan: &Plan, budget: QueryBudget) -> Result<QueryResult> {
+        Ok(self.run_standing(plan, budget, None)?.0)
+    }
+
+    /// Answers `plan` from its standing result — looked up, or executed
+    /// under `budget` and seeded — attaching `listener` to that entry.
+    /// The flag is false when the execution left nothing standing.
+    fn run_standing(
+        &self,
+        plan: &Plan,
+        budget: QueryBudget,
+        listener: Option<&Sender<ResultDelta>>,
+    ) -> Result<(QueryResult, bool)> {
         let fingerprint = plan.fingerprint();
-        if let Some(rows) = self.results.lookup(self, fingerprint) {
+        if let Some(rows) = self.results.lookup(self, fingerprint, listener) {
             let stats = ExecStats {
                 result_cache_hits: 1,
                 ..ExecStats::default()
             };
-            return Ok(QueryResult { rows, stats });
+            return Ok((QueryResult { rows, stats }, true));
         }
         // Mark the record-log position *before* executing so changes
         // committed mid-execution are replayed onto the seeded entry
@@ -369,14 +384,52 @@ impl QueryProcessor {
         // No standing state — a truncated (partial-budget) run, whose
         // subset of the true rows must never be served as complete, or
         // an unmaintainable plan shape — leaves nothing to admit.
+        let seeded = standing.is_some();
         match standing {
-            Some(state) => self.results.admit(fingerprint, state, mark),
+            Some(state) => self.results.admit(fingerprint, state, mark, listener),
             None => self.results.release(mark),
         }
-        Ok(result)
+        Ok((result, seeded))
     }
 
-    /// The whole-result cache (counters for benchmarks and tests).
+    /// Registers `request` as a standing query: its plan's entry in the
+    /// standing-result table — shared with `.cached()` requests and with
+    /// every other subscription that plans identically — gains a
+    /// listener, and the entry's rows are the handle's initial result.
+    /// Seeding runs under the request's own budget or none (never the
+    /// processor default); a request whose budget truncates the
+    /// execution is rejected, since a partial result never seeds a
+    /// standing one. [`QueryProcessor::pump`] feeds the handle.
+    pub fn subscribe(&self, request: &QueryRequest) -> Result<LiveQuery> {
+        let plan = self.plan_iql(request.iql())?;
+        let budget = request.requested_budget().unwrap_or(QueryBudget::none());
+        let (tx, deltas) = unbounded();
+        let (initial, standing) = self.run_standing(&plan, budget, Some(&tx))?;
+        if !standing {
+            return Err(IdmError::Provider {
+                detail: if initial.stats.partial {
+                    "subscribe: budget-truncated (partial) execution cannot seed a standing result"
+                        .into()
+                } else {
+                    "subscribe: plan shape is not maintainable".into()
+                },
+                source: Some("live".into()),
+                vid: None,
+            });
+        }
+        Ok(LiveQuery { initial, deltas })
+    }
+
+    /// Drives every live query: applies the change records committed
+    /// since each subscribed standing result was last read and pushes
+    /// the non-empty deltas to its handles, one coalesced batch per
+    /// call. Returns how many records arrived since the previous pump
+    /// (0 = nothing new). Maintenance always runs unbudgeted.
+    pub fn pump(&self) -> usize {
+        self.results.pump(self)
+    }
+
+    /// The standing-result table (counters for benchmarks and tests).
     pub fn result_cache(&self) -> &ResultCache {
         &self.results
     }

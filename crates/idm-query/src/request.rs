@@ -97,10 +97,11 @@ impl QueryRequest {
         self
     }
 
-    /// Marks the request as a standing subscription. The flag is
-    /// carried for the system layer (`Pdsms::subscribe`), which turns
-    /// the request into a live query pushing [`crate::delta::ResultDelta`]
-    /// batches; [`QueryProcessor::run`] itself ignores it.
+    /// Marks the request as meant for a standing subscription. The
+    /// flag is inert: nothing reads it. A request becomes a live query
+    /// by being passed to [`QueryProcessor::subscribe`] (or
+    /// `Pdsms::subscribe`), marked or not, and [`QueryProcessor::run`]
+    /// ignores it. Kept because the end-to-end benchmark calls it.
     pub fn subscribe(mut self) -> Self {
         self.subscribe = true;
         self
@@ -131,7 +132,7 @@ impl QueryRequest {
         self.cached
     }
 
-    /// Whether this request is meant as a standing subscription.
+    /// Whether [`QueryRequest::subscribe`] was called (no caller).
     pub fn wants_subscribe(&self) -> bool {
         self.subscribe
     }

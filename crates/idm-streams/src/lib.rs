@@ -8,8 +8,9 @@
 //! - [`engine`] — the push-operator machinery: operators register for
 //!   change events on resource view components and process them
 //!   immediately, in the spirit of data-driven DSMS processing (the
-//!   *logical change record* feed needs no engine: its consumers — live
-//!   queries in `idm-system`, the result cache in `idm-query` — read
+//!   *logical change record* feed needs no engine: its one consumer —
+//!   the standing-result table in `idm-query`, which serves cached
+//!   requests and live queries alike — reads
 //!   [`idm_core::store::ViewStore::subscribe_records`] directly),
 //! - [`window`] — stream windows over infinite group components
 //!   (Section 5.2: "infinite group components are managed using a

@@ -44,7 +44,7 @@ pub use federation::{FederatedResult, FederatedRow, Federation};
 pub use govern::{AdmissionGate, AdmissionPermit, AdmissionSnapshot, GovernorConfig};
 pub use health::{HealthConfig, HealthMonitor, HealthReport, HealthStats, IndexArtifactOutcome};
 pub use idm_query::{QueryRequest, QueryResponse};
-pub use live::{LiveQuery, LiveStats, SubscriptionRegistry};
+pub use live::{LiveQuery, LiveStats};
 pub use rvm::{
     BulkIngestOptions, IngestReport, IngestThroughput, ResourceViewManager, SourceIngestStats,
 };
@@ -152,10 +152,6 @@ pub struct Pdsms {
     /// Admission control over the query path, when enabled: max
     /// concurrent queries plus a bounded, deadline-shedding wait queue.
     governor: Option<govern::AdmissionGate>,
-    /// The subscription registry, created lazily on first
-    /// [`Pdsms::subscribe`] so systems without standing queries never
-    /// arm the store's record fan-out.
-    live: std::sync::OnceLock<live::SubscriptionRegistry>,
 }
 
 impl Pdsms {
@@ -184,7 +180,6 @@ impl Pdsms {
             durability: durability.map(Mutex::new),
             processor,
             governor: None,
-            live: std::sync::OnceLock::new(),
         }
     }
 

@@ -1,18 +1,21 @@
 //! Live queries: standing subscriptions over the dataspace.
 //!
-//! A subscription is a [`QueryRequest`] whose result *stays* answered:
-//! [`Pdsms::subscribe`] executes it once, seeds a delta-maintained
-//! standing result ([`idm_query::MaintainedPlan`]), and hands back a
-//! [`LiveQuery`] — the initial rows plus a channel of
-//! [`ResultDelta`] batches. From then on, the [`SubscriptionRegistry`]
-//! reads every store mutation's logical [`ChangeRecord`]s straight off
-//! the store's record feed ([`ViewStore::subscribe_records`] — the only
-//! such subscription in this crate) and maintains each standing result
-//! incrementally on the system's one query processor (falling back to
-//! bounded re-expansion or full recompute only where a node cannot be
-//! maintained soundly), pushing the non-empty deltas to subscribers.
+//! A subscription is a [`QueryRequest`] whose result *stays* answered,
+//! and it is not a second store of results: [`Pdsms::subscribe`]
+//! attaches a listener to the request's entry in the system processor's
+//! one table of delta-maintained standing results
+//! ([`idm_query::ResultCache`] — the entry a `.cached()` request of the
+//! same plan reads and every subscription that plans identically
+//! shares), seeding it first if nobody has. How an entry is kept
+//! current, what a failed maintenance pass costs and when a handle is
+//! pruned are that table's rules, documented there. Two counters changed
+//! meaning when the second store went away:
+//! [`LiveStats::records_applied`] is records × *distinct subscribed
+//! plans* (it was × handles), and
+//! [`idm_query::ResultCacheCounters::maintained`] also counts passes a
+//! pump drove.
 //!
-//! Delivery is pull-paced: pending records are applied when
+//! Delivery is pull-paced: pending records reach subscribers when
 //! [`Pdsms::pump_subscriptions`] runs — which the ingest paths
 //! (`index_all*`) do automatically, and which sync-round drivers (RSS
 //! polls, IMAP rounds, filesystem notification sweeps) call after each
@@ -25,324 +28,47 @@
 //! wrong feed), and maintenance always runs unbudgeted, so a standing
 //! result is never updated from partial state.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use idm_core::prelude::*;
-use idm_query::{
-    MaintainedPlan, QueryBudget, QueryProcessor, QueryRequest, QueryResult, ResultDelta,
-};
-use parking_lot::Mutex;
+use idm_query::QueryRequest;
+pub use idm_query::{LiveQuery, LiveStats, MAX_CONSECUTIVE_MAINTENANCE_FAILURES};
 
 use crate::Pdsms;
 
-/// A standing query handle: the rows at subscription time plus the
-/// stream of changes since. Dropping it unsubscribes (the registry
-/// prunes the subscription on its next push).
-pub struct LiveQuery {
-    id: u64,
-    initial: QueryResult,
-    deltas: Receiver<ResultDelta>,
-}
-
-impl std::fmt::Debug for LiveQuery {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LiveQuery")
-            .field("id", &self.id)
-            .field("initial_rows", &self.initial.rows.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl LiveQuery {
-    /// The subscription id (unique within the system).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// The full result at subscription time.
-    pub fn initial(&self) -> &QueryResult {
-        &self.initial
-    }
-
-    /// Drains every delta pushed since the last poll (empty when
-    /// nothing relevant changed).
-    pub fn poll(&self) -> Vec<ResultDelta> {
-        self.deltas.try_iter().collect()
-    }
-}
-
-struct Subscription {
-    standing: MaintainedPlan,
-    tx: Sender<ResultDelta>,
-    /// Maintenance failures since the last successful pass; reset by
-    /// any success (including a successful resync).
-    consecutive_failures: u32,
-}
-
-/// How many *consecutive* failed maintenance passes (each including its
-/// resync attempt) a subscription survives before it is dropped. A
-/// transient substrate fault costs a counted resync, not the
-/// subscription; only persistent failure ends it.
-pub const MAX_CONSECUTIVE_MAINTENANCE_FAILURES: u32 = 3;
-
-/// Counter totals for a system's live queries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LiveStats {
-    /// Currently registered subscriptions.
-    pub active: u64,
-    /// Non-empty delta batches pushed to subscribers.
-    pub deltas_pushed: u64,
-    /// Change records applied across all subscriptions.
-    pub records_applied: u64,
-    /// Maintenance passes that failed (each triggers a resync attempt).
-    pub maintain_failures: u64,
-    /// Standing results rebuilt by a counted full recompute after a
-    /// failed maintenance pass.
-    pub resyncs: u64,
-    /// Subscriptions pruned (handle dropped, or maintenance failed
-    /// [`MAX_CONSECUTIVE_MAINTENANCE_FAILURES`] times in a row).
-    pub dropped: u64,
-}
-
-/// Maintains every standing query against the store's change records:
-/// it holds the record feed, and each [`Pdsms::pump_subscriptions`]
-/// applies whatever is pending, as one batch, to every subscription.
-/// The processor is the caller's (the system's one), never its own.
-pub struct SubscriptionRegistry {
-    records: Receiver<ChangeRecord>,
-    subs: Mutex<Vec<Subscription>>,
-    next_id: AtomicU64,
-    deltas_pushed: AtomicU64,
-    records_applied: AtomicU64,
-    maintain_failures: AtomicU64,
-    resyncs: AtomicU64,
-    dropped: AtomicU64,
-    /// Deterministic failure injection for tests and the chaos
-    /// simulator: each pending count fails one maintenance (or resync)
-    /// call.
-    inject_maintain_failures: AtomicU64,
-    inject_resync_failures: AtomicU64,
-}
-
-fn take_one(counter: &AtomicU64) -> bool {
-    counter
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1))
-        .is_ok()
-}
-
-fn injected_error(op: &str) -> IdmError {
-    IdmError::Provider {
-        detail: format!("injected {op} failure"),
-        source: Some("live".into()),
-        vid: None,
-    }
-}
-
-impl SubscriptionRegistry {
-    /// Subscribes to `store`'s record feed; only records committed
-    /// from here on flow.
-    fn attach(store: &ViewStore) -> Self {
-        SubscriptionRegistry {
-            records: store.subscribe_records(),
-            subs: Mutex::new(Vec::new()),
-            next_id: AtomicU64::new(1),
-            deltas_pushed: AtomicU64::new(0),
-            records_applied: AtomicU64::new(0),
-            maintain_failures: AtomicU64::new(0),
-            resyncs: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            inject_maintain_failures: AtomicU64::new(0),
-            inject_resync_failures: AtomicU64::new(0),
-        }
-    }
-
-    fn subscribe(&self, processor: &QueryProcessor, request: &QueryRequest) -> Result<LiveQuery> {
-        let plan = processor.plan_iql(request.iql())?;
-        let budget = request.requested_budget().unwrap_or(QueryBudget::none());
-        let (result, standing) = processor.execute_standing(&plan, budget)?;
-        let Some(standing) = standing else {
-            // Either the budget truncated the execution (a partial
-            // result must never seed a standing one) or the plan shape
-            // cannot be maintained soundly.
-            return Err(IdmError::Provider {
-                detail: if result.stats.partial {
-                    "subscribe: budget-truncated (partial) execution cannot seed a standing result"
-                        .into()
-                } else {
-                    "subscribe: plan shape is not maintainable".into()
-                },
-                source: Some("live".into()),
-                vid: None,
-            });
-        };
-        let (tx, rx) = unbounded();
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.subs.lock().push(Subscription {
-            standing,
-            tx,
-            consecutive_failures: 0,
-        });
-        Ok(LiveQuery {
-            id,
-            initial: result,
-            deltas: rx,
-        })
-    }
-
-    /// Drains the record feed and applies what was pending, as one
-    /// coalesced batch, to every subscription; returns how many records
-    /// that was (0 = nothing pending, nothing touched).
-    fn pump(&self, processor: &QueryProcessor) -> usize {
-        let records: Vec<ChangeRecord> = self.records.try_iter().collect();
-        if records.is_empty() {
-            return 0;
-        }
-        let mut subs = self.subs.lock();
-        self.records_applied
-            .fetch_add((records.len() * subs.len()) as u64, Ordering::Relaxed);
-        subs.retain_mut(|sub| {
-            // After a failed pass the standing rows are suspect:
-            // incremental maintenance would build on bad state, so go
-            // straight to a resync until one succeeds.
-            let maintained = if sub.consecutive_failures > 0 {
-                None
-            } else {
-                Some(if take_one(&self.inject_maintain_failures) {
-                    Err(injected_error("maintain"))
-                } else {
-                    processor.maintain(&mut sub.standing, &records)
-                })
-            };
-
-            let delta = match maintained {
-                Some(Ok(delta)) => {
-                    sub.consecutive_failures = 0;
-                    delta
-                }
-                failed => {
-                    // Maintenance failed (e.g. a full recompute hit a
-                    // substrate fault): the standing rows can no longer
-                    // be trusted as-is, so resynchronize them with a
-                    // counted full recompute instead of dropping the
-                    // subscription outright.
-                    if failed.is_some() {
-                        self.maintain_failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let resynced = if take_one(&self.inject_resync_failures) {
-                        Err(injected_error("resync"))
-                    } else {
-                        processor.resync(&mut sub.standing)
-                    };
-
-                    match resynced {
-                        Ok(delta) => {
-                            sub.consecutive_failures = 0;
-                            self.resyncs.fetch_add(1, Ordering::Relaxed);
-                            delta
-                        }
-                        Err(_) => {
-                            // Even the full recompute failed. Keep the
-                            // subscription for a few more rounds — the
-                            // fault may be transient — but drop it once
-                            // failure is persistent: stale rows must
-                            // not keep masquerading as live.
-                            sub.consecutive_failures += 1;
-                            if sub.consecutive_failures >= MAX_CONSECUTIVE_MAINTENANCE_FAILURES {
-                                self.dropped.fetch_add(1, Ordering::Relaxed);
-                                return false;
-                            }
-                            return true;
-                        }
-                    }
-                }
-            };
-            // An empty delta keeps the subscription as-is; a dropped
-            // handle is noticed (and pruned) on its next non-empty push.
-            if delta.is_empty() {
-                return true;
-            }
-            self.deltas_pushed.fetch_add(1, Ordering::Relaxed);
-            if sub.tx.send(delta).is_ok() {
-                true
-            } else {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        });
-        records.len()
-    }
-
-    fn stats(&self) -> LiveStats {
-        LiveStats {
-            active: self.subs.lock().len() as u64,
-            deltas_pushed: self.deltas_pushed.load(Ordering::Relaxed),
-            records_applied: self.records_applied.load(Ordering::Relaxed),
-            maintain_failures: self.maintain_failures.load(Ordering::Relaxed),
-            resyncs: self.resyncs.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Arms deterministic maintenance-failure injection: the next
-    /// `maintain` failing-calls and `resync` failing-calls each error.
-    /// Tests and the chaos simulator use this to exercise the
-    /// resync-then-drop path without a real substrate fault.
-    pub fn inject_failures(&self, maintain: u64, resync: u64) {
-        self.inject_maintain_failures
-            .fetch_add(maintain, Ordering::Relaxed);
-        self.inject_resync_failures
-            .fetch_add(resync, Ordering::Relaxed);
-    }
-}
-
 impl Pdsms {
-    fn registry(&self) -> &SubscriptionRegistry {
-        self.live
-            .get_or_init(|| SubscriptionRegistry::attach(&self.store))
-    }
-
-    /// Registers `request` as a standing query: executes it once (under
-    /// the admission gate, when enabled) and returns a [`LiveQuery`]
-    /// whose delta channel is fed by [`Pdsms::pump_subscriptions`].
+    /// Registers `request` as a standing query (under the admission
+    /// gate, when enabled) and returns a [`LiveQuery`] whose delta
+    /// channel is fed by [`Pdsms::pump_subscriptions`].
     ///
     /// A request whose budget truncates the execution is rejected — a
     /// partial result never seeds a standing one.
     pub fn subscribe(&self, request: &QueryRequest) -> Result<LiveQuery> {
-        let registry = self.registry();
         let _permit = self.admit(request)?;
         // Deliver anything pending first, so existing subscriptions are
-        // current and the new standing result seeds against a drained
-        // record log. (Records racing past this point are re-applied on
-        // the next pump; delta maintenance is convergent, so replaying
-        // a change the seeding execution already saw is harmless.)
-        registry.pump(&self.processor);
-        registry.subscribe(&self.processor, request)
+        // current before the new handle's rows are taken.
+        self.processor.pump();
+        self.processor.subscribe(request)
     }
 
-    /// Drives every live query: drains pending change records and
-    /// applies them to each standing result, pushing non-empty deltas
-    /// to subscribers. Returns the number of records dispatched. The
-    /// ingest paths call this automatically; sync-round drivers should
-    /// call it after each round.
+    /// Drives every live query: applies pending change records to each
+    /// subscribed standing result and pushes the non-empty deltas to
+    /// its handles. Returns the number of records that arrived since
+    /// the previous pump. The ingest paths call this automatically;
+    /// sync-round drivers should call it after each round.
     pub fn pump_subscriptions(&self) -> usize {
-        self.live
-            .get()
-            .map_or(0, |registry| registry.pump(&self.processor))
+        self.processor.pump()
     }
 
     /// Counter totals for this system's live queries.
     pub fn live_stats(&self) -> LiveStats {
-        self.live
-            .get()
-            .map(SubscriptionRegistry::stats)
-            .unwrap_or_default()
+        self.processor.result_cache().live_stats()
     }
 
     /// Arms deterministic live-maintenance failure injection (see
-    /// [`SubscriptionRegistry::inject_failures`]).
+    /// [`idm_query::ResultCache::inject_live_failures`]).
     pub fn inject_live_failures(&self, maintain: u64, resync: u64) {
-        self.registry().inject_failures(maintain, resync);
+        self.processor
+            .result_cache()
+            .inject_live_failures(maintain, resync);
     }
 }
 
@@ -350,7 +76,9 @@ impl Pdsms {
 mod tests {
     use super::*;
     use crate::FsPlugin;
+    use idm_query::{QueryBudget, ResultDelta};
     use idm_vfs::{NodeId, VirtualFs};
+    use std::collections::HashMap;
     use std::sync::Arc;
 
     fn t() -> Timestamp {
@@ -375,6 +103,127 @@ mod tests {
         )
         .unwrap();
         (fs, system, sync)
+    }
+
+    /// A handle's rows: what it started with, moved by every delta.
+    fn accumulate(
+        rows: &mut std::collections::BTreeSet<Vid>,
+        live: &LiveQuery,
+    ) -> Vec<ResultDelta> {
+        let deltas = live.poll();
+        for delta in &deltas {
+            for vid in delta.removed.views() {
+                rows.remove(&vid);
+            }
+            rows.extend(delta.added.views());
+        }
+        deltas
+    }
+
+    fn fresh_rows(system: &Pdsms, iql: &str) -> std::collections::BTreeSet<Vid> {
+        let fresh = system.run(&QueryRequest::new(iql)).unwrap();
+        fresh.result.rows.views().into_iter().collect()
+    }
+
+    #[test]
+    fn handles_of_one_plan_share_one_maintenance_pass() {
+        let (fs, system, sync) = system_with_file("a.txt", "database tuning");
+        let texts = [
+            r#""database""#,
+            r#""notes""#,
+            r#"//docs/*"#,
+            r#"//docs//*["database"]"#,
+        ];
+        let mut handles: Vec<_> = (0..32)
+            .map(|i| {
+                let iql = texts[i % texts.len()];
+                let live = system.subscribe(&QueryRequest::new(iql)).unwrap();
+                let rows = live.initial().rows.views().into_iter().collect();
+                (iql, live, rows)
+            })
+            .collect();
+        assert_eq!(system.live_stats().active, 32);
+        assert_eq!(system.processor().result_cache().len(), texts.len());
+
+        let before = system.live_stats();
+        let dir = fs.resolve("/docs").unwrap();
+        fs.create_file(dir, "b.txt", "more database notes", t())
+            .unwrap();
+        sync.sync_round().unwrap();
+        let records = system.pump_subscriptions() as u64;
+        assert!(records >= 1);
+
+        // One pass per distinct plan, one batch per handle.
+        let after = system.live_stats();
+        assert_eq!(
+            after.records_applied - before.records_applied,
+            records * texts.len() as u64
+        );
+        assert_eq!(after.deltas_pushed - before.deltas_pushed, 32);
+        let mut by_plan: HashMap<&str, ResultDelta> = HashMap::new();
+        for (iql, live, rows) in &mut handles {
+            let deltas = accumulate(rows, live);
+            assert_eq!(deltas.len(), 1, "{iql}");
+            let first = by_plan.entry(iql).or_insert_with(|| deltas[0].clone());
+            assert_eq!(*first, deltas[0], "handles of {iql} see the same delta");
+            assert_eq!(*rows, fresh_rows(&system, iql), "{iql}");
+        }
+    }
+
+    #[test]
+    fn identical_plans_share_an_entry_and_a_new_strategy_gets_its_own() {
+        let (_fs, mut system, _sync) = system_with_file("a.txt", "database tuning");
+        let path = r#"//docs//*["database"]"#;
+        let _a = system.subscribe(&QueryRequest::new(path)).unwrap();
+        let _b = system
+            .subscribe(&QueryRequest::new(r#"  //docs//*[ "database" ]  "#))
+            .unwrap();
+        assert_eq!(system.live_stats().active, 2);
+        assert_eq!(system.processor().result_cache().len(), 1);
+
+        system.set_expansion(idm_query::ExpansionStrategy::Backward);
+        let _c = system.subscribe(&QueryRequest::new(path)).unwrap();
+        assert_eq!(system.live_stats().active, 3);
+        assert_eq!(system.processor().result_cache().len(), 2);
+    }
+
+    #[test]
+    fn a_lookup_and_a_pump_deliver_each_change_exactly_once() {
+        let (fs, system, sync) = system_with_file("a.txt", "database tuning");
+        let iql = r#""database""#;
+        let cached = QueryRequest::new(iql).cached();
+
+        // Cached, then subscribed: the subscription is a hit on the
+        // entry the cached request seeded.
+        assert_eq!(system.run(&cached).unwrap().stats.result_cache_hits, 0);
+        let live = system.subscribe(&QueryRequest::new(iql)).unwrap();
+        assert_eq!(live.initial().stats.result_cache_hits, 1);
+        assert_eq!(system.processor().result_cache().len(), 1);
+        let mut rows = live.initial().rows.views().into_iter().collect();
+
+        // The change is applied by a *lookup*, not a pump; the listener
+        // still hears of it, once.
+        let dir = fs.resolve("/docs").unwrap();
+        fs.create_file(dir, "b.txt", "more database notes", t())
+            .unwrap();
+        sync.sync_round().unwrap();
+        let hit = system.run(&cached).unwrap();
+        assert_eq!(hit.stats.result_cache_hits, 1);
+        assert_eq!(hit.result.rows.len(), 2);
+        assert_eq!(accumulate(&mut rows, &live).len(), 1);
+        assert_eq!(rows, fresh_rows(&system, iql));
+
+        // The pump reports the round's records but has nothing to add.
+        assert!(system.pump_subscriptions() >= 1);
+        assert!(live.poll().is_empty(), "nothing is pushed twice");
+        assert_eq!(system.live_stats().deltas_pushed, 1);
+
+        // Subscribed, then cached: the cached request is a free hit.
+        let other = r#""tuning""#;
+        let _live = system.subscribe(&QueryRequest::new(other)).unwrap();
+        let hit = system.run(&QueryRequest::new(other).cached()).unwrap();
+        assert_eq!(hit.stats.result_cache_hits, 1);
+        assert_eq!(system.processor().result_cache().len(), 2);
     }
 
     #[test]

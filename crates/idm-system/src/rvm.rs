@@ -470,39 +470,6 @@ impl ResourceViewManager {
         }
         Ok(views)
     }
-
-    /// Re-indexes one view after a change (sync manager use).
-    pub fn reindex_view(&self, vid: Vid, source: &str) -> Result<()> {
-        self.indexes.remove_view(vid);
-        self.indexes.index_view(&self.store, vid, source)?;
-        Ok(())
-    }
-
-    /// Removes a view (and its index entries).
-    pub fn remove_view(&self, vid: Vid) -> Result<()> {
-        self.indexes.remove_view(vid);
-        if self.store.contains(vid) {
-            self.store.remove(vid)?;
-        }
-        Ok(())
-    }
-
-    /// Indexes a newly created view plus its (already materialized)
-    /// derived subtree.
-    pub fn index_subtree(&self, root: Vid, source: &str) -> Result<usize> {
-        let mut views = vec![root];
-        views.extend(idm_core::graph::descendants(&self.store, root, usize::MAX)?);
-        views.sort();
-        views.dedup();
-        let mut indexed = 0;
-        for &vid in &views {
-            if !self.indexes.catalog.contains(vid) {
-                self.indexes.index_view(&self.store, vid, source)?;
-                indexed += 1;
-            }
-        }
-        Ok(indexed)
-    }
 }
 
 #[cfg(test)]
@@ -567,22 +534,6 @@ mod tests {
         let result = processor.execute(r#""payload""#).unwrap();
         // The raw file bytes and the derived xmltext view both match.
         assert_eq!(result.rows.len(), 2, "XML text content indexed");
-    }
-
-    #[test]
-    fn reindex_after_change() {
-        let (rvm, _fs) = rvm_with_fs();
-        rvm.ingest_all().unwrap();
-        let store = Arc::clone(rvm.store());
-        let vid = rvm.indexes().name.exact("vision.tex")[0];
-        store
-            .set_content(vid, Content::text("entirely new words"))
-            .unwrap();
-        rvm.reindex_view(vid, "filesystem").unwrap();
-        assert_eq!(
-            rvm.indexes().content.phrase_query("entirely new"),
-            vec![vid]
-        );
     }
 
     #[test]
@@ -656,16 +607,5 @@ mod tests {
         // Not durable: no WAL attached, so write-path counters are zero.
         assert_eq!(t.wal_records, 0);
         assert_eq!(t.fsyncs, 0);
-    }
-
-    #[test]
-    fn remove_view_cleans_store_and_indexes() {
-        let (rvm, _fs) = rvm_with_fs();
-        rvm.ingest_all().unwrap();
-        let vid = rvm.indexes().name.exact("photo.jpg")[0];
-        rvm.remove_view(vid).unwrap();
-        assert!(!rvm.store().contains(vid));
-        assert!(rvm.indexes().name.exact("photo.jpg").is_empty());
-        assert!(!rvm.indexes().catalog.contains(vid));
     }
 }

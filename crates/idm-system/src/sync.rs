@@ -89,6 +89,34 @@ impl BaseViews {
     }
 }
 
+/// One sync round over a source's notifications: the event a previous
+/// round failed on first, then whatever is pending. A handler error ends
+/// the round; the events behind it keep their order for the next one.
+/// The failed event itself is parked in `retry` only if the source said
+/// the fault passes (a transient or timed-out substrate call). Any other
+/// error is final for that event — typically a `Created` / `Modified` /
+/// `Delivered` whose file or message was removed again before this round,
+/// which the source answers with a plain provider error — so the event
+/// is dropped and the `Removed` / `Deleted` behind it cleans up. `retry`
+/// is held throughout: rounds of one source run one at a time.
+fn apply_in_order<E>(
+    retry: &Mutex<Option<E>>,
+    events: &Receiver<E>,
+    mut apply: impl FnMut(&E) -> Result<()>,
+) -> Result<()> {
+    use SubstrateFaultKind::{Timeout, Transient};
+    let mut retry = retry.lock();
+    while let Some(event) = retry.take().or_else(|| events.try_recv().ok()) {
+        if let Err(err) = apply(&event) {
+            if matches!(err.substrate_kind(), Some(Transient | Timeout)) {
+                *retry = Some(event);
+            }
+            return Err(err);
+        }
+    }
+    Ok(())
+}
+
 /// A synchronization manager for one filesystem source.
 pub struct SynchronizationManager {
     store: Arc<ViewStore>,
@@ -96,6 +124,9 @@ pub struct SynchronizationManager {
     fs: Arc<VirtualFs>,
     plugin: Arc<FsPlugin>,
     events: Receiver<FsEvent>,
+    /// The event whose handler hit a passing source fault, for the next
+    /// round to apply first (see `apply_in_order`).
+    retry: Mutex<Option<FsEvent>>,
     converters: ConverterRegistry,
     /// Maintained across events (needed because a removal notification
     /// arrives after the node is gone).
@@ -124,21 +155,24 @@ impl SynchronizationManager {
             fs,
             plugin,
             events,
+            retry: Mutex::new(None),
             converters: ConverterRegistry::with_defaults(),
             paths: Mutex::new(paths),
         })
     }
 
-    /// Processes all pending notifications; returns what changed.
+    /// Processes all pending notifications; returns what changed. An
+    /// event whose handler fails ends the round and the events behind it
+    /// keep their order; if the failure was a transient source fault the
+    /// next round applies that event first, otherwise (its file is gone
+    /// again, say) it is dropped.
     pub fn sync_round(&self) -> Result<SyncReport> {
         let mut report = SyncReport::default();
-        while let Ok(event) = self.events.try_recv() {
-            match event {
-                FsEvent::Created(path) => report.created += self.on_created(&path)?,
-                FsEvent::Modified(path) => report.modified += self.on_modified(&path)?,
-                FsEvent::Removed(path) => report.removed += self.on_removed(&path)?,
-            }
-        }
+        apply_in_order(&self.retry, &self.events, |event| match event {
+            FsEvent::Created(path) => self.on_created(path).map(|n| report.created += n),
+            FsEvent::Modified(path) => self.on_modified(path).map(|n| report.modified += n),
+            FsEvent::Removed(path) => self.on_removed(path).map(|n| report.removed += n),
+        })?;
         Ok(report)
     }
 
@@ -331,6 +365,8 @@ pub struct ImapSynchronizationManager {
     indexes: Arc<IndexBundle>,
     plugin: Arc<ImapPlugin>,
     events: Receiver<idm_email::imap::MailEvent>,
+    /// As [`SynchronizationManager`]'s: the event to apply first.
+    retry: Mutex<Option<idm_email::imap::MailEvent>>,
     converters: ConverterRegistry,
 }
 
@@ -347,24 +383,23 @@ impl ImapSynchronizationManager {
             indexes,
             plugin,
             events,
+            retry: Mutex::new(None),
             converters: ConverterRegistry::with_defaults(),
         }
     }
 
-    /// Processes all pending mail notifications.
+    /// Processes all pending mail notifications; an event that failed on
+    /// a transient fault is kept and retried first, any other failed one
+    /// dropped, as in [`SynchronizationManager::sync_round`].
     pub fn sync_round(&self) -> Result<SyncReport> {
         use idm_email::imap::MailEvent;
         let mut report = SyncReport::default();
-        while let Ok(event) = self.events.try_recv() {
-            match event {
-                MailEvent::Delivered(mailbox, uid) => {
-                    report.created += self.on_delivered(mailbox, uid)?;
-                }
-                MailEvent::Deleted(_mailbox, uid) => {
-                    report.removed += self.on_deleted(uid)?;
-                }
-            }
-        }
+        apply_in_order(&self.retry, &self.events, |event| match event {
+            MailEvent::Delivered(mailbox, uid) => self
+                .on_delivered(*mailbox, *uid)
+                .map(|n| report.created += n),
+            MailEvent::Deleted(_mailbox, uid) => self.on_deleted(*uid).map(|n| report.removed += n),
+        })?;
         Ok(report)
     }
 
@@ -467,9 +502,13 @@ impl SyncDriver for ImapSynchronizationManager {
 
 /// Coordinates sync rounds across every attached source with per-source
 /// fault isolation: each driver runs under its own retry/breaker guard,
-/// and a source that still fails is *quarantined* for the round — its
-/// name is reported, its events stay queued for the next round — while
-/// the remaining sources sync normally.
+/// whose retry re-runs the driver's round — and that round starts with
+/// the event that just failed, which the driver kept if the fault was a
+/// transient one (an event that failed for good, e.g. because its file
+/// was removed again, is dropped and the retry carries on behind it). A
+/// source that still fails is *quarantined* for the round — its name is
+/// reported, the kept event and everything behind it wait, in order, for
+/// the next round — while the remaining sources sync normally.
 pub struct SyncCoordinator {
     stats: Arc<FaultStats>,
     sources: Vec<(Arc<dyn SyncDriver>, Arc<SourceGuard>)>,
@@ -780,5 +819,184 @@ mod tests {
         let report = w.sync.poll_filesystem().unwrap();
         assert_eq!(report.created, 0);
         assert_eq!(w.indexes.catalog.len(), count_before);
+    }
+
+    /// Rewrites `a.tex` so that "omega" replaces "alpha".
+    fn rewrite_a(w: &World) {
+        let file = w.fs.resolve("/papers/a.tex").unwrap();
+        w.fs.write_file(file, "\\section{Omega}\nomega text", t().plus_days(1))
+            .unwrap();
+    }
+
+    #[test]
+    fn a_failed_modify_event_is_retried_by_the_next_round() {
+        use idm_core::fault::FaultPlan;
+        let w = world();
+        rewrite_a(&w);
+        w.fs.install_faults(FaultPlan::fail_n(1));
+        let err = w.sync.sync_round().unwrap_err();
+        assert!(matches!(err, IdmError::Substrate { .. }), "{err}");
+        assert_eq!(query(&w, r#""alpha""#), 3, "nothing was half-applied");
+
+        w.fs.clear_faults();
+        let report = w.sync.sync_round().unwrap();
+        assert_eq!(report.modified, 1, "the event was kept: {report:?}");
+        assert_eq!(query(&w, r#""omega""#), 3);
+        assert_eq!(query(&w, r#""alpha""#), 0);
+        assert_eq!(w.sync.sync_round().unwrap(), SyncReport::default());
+    }
+
+    #[test]
+    fn a_failed_create_event_is_retried_in_order() {
+        use idm_core::fault::FaultPlan;
+        let w = world();
+        let dir = w.fs.resolve("/papers").unwrap();
+        w.fs.create_file(dir, "b.tex", "\\section{Bravo}\nbravo text", t())
+            .unwrap();
+        // Behind the event that will fail: a change to another file.
+        rewrite_a(&w);
+        w.fs.install_faults(FaultPlan::fail_n(1));
+        assert!(w.sync.sync_round().is_err());
+        assert_eq!(query(&w, r#""bravo""#), 0);
+        assert_eq!(query(&w, r#""omega""#), 0, "later events wait their turn");
+
+        w.fs.clear_faults();
+        let report = w.sync.sync_round().unwrap();
+        assert!(report.created >= 3, "{report:?}");
+        assert_eq!(report.modified, 1);
+        assert_eq!(query(&w, r#""bravo""#), 3);
+        assert_eq!(query(&w, r#""omega""#), 3);
+    }
+
+    /// An empty, ingested IMAP source with its sync manager attached,
+    /// and a counter of the views named `fresh*`.
+    fn mail_world() -> (
+        Arc<idm_email::ImapServer>,
+        ImapSynchronizationManager,
+        impl Fn() -> usize,
+    ) {
+        use crate::source::{DataSourcePlugin, ImapPlugin};
+        let server = Arc::new(idm_email::ImapServer::in_process());
+        let store = Arc::new(ViewStore::new());
+        let indexes = Arc::new(IndexBundle::new());
+        let rvm = ResourceViewManager::new(Arc::clone(&store), Arc::clone(&indexes));
+        let plugin = Arc::new(ImapPlugin::new(Arc::clone(&server)));
+        rvm.register_source(Arc::clone(&plugin) as Arc<dyn DataSourcePlugin>);
+        rvm.ingest_all().unwrap();
+        let sync =
+            ImapSynchronizationManager::attach(plugin, Arc::clone(&store), Arc::clone(&indexes));
+        let fresh = move || {
+            QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes))
+                .execute(r#"//fresh*"#)
+                .unwrap()
+                .rows
+                .len()
+        };
+        (server, sync, fresh)
+    }
+
+    fn fresh_message() -> idm_email::message::EmailMessage {
+        idm_email::message::EmailMessage {
+            subject: "fresh figures".into(),
+            date: t(),
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn a_failed_delivery_is_retried_by_the_next_round() {
+        use idm_core::fault::FaultPlan;
+        let (server, sync, fresh) = mail_world();
+        server.append(server.inbox(), &fresh_message()).unwrap();
+        server.install_faults(FaultPlan::fail_n(1));
+        assert!(sync.sync_round().is_err());
+        assert_eq!(fresh(), 0);
+
+        server.clear_faults();
+        let report = sync.sync_round().unwrap();
+        assert!(report.created >= 1, "the delivery was kept: {report:?}");
+        assert_eq!(fresh(), 1);
+    }
+
+    /// An event that can never succeed — its file or message was removed
+    /// again before the round — must not be parked: it would fail every
+    /// later round and hold back everything behind it.
+    #[test]
+    fn an_event_for_a_file_that_is_gone_again_does_not_block_the_source() {
+        let w = world();
+        let dir = w.fs.resolve("/papers").unwrap();
+        // An editor's temp file: created and removed between two rounds.
+        let tmp = w.fs.create_file(dir, "tmp.tex", "scratch", t()).unwrap();
+        w.fs.remove(tmp).unwrap();
+        rewrite_a(&w);
+        let err = w.sync.sync_round().unwrap_err();
+        assert!(matches!(err, IdmError::Provider { .. }), "{err}");
+        let report = w.sync.sync_round().unwrap();
+        assert_eq!((report.created, report.modified), (0, 1), "{report:?}");
+        assert_eq!(query(&w, r#""omega""#), 3);
+        assert_eq!(query(&w, r#"//tmp.tex"#), 0);
+        assert_eq!(w.sync.sync_round().unwrap(), SyncReport::default());
+    }
+
+    #[test]
+    fn a_write_to_a_file_that_is_then_removed_does_not_block_the_source() {
+        let w = world();
+        rewrite_a(&w);
+        let file = w.fs.resolve("/papers/a.tex").unwrap();
+        w.fs.remove(file).unwrap();
+        assert!(w.sync.sync_round().is_err(), "the Modified event fails");
+        let report = w.sync.sync_round().unwrap();
+        assert!(report.removed >= 2, "the Removed event applied: {report:?}");
+        assert_eq!(query(&w, r#"//a.tex"#), 0);
+        assert_eq!(query(&w, r#""alpha""#), 0);
+        assert_eq!(w.sync.sync_round().unwrap(), SyncReport::default());
+    }
+
+    #[test]
+    fn a_delivery_that_is_deleted_again_does_not_block_the_source() {
+        let (server, sync, fresh) = mail_world();
+        let uid = server.append(server.inbox(), &fresh_message()).unwrap();
+        server.delete(server.inbox(), uid).unwrap();
+        server.append(server.inbox(), &fresh_message()).unwrap();
+        assert!(sync.sync_round().is_err(), "the first delivery is gone");
+        let report = sync.sync_round().unwrap();
+        assert!(report.created >= 1, "the second one applied: {report:?}");
+        assert_eq!(fresh(), 1);
+        assert_eq!(sync.sync_round().unwrap(), SyncReport::default());
+    }
+
+    #[test]
+    fn the_coordinators_retry_applies_the_event_that_failed() {
+        use idm_core::fault::{CircuitBreaker, FaultPlan, RetryPolicy};
+        let w = world();
+        rewrite_a(&w);
+        let World {
+            fs,
+            store,
+            indexes,
+            sync,
+        } = w;
+        let mut coordinator = SyncCoordinator::new();
+        let guard = SourceGuard::new(
+            "filesystem",
+            RetryPolicy::immediate(2),
+            CircuitBreaker::new(10, std::time::Duration::ZERO),
+            Arc::clone(coordinator.fault_stats()),
+        );
+        coordinator.attach_guarded(Arc::new(sync), guard);
+
+        fs.install_faults(FaultPlan::fail_n(1));
+        let report = coordinator.sync_round();
+        assert!(report.quarantined.is_empty(), "{report:?}");
+        assert!(report.retries >= 1);
+        assert_eq!(report.modified, 1, "one round applied the change");
+        let rows = |iql: &str| {
+            QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes))
+                .execute(iql)
+                .unwrap()
+                .rows
+                .len()
+        };
+        assert_eq!((rows(r#""omega""#), rows(r#""alpha""#)), (3, 0));
     }
 }

@@ -247,7 +247,7 @@ impl Shell {
             Ok(live) => {
                 println!(
                     "subscription #{}: {} initial result(s); \\live shows changes",
-                    live.id(),
+                    self.subscriptions.len() + 1,
                     live.initial().rows.len()
                 );
                 self.subscriptions.push((iql.to_owned(), live));
@@ -265,7 +265,7 @@ impl Shell {
         }
         let records = self.system.pump_subscriptions();
         let mut quiet = 0;
-        for (iql, live) in &self.subscriptions {
+        for (n, (iql, live)) in self.subscriptions.iter().enumerate() {
             let deltas = live.poll();
             if deltas.is_empty() {
                 quiet += 1;
@@ -274,7 +274,7 @@ impl Shell {
             for delta in deltas {
                 println!(
                     "subscription #{} {iql}: +{} -{} ({} total)",
-                    live.id(),
+                    n + 1,
                     delta.added.len(),
                     delta.removed.len(),
                     delta.total
@@ -414,8 +414,8 @@ impl Shell {
         );
         let live = self.system.live_stats();
         println!(
-            "live queries:     {} active, {} delta(s) pushed, {} record(s) applied, \
-             {} failed maintenance pass(es), {} resync(s), {} dropped",
+            "live queries:     {} handle(s), {} delta(s) pushed, {} record(s) applied \
+             (once per distinct plan), {} failed maintenance pass(es), {} resync(s), {} dropped",
             live.active,
             live.deltas_pushed,
             live.records_applied,
@@ -464,10 +464,13 @@ commands:
   \\governor [c q ms]    enable admission control (max concurrent, max
                         queued, queue deadline ms; defaults 4 16 100)
   \\subscribe <iql>      register a standing query, incrementally
-                        maintained as the dataspace changes
+                        maintained as the dataspace changes; it shares
+                        one standing result with the cached answer and
+                        with any other subscription of the same plan
   \\live                 apply pending changes and print each standing
                         query's deltas
-  :stats                store, index, budget and governor statistics
+  :stats                store, index, standing-result, budget and governor
+                        statistics
   :help                 this text
   :quit                 exit
 (\\ and : are interchangeable command prefixes)";
