@@ -86,16 +86,17 @@ impl NamePattern {
                     p += 1;
                     t = next_char(text, t);
                 }
-                // Before the `*` arm: facing a `*` in the name, a pattern
-                // `*` is taken as that literal.
-                Some(&literal) if literal == text[t] => {
-                    p += 1;
-                    t += 1;
-                }
+                // Before the literal arm: a pattern `*` is the wildcard
+                // even when the name has a `*` here, or there would be no
+                // star to backtrack to.
                 Some(b'*') => {
                     star = Some(p);
                     star_t = t;
                     p += 1;
+                }
+                Some(&literal) if literal == text[t] => {
+                    p += 1;
+                    t += 1;
                 }
                 _ => match star {
                     Some(sp) => {
@@ -442,6 +443,11 @@ mod tests {
             ("*é?", "café→", true),
             ("?onclusion*", "→onclusions", true),
             ("*→", "a→b", false),
+            // A wildcard is a wildcard whatever the name holds there.
+            ("*a", "*ba", true),
+            ("*", "*", true),
+            ("a*", "a*b", true),
+            ("?", "*", true),
         ];
         for (pattern, name, expected) in cases {
             assert_eq!(

@@ -17,10 +17,11 @@
 //! counters are atomics so parallel query workers can share one cache, and
 //! are surfaced per query through [`crate::exec::ExecStats`].
 //!
-//! [`ResultCache`] is the one table of delta-maintained standing
-//! results, keyed by plan fingerprint — a `.cached()` answer and a live
-//! subscription ([`LiveQuery`]) are the same entry — and the one reader
-//! of the store's record feed.
+//! [`ResultCache`] is the one table of standing results, kept current
+//! by gated re-execution ([`crate::delta`]) and keyed by plan
+//! fingerprint — a `.cached()` answer and a live subscription
+//! ([`LiveQuery`]) are the same entry — and the one reader of the
+//! store's record feed.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
@@ -376,8 +377,8 @@ pub struct LiveStats {
     pub records_applied: u64,
     /// Maintenance passes that failed (each triggers a resync attempt).
     pub maintain_failures: u64,
-    /// Standing results rebuilt by a counted full recompute after a
-    /// failed maintenance pass or a record-log overflow.
+    /// Standing results made current by an unconditional re-execution
+    /// after a failed maintenance pass or a record-log overflow.
     pub resyncs: u64,
     /// Handles pruned (receiver dropped, or the standing result failed
     /// [`MAX_CONSECUTIVE_MAINTENANCE_FAILURES`] resyncs in a row).
@@ -501,10 +502,11 @@ fn injected_error(op: &str) -> IdmError {
     }
 }
 
-/// The one table of **delta-maintained standing results**, keyed by the
-/// normalized plan fingerprint ([`crate::plan::Plan::fingerprint`]): a
-/// `.cached()` answer and a live subscription are the same entry, the
-/// second merely has listeners.
+/// The one table of **standing results kept current by gated
+/// re-execution**, keyed by the normalized plan fingerprint
+/// ([`crate::plan::Plan::fingerprint`]): a `.cached()` answer and a
+/// live subscription are the same entry, the second merely has
+/// listeners.
 ///
 /// Keying on the plan rather than the query string means two spellings
 /// that plan identically (whitespace, conjunct order the optimizer
@@ -516,13 +518,15 @@ fn injected_error(op: &str) -> IdmError {
 /// [`crate::exec::QueryProcessor::pump`] for entries with listeners —
 /// first takes it through one private `advance` step: apply the log
 /// suffix the entry has not seen
-/// ([`crate::exec::QueryProcessor::maintain`]), stamp it at the log's
-/// end, send the non-empty delta to its listeners. A subscriber so never
-/// misses a change a lookup applied first, and a cached query of a
-/// subscribed plan is a free hit. Application is version-gated by
-/// per-entry log offsets, and convergent — replaying records an
-/// execution already observed is a no-op — which is what makes the
-/// mark/admit protocol safe without blocking writers.
+/// ([`crate::exec::QueryProcessor::maintain`]: nothing, when the suffix
+/// wrote no index the plan reads; one execution of the plan otherwise),
+/// stamp it at the log's end, send the non-empty delta to its
+/// listeners. A subscriber so never misses a change a lookup applied
+/// first, and a cached query of a subscribed plan is a free hit.
+/// Application is version-gated by per-entry log offsets, and
+/// convergent — replaying records an execution already observed is a
+/// no-op — which is what makes the mark/admit protocol safe without
+/// blocking writers.
 ///
 /// What listeners change:
 /// - **Failure.** A plain entry that fails to maintain is evicted and
@@ -543,13 +547,13 @@ fn injected_error(op: &str) -> IdmError {
 ///   instead of replaying them — a feed is never silently cut — and one
 ///   that a recent pump made current just applies its short suffix.
 ///
-/// **Locking.** The table has one mutex and `advance` runs under it,
-/// including a resync — a full, unbudgeted re-execution — and `pump`
-/// advances every entry with listeners in one critical section. While
-/// that lasts, every other `.cached()` lookup, `mark`/`admit`,
-/// subscription and `live_stats` call on this processor waits. The
-/// ordinary case is an incremental `maintain` of a short suffix; a
-/// resync only follows a fault or an overflow.
+/// **Locking.** The table has one mutex and `advance` runs under it —
+/// an unbudgeted execution of the plan unless the suffix wrote nothing
+/// the plan reads — and `pump` advances every entry with listeners in
+/// one critical section. While that lasts, every other `.cached()`
+/// lookup, `mark`/`admit`, subscription and `live_stats` call on this
+/// processor waits. A resync is the same execution without the gate,
+/// and only follows a fault or an overflow.
 ///
 /// **Only complete results belong here.** A budget-truncated
 /// (`stats.partial`) result is a sound *subset* of the true rows;
@@ -700,8 +704,8 @@ impl ResultCache {
                 Some(delta)
             }
             // The rows can no longer be trusted as-is. Someone is
-            // listening, so resynchronize them with a counted full
-            // recompute rather than cutting the feed.
+            // listening, so resynchronize them with a counted
+            // re-execution rather than cutting the feed.
             failed if watched => {
                 inner.live.maintain_failures += u64::from(failed.is_some());
                 let resynced = if take_one(&mut inner.inject_resync_failures) {
@@ -733,7 +737,7 @@ impl ResultCache {
         true
     }
 
-    /// The maintained rows for a plan fingerprint, brought up to date
+    /// The standing rows for a plan fingerprint, brought up to date
     /// first; `listener`, when given, is attached to the entry in the
     /// same step, so the rows returned are exactly what its deltas
     /// build on. `None` (a miss) when there is no entry or it could not
@@ -802,8 +806,7 @@ impl ResultCache {
         mark
     }
 
-    /// Abandons an execution mark (error, partial result, or
-    /// unmaintainable plan shape).
+    /// Abandons an execution mark (error or partial result).
     pub(crate) fn release(&self, mark: u64) {
         let mut inner = self.inner.lock();
         if let Some(pos) = inner.marks.iter().position(|&m| m == mark) {

@@ -26,7 +26,7 @@ use idm_index::IndexBundle;
 use crate::ast::*;
 use crate::budget::{BudgetConsumption, BudgetTracker, QueryBudget, Tick};
 use crate::cache::{ExpansionCache, LiveQuery, ResultCache};
-use crate::delta::{self, ResultDelta};
+use crate::delta::ResultDelta;
 use crate::par;
 use crate::parser::parse;
 use crate::plan::{AccessKind, BuildSide, OperatorCounts, Plan, PlanNode, PlanOp};
@@ -294,8 +294,9 @@ impl QueryProcessor {
 
     /// Executes a plan — the same object [`Plan::render`] prints —
     /// under the processor's configured budget. This is the only
-    /// evaluation path; `execute`/`execute_ast` are parse/plan
-    /// front-ends to it.
+    /// evaluation path: `execute`/`execute_ast` are parse/plan
+    /// front-ends to it, and a standing result is brought up to date by
+    /// running it again ([`QueryProcessor::maintain`]).
     pub fn execute_plan(&self, plan: &Plan) -> Result<QueryResult> {
         self.execute_plan_with(plan, self.options.budget)
     }
@@ -303,26 +304,11 @@ impl QueryProcessor {
     /// [`QueryProcessor::execute_plan`] under an explicit budget (a
     /// request's own, or a federation peer's slice of the deadline).
     pub fn execute_plan_with(&self, plan: &Plan, budget: QueryBudget) -> Result<QueryResult> {
-        self.execute_capturing(plan, budget, None)
-    }
-
-    /// [`QueryProcessor::execute_plan_with`] with an optional per-node
-    /// row capture. When `cap` is given, every plan node pushes its
-    /// output rows in post-order (children before parents, inputs in
-    /// plan order) — the seed a [`crate::delta::MaintainedPlan`] is
-    /// built from. A truncated (partial) run may capture fewer entries
-    /// than the plan has nodes; partial captures are never used.
-    pub(crate) fn execute_capturing(
-        &self,
-        plan: &Plan,
-        budget: QueryBudget,
-        cap: Option<&mut Vec<ResultRows>>,
-    ) -> Result<QueryResult> {
         let before = self.cache.counters();
         let fault_before = self.fault_stats.as_ref().map(|s| s.snapshot());
         let tracker = BudgetTracker::start(budget);
         let mut stats = ExecStats::default();
-        let rows = self.eval_node(&plan.root, &mut stats, &tracker, cap)?;
+        let rows = self.eval_node(&plan.root, &mut stats, &tracker)?;
         stats.partial = tracker.tripped();
         stats.exhausted = tracker.exhaustion();
         stats.consumed = tracker.consumption();
@@ -342,37 +328,38 @@ impl QueryProcessor {
     /// The cached execution path over an already-built plan
     /// ([`QueryRequest::cached`](crate::request::QueryRequest::cached)):
     /// consults the standing-result table first, keyed by the plan's
-    /// normalized fingerprint. A hit returns the maintained rows without
-    /// touching the indexes (stats show `result_cache_hits = 1` and no
-    /// operator work); a miss executes the plan and seeds a
-    /// delta-maintained standing result. Store changes do not clear the
-    /// cache — pending [`ChangeRecord`]s are applied to each entry when
-    /// it is next read ([`crate::delta`]).
+    /// normalized fingerprint. A hit returns the standing rows (stats
+    /// show `result_cache_hits = 1` and no operator work); a miss
+    /// executes the plan and seeds a standing result. Store changes do
+    /// not clear the cache — pending [`ChangeRecord`]s are applied to
+    /// each entry when it is next read ([`crate::delta`]), so a hit
+    /// touches no index only while nothing the plan reads was written
+    /// since the last one; otherwise it re-executes the plan first.
     pub(crate) fn run_cached(&self, plan: &Plan, budget: QueryBudget) -> Result<QueryResult> {
-        Ok(self.run_standing(plan, budget, None)?.0)
+        self.run_standing(plan, budget, None)
     }
 
     /// Answers `plan` from its standing result — looked up, or executed
     /// under `budget` and seeded — attaching `listener` to that entry.
-    /// The flag is false when the execution left nothing standing.
+    /// A partial result is returned as it is and leaves nothing standing.
     fn run_standing(
         &self,
         plan: &Plan,
         budget: QueryBudget,
         listener: Option<&Sender<ResultDelta>>,
-    ) -> Result<(QueryResult, bool)> {
+    ) -> Result<QueryResult> {
         let fingerprint = plan.fingerprint();
         if let Some(rows) = self.results.lookup(self, fingerprint, listener) {
             let stats = ExecStats {
                 result_cache_hits: 1,
                 ..ExecStats::default()
             };
-            return Ok((QueryResult { rows, stats }, true));
+            return Ok(QueryResult { rows, stats });
         }
         // Mark the record-log position *before* executing so changes
         // committed mid-execution are replayed onto the seeded entry
-        // (delta application is convergent, so replaying a change the
-        // execution already saw is harmless).
+        // (replaying a change the execution already saw re-reads the
+        // same indexes, so it is harmless).
         let mark = self.results.mark();
         let (result, standing) = match self.execute_standing(plan, budget) {
             Ok(seeded) => seeded,
@@ -382,14 +369,13 @@ impl QueryProcessor {
             }
         };
         // No standing state — a truncated (partial-budget) run, whose
-        // subset of the true rows must never be served as complete, or
-        // an unmaintainable plan shape — leaves nothing to admit.
-        let seeded = standing.is_some();
+        // subset of the true rows must never be served as complete —
+        // leaves nothing to admit.
         match standing {
             Some(state) => self.results.admit(fingerprint, state, mark, listener),
             None => self.results.release(mark),
         }
-        Ok((result, seeded))
+        Ok(result)
     }
 
     /// Registers `request` as a standing query: its plan's entry in the
@@ -404,15 +390,12 @@ impl QueryProcessor {
         let plan = self.plan_iql(request.iql())?;
         let budget = request.requested_budget().unwrap_or(QueryBudget::none());
         let (tx, deltas) = unbounded();
-        let (initial, standing) = self.run_standing(&plan, budget, Some(&tx))?;
-        if !standing {
+        let initial = self.run_standing(&plan, budget, Some(&tx))?;
+        if initial.stats.partial {
             return Err(IdmError::Provider {
-                detail: if initial.stats.partial {
+                detail:
                     "subscribe: budget-truncated (partial) execution cannot seed a standing result"
-                        .into()
-                } else {
-                    "subscribe: plan shape is not maintainable".into()
-                },
+                        .into(),
                 source: Some("live".into()),
                 vid: None,
             });
@@ -475,10 +458,9 @@ impl QueryProcessor {
         node: &PlanNode,
         stats: &mut ExecStats,
         tracker: &BudgetTracker,
-        mut cap: Option<&mut Vec<ResultRows>>,
     ) -> Result<ResultRows> {
         tracker.checkpoint(node.op.label())?;
-        let rows = match &node.op {
+        Ok(match &node.op {
             PlanOp::IndexAccess(access) => {
                 stats.ops.index_accesses += 1;
                 if tracker.tripped() {
@@ -512,16 +494,12 @@ impl QueryProcessor {
                 // intersection.
                 let mut iter = inputs.iter();
                 let mut acc = match iter.next() {
-                    Some(first) => self
-                        .eval_node(first, stats, tracker, cap.as_deref_mut())?
-                        .into_views(),
+                    Some(first) => self.eval_node(first, stats, tracker)?.into_views(),
                     None => Vec::new(),
                 };
                 for input in iter {
-                    let sorted = self
-                        .eval_node(input, stats, tracker, cap.as_deref_mut())?
-                        .into_views();
-                    acc.retain(|v| delta::contains(&sorted, *v));
+                    let sorted = self.eval_node(input, stats, tracker)?.into_views();
+                    acc.retain(|v| sorted.binary_search(v).is_ok());
                 }
                 stats.candidates_examined += acc.len();
                 tracker.charge_rows(acc.len(), "intersect")?;
@@ -531,7 +509,7 @@ impl QueryProcessor {
                 stats.ops.unions += 1;
                 let mut acc: Vec<Vid> = Vec::new();
                 for input in inputs {
-                    match self.eval_node(input, stats, tracker, cap.as_deref_mut())? {
+                    match self.eval_node(input, stats, tracker)? {
                         ResultRows::Views(v) => acc.extend(v),
                         ResultRows::Pairs(_) => {
                             return Err(IdmError::Parse {
@@ -549,7 +527,7 @@ impl QueryProcessor {
             PlanOp::Complement(exclude) => {
                 stats.ops.complements += 1;
                 let exclude: HashSet<Vid> = self
-                    .eval_node(exclude, stats, tracker, cap.as_deref_mut())?
+                    .eval_node(exclude, stats, tracker)?
                     .into_views()
                     .into_iter()
                     .collect();
@@ -574,12 +552,8 @@ impl QueryProcessor {
                 strategy,
             } => {
                 stats.ops.relates += 1;
-                let ctx = self
-                    .eval_node(context, stats, tracker, cap.as_deref_mut())?
-                    .into_views();
-                let cand = self
-                    .eval_node(candidates, stats, tracker, cap.as_deref_mut())?
-                    .into_views();
+                let ctx = self.eval_node(context, stats, tracker)?.into_views();
+                let cand = self.eval_node(candidates, stats, tracker)?.into_views();
                 ResultRows::Views(self.relate(&ctx, cand, *axis, *strategy, stats, tracker)?)
             }
             PlanOp::HashJoin {
@@ -591,12 +565,8 @@ impl QueryProcessor {
                 ..
             } => {
                 stats.ops.hash_joins += 1;
-                let left_rows = self
-                    .eval_node(left, stats, tracker, cap.as_deref_mut())?
-                    .into_views();
-                let right_rows = self
-                    .eval_node(right, stats, tracker, cap.as_deref_mut())?
-                    .into_views();
+                let left_rows = self.eval_node(left, stats, tracker)?.into_views();
+                let right_rows = self.eval_node(right, stats, tracker)?.into_views();
                 self.hash_join(
                     left_rows,
                     right_rows,
@@ -606,16 +576,12 @@ impl QueryProcessor {
                     tracker,
                 )?
             }
-        };
-        if let Some(cap) = cap {
-            cap.push(rows.clone());
-        }
-        Ok(rows)
+        })
     }
 
     /// One index posting-list read — the plan's leaf accesses. Every
     /// index returns its vids sorted.
-    pub(crate) fn eval_access(&self, access: &AccessKind) -> Vec<Vid> {
+    fn eval_access(&self, access: &AccessKind) -> Vec<Vid> {
         match access {
             AccessKind::Name(pattern) => self.indexes.name.matching(pattern),
             AccessKind::Content(phrase) => self.indexes.content.phrase_query(phrase),
@@ -629,7 +595,7 @@ impl QueryProcessor {
         }
     }
 
-    pub(crate) fn all_vids(&self) -> Vec<Vid> {
+    fn all_vids(&self) -> Vec<Vid> {
         self.indexes.catalog.vids()
     }
 
@@ -662,7 +628,7 @@ impl QueryProcessor {
     /// `Bidirectional` hybrid is resolved here, at run time, from the
     /// actual frontier sizes (the plan records the *policy*, the
     /// executor the cheap side).
-    pub(crate) fn relate(
+    fn relate(
         &self,
         context: &[Vid],
         candidates: Vec<Vid>,
@@ -846,7 +812,7 @@ impl QueryProcessor {
 
     // ---- joins ---------------------------------------------------------
 
-    pub(crate) fn field_key(&self, vid: Vid, field: &Field) -> Option<String> {
+    fn field_key(&self, vid: Vid, field: &Field) -> Option<String> {
         match field {
             // Borrow-based store reads: cloning a full catalog entry per
             // probe made the join build/probe loops allocation-bound. The

@@ -90,8 +90,8 @@ impl QueryRequest {
     }
 
     /// Routes through the whole-result cache: a fingerprint hit serves
-    /// the delta-maintained standing rows; a miss executes and seeds a
-    /// standing result (never from a partial execution).
+    /// the standing rows, brought up to date first; a miss executes and
+    /// seeds a standing result (never from a partial execution).
     pub fn cached(mut self) -> Self {
         self.cached = true;
         self

@@ -3,7 +3,7 @@
 //! A subscription is a [`QueryRequest`] whose result *stays* answered,
 //! and it is not a second store of results: [`Pdsms::subscribe`]
 //! attaches a listener to the request's entry in the system processor's
-//! one table of delta-maintained standing results
+//! one table of standing results
 //! ([`idm_query::ResultCache`] — the entry a `.cached()` request of the
 //! same plan reads and every subscription that plans identically
 //! shares), seeding it first if nobody has. How an entry is kept
@@ -337,6 +337,35 @@ mod tests {
         sync.sync_round().unwrap();
         system.pump_subscriptions();
         assert!(live.poll().is_empty(), "unrelated change, no delta");
+    }
+
+    #[test]
+    fn an_attribute_update_reaches_every_handle_of_a_path_query_once() {
+        // No insert, remove or group record: the batch is one SetTuple.
+        let (_fs, system, _sync) = system_with_file("a.txt", "database tuning");
+        let iql = "//docs//*[size > 1000000]";
+        let handles: Vec<LiveQuery> = (0..3)
+            .map(|_| system.subscribe(&QueryRequest::new(iql)).unwrap())
+            .collect();
+        assert!(handles.iter().all(|live| live.initial().rows.is_empty()));
+
+        let outcome = system
+            .processor()
+            .execute_update("update //a.txt set size = 5000000")
+            .unwrap();
+        assert_eq!(outcome.applied, 1);
+        assert!(system.pump_subscriptions() >= 1);
+        for live in &handles {
+            let mut rows = Default::default();
+            assert_eq!(accumulate(&mut rows, live).len(), 1);
+            assert_eq!(rows, fresh_rows(&system, iql));
+            assert_eq!(rows.len(), 1);
+        }
+
+        let pushed = system.live_stats().deltas_pushed;
+        assert_eq!(system.pump_subscriptions(), 0);
+        assert_eq!(system.live_stats().deltas_pushed, pushed);
+        assert!(handles.iter().all(|live| live.poll().is_empty()));
     }
 
     #[test]

@@ -456,14 +456,17 @@ impl ImapSynchronizationManager {
                 removed += 1;
             }
         }
-        // Detach the dangling reference from the parent folder.
-        for folder_vid in self.indexes.catalog.by_class("mailfolder") {
-            let members = self.store.group(folder_vid)?.finite_members();
+        // Detach the dangling reference from every group that still
+        // holds it: the replica keeps a removed view's in-edges.
+        for parent in self.indexes.group.parents(vid) {
+            if !self.store.contains(parent) {
+                continue;
+            }
+            let members = self.store.group(parent)?.finite_members();
             if members.contains(&vid) {
                 let kept: Vec<Vid> = members.into_iter().filter(|m| *m != vid).collect();
-                self.store
-                    .set_group(folder_vid, Group::of_set(kept.clone()))?;
-                self.indexes.group.index(folder_vid, &kept);
+                self.store.set_group(parent, Group::of_set(kept.clone()))?;
+                self.indexes.group.index(parent, &kept);
             }
         }
         Ok(removed)
@@ -771,6 +774,63 @@ mod tests {
         // The folder group no longer references the dead view.
         let folder = plugin.folder_view(olap).unwrap();
         assert_eq!(store.group(folder).unwrap().finite_members().len(), 1);
+    }
+
+    #[test]
+    fn imap_delete_rewrites_only_the_folder_that_held_the_message() {
+        use crate::source::{DataSourcePlugin, ImapPlugin};
+        use idm_email::message::EmailMessage;
+        use idm_email::ImapServer;
+
+        let server = Arc::new(ImapServer::in_process());
+        let mail = |subject: &str| EmailMessage {
+            subject: subject.into(),
+            body: subject.into(),
+            date: t(),
+            ..EmailMessage::default()
+        };
+        let olap = server.create_mailbox(server.inbox(), "OLAP").unwrap();
+        let oltp = server.create_mailbox(server.inbox(), "OLTP").unwrap();
+        server.append(olap, &mail("cube rollup")).unwrap();
+        server.append(oltp, &mail("lock escalation")).unwrap();
+        let doomed = server.append(oltp, &mail("deadlock postmortem")).unwrap();
+
+        let store = Arc::new(ViewStore::new());
+        let indexes = Arc::new(IndexBundle::new());
+        let rvm = ResourceViewManager::new(Arc::clone(&store), Arc::clone(&indexes));
+        let plugin = Arc::new(ImapPlugin::new(Arc::clone(&server)));
+        rvm.register_source(Arc::clone(&plugin) as Arc<dyn DataSourcePlugin>);
+        rvm.ingest_all().unwrap();
+        let sync = ImapSynchronizationManager::attach(
+            Arc::clone(&plugin),
+            Arc::clone(&store),
+            Arc::clone(&indexes),
+        );
+        let q = |iql: &str| {
+            QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes))
+                .execute(iql)
+                .unwrap()
+                .rows
+                .len()
+        };
+        assert_eq!(q(r#""postmortem""#), 1);
+
+        let (first, second) = (
+            plugin.folder_view(olap).unwrap(),
+            plugin.folder_view(oltp).unwrap(),
+        );
+        let doomed_view = plugin.message_view(doomed).unwrap();
+        let first_version = store.version(first).unwrap();
+        let mut expected = store.group(second).unwrap().finite_members();
+        expected.retain(|m| *m != doomed_view);
+
+        server.delete(oltp, doomed).unwrap();
+        let report = sync.sync_round().unwrap();
+        assert!(report.removed >= 1, "{report:?}");
+        assert_eq!(store.version(first).unwrap(), first_version);
+        assert_eq!(store.group(second).unwrap().finite_members(), expected);
+        assert_eq!(indexes.group.children(second), expected);
+        assert_eq!(q(r#""postmortem""#), 0);
     }
 
     #[test]

@@ -463,8 +463,8 @@ commands:
                         nodes=<n> bytes=<n> partial|strict|off
   \\governor [c q ms]    enable admission control (max concurrent, max
                         queued, queue deadline ms; defaults 4 16 100)
-  \\subscribe <iql>      register a standing query, incrementally
-                        maintained as the dataspace changes; it shares
+  \\subscribe <iql>      register a standing query, kept current as
+                        the dataspace changes; it shares
                         one standing result with the cached answer and
                         with any other subscription of the same plan
   \\live                 apply pending changes and print each standing
