@@ -186,10 +186,12 @@ pub struct ViewStore {
     classes: Arc<ClassRegistry>,
     subscribers: Mutex<Vec<Sender<ChangeEvent>>>,
     /// Subscribers to the full logical change records (the same records
-    /// the WAL persists). Incremental view maintenance consumes these;
-    /// the flag keeps the fan-out free for stores nobody watches.
+    /// the WAL persists); the flag keeps the fan-out free for stores
+    /// nobody watches.
     record_subscribers: Mutex<Vec<Sender<ChangeRecord>>>,
     record_fanout: std::sync::atomic::AtomicBool,
+    /// Committed mutations since construction ([`ViewStore::change_count`]).
+    changes: AtomicU64,
     /// The attached write-ahead log, if this store is durable. Mutators
     /// append their change record under the shard write lock, so WAL
     /// order per view matches commit order.
@@ -239,6 +241,7 @@ impl ViewStore {
             subscribers: Mutex::new(Vec::new()),
             record_subscribers: Mutex::new(Vec::new()),
             record_fanout: std::sync::atomic::AtomicBool::new(false),
+            changes: AtomicU64::new(0),
             wal: RwLock::new(None),
         }
     }
@@ -745,10 +748,9 @@ impl ViewStore {
 
     /// Subscribes to the full logical [`ChangeRecord`] stream — the same
     /// records the WAL persists, carrying the changed component values
-    /// rather than just a [`ChangeKind`]. Incremental view maintenance
-    /// (standing queries, the result cache) consumes this. Only records
-    /// committed after subscription flow; construction of the records is
-    /// skipped entirely while nobody is subscribed and no WAL is armed.
+    /// rather than just a [`ChangeKind`]. Only records committed after
+    /// subscription flow; construction of the records is skipped entirely
+    /// while nobody is subscribed and no WAL is armed.
     pub fn subscribe_records(&self) -> Receiver<ChangeRecord> {
         let (tx, rx) = unbounded();
         self.record_subscribers.lock().push(tx);
@@ -762,7 +764,17 @@ impl ViewStore {
         self.record_fanout.load(Ordering::Acquire)
     }
 
+    /// How many mutations have committed since construction: every
+    /// insert (one per view of a batch), remove, component change and
+    /// group-member add. The bump is a `Release` after the change is
+    /// applied and this load an `Acquire`, so a reader that reads the
+    /// count before reading the store sees every change it counts.
+    pub fn change_count(&self) -> u64 {
+        self.changes.load(Ordering::Acquire)
+    }
+
     fn emit(&self, vid: Vid, kind: ChangeKind) {
+        self.changes.fetch_add(1, Ordering::Release);
         let mut subs = self.subscribers.lock();
         if subs.is_empty() {
             return;
@@ -1183,6 +1195,24 @@ mod tests {
         drop(rx);
         store.set_content(vid, Content::text("again")).unwrap();
         assert!(!store.records_wanted());
+    }
+
+    #[test]
+    fn the_change_count_moves_once_per_committed_mutation() {
+        let store = ViewStore::new();
+        let a = store.build("a").insert();
+        let batch = vec![
+            store.build("b").into_record(),
+            store.build("c").into_record(),
+        ];
+        let b = store.insert_batch(batch)[0];
+        store.set_content(a, Content::text("body")).unwrap();
+        store.add_group_member(a, b, false).unwrap();
+        store.remove(b).unwrap();
+        assert_eq!(store.change_count(), 6);
+        // A rejected mutation commits nothing.
+        assert!(store.set_name(b, None).is_err());
+        assert_eq!(store.change_count(), 6);
     }
 
     #[test]

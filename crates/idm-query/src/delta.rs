@@ -1,66 +1,43 @@
 //! Standing query results kept current (the paper's `refresh_result`
 //! pub/sub, Section 4.3.1, industrialized).
 //!
-//! A [`MaintainedPlan`] is a [`Plan`], the rows it last produced and the
-//! plan's **read set**: which indexes an execution of it reads.
-//! [`QueryProcessor::maintain`] brings the rows up to date with a batch
-//! of logical [`ChangeRecord`]s — the same nine tags the WAL encodes —
-//! in one of two ways, and the records only decide which:
-//!
-//! - the batch wrote no index the plan reads: the rows cannot have
-//!   changed, and the empty delta is returned without touching an index
-//!   ([`DeltaStats::skipped`]);
-//! - otherwise the plan is **re-executed**, unbudgeted, by the ordinary
-//!   plan walker, and the old and new sorted rows are diffed
-//!   ([`DeltaStats::full_recomputes`]).
-//!
-//! The read set is computed once from the plan, the union over its
-//! nodes of:
-//!
-//! | node | reads |
-//! |---|---|
-//! | name / content / tuple / class index access | that index |
-//! | scan, complement | catalog membership (insert, remove) |
-//! | relate | group topology (insert, remove, any group record) — under [`ExecOptions::live_expansion`](crate::exec::ExecOptions::live_expansion), which can force lazy groups mid-walk, everything |
-//! | hash join | the join keys (insert, remove, any name, class or tuple record) |
-//!
-//! and a batch is classified by the same table read backwards; both
-//! sides are conservative, so a set flag means "may", never the reverse.
+//! A [`MaintainedPlan`] is a [`Plan`] and the rows it last produced.
+//! `QueryProcessor::refresh` brings the rows up to date after some
+//! number of store changes (the caller counts them with
+//! [`ViewStore::change_count`]): none leaves the rows as they are; any
+//! other number **re-executes** the plan, unbudgeted, with the ordinary
+//! plan walker and diffs the old and new sorted rows
+//! ([`DeltaStats::full_recomputes`]). The changes say only *that*
+//! something changed, never what to do.
 //!
 //! There is one implementation of every operator — the executor's — so
 //! **standing rows == a fresh execution** holds by construction, at any
-//! parallelism, and applying a batch twice is a no-op: the second pass
-//! re-reads the same indexes.
+//! parallelism, and refreshing twice is a no-op: the second pass re-reads
+//! the same indexes.
 //!
-//! **What this gives up.** A batch without an insert, remove or group
-//! record (an iQL `update` of one attribute, class or content) against a
-//! standing path-shaped plan costs one execution of the plan, where
-//! per-operator delta rules could re-read one leaf and re-test only the
-//! candidates that entered. Every sync event inserts and removes derived
-//! views, so nothing in the repository has that traffic.
+//! **What this gives up.** A change that cannot reach the plan's answer
+//! (an iQL `update` of an attribute or content the plan does not read)
+//! still costs one execution of the plan. Every sync event inserts and
+//! removes derived views, so nothing in the repository has that traffic.
 
 use idm_core::prelude::*;
 
 use crate::budget::QueryBudget;
 use crate::exec::{QueryProcessor, QueryResult, ResultRows};
-use crate::plan::{AccessKind, Plan, PlanNode, PlanOp};
+use crate::plan::Plan;
 
 /// Counters for one standing result's maintenance history.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaStats {
-    /// Non-empty change batches applied.
+    /// Refreshes over at least one store change.
     pub batches: u64,
-    /// Change records consumed across all batches.
+    /// Store changes those refreshes covered.
     pub records: u64,
-    /// Batches that wrote nothing the plan reads: answered with the
-    /// empty delta, no index touched.
-    pub skipped: u64,
     /// Always 0. Kept because the frozen benchmark reads it
     /// (`query.delta.fallback_ratio`); goes when a benchmark change
     /// renames that metric.
     pub relate_fallbacks: u64,
-    /// Passes that executed the plan: every batch not skipped, and
-    /// every resync.
+    /// Passes that executed the plan: every batch, and every resync.
     pub full_recomputes: u64,
 }
 
@@ -95,94 +72,12 @@ impl ResultDelta {
     }
 }
 
-/// A set of index kinds: what a plan reads, or what a batch of change
-/// records may have written. Conservative on both sides.
-#[derive(Debug, Clone, Copy)]
-struct IndexSet(u8);
-
-impl IndexSet {
-    const NONE: IndexSet = IndexSet(0);
-    /// Group topology.
-    const STRUCTURAL: IndexSet = IndexSet(1);
-    /// Catalog membership.
-    const CATALOG: IndexSet = IndexSet(1 << 1);
-    const NAME: IndexSet = IndexSet(1 << 2);
-    const CONTENT: IndexSet = IndexSet(1 << 3);
-    const TUPLE: IndexSet = IndexSet(1 << 4);
-    /// The catalog's class postings.
-    const CLASS: IndexSet = IndexSet(1 << 5);
-    /// A field a join can key on (name, class, tuple attribute).
-    const KEY: IndexSet = IndexSet(1 << 6);
-    /// Every kind above.
-    const ALL: IndexSet = IndexSet(0x7f);
-
-    fn intersects(self, other: IndexSet) -> bool {
-        self.0 & other.0 != 0
-    }
-
-    /// What `records` may have written.
-    fn written_by(records: &[ChangeRecord]) -> IndexSet {
-        records
-            .iter()
-            .map(|record| match record {
-                ChangeRecord::Insert { .. } | ChangeRecord::Remove { .. } => IndexSet::ALL,
-                ChangeRecord::SetName { .. } => IndexSet::NAME | IndexSet::KEY,
-                ChangeRecord::SetTuple { .. } => IndexSet::TUPLE | IndexSet::KEY,
-                ChangeRecord::SetContent { .. } => IndexSet::CONTENT,
-                ChangeRecord::SetClass { .. } => IndexSet::CLASS | IndexSet::KEY,
-                ChangeRecord::SetGroup { .. }
-                | ChangeRecord::AddGroupMember { .. }
-                | ChangeRecord::GroupForced { .. } => IndexSet::STRUCTURAL,
-            })
-            .fold(IndexSet::NONE, |all, one| all | one)
-    }
-
-    /// What an execution of the subtree under `node` reads.
-    fn read_by(node: &PlanNode, live_expansion: bool) -> IndexSet {
-        let below = |node: &PlanNode| IndexSet::read_by(node, live_expansion);
-        match &node.op {
-            PlanOp::IndexAccess(AccessKind::Name(_)) => IndexSet::NAME,
-            PlanOp::IndexAccess(AccessKind::Content(_)) => IndexSet::CONTENT,
-            PlanOp::IndexAccess(AccessKind::Tuple { .. }) => IndexSet::TUPLE,
-            PlanOp::IndexAccess(AccessKind::Catalog(_)) => IndexSet::CLASS,
-            PlanOp::Scan => IndexSet::CATALOG,
-            PlanOp::Intersect(inputs) | PlanOp::UnionOp(inputs) => inputs
-                .iter()
-                .map(below)
-                .fold(IndexSet::NONE, |all, one| all | one),
-            PlanOp::Complement(exclude) => IndexSet::CATALOG | below(exclude),
-            PlanOp::Relate {
-                context,
-                candidates,
-                ..
-            } => {
-                let edges = if live_expansion {
-                    IndexSet::ALL
-                } else {
-                    IndexSet::STRUCTURAL
-                };
-                edges | below(context) | below(candidates)
-            }
-            PlanOp::HashJoin { left, right, .. } => IndexSet::KEY | below(left) | below(right),
-        }
-    }
-}
-
-impl std::ops::BitOr for IndexSet {
-    type Output = IndexSet;
-
-    fn bitor(self, other: IndexSet) -> IndexSet {
-        IndexSet(self.0 | other.0)
-    }
-}
-
-/// A standing query: a plan, the rows it last produced and the indexes
-/// it reads, kept current by [`QueryProcessor::maintain`].
+/// A standing query: a plan and the rows it last produced, kept current
+/// by [`QueryProcessor::maintain`].
 #[derive(Debug, Clone)]
 pub struct MaintainedPlan {
     plan: Plan,
     rows: ResultRows,
-    reads: IndexSet,
     stats: DeltaStats,
 }
 
@@ -274,35 +169,41 @@ fn diff_sorted<T: Ord + Copy>(old: &[T], new: &[T]) -> (Vec<T>, Vec<T>) {
 }
 
 impl QueryProcessor {
-    /// Applies a batch of change records to a standing result, returning
-    /// the net row delta. A batch that wrote no index the plan reads is
-    /// answered with the empty delta; any other re-executes the plan.
-    /// Either way the standing rows afterwards are identical to a fresh
-    /// execution of the plan against the current store and indexes.
+    /// Brings a standing result up to date after `changes` store changes,
+    /// returning the net row delta: none is the empty delta, any other
+    /// number re-executes the plan. Either way the standing rows
+    /// afterwards are identical to a fresh execution of the plan against
+    /// the current store and indexes.
+    pub(crate) fn refresh(
+        &self,
+        standing: &mut MaintainedPlan,
+        changes: u64,
+    ) -> Result<ResultDelta> {
+        if changes == 0 {
+            return Ok(ResultDelta::unchanged(&standing.rows));
+        }
+        standing.stats.batches += 1;
+        standing.stats.records += changes;
+        self.resync(standing)
+    }
+
+    /// Brings a standing result up to date after the store changes
+    /// `records` carry: the refresh the standing-result table runs,
+    /// for a caller that holds the records rather than a count.
     pub fn maintain(
         &self,
         standing: &mut MaintainedPlan,
         records: &[ChangeRecord],
     ) -> Result<ResultDelta> {
-        if records.is_empty() {
-            return Ok(ResultDelta::unchanged(&standing.rows));
-        }
-        standing.stats.batches += 1;
-        standing.stats.records += records.len() as u64;
-        if !IndexSet::written_by(records).intersects(standing.reads) {
-            standing.stats.skipped += 1;
-            return Ok(ResultDelta::unchanged(&standing.rows));
-        }
-        self.resync(standing)
+        self.refresh(standing, records.len() as u64)
     }
 
     /// Re-executes the plan of a standing result and returns the delta
-    /// between the old rows and the fresh ones — what
-    /// [`QueryProcessor::maintain`] does for a batch the plan reads, and
-    /// how a result that may have drifted (a failed pass, a cut record
-    /// log) is made current again. Never budgeted: it runs on behalf of
-    /// a cache hit or a subscription pump, not a governed query. On an
-    /// error the standing rows are left as they were.
+    /// between the old rows and the fresh ones — what a refresh does
+    /// after a change, and how a result whose refresh failed is made
+    /// current again. Never budgeted: it runs on behalf of a cache hit
+    /// or a subscription pump, not a governed query. On an error the
+    /// standing rows are left as they were.
     pub fn resync(&self, standing: &mut MaintainedPlan) -> Result<ResultDelta> {
         let fresh = self.execute_plan_with(&standing.plan, QueryBudget::none())?;
         standing.stats.full_recomputes += 1;
@@ -323,7 +224,6 @@ impl QueryProcessor {
         let standing = (!result.stats.partial).then(|| MaintainedPlan {
             plan: plan.clone(),
             rows: result.rows.clone(),
-            reads: IndexSet::read_by(&plan.root, self.options().live_expansion),
             stats: DeltaStats::default(),
         });
         Ok((result, standing))
@@ -440,7 +340,6 @@ mod tests {
         assert_eq!(delta.added, ResultRows::Views(vec![f.notes]));
         assert_equivalent(&f.p, &standing);
         assert_eq!(standing.stats().full_recomputes, 1);
-        assert_eq!(standing.stats().skipped, 0);
     }
 
     #[test]
@@ -485,6 +384,16 @@ mod tests {
     }
 
     #[test]
+    fn no_change_executes_nothing() {
+        let f = fixture();
+        let mut standing = stand(&f.p, r#""dataspace""#);
+        let delta = f.p.refresh(&mut standing, 0).unwrap();
+        assert!(delta.is_empty());
+        assert_eq!(delta.total, 1);
+        assert_eq!(standing.stats(), DeltaStats::default());
+    }
+
+    #[test]
     fn join_maintains_via_build_side_multimap() {
         let f = fixture();
         // Give the email subsystem a same-named attachment.
@@ -520,7 +429,7 @@ mod tests {
             .index_view(&f.store, f.notes, "filesystem")
             .unwrap();
         // A tuple-only plan and a name-only path plan: neither reads
-        // the content index.
+        // the content index, and both re-execute once all the same.
         let mut standings = [stand(&f.p, "[size > 50]"), stand(&f.p, "//papers//notes*")];
         let records = content_only_batch(&f);
         for standing in &mut standings {
@@ -532,8 +441,7 @@ mod tests {
             assert_eq!(standing.rows(), before);
             assert_equivalent(&f.p, standing);
             let stats = standing.stats();
-            assert_eq!((stats.batches, stats.skipped), (1, 1));
-            assert_eq!(stats.full_recomputes, 0, "the plan was not executed");
+            assert_eq!((stats.batches, stats.full_recomputes), (1, 1));
         }
     }
 
@@ -546,7 +454,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        // The plan the default processor skips a content-only batch for.
+        // A plan that reads no content index, under a content-only batch.
         let mut standing = stand(&live, "//papers//notes*");
         let delta = live
             .maintain(&mut standing, &content_only_batch(&f))
@@ -554,7 +462,7 @@ mod tests {
         assert!(delta.is_empty());
         assert_equivalent(&live, &standing);
         let stats = standing.stats();
-        assert_eq!((stats.skipped, stats.full_recomputes), (0, 1));
+        assert_eq!(stats.full_recomputes, 1);
     }
 
     #[test]

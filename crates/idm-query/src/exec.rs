@@ -331,10 +331,10 @@ impl QueryProcessor {
     /// normalized fingerprint. A hit returns the standing rows (stats
     /// show `result_cache_hits = 1` and no operator work); a miss
     /// executes the plan and seeds a standing result. Store changes do
-    /// not clear the cache — pending [`ChangeRecord`]s are applied to
-    /// each entry when it is next read ([`crate::delta`]), so a hit
-    /// touches no index only while nothing the plan reads was written
-    /// since the last one; otherwise it re-executes the plan first.
+    /// not clear the cache: an entry read after the store's change
+    /// count moved re-executes its plan first ([`crate::delta`]), so a
+    /// hit touches no index only while the store has not changed since
+    /// the entry's rows were produced.
     pub(crate) fn run_cached(&self, plan: &Plan, budget: QueryBudget) -> Result<QueryResult> {
         self.run_standing(plan, budget, None)
     }
@@ -356,24 +356,16 @@ impl QueryProcessor {
             };
             return Ok(QueryResult { rows, stats });
         }
-        // Mark the record-log position *before* executing so changes
-        // committed mid-execution are replayed onto the seeded entry
-        // (replaying a change the execution already saw re-reads the
-        // same indexes, so it is harmless).
-        let mark = self.results.mark();
-        let (result, standing) = match self.execute_standing(plan, budget) {
-            Ok(seeded) => seeded,
-            Err(err) => {
-                self.results.release(mark);
-                return Err(err);
-            }
-        };
+        // Read the change count *before* executing: a change committed
+        // mid-execution leaves the admitted entry stale, and its next
+        // read executes once more.
+        let applied = self.store.change_count();
+        let (result, standing) = self.execute_standing(plan, budget)?;
         // No standing state — a truncated (partial-budget) run, whose
         // subset of the true rows must never be served as complete —
         // leaves nothing to admit.
-        match standing {
-            Some(state) => self.results.admit(fingerprint, state, mark, listener),
-            None => self.results.release(mark),
+        if let Some(state) = standing {
+            self.results.admit(fingerprint, state, applied, listener);
         }
         Ok(result)
     }
@@ -403,11 +395,11 @@ impl QueryProcessor {
         Ok(LiveQuery { initial, deltas })
     }
 
-    /// Drives every live query: applies the change records committed
-    /// since each subscribed standing result was last read and pushes
+    /// Drives every live query: re-executes each subscribed standing
+    /// result the store changed under since it was last read and pushes
     /// the non-empty deltas to its handles, one coalesced batch per
-    /// call. Returns how many records arrived since the previous pump
-    /// (0 = nothing new). Maintenance always runs unbudgeted.
+    /// call. Returns how many store changes committed since the previous
+    /// pump (0 = nothing new). Refreshes always run unbudgeted.
     pub fn pump(&self) -> usize {
         self.results.pump(self)
     }

@@ -3,15 +3,21 @@
 //! spanning every maintainable plan shape (index leaves, intersection,
 //! union, complement, relate expansion, hash join) and assert after
 //! EVERY mutation, at parallelism 1 and 4, that the maintained rows are
-//! byte-identical to a fresh recompute of the same plan. The generator
-//! RNG is deterministic (seeded from the test name), so failures
-//! reproduce exactly.
+//! byte-identical to a fresh recompute of the same plan — both when a
+//! standing result is maintained directly and when it is read through
+//! the processor's standing-result table (`.cached()` runs and
+//! subscribed handles). The generator RNG is deterministic (seeded from
+//! the test name), so failures reproduce exactly.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use idm_core::prelude::*;
 use idm_index::IndexBundle;
-use idm_query::{ExecOptions, MaintainedPlan, QueryBudget, QueryProcessor};
+use idm_query::{
+    ExecOptions, LiveQuery, MaintainedPlan, QueryBudget, QueryProcessor, QueryRequest, ResultDelta,
+    ResultRows,
+};
 use proptest::prelude::*;
 
 /// A random dataspace plus a script of mutations to replay against it.
@@ -204,6 +210,27 @@ fn standing_queries(ctx: &str, target: &str) -> Vec<String> {
     ]
 }
 
+/// `rows` moved by `delta`, sorted like an execution's rows.
+fn apply_delta(rows: ResultRows, delta: &ResultDelta) -> ResultRows {
+    fn moved<T: Ord + Copy>(rows: Vec<T>, added: &[T], removed: &[T]) -> Vec<T> {
+        let mut set: BTreeSet<T> = rows.into_iter().collect();
+        for row in removed {
+            set.remove(row);
+        }
+        set.extend(added);
+        set.into_iter().collect()
+    }
+    match (rows, &delta.added, &delta.removed) {
+        (ResultRows::Views(rows), ResultRows::Views(added), ResultRows::Views(removed)) => {
+            ResultRows::Views(moved(rows, added, removed))
+        }
+        (ResultRows::Pairs(rows), ResultRows::Pairs(added), ResultRows::Pairs(removed)) => {
+            ResultRows::Pairs(moved(rows, added, removed))
+        }
+        (rows, ..) => panic!("a delta of another shape than {rows:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -266,6 +293,75 @@ proptest! {
             // The read/maintain path never corrupted the store.
             let report = space.store.verify_invariants();
             prop_assert!(report.violations.is_empty(), "{:?}", report.violations);
+        }
+    }
+
+    /// The same equivalence through the standing-result table: after
+    /// every mutation, a `.cached()` run of each query and the rows its
+    /// subscribed handle accumulated over `pump()` equal a fresh
+    /// execution. Even steps pump before the lookups (the pump refreshes
+    /// each shared entry, the lookup is a free hit); odd steps after (the
+    /// lookup refreshes it, and the handle still hears of the change).
+    #[test]
+    fn cached_and_subscribed_results_equal_recompute_after_every_mutation(
+        script in arb_script(), ctx in "[ab]{1,3}", target in "[ab]{1,3}"
+    ) {
+        for parallelism in [1usize, 4] {
+            let mut space = build_space(&script);
+            let processor = QueryProcessor::new(
+                Arc::clone(&space.store),
+                Arc::clone(&space.indexes),
+            )
+            .with_options(ExecOptions {
+                parallelism,
+                ..ExecOptions::default()
+            });
+
+            let mut handles: Vec<(String, LiveQuery, ResultRows)> =
+                standing_queries(&ctx, &target)
+                    .into_iter()
+                    .map(|iql| {
+                        let live = processor.subscribe(&QueryRequest::new(&iql)).unwrap();
+                        let rows = live.initial().rows.clone();
+                        (iql, live, rows)
+                    })
+                    .collect();
+            for (step, mutation) in script.mutations.iter().enumerate() {
+                space.apply(mutation);
+                let pump_first = step % 2 == 0;
+                if pump_first {
+                    processor.pump();
+                }
+                let mut fresh = Vec::new();
+                for (iql, ..) in &handles {
+                    let cached = processor.run(&QueryRequest::new(iql.as_str()).cached()).unwrap();
+                    let rows = processor.run(&QueryRequest::new(iql.as_str())).unwrap().result.rows;
+                    prop_assert_eq!(
+                        &cached.result.rows,
+                        &rows,
+                        "cached != fresh for '{}' after {:?} (parallelism {})",
+                        iql,
+                        mutation,
+                        parallelism
+                    );
+                    fresh.push(rows);
+                }
+                if !pump_first {
+                    processor.pump();
+                }
+                for ((iql, live, rows), fresh) in handles.iter_mut().zip(&fresh) {
+                    *rows = live.poll().iter().fold(rows.clone(), apply_delta);
+                    prop_assert_eq!(
+                        &*rows,
+                        fresh,
+                        "subscribed != fresh for '{}' after {:?} (parallelism {})",
+                        iql,
+                        mutation,
+                        parallelism
+                    );
+                }
+            }
+            prop_assert_eq!(processor.result_cache().counters().invalidations, 0);
         }
     }
 

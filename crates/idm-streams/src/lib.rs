@@ -7,11 +7,10 @@
 //!
 //! - [`engine`] — the push-operator machinery: operators register for
 //!   change events on resource view components and process them
-//!   immediately, in the spirit of data-driven DSMS processing (the
-//!   *logical change record* feed needs no engine: its one consumer —
-//!   the standing-result table in `idm-query`, which serves cached
-//!   requests and live queries alike — reads
-//!   [`idm_core::store::ViewStore::subscribe_records`] directly),
+//!   immediately, in the spirit of data-driven DSMS processing (standing
+//!   results need no engine: the standing-result table in `idm-query`,
+//!   which serves cached requests and live queries alike, watches
+//!   [`idm_core::store::ViewStore::change_count`]),
 //! - [`window`] — stream windows over infinite group components
 //!   (Section 5.2: "infinite group components are managed using a
 //!   stream window"),

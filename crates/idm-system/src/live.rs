@@ -7,16 +7,15 @@
 //! ([`idm_query::ResultCache`] — the entry a `.cached()` request of the
 //! same plan reads and every subscription that plans identically
 //! shares), seeding it first if nobody has. How an entry is kept
-//! current, what a failed maintenance pass costs and when a handle is
-//! pruned are that table's rules, documented there. Two counters changed
-//! meaning when the second store went away:
-//! [`LiveStats::records_applied`] is records × *distinct subscribed
-//! plans* (it was × handles), and
-//! [`idm_query::ResultCacheCounters::maintained`] also counts passes a
-//! pump drove.
+//! current, what a failed refresh costs and when a handle is pruned are
+//! that table's rules, documented there.
+//! [`LiveStats::records_applied`] counts store changes × *distinct
+//! subscribed plans*, however many handles share each, and
+//! [`idm_query::ResultCacheCounters::maintained`] also counts refreshes
+//! a pump drove.
 //!
-//! Delivery is pull-paced: pending records reach subscribers when
-//! [`Pdsms::pump_subscriptions`] runs — which the ingest paths
+//! Delivery is pull-paced: a subscription hears of the store's changes
+//! when [`Pdsms::pump_subscriptions`] runs — which the ingest paths
 //! (`index_all*`) do automatically, and which sync-round drivers (RSS
 //! polls, IMAP rounds, filesystem notification sweeps) call after each
 //! round — so a sync round's worth of changes arrives as one coalesced
@@ -49,10 +48,10 @@ impl Pdsms {
         self.processor.subscribe(request)
     }
 
-    /// Drives every live query: applies pending change records to each
-    /// subscribed standing result and pushes the non-empty deltas to
-    /// its handles. Returns the number of records that arrived since
-    /// the previous pump. The ingest paths call this automatically;
+    /// Drives every live query: re-executes each subscribed standing
+    /// result the store changed under and pushes the non-empty deltas
+    /// to its handles. Returns the number of store changes since the
+    /// previous pump. The ingest paths call this automatically;
     /// sync-round drivers should call it after each round.
     pub fn pump_subscriptions(&self) -> usize {
         self.processor.pump()
@@ -213,7 +212,7 @@ mod tests {
         assert_eq!(accumulate(&mut rows, &live).len(), 1);
         assert_eq!(rows, fresh_rows(&system, iql));
 
-        // The pump reports the round's records but has nothing to add.
+        // The pump reports the round's changes but has nothing to add.
         assert!(system.pump_subscriptions() >= 1);
         assert!(live.poll().is_empty(), "nothing is pushed twice");
         assert_eq!(system.live_stats().deltas_pushed, 1);
@@ -236,12 +235,12 @@ mod tests {
         assert!(live.poll().is_empty(), "nothing changed yet");
 
         // A new matching file arrives; the sync round ingests it, the
-        // pump delivers its records to the standing query.
+        // pump delivers the change to the standing query.
         let dir = fs.resolve("/docs").unwrap();
         fs.create_file(dir, "b.txt", "more database notes", t())
             .unwrap();
         sync.sync_round().unwrap();
-        assert!(system.pump_subscriptions() >= 1, "the round's records");
+        assert!(system.pump_subscriptions() >= 1, "the round's changes");
         assert_eq!(system.pump_subscriptions(), 0, "nothing left pending");
 
         let deltas = live.poll();
@@ -341,7 +340,7 @@ mod tests {
 
     #[test]
     fn an_attribute_update_reaches_every_handle_of_a_path_query_once() {
-        // No insert, remove or group record: the batch is one SetTuple.
+        // One attribute change: no insert, remove or group edit.
         let (_fs, system, _sync) = system_with_file("a.txt", "database tuning");
         let iql = "//docs//*[size > 1000000]";
         let handles: Vec<LiveQuery> = (0..3)

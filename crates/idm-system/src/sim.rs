@@ -381,10 +381,28 @@ impl Sim {
         Ok(())
     }
 
+    /// Reads the watched term through the standing-result table twice —
+    /// a `.cached()` lookup, then the subscription's pushed deltas — and
+    /// checks both against the oracle.
     fn pump(&mut self, step: usize) -> Result<()> {
+        let iql = format!("\"{LIVE_TERM}\"");
+        let cached = self.system()?.run(&QueryRequest::new(iql).cached())?;
         let pumped = self.system()?.pump_subscriptions();
         self.counters.pumps += 1;
         let expected: BTreeSet<u64> = self.expected_term(LIVE_TERM).into_iter().collect();
+        let cached: BTreeSet<u64> = cached
+            .result
+            .rows
+            .views()
+            .iter()
+            .map(|v| v.as_u64())
+            .collect();
+        if cached != expected {
+            self.violation(
+                step,
+                format!("cached \"{LIVE_TERM}\": got {cached:?}, oracle {expected:?}"),
+            );
+        }
         if let Some(live) = self.live.as_mut() {
             for delta in live.query.poll() {
                 for vid in delta.removed.views() {
@@ -402,7 +420,7 @@ impl Sim {
                 );
             }
         }
-        self.event(step, format!("pump ({pumped} subscription(s))"));
+        self.event(step, format!("pump ({pumped} change(s))"));
         Ok(())
     }
 

@@ -256,14 +256,14 @@ impl Shell {
         }
     }
 
-    /// `\live`: pumps pending change records through every standing
-    /// query and prints the deltas that arrived.
+    /// `\live`: brings every standing query up to the store's changes
+    /// and prints the deltas that arrived.
     fn poll_live(&mut self) {
         if self.subscriptions.is_empty() {
             println!("no subscriptions — \\subscribe <iql> registers one");
             return;
         }
-        let records = self.system.pump_subscriptions();
+        let changes = self.system.pump_subscriptions();
         let mut quiet = 0;
         for (n, (iql, live)) in self.subscriptions.iter().enumerate() {
             let deltas = live.poll();
@@ -287,7 +287,7 @@ impl Shell {
                 }
             }
         }
-        println!("{records} change record(s) applied; {quiet} subscription(s) unchanged");
+        println!("{changes} store change(s) applied; {quiet} subscription(s) unchanged");
     }
 
     fn run_update(&self, statement: &str) {
@@ -414,7 +414,7 @@ impl Shell {
         );
         let live = self.system.live_stats();
         println!(
-            "live queries:     {} handle(s), {} delta(s) pushed, {} record(s) applied \
+            "live queries:     {} handle(s), {} delta(s) pushed, {} change(s) applied \
              (once per distinct plan), {} failed maintenance pass(es), {} resync(s), {} dropped",
             live.active,
             live.deltas_pushed,
