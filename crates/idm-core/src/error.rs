@@ -242,12 +242,12 @@ impl IdmError {
         }
     }
 
-    /// Whether a degraded read (serving a stale last-known-good value,
-    /// or a partial result) is an acceptable answer to this failure.
-    /// True for substrate and provider failures — the data existed, the
-    /// access path is down — and for resource exhaustion — the rows
-    /// produced before the budget tripped are valid, just incomplete.
-    /// False for model errors, which no cache entry can paper over.
+    /// Whether a degraded answer (a partial result) is an acceptable
+    /// answer to this failure. True for substrate and provider failures
+    /// — the data existed, the access path is down — and for resource
+    /// exhaustion — the rows produced before the budget tripped are
+    /// valid, just incomplete. False for model errors, which no degraded
+    /// answer can paper over.
     pub fn is_degradable(&self) -> bool {
         matches!(
             self,

@@ -612,14 +612,13 @@ impl CircuitBreaker {
 // ---------------------------------------------------------------------------
 
 /// Shared, thread-safe fault counters, aggregated across every guard of
-/// one dataspace system. Query execution and sync rounds snapshot these
-/// to report per-operation deltas.
+/// one dataspace system. Sync rounds snapshot these to report
+/// per-round deltas.
 #[derive(Debug, Default)]
 pub struct FaultStats {
     retries: AtomicU64,
     breaker_trips: AtomicU64,
     breaker_fast_failures: AtomicU64,
-    stale_served: AtomicU64,
 }
 
 /// A point-in-time copy of [`FaultStats`].
@@ -631,8 +630,6 @@ pub struct FaultCounters {
     pub breaker_trips: u64,
     /// Calls rejected fast by an open breaker.
     pub breaker_fast_failures: u64,
-    /// Reads answered from a stale last-known-good cache entry.
-    pub stale_served: u64,
 }
 
 impl FaultStats {
@@ -656,18 +653,12 @@ impl FaultStats {
         self.breaker_fast_failures.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a stale read served in degraded mode.
-    pub fn add_stale_served(&self) {
-        self.stale_served.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A snapshot of all counters.
     pub fn snapshot(&self) -> FaultCounters {
         FaultCounters {
             retries: self.retries.load(Ordering::Relaxed),
             breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
             breaker_fast_failures: self.breaker_fast_failures.load(Ordering::Relaxed),
-            stale_served: self.stale_served.load(Ordering::Relaxed),
         }
     }
 }
@@ -679,7 +670,6 @@ impl FaultCounters {
             retries: self.retries - earlier.retries,
             breaker_trips: self.breaker_trips - earlier.breaker_trips,
             breaker_fast_failures: self.breaker_fast_failures - earlier.breaker_fast_failures,
-            stale_served: self.stale_served - earlier.stale_served,
         }
     }
 }
@@ -1029,10 +1019,8 @@ mod tests {
         let before = stats.snapshot();
         stats.add_retries(2);
         stats.add_breaker_trip();
-        stats.add_stale_served();
         let delta = stats.snapshot().since(before);
         assert_eq!(delta.retries, 2);
         assert_eq!(delta.breaker_trips, 1);
-        assert_eq!(delta.stale_served, 1);
     }
 }

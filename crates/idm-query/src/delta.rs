@@ -446,26 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn a_relate_under_live_expansion_always_reexecutes() {
-        let f = fixture();
-        let live = QueryProcessor::new(Arc::clone(&f.store), Arc::clone(&f.indexes)).with_options(
-            crate::exec::ExecOptions {
-                live_expansion: true,
-                ..Default::default()
-            },
-        );
-        // A plan that reads no content index, under a content-only batch.
-        let mut standing = stand(&live, "//papers//notes*");
-        let delta = live
-            .maintain(&mut standing, &content_only_batch(&f))
-            .unwrap();
-        assert!(delta.is_empty());
-        assert_equivalent(&live, &standing);
-        let stats = standing.stats();
-        assert_eq!(stats.full_recomputes, 1);
-    }
-
-    #[test]
     fn a_rename_reaches_a_join_whose_inputs_read_no_name_index() {
         let f = fixture();
         let attach = f.store.build("draft.tex").text("attached copy").insert();

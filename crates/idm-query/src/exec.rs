@@ -25,7 +25,7 @@ use idm_index::IndexBundle;
 
 use crate::ast::*;
 use crate::budget::{BudgetConsumption, BudgetTracker, QueryBudget, Tick};
-use crate::cache::{ExpansionCache, LiveQuery, ResultCache};
+use crate::cache::{LiveQuery, ResultCache};
 use crate::delta::ResultDelta;
 use crate::par;
 use crate::parser::parse;
@@ -62,13 +62,6 @@ pub struct ExecOptions {
     /// body with one chunk on the calling thread, `N > 1` forks up to
     /// `N` scoped threads where the input is large enough to pay.
     pub parallelism: usize,
-    /// Capacity of the lazy-expansion memo cache (entries, not bytes).
-    pub cache_capacity: usize,
-    /// Resolve `//`-step group edges through the live store (forcing and
-    /// memoizing lazy groups) instead of the group replica. Requires
-    /// forward expansion for the forced edges to be seen; reverse edges
-    /// always come from the replica.
-    pub live_expansion: bool,
     /// Resource limits for each query this processor runs (deadline,
     /// memory/row/node caps, partial-result opt-in). The default is
     /// unlimited, which keeps the governed hot path bit-identical to
@@ -84,8 +77,6 @@ impl Default for ExecOptions {
             // deterministic; systems pass the wall clock.
             now: Timestamp::from_ymd(2006, 9, 12).expect("valid date"),
             parallelism: 1,
-            cache_capacity: 4096,
-            live_expansion: false,
             budget: QueryBudget::none(),
         }
     }
@@ -100,21 +91,6 @@ pub struct ExecStats {
     /// Candidate views produced by index accesses before ancestry
     /// filtering.
     pub candidates_examined: usize,
-    /// Lazy-expansion cache hits during this query.
-    pub cache_hits: u64,
-    /// Lazy-expansion cache misses (components forced) during this query.
-    pub cache_misses: u64,
-    /// Lazy-expansion cache entries evicted during this query.
-    pub cache_evictions: u64,
-    /// Degraded reads answered from a stale last-known-good cache entry
-    /// during this query (substrate down or breaker open).
-    pub stale_served: u64,
-    /// Guarded substrate calls retried during this query. Zero unless a
-    /// [`idm_core::fault::FaultStats`] handle is installed via
-    /// [`QueryProcessor::set_fault_stats`].
-    pub retries: u64,
-    /// Circuit breakers tripped during this query (same handle).
-    pub breaker_trips: u64,
     /// Physical operators executed, by kind. Always equal to the plan's
     /// [`Plan::operator_counts`] — the plan/exec agreement invariant.
     pub ops: OperatorCounts,
@@ -207,52 +183,27 @@ pub struct QueryProcessor {
     store: Arc<ViewStore>,
     indexes: Arc<IndexBundle>,
     options: ExecOptions,
-    cache: ExpansionCache,
     /// Whole-result cache keyed by plan fingerprint (opt-in via
     /// [`QueryRequest::cached`](crate::request::QueryRequest::cached)).
     results: ResultCache,
-    /// Shared fault counters of the system's source guards, when the
-    /// embedding system installs them; lets per-query stats report the
-    /// retries and breaker trips its own expansions caused.
-    fault_stats: Option<Arc<idm_core::fault::FaultStats>>,
 }
 
 impl QueryProcessor {
     /// A processor over a store and its index bundle.
     pub fn new(store: Arc<ViewStore>, indexes: Arc<IndexBundle>) -> Self {
-        let options = ExecOptions::default();
-        let cache = ExpansionCache::new(options.cache_capacity);
         let results = ResultCache::new(&store, RESULT_CACHE_CAPACITY);
         QueryProcessor {
             store,
             indexes,
-            options,
-            cache,
+            options: ExecOptions::default(),
             results,
-            fault_stats: None,
         }
     }
 
-    /// Installs the shared fault-counter handle of the system's source
-    /// guards so query stats can report retries and breaker trips.
-    pub fn set_fault_stats(&mut self, stats: Arc<idm_core::fault::FaultStats>) {
-        self.fault_stats = Some(stats);
-    }
-
-    /// Replaces the execution options. Changing the cache capacity
-    /// recreates (and empties) the expansion cache.
+    /// Replaces the execution options.
     pub fn with_options(mut self, options: ExecOptions) -> Self {
-        if options.cache_capacity != self.options.cache_capacity {
-            self.cache = ExpansionCache::new(options.cache_capacity);
-        }
         self.options = options;
         self
-    }
-
-    /// The lazy-expansion memo cache (lives as long as the processor, so
-    /// repeated queries share warmed entries).
-    pub fn expansion_cache(&self) -> &ExpansionCache {
-        &self.cache
     }
 
     /// The current options.
@@ -304,24 +255,12 @@ impl QueryProcessor {
     /// [`QueryProcessor::execute_plan`] under an explicit budget (a
     /// request's own, or a federation peer's slice of the deadline).
     pub fn execute_plan_with(&self, plan: &Plan, budget: QueryBudget) -> Result<QueryResult> {
-        let before = self.cache.counters();
-        let fault_before = self.fault_stats.as_ref().map(|s| s.snapshot());
         let tracker = BudgetTracker::start(budget);
         let mut stats = ExecStats::default();
         let rows = self.eval_node(&plan.root, &mut stats, &tracker)?;
         stats.partial = tracker.tripped();
         stats.exhausted = tracker.exhaustion();
         stats.consumed = tracker.consumption();
-        let after = self.cache.counters();
-        stats.cache_hits = after.hits - before.hits;
-        stats.cache_misses = after.misses - before.misses;
-        stats.cache_evictions = after.evictions - before.evictions;
-        stats.stale_served = after.stale_served - before.stale_served;
-        if let (Some(stats_handle), Some(before)) = (&self.fault_stats, fault_before) {
-            let delta = stats_handle.snapshot().since(before);
-            stats.retries = delta.retries;
-            stats.breaker_trips = delta.breaker_trips;
-        }
         Ok(QueryResult { rows, stats })
     }
 
@@ -412,23 +351,6 @@ impl QueryProcessor {
     /// Worker-thread count for parallel sites (`>= 1`).
     fn threads(&self) -> usize {
         self.options.parallelism.max(1)
-    }
-
-    /// Group edges of `vid` for forward expansion: the replica's children
-    /// by default, or the live (cache-memoized, lazily forced) group
-    /// component under [`ExecOptions::live_expansion`].
-    fn children_of(&self, vid: Vid) -> Vec<Vid> {
-        if self.options.live_expansion {
-            // Degrade to a stale last-known-good expansion when the force
-            // fails with the substrate down (counted in stale_served).
-            match self.cache.group_with_fallback(&self.store, vid) {
-                Ok((snapshot, _stale)) => snapshot.finite_members(),
-                // Dangling references are legal in a dataspace; skip them.
-                Err(_) => Vec::new(),
-            }
-        } else {
-            self.indexes.group.children(vid)
-        }
     }
 
     // ---- the plan walker ---------------------------------------------
@@ -706,11 +628,10 @@ impl QueryProcessor {
         }
     }
 
-    /// The group edges out of every node of `frontier`: one child list
-    /// per chunk, in frontier order. One checkpoint per expanded node —
-    /// a deadline firing mid-walk (e.g. during a slow lazy force) aborts
-    /// before the next force; a truncated walk expands a prefix of each
-    /// chunk, which yields a subset of the true edges.
+    /// The group-replica edges out of every node of `frontier`: one
+    /// child list per chunk, in frontier order. One checkpoint per
+    /// expanded node; a truncated walk expands a prefix of each chunk,
+    /// which yields a subset of the true edges.
     fn expand(
         &self,
         frontier: &[Vid],
@@ -723,7 +644,7 @@ impl QueryProcessor {
                 if tracker.checkpoint(phase)? == Tick::Truncate {
                     break;
                 }
-                let children = self.children_of(vid);
+                let children = self.indexes.group.children(vid);
                 tracker.charge_nodes(children.len(), phase)?;
                 par::append(&mut out, &children);
             }

@@ -49,8 +49,7 @@ pub mod update;
 pub use ast::Query;
 pub use budget::{BudgetConsumption, BudgetTracker, QueryBudget, Tick};
 pub use cache::{
-    CacheCounters, ExpansionCache, LiveQuery, LiveStats, ResultCache, ResultCacheCounters,
-    MAX_CONSECUTIVE_MAINTENANCE_FAILURES,
+    LiveQuery, LiveStats, ResultCache, ResultCacheCounters, MAX_CONSECUTIVE_MAINTENANCE_FAILURES,
 };
 pub use cost::{explain_with_estimates, Estimate};
 pub use delta::{DeltaStats, MaintainedPlan, ResultDelta};

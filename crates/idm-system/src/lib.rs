@@ -170,8 +170,7 @@ impl Pdsms {
         durability: Option<idm_core::durability::DurabilityManager>,
     ) -> Self {
         let rvm = ResourceViewManager::new(Arc::clone(&store), Arc::clone(&indexes));
-        let mut processor = QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes));
-        processor.set_fault_stats(Arc::clone(rvm.fault_stats()));
+        let processor = QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes));
         Pdsms {
             store,
             indexes,
@@ -441,26 +440,24 @@ impl Pdsms {
     }
 
     /// The fault counters shared by every source guard of this system
-    /// (retries, breaker trips, stale reads).
+    /// (retries, breaker trips, fast failures).
     pub fn fault_stats(&self) -> &Arc<idm_core::fault::FaultStats> {
         self.rvm.fault_stats()
     }
 
     /// The system's own query processor — the one [`Pdsms::run`],
     /// [`Pdsms::explain`], [`Pdsms::subscribe`] and federation peers use,
-    /// with caches that stay warm across calls. It shares the system's
-    /// fault counters, so query-time retries and breaker trips show up in
-    /// [`idm_query::ExecStats`]. Calling it bypasses the admission gate.
+    /// with caches that stay warm across calls. Calling it bypasses the
+    /// admission gate.
     pub fn processor(&self) -> &QueryProcessor {
         &self.processor
     }
 
     /// An *additional*, owned processor for a caller that wants options
-    /// of its own (parallelism, budget): the system's strategy and fault
-    /// counters, but caches of its own, which die with it.
+    /// of its own (parallelism, budget): the system's strategy, but
+    /// caches of its own, which die with it.
     pub fn query_processor(&self) -> QueryProcessor {
         let mut processor = QueryProcessor::new(Arc::clone(&self.store), Arc::clone(&self.indexes));
-        processor.set_fault_stats(Arc::clone(self.rvm.fault_stats()));
         processor.set_expansion(self.expansion());
         processor
     }

@@ -33,8 +33,6 @@ pub struct SyncReport {
     pub retries: u64,
     /// Circuit breakers tripped during the round.
     pub breaker_trips: u64,
-    /// Degraded reads answered from stale last-known-good data.
-    pub stale_served: u64,
     /// Sources whose sync failed after retries (or whose breaker was
     /// open) this round; their pending events stay queued and the round
     /// continued over the healthy sources.
@@ -49,7 +47,6 @@ impl SyncReport {
         self.removed += other.removed;
         self.retries += other.retries;
         self.breaker_trips += other.breaker_trips;
-        self.stale_served += other.stale_served;
         self.quarantined.extend(other.quarantined);
     }
 }
@@ -580,7 +577,6 @@ impl SyncCoordinator {
             let delta = self.stats.snapshot().since(before);
             report.retries += delta.retries;
             report.breaker_trips += delta.breaker_trips;
-            report.stale_served += delta.stale_served;
             match outcome {
                 Ok(source_report) => report.absorb(source_report),
                 Err(_) => report.quarantined.push(driver.source_name().to_owned()),

@@ -25,8 +25,8 @@ use imemex::system::{
 use imemex::vfs::NodeId;
 
 struct Shell {
-    /// The dataspace, whose one long-lived processor keeps the
-    /// expansion and whole-result caches warm across commands.
+    /// The dataspace, whose one long-lived processor keeps its table of
+    /// standing results warm across commands.
     system: Pdsms,
     /// The session budget every query runs under (`\budget`).
     budget: QueryBudget,

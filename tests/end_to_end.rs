@@ -195,24 +195,39 @@ fn indexes_survive_a_restart() {
     // restart did not re-scan the dataspace. Same here: persist the
     // index bundle, load it into a *fresh* system (empty view store),
     // and every Table 4 query still answers identically — the indexes
-    // and catalog are self-sufficient for query processing.
+    // and catalog are self-sufficient for query processing, under every
+    // expansion strategy and parallelism.
     use imemex::index::persist;
+    use imemex::query::{ExecOptions, QueryProcessor};
     let w = world();
     let bytes = persist::to_bytes_with_epoch(w.system.indexes(), 0);
     let (restored, _) = persist::from_bytes_with_epoch(&bytes).expect("load");
-    let restored = std::sync::Arc::new(restored);
+    let restored = Arc::new(restored);
 
-    let fresh_store = std::sync::Arc::new(imemex::core::prelude::ViewStore::new());
-    let processor = imemex::query::QueryProcessor::new(fresh_store, restored);
-    for iql in TABLE4 {
-        let before = w
-            .system
-            .run(&QueryRequest::new(iql))
-            .unwrap()
-            .result
-            .rows
-            .len();
-        let after = processor.execute(iql).unwrap().rows.len();
-        assert_eq!(before, after, "restart changed '{iql}'");
+    let fresh_store = Arc::new(imemex::core::prelude::ViewStore::new());
+    let expected: Vec<_> = TABLE4
+        .iter()
+        .map(|iql| w.system.run(&QueryRequest::new(*iql)).unwrap().result.rows)
+        .collect();
+    for expansion in [
+        ExpansionStrategy::Forward,
+        ExpansionStrategy::Backward,
+        ExpansionStrategy::Bidirectional,
+    ] {
+        for parallelism in [1, 4] {
+            let processor = QueryProcessor::new(Arc::clone(&fresh_store), Arc::clone(&restored))
+                .with_options(ExecOptions {
+                    expansion,
+                    parallelism,
+                    ..ExecOptions::default()
+                });
+            for (iql, before) in TABLE4.iter().zip(&expected) {
+                let after = processor.execute(iql).unwrap().rows;
+                assert_eq!(
+                    *before, after,
+                    "restart changed '{iql}' ({expansion:?}, parallelism {parallelism})"
+                );
+            }
+        }
     }
 }
