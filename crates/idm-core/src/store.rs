@@ -13,7 +13,7 @@
 
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -192,6 +192,10 @@ pub struct ViewStore {
     record_fanout: std::sync::atomic::AtomicBool,
     /// Committed mutations since construction ([`ViewStore::change_count`]).
     changes: AtomicU64,
+    /// Occupied slots over all shards ([`ViewStore::len`]). Moved under
+    /// the write lock of the shard whose slot is filled or emptied; a
+    /// count that publishes no other data, so `Relaxed` throughout.
+    live: AtomicUsize,
     /// The attached write-ahead log, if this store is durable. Mutators
     /// append their change record under the shard write lock, so WAL
     /// order per view matches commit order.
@@ -242,6 +246,7 @@ impl ViewStore {
             record_subscribers: Mutex::new(Vec::new()),
             record_fanout: std::sync::atomic::AtomicBool::new(false),
             changes: AtomicU64::new(0),
+            live: AtomicUsize::new(0),
             wal: RwLock::new(None),
         }
     }
@@ -314,12 +319,11 @@ impl ViewStore {
         (vid.0 >> self.shard_bits) as usize
     }
 
-    /// Number of live views.
+    /// Number of live views: one counter read, no shard lock. Exact
+    /// whenever no writer is mid-commit; [`ViewStore::verify_invariants`]
+    /// checks it against the slots.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.slots.read().iter().filter(|n| n.is_some()).count())
-            .sum()
+        self.live.load(Ordering::Relaxed)
     }
 
     /// Whether the store holds no views.
@@ -366,6 +370,7 @@ impl ViewStore {
                 slots.resize_with(slot_idx + 1, || None);
             }
             slots[slot_idx] = Some(Slot { record, version: 0 });
+            self.live.fetch_add(1, Ordering::Relaxed);
             if let Some(rec) = wal_rec.as_ref() {
                 self.wal_append(rec);
             }
@@ -427,6 +432,7 @@ impl ViewStore {
                 }
                 slots[slot_idx] = Some(Slot { record, version: 0 });
             }
+            self.live.fetch_add(vids.len(), Ordering::Relaxed);
             if armed {
                 self.wal_append_batch(&wal_recs);
             }
@@ -456,6 +462,7 @@ impl ViewStore {
             });
         }
         slots[slot_idx] = Some(Slot { record, version });
+        self.live.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -499,6 +506,7 @@ impl ViewStore {
             let mut slots = self.shard_of(vid).slots.write();
             let slot = slots.get_mut(slot_idx).ok_or(IdmError::UnknownVid(vid))?;
             let record = slot.take().ok_or(IdmError::UnknownVid(vid))?.record;
+            self.live.fetch_sub(1, Ordering::Relaxed);
             self.wal_append(&ChangeRecord::Remove { vid: vid.0 });
             record
         };
@@ -862,21 +870,37 @@ impl ViewStore {
     }
 
     /// Checks the structural invariants of the store and reports on
-    /// them. Violations (hard failures): a group whose `S` contains
-    /// duplicates or whose `S ∩ Q ≠ ∅`. Warnings (allowed by the model,
-    /// Section 4.2 — a dataspace is never globally consistent): group
-    /// edges pointing at missing views, which traversals skip. Only
-    /// already-materialized groups are inspected; verification never
-    /// forces intensional work.
+    /// them. Violations (hard failures): [`ViewStore::len`] differing
+    /// from the occupied slots, a group whose `S` contains duplicates or
+    /// whose `S ∩ Q ≠ ∅`. Warnings (allowed by the model, Section 4.2 —
+    /// a dataspace is never globally consistent): group edges pointing
+    /// at missing views, which traversals skip. Only already-materialized
+    /// groups are inspected; verification never forces intensional work.
     pub fn verify_invariants(&self) -> InvariantReport {
-        let vids = self.vids();
-        let live: HashSet<Vid> = vids.iter().copied().collect();
         let mut report = InvariantReport {
-            views: vids.len(),
+            views: 0,
             violations: Vec::new(),
             dangling_edges: 0,
             versions: Vec::new(),
         };
+        {
+            // Every shard read-locked: no slot can fill or empty, so the
+            // counter and the scan see the same store.
+            let guards: Vec<_> = self.shards.iter().map(|s| s.slots.read()).collect();
+            let occupied: usize = guards
+                .iter()
+                .map(|slots| slots.iter().filter(|n| n.is_some()).count())
+                .sum();
+            let counted = self.len();
+            if counted != occupied {
+                report.violations.push(format!(
+                    "len() reads {counted} but {occupied} slot(s) are occupied"
+                ));
+            }
+        }
+        let vids = self.vids();
+        let live: HashSet<Vid> = vids.iter().copied().collect();
+        report.views = vids.len();
         for vid in vids {
             let Ok((version, group)) = self.with_slot(vid, |s| (s.version, s.record.group.clone()))
             else {

@@ -29,6 +29,7 @@ fn parallel_inserts_are_all_visible() {
         .flat_map(|h| h.join().expect("no panics"))
         .collect();
     assert_eq!(store.len(), threads * per_thread);
+    assert_eq!(store.len(), store.vids().len());
     // Every thread got distinct vids.
     all.sort();
     all.dedup();
@@ -182,6 +183,43 @@ fn multi_writer_multi_reader_stress_over_overlapping_subtrees() {
         );
     }
     assert_eq!(store.len(), roots.len() + writers * per_root * roots.len());
+    assert_eq!(store.len(), store.vids().len());
+}
+
+/// `len()` is a counter moved under the shard locks, not a scan: after
+/// writers that insert, batch-insert and remove at once — each batch
+/// spanning every shard — it still equals the occupied slots.
+#[test]
+fn concurrent_inserts_batches_and_removes_keep_len_exact() {
+    let store = Arc::new(ViewStore::with_shards(4));
+    let writers: Vec<_> = (0..6)
+        .map(|t| {
+            let store = Arc::clone(&store);
+            thread::spawn(move || {
+                let mut kept = 0;
+                for i in 0..100 {
+                    let single = store.build(format!("w{t}-{i}")).insert();
+                    let batch = (0..5)
+                        .map(|k| store.build(format!("w{t}-{i}.{k}")).into_record())
+                        .collect();
+                    let batch = store.insert_batch(batch);
+                    store.remove(single).unwrap();
+                    store.remove(batch[i % batch.len()]).unwrap();
+                    assert!(store.remove(single).is_err(), "a second remove fails");
+                    kept += batch.len() - 1;
+                }
+                kept
+            })
+        })
+        .collect();
+    let kept: usize = writers
+        .into_iter()
+        .map(|w| w.join().expect("writer ok"))
+        .sum();
+    assert_eq!(store.len(), kept);
+    assert_eq!(store.len(), store.vids().len());
+    let report = store.verify_invariants();
+    assert!(report.is_ok(), "{:?}", report.violations);
 }
 
 #[test]

@@ -241,6 +241,9 @@ fn assert_same_state(recovered: &ViewStore, expected: &ViewStore, context: &str)
     assert_eq!(got, want, "{context}: live vid sets differ");
     let dup: HashSet<Vid> = got.iter().copied().collect();
     assert_eq!(dup.len(), got.len(), "{context}: duplicate vids");
+    // Snapshot load and replay fill slots through `restore_insert` and
+    // `remove`; the counter must have followed both.
+    assert_eq!(recovered.len(), got.len(), "{context}: len() != live vids");
     for vid in want {
         let got_bytes = view_bytes(&recovered.record(vid).unwrap(), recovered.classes());
         let want_bytes = view_bytes(&expected.record(vid).unwrap(), expected.classes());

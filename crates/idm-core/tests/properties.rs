@@ -177,22 +177,37 @@ proptest! {
         }
     }
 
-    /// Insert/remove keeps len() consistent and ids stable.
+    /// Insert, batch insert, remove and a failed remove keep len()
+    /// equal to the live views (the counter equals the slot scan) and
+    /// ids stable.
     #[test]
-    fn store_len_consistency(ops in proptest::collection::vec(any::<bool>(), 1..60)) {
-        let store = ViewStore::new();
+    fn store_len_consistency(ops in proptest::collection::vec((0u8..4, 0usize..5), 1..60)) {
+        let store = ViewStore::with_shards(4);
         let mut live: Vec<Vid> = Vec::new();
-        let mut expected = 0usize;
-        for (i, insert) in ops.into_iter().enumerate() {
-            if insert || live.is_empty() {
-                live.push(store.build(format!("v{i}")).insert());
-                expected += 1;
-            } else {
-                let vid = live.swap_remove(i % live.len());
-                store.remove(vid).unwrap();
-                expected -= 1;
+        let mut removed: Vec<Vid> = Vec::new();
+        for (i, (op, n)) in ops.into_iter().enumerate() {
+            match op {
+                0 => live.push(store.build(format!("v{i}")).insert()),
+                1 => {
+                    let batch = (0..n)
+                        .map(|k| store.build(format!("b{i}.{k}")).into_record())
+                        .collect();
+                    live.extend(store.insert_batch(batch));
+                }
+                2 if !live.is_empty() => {
+                    let vid = live.swap_remove(n % live.len());
+                    store.remove(vid).unwrap();
+                    removed.push(vid);
+                }
+                _ => {
+                    let ghost = removed.get(n).copied().unwrap_or(Vid::from_raw(10_000));
+                    prop_assert!(store.remove(ghost).is_err());
+                }
             }
-            prop_assert_eq!(store.len(), expected);
+            prop_assert_eq!(store.len(), live.len());
+            prop_assert_eq!(store.len(), store.vids().len());
+            let report = store.verify_invariants();
+            prop_assert!(report.is_ok(), "{:?}", report.violations);
         }
         for vid in live {
             prop_assert!(store.contains(vid));

@@ -178,10 +178,11 @@ impl IndexBundle {
         self.remove_views(&[vid]);
     }
 
-    /// Removes a set of views from every structure. The structures
-    /// whose removal walks more than the view's own entries — the term
-    /// map, the tuple columns, the catalog's class and source lists —
-    /// are walked once for the whole set.
+    /// Removes a set of views from every structure, visiting only the
+    /// entries the views hold: their terms' posting lists, the tuple
+    /// columns they name and their catalog class and source lists, each
+    /// searched once for the whole set. Duplicates and unknown vids are
+    /// no-ops.
     pub fn remove_views(&self, vids: &[Vid]) {
         for &vid in vids {
             if let Some(entry) = self.catalog.entry(vid) {

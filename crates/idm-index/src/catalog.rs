@@ -5,11 +5,13 @@
 //! and serde serialization for size accounting (Table 3 reports the
 //! catalog as a separate size column).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use idm_core::prelude::Vid;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
+
+use crate::remove_positions;
 
 /// One catalog row.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -33,37 +35,57 @@ pub struct CatalogEntry {
 #[derive(Default)]
 struct Inner {
     rows: HashMap<Vid, CatalogEntry>,
+    /// Class → its views, vid-ascending.
     by_class: HashMap<String, Vec<Vid>>,
+    /// Source → its views, vid-ascending.
     by_source: HashMap<String, Vec<Vid>>,
 }
 
-impl Inner {
-    /// Drops the rows of `vids` and their entries in the class and source
-    /// lists; a list nobody is left in goes with them.
-    fn drop_rows(&mut self, vids: &[Vid]) {
-        let mut gone: Vec<Vid> = Vec::new();
-        let mut classes: HashSet<String> = HashSet::new();
-        let mut sources: HashSet<String> = HashSet::new();
-        for vid in vids {
-            if let Some(old) = self.rows.remove(vid) {
-                gone.push(*vid);
-                classes.extend(old.class);
-                sources.insert(old.source);
+/// Adds `vid` to the sorted list under `key`. New vids are the largest
+/// yet, so this is an append after a binary search.
+fn list_insert(lists: &mut HashMap<String, Vec<Vid>>, key: &str, vid: Vid) {
+    match lists.get_mut(key) {
+        Some(list) => {
+            if let Err(i) = list.binary_search(&vid) {
+                list.insert(i, vid);
             }
         }
-        gone.sort_unstable();
-        for (lists, keys) in [
-            (&mut self.by_class, classes),
-            (&mut self.by_source, sources),
-        ] {
-            for key in keys {
-                if let Some(list) = lists.get_mut(&key) {
-                    list.retain(|v| gone.binary_search(v).is_err());
-                    if list.is_empty() {
-                        lists.remove(&key);
-                    }
-                }
+        None => drop(lists.insert(key.to_owned(), vec![vid])),
+    }
+}
+
+/// Takes the rows of `run` (vid-ascending) out of the sorted list under
+/// `key`, found by binary search; a list nobody is left in goes with
+/// them.
+fn list_remove(lists: &mut HashMap<String, Vec<Vid>>, key: &str, run: &[CatalogEntry]) {
+    let Some(list) = lists.get_mut(key) else {
+        return;
+    };
+    let at: Vec<usize> = run
+        .iter()
+        .filter_map(|row| list.binary_search(&Vid::from_raw(row.vid)).ok())
+        .collect();
+    remove_positions(list, &at);
+    if list.is_empty() {
+        lists.remove(key);
+    }
+}
+
+impl Inner {
+    /// Drops the rows of `vids` and their entries in the class and
+    /// source lists: per list, one binary search per row and one pass
+    /// over the entries behind the first of them.
+    fn drop_rows(&mut self, vids: &[Vid]) {
+        let mut gone: Vec<CatalogEntry> = vids.iter().filter_map(|v| self.rows.remove(v)).collect();
+        gone.sort_unstable_by(|a, b| (&a.class, a.vid).cmp(&(&b.class, b.vid)));
+        for run in gone.chunk_by(|a, b| a.class == b.class) {
+            if let Some(class) = &run[0].class {
+                list_remove(&mut self.by_class, class, run);
             }
+        }
+        gone.sort_unstable_by(|a, b| (&a.source, a.vid).cmp(&(&b.source, b.vid)));
+        for run in gone.chunk_by(|a, b| a.source == b.source) {
+            list_remove(&mut self.by_source, &run[0].source, run);
         }
     }
 }
@@ -86,13 +108,9 @@ impl ResourceViewCatalog {
         let mut inner = self.inner.write();
         inner.drop_rows(&[vid]);
         if let Some(class) = &entry.class {
-            inner.by_class.entry(class.clone()).or_default().push(vid);
+            list_insert(&mut inner.by_class, class, vid);
         }
-        inner
-            .by_source
-            .entry(entry.source.clone())
-            .or_default()
-            .push(vid);
+        list_insert(&mut inner.by_source, &entry.source, vid);
         inner.rows.insert(vid, entry);
     }
 
@@ -102,7 +120,8 @@ impl ResourceViewCatalog {
     }
 
     /// Unregisters a set of views: each class and source list they sit
-    /// in is walked once for the whole set, not once per view.
+    /// in is searched, not walked; duplicates and unknown vids are
+    /// no-ops.
     pub fn unregister_all(&self, vids: &[Vid]) {
         self.inner.write().drop_rows(vids);
     }
@@ -117,21 +136,19 @@ impl ResourceViewCatalog {
         self.inner.read().rows.contains_key(&vid)
     }
 
-    /// All views of (exactly) the named class.
+    /// All views of (exactly) the named class, vid-ascending: a copy of
+    /// the list, which is kept in that order.
     ///
     /// Class *hierarchy* resolution happens in the query layer, which
     /// knows the registry; the catalog stores flat class names like the
     /// paper's Derby tables did.
     pub fn by_class(&self, class: &str) -> Vec<Vid> {
-        let mut out = self
-            .inner
+        self.inner
             .read()
             .by_class
             .get(class)
             .cloned()
-            .unwrap_or_default();
-        out.sort();
-        out
+            .unwrap_or_default()
     }
 
     /// `by_class(class).len()` without reading the posting list.
@@ -139,17 +156,15 @@ impl ResourceViewCatalog {
         self.inner.read().by_class.get(class).map_or(0, Vec::len)
     }
 
-    /// All views registered from a data source.
+    /// All views registered from a data source, vid-ascending: a copy
+    /// of the list, which is kept in that order.
     pub fn by_source(&self, source: &str) -> Vec<Vid> {
-        let mut out = self
-            .inner
+        self.inner
             .read()
             .by_source
             .get(source)
             .cloned()
-            .unwrap_or_default();
-        out.sort();
-        out
+            .unwrap_or_default()
     }
 
     /// All registered vids.

@@ -5,24 +5,58 @@
 //! replica: term positions cannot reconstruct the original content
 //! (Section 5.2 makes this distinction explicitly).
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use idm_core::prelude::Vid;
 use parking_lot::RwLock;
 
+use crate::remove_positions;
 use crate::tokenizer::{terms, tokenize};
 
 /// A posting: one document (view) and the positions of a term within it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Posting {
     vid: Vid,
-    positions: Vec<u32>,
+    positions: Box<[u32]>,
 }
+
+/// Ends each term in a document's term list. Terms are runs of
+/// alphanumeric characters, so it never occurs inside one.
+const TERM_END: char = '\0';
+
+/// Hashes a [`Vid`] with one multiply: vids are dense counters, which
+/// the product spreads over the high and the low bits alike. The keys
+/// are vids this program allocated; an index file crafted to collide
+/// them only slows its own load.
+#[derive(Default)]
+struct VidHasher(u64);
+
+impl Hasher for VidHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type VidMap<V> = HashMap<Vid, V, BuildHasherDefault<VidHasher>>;
 
 #[derive(Default)]
 struct Inner {
     /// Term → postings sorted by vid.
     postings: BTreeMap<String, Vec<Posting>>,
+    /// Document → its distinct terms, each followed by [`TERM_END`]:
+    /// what removing the document has to visit.
+    terms: VidMap<String>,
     /// Number of indexed documents.
     documents: usize,
     /// Total tokens indexed.
@@ -32,12 +66,13 @@ struct Inner {
 /// Exported posting lists: `(term, [(vid, positions)])`.
 pub type ExportedPostings = Vec<(String, Vec<(u64, Vec<u32>)>)>;
 
-/// A document pre-tokenized off the index lock: term → positions, plus
-/// the total token count. Built by [`pretokenize`] (possibly on a
-/// worker thread) and applied with [`FullTextIndex::index_pretokenized`].
+/// A document pre-tokenized off the index lock: its distinct terms in
+/// ascending order, each with its positions, plus the total token count.
+/// Built by [`pretokenize`] (possibly on a worker thread) and applied
+/// with [`FullTextIndex::index_pretokenized`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PretokenizedDoc {
-    per_term: BTreeMap<String, Vec<u32>>,
+    per_term: Vec<(String, Box<[u32]>)>,
     tokens: u64,
 }
 
@@ -45,15 +80,21 @@ pub struct PretokenizedDoc {
 /// consumes — the CPU-heavy half of indexing, safe to run in parallel
 /// per document. Returns `None` when the text yields no tokens.
 pub fn pretokenize(text: &str) -> Option<PretokenizedDoc> {
-    let tokens = tokenize(text);
+    let mut tokens = tokenize(text);
     if tokens.is_empty() {
         return None;
     }
     let count = tokens.len() as u64;
-    let mut per_term: BTreeMap<String, Vec<u32>> = BTreeMap::new();
-    for token in tokens {
-        per_term.entry(token.term).or_default().push(token.position);
-    }
+    // Stable, so each term's positions stay ascending; every position
+    // list is then allocated once, at its size.
+    tokens.sort_by(|a, b| a.term.cmp(&b.term));
+    let per_term = tokens
+        .chunk_by_mut(|a, b| a.term == b.term)
+        .map(|run| {
+            let positions = run.iter().map(|t| t.position).collect();
+            (std::mem::take(&mut run[0].term), positions)
+        })
+        .collect();
     Some(PretokenizedDoc {
         per_term,
         tokens: count,
@@ -87,14 +128,31 @@ impl FullTextIndex {
     /// segment-merge path.
     pub fn index_pretokenized(&self, vid: Vid, doc: PretokenizedDoc) {
         let mut inner = self.inner.write();
-        inner.documents += 1;
-        inner.tokens += doc.tokens;
+        let Inner {
+            postings,
+            terms,
+            documents,
+            tokens,
+        } = &mut *inner;
+        *documents += 1;
+        *tokens += doc.tokens;
+        let held = terms.entry(vid).or_default();
+        held.reserve_exact(doc.per_term.iter().map(|(t, _)| t.len() + 1).sum());
         for (term, positions) in doc.per_term {
-            let postings = inner.postings.entry(term).or_default();
+            let listed = held.len();
+            held.push_str(&term);
+            held.push(TERM_END);
+            let postings = postings.entry(term).or_default();
             // Insertion keeps vid order if vids are indexed in order;
             // otherwise insert at the right position.
             match postings.binary_search_by_key(&vid, |p| p.vid) {
-                Ok(i) => postings[i].positions.extend(positions),
+                Ok(i) => {
+                    // Indexed again without a removal: the term is
+                    // listed already.
+                    held.truncate(listed);
+                    let posting = &mut postings[i];
+                    posting.positions = [&posting.positions[..], &positions[..]].concat().into();
+                }
                 Err(i) => postings.insert(i, Posting { vid, positions }),
             }
         }
@@ -105,63 +163,50 @@ impl FullTextIndex {
         self.remove_all(&[vid]);
     }
 
-    /// Removes a set of documents in **one** walk of the term map. Per
-    /// term, the shorter of the two sorted lists (the set, the posting
-    /// list) is searched in the longer, so one document costs a binary
-    /// search per term and a large set costs at most a pass over the
-    /// postings.
+    /// Removes a set of documents, visiting only the terms their term
+    /// lists name. Per term, the set's postings go in one pass: a
+    /// binary search and a `remove` for one posting, one compaction from
+    /// the first of several. Duplicates and vids never indexed are
+    /// no-ops. What stays O(posting list) is shifting the postings
+    /// behind a removed one.
     pub fn remove_all(&self, vids: &[Vid]) {
-        let mut vids = vids.to_vec();
-        vids.sort_unstable();
-        vids.dedup();
-        if vids.is_empty() {
-            return;
-        }
-        // Which of `vids` had a posting, and how many tokens went.
-        let mut hit = vec![false; vids.len()];
-        let mut tokens = 0u64;
-        // Ascending indices of the postings to drop from one list.
-        let mut found: Vec<usize> = Vec::new();
         let mut inner = self.inner.write();
-        inner.postings.retain(|_, postings| {
-            found.clear();
-            if vids.len() <= postings.len() {
-                for (at, vid) in vids.iter().enumerate() {
-                    if let Ok(i) = postings.binary_search_by_key(vid, |p| p.vid) {
-                        found.push(i);
-                        hit[at] = true;
-                    }
-                }
-            } else {
-                for (i, posting) in postings.iter().enumerate() {
-                    if let Ok(at) = vids.binary_search(&posting.vid) {
-                        found.push(i);
-                        hit[at] = true;
-                    }
-                }
-            }
-            tokens += found
-                .iter()
-                .map(|&i| postings[i].positions.len() as u64)
-                .sum::<u64>();
-            match found[..] {
-                [] => {}
-                [i] => drop(postings.remove(i)),
-                _ => {
-                    let mut gone = found.iter().peekable();
-                    let mut i = 0;
-                    postings.retain(|_| {
-                        let dropped = gone.next_if_eq(&&i).is_some();
-                        i += 1;
-                        !dropped
-                    });
+        let Inner {
+            postings,
+            terms,
+            documents,
+            tokens,
+        } = &mut *inner;
+        let gone: Vec<(Vid, String)> = vids
+            .iter()
+            .filter_map(|&vid| terms.remove(&vid).map(|held| (vid, held)))
+            .collect();
+        *documents = documents.saturating_sub(gone.len());
+        // (term, holder), grouped by term, holders ascending per term.
+        let mut holders: Vec<(&str, Vid)> = gone
+            .iter()
+            .flat_map(|(vid, held)| held.split_terminator(TERM_END).map(|t| (t, *vid)))
+            .collect();
+        holders.sort_unstable();
+        holders.dedup();
+        let mut at: Vec<usize> = Vec::new();
+        for run in holders.chunk_by(|a, b| a.0 == b.0) {
+            let term = run[0].0;
+            let Some(list) = postings.get_mut(term) else {
+                continue;
+            };
+            at.clear();
+            for &(_, vid) in run {
+                if let Ok(i) = list.binary_search_by_key(&vid, |p| p.vid) {
+                    *tokens = tokens.saturating_sub(list[i].positions.len() as u64);
+                    at.push(i);
                 }
             }
-            !postings.is_empty()
-        });
-        let documents = hit.iter().filter(|h| **h).count();
-        inner.documents = inner.documents.saturating_sub(documents);
-        inner.tokens = inner.tokens.saturating_sub(tokens);
+            remove_positions(list, &at);
+            if list.is_empty() {
+                postings.remove(term);
+            }
+        }
     }
 
     /// Documents containing `term` (normalized).
@@ -267,7 +312,7 @@ impl FullTextIndex {
                     term.clone(),
                     postings
                         .iter()
-                        .map(|p| (p.vid.as_u64(), p.positions.clone()))
+                        .map(|p| (p.vid.as_u64(), p.positions.to_vec()))
                         .collect(),
                 )
             })
@@ -276,24 +321,47 @@ impl FullTextIndex {
 
     /// Rebuilds the index from exported postings (plus the document and
     /// token counters, which cannot be derived from postings alone).
+    /// Each document's term list is derived here, in two hash passes
+    /// over the postings: one sizes the lists, one fills them. Each
+    /// posting list is expected vid-ascending without repeats, as
+    /// [`FullTextIndex::export_postings`] writes it.
     pub fn import_postings(&self, postings: ExportedPostings, documents: usize, tokens: u64) {
-        let mut inner = self.inner.write();
-        inner.postings = postings
+        let mut sizes: VidMap<usize> = VidMap::default();
+        for (term, list) in &postings {
+            for &(vid, _) in list {
+                *sizes.entry(Vid::from_raw(vid)).or_default() += term.len() + 1;
+            }
+        }
+        let mut terms: VidMap<String> = sizes
+            .into_iter()
+            .map(|(vid, size)| (vid, String::with_capacity(size)))
+            .collect();
+        let postings = postings
             .into_iter()
             .map(|(term, list)| {
-                (
-                    term,
-                    list.into_iter()
-                        .map(|(vid, positions)| Posting {
-                            vid: Vid::from_raw(vid),
-                            positions,
-                        })
-                        .collect(),
-                )
+                let list = list
+                    .into_iter()
+                    .map(|(vid, positions)| {
+                        let vid = Vid::from_raw(vid);
+                        if let Some(held) = terms.get_mut(&vid) {
+                            held.push_str(&term);
+                            held.push(TERM_END);
+                        }
+                        Posting {
+                            vid,
+                            positions: positions.into_boxed_slice(),
+                        }
+                    })
+                    .collect();
+                (term, list)
             })
             .collect();
-        inner.documents = documents;
-        inner.tokens = tokens;
+        *self.inner.write() = Inner {
+            postings,
+            terms,
+            documents,
+            tokens,
+        };
     }
 
     /// Total indexed tokens (persistence counter).

@@ -43,3 +43,46 @@ pub use name::NameIndex;
 pub use segment::IndexSegment;
 pub use tokenizer::tokenize;
 pub use tuple::TupleIndex;
+
+/// Drops the elements at the ascending, distinct positions `at` from
+/// `list`: a `remove` for one position, otherwise one compaction pass
+/// over the elements from the first position on.
+fn remove_positions<T>(list: &mut Vec<T>, at: &[usize]) {
+    match *at {
+        [] => {}
+        [i] => drop(list.remove(i)),
+        [first, ..] => {
+            let mut gone = at.iter().peekable();
+            let mut kept = first;
+            for i in first..list.len() {
+                if gone.next_if_eq(&&i).is_none() {
+                    list.swap(kept, i);
+                    kept += 1;
+                }
+            }
+            list.truncate(kept);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::remove_positions;
+
+    #[test]
+    fn remove_positions_keeps_order_of_the_rest() {
+        for at in [
+            &[][..],
+            &[0],
+            &[5],
+            &[1, 2],
+            &[0, 3, 4],
+            &[0, 1, 2, 3, 4, 5],
+        ] {
+            let mut list: Vec<usize> = (0..6).collect();
+            remove_positions(&mut list, at);
+            let want: Vec<usize> = (0..6).filter(|i| !at.contains(i)).collect();
+            assert_eq!(list, want, "{at:?}");
+        }
+    }
+}

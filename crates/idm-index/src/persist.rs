@@ -182,10 +182,15 @@ fn get_sections(dec: &mut Decoder) -> io::Result<IndexBundle> {
     for _ in 0..term_count {
         let term = dec.get_str()?;
         let doc_count = dec.get_u64()? as usize;
-        let mut list = Vec::with_capacity(doc_count.min(1 << 20));
+        let mut list: Vec<(u64, Vec<u32>)> = Vec::with_capacity(doc_count.min(1 << 20));
         let mut prev_vid = 0u64;
         for _ in 0..doc_count {
             prev_vid = prev_vid.wrapping_add(dec.get_u64()?);
+            // Vid-ascending without repeats, as written: what bounds
+            // each document's term list by the bytes read.
+            if list.last().is_some_and(|&(last, _)| last >= prev_vid) {
+                return Err(Decoder::err("posting list not vid-ascending"));
+            }
             let pos_count = dec.get_u64()? as usize;
             let mut positions = Vec::with_capacity(pos_count.min(1 << 20));
             let mut prev_pos = 0u32;

@@ -20,6 +20,8 @@ use std::collections::HashMap;
 use idm_core::prelude::{TupleComponent, Value, Vid};
 use parking_lot::RwLock;
 
+use crate::remove_positions;
+
 /// Comparison operators supported by attribute predicates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompareOp {
@@ -88,9 +90,14 @@ fn sort_cmp(a: &Value, b: &Value) -> Ordering {
         })
 }
 
+/// The order of a sorted column: `sort_cmp` on the value, ties by vid.
+fn entry_cmp((va, a): &(Value, Vid), (vb, b): &(Value, Vid)) -> Ordering {
+    sort_cmp(va, vb).then(a.cmp(b))
+}
+
 #[derive(Default)]
 struct Column {
-    /// Sorted by `sort_cmp(value)`, ties by vid — once `sorted`.
+    /// In [`entry_cmp`] order — once `sorted`.
     entries: Vec<(Value, Vid)>,
     sorted: bool,
     /// Whether the numeric section held a float at the last sort.
@@ -103,8 +110,7 @@ struct Column {
 impl Column {
     fn ensure_sorted(&mut self) {
         if !self.sorted {
-            self.entries
-                .sort_by(|(va, a), (vb, b)| sort_cmp(va, vb).then(a.cmp(b)));
+            self.entries.sort_by(entry_cmp);
             self.has_float = self
                 .entries
                 .iter()
@@ -172,32 +178,65 @@ struct Inner {
 
 impl Inner {
     /// Drops the replica rows of `vids` and the column entries their
-    /// tuples gave them: one pass per column those tuples name, for the
-    /// whole set. `vids` is sorted.
+    /// tuples gave them. In a sorted column each old `(value, vid)` is
+    /// found by binary search; a column written since its last read is
+    /// scanned for the dropped vids. Either way one pass over the
+    /// entries behind the first found one takes them all out.
+    /// Duplicates and unknown vids are no-ops.
     fn drop_views(&mut self, vids: &[Vid]) {
-        // Column → how many of the dropped views had an entry in it.
-        let mut dropped: HashMap<String, usize> = HashMap::new();
-        for vid in vids {
-            let Some(tuple) = self.replica.remove(vid) else {
+        let gone: Vec<(Vid, TupleComponent)> = vids
+            .iter()
+            .filter_map(|&vid| self.replica.remove(&vid).map(|tuple| (vid, tuple)))
+            .collect();
+        // (column, entry, whether the view counts once there), grouped
+        // by column, entries in column order.
+        let mut dropped: Vec<(&str, (Value, Vid), bool)> = gone
+            .iter()
+            .flat_map(|(vid, tuple)| {
+                tuple.iter().enumerate().map(move |(i, (attr, value))| {
+                    let first = first_of_its_name(tuple, i);
+                    (attr.name.as_str(), (value.clone(), *vid), first)
+                })
+            })
+            .collect();
+        dropped.sort_unstable_by(|(a, x, _), (b, y, _)| a.cmp(b).then_with(|| entry_cmp(x, y)));
+        let mut at: Vec<usize> = Vec::new();
+        for run in dropped.chunk_by(|a, b| a.0 == b.0) {
+            let name = run[0].0;
+            let Some(column) = self.columns.get_mut(name) else {
                 continue;
             };
-            for (i, attr) in tuple.schema().attributes().iter().enumerate() {
-                if first_of_its_name(&tuple, i) {
-                    *dropped.entry(attr.name.clone()).or_default() += 1;
+            at.clear();
+            if column.sorted {
+                for (k, (_, entry, _)) in run.iter().enumerate() {
+                    // A tuple naming one attribute twice with one value
+                    // gave the column two equal entries; both go.
+                    if k > 0 && entry_cmp(&run[k - 1].1, entry) == Ordering::Equal {
+                        continue;
+                    }
+                    let lo = column
+                        .entries
+                        .partition_point(|e| entry_cmp(e, entry) == Ordering::Less);
+                    let hi = lo
+                        + column.entries[lo..]
+                            .iter()
+                            .take_while(|e| entry_cmp(e, entry) == Ordering::Equal)
+                            .count();
+                    at.extend(lo..hi);
                 }
+            } else {
+                let mut views: Vec<Vid> = run.iter().map(|(_, (_, vid), _)| *vid).collect();
+                views.sort_unstable();
+                at.extend(
+                    (0..column.entries.len())
+                        .filter(|&i| views.binary_search(&column.entries[i].1).is_ok()),
+                );
             }
-        }
-        for (name, views) in dropped {
-            let Some(column) = self.columns.get_mut(&name) else {
-                continue;
-            };
-            column
-                .entries
-                .retain(|(_, v)| vids.binary_search(v).is_err());
-            column.views -= views;
+            remove_positions(&mut column.entries, &at);
+            column.views -= run.iter().filter(|(_, _, first)| *first).count();
             // A column nobody names is gone, as in a rebuilt index.
             if column.entries.is_empty() {
-                self.columns.remove(&name);
+                self.columns.remove(name);
             }
         }
     }
@@ -234,12 +273,11 @@ impl TupleIndex {
         self.remove_all(&[vid]);
     }
 
-    /// Removes a set of views' tuples: each column they name is walked
-    /// once for the whole set, not once per view.
+    /// Removes a set of views' tuples: only the columns they name are
+    /// touched, and a sorted one by binary search (see
+    /// `Inner::drop_views`).
     pub fn remove_all(&self, vids: &[Vid]) {
-        let mut vids = vids.to_vec();
-        vids.sort_unstable();
-        self.inner.write().drop_views(&vids);
+        self.inner.write().drop_views(vids);
     }
 
     /// The replicated tuple component of a view.

@@ -507,6 +507,211 @@ proptest! {
     }
 }
 
+// ---- any script of index / re-index / remove / reload vs a rebuild ---------
+
+/// One pool view: name, text, tuple pairs, whether it is a `file` (and
+/// from source `left`) or a `folder` (from `right`).
+type PoolView = (String, String, Vec<(String, Value)>, bool);
+
+fn arb_pool() -> impl Strategy<Value = Vec<PoolView>> {
+    proptest::collection::vec(
+        (
+            "[a-c]{1,3}",
+            "[a-d ]{0,20}",
+            // A tuple may name `x` twice, even with one value, and
+            // `arb_value` holds `NaN` and the integers `f64` rounds.
+            proptest::collection::vec(("[xy]", arb_value()), 1..5),
+            any::<bool>(),
+        ),
+        2..10,
+    )
+}
+
+fn pool_tuple(pairs: &[(String, Value)]) -> TupleComponent {
+    TupleComponent::of(pairs.iter().map(|(a, v)| (a.as_str(), v.clone())).collect())
+}
+
+/// Everything `observable` sees, plus the token count, the catalog
+/// lists in the order they are handed out and the tuple columns' answers.
+fn observable_in_full(bundle: &idm_index::IndexBundle) -> impl PartialEq + std::fmt::Debug {
+    let lists: Vec<Vec<Vid>> = ["file", "folder"]
+        .iter()
+        .map(|c| bundle.catalog.by_class(c))
+        .chain(
+            ["left", "right"]
+                .iter()
+                .map(|s| bundle.catalog.by_source(s)),
+        )
+        .collect();
+    let mut columns = Vec::new();
+    for attr in ["x", "y"] {
+        columns.push(bundle.tuple.has_attribute(attr));
+        columns.push(vec![Vid::from_raw(
+            bundle.tuple.attribute_count(attr) as u64
+        )]);
+        for constant in [Value::Integer(0), Value::Float(f64::NAN), Value::Float(1.5)] {
+            for op in OPS {
+                columns.push(bundle.tuple.compare(attr, op, &constant));
+            }
+        }
+    }
+    (
+        observable(bundle),
+        bundle.content.token_count(),
+        lists,
+        columns,
+    )
+}
+
+proptest! {
+    /// After any interleaving of indexing views out of vid order,
+    /// re-indexing edited views, set-wise removal (duplicates and vids
+    /// never seen included), reads that sort the tuple columns and a
+    /// save → load, the bundle is the one indexing the survivors afresh
+    /// builds: removal is checked against a rebuild, not against a
+    /// second removal path. Removals hit tuple columns both sorted (after
+    /// a read) and dirtied since their last read.
+    #[test]
+    fn any_script_equals_a_rebuild_of_the_survivors(
+        pool in arb_pool(),
+        script in proptest::collection::vec(
+            (0u8..7, 0usize..12, proptest::collection::vec(0usize..14, 0..6)),
+            1..30,
+        ),
+        edits in proptest::collection::vec(arb_pool(), 1..2),
+    ) {
+        let store = idm_core::prelude::ViewStore::new();
+        let mut vids: Vec<Vid> = Vec::new();
+        for (name, text, pairs, file) in &pool {
+            let mut builder = store
+                .build(name.clone())
+                .text(text.clone())
+                .tuple(pool_tuple(pairs))
+                .class_named(if *file { "file" } else { "folder" });
+            if let Some(prev) = vids.last() {
+                builder = builder.children(vec![*prev]);
+            }
+            vids.push(builder.insert());
+        }
+        let source = |at: usize| if pool[at].3 { "left" } else { "right" };
+        let mut bundle = idm_index::IndexBundle::new();
+        let mut indexed: std::collections::BTreeSet<usize> = Default::default();
+        let edits = &edits[0];
+        let check = |bundle: &idm_index::IndexBundle, indexed: &std::collections::BTreeSet<usize>| {
+            let rebuilt = idm_index::IndexBundle::new();
+            for &at in indexed {
+                rebuilt.index_view(&store, vids[at], source(at)).unwrap();
+            }
+            (observable_in_full(bundle), observable_in_full(&rebuilt))
+        };
+        for (op, pick, set) in script {
+            let at = pick % vids.len();
+            match op {
+                // Index a view not indexed yet: vids arrive out of order.
+                0 | 1 => {
+                    if indexed.insert(at) {
+                        bundle.index_view(&store, vids[at], source(at)).unwrap();
+                    }
+                }
+                // Edit a view and re-index it, through either caller's path.
+                2 => {
+                    let (name, text, pairs, _) = &edits[pick % edits.len()];
+                    let vid = vids[at];
+                    store.set_name(vid, Some(name.clone())).unwrap();
+                    store.set_content(vid, idm_core::prelude::Content::text(text.clone())).unwrap();
+                    store.set_tuple(vid, Some(pool_tuple(pairs))).unwrap();
+                    if indexed.contains(&at) {
+                        if set.len() % 2 == 0 {
+                            bundle.reindex_views(&store, &[vid, vid]).unwrap();
+                        } else {
+                            bundle.remove_view(vid);
+                            bundle.index_view(&store, vid, source(at)).unwrap();
+                        }
+                    }
+                }
+                // Remove a set: duplicates, unindexed and unknown vids.
+                3 => {
+                    let victims: Vec<Vid> = set
+                        .iter()
+                        .map(|&p| vids.get(p).copied().unwrap_or(Vid::from_raw(1_000 + p as u64)))
+                        .collect();
+                    bundle.remove_views(&victims);
+                    for &p in &set {
+                        indexed.remove(&p);
+                    }
+                }
+                // A read sorts the columns it touches.
+                4 => {
+                    for attr in ["x", "y"] {
+                        bundle.tuple.compare(attr, CompareOp::Ge, &Value::Integer(0));
+                    }
+                }
+                5 => {
+                    let bytes = idm_index::persist::to_bytes_with_epoch(&bundle, 0);
+                    bundle = idm_index::persist::from_bytes_with_epoch(&bytes).unwrap().0;
+                }
+                _ => {
+                    let (got, want) = check(&bundle, &indexed);
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
+        let (got, want) = check(&bundle, &indexed);
+        prop_assert_eq!(got, want);
+    }
+}
+
+/// A checksum-valid index file whose one posting names a vid near
+/// `u64::MAX` loads without an allocation sized by that vid, and the
+/// document it names can be found and removed.
+#[test]
+fn a_posting_near_the_largest_vid_loads() {
+    let bundle = idm_index::IndexBundle::new();
+    let far = Vid::from_raw(u64::MAX - 1);
+    bundle.content.index(far, "distant words");
+    let bytes = idm_index::persist::to_bytes_with_epoch(&bundle, 0);
+    let (loaded, _) = idm_index::persist::from_bytes_with_epoch(&bytes).expect("loads");
+    assert_eq!(loaded.content.term_query("distant"), vec![far]);
+    loaded.content.remove(far);
+    assert!(loaded.content.term_query("words").is_empty());
+    assert_eq!(loaded.content.term_count(), 0);
+    assert_eq!(loaded.content.document_count(), 0);
+}
+
+/// A posting list that names a vid twice, or descends, is damage: the
+/// sealed file is rejected, not loaded into a list binary search
+/// cannot read.
+#[test]
+fn a_posting_list_out_of_vid_order_is_an_error() {
+    use idm_core::durability::artifact;
+    use idm_core::durability::codec::Encoder;
+
+    for deltas in [[7u64, 0], [u64::MAX, 2]] {
+        let mut sealed = Encoder::new();
+        sealed.put_raw(b"IDMIDX02");
+        sealed.put_u64(0); // epoch
+        sealed.put_u64(0); // catalog rows
+        sealed.put_u64(0); // names
+        sealed.put_u64(0); // tuples
+        sealed.put_u64(2); // documents
+        sealed.put_u64(2); // tokens
+        sealed.put_u64(1); // terms
+        sealed.put_str("word");
+        sealed.put_u64(2); // postings
+        for delta in deltas {
+            sealed.put_u64(delta);
+            sealed.put_u64(1); // positions
+            sealed.put_u64(0);
+        }
+        sealed.put_u64(0); // group parents
+        let sealed = artifact::seal(sealed);
+        assert!(
+            idm_index::persist::from_bytes_with_epoch(&sealed).is_err(),
+            "{deltas:?}"
+        );
+    }
+}
+
 // ---- persistence roundtrip on arbitrary bundles ---------------------------
 
 proptest! {

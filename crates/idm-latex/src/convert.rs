@@ -47,15 +47,24 @@ struct Converter<'a> {
     refs: Vec<(Vid, String)>,
     figure_counter: usize,
     table_counter: usize,
+    /// Views inserted so far.
+    derived: usize,
 }
 
 impl<'a> Converter<'a> {
-    fn text_view(&self, text: &str) -> Vid {
-        self.store
+    /// Inserts one view of the subgraph, counting it.
+    fn insert(&mut self, builder: ViewBuilder<'a>) -> Vid {
+        self.derived += 1;
+        builder.insert()
+    }
+
+    fn text_view(&mut self, text: &str) -> Vid {
+        let builder = self
+            .store
             .build_unnamed()
             .content(Content::text(text.to_owned()))
-            .class(self.text)
-            .insert()
+            .class(self.text);
+        self.insert(builder)
     }
 
     fn convert_blocks(&mut self, blocks: &[LatexBlock]) -> Result<Vec<Vid>> {
@@ -67,8 +76,8 @@ impl<'a> Converter<'a> {
                         match inline {
                             Inline::Text(t) => out.push(self.text_view(t)),
                             Inline::Ref(label) => {
-                                let vid =
-                                    self.store.build(label.clone()).class(self.texref).insert();
+                                let builder = self.store.build(label.clone()).class(self.texref);
+                                let vid = self.insert(builder);
                                 self.refs.push((vid, label.clone()));
                                 out.push(vid);
                             }
@@ -100,7 +109,7 @@ impl<'a> Converter<'a> {
                     if !children.is_empty() {
                         builder = builder.sequence(children);
                     }
-                    let vid = builder.insert();
+                    let vid = self.insert(builder);
                     if let Some(label) = &section.label {
                         self.labels.insert(label.clone(), vid);
                     }
@@ -141,7 +150,7 @@ impl<'a> Converter<'a> {
         if !caption.is_empty() {
             inner_builder = inner_builder.content(Content::text(caption));
         }
-        let inner = inner_builder.insert();
+        let inner = self.insert(inner_builder);
         if let Some(label) = &env.label {
             self.labels.insert(label.clone(), inner);
         }
@@ -150,12 +159,12 @@ impl<'a> Converter<'a> {
         if !env.body_text.trim().is_empty() {
             children.push(self.text_view(&env.body_text));
         }
-        Ok(self
+        let builder = self
             .store
             .build(env.kind.clone())
             .sequence(children)
-            .class(self.environment)
-            .insert())
+            .class(self.environment);
+        Ok(self.insert(builder))
     }
 }
 
@@ -199,7 +208,6 @@ fn section_deep_text(section: &crate::parser::LatexSection) -> String {
 
 /// Instantiates a parsed LaTeX document as resource views.
 pub fn document_to_views(store: &ViewStore, doc: &LatexDocument) -> Result<LatexMapping> {
-    let before = store.len();
     let classes = store.classes();
     let mut converter = Converter {
         store,
@@ -212,6 +220,7 @@ pub fn document_to_views(store: &ViewStore, doc: &LatexDocument) -> Result<Latex
         refs: Vec::new(),
         figure_counter: 0,
         table_counter: 0,
+        derived: 0,
     };
 
     let mut doc_children = Vec::new();
@@ -224,26 +233,25 @@ pub fn document_to_views(store: &ViewStore, doc: &LatexDocument) -> Result<Latex
         ("abstract", doc.abstract_text.as_deref()),
     ] {
         if let Some(value) = value.filter(|v| !v.is_empty()) {
-            doc_children.push(
-                store
-                    .build(node_name)
-                    .content(Content::text(value.to_owned()))
-                    .class(converter.text)
-                    .insert(),
-            );
+            let builder = store
+                .build(node_name)
+                .content(Content::text(value.to_owned()))
+                .class(converter.text);
+            doc_children.push(converter.insert(builder));
         }
     }
     let body_children = converter.convert_blocks(&doc.blocks)?;
     // The 'document' portion view is a pure structural node (no class:
     // schema-later modeling is fine in iDM).
-    let body = store.build("document").sequence(body_children).insert();
+    let body = converter.insert(store.build("document").sequence(body_children));
     doc_children.push(body);
 
-    let document = store
-        .build(doc.title.clone().unwrap_or_else(|| "document".to_owned()))
-        .sequence(doc_children)
-        .class_named(names::LATEX_DOCUMENT)
-        .insert();
+    let document = converter.insert(
+        store
+            .build(doc.title.clone().unwrap_or_else(|| "document".to_owned()))
+            .sequence(doc_children)
+            .class_named(names::LATEX_DOCUMENT),
+    );
 
     // Resolve references: each texref's group points at the labeled view.
     for (ref_vid, label) in &converter.refs {
@@ -254,7 +262,7 @@ pub fn document_to_views(store: &ViewStore, doc: &LatexDocument) -> Result<Latex
 
     Ok(LatexMapping {
         document,
-        derived: store.len() - before,
+        derived: converter.derived,
         labels: converter.labels,
         refs: converter.refs.iter().map(|(v, _)| *v).collect(),
     })
@@ -425,6 +433,8 @@ The results in Figure~\ref{fig:idx} show interactive times.
         assert!(graph::is_indirectly_related(&store, file, mapping.labels["sec:prelim"]).unwrap());
     }
 
+    /// The converter counts its own inserts; on a store nobody else
+    /// writes to, that is the growth of the store.
     #[test]
     fn derived_count_reported() {
         let store = ViewStore::new();

@@ -81,11 +81,10 @@ impl Content2IdmConverter for LatexConverter {
     }
 
     fn convert(&self, store: &ViewStore, vid: Vid) -> Result<Conversion> {
-        let before = store.len();
-        idm_latex::convert::latex_to_views(store, vid)?;
+        let mapping = idm_latex::convert::latex_to_views(store, vid)?;
         Ok(Conversion {
             derived_xml: 0,
-            derived_latex: store.len() - before,
+            derived_latex: mapping.derived,
         })
     }
 }

@@ -86,9 +86,9 @@ pub fn text_to_views(store: &ViewStore, xml: &str) -> Result<(Vid, usize)> {
     let doc = parse(xml).map_err(|e| IdmError::Parse {
         detail: e.to_string(),
     })?;
-    let before = store.len();
     let vid = document_to_views(store, &doc)?;
-    Ok((vid, store.len() - before))
+    // One view per information item, the document's included.
+    Ok((vid, doc.item_count()))
 }
 
 /// Upgrades a `file` view whose content is XML into an `xmlfile` view:
