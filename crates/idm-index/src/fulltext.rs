@@ -5,14 +5,13 @@
 //! replica: term positions cannot reconstruct the original content
 //! (Section 5.2 makes this distinction explicitly).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::{BTreeMap, HashSet};
 
 use idm_core::prelude::Vid;
 use parking_lot::RwLock;
 
-use crate::remove_positions;
 use crate::tokenizer::{terms, tokenize};
+use crate::{remove_positions, VidMap};
 
 /// A posting: one document (view) and the positions of a term within it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,31 +23,6 @@ struct Posting {
 /// Ends each term in a document's term list. Terms are runs of
 /// alphanumeric characters, so it never occurs inside one.
 const TERM_END: char = '\0';
-
-/// Hashes a [`Vid`] with one multiply: vids are dense counters, which
-/// the product spreads over the high and the low bits alike. The keys
-/// are vids this program allocated; an index file crafted to collide
-/// them only slows its own load.
-#[derive(Default)]
-struct VidHasher(u64);
-
-impl Hasher for VidHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(u64::from(byte));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type VidMap<V> = HashMap<Vid, V, BuildHasherDefault<VidHasher>>;
 
 #[derive(Default)]
 struct Inner {

@@ -7,17 +7,51 @@
 //! the replicas only" — this is that replica. The query processor's
 //! forward/backward/bidirectional expansion strategies run entirely on
 //! this structure.
+//!
+//! A walk reads it through [`GroupReplica::read`]: one [`GroupRead`]
+//! guard lends each adjacency list as a slice, so a node costs one
+//! lookup and no allocation. The read discipline:
+//!
+//! - a guard lives for one chunk of one walk, never across chunks,
+//!   levels or queries, so a writer ([`GroupReplica::index`] from ingest
+//!   or sync) waits at most one chunk's walk;
+//! - nothing called while a guard is held takes the replica's lock
+//!   again: the lock is std's `RwLock`, whose re-entrant read deadlocks
+//!   once a writer queues between the two reads;
+//! - budget checkpoints stay per node inside the walk, so a deadline
+//!   still ends it promptly.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use idm_core::prelude::Vid;
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
+
+use crate::{VidMap, VidSet};
 
 #[derive(Default)]
 struct Inner {
-    forward: HashMap<Vid, Vec<Vid>>,
-    reverse: HashMap<Vid, Vec<Vid>>,
+    forward: VidMap<Vec<Vid>>,
+    reverse: VidMap<Vec<Vid>>,
     edges: usize,
+}
+
+/// A read guard over the replica that lends adjacency lists
+/// ([`GroupReplica::read`]). Hold one for one chunk of one walk and take
+/// no other replica lock while it lives (see the module doc).
+pub struct GroupRead<'a> {
+    inner: RwLockReadGuard<'a, Inner>,
+}
+
+impl GroupRead<'_> {
+    /// The directly related views of `vid` (out-edges).
+    pub fn children(&self, vid: Vid) -> &[Vid] {
+        self.inner.forward.get(&vid).map_or(&[], Vec::as_slice)
+    }
+
+    /// The views `vid` is directly related *from* (in-edges).
+    pub fn parents(&self, vid: Vid) -> &[Vid] {
+        self.inner.reverse.get(&vid).map_or(&[], Vec::as_slice)
+    }
 }
 
 /// The group component replica.
@@ -62,24 +96,21 @@ impl GroupReplica {
         self.index(vid, &[]);
     }
 
-    /// The directly related views of `vid` (out-edges).
-    pub fn children(&self, vid: Vid) -> Vec<Vid> {
-        self.inner
-            .read()
-            .forward
-            .get(&vid)
-            .cloned()
-            .unwrap_or_default()
+    /// A read guard that lends adjacency lists without copying them.
+    pub fn read(&self) -> GroupRead<'_> {
+        GroupRead {
+            inner: self.inner.read(),
+        }
     }
 
-    /// The views `vid` is directly related *from* (in-edges).
+    /// The directly related views of `vid` (out-edges), owned.
+    pub fn children(&self, vid: Vid) -> Vec<Vid> {
+        self.read().children(vid).to_vec()
+    }
+
+    /// The views `vid` is directly related *from* (in-edges), owned.
     pub fn parents(&self, vid: Vid) -> Vec<Vid> {
-        self.inner
-            .read()
-            .reverse
-            .get(&vid)
-            .cloned()
-            .unwrap_or_default()
+        self.read().parents(vid).to_vec()
     }
 
     /// All views indirectly related to `root` (forward BFS, cycle-safe).
@@ -94,18 +125,18 @@ impl GroupReplica {
     }
 
     fn bfs(&self, start: Vid, forward: bool) -> Vec<Vid> {
-        let inner = self.inner.read();
-        let adjacency = if forward {
-            &inner.forward
-        } else {
-            &inner.reverse
-        };
-        let mut visited: HashSet<Vid> = HashSet::new();
+        let group = self.read();
+        let mut visited = VidSet::default();
         let mut queue: VecDeque<Vid> = [start].into();
         let mut out = Vec::new();
         let mut seen_start = false;
         while let Some(vid) = queue.pop_front() {
-            for &next in adjacency.get(&vid).map(Vec::as_slice).unwrap_or(&[]) {
+            let next_nodes = if forward {
+                group.children(vid)
+            } else {
+                group.parents(vid)
+            };
+            for &next in next_nodes {
                 if next == start {
                     // Start reachable from itself via a cycle: report once
                     // (matching idm_core::graph::descendants semantics).
@@ -127,11 +158,11 @@ impl GroupReplica {
     /// Whether `target` is indirectly related to `source`
     /// (`source →* target`), checked forward with early exit.
     pub fn reaches(&self, source: Vid, target: Vid) -> bool {
-        let inner = self.inner.read();
-        let mut visited: HashSet<Vid> = HashSet::new();
+        let group = self.read();
+        let mut visited = VidSet::default();
         let mut queue: VecDeque<Vid> = [source].into();
         while let Some(vid) = queue.pop_front() {
-            for &next in inner.forward.get(&vid).map(Vec::as_slice).unwrap_or(&[]) {
+            for &next in group.children(vid) {
                 if next == target {
                     return true;
                 }
@@ -184,7 +215,7 @@ impl GroupReplica {
         fn varint(v: u64) -> usize {
             (64 - v.leading_zeros() as usize).max(1).div_ceil(7)
         }
-        fn side(map: &HashMap<Vid, Vec<Vid>>) -> usize {
+        fn side(map: &VidMap<Vec<Vid>>) -> usize {
             map.iter()
                 .map(|(vid, members)| {
                     let mut bytes = varint(vid.as_u64()) + varint(members.len() as u64);

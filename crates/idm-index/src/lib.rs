@@ -23,6 +23,11 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+use idm_core::prelude::Vid;
+
 pub mod audit;
 pub mod bundle;
 pub mod catalog;
@@ -38,11 +43,40 @@ pub use audit::{audit, repair, AuditMemo, AuditMismatch, AuditReport, AuditScope
 pub use bundle::{ContentIndexing, IndexBundle, IndexSizes};
 pub use catalog::{CatalogEntry, ResourceViewCatalog};
 pub use fulltext::FullTextIndex;
-pub use group::GroupReplica;
+pub use group::{GroupRead, GroupReplica};
 pub use name::NameIndex;
 pub use segment::IndexSegment;
 pub use tokenizer::tokenize;
 pub use tuple::TupleIndex;
+
+/// Hashes a [`Vid`] with one multiply: vids are dense counters, which
+/// the product spreads over the high and the low bits alike. The keys
+/// are vids this program allocated; an index file crafted to collide
+/// them only slows its own load.
+#[derive(Default)]
+pub struct VidHasher(u64);
+
+impl Hasher for VidHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by vid, hashed with [`VidHasher`].
+pub type VidMap<V> = HashMap<Vid, V, BuildHasherDefault<VidHasher>>;
+
+/// A set of vids, hashed with [`VidHasher`].
+pub type VidSet = HashSet<Vid, BuildHasherDefault<VidHasher>>;
 
 /// Drops the elements at the ascending, distinct positions `at` from
 /// `list`: a `remove` for one position, otherwise one compaction pass

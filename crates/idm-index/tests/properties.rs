@@ -382,6 +382,99 @@ proptest! {
     }
 }
 
+/// The nodes `start` reaches over one or more exported edges, followed
+/// forward or backward (`start` itself only through a cycle).
+fn naive_reach(edges: &[(u64, Vec<u64>)], start: u64, forward: bool) -> Vec<Vid> {
+    let mut reach = std::collections::BTreeSet::new();
+    let mut queue = vec![start];
+    while let Some(node) = queue.pop() {
+        for (parent, children) in edges {
+            for &child in children {
+                let (from, to) = if forward {
+                    (*parent, child)
+                } else {
+                    (child, *parent)
+                };
+                if from == node && reach.insert(to) {
+                    queue.push(to);
+                }
+            }
+        }
+    }
+    reach.into_iter().map(Vid::from_raw).collect()
+}
+
+proptest! {
+    /// After any script of index / re-index / remove / export→import
+    /// over a small vid range — cycles, self-loops and repeated members
+    /// included — the slices `read()` lends equal the owned `children` /
+    /// `parents`, the in-edges are the exported out-edges inverted, and
+    /// `descendants`, `ancestors` and `reaches` equal a naive BFS over
+    /// `export_edges()`.
+    #[test]
+    fn replica_reads_equal_naive_walks(
+        script in proptest::collection::vec(
+            (0u8..6, 0u64..8, proptest::collection::vec(0u64..8, 0..5)),
+            1..30,
+        ),
+    ) {
+        let mut replica = GroupReplica::new();
+        for (op, parent, members) in script {
+            let parent = Vid::from_raw(parent);
+            match op {
+                0..=3 => {
+                    let members: Vec<Vid> = members.into_iter().map(Vid::from_raw).collect();
+                    replica.index(parent, &members);
+                }
+                4 => replica.remove(parent),
+                _ => {
+                    let restored = GroupReplica::new();
+                    restored.import_edges(replica.export_edges());
+                    replica = restored;
+                }
+            }
+            let edges = replica.export_edges();
+            prop_assert_eq!(
+                replica.edge_count(),
+                edges.iter().map(|(_, children)| children.len()).sum::<usize>()
+            );
+            for node in 0u64..9 {
+                let vid = Vid::from_raw(node);
+                let (children, parents) = {
+                    let read = replica.read();
+                    (read.children(vid).to_vec(), read.parents(vid).to_vec())
+                };
+                prop_assert_eq!(&children, &replica.children(vid));
+                prop_assert_eq!(&parents, &replica.parents(vid));
+                let mut parents = parents;
+                parents.sort();
+                let mut inverted: Vec<Vid> = edges
+                    .iter()
+                    .flat_map(|(p, c)| c.iter().filter(|&&c| c == node).map(|_| Vid::from_raw(*p)))
+                    .collect();
+                inverted.sort();
+                prop_assert_eq!(parents, inverted, "in-edges of {}", node);
+
+                let forward = naive_reach(&edges, node, true);
+                let mut descendants = replica.descendants(vid);
+                descendants.sort();
+                prop_assert_eq!(&descendants, &forward, "descendants of {}", node);
+                let mut ancestors = replica.ancestors(vid);
+                ancestors.sort();
+                prop_assert_eq!(ancestors, naive_reach(&edges, node, false), "ancestors of {}", node);
+                for target in 0u64..9 {
+                    let target = Vid::from_raw(target);
+                    prop_assert_eq!(
+                        replica.reaches(vid, target),
+                        forward.contains(&target),
+                        "{} reaches {:?}", node, target
+                    );
+                }
+            }
+        }
+    }
+}
+
 // ---- set-wise removal and re-indexing vs the single-view path ---------------
 
 type ArbView = (String, String, i64, bool);

@@ -6,8 +6,12 @@
 //! (Section 7.2) and names backward/bidirectional expansion \[30\] as the
 //! planned remedy for queries like Q8 where forward expansion processes
 //! many intermediate results. All three strategies are implemented here
-//! and selectable per query, which also powers the expansion-strategy
-//! ablation benchmark.
+//! and selectable per query; `crates/idm-bench/examples/scaling_probe.rs`
+//! times them against each other.
+//!
+//! Every expansion reads the group replica under one [`GroupRead`]
+//! guard per chunk of a walk, following the read discipline of
+//! [`idm_index::group`].
 //!
 //! The executor holds **no query-shape logic of its own**: every rule
 //! decision (which index to read, intersection order, join build side)
@@ -16,12 +20,12 @@
 //! read is the plan that ran — per-operator counts in
 //! [`ExecStats::ops`] make that checkable.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Sender};
 use idm_core::prelude::*;
-use idm_index::IndexBundle;
+use idm_index::{GroupRead, IndexBundle, VidSet};
 
 use crate::ast::*;
 use crate::budget::{BudgetConsumption, BudgetTracker, QueryBudget, Tick};
@@ -440,7 +444,7 @@ impl QueryProcessor {
             }
             PlanOp::Complement(exclude) => {
                 stats.ops.complements += 1;
-                let exclude: HashSet<Vid> = self
+                let exclude: VidSet = self
                     .eval_node(exclude, stats, tracker)?
                     .into_views()
                     .into_iter()
@@ -572,7 +576,7 @@ impl QueryProcessor {
                 // Truncation soundness: stopping mid-context leaves
                 // `reachable` a subset, and filtering candidates against
                 // a subset keeps a subset.
-                let mut reachable: HashSet<Vid> = HashSet::new();
+                let mut reachable = VidSet::default();
                 for children in self.expand(context, "relate", tracker)? {
                     stats.nodes_expanded += children.len();
                     reachable.extend(children);
@@ -584,7 +588,7 @@ impl QueryProcessor {
                 Ok(par::filter(candidates, threads, |v| reachable.contains(v)))
             }
             (ExpansionStrategy::Backward, _) => {
-                let ctx: HashSet<Vid> = context.iter().copied().collect();
+                let ctx: VidSet = context.iter().copied().collect();
                 // For the descendant axis each chunk keeps its own
                 // positive cache of nodes known to reach the context:
                 // the kept rows never depend on it, only
@@ -593,8 +597,9 @@ impl QueryProcessor {
                 // Chunking is deterministic, so repeated runs at the
                 // same parallelism agree exactly.
                 let chunks = par::try_map_chunks(&candidates, threads, |_, chunk| {
-                    let mut local = ExecStats::default();
-                    let mut reaches_ctx: HashSet<Vid> = HashSet::new();
+                    let group = self.indexes.group.read();
+                    let mut search = ReverseSearch::default();
+                    let mut expanded = 0;
                     let mut kept: Vec<Vid> = Vec::new();
                     for &v in chunk {
                         if tracker.checkpoint("relate")? == Tick::Truncate {
@@ -602,24 +607,20 @@ impl QueryProcessor {
                         }
                         let related = match axis {
                             Axis::Child => {
-                                let parents = self.indexes.group.parents(v);
-                                local.nodes_expanded += parents.len();
+                                let parents = group.parents(v);
+                                expanded += parents.len();
                                 tracker.charge_nodes(parents.len(), "relate")?;
                                 parents.iter().any(|p| ctx.contains(p))
                             }
-                            Axis::Descendant => self.reverse_reaches(
-                                v,
-                                &ctx,
-                                &mut reaches_ctx,
-                                &mut local,
-                                tracker,
-                            )?,
+                            Axis::Descendant => {
+                                search.reaches(&group, v, &ctx, &mut expanded, tracker)?
+                            }
                         };
                         if related {
                             kept.push(v);
                         }
                     }
-                    Ok::<_, IdmError>((kept, local.nodes_expanded))
+                    Ok::<_, IdmError>((kept, expanded))
                 })?;
                 stats.nodes_expanded += chunks.iter().map(|(_, expanded)| expanded).sum::<usize>();
                 Ok(par::concat(chunks.into_iter().map(|(kept, _)| kept)))
@@ -629,9 +630,10 @@ impl QueryProcessor {
     }
 
     /// The group-replica edges out of every node of `frontier`: one
-    /// child list per chunk, in frontier order. One checkpoint per
-    /// expanded node; a truncated walk expands a prefix of each chunk,
-    /// which yields a subset of the true edges.
+    /// child list per chunk, in frontier order, read under one replica
+    /// guard per chunk. One checkpoint per expanded node; a truncated
+    /// walk expands a prefix of each chunk, which yields a subset of the
+    /// true edges.
     fn expand(
         &self,
         frontier: &[Vid],
@@ -639,14 +641,15 @@ impl QueryProcessor {
         tracker: &BudgetTracker,
     ) -> Result<Vec<Vec<Vid>>> {
         par::try_map_chunks(frontier, self.threads(), |_, chunk| {
+            let group = self.indexes.group.read();
             let mut out: Vec<Vid> = Vec::with_capacity(chunk.len());
             for &vid in chunk {
                 if tracker.checkpoint(phase)? == Tick::Truncate {
                     break;
                 }
-                let children = self.indexes.group.children(vid);
+                let children = group.children(vid);
                 tracker.charge_nodes(children.len(), phase)?;
-                par::append(&mut out, &children);
+                par::append(&mut out, children);
             }
             Ok(out)
         })
@@ -662,8 +665,8 @@ impl QueryProcessor {
         sources: &[Vid],
         stats: &mut ExecStats,
         tracker: &BudgetTracker,
-    ) -> Result<HashSet<Vid>> {
-        let mut visited: HashSet<Vid> = HashSet::new();
+    ) -> Result<VidSet> {
+        let mut visited = VidSet::default();
         let mut frontier: Vec<Vid> = sources.to_vec();
         while !frontier.is_empty() {
             if tracker.checkpoint("expand")? == Tick::Truncate {
@@ -679,48 +682,6 @@ impl QueryProcessor {
             frontier = par::concat(chunks);
         }
         Ok(visited)
-    }
-
-    /// Reverse BFS from `start` towards the context set, with a shared
-    /// positive cache across candidates.
-    fn reverse_reaches(
-        &self,
-        start: Vid,
-        ctx: &HashSet<Vid>,
-        reaches_ctx: &mut HashSet<Vid>,
-        stats: &mut ExecStats,
-        tracker: &BudgetTracker,
-    ) -> Result<bool> {
-        let mut visited: HashSet<Vid> = HashSet::new();
-        let mut queue: VecDeque<Vid> = [start].into();
-        let mut path_nodes: Vec<Vid> = Vec::new();
-        let mut found = false;
-        'bfs: while let Some(vid) = queue.pop_front() {
-            // A truncated search reports "not found", which *drops* the
-            // candidate — the kept set stays a subset of the true rows.
-            if tracker.checkpoint("relate")? == Tick::Truncate {
-                return Ok(false);
-            }
-            for parent in self.indexes.group.parents(vid) {
-                stats.nodes_expanded += 1;
-                tracker.charge_nodes(1, "relate")?;
-                if ctx.contains(&parent) || reaches_ctx.contains(&parent) {
-                    found = true;
-                    break 'bfs;
-                }
-                if visited.insert(parent) {
-                    path_nodes.push(parent);
-                    queue.push_back(parent);
-                }
-            }
-        }
-        if found {
-            // Everything visited on this search reaches the context via
-            // the found node only if it lies on a path — conservatively
-            // cache only the start, which is definitely connected.
-            reaches_ctx.insert(start);
-        }
-        Ok(found)
     }
 
     // ---- joins ---------------------------------------------------------
@@ -816,6 +777,54 @@ impl QueryProcessor {
         pairs.sort();
         pairs.dedup();
         Ok(ResultRows::Pairs(pairs))
+    }
+}
+
+/// One backward chunk's reverse-reachability state: the positive cache
+/// of candidates known to reach the context, plus the visit set and
+/// queue that every candidate's search clears and reuses.
+#[derive(Default)]
+struct ReverseSearch {
+    reaches_ctx: VidSet,
+    visited: VidSet,
+    queue: VecDeque<Vid>,
+}
+
+impl ReverseSearch {
+    /// Reverse BFS from `start` towards the context set, adding one to
+    /// `expanded` per in-edge scanned.
+    fn reaches(
+        &mut self,
+        group: &GroupRead<'_>,
+        start: Vid,
+        ctx: &VidSet,
+        expanded: &mut usize,
+        tracker: &BudgetTracker,
+    ) -> Result<bool> {
+        self.visited.clear();
+        self.queue.clear();
+        self.queue.push_back(start);
+        while let Some(vid) = self.queue.pop_front() {
+            // A truncated search reports "not found", which *drops* the
+            // candidate — the kept set stays a subset of the true rows.
+            if tracker.checkpoint("relate")? == Tick::Truncate {
+                return Ok(false);
+            }
+            for &parent in group.parents(vid) {
+                *expanded += 1;
+                tracker.charge_nodes(1, "relate")?;
+                if ctx.contains(&parent) || self.reaches_ctx.contains(&parent) {
+                    // A visited node reaches the context only if it lies
+                    // on the path found; only the start surely does.
+                    self.reaches_ctx.insert(start);
+                    return Ok(true);
+                }
+                if self.visited.insert(parent) {
+                    self.queue.push_back(parent);
+                }
+            }
+        }
+        Ok(false)
     }
 }
 

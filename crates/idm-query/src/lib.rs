@@ -27,7 +27,8 @@
 //! whole-result cache. Path steps relate to their context via forward,
 //! backward or bidirectional expansion ([`exec::ExpansionStrategy`]) —
 //! forward is what the paper's prototype shipped; the others are its
-//! stated future work, included here for the ablation benchmarks.
+//! stated future work, timed against it by
+//! `crates/idm-bench/examples/scaling_probe.rs`.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
