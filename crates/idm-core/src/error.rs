@@ -242,21 +242,6 @@ impl IdmError {
         }
     }
 
-    /// Whether a degraded answer (a partial result) is an acceptable
-    /// answer to this failure. True for substrate and provider failures
-    /// — the data existed, the access path is down — and for resource
-    /// exhaustion — the rows produced before the budget tripped are
-    /// valid, just incomplete. False for model errors, which no degraded
-    /// answer can paper over.
-    pub fn is_degradable(&self) -> bool {
-        matches!(
-            self,
-            IdmError::Substrate { .. }
-                | IdmError::Provider { .. }
-                | IdmError::ResourceExhausted { .. }
-        )
-    }
-
     /// Attaches a data source name to a provider/substrate error
     /// (no-op for other variants, and never overwrites attribution
     /// already present).
@@ -412,10 +397,6 @@ mod tests {
         assert!(IdmError::provider("x").is_retryable());
         assert!(!IdmError::Parse { detail: "x".into() }.is_retryable());
 
-        assert!(IdmError::transient("fs", "x").is_degradable());
-        assert!(IdmError::permanent("fs", "x").is_degradable());
-        assert!(!IdmError::UnknownVid(Vid::from_raw(1)).is_degradable());
-
         assert_eq!(
             IdmError::timeout("fs", "x").substrate_kind(),
             Some(SubstrateFaultKind::Timeout)
@@ -424,13 +405,9 @@ mod tests {
     }
 
     #[test]
-    fn resource_exhaustion_is_degradable_but_not_retryable() {
+    fn resource_exhaustion_is_classified_and_not_retryable() {
         let e = IdmError::resource_exhausted(BudgetKind::WallClock, 52, 10, "relate");
         assert!(!e.is_retryable(), "rerunning with the same budget fails");
-        assert!(
-            e.is_degradable(),
-            "partial results are an acceptable answer"
-        );
         assert_eq!(e.budget_kind(), Some(BudgetKind::WallClock));
         assert_eq!(e.substrate_kind(), None);
         let text = e.to_string();

@@ -5,7 +5,7 @@
 
 use idm_core::prelude::*;
 
-use crate::catalog::{CatalogEntry, ResourceViewCatalog};
+use crate::catalog::ResourceViewCatalog;
 use crate::fulltext::FullTextIndex;
 use crate::group::GroupReplica;
 use crate::name::NameIndex;
@@ -75,102 +75,18 @@ impl IndexBundle {
     }
 
     /// Registers one view in the catalog and inserts its components into
-    /// all four index structures. `source` labels the data source for
-    /// Table 2/3-style accounting.
-    ///
-    /// Equivalent to [`IndexBundle::index_components`] followed by
-    /// [`IndexBundle::register_in_catalog`]; the Resource View Manager
-    /// calls the two halves separately so the Figure 5 phases (Catalog
-    /// Insert vs. Component Indexing) can be timed independently.
+    /// all four index structures: [`IndexBundle::index_views`] over one
+    /// vid. `source` labels the data source for Table 2/3-style
+    /// accounting. Lazy groups are **not** forced here: a lazy group is
+    /// replicated once something else has forced it.
     pub fn index_view(&self, store: &ViewStore, vid: Vid, source: &str) -> Result<ContentIndexing> {
-        let outcome = self.index_components(store, vid)?;
-        self.register_in_catalog(store, vid, source, outcome)?;
-        Ok(outcome)
-    }
-
-    /// Inserts a view's components into the four index structures
-    /// (Figure 5's "Component Indexing" phase).
-    ///
-    /// Lazy groups are **not** forced here; callers decide when the graph
-    /// expands (the synchronization manager forces during ingestion, the
-    /// lazy demo paths don't). Infinite groups are skipped — they are
-    /// managed through stream windows, not replicas.
-    pub fn index_components(&self, store: &ViewStore, vid: Vid) -> Result<ContentIndexing> {
-        // Borrow-based access: the name and tuple are indexed in place
-        // under the store's shard read lock instead of cloning the full
-        // record per view (the index structures never call back into the
-        // store, so no lock-order inversion is possible).
-        store.with_name(vid, |name| {
-            if let Some(name) = name {
-                self.name.index(vid, name);
+        let mut outcome = ContentIndexing::Empty;
+        self.index_chunks(store, &[vid], source, 1, 1, |segment| {
+            if let Some((_, indexed)) = segment.outcomes().next() {
+                outcome = indexed;
             }
         })?;
-        store.with_tuple(vid, |tuple| {
-            if let Some(tuple) = tuple {
-                self.tuple.index(vid, tuple);
-            }
-        })?;
-
-        // Content and group handles are cheap clones (Arc / slice refs).
-        let content = store.content(vid)?;
-        let outcome = if content.is_empty() {
-            ContentIndexing::Empty
-        } else if content.is_finite() {
-            let bytes = content.bytes()?;
-            if is_texty(&bytes) {
-                let text = String::from_utf8_lossy(&bytes);
-                self.content.index(vid, &text);
-                ContentIndexing::Indexed { bytes: bytes.len() }
-            } else {
-                ContentIndexing::Skipped
-            }
-        } else {
-            ContentIndexing::Skipped
-        };
-
-        // Group (materialized members only; see doc comment).
-        match &store.group_handle(vid)? {
-            Group::Materialized(data) => {
-                let members: Vec<Vid> = data.members().collect();
-                self.group.index(vid, &members);
-            }
-            Group::Lazy(lazy) => {
-                if let Some(data) = lazy.is_materialized().then(|| {
-                    // Re-force returns the cached value without computing.
-                    lazy.force(store, vid)
-                }) {
-                    let members: Vec<Vid> = data?.members().collect();
-                    self.group.index(vid, &members);
-                }
-            }
-            Group::Empty | Group::InfiniteSeq(_) => {}
-        }
         Ok(outcome)
-    }
-
-    /// Registers a view's catalog row (Figure 5's "Catalog Insert"
-    /// phase). `outcome` reports what [`IndexBundle::index_components`]
-    /// did with the content component.
-    pub fn register_in_catalog(
-        &self,
-        store: &ViewStore,
-        vid: Vid,
-        source: &str,
-        outcome: ContentIndexing,
-    ) -> Result<()> {
-        let content_size = match outcome {
-            ContentIndexing::Indexed { bytes } => Some(bytes as u64),
-            _ => store.content(vid)?.size_hint(),
-        };
-        self.catalog.register(CatalogEntry {
-            vid: vid.as_u64(),
-            name: store.with_name(vid, |n| n.unwrap_or_default().to_owned())?,
-            class: store.class(vid)?.map(|c| store.classes().name(c)),
-            source: source.to_owned(),
-            content_size,
-            content_indexed: matches!(outcome, ContentIndexing::Indexed { .. }),
-        });
-        Ok(())
     }
 
     /// Removes a view from every structure.

@@ -98,8 +98,8 @@ impl FullTextIndex {
     }
 
     /// Merges a document tokenized by [`pretokenize`] — the cheap,
-    /// lock-holding half of [`FullTextIndex::index`], used by the bulk
-    /// segment-merge path.
+    /// lock-holding half of [`FullTextIndex::index`], used by the
+    /// segment merge.
     pub fn index_pretokenized(&self, vid: Vid, doc: PretokenizedDoc) {
         let mut inner = self.inner.write();
         let Inner {

@@ -45,7 +45,7 @@ pub use catalog::{CatalogEntry, ResourceViewCatalog};
 pub use fulltext::FullTextIndex;
 pub use group::{GroupRead, GroupReplica};
 pub use name::NameIndex;
-pub use segment::IndexSegment;
+pub use segment::{IndexRun, IndexSegment, SEGMENT_VIEWS};
 pub use tokenizer::tokenize;
 pub use tuple::TupleIndex;
 

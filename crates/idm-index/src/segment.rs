@@ -1,32 +1,55 @@
-//! Deferred index segments for bulk ingest.
+//! Index segments: the one write path into the indexes.
 //!
-//! The record-at-a-time path ([`IndexBundle::index_view`]) interleaves
-//! tokenization (CPU-heavy) with index-lock acquisition per view. Bulk
-//! ingest instead *builds* an [`IndexSegment`] per chunk of views — all
-//! store reads and tokenization, no index locks, safe to run on scoped
-//! worker threads — and then *merges* the finished segments into the
-//! live bundle in chunk order ([`IndexBundle::merge_segment`]).
+//! Every view enters the bundle through [`IndexBundle::index_views`]:
+//! its views are cut into chunks, each chunk is *built* into an
+//! [`IndexSegment`] — all store reads and tokenization, no index locks —
+//! and the segment is *merged* into the live bundle
+//! ([`IndexBundle::merge_segment`]). Chunks are taken in waves of
+//! `parallelism`: the calling thread builds a wave's first chunk,
+//! scoped threads build the rest (none at parallelism 1), and the wave
+//! is merged in chunk order before the next one starts, so at most
+//! `parallelism` segments are alive. Ingest, sync events, audit repair,
+//! the reopen catch-up, a full rebuild and [`IndexBundle::index_view`]
+//! all go through it.
 //!
 //! Merge invariants:
 //!
-//! - Chunks partition the ingest's vid-sorted view list contiguously,
+//! - Chunks partition the caller's vid-sorted view list contiguously,
 //!   and segments are merged in chunk order, so every per-index insert
-//!   happens in ascending-vid order — exactly the order the sequential
-//!   path produces, keeping posting lists and replicas byte-identical.
-//! - A segment captures the view *at build time*; like the sequential
-//!   path, mutations racing an ingest are reconciled by the later
-//!   re-index, not by the segment.
+//!   happens in ascending-vid order whatever the chunk size or thread
+//!   count, keeping posting lists and replicas byte-identical.
+//! - A segment captures the view *at build time*; mutations racing an
+//!   ingest are reconciled by the later re-index, not by the segment.
 //! - Segments are process-local staging only — nothing here persists.
 //!   The merged bundle is stamped with its LSN epoch at the next
-//!   checkpoint (`save_with_epoch`), same as sequential ingest.
+//!   checkpoint (`save_with_epoch`).
 
 use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 
 use idm_core::prelude::*;
 
 use crate::bundle::{is_texty, ContentIndexing, IndexBundle};
 use crate::catalog::CatalogEntry;
 use crate::fulltext::{pretokenize, PretokenizedDoc};
+
+/// Views per index segment when the caller has no reason to choose:
+/// one thread's unit of build work, and the views between two merges.
+pub const SEGMENT_VIEWS: usize = 512;
+
+/// What one [`IndexBundle::index_views`] call did, split the way
+/// Figure 5 splits indexing time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IndexRun {
+    /// Bytes handed to the content index (Table 3's net input size).
+    pub net_input_bytes: u64,
+    /// Segments built and merged.
+    pub segments: usize,
+    /// Time building segments (Figure 5's component indexing).
+    pub build: Duration,
+    /// Time merging them into the bundle (Figure 5's catalog insert).
+    pub merge: Duration,
+}
 
 /// One view's fully-prepared index contributions.
 #[derive(Debug)]
@@ -80,8 +103,9 @@ impl IndexSegment {
                 ContentIndexing::Skipped
             };
 
-            // Group members: materialized only, mirroring
-            // `IndexBundle::index_components`.
+            // Group members: materialized only. Lazy groups are not
+            // forced here (callers decide when the graph expands);
+            // infinite groups are managed through stream windows.
             let members = match &store.group_handle(vid)? {
                 Group::Materialized(data) => Some(data.members().collect::<Vec<Vid>>()),
                 Group::Lazy(lazy) => {
@@ -143,10 +167,70 @@ impl IndexSegment {
 }
 
 impl IndexBundle {
+    /// Indexes `vids` (vid-sorted) under the data source label `source`:
+    /// registers each in the catalog and inserts its components into the
+    /// four index structures, in chunks of `segment_size` taken in waves
+    /// of `parallelism` (see the module doc). The bundle is the same at
+    /// any parallelism or segment size.
+    pub fn index_views(
+        &self,
+        store: &ViewStore,
+        vids: &[Vid],
+        source: &str,
+        segment_size: usize,
+        parallelism: usize,
+    ) -> Result<IndexRun> {
+        self.index_chunks(store, vids, source, segment_size, parallelism, |_| {})
+    }
+
+    /// The wave loop behind [`IndexBundle::index_views`]; `merged` sees
+    /// each segment just before it is merged.
+    pub(crate) fn index_chunks(
+        &self,
+        store: &ViewStore,
+        vids: &[Vid],
+        source: &str,
+        segment_size: usize,
+        parallelism: usize,
+        mut merged: impl FnMut(&IndexSegment),
+    ) -> Result<IndexRun> {
+        let mut run = IndexRun::default();
+        let chunks: Vec<&[Vid]> = vids.chunks(segment_size.max(1)).collect();
+        for wave in chunks.chunks(parallelism.max(1)) {
+            let (first, rest) = wave.split_first().expect("chunks are never empty");
+            let started = Instant::now();
+            let built: Vec<Result<IndexSegment>> = std::thread::scope(|scope| {
+                let workers: Vec<_> = rest
+                    .iter()
+                    .map(|chunk| scope.spawn(move || IndexSegment::build(store, chunk, source)))
+                    .collect();
+                let joined = workers
+                    .into_iter()
+                    .map(|w| w.join().expect("segment build panicked"));
+                std::iter::once(IndexSegment::build(store, first, source))
+                    .chain(joined)
+                    .collect()
+            });
+            run.build += started.elapsed();
+
+            let started = Instant::now();
+            for segment in built {
+                let segment = segment?;
+                run.net_input_bytes += segment.net_input_bytes();
+                run.segments += 1;
+                merged(&segment);
+                self.merge_segment(segment);
+            }
+            run.merge += started.elapsed();
+        }
+        Ok(run)
+    }
+
     /// Merges a prepared segment into the live structures. Cheap
     /// relative to [`IndexSegment::build`]: tokenization is done, so
-    /// this is pure insertion under the per-index locks. Call in chunk
-    /// order to keep insert order identical to the sequential path.
+    /// this is pure insertion under the per-index locks. Segments of
+    /// one vid-sorted list are merged in chunk order, so every insert
+    /// happens in ascending-vid order.
     pub fn merge_segment(&self, segment: IndexSegment) {
         for entry in segment.entries {
             if let Some(name) = &entry.name {
@@ -169,12 +253,12 @@ impl IndexBundle {
     /// behind audit repair and the reopen catch-up. Each view is removed
     /// from every structure ([`IndexBundle::remove_views`], set-wise)
     /// and, if the store still holds it, rebuilt through
-    /// [`IndexSegment::build`] + [`IndexBundle::merge_segment`] under
-    /// the source label its catalog row carried (`"dataspace"` when it
-    /// had none). A vid neither the catalog nor the store knows is
-    /// skipped. Idempotent; the result is the bundle a rebuild from the
-    /// same store with the same labels produces. Returns the number of
-    /// views rebuilt.
+    /// [`IndexBundle::index_views`] under the source label its catalog
+    /// row carried (`"dataspace"` when it had none), one call per label.
+    /// A vid neither the catalog nor the store knows is skipped.
+    /// Idempotent; the result is the bundle a rebuild from the same
+    /// store with the same labels produces. Returns the number of views
+    /// rebuilt.
     pub fn reindex_views(&self, store: &ViewStore, vids: &[Vid]) -> Result<usize> {
         let mut vids = vids.to_vec();
         vids.sort_unstable();
@@ -196,9 +280,8 @@ impl IndexBundle {
         self.remove_views(&known);
         let mut rebuilt = 0;
         for (source, vids) in by_source {
-            let segment = IndexSegment::build(store, &vids, &source)?;
-            rebuilt += segment.len();
-            self.merge_segment(segment);
+            self.index_views(store, &vids, &source, SEGMENT_VIEWS, 1)?;
+            rebuilt += vids.len();
         }
         Ok(rebuilt)
     }

@@ -1229,7 +1229,6 @@ mod tests {
         let err = p.execute(r#"//papers//*"#).unwrap_err();
         assert_eq!(err.budget_kind(), Some(idm_core::error::BudgetKind::Nodes));
         assert!(!err.is_retryable());
-        assert!(err.is_degradable());
         // The processor stays usable: lifting the budget reruns fine.
         let mut p = p;
         p.set_budget(QueryBudget::none());

@@ -52,7 +52,7 @@ pub use sim::{run_sim, SimConfig, SimCounters, SimOutcome};
 pub use source::{DataSourcePlugin, FsPlugin, ImapPlugin, Ingestion, RssPlugin};
 pub use sync::{ImapSynchronizationManager, SyncCoordinator, SyncDriver, SynchronizationManager};
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -263,8 +263,9 @@ impl Pdsms {
     }
 
     /// Rebuilds an index bundle from the live views of a recovered
-    /// store. A stale bundle, when available, supplies the per-view data
-    /// source labels; everything else defaults to `"dataspace"`.
+    /// store, one [`IndexBundle::index_views`] call per data source
+    /// label. A stale bundle, when available, supplies the per-view
+    /// labels; everything else defaults to `"dataspace"`.
     fn rebuild_indexes(store: &Arc<ViewStore>, stale: Option<&IndexBundle>) -> Result<IndexBundle> {
         let sources: HashMap<u64, String> = stale
             .map(|bundle| {
@@ -276,13 +277,16 @@ impl Pdsms {
                     .collect()
             })
             .unwrap_or_default();
-        let bundle = IndexBundle::new();
+        let mut by_source: BTreeMap<&str, Vec<Vid>> = BTreeMap::new();
         for vid in store.vids() {
             let source = sources
                 .get(&vid.as_u64())
-                .map(String::as_str)
-                .unwrap_or("dataspace");
-            bundle.index_view(store, vid, source)?;
+                .map_or("dataspace", String::as_str);
+            by_source.entry(source).or_default().push(vid);
+        }
+        let bundle = IndexBundle::new();
+        for (source, vids) in by_source {
+            bundle.index_views(store, &vids, source, idm_index::SEGMENT_VIEWS, 1)?;
         }
         Ok(bundle)
     }
@@ -410,29 +414,21 @@ impl Pdsms {
         self.rvm.register_source(plugin);
     }
 
-    /// Ingests and indexes every registered data source; returns the
-    /// per-source statistics (the Figure 5 / Table 2 numbers). Live
-    /// queries are pumped afterwards, so the ingested changes reach
-    /// every subscription as one delta batch.
+    /// Ingests and indexes every registered data source on the calling
+    /// thread — [`Pdsms::index_all_bulk`] with parallelism 1 — and
+    /// returns the per-source statistics (the Figure 5 / Table 2
+    /// numbers). Live queries are pumped afterwards, so the ingested
+    /// changes reach every subscription as one delta batch.
     pub fn index_all(&self) -> Result<Vec<SourceIngestStats>> {
         let stats = self.rvm.ingest_all()?;
         self.pump_subscriptions();
         Ok(stats)
     }
 
-    /// Like [`Pdsms::index_all`] but resilient: failing sources are
-    /// reported in [`IngestReport::failed`] while the healthy sources
-    /// still ingest and index.
-    pub fn index_all_resilient(&self) -> IngestReport {
-        let report = self.rvm.ingest_all_resilient();
-        self.pump_subscriptions();
-        report
-    }
-
-    /// Like [`Pdsms::index_all`] but through the bulk pipeline: batched
-    /// store application, deferred parallel index-segment builds, and
-    /// grouped WAL syncs. Returns the full report including
-    /// [`IngestThroughput`] counters.
+    /// Ingests and indexes every registered data source: batched store
+    /// application, grouped WAL syncs, and index segments built in waves
+    /// of `options.parallelism` threads. Returns the full report
+    /// including [`IngestThroughput`] counters.
     pub fn index_all_bulk(&self, options: &BulkIngestOptions) -> Result<IngestReport> {
         let report = self.rvm.ingest_all_bulk(options)?;
         self.pump_subscriptions();

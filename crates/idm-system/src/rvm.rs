@@ -4,13 +4,12 @@
 //! indexing-time breakdown can be regenerated.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use idm_core::fault::{FaultStats, SourceGuard};
 use idm_core::prelude::*;
-use idm_index::{ContentIndexing, IndexBundle, IndexSegment};
+use idm_index::{IndexBundle, SEGMENT_VIEWS};
 use parking_lot::Mutex;
 
 use crate::converter::ConverterRegistry;
@@ -40,9 +39,11 @@ pub struct SourceIngestStats {
     /// Content2iDM conversion time (reported inside "component
     /// indexing" when reproducing Figure 5's three-way split).
     pub conversion: Duration,
-    /// Figure 5 phase: registering all views in the catalog.
+    /// Figure 5 phase: registering all views in the catalog, measured
+    /// as the merge of the built index segments into the bundle.
     pub catalog_insert: Duration,
-    /// Figure 5 phase: inserting components into the index structures.
+    /// Figure 5 phase: preparing the components for the index
+    /// structures, measured as the build of the index segments.
     pub component_indexing: Duration,
 }
 
@@ -63,15 +64,16 @@ impl SourceIngestStats {
     }
 }
 
-/// Tuning knobs for the bulk ingest pipeline
-/// ([`ResourceViewManager::ingest_all_bulk`]).
+/// Tuning knobs for ingest ([`ResourceViewManager::ingest_all_bulk`]);
+/// they change how fast the indexes are built, never what they hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BulkIngestOptions {
-    /// Worker threads building index segments in parallel. `1` keeps
-    /// the run fully deterministic (same chunk order as sequential).
+    /// Threads building one wave of index segments, the calling thread
+    /// included: at most this many segments are alive at once, and none
+    /// is spawned at `1`.
     pub parallelism: usize,
-    /// Views per index segment (one segment = one unit of parallel
-    /// build work, merged in chunk order).
+    /// Views per index segment (one unit of build work; segments are
+    /// merged in chunk order).
     pub segment_size: usize,
 }
 
@@ -81,7 +83,7 @@ impl Default for BulkIngestOptions {
             parallelism: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            segment_size: 512,
+            segment_size: SEGMENT_VIEWS,
         }
     }
 }
@@ -102,7 +104,7 @@ pub struct IngestThroughput {
     /// Fsyncs avoided versus one-fsync-per-record (under
     /// `SyncPolicy::Fsync`; 0 under write-back).
     pub fsyncs_saved: u64,
-    /// Index segments built by the bulk pipeline (0 sequentially).
+    /// Index segments built and merged.
     pub segments: usize,
 }
 
@@ -118,21 +120,18 @@ impl IngestThroughput {
     }
 }
 
-/// The outcome of a resilient multi-source ingestion: per-source stats
-/// for the sources that succeeded, and the errors of those that did not.
+/// The outcome of a multi-source ingestion: per-source stats and the
+/// run's write-path throughput.
 #[derive(Debug, Default)]
 pub struct IngestReport {
-    /// Stats of successfully ingested sources, in registration order.
+    /// Stats of every ingested source, in registration order.
     pub stats: Vec<SourceIngestStats>,
-    /// `(source name, error)` for every source whose ingestion failed
-    /// after retries — quarantined rather than failing the dataspace.
-    pub failed: Vec<(String, IdmError)>,
     /// Run-wide write-path throughput (records/sec, fsync counts).
     pub throughput: IngestThroughput,
 }
 
 impl IngestReport {
-    /// Total views across all successful sources.
+    /// Total views across all sources.
     pub fn total_views(&self) -> usize {
         self.stats.iter().map(SourceIngestStats::total_views).sum()
     }
@@ -235,78 +234,45 @@ impl ResourceViewManager {
     }
 
     /// Ingests and indexes every registered source in registration
-    /// order; returns per-source statistics. Fails fast on the first
-    /// failing source; [`ResourceViewManager::ingest_all_resilient`]
-    /// quarantines failures instead.
+    /// order on the calling thread; returns per-source statistics.
+    /// [`ResourceViewManager::ingest_all_bulk`] with parallelism 1.
     pub fn ingest_all(&self) -> Result<Vec<SourceIngestStats>> {
-        self.ingest_each(None, false).map(|report| report.stats)
+        self.ingest_all_bulk(&BulkIngestOptions {
+            parallelism: 1,
+            ..Default::default()
+        })
+        .map(|report| report.stats)
     }
 
-    /// Ingests every registered source, quarantining sources that fail
-    /// after retries instead of aborting: one unreachable substrate
-    /// degrades one source, not the whole dataspace.
-    pub fn ingest_all_resilient(&self) -> IngestReport {
-        // Without a bulk WAL window the only error paths are per-source
-        // and quarantined, so the result is always `Ok`.
-        self.ingest_each(None, true).unwrap_or_default()
-    }
-
-    /// Ingests every registered source through the bulk pipeline: store
-    /// application batched per source, WAL syncs deferred to batch
-    /// boundaries (records acknowledged only after the window's final
-    /// covering sync), and index segments built in parallel and merged
-    /// in chunk order. Fails fast like [`ResourceViewManager::ingest_all`].
+    /// Ingests every registered source in registration order: the
+    /// filesystem's views inserted as one batch, WAL syncs deferred to
+    /// batch boundaries (records acknowledged only after the window's
+    /// final covering sync), and index segments built in waves of
+    /// `options.parallelism` and merged in chunk order. Fails fast on the
+    /// first failing source, after closing the WAL window.
     pub fn ingest_all_bulk(&self, options: &BulkIngestOptions) -> Result<IngestReport> {
-        self.ingest_each(Some(options), false)
-    }
-
-    /// The one per-plugin ingest loop behind every `ingest_all*`
-    /// front end: sequential or bulk, fail-fast or quarantining.
-    fn ingest_each(
-        &self,
-        bulk: Option<&BulkIngestOptions>,
-        resilient: bool,
-    ) -> Result<IngestReport> {
         let start = Instant::now();
         let wal_before = self.store.wal_telemetry();
-        // Bulk runs defer WAL syncs to batch boundaries for the whole
+        // WAL syncs are deferred to batch boundaries for the whole
         // multi-source window; the scope's final covering sync is what
         // acknowledges the run's records.
-        let scope = if bulk.is_some() {
-            self.store.wal_bulk_scope()
-        } else {
-            None
-        };
+        let scope = self.store.wal_bulk_scope();
 
         let mut report = IngestReport::default();
         let mut segments = 0usize;
-        let mut fatal: Option<IdmError> = None;
-        for plugin in self.sources() {
-            let attempt = match bulk {
-                Some(options) => self.ingest_source_bulk(&plugin, options, &mut segments),
-                None => self.ingest_source(&plugin),
-            };
-            match attempt {
-                Ok(stats) => report.stats.push(stats),
-                Err(err) if resilient => report.failed.push((plugin.name().to_owned(), err)),
-                Err(err) => {
-                    fatal = Some(err);
-                    break;
-                }
-            }
-        }
+        let ingested = self.sources().iter().try_for_each(|plugin| {
+            let stats = self.ingest_source(plugin, options, &mut segments)?;
+            report.stats.push(stats);
+            Ok(())
+        });
 
-        // Close the bulk window before sampling telemetry so the final
+        // Close the window before sampling telemetry so the final
         // covering sync is counted — and surfaced: a failed sync means
         // the window's records were never acknowledged.
-        if let Some(scope) = scope {
-            if let Err(e) = scope.finish() {
-                fatal.get_or_insert_with(|| crate::durability_err(e));
-            }
-        }
-        if let Some(err) = fatal {
-            return Err(err);
-        }
+        let finished = scope.map_or(Ok(()), |scope| {
+            scope.finish().map_err(crate::durability_err)
+        });
+        ingested.and(finished)?;
 
         report.throughput = IngestThroughput {
             views: report.total_views(),
@@ -324,43 +290,9 @@ impl ResourceViewManager {
         Ok(report)
     }
 
-    /// Ingests and indexes one source through the phased pipeline.
-    pub fn ingest_source(&self, plugin: &Arc<dyn DataSourcePlugin>) -> Result<SourceIngestStats> {
-        let mut stats = SourceIngestStats {
-            source: plugin.name().to_owned(),
-            ..SourceIngestStats::default()
-        };
-        let views = self.acquire_and_convert(plugin, false, &mut stats)?;
-
-        // Phase 3 — component indexing (name/tuple/content/group).
-        let mut outcomes = Vec::with_capacity(views.len());
-        let indexing_start = Instant::now();
-        for &vid in &views {
-            let outcome = self.indexes.index_components(&self.store, vid)?;
-            if let ContentIndexing::Indexed { bytes } = outcome {
-                stats.net_input_bytes += bytes as u64;
-            }
-            outcomes.push(outcome);
-        }
-        stats.component_indexing = indexing_start.elapsed();
-
-        // Phase 4 — catalog insert.
-        let catalog_start = Instant::now();
-        for (&vid, &outcome) in views.iter().zip(&outcomes) {
-            self.indexes
-                .register_in_catalog(&self.store, vid, plugin.name(), outcome)?;
-        }
-        stats.catalog_insert = catalog_start.elapsed();
-
-        Ok(stats)
-    }
-
-    /// [`ResourceViewManager::ingest_source`] through the bulk pipeline:
-    /// batched store application (phase 1) and deferred indexing —
-    /// per-chunk [`IndexSegment`]s built on scoped worker threads, then
-    /// merged into the live bundle in chunk order so insert order (and
-    /// thus every structure) matches the sequential path exactly.
-    fn ingest_source_bulk(
+    /// Ingests and indexes one source through the four Figure 5 phases;
+    /// adds the index segments it built to `segments`.
+    fn ingest_source(
         &self,
         plugin: &Arc<dyn DataSourcePlugin>,
         options: &BulkIngestOptions,
@@ -370,54 +302,7 @@ impl ResourceViewManager {
             source: plugin.name().to_owned(),
             ..SourceIngestStats::default()
         };
-        let views = self.acquire_and_convert(plugin, true, &mut stats)?;
 
-        // Phase 3 — segment build: chunks partition the vid-sorted view
-        // list contiguously; workers claim chunks by index, so with
-        // parallelism 1 the build order equals the merge order.
-        let chunks: Vec<&[Vid]> = views.chunks(options.segment_size.max(1)).collect();
-        let indexing_start = Instant::now();
-        let workers = options.parallelism.max(1).min(chunks.len().max(1));
-        let next = AtomicUsize::new(0);
-        let built: Mutex<Vec<(usize, Result<IndexSegment>)>> =
-            Mutex::new(Vec::with_capacity(chunks.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(chunk) = chunks.get(i) else { break };
-                    let segment = IndexSegment::build(&self.store, chunk, plugin.name());
-                    built.lock().push((i, segment));
-                });
-            }
-        });
-        let mut built = built.into_inner();
-        built.sort_by_key(|(i, _)| *i);
-        stats.component_indexing = indexing_start.elapsed();
-
-        // Phase 4 — merge (the bulk counterpart of catalog insert plus
-        // index insertion, timed as one phase).
-        let merge_start = Instant::now();
-        for (_, segment) in built {
-            let segment = segment?;
-            stats.net_input_bytes += segment.net_input_bytes();
-            *segments += 1;
-            self.indexes.merge_segment(segment);
-        }
-        stats.catalog_insert = merge_start.elapsed();
-
-        Ok(stats)
-    }
-
-    /// Phases 1–2 of the Figure 5 pipeline (data source access and
-    /// Content2iDM conversion), shared by the sequential and bulk
-    /// paths; returns the source's full vid-sorted view set.
-    fn acquire_and_convert(
-        &self,
-        plugin: &Arc<dyn DataSourcePlugin>,
-        bulk: bool,
-        stats: &mut SourceIngestStats,
-    ) -> Result<Vec<Vid>> {
         // Phase 1 — data source access: represent the source as an
         // initial iDM graph and pull every content component's bytes
         // from the source (later phases hit the cache). The guard
@@ -425,13 +310,7 @@ impl ResourceViewManager {
         // breaker when they persist.
         let guard = self.guard_for(plugin.name());
         let access_start = Instant::now();
-        let ingestion = guard.call(|| {
-            if bulk {
-                plugin.ingest_bulk(&self.store)
-            } else {
-                plugin.ingest(&self.store)
-            }
-        })?;
+        let ingestion = guard.call(|| plugin.ingest(&self.store))?;
         stats.base_views = ingestion.base_views.len();
         for &vid in &ingestion.base_views {
             let content = guard.call(|| self.store.content(vid))?;
@@ -468,7 +347,21 @@ impl ResourceViewManager {
             views.sort();
             views.dedup();
         }
-        Ok(views)
+
+        // Phases 3 and 4 — component indexing (segment build) and
+        // catalog insert (segment merge).
+        let run = self.indexes.index_views(
+            &self.store,
+            &views,
+            plugin.name(),
+            options.segment_size,
+            options.parallelism,
+        )?;
+        stats.net_input_bytes = run.net_input_bytes;
+        stats.component_indexing = run.build;
+        stats.catalog_insert = run.merge;
+        *segments += run.segments;
+        Ok(stats)
     }
 }
 
@@ -538,56 +431,61 @@ mod tests {
 
     #[test]
     fn bulk_ingest_matches_sequential() {
-        let (seq, _fs) = rvm_with_fs();
-        let (bulk, _fs2) = rvm_with_fs();
-        let seq_stats = seq.ingest_all().unwrap();
-        let report = bulk
-            .ingest_all_bulk(&BulkIngestOptions {
-                parallelism: 2,
-                segment_size: 2,
-            })
-            .unwrap();
+        use idm_core::durability::record::SerialView;
 
-        assert_eq!(report.stats.len(), 1);
-        let (s, b) = (&seq_stats[0], &report.stats[0]);
-        assert_eq!(b.base_views, s.base_views);
-        assert_eq!(b.derived_xml, s.derived_xml);
-        assert_eq!(b.derived_latex, s.derived_latex);
-        assert_eq!(b.net_input_bytes, s.net_input_bytes);
-
-        // Segment merge yields the exact index state of the
-        // record-at-a-time path.
-        assert_eq!(bulk.indexes().catalog.len(), seq.indexes().catalog.len());
-        assert_eq!(
-            bulk.indexes().content.document_count(),
-            seq.indexes().content.document_count()
-        );
-        assert_eq!(
-            bulk.indexes().content.token_count(),
-            seq.indexes().content.token_count()
-        );
-        assert_eq!(
-            bulk.indexes().name.exact("vision.tex"),
-            seq.indexes().name.exact("vision.tex")
-        );
-        // Derived-view vids depend on conversion order (a hash-map
-        // walk), so compare phrase hits by name, not by raw vid.
-        let hit_names = |rvm: &ResourceViewManager| -> Vec<Option<String>> {
-            let mut names: Vec<Option<String>> = rvm
-                .indexes()
-                .content
-                .phrase_query("dataspace abstraction")
-                .into_iter()
-                .map(|vid| rvm.store().name(vid).unwrap())
+        /// What the next checkpoint would write: the persisted index
+        /// bytes and the store image.
+        type Image = (Vec<u8>, u64, Vec<(Vid, u64, SerialView)>);
+        fn image(rvm: &ResourceViewManager) -> Image {
+            let (export, ()) = rvm.store().frozen_export(|_| ());
+            let views = export
+                .views
+                .iter()
+                .map(|(vid, version, record)| {
+                    (
+                        *vid,
+                        *version,
+                        SerialView::of(record, rvm.store().classes()),
+                    )
+                })
                 .collect();
-            names.sort();
-            names
-        };
-        assert_eq!(hit_names(&bulk), hit_names(&seq));
-        assert_eq!(
-            bulk.indexes().sizes().total(),
-            seq.indexes().sizes().total()
-        );
+            let indexes = idm_index::persist::to_bytes_with_epoch(rvm.indexes(), 0);
+            (indexes, export.next_vid, views)
+        }
+
+        let (seq, _fs) = rvm_with_fs();
+        let seq_stats = seq.ingest_all().unwrap();
+        let s = &seq_stats[0];
+        let (seq_indexes, seq_next, seq_views) = image(&seq);
+        for parallelism in [1, 2, 4] {
+            for segment_size in [1, 3, 512] {
+                let (bulk, _fs) = rvm_with_fs();
+                let report = bulk
+                    .ingest_all_bulk(&BulkIngestOptions {
+                        parallelism,
+                        segment_size,
+                    })
+                    .unwrap();
+                let at = format!("parallelism {parallelism}, segment size {segment_size}");
+                assert_eq!(report.stats.len(), 1);
+                let b = &report.stats[0];
+                assert_eq!(
+                    (b.base_views, b.derived_xml, b.derived_latex),
+                    (s.base_views, s.derived_xml, s.derived_latex),
+                    "{at}"
+                );
+                assert_eq!(b.net_input_bytes, s.net_input_bytes, "{at}");
+                assert_eq!(
+                    report.throughput.segments,
+                    s.total_views().div_ceil(segment_size),
+                    "{at}"
+                );
+
+                let (indexes, next, views) = image(&bulk);
+                assert!(indexes == seq_indexes, "persisted index bytes differ: {at}");
+                assert_eq!((next, &views), (seq_next, &seq_views), "{at}");
+            }
+        }
     }
 
     #[test]

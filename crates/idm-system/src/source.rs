@@ -9,7 +9,7 @@ use idm_core::prelude::*;
 use idm_email::convert::{materialize_mailbox_mapped, MailboxMapping, MailboxStats};
 use idm_email::{ImapServer, MailboxId, Uid};
 use idm_streams::sources::RssStreamSource;
-use idm_vfs::convert::{materialize, materialize_bulk, FsMapping};
+use idm_vfs::convert::{materialize, FsMapping};
 use idm_vfs::{NodeId, VirtualFs};
 use idm_xml::rss::FeedServer;
 use parking_lot::Mutex;
@@ -32,16 +32,6 @@ pub trait DataSourcePlugin: Send + Sync {
 
     /// Builds the initial iDM graph for this source's current state.
     fn ingest(&self, store: &ViewStore) -> Result<Ingestion>;
-
-    /// [`DataSourcePlugin::ingest`] for the bulk path: plugins that can
-    /// emit record batches override this to insert through
-    /// [`ViewStore::insert_batch`] (one shard-lock acquisition and one
-    /// WAL group commit per batch). The default delegates to the
-    /// record-at-a-time `ingest` — still correct under a bulk WAL
-    /// window, whose deferred syncs batch those appends run-wide.
-    fn ingest_bulk(&self, store: &ViewStore) -> Result<Ingestion> {
-        self.ingest(store)
-    }
 }
 
 /// Filesystem plugin over a [`VirtualFs`].
@@ -88,18 +78,10 @@ impl DataSourcePlugin for FsPlugin {
 
     fn ingest(&self, store: &ViewStore) -> Result<Ingestion> {
         let mapping = materialize(&self.fs, store, self.root)?;
-        self.finish_ingest(mapping)
-    }
-
-    fn ingest_bulk(&self, store: &ViewStore) -> Result<Ingestion> {
-        let mapping = materialize_bulk(&self.fs, store, self.root)?;
-        self.finish_ingest(mapping)
-    }
-}
-
-impl FsPlugin {
-    fn finish_ingest(&self, mapping: FsMapping) -> Result<Ingestion> {
-        let base_views: Vec<Vid> = mapping.by_node.values().copied().collect();
+        // Vid order, so conversion mints derived vids the same way on
+        // every run.
+        let mut base_views: Vec<Vid> = mapping.by_node.values().copied().collect();
+        base_views.sort_unstable();
         let roots = vec![mapping.root];
         *self.mapping.lock() = Some(mapping);
         Ok(Ingestion { roots, base_views })

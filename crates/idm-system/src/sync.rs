@@ -13,7 +13,7 @@ use std::sync::Arc;
 use crossbeam::channel::Receiver;
 use idm_core::fault::{FaultStats, SourceGuard};
 use idm_core::prelude::*;
-use idm_index::IndexBundle;
+use idm_index::{IndexBundle, SEGMENT_VIEWS};
 use idm_vfs::{FsEvent, NodeId, NodeKind, VirtualFs};
 use parking_lot::Mutex;
 
@@ -112,6 +112,23 @@ fn apply_in_order<E>(
         }
     }
     Ok(())
+}
+
+/// Indexes `root` and every descendant of it the catalog lacks, in one
+/// [`IndexBundle::index_views`] call; returns those views, vid-sorted.
+fn index_missing(
+    store: &ViewStore,
+    indexes: &IndexBundle,
+    root: Vid,
+    source: &str,
+) -> Result<Vec<Vid>> {
+    let mut missing = vec![root];
+    missing.extend(idm_core::graph::descendants(store, root, usize::MAX)?);
+    missing.sort_unstable();
+    missing.dedup();
+    missing.retain(|&member| !indexes.catalog.contains(member));
+    indexes.index_views(store, &missing, source, SEGMENT_VIEWS, 1)?;
+    Ok(missing)
 }
 
 /// A synchronization manager for one filesystem source.
@@ -253,21 +270,9 @@ impl SynchronizationManager {
         self.plugin.record_mapping(node, vid);
 
         // Convert + index the new subtree.
-        let mut created = 1;
         self.converters.convert_view(&self.store, vid)?;
-        let mut subtree = vec![vid];
-        subtree.extend(idm_core::graph::descendants(&self.store, vid, usize::MAX)?);
-        subtree.sort();
-        subtree.dedup();
-        for &member in &subtree {
-            if !self.indexes.catalog.contains(member) {
-                self.indexes.index_view(&self.store, member, "filesystem")?;
-                if member != vid {
-                    created += 1;
-                }
-            }
-        }
-        Ok(created)
+        let indexed = index_missing(&self.store, &self.indexes, vid, "filesystem")?;
+        Ok(1 + indexed.iter().filter(|&&member| member != vid).count())
     }
 
     fn on_modified(&self, path: &str) -> Result<usize> {
@@ -299,12 +304,7 @@ impl SynchronizationManager {
         // Reconvert and reindex.
         self.converters.convert_view(&self.store, vid)?;
         self.indexes.remove_views(&stale);
-        self.indexes.index_view(&self.store, vid, "filesystem")?;
-        for member in idm_core::graph::descendants(&self.store, vid, usize::MAX)? {
-            if !self.indexes.catalog.contains(member) {
-                self.indexes.index_view(&self.store, member, "filesystem")?;
-            }
-        }
+        index_missing(&self.store, &self.indexes, vid, "filesystem")?;
         Ok(1)
     }
 
@@ -417,22 +417,11 @@ impl ImapSynchronizationManager {
         }
 
         // Convert structured attachments, then index the whole subtree.
-        let mut created = 0;
         let attachments = self.store.group(vid)?.finite_members();
         for attachment in attachments {
             self.converters.convert_view(&self.store, attachment)?;
         }
-        let mut subtree = vec![vid];
-        subtree.extend(idm_core::graph::descendants(&self.store, vid, usize::MAX)?);
-        subtree.sort();
-        subtree.dedup();
-        for member in subtree {
-            if !self.indexes.catalog.contains(member) {
-                self.indexes.index_view(&self.store, member, "imap")?;
-                created += 1;
-            }
-        }
-        Ok(created)
+        Ok(index_missing(&self.store, &self.indexes, vid, "imap")?.len())
     }
 
     fn on_deleted(&self, uid: idm_email::Uid) -> Result<usize> {

@@ -1,6 +1,6 @@
-//! End-to-end bulk ingest: the batched write path must produce the
-//! same dataspace as record-at-a-time ingestion — including after a
-//! crash and recovery — while issuing far fewer WAL fsyncs.
+//! End-to-end ingest: `index_all` on one thread and `index_all_bulk`
+//! on several must produce the same dataspace — including after a crash
+//! and recovery — and both must batch their WAL fsyncs.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -77,13 +77,22 @@ fn bulk_ingest_saves_fsyncs_ten_fold_and_recovers_identically() {
     let bulk_dir = tmp("bulk");
     let files = 150;
 
-    // Sequential: every WAL append carries its own fsync.
+    // One thread: the same bulk WAL window, so syncs are deferred to
+    // batch boundaries here too.
     let seq = durable_system(&seq_dir, wide_fs(files));
+    let before = seq.store().wal_telemetry().unwrap();
     seq.index_all().unwrap();
+    let after = seq.store().wal_telemetry().unwrap();
+    let (records, fsyncs) = (after.frames - before.frames, after.syncs - before.syncs);
+    assert!(records > files as u64, "every view was logged");
+    assert!(
+        fsyncs * 10 <= records,
+        "index_all must save >=10x fsyncs: {fsyncs} syncs for {records} records"
+    );
     let seq_rows = query_rows(&seq);
     drop(seq); // abrupt death: recovery must replay the WAL tail
 
-    // Bulk: syncs deferred to batch boundaries inside the window.
+    // Several threads: syncs deferred to batch boundaries inside the window.
     let bulk = durable_system(&bulk_dir, wide_fs(files));
     let report = bulk.index_all_bulk(&BulkIngestOptions::default()).unwrap();
     let t = &report.throughput;
@@ -91,7 +100,7 @@ fn bulk_ingest_saves_fsyncs_ten_fold_and_recovers_identically() {
     assert!(t.fsyncs > 0, "covering syncs were issued");
     assert!(
         t.fsyncs * 10 <= t.wal_records,
-        "bulk path must save >=10x fsyncs: {} syncs for {} records",
+        "index_all_bulk must save >=10x fsyncs: {} syncs for {} records",
         t.fsyncs,
         t.wal_records
     );

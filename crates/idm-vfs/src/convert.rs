@@ -53,27 +53,12 @@ impl ContentProvider for FileContentProvider {
 ///
 /// Two passes: the first mints a view per node, the second wires group
 /// components — necessary because folder links may point anywhere,
-/// including ancestors (cycles).
+/// including ancestors (cycles). Pass 1 collects the whole subtree's
+/// view records and inserts them through [`ViewStore::insert_batch`]:
+/// one shard-lock acquisition per involved shard and one WAL group
+/// commit for the entire subtree, with vids minted by the store's
+/// monotone counter in walk order.
 pub fn materialize(fs: &Arc<VirtualFs>, store: &ViewStore, from: NodeId) -> Result<FsMapping> {
-    materialize_with(fs, store, from, false)
-}
-
-/// [`materialize`], but pass 1 collects the whole subtree's view
-/// records and inserts them through [`ViewStore::insert_batch`] — one
-/// shard-lock acquisition per involved shard and one WAL group commit
-/// for the entire subtree, instead of one of each per node. The
-/// resulting store image is identical (vids are minted by the same
-/// monotone counter in walk order).
-pub fn materialize_bulk(fs: &Arc<VirtualFs>, store: &ViewStore, from: NodeId) -> Result<FsMapping> {
-    materialize_with(fs, store, from, true)
-}
-
-fn materialize_with(
-    fs: &Arc<VirtualFs>,
-    store: &ViewStore,
-    from: NodeId,
-    bulk: bool,
-) -> Result<FsMapping> {
     let file_class = store
         .classes()
         .require(idm_core::class::builtin::names::FILE)?;
@@ -85,10 +70,9 @@ fn materialize_with(
         .require(idm_core::class::builtin::names::FOLDERLINK)?;
 
     let nodes = fs.walk(from)?;
-    let mut by_node: HashMap<NodeId, Vid> = HashMap::with_capacity(nodes.len());
 
     // Pass 1: mint views with η, τ, χ.
-    let mut batch = Vec::with_capacity(if bulk { nodes.len() } else { 0 });
+    let mut batch = Vec::with_capacity(nodes.len());
     for (node, _depth) in &nodes {
         let name = fs.name(*node)?;
         let meta = fs.metadata(*node)?;
@@ -107,18 +91,13 @@ fn materialize_with(
             // (wired in pass 2).
             NodeKind::FolderLink => builder.class(link_class),
         };
-        if bulk {
-            batch.push(builder.into_record());
-        } else {
-            by_node.insert(*node, builder.insert());
-        }
+        batch.push(builder.into_record());
     }
-    if bulk {
-        let vids = store.insert_batch(batch);
-        for ((node, _depth), vid) in nodes.iter().zip(vids) {
-            by_node.insert(*node, vid);
-        }
-    }
+    let by_node: HashMap<NodeId, Vid> = nodes
+        .iter()
+        .map(|(node, _depth)| *node)
+        .zip(store.insert_batch(batch))
+        .collect();
 
     // Pass 2: wire groups.
     for (node, _depth) in &nodes {
@@ -287,21 +266,25 @@ mod tests {
     }
 
     #[test]
-    fn bulk_materialize_matches_sequential() {
+    fn materialize_mints_vids_in_walk_order() {
         let fs = figure1_fs();
-        let seq_store = ViewStore::new();
-        let seq = materialize(&fs, &seq_store, NodeId::ROOT).unwrap();
-        let bulk_store = ViewStore::new();
-        let bulk = materialize_bulk(&fs, &bulk_store, NodeId::ROOT).unwrap();
+        let store = ViewStore::new();
+        let before = store.build("unrelated").insert();
+        let mapping = materialize(&fs, &store, NodeId::ROOT).unwrap();
 
-        assert_eq!(seq.root, bulk.root);
-        assert_eq!(seq.by_node, bulk.by_node);
-        for vid in seq_store.vids() {
-            assert_eq!(seq_store.name(vid).unwrap(), bulk_store.name(vid).unwrap());
-            assert_eq!(
-                seq_store.group(vid).unwrap().finite_members(),
-                bulk_store.group(vid).unwrap().finite_members()
-            );
+        let walk = fs.walk(NodeId::ROOT).unwrap();
+        let minted: Vec<Vid> = walk.iter().map(|(node, _)| mapping.by_node[node]).collect();
+        let expected: Vec<Vid> = (1..=walk.len() as u64)
+            .map(|i| Vid::from_raw(before.as_u64() + i))
+            .collect();
+        assert_eq!(
+            minted, expected,
+            "one batch, consecutive vids in walk order"
+        );
+        assert_eq!(mapping.root, minted[0]);
+        for (node, _) in &walk {
+            let vid = mapping.by_node[node];
+            assert_eq!(store.name(vid).unwrap(), Some(fs.name(*node).unwrap()));
         }
     }
 
