@@ -14,8 +14,11 @@
 //! 1. **Attach** ([`DurabilityManager::attach`]): under one store
 //!    freeze, write `snap-1` and arm logging into a fresh `wal-1` — no
 //!    mutation can slip between the image and the log.
-//! 2. **Log**: every `ViewStore` mutator appends one logical
-//!    [`record::ChangeRecord`] under its shard write lock.
+//! 2. **Log**: every `ViewStore` mutator appends its logical
+//!    [`record::ChangeRecord`]s under its shard write lock, through the
+//!    one append path of [`wal::WalWriter`] (one write group, one
+//!    covering sync under [`SyncPolicy::Fsync`]; a [`BulkWalScope`]
+//!    defers its own thread's syncs to the window's end).
 //! 3. **Checkpoint** ([`DurabilityManager::checkpoint`]): freeze just
 //!    long enough to export the store and rotate the WAL into a new
 //!    segment, then write the snapshot outside the freeze (temp file +
@@ -38,7 +41,6 @@
 
 pub mod artifact;
 pub mod codec;
-pub mod group_commit;
 pub mod record;
 pub mod scrub;
 pub mod snapshot;
@@ -59,34 +61,24 @@ use record::{group_data, ChangeRecord, SerialView};
 use snapshot::SnapshotData;
 use wal::{read_segment, WalWriter};
 
-pub use group_commit::{BulkWalScope, GroupCommitConfig, GroupCommitWal};
 pub use scrub::{
     quarantine, Artifact, ArtifactKind, RoundOutcome, ScrubBudget, ScrubFinding, ScrubTotals,
     Scrubber, Verdict,
 };
-pub use wal::{SyncPolicy, WalStats, GROUP_HISTOGRAM_BUCKETS};
+pub use wal::{BulkWalScope, SyncPolicy, WalStats};
 
 /// How a dataspace directory is attached or opened: the sync discipline
-/// plus the group-commit coalescing configuration. The plain
-/// [`DurabilityManager::attach`]/[`DurabilityManager::open`] entry
-/// points use the default — `max_delay == 0`, which is byte-for-byte
-/// identical to the ungrouped writer for single-threaded callers.
+/// of its WAL, and nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurabilityOptions {
     /// When appends are made durable ([`SyncPolicy`]).
     pub sync: SyncPolicy,
-    /// Group-commit coalescing (`max_batch <= 1` sends every append
-    /// straight to the raw writer).
-    pub group_commit: GroupCommitConfig,
 }
 
 impl DurabilityOptions {
-    /// The default options for a given sync policy.
+    /// The options for a given sync policy.
     pub fn new(sync: SyncPolicy) -> Self {
-        DurabilityOptions {
-            sync,
-            group_commit: GroupCommitConfig::default(),
-        }
+        DurabilityOptions { sync }
     }
 }
 
@@ -223,8 +215,7 @@ pub struct DurabilityManager {
     /// successful rotation, the next checkpoint must rotate *forward*,
     /// never reuse (and truncate) a live segment name.
     wal_seq: u64,
-    sink: Arc<GroupCommitWal>,
-    sync: SyncPolicy,
+    wal: Arc<WalWriter>,
     /// Fault point consulted between WAL rotation and snapshot write
     /// during [`DurabilityManager::checkpoint`] (the double-fault crash
     /// matrix injects here).
@@ -336,18 +327,6 @@ impl DurabilityManager {
         lineage: &LineageGraph,
         sync: SyncPolicy,
     ) -> io::Result<(DurabilityManager, CheckpointStats)> {
-        DurabilityManager::attach_with(dir, store, lineage, DurabilityOptions::new(sync))
-    }
-
-    /// [`DurabilityManager::attach`] with explicit [`DurabilityOptions`]
-    /// (group-commit tuning).
-    pub fn attach_with(
-        dir: &Path,
-        store: &Arc<ViewStore>,
-        lineage: &LineageGraph,
-        options: DurabilityOptions,
-    ) -> io::Result<(DurabilityManager, CheckpointStats)> {
-        let sync = options.sync;
         std::fs::create_dir_all(dir)?;
         let (snaps, wals) = scan_dir(dir)?;
         if !snaps.is_empty() || !wals.is_empty() {
@@ -360,16 +339,14 @@ impl DurabilityManager {
             ));
         }
 
-        let (export, frozen) =
-            store.frozen_export(|export| -> io::Result<(Arc<GroupCommitWal>, u64)> {
-                let data = snapshot_of(export, store, lineage, 0);
-                let bytes = snapshot::write(&snap_path(dir, 1), &data)?;
-                let wal = Arc::new(WalWriter::create(&wal_path(dir, 1), 0, sync)?);
-                let sink = Arc::new(GroupCommitWal::new(wal, options.group_commit));
-                store.set_wal(Arc::clone(&sink));
-                Ok((sink, bytes))
-            });
-        let (sink, bytes) = match frozen {
+        let (export, frozen) = store.frozen_export(|export| -> io::Result<(Arc<WalWriter>, u64)> {
+            let data = snapshot_of(export, store, lineage, 0);
+            let bytes = snapshot::write(&snap_path(dir, 1), &data)?;
+            let wal = Arc::new(WalWriter::create(&wal_path(dir, 1), 0, sync)?);
+            store.set_wal(Arc::clone(&wal));
+            Ok((wal, bytes))
+        });
+        let (wal, bytes) = match frozen {
             Ok(parts) => parts,
             Err(e) => {
                 store.clear_wal();
@@ -388,8 +365,7 @@ impl DurabilityManager {
                 dir: dir.to_path_buf(),
                 seq: 1,
                 wal_seq: 1,
-                sink,
-                sync,
+                wal,
                 checkpoint_fault: FaultPoint::new(),
             },
             stats,
@@ -409,21 +385,6 @@ impl DurabilityManager {
         DurabilityManager,
         RecoveryReport,
     )> {
-        DurabilityManager::open_with(dir, DurabilityOptions::new(sync))
-    }
-
-    /// [`DurabilityManager::open`] with explicit [`DurabilityOptions`]
-    /// (group-commit tuning).
-    pub fn open_with(
-        dir: &Path,
-        options: DurabilityOptions,
-    ) -> io::Result<(
-        Arc<ViewStore>,
-        Arc<LineageGraph>,
-        DurabilityManager,
-        RecoveryReport,
-    )> {
-        let sync = options.sync;
         let (snaps, wals) = scan_dir(dir)?;
         if snaps.is_empty() && wals.is_empty() {
             return Err(io::Error::new(
@@ -580,8 +541,8 @@ impl DurabilityManager {
                 )
             }
         };
-        let sink = Arc::new(GroupCommitWal::new(Arc::new(wal), options.group_commit));
-        store.set_wal(Arc::clone(&sink));
+        let wal = Arc::new(wal);
+        store.set_wal(Arc::clone(&wal));
 
         let invariants = store.verify_invariants();
         report.dangling_group_edges = invariants.dangling_edges;
@@ -594,8 +555,7 @@ impl DurabilityManager {
                 dir: dir.to_path_buf(),
                 seq: base_seq.unwrap_or(0),
                 wal_seq,
-                sink,
-                sync,
+                wal,
                 checkpoint_fault: FaultPoint::new(),
             },
             report,
@@ -613,11 +573,11 @@ impl DurabilityManager {
         store: &Arc<ViewStore>,
         lineage: &LineageGraph,
     ) -> io::Result<CheckpointStats> {
-        self.sink.ensure_healthy()?;
+        self.wal.ensure_healthy()?;
         let new_seq = self.wal_seq + 1;
         let (export, rotated) = store.frozen_export(|_| -> io::Result<u64> {
-            let lsn = self.sink.lsn();
-            self.sink.rotate(&wal_path(&self.dir, new_seq))?;
+            let lsn = self.wal.lsn();
+            self.wal.rotate(&wal_path(&self.dir, new_seq))?;
             Ok(lsn)
         });
         let lsn = rotated?;
@@ -748,24 +708,20 @@ impl DurabilityManager {
 
     /// The current log sequence number.
     pub fn lsn(&self) -> u64 {
-        self.sink.lsn()
+        self.wal.lsn()
     }
 
-    /// The raw WAL writer (fault injection and health checks).
+    /// The WAL writer every store mutation appends through (fault
+    /// injection and health checks).
     pub fn wal(&self) -> &Arc<WalWriter> {
-        self.sink.raw()
+        &self.wal
     }
 
-    /// The group-commit front end every store mutation flows through.
-    pub fn sink(&self) -> &Arc<GroupCommitWal> {
-        &self.sink
-    }
-
-    /// Write-path telemetry for the current WAL writer (frames, syncs,
-    /// group-size histogram). Counters reset on open/rotate of the
-    /// process, not of the segment.
+    /// Write-path telemetry for the current WAL writer (frames, groups,
+    /// syncs). Counters reset when the dataspace is opened, not when a
+    /// checkpoint rotates the segment.
     pub fn wal_stats(&self) -> WalStats {
-        self.sink.stats()
+        self.wal.stats()
     }
 
     /// The sequence number of the newest snapshot.
@@ -775,7 +731,7 @@ impl DurabilityManager {
 
     /// The sync policy the WAL was opened with.
     pub fn sync_policy(&self) -> SyncPolicy {
-        self.sync
+        self.wal.sync_policy()
     }
 
     /// The fault point consulted mid-checkpoint, between WAL rotation

@@ -1,5 +1,5 @@
 //! The write-ahead log: length-prefixed, per-record checksummed frames
-//! in an append-only segment file.
+//! in an append-only segment file, written through one append path.
 //!
 //! ## On-disk format
 //!
@@ -11,16 +11,27 @@
 //! ```
 //!
 //! `checksum` is FNV-1a-64 over the payload, and the payload is an
-//! encoded [`ChangeRecord`]. Each frame is written with a *single*
-//! `write_all` call so a crash tears at most one frame; recovery scans
-//! frames in order and stops at the first that is short, oversized,
-//! checksum-mismatched, or undecodable — the torn tail is discarded and
-//! everything before it is replayed (the classic torn-write discipline).
+//! encoded [`ChangeRecord`]. Recovery scans frames in order and stops at
+//! the first that is short, oversized, checksum-mismatched, or
+//! undecodable — the torn tail is discarded and everything before it is
+//! replayed (the classic torn-write discipline).
+//!
+//! ## Write path
+//!
+//! [`WalWriter::append`] is the only way in: it encodes N ≥ 1 frames,
+//! writes them with one `write_all` (one *write group*, so a crash
+//! tears the group at most once and recovery still sees an exact frame
+//! prefix), and under [`SyncPolicy::Fsync`] issues one covering
+//! `sync_data` before it returns. A [`BulkWalScope`] defers that sync
+//! for the appends of the thread that opened it — to every 128 records
+//! and to [`BulkWalScope::finish`] — and for no other thread's.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::{self, ThreadId};
 
 use parking_lot::Mutex;
 
@@ -35,10 +46,8 @@ pub const WAL_MAGIC: &[u8; 8] = b"IDMWAL01";
 /// corruption, not as a 4 GiB allocation request.
 pub const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
 
-/// Number of power-of-two buckets in the group-size histogram: bucket
-/// `i` counts groups of `2^i ..= 2^(i+1)-1` records (the last bucket is
-/// open-ended).
-pub const GROUP_HISTOGRAM_BUCKETS: usize = 12;
+/// Records a bulk window writes between its interior covering syncs.
+const BULK_SYNC_EVERY: u64 = 128;
 
 /// When appends reach the disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -48,18 +57,44 @@ pub enum SyncPolicy {
     /// may lose the unsynced tail. The default.
     #[default]
     WriteBack,
-    /// `fdatasync` after every frame. Survives power loss; much slower.
+    /// `fdatasync` before every append returns (a bulk window defers
+    /// its own thread's syncs to [`BulkWalScope::finish`]). Survives
+    /// power loss; much slower.
     Fsync,
 }
 
 struct WalInner {
-    file: Option<File>,
+    file: File,
     path: PathBuf,
+    /// One entry per open [`BulkWalScope`]: the thread whose appends it
+    /// defers, and the records that thread has written inside it.
+    windows: Vec<(ThreadId, u64)>,
+}
+
+impl WalInner {
+    /// Whether a group of `count` records appended by the calling
+    /// thread needs its covering sync now (under [`SyncPolicy::Fsync`]):
+    /// always outside a window of that thread, and inside one only when
+    /// the window's record count crosses a [`BULK_SYNC_EVERY`] boundary.
+    fn sync_due(&mut self, count: u64) -> bool {
+        if self.windows.is_empty() {
+            return true;
+        }
+        let me = thread::current().id();
+        match self.windows.iter_mut().find(|(owner, _)| *owner == me) {
+            Some((_, written)) => {
+                let before = *written;
+                *written += count;
+                *written / BULK_SYNC_EVERY > before / BULK_SYNC_EVERY
+            }
+            None => true,
+        }
+    }
 }
 
 /// Write-path telemetry of one [`WalWriter`]: how many record frames it
-/// wrote, how many `fsync`/`fdatasync` calls it issued for them, and how
-/// the frames were grouped. The bulk-ingest bench derives its
+/// wrote, in how many write groups, and how many `fsync`/`fdatasync`
+/// calls it issued for them. The bulk-ingest bench derives its
 /// "fsyncs saved" figure from `frames - syncs` under
 /// [`SyncPolicy::Fsync`], where the record-at-a-time discipline would
 /// have issued one sync per frame.
@@ -67,16 +102,10 @@ struct WalInner {
 pub struct WalStats {
     /// Record frames written (equals appended records).
     pub frames: u64,
-    /// `sync_data`/`sync_all` calls issued by this writer.
+    /// `sync_data` calls issued by this writer.
     pub syncs: u64,
-    /// Write groups committed (an [`WalWriter::append`] is a group of
-    /// one; an [`WalWriter::append_batch`] is one group of many).
+    /// Write groups committed: one per [`WalWriter::append`].
     pub groups: u64,
-    /// Largest group committed so far, in records.
-    pub largest_group: u64,
-    /// Power-of-two histogram of group sizes (bucket `i` counts groups
-    /// of `2^i ..` records; the last bucket is open-ended).
-    pub histogram: [u64; GROUP_HISTOGRAM_BUCKETS],
     /// The writer's sync policy.
     pub sync_policy: SyncPolicy,
 }
@@ -92,10 +121,6 @@ impl WalStats {
             SyncPolicy::WriteBack => 0,
         }
     }
-}
-
-fn histogram_bucket(group: u64) -> usize {
-    (63 - group.max(1).leading_zeros() as usize).min(GROUP_HISTOGRAM_BUCKETS - 1)
 }
 
 /// The append half of the WAL, shared by every store mutator.
@@ -115,14 +140,11 @@ pub struct WalWriter {
     /// Crash/torn-write injection point (`source = "durability"`,
     /// `op = "wal-append"`), inert until a plan is installed.
     fault: FaultPoint,
-    /// Telemetry counters (see [`WalStats`]). `largest_group` and the
-    /// histogram are updated under the inner lock; the plain counters
-    /// are relaxed atomics read by reporting code only.
+    /// Telemetry counters (see [`WalStats`]): relaxed atomics read by
+    /// reporting code only.
     frames: AtomicU64,
     syncs: AtomicU64,
     groups: AtomicU64,
-    largest_group: AtomicU64,
-    histogram: [AtomicU64; GROUP_HISTOGRAM_BUCKETS],
 }
 
 impl std::fmt::Debug for WalWriter {
@@ -159,26 +181,20 @@ impl WalWriter {
         base_lsn: u64,
         sync: SyncPolicy,
     ) -> io::Result<WalWriter> {
-        let file = OpenOptions::new().write(true).open(path)?;
+        let mut file = OpenOptions::new().write(true).open(path)?;
         file.set_len(valid_len)?;
         file.sync_all()?;
-        let writer = WalWriter::from_parts(file, path, base_lsn, sync);
         // Position at the end; File::set_len does not move the cursor.
-        {
-            let mut inner = writer.inner.lock();
-            if let Some(f) = inner.file.as_mut() {
-                use std::io::Seek;
-                f.seek(io::SeekFrom::End(0))?;
-            }
-        }
-        Ok(writer)
+        io::Seek::seek(&mut file, io::SeekFrom::End(0))?;
+        Ok(WalWriter::from_parts(file, path, base_lsn, sync))
     }
 
     fn from_parts(file: File, path: &Path, base_lsn: u64, sync: SyncPolicy) -> WalWriter {
         WalWriter {
             inner: Mutex::new(WalInner {
-                file: Some(file),
+                file,
                 path: path.to_path_buf(),
+                windows: Vec::new(),
             }),
             lsn: AtomicU64::new(base_lsn),
             sync,
@@ -188,8 +204,6 @@ impl WalWriter {
             frames: AtomicU64::new(0),
             syncs: AtomicU64::new(0),
             groups: AtomicU64::new(0),
-            largest_group: AtomicU64::new(0),
-            histogram: Default::default(),
         }
     }
 
@@ -201,20 +215,15 @@ impl WalWriter {
         buf.extend_from_slice(&payload);
     }
 
-    /// Appends one record. Callers hold their shard's write lock, so
-    /// per-vid record order in the log matches commit order; the inner
-    /// mutex serializes frames across shards.
-    pub fn append(&self, record: &ChangeRecord) -> io::Result<()> {
-        let mut frames = Vec::new();
-        WalWriter::encode_frame(&mut frames, record);
-        self.write_frames(&frames, 1, None)
-    }
-
-    /// Appends a batch of records as one buffered write and (under
-    /// [`SyncPolicy::Fsync`]) one covering `sync_data` — the group-commit
-    /// write path. A crash tears the concatenated buffer at most once,
-    /// so recovery still sees an exact frame prefix.
-    pub fn append_batch(&self, records: &[ChangeRecord]) -> io::Result<()> {
+    /// Appends `records` as one write group: one `write_all` of their
+    /// frames and, under [`SyncPolicy::Fsync`], one covering `sync_data`
+    /// before returning — unless the calling thread has a
+    /// [`BulkWalScope`] open, which defers the sync. Single-record
+    /// callers pass [`std::slice::from_ref`]. Store mutators call this
+    /// under their shard's write lock, so per-vid record order in the
+    /// log matches commit order; the inner mutex serializes groups
+    /// across shards.
+    pub fn append(&self, records: &[ChangeRecord]) -> io::Result<()> {
         if records.is_empty() {
             return self.ensure_healthy();
         }
@@ -222,61 +231,23 @@ impl WalWriter {
         for record in records {
             WalWriter::encode_frame(&mut frames, record);
         }
-        self.write_frames(&frames, records.len() as u64, None)
-    }
+        let count = records.len() as u64;
 
-    /// [`WalWriter::append_batch`] without the covering sync — for bulk
-    /// windows whose sync is deferred to [`WalWriter::sync_now`].
-    pub fn append_batch_unsynced(&self, records: &[ChangeRecord]) -> io::Result<()> {
-        if records.is_empty() {
-            return self.ensure_healthy();
-        }
-        let mut frames = Vec::new();
-        for record in records {
-            WalWriter::encode_frame(&mut frames, record);
-        }
-        self.write_frames(&frames, records.len() as u64, Some(false))
-    }
-
-    /// Appends one record without syncing regardless of policy — the
-    /// bulk-ingest path defers the covering sync to [`WalWriter::sync_now`]
-    /// (every N records and at scope end). Under
-    /// [`SyncPolicy::WriteBack`] this is identical to `append`.
-    pub fn append_unsynced(&self, record: &ChangeRecord) -> io::Result<()> {
-        let mut frames = Vec::new();
-        WalWriter::encode_frame(&mut frames, record);
-        self.write_frames(&frames, 1, Some(false))
-    }
-
-    /// Writes `count` already-encoded frames in one `write_all`.
-    /// `sync_override` forces syncing on/off; `None` follows the policy.
-    fn write_frames(
-        &self,
-        frames: &[u8],
-        count: u64,
-        sync_override: Option<bool>,
-    ) -> io::Result<()> {
         let mut inner = self.inner.lock();
-        if self.dead.load(Ordering::Acquire) {
-            return Err(self.dead_error());
-        }
-
+        self.ensure_healthy()?;
         match self.fault.check("durability", "wal-append") {
             Ok(FaultAction::Proceed) => {}
             Ok(FaultAction::Truncate(keep)) => {
                 // Torn write: part of the buffer reaches the disk, then
                 // the process "dies" — persist the prefix faithfully so
                 // recovery sees exactly what a real tear would leave.
-                // For a batch the tear can land inside any frame of the
-                // group, which is what the group-commit crash matrix
-                // exercises.
+                // For a group of many frames the tear can land inside
+                // any of them, which is what the crash matrix exercises.
                 let keep = keep.min(frames.len());
-                let result = match inner.file.as_mut() {
-                    Some(file) => file
-                        .write_all(&frames[..keep])
-                        .and_then(|()| file.sync_data()),
-                    None => Err(io::Error::other("wal file closed")),
-                };
+                let file = &mut inner.file;
+                let result = file
+                    .write_all(&frames[..keep])
+                    .and_then(|()| file.sync_data());
                 self.kill("torn write injected");
                 return result.and_then(|()| Err(self.dead_error()));
             }
@@ -286,31 +257,26 @@ impl WalWriter {
             }
         }
 
-        let do_sync = sync_override.unwrap_or(matches!(self.sync, SyncPolicy::Fsync));
-        let result = match inner.file.as_mut() {
-            Some(file) => {
-                file.write_all(frames).and_then(
-                    |()| {
-                        if do_sync {
-                            file.sync_data()
-                        } else {
-                            Ok(())
-                        }
-                    },
-                )
-            }
-            None => Err(io::Error::other("wal file closed")),
-        };
-        match result {
+        if let Err(e) = inner.file.write_all(&frames) {
+            self.kill(&e.to_string());
+            return Err(e);
+        }
+        if matches!(self.sync, SyncPolicy::Fsync) && inner.sync_due(count) {
+            self.sync_now(&mut inner)?;
+        }
+        self.lsn.fetch_add(count, Ordering::Release);
+        self.frames.fetch_add(count, Ordering::Relaxed);
+        self.groups.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// The covering sync: one `sync_data` on the current segment, making
+    /// every frame written so far durable. A failure kills the writer.
+    fn sync_now(&self, inner: &mut WalInner) -> io::Result<()> {
+        self.ensure_healthy()?;
+        match inner.file.sync_data() {
             Ok(()) => {
-                self.lsn.fetch_add(count, Ordering::Release);
-                self.frames.fetch_add(count, Ordering::Relaxed);
-                self.groups.fetch_add(1, Ordering::Relaxed);
-                self.largest_group.fetch_max(count, Ordering::Relaxed);
-                self.histogram[histogram_bucket(count)].fetch_add(1, Ordering::Relaxed);
-                if do_sync {
-                    self.syncs.fetch_add(1, Ordering::Relaxed);
-                }
+                self.syncs.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
             Err(e) => {
@@ -320,41 +286,41 @@ impl WalWriter {
         }
     }
 
-    /// Issues a `sync_data` on the current segment, making every frame
-    /// written so far durable (the covering sync of a deferred-sync
-    /// window).
-    pub fn sync_now(&self) -> io::Result<()> {
-        let mut inner = self.inner.lock();
-        if self.dead.load(Ordering::Acquire) {
-            return Err(self.dead_error());
+    /// Opens a bulk window for the calling thread: its appends are
+    /// written immediately (WAL-before-memory ordering holds) but their
+    /// covering sync is deferred to every 128 records and to
+    /// [`BulkWalScope::finish`]. Appends from other threads keep
+    /// their own covering sync. Callers must not treat a record of the
+    /// window as acknowledged until `finish` returns `Ok`.
+    pub fn begin_bulk(self: &Arc<Self>) -> BulkWalScope {
+        let owner = thread::current().id();
+        self.inner.lock().windows.push((owner, 0));
+        BulkWalScope {
+            wal: Arc::clone(self),
+            owner,
+            finished: false,
         }
-        match inner.file.as_mut() {
-            Some(file) => match file.sync_data() {
-                Ok(()) => {
-                    self.syncs.fetch_add(1, Ordering::Relaxed);
-                    Ok(())
-                }
-                Err(e) => {
-                    self.kill(&e.to_string());
-                    Err(e)
-                }
-            },
-            None => Ok(()),
+    }
+
+    /// Closes one of `owner`'s windows and issues the covering sync under
+    /// [`SyncPolicy::Fsync`].
+    fn end_bulk(&self, owner: ThreadId) -> io::Result<()> {
+        let mut inner = self.inner.lock();
+        if let Some(pos) = inner.windows.iter().position(|(o, _)| *o == owner) {
+            inner.windows.swap_remove(pos);
+        }
+        match self.sync {
+            SyncPolicy::Fsync => self.sync_now(&mut inner),
+            SyncPolicy::WriteBack => Ok(()),
         }
     }
 
     /// A snapshot of the write-path telemetry counters.
     pub fn stats(&self) -> WalStats {
-        let mut histogram = [0u64; GROUP_HISTOGRAM_BUCKETS];
-        for (bucket, counter) in histogram.iter_mut().zip(&self.histogram) {
-            *bucket = counter.load(Ordering::Relaxed);
-        }
         WalStats {
             frames: self.frames.load(Ordering::Relaxed),
             syncs: self.syncs.load(Ordering::Relaxed),
             groups: self.groups.load(Ordering::Relaxed),
-            largest_group: self.largest_group.load(Ordering::Relaxed),
-            histogram,
             sync_policy: self.sync,
         }
     }
@@ -364,17 +330,12 @@ impl WalWriter {
         self.sync
     }
 
-    /// Syncs and closes the current segment, then starts a fresh one at
-    /// `new_path` — the checkpoint rotation. The LSN continues counting.
+    /// Seals the current segment with a covering sync, then starts a
+    /// fresh one at `new_path` — the checkpoint rotation. The LSN
+    /// continues counting.
     pub fn rotate(&self, new_path: &Path) -> io::Result<()> {
         let mut inner = self.inner.lock();
-        if self.dead.load(Ordering::Acquire) {
-            return Err(self.dead_error());
-        }
-        if let Some(file) = inner.file.as_mut() {
-            file.sync_all()?;
-            self.syncs.fetch_add(1, Ordering::Relaxed);
-        }
+        self.sync_now(&mut inner)?;
         let mut file = OpenOptions::new()
             .create(true)
             .write(true)
@@ -390,7 +351,7 @@ impl WalWriter {
             self.kill(&e.to_string());
             return Err(e);
         }
-        inner.file = Some(file);
+        inner.file = file;
         inner.path = new_path.to_path_buf();
         Ok(())
     }
@@ -406,24 +367,6 @@ impl WalWriter {
             Err(self.dead_error())
         } else {
             Ok(())
-        }
-    }
-
-    /// The error that killed the writer, if any.
-    pub fn last_error(&self) -> Option<String> {
-        self.error.lock().clone()
-    }
-
-    /// Flushes the OS buffers of the current segment.
-    pub fn sync(&self) -> io::Result<()> {
-        let mut inner = self.inner.lock();
-        match inner.file.as_mut() {
-            Some(file) => {
-                file.sync_all()?;
-                self.syncs.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            None => Ok(()),
         }
     }
 
@@ -444,6 +387,35 @@ impl WalWriter {
             .clone()
             .unwrap_or_else(|| "unknown".to_owned());
         io::Error::other(format!("wal writer is dead: {detail}"))
+    }
+}
+
+/// RAII guard for a bulk window (see [`WalWriter::begin_bulk`]). Call
+/// [`BulkWalScope::finish`] to issue the final covering sync and learn
+/// whether every record in the window is durable; dropping without
+/// `finish` still closes the window and attempts the sync best-effort,
+/// but the result is lost.
+pub struct BulkWalScope {
+    wal: Arc<WalWriter>,
+    owner: ThreadId,
+    finished: bool,
+}
+
+impl BulkWalScope {
+    /// Closes the window: issues the covering sync (under
+    /// [`SyncPolicy::Fsync`]) and returns its result. Only after an `Ok`
+    /// here may the caller acknowledge the window's records.
+    pub fn finish(mut self) -> io::Result<()> {
+        self.finished = true;
+        self.wal.end_bulk(self.owner)
+    }
+}
+
+impl Drop for BulkWalScope {
+    fn drop(&mut self) {
+        if !self.finished {
+            let _ = self.wal.end_bulk(self.owner);
+        }
     }
 }
 
@@ -549,10 +521,9 @@ mod tests {
         let path = tmp("roundtrip");
         let wal = WalWriter::create(&path, 0, SyncPolicy::WriteBack).unwrap();
         for r in records(5) {
-            wal.append(&r).unwrap();
+            wal.append(&[r]).unwrap();
         }
         assert_eq!(wal.lsn(), 5);
-        wal.sync().unwrap();
 
         let segment = read_segment(&path).unwrap();
         assert_eq!(segment.records, records(5));
@@ -566,7 +537,7 @@ mod tests {
         let path = tmp("truncate");
         let wal = WalWriter::create(&path, 0, SyncPolicy::WriteBack).unwrap();
         for r in records(4) {
-            wal.append(&r).unwrap();
+            wal.append(&[r]).unwrap();
         }
         drop(wal);
         let full = std::fs::read(&path).unwrap();
@@ -592,9 +563,7 @@ mod tests {
     fn corrupt_byte_ends_the_prefix_there() {
         let path = tmp("corrupt");
         let wal = WalWriter::create(&path, 0, SyncPolicy::WriteBack).unwrap();
-        for r in records(3) {
-            wal.append(&r).unwrap();
-        }
+        wal.append(&records(3)).unwrap();
         drop(wal);
         let full = std::fs::read(&path).unwrap();
 
@@ -622,9 +591,9 @@ mod tests {
         let path = tmp("dead");
         let wal = WalWriter::create(&path, 0, SyncPolicy::WriteBack).unwrap();
         wal.kill("test");
-        assert!(wal.append(&records(1)[0]).is_err());
+        let err = wal.append(&records(1)).unwrap_err();
+        assert!(err.to_string().ends_with("dead: test"), "{err}");
         assert!(wal.ensure_healthy().is_err());
-        assert_eq!(wal.last_error().as_deref(), Some("test"));
     }
 
     #[test]
@@ -632,7 +601,7 @@ mod tests {
         let path = tmp("reopen");
         let wal = WalWriter::create(&path, 0, SyncPolicy::WriteBack).unwrap();
         for r in records(3) {
-            wal.append(&r).unwrap();
+            wal.append(&[r]).unwrap();
         }
         drop(wal);
         // Tear the tail by hand.
@@ -648,7 +617,7 @@ mod tests {
             SyncPolicy::WriteBack,
         )
         .unwrap();
-        wal.append(&ChangeRecord::Remove { vid: 9 }).unwrap();
+        wal.append(&[ChangeRecord::Remove { vid: 9 }]).unwrap();
         assert_eq!(wal.lsn(), 3);
         drop(wal);
 
@@ -665,14 +634,91 @@ mod tests {
         let first = dir.join("wal-1.idmlog");
         let second = dir.join("wal-2.idmlog");
         let wal = WalWriter::create(&first, 0, SyncPolicy::WriteBack).unwrap();
-        wal.append(&ChangeRecord::Remove { vid: 1 }).unwrap();
+        wal.append(&[ChangeRecord::Remove { vid: 1 }]).unwrap();
         wal.rotate(&second).unwrap();
-        wal.append(&ChangeRecord::Remove { vid: 2 }).unwrap();
+        assert_eq!(wal.stats().syncs, 1, "rotation seals with a covering sync");
+        wal.append(&[ChangeRecord::Remove { vid: 2 }]).unwrap();
         assert_eq!(wal.lsn(), 2);
         drop(wal);
 
         assert_eq!(read_segment(&first).unwrap().records.len(), 1);
         let segment = read_segment(&second).unwrap();
         assert_eq!(segment.records, vec![ChangeRecord::Remove { vid: 2 }]);
+    }
+
+    #[test]
+    fn every_group_gets_one_covering_sync_under_fsync() {
+        let path = tmp("fsync");
+        let wal = WalWriter::create(&path, 0, SyncPolicy::Fsync).unwrap();
+        for r in records(10) {
+            wal.append(&[r]).unwrap();
+        }
+        wal.append(&records(6)).unwrap();
+        let stats = wal.stats();
+        assert_eq!(stats.frames, 16);
+        assert_eq!(stats.groups, 11);
+        assert_eq!(stats.syncs, 11);
+        assert_eq!(stats.syncs_saved(), 5);
+        assert_eq!(read_segment(&path).unwrap().records.len(), 16);
+    }
+
+    #[test]
+    fn write_back_appends_never_sync() {
+        let path = tmp("writeback");
+        let wal = Arc::new(WalWriter::create(&path, 0, SyncPolicy::WriteBack).unwrap());
+        for r in records(5) {
+            wal.append(&[r]).unwrap();
+        }
+        wal.begin_bulk().finish().unwrap();
+        let stats = wal.stats();
+        assert_eq!(stats.frames, 5);
+        assert_eq!(stats.syncs, 0);
+        assert_eq!(stats.syncs_saved(), 0);
+    }
+
+    #[test]
+    fn bulk_scope_defers_syncs_to_batch_boundaries() {
+        let path = tmp("bulk");
+        let wal = Arc::new(WalWriter::create(&path, 0, SyncPolicy::Fsync).unwrap());
+        let scope = wal.begin_bulk();
+        for r in records(300) {
+            wal.append(&[r]).unwrap();
+        }
+        scope.finish().unwrap();
+        let stats = wal.stats();
+        assert_eq!(stats.frames, 300);
+        // 2 interior syncs (at 128 and 256) + 1 covering sync at finish.
+        assert_eq!(stats.syncs, 3);
+        assert_eq!(read_segment(&path).unwrap().records.len(), 300);
+
+        // Closed windows defer nothing.
+        wal.append(&records(1)).unwrap();
+        assert_eq!(wal.stats().syncs, 4);
+    }
+
+    #[test]
+    fn each_thread_defers_only_inside_its_own_window() {
+        let path = tmp("threads");
+        let wal = Arc::new(WalWriter::create(&path, 0, SyncPolicy::Fsync).unwrap());
+        let scope = wal.begin_bulk();
+        wal.append(&records(1)).unwrap();
+        assert_eq!(wal.stats().syncs, 0, "the opener's append is deferred");
+        std::thread::scope(|s| {
+            s.spawn(|| wal.append(&records(1)).unwrap());
+        });
+        assert_eq!(wal.stats().syncs, 1, "another thread's append is synced");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let theirs = wal.begin_bulk();
+                wal.append(&records(1)).unwrap();
+                assert_eq!(wal.stats().syncs, 1, "its own window defers it");
+                theirs.finish().unwrap();
+            });
+        });
+        assert_eq!(wal.stats().syncs, 2);
+        wal.append(&records(1)).unwrap();
+        assert_eq!(wal.stats().syncs, 2, "the first window is still open");
+        scope.finish().unwrap();
+        assert_eq!(wal.stats().syncs, 3);
     }
 }

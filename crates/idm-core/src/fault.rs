@@ -378,7 +378,7 @@ pub struct RetryPolicy {
     /// Backoff before the first retry; doubles each retry.
     pub base_delay: Duration,
     /// Upper bound on any single backoff delay.
-    pub max_delay: Duration,
+    pub max_backoff: Duration,
     /// Seed for the deterministic jitter (same seed → same delays).
     pub jitter_seed: u64,
     /// Total time budget for the call including backoff; once exceeded,
@@ -391,7 +391,7 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_retries: 3,
             base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(50),
+            max_backoff: Duration::from_millis(50),
             jitter_seed: 0x1d4_7e57,
             budget: Duration::from_secs(5),
         }
@@ -413,13 +413,13 @@ impl RetryPolicy {
         RetryPolicy {
             max_retries,
             base_delay: Duration::ZERO,
-            max_delay: Duration::ZERO,
+            max_backoff: Duration::ZERO,
             ..RetryPolicy::default()
         }
     }
 
     /// The backoff before retry number `retry` (1-based): exponential
-    /// from `base_delay`, capped at `max_delay`, jittered
+    /// from `base_delay`, capped at `max_backoff`, jittered
     /// deterministically into `[50%, 100%]` of the nominal value.
     pub fn delay_for(&self, retry: u32) -> Duration {
         if self.base_delay.is_zero() {
@@ -431,7 +431,7 @@ impl RetryPolicy {
                 1u32.checked_shl(retry.saturating_sub(1))
                     .unwrap_or(u32::MAX),
             )
-            .min(self.max_delay);
+            .min(self.max_backoff);
         let mut state = self.jitter_seed ^ u64::from(retry).wrapping_mul(0x9E37_79B9);
         let factor = 0.5 + uniform(&mut state) / 2.0;
         nominal.mul_f64(factor)
@@ -886,7 +886,7 @@ mod tests {
         let policy = RetryPolicy {
             max_retries: 100,
             base_delay: Duration::ZERO,
-            max_delay: Duration::ZERO,
+            max_backoff: Duration::ZERO,
             budget: Duration::ZERO, // expires immediately
             ..RetryPolicy::default()
         };
@@ -903,7 +903,7 @@ mod tests {
     fn jittered_backoff_is_deterministic_bounded_and_monotone() {
         let policy = RetryPolicy {
             base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_millis(80),
+            max_backoff: Duration::from_millis(80),
             ..RetryPolicy::default()
         };
         for retry in 1..8 {

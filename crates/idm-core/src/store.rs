@@ -21,9 +21,8 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::class::{ClassId, ClassRegistry};
 use crate::content::Content;
-use crate::durability::group_commit::{BulkWalScope, GroupCommitWal};
 use crate::durability::record::{ChangeRecord, SerialContent, SerialGroup, SerialView};
-use crate::durability::wal::WalStats;
+use crate::durability::wal::{BulkWalScope, WalStats, WalWriter};
 use crate::error::{IdmError, Result};
 use crate::group::{Group, GroupData, LazyGroup, ViewSequenceSource};
 use crate::value::TupleComponent;
@@ -199,7 +198,7 @@ pub struct ViewStore {
     /// The attached write-ahead log, if this store is durable. Mutators
     /// append their change record under the shard write lock, so WAL
     /// order per view matches commit order.
-    wal: RwLock<Option<Arc<GroupCommitWal>>>,
+    wal: RwLock<Option<Arc<WalWriter>>>,
 }
 
 /// Default shard count: available parallelism rounded up to a power of two,
@@ -251,8 +250,8 @@ impl ViewStore {
         }
     }
 
-    /// Attaches a WAL sink: every mutation from now on is logged.
-    pub(crate) fn set_wal(&self, wal: Arc<GroupCommitWal>) {
+    /// Attaches a WAL writer: every mutation from now on is logged.
+    pub(crate) fn set_wal(&self, wal: Arc<WalWriter>) {
         *self.wal.write() = Some(wal);
     }
 
@@ -266,37 +265,29 @@ impl ViewStore {
         self.wal.read().is_some()
     }
 
-    /// Appends a record to the attached WAL, if any. Append errors are
-    /// not surfaced here — the writer goes sticky-dead and the next
+    /// Appends records to the attached WAL, if any, as one write group
+    /// (one buffered write, one covering sync). Append errors are not
+    /// surfaced here — the writer goes sticky-dead and the next
     /// checkpoint (or explicit health check) reports the failure; the
     /// in-memory mutation has already committed either way.
-    fn wal_append(&self, record: &ChangeRecord) {
+    fn wal_append(&self, records: &[ChangeRecord]) {
         let wal = self.wal.read().clone();
         if let Some(wal) = wal {
-            let _ = wal.append(record);
+            let _ = wal.append(records);
         }
     }
 
-    /// Appends a whole batch of records as one group commit (one
-    /// buffered write, one covering sync). Same error discipline as
-    /// [`ViewStore::wal_append`]: failures go sticky-dead on the writer.
-    fn wal_append_batch(&self, records: &[ChangeRecord]) {
-        let wal = self.wal.read().clone();
-        if let Some(wal) = wal {
-            let _ = wal.append_batch(records);
-        }
-    }
-
-    /// Opens a bulk-ingest WAL window: while the returned scope is
-    /// alive, individual appends defer their covering sync to batch
-    /// boundaries and to [`BulkWalScope::finish`]. Returns `None` when
-    /// the store is not durable (nothing to defer).
+    /// Opens a bulk-ingest WAL window for the calling thread: while the
+    /// returned scope is alive, that thread's appends defer their
+    /// covering sync to batch boundaries and to [`BulkWalScope::finish`]
+    /// (other threads' appends stay synced). Returns `None` when the
+    /// store is not durable (nothing to defer).
     pub fn wal_bulk_scope(&self) -> Option<BulkWalScope> {
         self.wal.read().as_ref().map(|wal| wal.begin_bulk())
     }
 
-    /// Write-path telemetry of the attached WAL (frames, syncs, group
-    /// sizes); `None` when the store is not durable.
+    /// Write-path telemetry of the attached WAL (frames, groups, syncs);
+    /// `None` when the store is not durable.
     pub fn wal_telemetry(&self) -> Option<WalStats> {
         self.wal.read().as_ref().map(|wal| wal.stats())
     }
@@ -372,7 +363,7 @@ impl ViewStore {
             slots[slot_idx] = Some(Slot { record, version: 0 });
             self.live.fetch_add(1, Ordering::Relaxed);
             if let Some(rec) = wal_rec.as_ref() {
-                self.wal_append(rec);
+                self.wal_append(std::slice::from_ref(rec));
             }
         }
         self.emit(vid, ChangeKind::Created);
@@ -383,7 +374,7 @@ impl ViewStore {
     }
 
     /// Inserts a batch of view records under one shard-lock acquisition
-    /// per involved shard and one WAL group commit for the whole batch.
+    /// per involved shard and one WAL write group for the whole batch.
     /// Vids are handed out contiguously by the same monotone counter as
     /// [`ViewStore::insert`], so numeric order is still insertion order
     /// and a bulk load produces the same store image as the equivalent
@@ -434,7 +425,7 @@ impl ViewStore {
             }
             self.live.fetch_add(vids.len(), Ordering::Relaxed);
             if armed {
-                self.wal_append_batch(&wal_recs);
+                self.wal_append(&wal_recs);
             }
         }
         for &vid in &vids {
@@ -507,7 +498,7 @@ impl ViewStore {
             let slot = slots.get_mut(slot_idx).ok_or(IdmError::UnknownVid(vid))?;
             let record = slot.take().ok_or(IdmError::UnknownVid(vid))?.record;
             self.live.fetch_sub(1, Ordering::Relaxed);
-            self.wal_append(&ChangeRecord::Remove { vid: vid.0 });
+            self.wal_append(&[ChangeRecord::Remove { vid: vid.0 }]);
             record
         };
         self.emit(vid, ChangeKind::Removed);
@@ -635,7 +626,7 @@ impl ViewStore {
             f(&mut slot.record);
             slot.version += 1;
             if let Some(rec) = wal_rec.as_ref() {
-                self.wal_append(rec);
+                self.wal_append(std::slice::from_ref(rec));
             }
         }
         self.emit(vid, kind);
@@ -725,11 +716,11 @@ impl ViewStore {
                 if slot.version == version {
                     slot.record.group = Group::Materialized(Arc::new(new_data));
                     slot.version += 1;
-                    self.wal_append(&ChangeRecord::AddGroupMember {
+                    self.wal_append(&[ChangeRecord::AddGroupMember {
                         vid: vid.0,
                         member: member.0,
                         ordered,
-                    });
+                    }]);
                     true
                 } else {
                     false
@@ -831,7 +822,7 @@ impl ViewStore {
                         set: data.set().iter().map(|v| v.0).collect(),
                         seq: data.seq().iter().map(|v| v.0).collect(),
                     };
-                    self.wal_append(&rec);
+                    self.wal_append(std::slice::from_ref(&rec));
                     forced = Some(rec);
                 }
                 _ => {}

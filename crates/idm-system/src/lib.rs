@@ -198,15 +198,15 @@ impl Pdsms {
         )
     }
 
-    /// [`Pdsms::open`] with explicit durability options (sync policy
-    /// and group-commit tuning).
+    /// [`Pdsms::open`] with explicit durability options (the WAL's sync
+    /// policy).
     pub fn open_with(
         dir: impl AsRef<Path>,
         options: idm_core::durability::DurabilityOptions,
     ) -> Result<(Pdsms, OpenReport)> {
         let dir = dir.as_ref();
         let (store, lineage, manager, recovery) =
-            idm_core::durability::DurabilityManager::open_with(dir, options)
+            idm_core::durability::DurabilityManager::open(dir, options.sync)
                 .map_err(durability_err)?;
 
         let index_path = dir.join(INDEX_FILE);
@@ -306,8 +306,8 @@ impl Pdsms {
         )
     }
 
-    /// [`Pdsms::make_durable`] with explicit durability options (sync
-    /// policy and group-commit tuning).
+    /// [`Pdsms::make_durable`] with explicit durability options (the
+    /// WAL's sync policy).
     pub fn make_durable_with(
         &mut self,
         dir: impl AsRef<Path>,
@@ -319,11 +319,11 @@ impl Pdsms {
             });
         }
         let dir = dir.as_ref();
-        let (manager, stats) = idm_core::durability::DurabilityManager::attach_with(
+        let (manager, stats) = idm_core::durability::DurabilityManager::attach(
             dir,
             &self.store,
             &self.lineage,
-            options,
+            options.sync,
         )
         .map_err(durability_err)?;
         idm_index::persist::save_with_epoch(&self.indexes, &dir.join(INDEX_FILE), stats.lsn)

@@ -464,17 +464,17 @@ fn a_tail_with_replay_errors_still_catches_up() {
     };
     manager
         .wal()
-        .append(&ChangeRecord::SetGroup {
+        .append(&[ChangeRecord::SetGroup {
             vid: victim.as_u64(),
             group: overlapping,
-        })
+        }])
         .unwrap();
     manager
         .wal()
-        .append(&ChangeRecord::SetName {
+        .append(&[ChangeRecord::SetName {
             vid: 9_999_999,
             name: Some("nobody".into()),
-        })
+        }])
         .unwrap();
     drop((_store, _lineage, manager));
 
