@@ -4,8 +4,16 @@
 //! phrase queries via positional intersection. The index is **not** a
 //! replica: term positions cannot reconstruct the original content
 //! (Section 5.2 makes this distinction explicitly).
+//!
+//! A change costs the terms it touches. The term dictionary is hashed,
+//! so each term of an indexed or removed document is one lookup, and
+//! each document keeps the list of its distinct terms, so removing it
+//! visits those posting lists and no others, each by binary search.
+//! What still grows with a list is the shift behind a posting inserted
+//! or removed in its middle. Terms are put in order only on export, so
+//! the persisted bytes never depend on hash order.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use idm_core::prelude::Vid;
 use parking_lot::RwLock;
@@ -26,8 +34,9 @@ const TERM_END: char = '\0';
 
 #[derive(Default)]
 struct Inner {
-    /// Term → postings sorted by vid.
-    postings: BTreeMap<String, Vec<Posting>>,
+    /// Term → postings sorted by vid; [`FullTextIndex::export_postings`]
+    /// puts the terms in order.
+    postings: HashMap<String, Vec<Posting>>,
     /// Document → its distinct terms, each followed by [`TERM_END`]:
     /// what removing the document has to visit.
     terms: VidMap<String>,
@@ -87,19 +96,11 @@ impl FullTextIndex {
         FullTextIndex::default()
     }
 
-    /// Indexes a document's text under `vid`.
+    /// Indexes a document tokenized by [`pretokenize`] under `vid` — the
+    /// cheap, lock-holding half of indexing, used by the segment merge.
     ///
     /// A vid must be indexed at most once; re-indexing requires
     /// [`FullTextIndex::remove`] first.
-    pub fn index(&self, vid: Vid, text: &str) {
-        if let Some(doc) = pretokenize(text) {
-            self.index_pretokenized(vid, doc);
-        }
-    }
-
-    /// Merges a document tokenized by [`pretokenize`] — the cheap,
-    /// lock-holding half of [`FullTextIndex::index`], used by the
-    /// segment merge.
     pub fn index_pretokenized(&self, vid: Vid, doc: PretokenizedDoc) {
         let mut inner = self.inner.write();
         let Inner {
@@ -275,10 +276,11 @@ impl FullTextIndex {
     }
 
     /// Exports the posting lists for persistence:
-    /// `(term, [(vid, positions)])`, terms sorted.
+    /// `(term, [(vid, positions)])`, terms sorted, so the bytes written
+    /// never depend on hash order.
     pub fn export_postings(&self) -> ExportedPostings {
         let inner = self.inner.read();
-        inner
+        let mut out: ExportedPostings = inner
             .postings
             .iter()
             .map(|(term, postings)| {
@@ -290,7 +292,9 @@ impl FullTextIndex {
                         .collect(),
                 )
             })
-            .collect()
+            .collect();
+        out.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        out
     }
 
     /// Rebuilds the index from exported postings (plus the document and
@@ -424,11 +428,18 @@ mod tests {
         Vid::from_raw(i)
     }
 
+    /// Indexes `text` the way the segment merge does.
+    fn index_text(index: &FullTextIndex, vid: Vid, text: &str) {
+        if let Some(doc) = pretokenize(text) {
+            index.index_pretokenized(vid, doc);
+        }
+    }
+
     fn sample() -> FullTextIndex {
         let index = FullTextIndex::new();
-        index.index(vid(1), "database systems and database tuning");
-        index.index(vid(2), "tuning a database");
-        index.index(vid(3), "the art of computer programming");
+        index_text(&index, vid(1), "database systems and database tuning");
+        index_text(&index, vid(2), "tuning a database");
+        index_text(&index, vid(3), "the art of computer programming");
         index
     }
 
@@ -455,7 +466,7 @@ mod tests {
     #[test]
     fn phrase_across_punctuation() {
         let index = FullTextIndex::new();
-        index.index(vid(7), "...phrase 'Mike Franklin' appears here");
+        index_text(&index, vid(7), "...phrase 'Mike Franklin' appears here");
         assert_eq!(index.phrase_query("Mike Franklin"), vec![vid(7)]);
     }
 
@@ -488,7 +499,7 @@ mod tests {
     #[test]
     fn repeated_terms_in_document() {
         let index = FullTextIndex::new();
-        index.index(vid(1), "go go go gadget");
+        index_text(&index, vid(1), "go go go gadget");
         assert_eq!(index.term_query("go"), vec![vid(1)]);
         assert_eq!(index.phrase_query("go go gadget"), vec![vid(1)]);
         assert!(index.phrase_query("gadget go").is_empty());
@@ -497,16 +508,16 @@ mod tests {
     #[test]
     fn empty_documents_not_counted() {
         let index = FullTextIndex::new();
-        index.index(vid(1), "   !!! ");
+        index_text(&index, vid(1), "   !!! ");
         assert_eq!(index.document_count(), 0);
     }
 
     #[test]
     fn out_of_order_vids() {
         let index = FullTextIndex::new();
-        index.index(vid(9), "alpha");
-        index.index(vid(3), "alpha");
-        index.index(vid(5), "alpha");
+        index_text(&index, vid(9), "alpha");
+        index_text(&index, vid(3), "alpha");
+        index_text(&index, vid(5), "alpha");
         assert_eq!(index.term_query("alpha"), vec![vid(3), vid(5), vid(9)]);
     }
 
@@ -514,7 +525,11 @@ mod tests {
     fn footprint_grows_with_content() {
         let index = FullTextIndex::new();
         let before = index.footprint_bytes();
-        index.index(vid(1), "some words to index for footprint accounting");
+        index_text(
+            &index,
+            vid(1),
+            "some words to index for footprint accounting",
+        );
         assert!(index.footprint_bytes() > before);
     }
 }

@@ -2,11 +2,14 @@
 //! index over tuple component attributes (Section 7.2 cites the
 //! Decomposition Storage Model \[11\]).
 //!
-//! Each attribute name gets its own sorted column of `(value, vid)`
-//! pairs, so predicates like `[size > 42000 and lastmodified <
-//! yesterday()]` resolve with two binary searches per attribute, under
-//! the read lock (a column dirtied by a write is sorted once, by the
-//! next read, under the write lock). iDM schemas are per-tuple, so the
+//! Each attribute name gets its own column of `(value, vid)` pairs, held
+//! as two sorted runs: a base and a tail of fewer than 256 entries.
+//! A write binary-inserts into the tail and, when the tail is full,
+//! merges it into the base in one pass, inside that write. So a read
+//! never sorts: predicates like `[size > 42000 and lastmodified <
+//! yesterday()]` resolve with two binary searches per run and attribute,
+//! under the read lock, and a removal finds each old entry by binary
+//! search in both runs. iDM schemas are per-tuple, so the
 //! same attribute name may carry values from different domains in
 //! different views; the column orders values by `(domain section,
 //! value)` and comparisons only consider the compatible section. The
@@ -95,70 +98,113 @@ fn entry_cmp((va, a): &(Value, Vid), (vb, b): &(Value, Vid)) -> Ordering {
     sort_cmp(va, vb).then(a.cmp(b))
 }
 
+/// Entries a column's tail holds before it is merged into the base.
+const TAIL: usize = 256;
+
 #[derive(Default)]
 struct Column {
-    /// In [`entry_cmp`] order — once `sorted`.
-    entries: Vec<(Value, Vid)>,
-    sorted: bool,
-    /// Whether the numeric section held a float at the last sort.
-    has_float: bool,
+    /// In [`entry_cmp`] order.
+    base: Vec<(Value, Vid)>,
+    /// In [`entry_cmp`] order; fewer than [`TAIL`] entries.
+    tail: Vec<(Value, Vid)>,
+    /// Float entries, in either run.
+    floats: usize,
     /// Distinct views with an entry (a tuple may name an attribute
     /// twice).
     views: usize,
 }
 
 impl Column {
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.entries.sort_by(entry_cmp);
-            self.has_float = self
-                .entries
-                .iter()
-                .any(|(v, _)| matches!(v, Value::Float(_)));
-            self.sorted = true;
+    /// Binary-inserts `entry` into the tail, and merges a full tail into
+    /// the base: one pass that moves every entry once and compares each
+    /// tail entry by binary search over the base entries still ahead.
+    fn insert(&mut self, entry: (Value, Vid)) {
+        self.floats += usize::from(matches!(entry.0, Value::Float(_)));
+        let at = self
+            .tail
+            .partition_point(|e| entry_cmp(e, &entry) == Ordering::Less);
+        self.tail.insert(at, entry);
+        if self.tail.len() < TAIL {
+            return;
         }
+        let mut merged = Vec::with_capacity(self.base.len() + self.tail.len());
+        let mut base = std::mem::take(&mut self.base).into_iter();
+        for entry in self.tail.drain(..) {
+            let ahead = base
+                .as_slice()
+                .partition_point(|e| entry_cmp(e, &entry) == Ordering::Less);
+            merged.extend(base.by_ref().take(ahead));
+            merged.push(entry);
+        }
+        merged.extend(base);
+        self.base = merged;
+    }
+
+    /// Both runs' entries, base first.
+    fn entries(&self) -> impl Iterator<Item = &(Value, Vid)> {
+        self.base.iter().chain(&self.tail)
     }
 
     /// The vids whose value satisfies `op` against `constant`, sorted.
-    /// Requires a sorted column.
     fn select(&self, op: CompareOp, constant: &Value) -> Vec<Vid> {
         // Only the constant's domain section can match.
         let rank = section(constant);
-        let lo = self.entries.partition_point(|(v, _)| section(v) < rank);
-        let hi = self.entries.partition_point(|(v, _)| section(v) <= rank);
-        let domain = &self.entries[lo..hi];
-        let floats = self.has_float || matches!(constant, Value::Float(_));
-        let mut out: Vec<Vid> = if rank == 0 && floats {
-            // Not provably totally ordered: test every entry.
-            domain
-                .iter()
-                .filter(|(v, _)| v.compare(constant).is_some_and(|ord| op.accepts(ord)))
-                .map(|(_, vid)| *vid)
-                .collect()
-        } else {
-            // Two binary searches split the section into the entries
-            // less than, equal to and greater than the constant.
-            let less = domain.partition_point(|(v, _)| v.compare(constant) == Some(Ordering::Less));
-            let less_eq =
-                domain.partition_point(|(v, _)| v.compare(constant) != Some(Ordering::Greater));
-            let (head, tail) = match op {
-                CompareOp::Eq => (less..less_eq, 0..0),
-                CompareOp::Ne => (0..less, less_eq..domain.len()),
-                CompareOp::Lt => (0..less, 0..0),
-                CompareOp::Le => (0..less_eq, 0..0),
-                CompareOp::Gt => (less_eq..domain.len(), 0..0),
-                CompareOp::Ge => (less..domain.len(), 0..0),
+        let runs = [&self.base[..], &self.tail[..]];
+        let mut out: Vec<Vid> =
+            if rank == 0 && (self.floats > 0 || matches!(constant, Value::Float(_))) {
+                // Not provably totally ordered: test every entry.
+                runs.iter()
+                    .flat_map(|run| {
+                        let lo = run.partition_point(|(v, _)| section(v) < rank);
+                        let hi = run.partition_point(|(v, _)| section(v) <= rank);
+                        &run[lo..hi]
+                    })
+                    .filter(|(v, _)| v.compare(constant).is_some_and(|ord| op.accepts(ord)))
+                    .map(|(_, vid)| *vid)
+                    .collect()
+            } else {
+                let picked = runs.map(|run| matching(run, rank, op, constant));
+                let mut out = Vec::with_capacity(picked.iter().flatten().map(|p| p.len()).sum());
+                for part in picked.iter().flatten() {
+                    out.extend(part.iter().map(|(_, vid)| *vid));
+                }
+                out
             };
-            domain[head]
-                .iter()
-                .chain(&domain[tail])
-                .map(|(_, vid)| *vid)
-                .collect()
-        };
         out.sort();
         out.dedup();
         out
     }
+}
+
+/// The entries of a sorted run whose value satisfies `op` against
+/// `constant`, as two slices, where section `rank` is totally ordered.
+/// An entry orders against the constant by section, then by value, so
+/// each bound is one binary search: two per operator, four for `Ne`.
+fn matching<'a>(
+    run: &'a [(Value, Vid)],
+    rank: u8,
+    op: CompareOp,
+    constant: &Value,
+) -> [&'a [(Value, Vid)]; 2] {
+    let before = |bound: Ordering| {
+        run.partition_point(|(v, _)| {
+            let against = section(v).cmp(&rank);
+            against.then_with(|| v.compare(constant).unwrap_or(Ordering::Equal)) < bound
+        })
+    };
+    let less = || before(Ordering::Equal);
+    let less_eq = || before(Ordering::Greater);
+    let start = || run.partition_point(|(v, _)| section(v) < rank);
+    let end = || run.partition_point(|(v, _)| section(v) <= rank);
+    let (head, tail) = match op {
+        CompareOp::Eq => (less()..less_eq(), 0..0),
+        CompareOp::Ne => (start()..less(), less_eq()..end()),
+        CompareOp::Lt => (start()..less(), 0..0),
+        CompareOp::Le => (start()..less_eq(), 0..0),
+        CompareOp::Gt => (less_eq()..end(), 0..0),
+        CompareOp::Ge => (less()..end(), 0..0),
+    };
+    [&run[head], &run[tail]]
 }
 
 /// Whether attribute `i` of the tuple is the first of its name (a schema
@@ -178,9 +224,8 @@ struct Inner {
 
 impl Inner {
     /// Drops the replica rows of `vids` and the column entries their
-    /// tuples gave them. In a sorted column each old `(value, vid)` is
-    /// found by binary search; a column written since its last read is
-    /// scanned for the dropped vids. Either way one pass over the
+    /// tuples gave them: each old `(value, vid)` is found by binary
+    /// search in both runs of its column, and per run one pass over the
     /// entries behind the first found one takes them all out.
     /// Duplicates and unknown vids are no-ops.
     fn drop_views(&mut self, vids: &[Vid]) {
@@ -206,36 +251,32 @@ impl Inner {
             let Some(column) = self.columns.get_mut(name) else {
                 continue;
             };
-            at.clear();
-            if column.sorted {
+            for entries in [&mut column.base, &mut column.tail] {
+                at.clear();
                 for (k, (_, entry, _)) in run.iter().enumerate() {
                     // A tuple naming one attribute twice with one value
-                    // gave the column two equal entries; both go.
+                    // gave the column two equal entries; both go, from
+                    // whichever run holds each.
                     if k > 0 && entry_cmp(&run[k - 1].1, entry) == Ordering::Equal {
                         continue;
                     }
-                    let lo = column
-                        .entries
-                        .partition_point(|e| entry_cmp(e, entry) == Ordering::Less);
+                    let lo = entries.partition_point(|e| entry_cmp(e, entry) == Ordering::Less);
                     let hi = lo
-                        + column.entries[lo..]
+                        + entries[lo..]
                             .iter()
                             .take_while(|e| entry_cmp(e, entry) == Ordering::Equal)
                             .count();
                     at.extend(lo..hi);
                 }
-            } else {
-                let mut views: Vec<Vid> = run.iter().map(|(_, (_, vid), _)| *vid).collect();
-                views.sort_unstable();
-                at.extend(
-                    (0..column.entries.len())
-                        .filter(|&i| views.binary_search(&column.entries[i].1).is_ok()),
-                );
+                remove_positions(entries, &at);
             }
-            remove_positions(&mut column.entries, &at);
             column.views -= run.iter().filter(|(_, _, first)| *first).count();
+            column.floats -= run
+                .iter()
+                .filter(|(_, (value, _), _)| matches!(value, Value::Float(_)))
+                .count();
             // A column nobody names is gone, as in a rebuilt index.
-            if column.entries.is_empty() {
+            if column.base.is_empty() && column.tail.is_empty() {
                 self.columns.remove(name);
             }
         }
@@ -262,8 +303,7 @@ impl TupleIndex {
         inner.replica.insert(vid, tuple.clone());
         for (i, (attr, value)) in tuple.iter().enumerate() {
             let column = inner.columns.entry(attr.name.clone()).or_default();
-            column.entries.push((value.clone(), vid));
-            column.sorted = false;
+            column.insert((value.clone(), vid));
             column.views += usize::from(first_of_its_name(tuple, i));
         }
     }
@@ -274,8 +314,7 @@ impl TupleIndex {
     }
 
     /// Removes a set of views' tuples: only the columns they name are
-    /// touched, and a sorted one by binary search (see
-    /// `Inner::drop_views`).
+    /// touched, each by binary search (see `Inner::drop_views`).
     pub fn remove_all(&self, vids: &[Vid]) {
         self.inner.write().drop_views(vids);
     }
@@ -297,21 +336,11 @@ impl TupleIndex {
     /// Views whose `attr` value satisfies `op` against `constant`.
     /// Views whose value is of an incomparable domain never match.
     pub fn compare(&self, attr: &str, op: CompareOp, constant: &Value) -> Vec<Vid> {
-        {
-            let inner = self.inner.read();
-            match inner.columns.get(attr) {
-                None => return Vec::new(),
-                Some(column) if column.sorted => return column.select(op, constant),
-                Some(_) => {}
-            }
-        }
-        // Dirtied since the last read: sort it once, under the write lock.
-        let mut inner = self.inner.write();
-        let Some(column) = inner.columns.get_mut(attr) else {
-            return Vec::new();
-        };
-        column.ensure_sorted();
-        column.select(op, constant)
+        self.inner
+            .read()
+            .columns
+            .get(attr)
+            .map_or_else(Vec::new, |column| column.select(op, constant))
     }
 
     /// `has_attribute(attr).len()` without reading the column.
@@ -329,7 +358,7 @@ impl TupleIndex {
         let Some(column) = inner.columns.get(attr) else {
             return Vec::new();
         };
-        let mut out: Vec<Vid> = column.entries.iter().map(|(_, v)| *v).collect();
+        let mut out: Vec<Vid> = column.entries().map(|(_, v)| *v).collect();
         out.sort();
         out.dedup();
         out
@@ -348,15 +377,26 @@ impl TupleIndex {
         rows
     }
 
-    /// Rebuilds the index from an exported replica.
+    /// Rebuilds the index from an exported replica (a vid given twice
+    /// keeps its last tuple), each column with one sort.
     pub fn import_replica(&self, rows: Vec<(u64, TupleComponent)>) {
-        {
-            let mut inner = self.inner.write();
-            *inner = Inner::default();
+        let replica: HashMap<Vid, TupleComponent> = rows
+            .into_iter()
+            .map(|(vid, tuple)| (Vid::from_raw(vid), tuple))
+            .collect();
+        let mut columns: HashMap<String, Column> = HashMap::new();
+        for (&vid, tuple) in &replica {
+            for (i, (attr, value)) in tuple.iter().enumerate() {
+                let column = columns.entry(attr.name.clone()).or_default();
+                column.floats += usize::from(matches!(value, Value::Float(_)));
+                column.views += usize::from(first_of_its_name(tuple, i));
+                column.base.push((value.clone(), vid));
+            }
         }
-        for (vid, tuple) in rows {
-            self.index(Vid::from_raw(vid), &tuple);
+        for column in columns.values_mut() {
+            column.base.sort_unstable_by(entry_cmp);
         }
+        *self.inner.write() = Inner { columns, replica };
     }
 
     /// Number of indexed views.
@@ -376,12 +416,7 @@ impl TupleIndex {
             .columns
             .iter()
             .map(|(name, c)| {
-                name.len()
-                    + 48
-                    + c.entries
-                        .iter()
-                        .map(|(v, _)| v.footprint() + 8)
-                        .sum::<usize>()
+                name.len() + 48 + c.entries().map(|(v, _)| v.footprint() + 8).sum::<usize>()
             })
             .sum();
         let replica: usize = inner.replica.values().map(|t| t.footprint() + 32).sum();

@@ -5,12 +5,20 @@ use std::cmp::Ordering;
 
 use idm_core::prelude::{Timestamp, TupleComponent, Value, Vid};
 use idm_index::catalog::{CatalogEntry, ResourceViewCatalog};
+use idm_index::fulltext::pretokenize;
 use idm_index::name::{NameIndex, NamePattern};
 use idm_index::tuple::{CompareOp, TupleIndex};
 use idm_index::{tokenize, FullTextIndex, GroupReplica};
 use proptest::prelude::*;
 
 // ---- Full-text index vs naive scan ------------------------------------
+
+/// Indexes `text` the way the segment merge does.
+fn index_text(index: &FullTextIndex, vid: Vid, text: &str) {
+    if let Some(doc) = pretokenize(text) {
+        index.index_pretokenized(vid, doc);
+    }
+}
 
 fn arb_doc() -> impl Strategy<Value = String> {
     proptest::collection::vec("[a-d]{1,3}", 0..12).prop_map(|words| words.join(" "))
@@ -23,7 +31,7 @@ proptest! {
                                   phrase in proptest::collection::vec("[a-d]{1,3}", 1..4)) {
         let index = FullTextIndex::new();
         for (i, doc) in docs.iter().enumerate() {
-            index.index(Vid::from_raw(i as u64), doc);
+            index_text(&index, Vid::from_raw(i as u64), doc);
         }
         let phrase_text = phrase.join(" ");
         let mut got = index.phrase_query(&phrase_text);
@@ -44,7 +52,7 @@ proptest! {
                               p1 in "[a-d]{1,3}", p2 in "[a-d]{1,3}") {
         let index = FullTextIndex::new();
         for (i, doc) in docs.iter().enumerate() {
-            index.index(Vid::from_raw(i as u64), doc);
+            index_text(&index, Vid::from_raw(i as u64), doc);
         }
         let both = index.all_of(&[&p1, &p2]);
         let s1: std::collections::HashSet<Vid> = index.phrase_query(&p1).into_iter().collect();
@@ -60,7 +68,7 @@ proptest! {
     fn remove_is_complete(docs in proptest::collection::vec(arb_doc(), 1..8), victim in 0usize..8) {
         let index = FullTextIndex::new();
         for (i, doc) in docs.iter().enumerate() {
-            index.index(Vid::from_raw(i as u64), doc);
+            index_text(&index, Vid::from_raw(i as u64), doc);
         }
         let victim = victim % docs.len();
         index.remove(Vid::from_raw(victim as u64));
@@ -247,39 +255,54 @@ fn arb_value() -> impl Strategy<Value = Value> {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
     /// compare() — binary-searched or filtered, whichever the column
     /// allows — equals the linear `Value::compare` filter over the
     /// tuples a model holds, on columns mixing every domain (floats
     /// incl. `NaN`, integers that round as `f64`, an attribute named
-    /// twice in one tuple), after every index / re-index / remove; and
-    /// attribute_count() equals has_attribute().len() throughout.
+    /// twice in one tuple), after every op; and attribute_count() and
+    /// has_attribute() equal the model's holders throughout. An op
+    /// (re-)indexes or removes a run of up to 299 consecutive vids, so
+    /// a column takes in more entries than its tail holds and every
+    /// merge boundary is crossed, with removals and re-indexes hitting
+    /// entries on both sides of it.
     #[test]
     fn tuple_compare_equals_linear_filter(
         script in proptest::collection::vec(
-            (0u64..8, 0usize..4, proptest::collection::vec(("[xy]", arb_value()), 1..4)),
-            1..30,
+            (
+                0usize..4,
+                0u64..400,
+                1u64..300,
+                proptest::collection::vec(
+                    proptest::collection::vec(("[xy]", arb_value()), 1..4),
+                    1..4,
+                ),
+            ),
+            1..12,
         ),
-        constants in proptest::collection::vec(arb_value(), 1..5),
+        constants in proptest::collection::vec(arb_value(), 1..4),
     ) {
         let index = TupleIndex::new();
         let mut model: std::collections::BTreeMap<u64, Vec<(String, Value)>> = Default::default();
-        for (vid, op, pairs) in script {
-            if op == 0 {
-                model.remove(&vid);
-                index.remove(Vid::from_raw(vid));
-            } else {
-                let tuple = TupleComponent::of(
-                    pairs.iter().map(|(a, v)| (a.as_str(), v.clone())).collect(),
-                );
-                index.index(Vid::from_raw(vid), &tuple);
-                model.insert(vid, pairs);
+        for (op, first, len, tuples) in script {
+            for (k, vid) in (first..first + len).enumerate() {
+                if op == 0 {
+                    model.remove(&vid);
+                    index.remove(Vid::from_raw(vid));
+                } else {
+                    let pairs = tuples[k % tuples.len()].clone();
+                    index.index(Vid::from_raw(vid), &pool_tuple(&pairs));
+                    model.insert(vid, pairs);
+                }
             }
             for attr in ["x", "y", "ghost"] {
-                let holders = model.values()
-                    .filter(|pairs| pairs.iter().any(|(a, _)| a == attr))
-                    .count();
-                prop_assert_eq!(index.attribute_count(attr), holders);
-                prop_assert_eq!(index.has_attribute(attr).len(), holders);
+                let holders: Vec<Vid> = model.iter()
+                    .filter(|(_, pairs)| pairs.iter().any(|(a, _)| a == attr))
+                    .map(|(vid, _)| Vid::from_raw(*vid))
+                    .collect();
+                prop_assert_eq!(index.attribute_count(attr), holders.len());
+                prop_assert_eq!(index.has_attribute(attr), holders);
                 for constant in &constants {
                     for op in OPS {
                         let want: Vec<Vid> = model.iter()
@@ -290,14 +313,16 @@ proptest! {
                             .collect();
                         prop_assert_eq!(
                             index.compare(attr, op, constant), want,
-                            "{} {:?} {:?} over {:?}", attr, op, constant, model
+                            "{} {:?} {:?}", attr, op, constant
                         );
                     }
                 }
             }
         }
     }
+}
 
+proptest! {
     /// class_count() equals by_class().len() after any register /
     /// re-register / unregister script.
     #[test]
@@ -659,11 +684,9 @@ fn observable_in_full(bundle: &idm_index::IndexBundle) -> impl PartialEq + std::
 proptest! {
     /// After any interleaving of indexing views out of vid order,
     /// re-indexing edited views, set-wise removal (duplicates and vids
-    /// never seen included), reads that sort the tuple columns and a
-    /// save → load, the bundle is the one indexing the survivors afresh
-    /// builds: removal is checked against a rebuild, not against a
-    /// second removal path. Removals hit tuple columns both sorted (after
-    /// a read) and dirtied since their last read.
+    /// never seen included), tuple reads and a save → load, the bundle
+    /// is the one indexing the survivors afresh builds: removal is
+    /// checked against a rebuild, not against a second removal path.
     #[test]
     fn any_script_equals_a_rebuild_of_the_survivors(
         pool in arb_pool(),
@@ -733,7 +756,7 @@ proptest! {
                         indexed.remove(&p);
                     }
                 }
-                // A read sorts the columns it touches.
+                // A read between writes.
                 4 => {
                     for attr in ["x", "y"] {
                         bundle.tuple.compare(attr, CompareOp::Ge, &Value::Integer(0));
@@ -761,7 +784,7 @@ proptest! {
 fn a_posting_near_the_largest_vid_loads() {
     let bundle = idm_index::IndexBundle::new();
     let far = Vid::from_raw(u64::MAX - 1);
-    bundle.content.index(far, "distant words");
+    index_text(&bundle.content, far, "distant words");
     let bytes = idm_index::persist::to_bytes_with_epoch(&bundle, 0);
     let (loaded, _) = idm_index::persist::from_bytes_with_epoch(&bytes).expect("loads");
     assert_eq!(loaded.content.term_query("distant"), vec![far]);
@@ -803,6 +826,56 @@ fn a_posting_list_out_of_vid_order_is_an_error() {
             "{deltas:?}"
         );
     }
+}
+
+/// The saved bytes do not depend on the order the term dictionary
+/// hashes into: the same documents, indexed forward into one bundle and
+/// backward into another with one-off terms indexed and removed again
+/// between them, save to identical files.
+#[test]
+fn saved_bytes_do_not_depend_on_hash_order() {
+    let store = idm_core::prelude::ViewStore::new();
+    let docs: Vec<Vid> = (0..64)
+        .map(|i| {
+            store
+                .build(format!("doc{i}.txt"))
+                .text(format!("doc{i} shared words w{} w{}", i % 7, i * 31 % 101))
+                .insert()
+        })
+        .collect();
+    let forward = idm_index::IndexBundle::new();
+    for &vid in &docs {
+        forward.index_view(&store, vid, "fs").unwrap();
+    }
+    let churned = idm_index::IndexBundle::new();
+    for (k, &vid) in docs.iter().rev().enumerate() {
+        churned.index_view(&store, vid, "fs").unwrap();
+        let churn: Vec<Vid> = (0..8)
+            .map(|i| {
+                let vid = store
+                    .build("churn")
+                    .text(format!("once{k}x{i} only{k}y{i}"))
+                    .insert();
+                churned.index_view(&store, vid, "fs").unwrap();
+                vid
+            })
+            .collect();
+        churned.remove_views(&churn);
+    }
+    assert_eq!(churned.content.term_count(), forward.content.term_count());
+
+    let dir = std::env::temp_dir().join(format!("idm-index-hash-order-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let saved = |bundle: &idm_index::IndexBundle, file: &str| {
+        let path = dir.join(file);
+        idm_index::persist::save_with_epoch(bundle, &path, 5).unwrap();
+        std::fs::read(&path).unwrap()
+    };
+    assert_eq!(
+        saved(&forward, "forward.idm"),
+        saved(&churned, "churned.idm")
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---- persistence roundtrip on arbitrary bundles ---------------------------
