@@ -9,14 +9,20 @@
 //! included), so any truncation or bit flip fails loudly. Artifacts are
 //! written to a temp file, fsynced and atomically renamed into place — a
 //! crash leaves either the old artifact or the new one, never a hybrid.
-//! The budgeted, resumable verifier of the same framing is
-//! [`super::scrub`].
+//! The layout has two readers here, sharing one set of checks: [`unseal`]
+//! for a file loaded whole, and `scan_sealed`, the online scrub's
+//! budgeted, resumable check of a file on disk.
 
 use std::fs::File;
-use std::io::{self, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use super::codec::{fnv1a64, Decoder, Encoder};
+use super::codec::{fnv1a64, fnv1a64_update, Decoder, Encoder, FNV_OFFSET};
+use super::scrub::{Meter, Scan};
+
+/// Bytes [`scan_sealed`] reads at a time (less when the round's budget
+/// has less left).
+const SLICE: u64 = 256 * 1024;
 
 /// Finishes an artifact whose encoder holds `magic + payload`: appends
 /// the trailing checksum over every byte written so far.
@@ -30,20 +36,91 @@ pub fn seal(enc: Encoder) -> Vec<u8> {
 /// Verifies the framing of a sealed artifact — length, magic, trailing
 /// checksum — and returns its payload (the bytes between the two).
 pub fn unseal<'a>(bytes: &'a [u8], magic: &[u8; 8]) -> io::Result<&'a [u8]> {
-    let (body, stored) = match bytes.split_last_chunk::<8>() {
-        Some((body, stored)) if body.len() >= 8 => (body, stored),
-        _ => return Err(Decoder::err("shorter than magic + checksum")),
+    let checked = check_len(bytes.len() as u64).and_then(|()| {
+        let (body, trailer) = bytes.split_at(bytes.len() - 8);
+        check_magic(&body[..8], 0, magic)?;
+        check_trailer(fnv1a64(body), trailer)?;
+        Ok(&body[8..])
+    });
+    checked.map_err(|detail| Decoder::err(&detail))
+}
+
+/// Checks the sealed artifact at `path` in budgeted slices, resuming at
+/// `offset` with the running checksum `hash` of the bytes before it
+/// (both 0 to start). No slice reads more than the meter has left; the
+/// 8-byte trailer is read once the meter has anything left.
+pub(crate) fn scan_sealed(
+    path: &Path,
+    magic: &[u8; 8],
+    offset: u64,
+    hash: u64,
+    meter: &mut Meter,
+) -> io::Result<Scan> {
+    let mut file = File::open(path)?;
+    let len = file.metadata()?.len();
+    if let Err(detail) = check_len(len) {
+        return Ok(Scan::Damaged(detail));
+    }
+    let hashed_end = len - 8;
+    let (mut offset, mut hash) = if offset == 0 {
+        (0, FNV_OFFSET)
+    } else {
+        (offset, hash)
     };
-    if &body[..8] != magic {
-        return Err(Decoder::err(&format!(
+    file.seek(SeekFrom::Start(offset))?;
+    let mut buf = vec![0u8; SLICE.min(hashed_end - offset).min(meter.allowance()) as usize];
+    while offset < hashed_end && !meter.exhausted() {
+        let want = SLICE.min(hashed_end - offset).min(meter.allowance()) as usize;
+        let chunk = &mut buf[..want];
+        file.read_exact(chunk)?;
+        if offset < 8 {
+            let head = want.min(8 - offset as usize);
+            if let Err(detail) = check_magic(&chunk[..head], offset as usize, magic) {
+                return Ok(Scan::Damaged(detail));
+            }
+        }
+        hash = fnv1a64_update(hash, chunk);
+        offset += want as u64;
+        meter.charge(want as u64);
+    }
+    if meter.exhausted() {
+        return Ok(Scan::Paused { offset, hash });
+    }
+    let mut trailer = [0u8; 8];
+    file.read_exact(&mut trailer)?;
+    meter.charge(8);
+    Ok(match check_trailer(hash, &trailer) {
+        Ok(()) => Scan::Clean,
+        Err(detail) => Scan::Damaged(detail),
+    })
+}
+
+/// The sealed layout's three checks, shared by both readers. First: a
+/// file must hold at least the magic and the checksum.
+fn check_len(len: u64) -> Result<(), String> {
+    if len < 16 {
+        return Err(format!("shorter than magic + checksum ({len} byte(s))"));
+    }
+    Ok(())
+}
+
+/// Second: `head` must equal the magic's bytes from `at` on.
+fn check_magic(head: &[u8], at: usize, magic: &[u8; 8]) -> Result<(), String> {
+    if magic.get(at..at + head.len()) != Some(head) {
+        return Err(format!(
             "bad magic (not an {} file)",
             String::from_utf8_lossy(magic)
-        )));
+        ));
     }
-    if fnv1a64(body) != u64::from_le_bytes(*stored) {
-        return Err(Decoder::err("checksum mismatch"));
+    Ok(())
+}
+
+/// Third: the trailer must equal the checksum of every byte before it.
+fn check_trailer(hash: u64, trailer: &[u8]) -> Result<(), String> {
+    if hash.to_le_bytes() != trailer {
+        return Err("checksum mismatch".into());
     }
-    Ok(&body[8..])
+    Ok(())
 }
 
 /// Writes `bytes` to `path` atomically: temp file in the same directory,

@@ -61,10 +61,7 @@ use record::{group_data, ChangeRecord, SerialView};
 use snapshot::SnapshotData;
 use wal::{read_segment, WalWriter};
 
-pub use scrub::{
-    quarantine, Artifact, ArtifactKind, RoundOutcome, ScrubBudget, ScrubFinding, ScrubTotals,
-    Scrubber, Verdict,
-};
+pub use scrub::{quarantine, Artifact, ArtifactKind, ScrubFinding, ScrubReport, Scrubber, Verdict};
 pub use wal::{BulkWalScope, SyncPolicy, WalStats};
 
 /// How a dataspace directory is attached or opened: the sync discipline
@@ -157,50 +154,6 @@ pub struct CheckpointStats {
     /// The log sequence number the snapshot is consistent as of. Doubles
     /// as the index epoch for the `IDMIDX02` handshake.
     pub lsn: u64,
-}
-
-/// What one [`DurabilityManager::scrub_round`] verified, found and
-/// repaired.
-#[derive(Debug, Clone, Default)]
-pub struct ScrubReport {
-    /// Artifacts fully verified this round.
-    pub artifacts_checked: usize,
-    /// Bytes read and checksummed this round.
-    pub bytes_verified: u64,
-    /// Cooperative slices taken.
-    pub slices: u64,
-    /// Damage found (paths are pre-quarantine names).
-    pub findings: Vec<ScrubFinding>,
-    /// Where each damaged artifact was moved.
-    pub quarantined: Vec<PathBuf>,
-    /// The proactive repair checkpoint, when damage was found.
-    pub repaired: Option<CheckpointStats>,
-    /// The byte budget ran out before covering every artifact; the next
-    /// round resumes from the scrubber's cursor.
-    pub exhausted: bool,
-}
-
-impl fmt::Display for ScrubReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "scrubbed {} artifact(s), {} byte(s) in {} slice(s)",
-            self.artifacts_checked, self.bytes_verified, self.slices
-        )?;
-        if !self.findings.is_empty() {
-            write!(f, "; {} damaged", self.findings.len())?;
-        }
-        if !self.quarantined.is_empty() {
-            write!(f, ", {} quarantined", self.quarantined.len())?;
-        }
-        if let Some(stats) = &self.repaired {
-            write!(f, ", repaired via checkpoint {}", stats.seq)?;
-        }
-        if self.exhausted {
-            write!(f, " (budget exhausted, resuming next round)")?;
-        }
-        Ok(())
-    }
 }
 
 /// Owns the durable state of one dataspace directory: the current WAL
@@ -500,19 +453,17 @@ impl DurabilityManager {
             }
             expected += 1;
             let segment = read_segment(path)?;
-            let torn = segment.torn_bytes();
             report.wal_segments += 1;
-            report.bytes_truncated += torn;
+            report.bytes_truncated += segment.torn_bytes();
+            // A torn segment, or one without its magic, ends the chain.
+            broken = !segment.is_whole();
+            live = Some((seq, segment.valid_len));
             for record in segment.records {
                 report.records_replayed += 1;
                 touched.insert(record.vid());
                 if apply_record(&store, record).is_err() {
                     report.replay_errors += 1;
                 }
-            }
-            live = Some((seq, segment.valid_len));
-            if torn > 0 {
-                broken = true;
             }
         }
         report.lsn = base_lsn + report.records_replayed;
@@ -634,16 +585,37 @@ impl DurabilityManager {
         })
     }
 
-    /// Runs one budgeted scrub round over every artifact in the
-    /// dataspace directory (snapshots, sealed WAL segments, the live
-    /// segment), then **self-heals** on damage:
+    /// This dataspace's snapshots and WAL segments, in scrub order:
+    /// snapshots, then segments oldest first, the live one last.
+    pub fn artifacts(&self) -> io::Result<Vec<Artifact>> {
+        let (snaps, wals) = scan_dir(&self.dir)?;
+        let snaps = snaps
+            .into_iter()
+            .map(|seq| Artifact::Snapshot(snap_path(&self.dir, seq)));
+        let wals = wals.into_iter().map(|seq| {
+            let path = wal_path(&self.dir, seq);
+            if seq == self.wal_seq {
+                Artifact::LiveWal(path)
+            } else {
+                Artifact::SealedWal(path)
+            }
+        });
+        Ok(snaps.chain(wals).collect())
+    }
+
+    /// Runs one budgeted scrub round over `artifacts` — this manager's
+    /// own ([`DurabilityManager::artifacts`]) plus any derived artifact
+    /// the caller keeps beside them, such as the index file — then
+    /// **self-heals** on damage:
     ///
     /// 1. every damaged artifact except the live WAL segment is
     ///    [quarantined](scrub::quarantine) immediately;
     /// 2. a proactive [checkpoint](DurabilityManager::checkpoint)
     ///    rotates the WAL and writes a fresh snapshot from the
     ///    in-memory store, re-establishing a clean recovery chain that
-    ///    does not involve any damaged file;
+    ///    does not involve any damaged file (a caller that listed a
+    ///    derived artifact rewrites it from live state, stamped with
+    ///    the checkpoint's LSN);
     /// 3. a damaged live segment — now sealed by the rotation — is
     ///    quarantined last, so the writer is never left appending to a
     ///    name outside the chain while the chain still needs it.
@@ -657,44 +629,21 @@ impl DurabilityManager {
         store: &Arc<ViewStore>,
         lineage: &LineageGraph,
         scrubber: &mut Scrubber,
+        artifacts: &[Artifact],
     ) -> io::Result<ScrubReport> {
-        let (snaps, wals) = scan_dir(&self.dir)?;
-        let mut artifacts = Vec::with_capacity(snaps.len() + wals.len());
-        for seq in snaps {
-            artifacts.push(Artifact::Snapshot(snap_path(&self.dir, seq)));
-        }
-        for seq in wals {
-            let path = wal_path(&self.dir, seq);
-            if seq == self.wal_seq {
-                artifacts.push(Artifact::LiveWal(path));
-            } else {
-                artifacts.push(Artifact::SealedWal(path));
-            }
-        }
-        let live = wal_path(&self.dir, self.wal_seq);
-        let outcome = scrubber.round(&artifacts)?;
-        let mut report = ScrubReport {
-            artifacts_checked: outcome.artifacts_checked,
-            bytes_verified: outcome.bytes_verified,
-            slices: outcome.slices,
-            findings: outcome.damaged.clone(),
-            quarantined: Vec::new(),
-            repaired: None,
-            exhausted: outcome.exhausted,
-        };
-        if outcome.damaged.is_empty() {
+        let mut report = scrubber.round(artifacts)?;
+        if report.findings.is_empty() {
             return Ok(report);
         }
-        for finding in &outcome.damaged {
-            if finding.path != live {
-                report.quarantined.push(scrub::quarantine(&finding.path)?);
-            }
+        let live = wal_path(&self.dir, self.wal_seq);
+        let (live_damage, rest): (Vec<_>, Vec<_>) =
+            report.findings.iter().partition(|f| f.path == live);
+        for finding in rest {
+            report.quarantined.push(scrub::quarantine(&finding.path)?);
         }
         let stats = self.checkpoint(store, lineage)?;
-        for finding in &outcome.damaged {
-            if finding.path == live {
-                report.quarantined.push(scrub::quarantine(&finding.path)?);
-            }
+        for finding in live_damage {
+            report.quarantined.push(scrub::quarantine(&finding.path)?);
         }
         report.repaired = Some(stats);
         scrubber.reset_cursor();
@@ -911,8 +860,10 @@ mod tests {
         mgr.checkpoint(&store, &lineage).unwrap();
         store.build("b").insert();
 
-        let mut scrubber = Scrubber::new(ScrubBudget::default());
-        let report = mgr.scrub_round(&store, &lineage, &mut scrubber).unwrap();
+        let mut scrubber = Scrubber::new(None);
+        let report = mgr
+            .scrub_round(&store, &lineage, &mut scrubber, &mgr.artifacts().unwrap())
+            .unwrap();
         assert!(report.findings.is_empty(), "{report}");
         assert!(report.quarantined.is_empty());
         assert!(report.repaired.is_none());
@@ -936,8 +887,10 @@ mod tests {
         store.build("b").insert();
         flip_byte(&snap_path(&dir, 2), 20);
 
-        let mut scrubber = Scrubber::new(ScrubBudget::default());
-        let report = mgr.scrub_round(&store, &lineage, &mut scrubber).unwrap();
+        let mut scrubber = Scrubber::new(None);
+        let report = mgr
+            .scrub_round(&store, &lineage, &mut scrubber, &mgr.artifacts().unwrap())
+            .unwrap();
         assert_eq!(report.findings.len(), 1, "{report}");
         assert_eq!(report.findings[0].kind, ArtifactKind::Snapshot);
         assert_eq!(report.quarantined.len(), 1);
@@ -966,8 +919,10 @@ mod tests {
         store.build("b").insert();
         flip_byte(&wal_path(&dir, 1), 5);
 
-        let mut scrubber = Scrubber::new(ScrubBudget::default());
-        let report = mgr.scrub_round(&store, &lineage, &mut scrubber).unwrap();
+        let mut scrubber = Scrubber::new(None);
+        let report = mgr
+            .scrub_round(&store, &lineage, &mut scrubber, &mgr.artifacts().unwrap())
+            .unwrap();
         assert_eq!(report.findings.len(), 1, "{report}");
         assert_eq!(report.findings[0].kind, ArtifactKind::WalSegment);
         assert_eq!(report.quarantined.len(), 1);
@@ -991,8 +946,10 @@ mod tests {
         // Damage a committed frame in the segment being appended to.
         flip_byte(&wal_path(&dir, 1), 10);
 
-        let mut scrubber = Scrubber::new(ScrubBudget::default());
-        let report = mgr.scrub_round(&store, &lineage, &mut scrubber).unwrap();
+        let mut scrubber = Scrubber::new(None);
+        let report = mgr
+            .scrub_round(&store, &lineage, &mut scrubber, &mgr.artifacts().unwrap())
+            .unwrap();
         assert_eq!(report.findings.len(), 1, "{report}");
         assert!(report.repaired.is_some());
         // The damaged segment was quarantined only after the repair

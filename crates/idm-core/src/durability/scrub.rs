@@ -1,4 +1,4 @@
-//! Online integrity scrub: budgeted, resumable checksum verification of
+//! Online integrity scrub: one budgeted, resumable round over a list of
 //! durable artifacts, and the quarantine path for damaged ones.
 //!
 //! A dataspace that lives for years *will* see bit rot. Recovery-time
@@ -6,96 +6,74 @@
 //! restart; the scrubber finds damage while the system is up, so it can
 //! be repaired from live state instead of discovered after a crash.
 //!
-//! Design, mirroring the cooperative checkpoints of the query budget
-//! (`idm-query::budget`):
+//! Each artifact is checked by the module that owns its format:
 //!
-//! - Work is metered in **slices** ([`ScrubBudget::slice_bytes`] read at
-//!   a time) against an optional per-round byte budget. A round that
-//!   exhausts its budget saves a [cursor](Scrubber) — artifact path,
-//!   byte offset, running hash — and the next round resumes exactly
-//!   there, so foreground work is never stalled by a large artifact.
-//! - Verification is **streaming**: trailing-checksum artifacts
-//!   (snapshots, `IDMIDX02` index bundles) hash every byte up to the
-//!   trailer and compare; WAL segments are walked frame by frame with
-//!   each frame's own checksum. A single flipped bit anywhere in any
-//!   artifact class changes a covered checksum, so it is always
-//!   detected.
-//! - Damage is never destroyed: [`quarantine`] renames the artifact to
-//!   `*.quarantine` (keeping forensic evidence) and the caller
-//!   re-establishes a clean chain with a proactive checkpoint.
+//! - WAL segments by [`super::wal`]'s frame walker, the one recovery
+//!   replays through, so a sealed segment is clean exactly when recovery
+//!   would replay all of its bytes. The live segment's length is
+//!   captured when its scan starts; a frame cut off by it is an
+//!   in-flight append, not damage.
+//! - Snapshots and index bundles by [`super::artifact`]'s streaming
+//!   check of the sealed layout, which shares its magic, length and
+//!   trailer checks with the loader.
 //!
-//! The live WAL segment is scrubbed too: its length is captured first
-//! and only frames *fully contained* in that prefix are checked —
-//! appends are sequential, so a complete frame inside the captured
-//! prefix is final and must verify; an in-flight tail is left alone.
+//! This module keeps only the round: a byte meter against the optional
+//! per-round budget, the [cursor](Scrubber) that carries a paused scan
+//! (artifact, offset, running hash) into the next round, and
+//! [`quarantine`]. A sealed-artifact read never takes more than the
+//! budget has left and a WAL frame is read whole, so a round reads at
+//! most its budget plus one WAL frame — unless it must confirm damage
+//! found by a resumed scan (see [`Scrubber::round`]). Damage is never
+//! destroyed: [`quarantine`] renames the artifact to `*.quarantine` and
+//! the caller re-establishes a clean chain with a proactive checkpoint.
 
-use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom};
+use std::fmt;
+use std::io;
 use std::path::{Path, PathBuf};
 
-use super::artifact::sync_parent_dir;
-use super::codec::{fnv1a64_update, FNV_OFFSET};
-use super::snapshot::SNAP_MAGIC;
-use super::wal::{MAX_RECORD_LEN, WAL_MAGIC};
+use super::artifact::{self, sync_parent_dir};
+use super::{snapshot, wal, CheckpointStats};
 
 // ---------------------------------------------------------------------------
-// Budget
+// Meter
 // ---------------------------------------------------------------------------
 
-/// How much a scrub round may read, and in what increments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScrubBudget {
-    /// Bytes read per slice before the budget is consulted again.
-    pub slice_bytes: usize,
-    /// Total bytes one round may verify; `None` scrubs everything in a
-    /// single round. A round may overshoot by at most one WAL frame
-    /// (frames are only left mid-way for trailing-checksum artifacts).
-    pub max_bytes_per_round: Option<u64>,
-}
-
-impl Default for ScrubBudget {
-    fn default() -> Self {
-        ScrubBudget {
-            slice_bytes: 256 * 1024,
-            max_bytes_per_round: None,
-        }
-    }
-}
-
-impl ScrubBudget {
-    /// A budget that verifies at most `max_bytes` per round.
-    pub fn bounded(max_bytes: u64) -> Self {
-        ScrubBudget {
-            max_bytes_per_round: Some(max_bytes),
-            ..ScrubBudget::default()
-        }
-    }
-}
-
-/// Per-round byte meter (the scrub analogue of `BudgetTracker`).
-struct Meter {
+/// The byte meter of one round (the scrub analogue of `BudgetTracker`).
+pub(crate) struct Meter {
     max: Option<u64>,
     bytes: u64,
-    slices: u64,
 }
 
 impl Meter {
-    fn new(budget: &ScrubBudget) -> Meter {
-        Meter {
-            max: budget.max_bytes_per_round,
-            bytes: 0,
-            slices: 0,
-        }
+    fn new(max: Option<u64>) -> Meter {
+        Meter { max, bytes: 0 }
     }
 
-    fn charge(&mut self, bytes: u64) {
+    /// Bytes the round may still read (`u64::MAX` when unbudgeted).
+    pub(crate) fn allowance(&self) -> u64 {
+        self.max
+            .map_or(u64::MAX, |max| max.saturating_sub(self.bytes))
+    }
+
+    pub(crate) fn exhausted(&self) -> bool {
+        self.allowance() == 0
+    }
+
+    pub(crate) fn charge(&mut self, bytes: u64) {
         self.bytes += bytes;
-        self.slices += 1;
     }
+}
 
-    fn exhausted(&self) -> bool {
-        self.max.is_some_and(|m| self.bytes >= m)
-    }
+/// Outcome of one budgeted scan of one artifact.
+pub(crate) enum Scan {
+    Clean,
+    Damaged(String),
+    /// The meter ran out; resume at `offset` with the running `hash`
+    /// (unused by WAL segments, which pause between frames).
+    Paused {
+        offset: u64,
+        hash: u64,
+    },
 }
 
 // ---------------------------------------------------------------------------
@@ -114,8 +92,9 @@ pub enum Artifact {
     /// the length captured at scan start are checked; an in-flight tail
     /// is not damage.
     LiveWal(PathBuf),
-    /// Any other magic-prefixed, trailing-FNV artifact (index bundles).
-    TrailingChecksum {
+    /// An index bundle: a sealed artifact whose magic the index crate
+    /// owns.
+    Index {
         /// Artifact path.
         path: PathBuf,
         /// Expected 8-byte magic.
@@ -128,7 +107,7 @@ impl Artifact {
     pub fn path(&self) -> &Path {
         match self {
             Artifact::Snapshot(p) | Artifact::SealedWal(p) | Artifact::LiveWal(p) => p,
-            Artifact::TrailingChecksum { path, .. } => path,
+            Artifact::Index { path, .. } => path,
         }
     }
 
@@ -137,7 +116,20 @@ impl Artifact {
         match self {
             Artifact::Snapshot(_) => ArtifactKind::Snapshot,
             Artifact::SealedWal(_) | Artifact::LiveWal(_) => ArtifactKind::WalSegment,
-            Artifact::TrailingChecksum { .. } => ArtifactKind::Index,
+            Artifact::Index { .. } => ArtifactKind::Index,
+        }
+    }
+
+    /// Scans from `offset` with the running `hash` (both 0 to start),
+    /// through the reader of the artifact's own format.
+    fn scan(&self, offset: u64, hash: u64, meter: &mut Meter) -> io::Result<Scan> {
+        match self {
+            Artifact::Snapshot(path) => snapshot::scan(path, offset, hash, meter),
+            Artifact::Index { path, magic } => {
+                artifact::scan_sealed(path, magic, offset, hash, meter)
+            }
+            Artifact::SealedWal(path) => wal::scan_segment(path, false, offset, meter),
+            Artifact::LiveWal(path) => wal::scan_segment(path, true, offset, meter),
         }
     }
 }
@@ -149,12 +141,12 @@ pub enum ArtifactKind {
     Snapshot,
     /// WAL segment.
     WalSegment,
-    /// Index bundle (or other trailing-checksum artifact).
+    /// Index bundle.
     Index,
 }
 
-impl std::fmt::Display for ArtifactKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for ArtifactKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ArtifactKind::Snapshot => write!(f, "snapshot"),
             ArtifactKind::WalSegment => write!(f, "wal"),
@@ -172,200 +164,13 @@ pub enum Verdict {
     Damaged(String),
 }
 
-/// Internal outcome of one budgeted scan of one artifact.
-enum Scan {
-    Clean,
-    Damaged(String),
-    /// Budget ran out; resume at `offset` with running `hash`.
-    Paused {
-        offset: u64,
-        hash: u64,
-    },
-}
-
-// ---------------------------------------------------------------------------
-// Streaming verifiers
-// ---------------------------------------------------------------------------
-
-/// Verifies a `magic + payload + trailing fnv1a64 (LE)` artifact in
-/// budgeted slices. `offset`/`hash` resume a previous pause (both zero
-/// to start; `hash` of 0 means "fresh" and is replaced by the FNV
-/// offset basis).
-fn scan_trailing(
-    path: &Path,
-    magic: &[u8; 8],
-    start_offset: u64,
-    start_hash: u64,
-    slice: usize,
-    meter: &mut Meter,
-) -> io::Result<Scan> {
-    let mut file = File::open(path)?;
-    let len = file.metadata()?.len();
-    if len < 16 {
-        return Ok(Scan::Damaged(format!("truncated: {len} byte(s)")));
-    }
-    let hashed_end = len - 8;
-    let mut offset = start_offset.min(hashed_end);
-    let mut hash = if offset == 0 { FNV_OFFSET } else { start_hash };
-    if offset > 0 {
-        file.seek(SeekFrom::Start(offset))?;
-    }
-    let mut buf = vec![0u8; slice.max(16)];
-    let mut first = offset == 0;
-    while offset < hashed_end {
-        let want =
-            usize::try_from((hashed_end - offset).min(buf.len() as u64)).unwrap_or(buf.len());
-        let chunk = &mut buf[..want];
-        file.read_exact(chunk)?;
-        if first {
-            if chunk.len() >= 8 && &chunk[..8] != magic {
-                return Ok(Scan::Damaged("bad magic".into()));
-            }
-            first = false;
-        }
-        hash = fnv1a64_update(hash, chunk);
-        offset += chunk.len() as u64;
-        meter.charge(chunk.len() as u64);
-        if meter.exhausted() && offset < hashed_end {
-            return Ok(Scan::Paused { offset, hash });
-        }
-    }
-    let mut trailer = [0u8; 8];
-    file.seek(SeekFrom::Start(hashed_end))?;
-    file.read_exact(&mut trailer)?;
-    meter.charge(8);
-    if u64::from_le_bytes(trailer) != hash {
-        return Ok(Scan::Damaged("checksum mismatch".into()));
-    }
-    Ok(Scan::Clean)
-}
-
-/// Walks WAL frames (`[len u32][fnv u64][payload]` after the 8-byte
-/// magic) verifying each frame checksum. For the live segment only the
-/// prefix captured at open is checked and an incomplete tail is not
-/// damage; for sealed segments any torn byte is.
-fn scan_wal(
-    path: &Path,
-    sealed: bool,
-    start_offset: u64,
-    slice: usize,
-    meter: &mut Meter,
-) -> io::Result<Scan> {
-    let mut file = File::open(path)?;
-    let limit = file.metadata()?.len();
-    if limit < 8 {
-        return if sealed {
-            Ok(Scan::Damaged(format!("truncated magic: {limit} byte(s)")))
-        } else {
-            // A live segment this short is still being created.
-            Ok(Scan::Clean)
-        };
-    }
-    let mut offset = start_offset;
-    if offset == 0 {
-        let mut magic = [0u8; 8];
-        file.read_exact(&mut magic)?;
-        meter.charge(8);
-        if &magic != WAL_MAGIC {
-            return Ok(Scan::Damaged("bad magic".into()));
-        }
-        offset = 8;
-    } else {
-        file.seek(SeekFrom::Start(offset))?;
-    }
-    let mut buf = vec![0u8; slice.max(64)];
-    loop {
-        if offset == limit {
-            return Ok(Scan::Clean);
-        }
-        if offset + 12 > limit {
-            return if sealed {
-                Ok(Scan::Damaged(format!("torn frame header at {offset}")))
-            } else {
-                Ok(Scan::Clean)
-            };
-        }
-        let mut header = [0u8; 12];
-        file.read_exact(&mut header)?;
-        meter.charge(12);
-        let payload_len = u64::from(u32::from_le_bytes([
-            header[0], header[1], header[2], header[3],
-        ]));
-        let expect = u64::from_le_bytes([
-            header[4], header[5], header[6], header[7], header[8], header[9], header[10],
-            header[11],
-        ]);
-        if payload_len > u64::from(MAX_RECORD_LEN) {
-            return Ok(Scan::Damaged(format!(
-                "frame at {offset} claims {payload_len} bytes"
-            )));
-        }
-        let end = offset + 12 + payload_len;
-        if end > limit {
-            return if sealed {
-                Ok(Scan::Damaged(format!("torn frame payload at {offset}")))
-            } else {
-                Ok(Scan::Clean)
-            };
-        }
-        let mut hash = FNV_OFFSET;
-        let mut remaining = payload_len;
-        while remaining > 0 {
-            let want = usize::try_from(remaining.min(buf.len() as u64)).unwrap_or(buf.len());
-            let chunk = &mut buf[..want];
-            file.read_exact(chunk)?;
-            hash = fnv1a64_update(hash, chunk);
-            remaining -= chunk.len() as u64;
-            meter.charge(chunk.len() as u64);
-        }
-        if hash != expect {
-            return Ok(Scan::Damaged(format!(
-                "frame checksum mismatch at {offset}"
-            )));
-        }
-        offset = end;
-        // Pause only at frame boundaries: the cursor then needs no
-        // partial-frame hash state. A round overshoots by at most one
-        // frame.
-        if meter.exhausted() && offset < limit {
-            return Ok(Scan::Paused { offset, hash: 0 });
-        }
-    }
-}
-
-fn scan_artifact(
-    artifact: &Artifact,
-    start_offset: u64,
-    start_hash: u64,
-    slice: usize,
-    meter: &mut Meter,
-) -> io::Result<Scan> {
-    match artifact {
-        Artifact::Snapshot(path) => {
-            scan_trailing(path, SNAP_MAGIC, start_offset, start_hash, slice, meter)
-        }
-        Artifact::TrailingChecksum { path, magic } => {
-            scan_trailing(path, magic, start_offset, start_hash, slice, meter)
-        }
-        Artifact::SealedWal(path) => scan_wal(path, true, start_offset, slice, meter),
-        Artifact::LiveWal(path) => scan_wal(path, false, start_offset, slice, meter),
-    }
-}
-
 /// Fully verifies one artifact, unbudgeted. Used by checkpoint pruning
 /// (decide delete vs quarantine) and by tests.
 pub fn verify_artifact(artifact: &Artifact) -> io::Result<Verdict> {
-    let mut meter = Meter::new(&ScrubBudget::default());
-    match scan_artifact(
-        artifact,
-        0,
-        0,
-        ScrubBudget::default().slice_bytes,
-        &mut meter,
-    )? {
+    match artifact.scan(0, 0, &mut Meter::new(None))? {
         Scan::Clean => Ok(Verdict::Clean),
         Scan::Damaged(detail) => Ok(Verdict::Damaged(detail)),
-        Scan::Paused { .. } => unreachable!("unbudgeted scan cannot pause"),
+        Scan::Paused { .. } => unreachable!("an unbudgeted scan never pauses"),
     }
 }
 
@@ -411,75 +216,88 @@ pub struct ScrubFinding {
     pub detail: String,
 }
 
-/// What one [`Scrubber::round`] did.
+/// What one scrub round verified, found and repaired.
+/// [`Scrubber::round`] fills in the first four fields;
+/// [`DurabilityManager::scrub_round`](super::DurabilityManager::scrub_round)
+/// the repair.
 #[derive(Debug, Clone, Default)]
-pub struct RoundOutcome {
+pub struct ScrubReport {
     /// Artifacts fully verified this round.
     pub artifacts_checked: usize,
-    /// Bytes read and verified this round.
+    /// Bytes read and checksummed this round.
     pub bytes_verified: u64,
-    /// Cooperative slices taken.
-    pub slices: u64,
-    /// Damaged artifacts (not yet quarantined — the caller decides).
-    pub damaged: Vec<ScrubFinding>,
-    /// The byte budget ran out before the artifact list was covered;
-    /// the next round resumes from the saved cursor.
+    /// Damage found (paths are pre-quarantine names).
+    pub findings: Vec<ScrubFinding>,
+    /// The byte budget ran out before covering every artifact; the next
+    /// round resumes from the scrubber's cursor.
     pub exhausted: bool,
+    /// Where each damaged artifact was moved.
+    pub quarantined: Vec<PathBuf>,
+    /// The proactive repair checkpoint, when damage was found.
+    pub repaired: Option<CheckpointStats>,
 }
 
-/// Lifetime totals across every round of one [`Scrubber`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScrubTotals {
-    /// Rounds run.
-    pub rounds: u64,
-    /// Bytes verified across all rounds.
-    pub bytes_verified: u64,
-    /// Cooperative slices across all rounds.
-    pub slices: u64,
-    /// Artifacts fully verified across all rounds.
-    pub artifacts_checked: u64,
-    /// Damaged artifacts found across all rounds.
-    pub findings: u64,
+impl fmt::Display for ScrubReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "scrubbed {} artifact(s), {} byte(s)",
+            self.artifacts_checked, self.bytes_verified
+        )?;
+        if !self.findings.is_empty() {
+            write!(f, "; {} damaged", self.findings.len())?;
+        }
+        if !self.quarantined.is_empty() {
+            write!(f, ", {} quarantined", self.quarantined.len())?;
+        }
+        if let Some(stats) = &self.repaired {
+            write!(f, ", repaired via checkpoint {}", stats.seq)?;
+        }
+        if self.exhausted {
+            write!(f, " (budget exhausted, resuming next round)")?;
+        }
+        Ok(())
+    }
 }
 
 /// Resume point between budgeted rounds.
 #[derive(Debug, Clone)]
 struct Cursor {
     path: PathBuf,
-    /// Artifact length when the cursor was taken; a changed length
-    /// (artifact rewritten) restarts it from zero.
+    /// Artifact length when the cursor was taken.
     len: u64,
     offset: u64,
     hash: u64,
+}
+
+impl Cursor {
+    /// Whether a scan of `artifact` may continue from this cursor: same
+    /// path, and — except for the live WAL, which legitimately grows —
+    /// the same length. Everything else is written atomically, so a
+    /// changed length means the artifact was replaced.
+    fn resumes(&self, artifact: &Artifact) -> bool {
+        self.path == artifact.path()
+            && (matches!(artifact, Artifact::LiveWal(_))
+                || std::fs::metadata(&self.path).is_ok_and(|m| m.len() == self.len))
+    }
 }
 
 /// The budgeted, resumable scrub driver. Owns the cursor that carries
 /// progress across rounds; pass the same `Scrubber` to every round.
 #[derive(Debug)]
 pub struct Scrubber {
-    budget: ScrubBudget,
+    max_bytes_per_round: Option<u64>,
     cursor: Option<Cursor>,
-    totals: ScrubTotals,
 }
 
 impl Scrubber {
-    /// A scrubber with the given per-round budget.
-    pub fn new(budget: ScrubBudget) -> Scrubber {
+    /// A scrubber that reads at most `max_bytes_per_round` per round
+    /// (plus one WAL frame); `None` verifies everything in one round.
+    pub fn new(max_bytes_per_round: Option<u64>) -> Scrubber {
         Scrubber {
-            budget,
+            max_bytes_per_round,
             cursor: None,
-            totals: ScrubTotals::default(),
         }
-    }
-
-    /// Lifetime totals.
-    pub fn totals(&self) -> ScrubTotals {
-        self.totals
-    }
-
-    /// The configured budget.
-    pub fn budget(&self) -> ScrubBudget {
-        self.budget
     }
 
     /// Drops the resume cursor (after the artifact set changed, e.g. a
@@ -491,98 +309,91 @@ impl Scrubber {
     /// Runs one budgeted round over `artifacts`, resuming from the
     /// saved cursor. Artifacts are visited in list order starting at
     /// the cursor's artifact, wrapping around, so repeated rounds cover
-    /// the whole set even when each round's budget is small.
-    pub fn round(&mut self, artifacts: &[Artifact]) -> io::Result<RoundOutcome> {
-        let mut outcome = RoundOutcome::default();
-        self.totals.rounds += 1;
-        if artifacts.is_empty() {
-            return Ok(outcome);
-        }
-        let mut meter = Meter::new(&self.budget);
-        let start = self
-            .cursor
+    /// the whole set even when each round's budget is small. Damage is
+    /// reported, not yet quarantined — the caller decides.
+    ///
+    /// A running hash carried across rounds is stale if the artifact was
+    /// rewritten under the same name and length in between, as
+    /// `indexes.idm` is by two checkpoints with one record between them.
+    /// So damage found by a resumed scan counts only once a re-check of
+    /// the whole artifact from offset 0 confirms it.
+    pub fn round(&mut self, artifacts: &[Artifact]) -> io::Result<ScrubReport> {
+        let mut report = ScrubReport::default();
+        let mut meter = Meter::new(self.max_bytes_per_round);
+        let cursor = self.cursor.take();
+        let start = cursor
             .as_ref()
             .and_then(|c| artifacts.iter().position(|a| a.path() == c.path))
             .unwrap_or(0);
-        let mut resume = self.cursor.take();
         for step in 0..artifacts.len() {
             let artifact = &artifacts[(start + step) % artifacts.len()];
-            let (mut offset, mut hash) = (0u64, 0u64);
-            if let Some(cursor) = resume.take() {
-                if cursor.path == artifact.path() {
-                    let len = std::fs::metadata(artifact.path()).map(|m| m.len());
-                    if len.is_ok_and(|l| l == cursor.len || !artifact_is_immutable(artifact)) {
-                        offset = cursor.offset;
-                        hash = cursor.hash;
-                    }
-                }
+            if meter.exhausted() {
+                // Budget gone between artifacts: the next round starts
+                // with this one.
+                self.cursor = Some(Cursor {
+                    path: artifact.path().to_path_buf(),
+                    len: 0,
+                    offset: 0,
+                    hash: 0,
+                });
+                report.exhausted = true;
+                break;
             }
-            match scan_artifact(artifact, offset, hash, self.budget.slice_bytes, &mut meter) {
-                Ok(Scan::Clean) => outcome.artifacts_checked += 1,
+            let (offset, hash) = match &cursor {
+                Some(c) if step == 0 && c.resumes(artifact) => (c.offset, c.hash),
+                _ => (0, 0),
+            };
+            let mut scan = artifact.scan(offset, hash, &mut meter);
+            if offset > 0 && matches!(scan, Ok(Scan::Damaged(_))) {
+                // Resumed: confirm from offset 0 (see above).
+                let mut whole = Meter::new(None);
+                scan = artifact.scan(0, 0, &mut whole);
+                meter.charge(whole.bytes);
+            }
+            match scan {
+                Ok(Scan::Clean) => report.artifacts_checked += 1,
                 Ok(Scan::Damaged(detail)) => {
-                    outcome.artifacts_checked += 1;
-                    outcome.damaged.push(ScrubFinding {
+                    report.artifacts_checked += 1;
+                    report.findings.push(ScrubFinding {
                         path: artifact.path().to_path_buf(),
                         kind: artifact.kind(),
                         detail,
                     });
                 }
                 Ok(Scan::Paused { offset, hash }) => {
-                    let len = std::fs::metadata(artifact.path())
-                        .map(|m| m.len())
-                        .unwrap_or(0);
+                    let len = std::fs::metadata(artifact.path()).map_or(0, |m| m.len());
                     self.cursor = Some(Cursor {
                         path: artifact.path().to_path_buf(),
                         len,
                         offset,
                         hash,
                     });
-                    outcome.exhausted = true;
+                    report.exhausted = true;
                     break;
                 }
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                    // Raced with pruning/quarantine; nothing to verify.
-                }
-                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                    // The artifact shrank under us (rewrite race): treat
-                    // as unverifiable this round, retry next round.
-                }
+                // Raced with pruning or quarantine (vanished), or a
+                // rewrite shrank it under the read: retry next round.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::NotFound | io::ErrorKind::UnexpectedEof
+                    ) => {}
                 Err(e) => return Err(e),
             }
-            if meter.exhausted() && step + 1 < artifacts.len() {
-                // Budget gone between artifacts: remember where to pick
-                // up (start of the next artifact).
-                let next = &artifacts[(start + step + 1) % artifacts.len()];
-                self.cursor = Some(Cursor {
-                    path: next.path().to_path_buf(),
-                    len: 0,
-                    offset: 0,
-                    hash: 0,
-                });
-                outcome.exhausted = true;
-                break;
-            }
         }
-        outcome.bytes_verified = meter.bytes;
-        outcome.slices = meter.slices;
-        self.totals.bytes_verified += meter.bytes;
-        self.totals.slices += meter.slices;
-        self.totals.artifacts_checked += outcome.artifacts_checked as u64;
-        self.totals.findings += outcome.damaged.len() as u64;
-        Ok(outcome)
+        report.bytes_verified = meter.bytes;
+        Ok(report)
     }
-}
-
-/// Whether a changed file length invalidates a resume cursor. The live
-/// WAL legitimately grows; everything else is written atomically and a
-/// length change means the artifact was replaced.
-fn artifact_is_immutable(artifact: &Artifact) -> bool {
-    !matches!(artifact, Artifact::LiveWal(_))
 }
 
 #[cfg(test)]
 mod tests {
+    use std::io::Write;
+
     use super::super::codec;
+    use super::super::record::ChangeRecord;
+    use super::super::snapshot::SnapshotData;
+    use super::super::wal::{read_segment, SyncPolicy, WalWriter};
     use super::*;
 
     fn tmp(name: &str) -> PathBuf {
@@ -592,50 +403,79 @@ mod tests {
         dir
     }
 
-    fn write_trailing(path: &Path, magic: &[u8; 8], payload: &[u8]) {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(magic);
-        bytes.extend_from_slice(payload);
-        let sum = codec::fnv1a64(&bytes);
-        bytes.extend_from_slice(&sum.to_le_bytes());
-        std::fs::write(path, &bytes).unwrap();
+    /// A sealed index-bundle stand-in: the index crate's magic over an
+    /// arbitrary payload.
+    fn write_index(path: &Path, payload: &[u8]) -> Artifact {
+        let mut enc = codec::Encoder::new();
+        enc.put_raw(b"IDMIDX02");
+        enc.put_raw(payload);
+        std::fs::write(path, artifact::seal(enc)).unwrap();
+        Artifact::Index {
+            path: path.to_path_buf(),
+            magic: *b"IDMIDX02",
+        }
     }
 
-    fn write_wal(path: &Path, payloads: &[&[u8]]) {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(WAL_MAGIC);
-        for p in payloads {
-            bytes.extend_from_slice(&(p.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&codec::fnv1a64(p).to_le_bytes());
-            bytes.extend_from_slice(p);
+    fn write_snapshot(path: &Path) -> Artifact {
+        let data = SnapshotData {
+            base_lsn: 3,
+            next_vid: 2,
+            classes: Vec::new(),
+            views: Vec::new(),
+            lineage: vec![(1, 0, "some derivation".into())],
+        };
+        snapshot::write(path, &data).unwrap();
+        Artifact::Snapshot(path.to_path_buf())
+    }
+
+    fn write_wal(path: &Path, records: &[ChangeRecord]) {
+        let wal = WalWriter::create(path, 0, SyncPolicy::WriteBack).unwrap();
+        wal.append(records).unwrap();
+    }
+
+    /// One WAL frame around an arbitrary payload.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&codec::fnv1a64(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    fn set_name(vid: u64, name: &str) -> ChangeRecord {
+        ChangeRecord::SetName {
+            vid,
+            name: Some(name.to_owned()),
         }
-        std::fs::write(path, &bytes).unwrap();
     }
 
     #[test]
     fn clean_trailing_artifact_verifies() {
         let dir = tmp("trailclean");
-        let path = dir.join("snap-1.idmsnap");
-        write_trailing(&path, SNAP_MAGIC, &vec![7u8; 4096]);
-        let verdict = verify_artifact(&Artifact::Snapshot(path)).unwrap();
-        assert_eq!(verdict, Verdict::Clean);
+        let snapshot = write_snapshot(&dir.join("snap-1.idmsnap"));
+        assert_eq!(verify_artifact(&snapshot).unwrap(), Verdict::Clean);
+        let index = write_index(&dir.join("indexes.idm"), &[7u8; 4096]);
+        assert_eq!(verify_artifact(&index).unwrap(), Verdict::Clean);
     }
 
     #[test]
     fn every_single_byte_flip_is_detected_in_a_snapshot() {
         let dir = tmp("snapflip");
-        let path = dir.join("snap-1.idmsnap");
-        write_trailing(&path, SNAP_MAGIC, b"some snapshot payload bytes");
-        let good = std::fs::read(&path).unwrap();
-        for i in 0..good.len() {
-            let mut bad = good.clone();
-            bad[i] ^= 0x01;
-            std::fs::write(&path, &bad).unwrap();
-            let verdict = verify_artifact(&Artifact::Snapshot(path.clone())).unwrap();
-            assert!(
-                matches!(verdict, Verdict::Damaged(_)),
-                "flip at byte {i} went undetected"
-            );
+        let snapshot = write_snapshot(&dir.join("snap-1.idmsnap"));
+        let index = write_index(&dir.join("indexes.idm"), b"some index payload bytes");
+        for artifact in [snapshot, index] {
+            let path = artifact.path();
+            let good = std::fs::read(path).unwrap();
+            for i in 0..good.len() {
+                let mut bad = good.clone();
+                bad[i] ^= 0x01;
+                std::fs::write(path, &bad).unwrap();
+                let verdict = verify_artifact(&artifact).unwrap();
+                assert!(
+                    matches!(verdict, Verdict::Damaged(_)),
+                    "{}: flip at byte {i} went undetected",
+                    artifact.kind()
+                );
+            }
         }
     }
 
@@ -643,7 +483,13 @@ mod tests {
     fn every_single_byte_flip_is_detected_in_a_sealed_wal() {
         let dir = tmp("walflip");
         let path = dir.join("wal-1.idmlog");
-        write_wal(&path, &[b"first record", b"second record payload"]);
+        write_wal(
+            &path,
+            &[
+                set_name(1, "first record"),
+                set_name(2, "second record payload"),
+            ],
+        );
         let good = std::fs::read(&path).unwrap();
         for i in 0..good.len() {
             let mut bad = good.clone();
@@ -657,11 +503,36 @@ mod tests {
         }
     }
 
+    /// A frame whose checksum verifies but whose payload does not decode
+    /// ends recovery's replay, so the scrub must call it damage too.
+    #[test]
+    fn checksum_valid_but_undecodable_frame_is_damage() {
+        let dir = tmp("undecodable");
+        let path = dir.join("wal-1.idmlog");
+        let remove = ChangeRecord::Remove { vid: 7 };
+        write_wal(&path, std::slice::from_ref(&remove));
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        file.write_all(&frame(&[0xff; 13])).unwrap();
+        file.write_all(&frame(&remove.encode())).unwrap();
+        drop(file);
+
+        let segment = read_segment(&path).unwrap();
+        assert_eq!(segment.records.len(), 1);
+        assert_eq!((segment.valid_len, segment.file_len), (22, 61));
+        let verdict = verify_artifact(&Artifact::SealedWal(path.clone())).unwrap();
+        assert!(matches!(verdict, Verdict::Damaged(_)), "{verdict:?}");
+        let verdict = verify_artifact(&Artifact::LiveWal(path)).unwrap();
+        assert!(matches!(verdict, Verdict::Damaged(_)), "{verdict:?}");
+    }
+
     #[test]
     fn live_wal_tolerates_inflight_tail_but_not_interior_damage() {
         let dir = tmp("livewal");
         let path = dir.join("wal-1.idmlog");
-        write_wal(&path, &[b"complete frame"]);
+        write_wal(&path, &[set_name(1, "complete frame")]);
         // Append half a frame: header promising more bytes than exist.
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(&100u32.to_le_bytes());
@@ -683,49 +554,66 @@ mod tests {
     #[test]
     fn budgeted_rounds_resume_and_cover_the_whole_artifact() {
         let dir = tmp("resume");
-        let path = dir.join("snap-1.idmsnap");
-        write_trailing(&path, SNAP_MAGIC, &vec![42u8; 64 * 1024]);
-        let mut scrubber = Scrubber::new(ScrubBudget {
-            slice_bytes: 4 * 1024,
-            max_bytes_per_round: Some(8 * 1024),
-        });
-        let artifacts = vec![Artifact::Snapshot(path)];
-        let mut rounds = 0;
+        let artifacts = vec![write_index(&dir.join("indexes.idm"), &[42u8; 64 * 1024])];
+        let mut scrubber = Scrubber::new(Some(8 * 1024));
+        let (mut rounds, mut checked, mut bytes) = (0, 0, 0);
         loop {
-            let outcome = scrubber.round(&artifacts).unwrap();
+            let report = scrubber.round(&artifacts).unwrap();
             rounds += 1;
-            assert!(outcome.damaged.is_empty());
-            if !outcome.exhausted && outcome.artifacts_checked == 1 {
+            checked += report.artifacts_checked;
+            bytes += report.bytes_verified;
+            assert!(report.findings.is_empty());
+            assert!(
+                report.bytes_verified <= 8 * 1024,
+                "sealed reads fit the budget"
+            );
+            if !report.exhausted && report.artifacts_checked == 1 {
                 break;
             }
             assert!(rounds < 100, "never converged");
         }
         assert!(rounds > 2, "budget forced multiple rounds, got {rounds}");
-        assert_eq!(scrubber.totals().artifacts_checked, 1);
-        assert!(scrubber.totals().bytes_verified >= 64 * 1024);
+        assert_eq!(checked, 1);
+        assert!(bytes >= 64 * 1024);
     }
 
     #[test]
     fn budgeted_rounds_still_detect_damage_past_the_first_slice() {
         let dir = tmp("resumedmg");
-        let path = dir.join("snap-1.idmsnap");
-        write_trailing(&path, SNAP_MAGIC, &vec![42u8; 64 * 1024]);
+        let path = dir.join("indexes.idm");
+        let artifacts = vec![write_index(&path, &[42u8; 64 * 1024])];
         let mut bytes = std::fs::read(&path).unwrap();
         let at = bytes.len() - 20; // deep in the payload, near the trailer
         bytes[at] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
-        let mut scrubber = Scrubber::new(ScrubBudget {
-            slice_bytes: 4 * 1024,
-            max_bytes_per_round: Some(8 * 1024),
-        });
-        let artifacts = vec![Artifact::Snapshot(path)];
+        let mut scrubber = Scrubber::new(Some(8 * 1024));
         for _ in 0..100 {
-            let outcome = scrubber.round(&artifacts).unwrap();
-            if !outcome.damaged.is_empty() {
+            let report = scrubber.round(&artifacts).unwrap();
+            if !report.findings.is_empty() {
                 return;
             }
         }
         panic!("damage never found");
+    }
+
+    /// A resumed running hash that predates a same-length rewrite would
+    /// mismatch the new trailer; the re-check from offset 0 keeps that
+    /// from counting as damage.
+    #[test]
+    fn a_same_length_rewrite_between_rounds_is_not_damage() {
+        let dir = tmp("rewrite");
+        let path = dir.join("indexes.idm");
+        let artifacts = vec![write_index(&path, &[1u8; 16 * 1024])];
+        let mut scrubber = Scrubber::new(Some(4 * 1024));
+        assert!(scrubber.round(&artifacts).unwrap().exhausted);
+        write_index(&path, &[2u8; 16 * 1024]);
+        loop {
+            let report = scrubber.round(&artifacts).unwrap();
+            assert!(report.findings.is_empty(), "{report}");
+            if !report.exhausted {
+                break;
+            }
+        }
     }
 
     #[test]
@@ -748,11 +636,11 @@ mod tests {
     #[test]
     fn round_skips_vanished_artifacts() {
         let dir = tmp("vanish");
-        let mut scrubber = Scrubber::new(ScrubBudget::default());
-        let outcome = scrubber
+        let mut scrubber = Scrubber::new(None);
+        let report = scrubber
             .round(&[Artifact::Snapshot(dir.join("snap-9.idmsnap"))])
             .unwrap();
-        assert_eq!(outcome.artifacts_checked, 0);
-        assert!(outcome.damaged.is_empty());
+        assert_eq!(report.artifacts_checked, 0);
+        assert!(report.findings.is_empty());
     }
 }

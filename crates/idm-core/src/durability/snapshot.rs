@@ -17,6 +17,7 @@ use crate::class::{
 use crate::durability::artifact;
 use crate::durability::codec::{get_schema, put_schema, Decoder, Encoder};
 use crate::durability::record::SerialView;
+use crate::durability::scrub::{Meter, Scan};
 use crate::lineage::Derivation;
 use crate::store::Vid;
 
@@ -289,6 +290,11 @@ pub fn write(path: &Path, data: &SnapshotData) -> io::Result<u64> {
 /// Reads and validates a snapshot file.
 pub fn read(path: &Path) -> io::Result<SnapshotData> {
     from_bytes(&std::fs::read(path)?)
+}
+
+/// The scrub's check of a snapshot file ([`artifact::scan_sealed`]).
+pub(crate) fn scan(path: &Path, offset: u64, hash: u64, meter: &mut Meter) -> io::Result<Scan> {
+    artifact::scan_sealed(path, SNAP_MAGIC, offset, hash, meter)
 }
 
 #[cfg(test)]

@@ -11,10 +11,13 @@
 //! ```
 //!
 //! `checksum` is FNV-1a-64 over the payload, and the payload is an
-//! encoded [`ChangeRecord`]. Recovery scans frames in order and stops at
-//! the first that is short, oversized, checksum-mismatched, or
-//! undecodable — the torn tail is discarded and everything before it is
-//! replayed (the classic torn-write discipline).
+//! encoded [`ChangeRecord`]. One frame walker reads this layout, and
+//! both readers of a segment go through it: recovery
+//! ([`read_segment`]) stops at the first frame that is short, oversized,
+//! checksum-mismatched, or undecodable — the torn tail is discarded and
+//! everything before it is replayed (the classic torn-write discipline)
+//! — and the online scrub (`scan_segment`) calls a sealed segment
+//! clean exactly when recovery would replay all of its bytes.
 //!
 //! ## Write path
 //!
@@ -27,7 +30,7 @@
 //! and to [`BulkWalScope::finish`] — and for no other thread's.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,6 +40,7 @@ use parking_lot::Mutex;
 
 use crate::durability::codec::fnv1a64;
 use crate::durability::record::ChangeRecord;
+use crate::durability::scrub::{Meter, Scan};
 use crate::fault::{FaultAction, FaultPoint};
 
 /// Magic bytes opening every WAL segment.
@@ -440,6 +444,79 @@ impl WalSegment {
     pub fn torn_bytes(&self) -> u64 {
         self.file_len - self.valid_len
     }
+
+    /// Whether recovery replays every byte of the segment: the magic is
+    /// there and nothing follows the last whole frame. An empty file is
+    /// not whole — a segment is created with its magic, so a sealed one
+    /// without it has lost whatever it held.
+    pub fn is_whole(&self) -> bool {
+        self.valid_len >= WAL_MAGIC.len() as u64 && self.valid_len == self.file_len
+    }
+}
+
+/// One step of the frame walker ([`next_frame`]).
+enum Frame {
+    /// The segment magic, bytes `0..8`.
+    Magic,
+    /// A whole frame whose checksum verifies and whose payload decodes;
+    /// the next frame starts at the given offset.
+    Record(ChangeRecord, u64),
+    /// The segment ends exactly at a frame boundary.
+    End,
+    /// The segment ends inside the magic or a frame.
+    Torn,
+    /// Damage: wrong magic, oversized length, checksum mismatch, or a
+    /// payload that does not decode.
+    Corrupt(String),
+}
+
+/// The frame walker: reads what starts at `pos` from `reader`
+/// (positioned there) in a segment `limit` bytes long, reusing `payload`
+/// as scratch. Recovery and the scrub both walk segments through here.
+fn next_frame(
+    reader: &mut impl Read,
+    pos: u64,
+    limit: u64,
+    payload: &mut Vec<u8>,
+) -> io::Result<Frame> {
+    if pos == 0 {
+        if limit < WAL_MAGIC.len() as u64 {
+            return Ok(Frame::Torn);
+        }
+        let mut magic = [0u8; 8];
+        reader.read_exact(&mut magic)?;
+        return Ok(if &magic == WAL_MAGIC {
+            Frame::Magic
+        } else {
+            Frame::Corrupt("bad magic".into())
+        });
+    }
+    if pos == limit {
+        return Ok(Frame::End);
+    }
+    if limit.saturating_sub(pos) < 12 {
+        return Ok(Frame::Torn);
+    }
+    let mut header = [0u8; 12];
+    reader.read_exact(&mut header)?;
+    let [l0, l1, l2, l3, checksum @ ..] = header;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
+    if len > MAX_RECORD_LEN {
+        return Ok(Frame::Corrupt(format!("frame at {pos} claims {len} bytes")));
+    }
+    let end = pos + 12 + u64::from(len);
+    if end > limit {
+        return Ok(Frame::Torn);
+    }
+    payload.resize(len as usize, 0);
+    reader.read_exact(payload)?;
+    if fnv1a64(payload) != u64::from_le_bytes(checksum) {
+        return Ok(Frame::Corrupt(format!("frame checksum mismatch at {pos}")));
+    }
+    Ok(match ChangeRecord::decode(payload) {
+        Ok(record) => Frame::Record(record, end),
+        Err(_) => Frame::Corrupt(format!("undecodable frame at {pos}")),
+    })
 }
 
 /// Scans a segment leniently: decodes frames until the first torn or
@@ -447,53 +524,64 @@ impl WalSegment {
 /// expected crash shape). A missing or torn *magic* makes the whole
 /// segment invalid (`valid_len` covers nothing; all bytes are torn).
 pub fn read_segment(path: &Path) -> io::Result<WalSegment> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    let file_len = bytes.len() as u64;
-
-    if bytes.len() < 8 || &bytes[..8] != WAL_MAGIC {
-        return Ok(WalSegment {
-            records: Vec::new(),
-            boundaries: Vec::new(),
-            valid_len: 0,
-            file_len,
-        });
-    }
-
-    let mut records = Vec::new();
-    let mut boundaries = Vec::new();
-    let mut pos = 8usize;
-    // A short header ends the scan: torn tail.
-    while let Some(header) = bytes.get(pos..pos + 12) {
-        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-        if len > MAX_RECORD_LEN {
-            break; // insane length → corrupt frame
-        }
-        let expect = u64::from_le_bytes([
-            header[4], header[5], header[6], header[7], header[8], header[9], header[10],
-            header[11],
-        ]);
-        let start = pos + 12;
-        let Some(payload) = bytes.get(start..start + len as usize) else {
-            break; // short payload → torn tail
-        };
-        if fnv1a64(payload) != expect {
-            break; // bit rot or interleaved tear
-        }
-        let Ok(record) = ChangeRecord::decode(payload) else {
-            break; // checksum ok but undecodable — treat as corrupt
-        };
-        records.push(record);
-        pos = start + len as usize;
-        boundaries.push(pos as u64);
-    }
-
-    Ok(WalSegment {
-        records,
-        boundaries,
-        valid_len: pos as u64,
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut reader = BufReader::with_capacity(1 << 16, file);
+    let mut segment = WalSegment {
+        records: Vec::new(),
+        boundaries: Vec::new(),
+        valid_len: 0,
         file_len,
-    })
+    };
+    let mut payload = Vec::new();
+    loop {
+        match next_frame(&mut reader, segment.valid_len, file_len, &mut payload)? {
+            Frame::Magic => segment.valid_len = WAL_MAGIC.len() as u64,
+            Frame::Record(record, end) => {
+                segment.records.push(record);
+                segment.boundaries.push(end);
+                segment.valid_len = end;
+            }
+            Frame::End | Frame::Torn | Frame::Corrupt(_) => return Ok(segment),
+        }
+    }
+}
+
+/// Scrubs the segment at `path` from `offset` (a frame boundary; 0 to
+/// start) through the walker recovery replays with. The length is
+/// captured once, at open. A frame cut off by it is damage in a sealed
+/// segment and an in-flight append in the `live` one; a complete frame
+/// inside it is final and must verify either way. Frames are read whole,
+/// and the scan pauses between them once the meter runs out.
+pub(crate) fn scan_segment(
+    path: &Path,
+    live: bool,
+    offset: u64,
+    meter: &mut Meter,
+) -> io::Result<Scan> {
+    let mut file = File::open(path)?;
+    let limit = file.metadata()?.len();
+    file.seek(SeekFrom::Start(offset))?;
+    let mut pos = offset;
+    let mut payload = Vec::new();
+    loop {
+        if pos < limit && meter.exhausted() {
+            return Ok(Scan::Paused {
+                offset: pos,
+                hash: 0,
+            });
+        }
+        let end = match next_frame(&mut file, pos, limit, &mut payload)? {
+            Frame::Magic => WAL_MAGIC.len() as u64,
+            Frame::Record(_, end) => end,
+            Frame::End => return Ok(Scan::Clean),
+            Frame::Torn if live => return Ok(Scan::Clean),
+            Frame::Torn => return Ok(Scan::Damaged(format!("torn at byte {pos}"))),
+            Frame::Corrupt(detail) => return Ok(Scan::Damaged(detail)),
+        };
+        meter.charge(end - pos);
+        pos = end;
+    }
 }
 
 #[cfg(test)]

@@ -60,8 +60,7 @@ pub mod prelude {
     pub use crate::content::{Content, ContentProvider, ContentReader, SymbolSource};
     pub use crate::durability::record::ChangeRecord;
     pub use crate::durability::{
-        CheckpointStats, DurabilityManager, RecoveryReport, ScrubBudget, ScrubReport, Scrubber,
-        SyncPolicy,
+        CheckpointStats, DurabilityManager, RecoveryReport, ScrubReport, Scrubber, SyncPolicy,
     };
     pub use crate::error::{BudgetKind, IdmError, Result, SubstrateFaultKind};
     pub use crate::fault::{

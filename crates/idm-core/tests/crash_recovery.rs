@@ -900,7 +900,7 @@ fn crash_during_recovery_replay_recovers_the_same_prefix_on_reboot() {
 
 mod double_fault {
     use super::*;
-    use idm_core::durability::{ScrubBudget, Scrubber};
+    use idm_core::durability::Scrubber;
     use idm_core::fault::FaultPlan;
 
     /// Byte-flip the newest snapshot, then kill the scrub-triggered
@@ -934,8 +934,8 @@ mod double_fault {
         std::fs::write(&snap, &bytes).unwrap();
 
         mgr.checkpoint_fault_point().install(FaultPlan::fail_n(1));
-        let mut scrubber = Scrubber::new(ScrubBudget::default());
-        let err = mgr.scrub_round(&store, &lineage, &mut scrubber);
+        let mut scrubber = Scrubber::new(None);
+        let err = mgr.scrub_round(&store, &lineage, &mut scrubber, &mgr.artifacts().unwrap());
         assert!(err.is_err(), "the repair checkpoint must die mid-flight");
         assert!(
             !snap.exists(),

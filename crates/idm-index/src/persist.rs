@@ -27,10 +27,11 @@ use crate::catalog::CatalogEntry;
 
 const MAGIC: &[u8; 8] = b"IDMIDX02";
 
-/// The index file at `path` as a scrubbable [`Artifact`], for
-/// [`verify_artifact`](idm_core::durability::scrub::verify_artifact).
+/// The index file at `path` as a scrubbable [`Artifact`]: the scrub
+/// round checks it with the sealed-artifact reader, under this format's
+/// magic.
 pub fn artifact_at(path: &Path) -> Artifact {
-    Artifact::TrailingChecksum {
+    Artifact::Index {
         path: path.to_path_buf(),
         magic: *MAGIC,
     }

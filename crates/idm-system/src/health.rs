@@ -5,72 +5,35 @@
 //! shell command, a background thread, the chaos driver) invokes
 //! [`HealthMonitor::round`] periodically, and each round
 //!
-//! 1. runs one budgeted **scrub** over the durable artifacts (snapshot
-//!    chain + WAL segments) via
-//!    [`DurabilityManager::scrub_round`](idm_core::durability::DurabilityManager::scrub_round)
-//!    — damage is quarantined and repaired by a proactive checkpoint;
-//! 2. verifies the **index artifact** (`indexes.idm`) checksum; a
-//!    damaged file is quarantined and rewritten from the live bundle;
-//! 3. cross-checks a **sample of index postings** against the store
-//!    ([`mod@idm_index::audit`]), escalating to a full audit every
-//!    [`HealthConfig::full_audit_every`] rounds, and rebuilds any
-//!    drifted view through the segment path.
+//! 1. runs one scrub round ([`Pdsms::scrub_round`]) over every durable
+//!    artifact — snapshots, WAL segments and the index file
+//!    `indexes.idm` — reading at most 8 MiB (plus one WAL frame) and
+//!    resuming where the previous round stopped; damage is quarantined
+//!    and repaired by a proactive checkpoint, after which the index file
+//!    is rewritten from the live bundle;
+//! 2. cross-checks a sample of 64 views' index postings against the
+//!    store ([`mod@idm_index::audit`]), a full audit every 8th round,
+//!    and rebuilds any drifted view through the segment path.
 //!
 //! Everything is budgeted and incremental, so a health round is safe to
 //! interleave with foreground queries; the monitor accumulates
 //! [`HealthStats`] across rounds for the `\health` shell command.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
-use idm_core::durability::scrub::verify_artifact;
-use idm_core::durability::{ScrubBudget, ScrubReport, Scrubber, Verdict};
+use idm_core::durability::{Artifact, DurabilityManager, ScrubReport, Scrubber};
 use idm_core::prelude::*;
 use idm_index::{AuditMemo, AuditReport, AuditScope};
 
 use crate::{durability_err, Pdsms, INDEX_FILE};
 
-/// Tuning for the health monitor.
-#[derive(Debug, Clone, Copy)]
-pub struct HealthConfig {
-    /// Per-round scrub budget over the durable artifacts.
-    pub scrub_budget: ScrubBudget,
-    /// Views cross-checked per sampled audit round.
-    pub audit_sample: usize,
-    /// Every Nth round runs a full audit (with stale-entry detection)
-    /// instead of a sampled one; 0 disables full audits.
-    pub full_audit_every: u64,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            // Bounded by default: steady-state rounds cost at most 8 MiB
-            // of reads, resuming across rounds via the scrub cursor.
-            scrub_budget: ScrubBudget::bounded(8 * 1024 * 1024),
-            audit_sample: 64,
-            full_audit_every: 8,
-        }
-    }
-}
-
-/// What happened to the on-disk index artifact this round.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IndexArtifactOutcome {
-    /// Checksum verified; `bytes` were covered.
-    Clean {
-        /// Size of the verified artifact.
-        bytes: u64,
-    },
-    /// Damaged: quarantined at the given path and rewritten from the
-    /// live bundle.
-    Repaired {
-        /// Where the damaged artifact was moved.
-        quarantined: PathBuf,
-    },
-    /// No index artifact on disk (never checkpointed); nothing to do.
-    Missing,
-}
+/// Bytes one health round's scrub may read (plus one WAL frame).
+const SCRUB_BYTES_PER_ROUND: u64 = 8 * 1024 * 1024;
+/// Views cross-checked by a sampled audit.
+const AUDIT_SAMPLE: usize = 64;
+/// Every this many rounds, the audit is a full one (with stale-entry
+/// detection) instead of a sampled one.
+const FULL_AUDIT_EVERY: u64 = 8;
 
 /// One health round's findings and repairs.
 #[derive(Debug, Clone)]
@@ -79,25 +42,19 @@ pub struct HealthReport {
     pub round: u64,
     /// Durable-artifact scrub outcome (empty for in-memory systems).
     pub scrub: ScrubReport,
-    /// Index artifact verification (None for in-memory systems).
-    pub index_artifact: Option<IndexArtifactOutcome>,
     /// Index postings audit outcome.
     pub audit: AuditReport,
     /// Views rebuilt from the store after audit mismatches.
     pub index_repaired: usize,
-    /// Scrub throughput this round (bytes verified / wall time).
+    /// Scrub throughput this round: bytes verified over the scrub
+    /// call's own wall time.
     pub bytes_per_sec: f64,
 }
 
 impl HealthReport {
     /// Whether this round found any damage at all.
     pub fn healthy(&self) -> bool {
-        self.scrub.findings.is_empty()
-            && !matches!(
-                self.index_artifact,
-                Some(IndexArtifactOutcome::Repaired { .. })
-            )
-            && self.audit.is_clean()
+        self.scrub.findings.is_empty() && self.audit.is_clean()
     }
 }
 
@@ -108,18 +65,6 @@ impl std::fmt::Display for HealthReport {
             "round {}: {}; audit checked {} view(s) ({} skipped unchanged)",
             self.round, self.scrub, self.audit.views_checked, self.audit.skipped_unchanged
         )?;
-        match &self.index_artifact {
-            Some(IndexArtifactOutcome::Clean { bytes }) => {
-                write!(f, "; index artifact clean ({bytes} bytes)")?
-            }
-            Some(IndexArtifactOutcome::Repaired { quarantined }) => write!(
-                f,
-                "; index artifact DAMAGED -> quarantined at {} and rewritten",
-                quarantined.display()
-            )?,
-            Some(IndexArtifactOutcome::Missing) => write!(f, "; no index artifact")?,
-            None => {}
-        }
         if !self.audit.mismatches.is_empty() || !self.audit.stale_entries.is_empty() {
             write!(
                 f,
@@ -138,11 +83,11 @@ impl std::fmt::Display for HealthReport {
 pub struct HealthStats {
     /// Health rounds run.
     pub rounds: u64,
-    /// Bytes checksum-verified (scrub + index artifact).
+    /// Bytes checksum-verified by the scrub.
     pub bytes_verified: u64,
     /// Damaged durable artifacts found.
     pub findings: u64,
-    /// Artifacts quarantined (scrub + index artifact).
+    /// Artifacts quarantined.
     pub quarantined: u64,
     /// Proactive repair checkpoints triggered.
     pub repair_checkpoints: u64,
@@ -156,20 +101,24 @@ pub struct HealthStats {
 
 /// Periodic scrub/audit orchestrator for one [`Pdsms`].
 pub struct HealthMonitor {
-    config: HealthConfig,
     scrubber: Scrubber,
     memo: AuditMemo,
     stats: HealthStats,
 }
 
+impl Default for HealthMonitor {
+    fn default() -> Self {
+        HealthMonitor::new()
+    }
+}
+
 impl HealthMonitor {
-    /// A monitor with the given tuning.
-    pub fn new(config: HealthConfig) -> Self {
+    /// A monitor with a fresh scrub cursor and audit memo.
+    pub fn new() -> Self {
         HealthMonitor {
-            scrubber: Scrubber::new(config.scrub_budget),
+            scrubber: Scrubber::new(Some(SCRUB_BYTES_PER_ROUND)),
             memo: AuditMemo::new(),
             stats: HealthStats::default(),
-            config,
         }
     }
 
@@ -180,23 +129,21 @@ impl HealthMonitor {
 
     /// Runs one health round against `system` (see module docs).
     pub fn round(&mut self, system: &Pdsms) -> Result<HealthReport> {
-        let started = Instant::now();
         let round = self.stats.rounds + 1;
 
+        let started = Instant::now();
         let scrub = if system.is_durable() {
             system.scrub_round(&mut self.scrubber)?
         } else {
             ScrubReport::default()
         };
-        let index_artifact = system.scrub_index_artifact()?;
+        let scrub_secs = started.elapsed().as_secs_f64().max(1e-9);
 
-        let scope = if self.config.full_audit_every > 0
-            && round.is_multiple_of(self.config.full_audit_every)
-        {
+        let scope = if round.is_multiple_of(FULL_AUDIT_EVERY) {
             AuditScope::Full
         } else {
             AuditScope::Sampled {
-                sample: self.config.audit_sample,
+                sample: AUDIT_SAMPLE,
                 seed: round,
             }
         };
@@ -207,20 +154,10 @@ impl HealthMonitor {
             system.repair_indexes(&audit)?
         };
 
-        let index_bytes = match &index_artifact {
-            Some(IndexArtifactOutcome::Clean { bytes }) => *bytes,
-            _ => 0,
-        };
-        let bytes = scrub.bytes_verified + index_bytes;
-        let elapsed = started.elapsed().as_secs_f64().max(1e-9);
-
         self.stats.rounds = round;
-        self.stats.bytes_verified += bytes;
+        self.stats.bytes_verified += scrub.bytes_verified;
         self.stats.findings += scrub.findings.len() as u64;
         self.stats.quarantined += scrub.quarantined.len() as u64;
-        if matches!(index_artifact, Some(IndexArtifactOutcome::Repaired { .. })) {
-            self.stats.quarantined += 1;
-        }
         if scrub.repaired.is_some() {
             self.stats.repair_checkpoints += 1;
         }
@@ -230,30 +167,40 @@ impl HealthMonitor {
 
         Ok(HealthReport {
             round,
+            bytes_per_sec: scrub.bytes_verified as f64 / scrub_secs,
             scrub,
-            index_artifact,
             audit,
             index_repaired,
-            bytes_per_sec: bytes as f64 / elapsed,
         })
     }
 }
 
 impl Pdsms {
-    /// Runs one budgeted scrub round over this dataspace's durable
-    /// artifacts, quarantining and repairing damage (see
-    /// [`idm_core::durability::DurabilityManager::scrub_round`]). After
-    /// a repair checkpoint the index artifact is re-stamped with the new
-    /// epoch, keeping the recovery handshake exact. Errors when the
-    /// system is not durable.
+    /// Every durable artifact of this dataspace — snapshots, WAL
+    /// segments (the live one last), then the index file — in the order
+    /// a scrub round visits them. Empty for in-memory systems.
+    pub fn artifacts(&self) -> Result<Vec<Artifact>> {
+        match &self.durability {
+            Some(manager) => artifacts_of(&manager.lock()),
+            None => Ok(Vec::new()),
+        }
+    }
+
+    /// Runs one scrub round over [`Pdsms::artifacts`], quarantining and
+    /// repairing damage (see
+    /// [`DurabilityManager::scrub_round`]). After a repair checkpoint
+    /// the index file is rewritten from the live bundle, stamped with
+    /// the checkpoint's LSN — which also repairs a damaged index file.
+    /// Errors when the system is not durable.
     pub fn scrub_round(&self, scrubber: &mut Scrubber) -> Result<ScrubReport> {
         let manager = self.durability.as_ref().ok_or_else(|| IdmError::Parse {
             detail: "dataspace is not durable (use make_durable or open)".into(),
         })?;
         let (report, dir) = {
             let mut guard = manager.lock();
+            let artifacts = artifacts_of(&guard)?;
             let report = guard
-                .scrub_round(&self.store, &self.lineage, scrubber)
+                .scrub_round(&self.store, &self.lineage, scrubber, &artifacts)
                 .map_err(durability_err)?;
             (report, guard.dir().to_path_buf())
         };
@@ -262,37 +209,6 @@ impl Pdsms {
                 .map_err(durability_err)?;
         }
         Ok(report)
-    }
-
-    /// Verifies the on-disk index artifact's checksum; a damaged file
-    /// is quarantined and rewritten from the live bundle, stamped with
-    /// the current log sequence number. Returns `None` for in-memory
-    /// systems.
-    pub fn scrub_index_artifact(&self) -> Result<Option<IndexArtifactOutcome>> {
-        let Some(manager) = self.durability.as_ref() else {
-            return Ok(None);
-        };
-        let (dir, lsn) = {
-            let guard = manager.lock();
-            (guard.dir().to_path_buf(), guard.lsn())
-        };
-        let path = dir.join(INDEX_FILE);
-        match verify_artifact(&idm_index::persist::artifact_at(&path)) {
-            Ok(Verdict::Clean) => {
-                let bytes = std::fs::metadata(&path).map_err(durability_err)?.len();
-                Ok(Some(IndexArtifactOutcome::Clean { bytes }))
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                Ok(Some(IndexArtifactOutcome::Missing))
-            }
-            Ok(Verdict::Damaged(_)) | Err(_) => {
-                let quarantined =
-                    idm_core::durability::quarantine(&path).map_err(durability_err)?;
-                idm_index::persist::save_with_epoch(&self.indexes, &path, lsn)
-                    .map_err(durability_err)?;
-                Ok(Some(IndexArtifactOutcome::Repaired { quarantined }))
-            }
-        }
     }
 
     /// Cross-checks index postings against the live store (see
@@ -312,8 +228,23 @@ impl Pdsms {
     }
 }
 
+/// The one list of a durable dataspace's artifacts: the manager's
+/// snapshots and WAL segments, then the index file beside them.
+fn artifacts_of(manager: &DurabilityManager) -> Result<Vec<Artifact>> {
+    let mut artifacts = manager.artifacts().map_err(durability_err)?;
+    artifacts.push(idm_index::persist::artifact_at(
+        &manager.dir().join(INDEX_FILE),
+    ));
+    Ok(artifacts)
+}
+
 #[cfg(test)]
 mod tests {
+    use std::path::{Path, PathBuf};
+
+    use idm_core::durability::wal::read_segment;
+    use idm_core::durability::ArtifactKind;
+
     use super::*;
 
     fn tmp(name: &str) -> PathBuf {
@@ -322,7 +253,7 @@ mod tests {
         dir
     }
 
-    fn durable_system(dir: &std::path::Path) -> Pdsms {
+    fn durable_system(dir: &Path) -> Pdsms {
         let mut system = Pdsms::new();
         for i in 0..5 {
             system
@@ -343,18 +274,33 @@ mod tests {
         system
     }
 
+    fn len(artifact: &Artifact) -> u64 {
+        std::fs::metadata(artifact.path()).unwrap().len()
+    }
+
+    fn quarantined_files(dir: &Path) -> usize {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().contains("quarantine")
+            })
+            .count()
+    }
+
     #[test]
     fn healthy_system_reports_healthy_rounds() {
         let dir = tmp("clean");
         let system = durable_system(&dir);
-        let mut monitor = HealthMonitor::new(HealthConfig::default());
+        let mut monitor = HealthMonitor::new();
         let report = monitor.round(&system).unwrap();
         assert!(report.healthy(), "{report}");
         assert!(report.scrub.bytes_verified > 0);
-        assert!(matches!(
-            report.index_artifact,
-            Some(IndexArtifactOutcome::Clean { .. })
-        ));
+        assert_eq!(
+            report.scrub.artifacts_checked,
+            system.artifacts().unwrap().len(),
+            "one round covers snapshots, WAL and the index file"
+        );
         assert_eq!(monitor.stats().rounds, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -369,18 +315,120 @@ mod tests {
         bytes[mid] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
 
-        let mut monitor = HealthMonitor::new(HealthConfig::default());
+        let mut monitor = HealthMonitor::new();
         let report = monitor.round(&system).unwrap();
         assert!(!report.healthy());
-        assert!(matches!(
-            report.index_artifact,
-            Some(IndexArtifactOutcome::Repaired { .. })
-        ));
+        assert_eq!(report.scrub.findings.len(), 1, "{report}");
+        assert_eq!(report.scrub.findings[0].kind, ArtifactKind::Index);
+        assert_eq!(
+            report.scrub.quarantined,
+            vec![dir.join("indexes.idm.quarantine")]
+        );
         assert!(dir.join("indexes.idm.quarantine").exists());
-        // The rewritten artifact loads.
-        assert!(idm_index::persist::load_with_epoch(&path).is_ok());
+        // The rewritten artifact loads, stamped with the repair's LSN.
+        let repaired = report.scrub.repaired.expect("repair checkpoint");
+        let (_, epoch) = idm_index::persist::load_with_epoch(&path).unwrap();
+        assert_eq!(epoch, repaired.lsn);
         let next = monitor.round(&system).unwrap();
         assert!(next.healthy(), "{next}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `indexes.idm` is rewritten under the same name by every
+    /// checkpoint, at the same length when only the epoch moved. A
+    /// round that paused inside it must not resume the old file's
+    /// running hash into a false finding.
+    #[test]
+    fn a_checkpoint_under_a_paused_index_scan_is_not_damage() {
+        let dir = tmp("indexrewrite");
+        let system = durable_system(&dir);
+        let artifacts = system.artifacts().unwrap();
+        let (index, rest) = artifacts.split_last().unwrap();
+        assert_eq!(index.kind(), ArtifactKind::Index);
+        let before: u64 = rest.iter().map(len).sum();
+        let index_len = len(index);
+        let mut scrubber = Scrubber::new(Some(before + index_len / 2));
+        let first = system.scrub_round(&mut scrubber).unwrap();
+        assert!(first.exhausted && first.findings.is_empty(), "{first}");
+        assert_eq!(
+            first.bytes_verified,
+            before + index_len / 2,
+            "paused mid-index"
+        );
+
+        // One unindexed record moves the epoch and nothing else.
+        system.store().build("unindexed.txt").insert();
+        system.checkpoint().unwrap();
+        assert_eq!(len(index), index_len, "same length, different bytes");
+
+        for _ in 0..3 {
+            let report = system.scrub_round(&mut scrubber).unwrap();
+            assert!(report.findings.is_empty(), "{report}");
+            assert!(report.quarantined.is_empty(), "{report}");
+        }
+        assert_eq!(quarantined_files(&dir), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The budget is countable: a round under budget B reads at most B
+    /// bytes plus one WAL frame, and repeated rounds read every byte of
+    /// every artifact — snapshots, sealed and live WAL, the index file.
+    #[test]
+    fn budgeted_rounds_read_at_most_the_budget_plus_one_frame() {
+        let dir = tmp("budget");
+        let system = durable_system(&dir);
+        let add = |from: usize| {
+            for i in from..from + 20 {
+                system
+                    .store()
+                    .build(format!("tail{i}.txt"))
+                    .text(format!("a record in the write-ahead log, number {i}"))
+                    .insert();
+            }
+        };
+        add(0);
+        system.checkpoint().unwrap();
+        add(20);
+
+        let artifacts = system.artifacts().unwrap();
+        for kind in ["Snapshot", "SealedWal", "LiveWal", "Index"] {
+            let present = artifacts.iter().any(|a| format!("{a:?}").starts_with(kind));
+            assert!(present, "no {kind} artifact in {artifacts:?}");
+        }
+        let mut max_frame = 0;
+        for artifact in &artifacts {
+            if let Artifact::SealedWal(path) | Artifact::LiveWal(path) = artifact {
+                let segment = read_segment(path).unwrap();
+                let mut prev = 8;
+                for &end in &segment.boundaries {
+                    max_frame = max_frame.max(end - prev);
+                    prev = end;
+                }
+            }
+        }
+        let total: u64 = artifacts.iter().map(len).sum();
+
+        for budget in [100u64, 1000, 4096] {
+            let mut scrubber = Scrubber::new(Some(budget));
+            let (mut checked, mut bytes, mut rounds) = (0, 0, 0);
+            while checked < artifacts.len() {
+                let report = system.scrub_round(&mut scrubber).unwrap();
+                assert!(report.findings.is_empty(), "{report}");
+                assert!(
+                    report.bytes_verified <= budget + max_frame,
+                    "budget {budget}: a round read {} bytes",
+                    report.bytes_verified
+                );
+                checked += report.artifacts_checked;
+                bytes += report.bytes_verified;
+                rounds += 1;
+            }
+            assert!(rounds > 1, "budget {budget} forced several rounds");
+            assert!(
+                (total..=total + budget + max_frame).contains(&bytes),
+                "budget {budget}: {bytes} bytes read for {total} on disk"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -391,13 +439,16 @@ mod tests {
         let vid = system.store().vids()[0];
         system.indexes().content.remove(vid);
 
-        let mut monitor = HealthMonitor::new(HealthConfig {
-            full_audit_every: 1, // force full audits in this test
-            ..HealthConfig::default()
-        });
-        let report = monitor.round(&system).unwrap();
-        assert_eq!(report.audit.mismatches.len(), 1, "{report}");
-        assert_eq!(report.index_repaired, 1);
+        // Up to and including the first full audit.
+        let mut monitor = HealthMonitor::new();
+        let (mut mismatches, mut repaired) = (0, 0);
+        for _ in 0..FULL_AUDIT_EVERY {
+            let report = monitor.round(&system).unwrap();
+            mismatches += report.audit.mismatches.len();
+            repaired += report.index_repaired;
+        }
+        assert_eq!(mismatches, 1);
+        assert_eq!(repaired, 1);
         let next = monitor.round(&system).unwrap();
         assert!(next.healthy(), "{next}");
         std::fs::remove_dir_all(&dir).ok();
@@ -411,10 +462,10 @@ mod tests {
             .indexes()
             .index_view(system.store(), vid, "dataspace")
             .unwrap();
-        let mut monitor = HealthMonitor::new(HealthConfig::default());
+        let mut monitor = HealthMonitor::new();
         let report = monitor.round(&system).unwrap();
         assert!(report.healthy(), "{report:?}");
-        assert_eq!(report.index_artifact, None);
+        assert!(system.artifacts().unwrap().is_empty());
         assert_eq!(report.scrub.artifacts_checked, 0);
     }
 }

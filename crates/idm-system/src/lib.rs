@@ -42,7 +42,7 @@ pub mod sync;
 pub use converter::{Content2IdmConverter, ConverterRegistry};
 pub use federation::{FederatedResult, FederatedRow, Federation};
 pub use govern::{AdmissionGate, AdmissionPermit, AdmissionSnapshot, GovernorConfig};
-pub use health::{HealthConfig, HealthMonitor, HealthReport, HealthStats, IndexArtifactOutcome};
+pub use health::{HealthMonitor, HealthReport, HealthStats};
 pub use idm_query::{QueryRequest, QueryResponse};
 pub use live::{LiveQuery, LiveStats};
 pub use rvm::{

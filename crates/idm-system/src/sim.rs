@@ -24,11 +24,11 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 
 use idm_core::durability::codec::fnv1a64;
-use idm_core::durability::{ScrubBudget, Scrubber};
+use idm_core::durability::{Artifact, Scrubber};
 use idm_core::prelude::*;
 use idm_index::AuditScope;
 
-use crate::health::{HealthConfig, HealthMonitor, IndexArtifactOutcome};
+use crate::health::HealthMonitor;
 use crate::live::LiveQuery;
 use crate::{durability_err, IndexFate, Pdsms, QueryRequest};
 
@@ -148,7 +148,7 @@ impl Sim {
             system: Some(Pdsms::new()),
             model: BTreeMap::new(),
             live: None,
-            monitor: HealthMonitor::new(HealthConfig::default()),
+            monitor: HealthMonitor::new(),
             next_id: 0,
             counters: SimCounters::default(),
             events: Vec::new(),
@@ -450,12 +450,6 @@ impl Sim {
                 format!("spontaneous scrub finding: {:?}", report.scrub.findings),
             );
         }
-        if matches!(
-            report.index_artifact,
-            Some(IndexArtifactOutcome::Repaired { .. })
-        ) {
-            self.violation(step, "spontaneous index artifact damage".into());
-        }
         if !report.audit.is_clean() {
             self.violation(
                 step,
@@ -475,36 +469,18 @@ impl Sim {
         Ok(())
     }
 
-    /// Durable artifacts eligible for corruption, sorted for
-    /// determinism. Quarantined files are never re-corrupted.
-    fn artifact_files(&self) -> Result<Vec<PathBuf>> {
-        let mut files = Vec::new();
-        let entries = fs::read_dir(&self.dir).map_err(durability_err)?;
-        for entry in entries {
-            let entry = entry.map_err(durability_err)?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if (name.starts_with("snap-") || name.starts_with("wal-") || name == "indexes.idm")
-                && !name.contains("quarantine")
-            {
-                files.push(entry.path());
-            }
-        }
-        files.sort();
-        Ok(files)
-    }
-
-    /// Flips one random bit of one random durable artifact, then runs an
-    /// unbudgeted scrub + index verification and expects the damage to
-    /// be detected, quarantined and repaired — with the oracle sweep
-    /// byte-identical afterwards.
+    /// Flips one random bit of one random durable artifact — picked from
+    /// the list every scrub round walks — then runs an unbudgeted scrub
+    /// round and expects the damage to be detected, quarantined and
+    /// repaired, with the oracle sweep byte-identical afterwards.
     fn corrupt_and_repair(&mut self, step: usize) -> Result<()> {
-        let files = self.artifact_files()?;
-        if files.is_empty() {
+        let artifacts = self.system()?.artifacts()?;
+        if artifacts.is_empty() {
             return Ok(());
         }
-        let pick = files[(self.rand() as usize) % files.len()].clone();
-        let len = fs::metadata(&pick).map_err(durability_err)?.len();
+        let pick = artifacts[(self.rand() as usize) % artifacts.len()].clone();
+        let path = pick.path();
+        let len = fs::metadata(path).map_err(durability_err)?.len();
         if len == 0 {
             return Ok(());
         }
@@ -513,7 +489,7 @@ impl Sim {
         let mut file = fs::OpenOptions::new()
             .read(true)
             .write(true)
-            .open(&pick)
+            .open(path)
             .map_err(durability_err)?;
         let mut byte = [0u8; 1];
         file.seek(SeekFrom::Start(offset)).map_err(durability_err)?;
@@ -522,7 +498,7 @@ impl Sim {
         file.seek(SeekFrom::Start(offset)).map_err(durability_err)?;
         file.write_all(&byte).map_err(durability_err)?;
         drop(file);
-        let name = pick
+        let name = path
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
@@ -532,25 +508,17 @@ impl Sim {
             format!("flip {name} offset {offset} mask {mask:#04x}"),
         );
 
-        let mut scrubber = Scrubber::new(ScrubBudget::default());
-        let report = {
-            let system = self.system()?;
-            system.scrub_round(&mut scrubber)?
-        };
-        let index_outcome = self.system()?.scrub_index_artifact()?;
-        let mut detected = !report.findings.is_empty()
-            || matches!(index_outcome, Some(IndexArtifactOutcome::Repaired { .. }));
-        if !detected && name.starts_with("wal-") {
+        let mut scrubber = Scrubber::new(None);
+        let report = self.system()?.scrub_round(&mut scrubber)?;
+        let mut detected = !report.findings.is_empty();
+        if !detected && matches!(pick, Artifact::LiveWal(_)) {
             // A flip inside the live WAL's trailing frame header can
             // masquerade as an in-flight append, which a concurrent
             // scrub must tolerate. Sealing the segment (checkpoint)
             // forces the truth out: pruning verifies superseded
             // segments and quarantines the damaged one.
             self.checkpoint(step)?;
-            let followup = {
-                let system = self.system()?;
-                system.scrub_round(&mut scrubber)?
-            };
+            let followup = self.system()?.scrub_round(&mut scrubber)?;
             detected = true;
             self.event(
                 step,
@@ -615,7 +583,7 @@ impl Sim {
         self.system = Some(system);
         // Fresh monitor: scrub cursors and audit memos died with the
         // process being simulated.
-        self.monitor = HealthMonitor::new(HealthConfig::default());
+        self.monitor = HealthMonitor::new();
         self.check_all(step, "post-recovery")?;
         self.subscribe_live()
     }

@@ -296,13 +296,12 @@ fn scripted_tails_catch_up_to_what_a_rebuild_gives() {
                         scripted.system.checkpoint().unwrap();
                     }
                     if stamp_at == Some(step) {
-                        // What a health round does to a damaged file:
-                        // rewrite it, stamped with the LSN of the moment.
+                        // The index file rewritten mid-tail, stamped with
+                        // the LSN of the moment: every record logged
+                        // since the attach, which starts at LSN 0.
+                        let lsn = scripted.store().wal_telemetry().unwrap().frames;
                         let path = dir.join("indexes.idm");
-                        let mut bytes = std::fs::read(&path).unwrap();
-                        bytes[20] ^= 0x01;
-                        std::fs::write(&path, bytes).unwrap();
-                        scripted.system.scrub_index_artifact().unwrap();
+                        persist::save_with_epoch(scripted.system.indexes(), &path, lsn).unwrap();
                     }
                     scripted.apply(kind);
                 }

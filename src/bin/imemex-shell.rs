@@ -15,12 +15,11 @@ use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::Instant;
 
-use imemex::core::durability::{ScrubBudget, Scrubber};
+use imemex::core::durability::Scrubber;
 use imemex::dataset::{generate, DatasetConfig};
 use imemex::query::{ExpansionStrategy, QueryBudget, QueryRequest};
 use imemex::system::{
-    FsPlugin, GovernorConfig, HealthConfig, HealthMonitor, ImapPlugin, IndexArtifactOutcome,
-    LiveQuery, Pdsms, RssPlugin,
+    FsPlugin, GovernorConfig, HealthMonitor, ImapPlugin, LiveQuery, Pdsms, RssPlugin,
 };
 use imemex::vfs::NodeId;
 
@@ -73,7 +72,7 @@ impl Shell {
             system,
             budget: QueryBudget::none(),
             subscriptions: Vec::new(),
-            monitor: HealthMonitor::new(HealthConfig::default()),
+            monitor: HealthMonitor::new(),
         }
     }
 
@@ -316,7 +315,7 @@ impl Shell {
                     println!("{report}");
                     system.set_expansion(self.system.expansion());
                     self.system = system;
-                    self.monitor = HealthMonitor::new(HealthConfig::default());
+                    self.monitor = HealthMonitor::new();
                 }
                 Err(e) => println!("error: {e}"),
             }
@@ -374,21 +373,8 @@ impl Shell {
             println!("dataspace is in-memory — \\open <dir> makes it durable first");
             return;
         }
-        let mut scrubber = Scrubber::new(ScrubBudget::default());
-        match self.system.scrub_round(&mut scrubber) {
+        match self.system.scrub_round(&mut Scrubber::new(None)) {
             Ok(report) => println!("{report}"),
-            Err(e) => println!("error: {e}"),
-        }
-        match self.system.scrub_index_artifact() {
-            Ok(Some(IndexArtifactOutcome::Clean { bytes })) => {
-                println!("index artifact clean ({bytes} bytes)")
-            }
-            Ok(Some(IndexArtifactOutcome::Repaired { quarantined })) => println!(
-                "index artifact DAMAGED -> quarantined at {} and rewritten",
-                quarantined.display()
-            ),
-            Ok(Some(IndexArtifactOutcome::Missing)) => println!("no index artifact on disk"),
-            Ok(None) => {}
             Err(e) => println!("error: {e}"),
         }
     }
