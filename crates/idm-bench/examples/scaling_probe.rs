@@ -1,6 +1,10 @@
 //! Manual timing aid for the two ablations: times the Table 4 mix per
 //! expansion strategy and executor thread count. (That the rows are the
-//! same at every thread count is a test, `tests/determinism.rs`.)
+//! same at every thread count is a test, `tests/determinism.rs`.) Q8's
+//! email-side step is fed the other side's names and always plans
+//! `Bidirectional`, so for Q8 the strategy varies only the
+//! `//papers//*.tex` side; `plan_without_key_passing` is the plan in which
+//! every step follows the strategy.
 
 use std::time::Instant;
 

@@ -1,6 +1,8 @@
 //! Regenerates **Figure 6** — warm-cache query response times for
 //! Q1–Q8, plus the execution-statistics view of why Q8 is the slowest
-//! (forward expansion through many intermediate results).
+//! (forward expansion through many intermediate results). Every query
+//! runs the `Forward` strategy except Q8's email-side step, which is fed
+//! the other side's names and always plans `Bidirectional`.
 //!
 //! `cargo run --release -p idm-bench --bin figure6 -- --sf 0.2`
 

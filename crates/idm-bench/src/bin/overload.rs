@@ -1,40 +1,30 @@
 //! Overload benchmark — cancellation latency of the resource-governance
 //! layer. Runs the Table 4 workload under wall-clock deadlines that fire
-//! mid-execution and measures the *overshoot*: how long past its
-//! deadline a query takes to unwind through the cooperative checkpoints
-//! and return `ResourceExhausted`. Emits `results/BENCH_overload.json`
-//! with p50/p99 per parallelism level.
+//! mid-execution and prints the *overshoot*: how long past its deadline
+//! a query takes to unwind through the cooperative checkpoints and
+//! return `ResourceExhausted`, as p50/p99/max per parallelism level.
 //!
 //! ```sh
-//! cargo run --release -p idm-bench --bin overload -- --sf 1
-//! cargo run --release -p idm-bench --bin overload -- --smoke   # CI gate
+//! cargo run --release -p idm-bench --bin overload -- --sf 1 --reps 20
 //! ```
 //!
-//! `--smoke` runs a small-sf sweep and exits nonzero unless cancel p99
-//! stays under 50ms — the acceptance bound for "exceeding any limit
-//! aborts within one operator batch".
+//! It measures and gates nothing: that a tripped budget stops within one
+//! operator batch per worker is the counted test
+//! `crates/idm-bench/tests/cancellation.rs`.
 
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use idm_bench::{build, percentile, BuildOptions, Workbench, TABLE4_QUERIES};
 use idm_query::{ExecOptions, ExpansionStrategy, QueryBudget};
 
-/// The acceptance bound on cancel p99.
-const CANCEL_P99_BOUND: Duration = Duration::from_millis(50);
-
 struct Args {
     scale: f64,
-    out: PathBuf,
-    smoke: bool,
     reps: usize,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
         scale: 1.0,
-        out: PathBuf::from("results/BENCH_overload.json"),
-        smoke: false,
         reps: 20,
     };
     let argv: Vec<String> = std::env::args().collect();
@@ -52,16 +42,6 @@ fn parse_args() -> Args {
                     args.reps = v;
                 }
                 i += 2;
-            }
-            "--out" => {
-                if let Some(path) = argv.get(i + 1) {
-                    args.out = PathBuf::from(path);
-                }
-                i += 2;
-            }
-            "--smoke" => {
-                args.smoke = true;
-                i += 1;
             }
             _ => i += 1,
         }
@@ -138,18 +118,8 @@ fn sweep(bench: &Workbench, parallelism: usize, reps: usize) -> Sweep {
     }
 }
 
-fn to_json(s: &Sweep) -> String {
-    format!(
-        "{{\"parallelism\":{},\"samples\":{},\"p50_us\":{},\"p99_us\":{},\"max_us\":{}}}",
-        s.parallelism,
-        s.samples,
-        s.p50.as_micros(),
-        s.p99.as_micros(),
-        s.max.as_micros()
-    )
-}
-
-fn run(scale: f64, reps: usize, out: &PathBuf) -> Vec<Sweep> {
+fn main() {
+    let Args { scale, reps } = parse_args();
     let bench = build(options_at(scale));
     println!(
         "Overload — cancellation overshoot past the deadline (sf {scale}, {} views)\n",
@@ -159,58 +129,11 @@ fn run(scale: f64, reps: usize, out: &PathBuf) -> Vec<Sweep> {
         "{:>12} {:>8} {:>10} {:>10} {:>10}",
         "parallelism", "samples", "p50", "p99", "max"
     );
-
-    let sweeps: Vec<Sweep> = [1, 4]
-        .iter()
-        .map(|&parallelism| {
-            let s = sweep(&bench, parallelism, reps);
-            println!(
-                "{:>12} {:>8} {:>10?} {:>10?} {:>10?}",
-                s.parallelism, s.samples, s.p50, s.p99, s.max
-            );
-            s
-        })
-        .collect();
-
-    let json = format!(
-        "{{\"bench\":\"overload\",\"sf\":{scale},\"reps\":{reps},\"bound_us\":{},\"runs\":[\n  {}\n]}}\n",
-        CANCEL_P99_BOUND.as_micros(),
-        sweeps.iter().map(to_json).collect::<Vec<_>>().join(",\n  ")
-    );
-    if let Some(parent) = out.parent() {
-        std::fs::create_dir_all(parent).expect("create results dir");
-    }
-    std::fs::write(out, &json).expect("write BENCH_overload.json");
-    println!("\nwrote {}", out.display());
-    sweeps
-}
-
-fn main() {
-    let args = parse_args();
-    let (scale, reps) = if args.smoke {
-        (0.05, args.reps.min(10))
-    } else {
-        (args.scale, args.reps)
-    };
-    let sweeps = run(scale, reps, &args.out);
-
-    if args.smoke {
-        for s in &sweeps {
-            if s.samples == 0 {
-                println!(
-                    "FAIL: no cancellations sampled at parallelism {}",
-                    s.parallelism
-                );
-                std::process::exit(1);
-            }
-            if s.p99 >= CANCEL_P99_BOUND {
-                println!(
-                    "FAIL: cancel p99 {:?} at parallelism {} exceeds the {:?} bound",
-                    s.p99, s.parallelism, CANCEL_P99_BOUND
-                );
-                std::process::exit(1);
-            }
-        }
-        println!("OK: cancel p99 under {CANCEL_P99_BOUND:?} at every parallelism");
+    for parallelism in [1, 4] {
+        let s = sweep(&bench, parallelism, reps);
+        println!(
+            "{:>12} {:>8} {:>10?} {:>10?} {:>10?}",
+            s.parallelism, s.samples, s.p50, s.p99, s.max
+        );
     }
 }

@@ -2,13 +2,17 @@
 //! answers the wildcard name patterns iQL paths use (`*Vision`,
 //! `?onclusion*`, `VLDB200?`, `*.tex`, bare `*`).
 //!
-//! The sorted dictionary `by_name` is the replica and the persisted
-//! form. Beside it sits a **k-gram dictionary** (k = 3; Manning,
-//! Raghavan & Schütze, *Introduction to Information Retrieval*,
-//! §3.2.2) over the *distinct names*: every byte trigram of a name's
-//! UTF-8 form maps to the sorted ids of the names containing it. It is
-//! derived, never written to disk, updated only when a name is first
-//! seen or loses its last vid, and rebuilt by `import_names`.
+//! The sorted dictionary `by_name` maps each distinct name to an id;
+//! the vids carrying a name sit in a table indexed by that id. Beside
+//! them is a **k-gram dictionary** (k = 3; Manning, Raghavan & Schütze,
+//! *Introduction to Information Retrieval*, §3.2.2) over the distinct
+//! names: every byte trigram of a name's UTF-8 form maps to the sorted
+//! ids of the names containing it, so a glob that verifies a name by id
+//! reads its vids by the same id. The ids and grams are derived, never
+//! written to disk (the persisted form is the name → vids export),
+//! updated only when a name is first seen or loses its last vid, and
+//! rebuilt by `import_names`. A freed id is reused by the next new
+//! name, whose vid list starts empty.
 //!
 //! [`NameIndex::matching`] picks the narrowest access per pattern:
 //!
@@ -23,7 +27,6 @@
 //!    verified, so this path only ever prunes;
 //! 4. anything else (`*a?`, bare `*`) — a scan of the whole dictionary.
 
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
@@ -77,6 +80,13 @@ impl NamePattern {
     /// backtrack step skip whole chars — so the text position only
     /// leaves a char boundary in the middle of a literal char.
     pub fn matches(&self, name: &str) -> bool {
+        // `*literal` (`*.tex`, `*Vision`) is a suffix test: the literal's
+        // first byte starts a char, so a byte match is a char match.
+        if let Some(suffix) = self.raw.strip_prefix('*') {
+            if !suffix.contains(WILDCARDS) {
+                return name.ends_with(suffix);
+            }
+        }
         let (pattern, text) = (self.raw.as_bytes(), name.as_bytes());
         let (mut p, mut t) = (0usize, 0usize);
         let (mut star, mut star_t) = (None::<usize>, 0usize);
@@ -200,21 +210,39 @@ impl GramDictionary {
     }
 }
 
-/// One dictionary entry: the vids carrying a name.
-struct Posting {
-    /// The name's id in the k-gram dictionary.
-    id: u32,
-    /// Sorted, duplicate-free.
-    vids: Vec<Vid>,
-}
-
 #[derive(Default)]
 struct Inner {
-    /// Name → vids with that exact name (the replica: names stored).
-    by_name: BTreeMap<String, Posting>,
+    /// Name → its id in the k-gram dictionary (the replica: names
+    /// stored, sorted for exact and prefix look-ups).
+    by_name: BTreeMap<String, u32>,
+    /// Name id → the vids carrying that name, sorted and duplicate-free;
+    /// as long as `grams.names`, empty at a free id.
+    vids: Vec<Vec<Vid>>,
     entries: usize,
     /// Derived from the keys of `by_name`; not persisted.
     grams: GramDictionary,
+}
+
+impl Inner {
+    /// The id of `name`, adding the name (with no vids) if it is new.
+    fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.by_name.get(name) {
+            return id;
+        }
+        let id = self.grams.insert(name);
+        if id as usize == self.vids.len() {
+            self.vids.push(Vec::new());
+        }
+        self.by_name.insert(name.to_owned(), id);
+        id
+    }
+
+    /// The vids carrying exactly `name`.
+    fn vids_of(&self, name: &str) -> &[Vid] {
+        self.by_name
+            .get(name)
+            .map_or(&[], |&id| &self.vids[id as usize])
+    }
 }
 
 /// The name index.
@@ -236,19 +264,10 @@ impl NameIndex {
             return;
         }
         let mut inner = self.inner.write();
-        let inner = &mut *inner;
-        let posting = match inner.by_name.entry(name.to_owned()) {
-            Entry::Occupied(entry) => entry.into_mut(),
-            Entry::Vacant(entry) => {
-                let id = inner.grams.insert(name);
-                entry.insert(Posting {
-                    id,
-                    vids: Vec::new(),
-                })
-            }
-        };
-        if let Err(i) = posting.vids.binary_search(&vid) {
-            posting.vids.insert(i, vid);
+        let id = inner.intern(name);
+        let vids = &mut inner.vids[id as usize];
+        if let Err(i) = vids.binary_search(&vid) {
+            vids.insert(i, vid);
             inner.entries += 1;
         }
     }
@@ -257,36 +276,40 @@ impl NameIndex {
     pub fn remove(&self, vid: Vid, name: &str) {
         let mut inner = self.inner.write();
         let inner = &mut *inner;
-        let Some(posting) = inner.by_name.get_mut(name) else {
+        let Some(&id) = inner.by_name.get(name) else {
             return;
         };
-        if let Ok(i) = posting.vids.binary_search(&vid) {
-            posting.vids.remove(i);
+        let vids = &mut inner.vids[id as usize];
+        if let Ok(i) = vids.binary_search(&vid) {
+            vids.remove(i);
             inner.entries -= 1;
         }
-        if posting.vids.is_empty() {
-            inner.grams.remove(posting.id);
+        if vids.is_empty() {
+            inner.grams.remove(id);
             inner.by_name.remove(name);
         }
     }
 
     /// Views with exactly this name.
     pub fn exact(&self, name: &str) -> Vec<Vid> {
-        self.inner
-            .read()
-            .by_name
-            .get(name)
-            .map(|posting| posting.vids.clone())
-            .unwrap_or_default()
+        self.inner.read().vids_of(name).to_vec()
     }
 
     /// `exact(name).len()` without reading the posting list.
     pub fn exact_count(&self, name: &str) -> usize {
-        self.inner
-            .read()
-            .by_name
-            .get(name)
-            .map_or(0, |posting| posting.vids.len())
+        self.inner.read().vids_of(name).len()
+    }
+
+    /// Views carrying any of `names` exactly, sorted by vid: one
+    /// dictionary look-up per name under one read lock.
+    pub fn exact_any<'a>(&self, names: impl IntoIterator<Item = &'a str>) -> Vec<Vid> {
+        let inner = self.inner.read();
+        let mut out = Vec::new();
+        for name in names {
+            out.extend_from_slice(inner.vids_of(name));
+        }
+        out.sort();
+        out
     }
 
     /// Views whose name matches the pattern, sorted by vid (see the
@@ -311,26 +334,25 @@ impl NameIndex {
         let prefix = pattern.literal_prefix();
         if !prefix.is_empty() {
             let from_prefix = (Bound::Included(prefix), Bound::Unbounded);
-            for (name, posting) in inner
+            for (name, &id) in inner
                 .by_name
                 .range::<str, _>(from_prefix)
                 .take_while(|(name, _)| name.starts_with(prefix))
             {
                 if matches(name) {
-                    out.extend_from_slice(&posting.vids);
+                    out.extend_from_slice(&inner.vids[id as usize]);
                 }
             }
         } else if let Some(ids) = inner.grams.candidates(pattern) {
             for id in ids {
-                let name = &inner.grams.names[id as usize];
-                if matches(name) {
-                    out.extend_from_slice(&inner.by_name[name].vids);
+                if matches(&inner.grams.names[id as usize]) {
+                    out.extend_from_slice(&inner.vids[id as usize]);
                 }
             }
         } else {
-            for (name, posting) in &inner.by_name {
+            for (name, &id) in &inner.by_name {
                 if matches(name) {
-                    out.extend_from_slice(&posting.vids);
+                    out.extend_from_slice(&inner.vids[id as usize]);
                 }
             }
         }
@@ -344,8 +366,8 @@ impl NameIndex {
         inner
             .by_name
             .iter()
-            .map(|(name, posting)| {
-                let vids = posting.vids.iter().map(|v| v.as_u64()).collect();
+            .map(|(name, &id)| {
+                let vids = inner.vids[id as usize].iter().map(|v| v.as_u64()).collect();
                 (name.clone(), vids)
             })
             .collect()
@@ -353,20 +375,19 @@ impl NameIndex {
 
     /// Rebuilds the index (and its k-gram dictionary) from an export.
     pub fn import_names(&self, names: Vec<(String, Vec<u64>)>) {
-        let mut inner = self.inner.write();
-        let inner = &mut *inner;
-        inner.entries = names.iter().map(|(_, v)| v.len()).sum();
-        inner.by_name = names
-            .into_iter()
-            .map(|(name, vids)| {
-                let vids = vids.into_iter().map(Vid::from_raw).collect();
-                (name, Posting { id: 0, vids })
-            })
-            .collect();
-        inner.grams = GramDictionary::default();
-        for (name, posting) in &mut inner.by_name {
-            posting.id = inner.grams.insert(name);
+        let mut fresh = Inner::default();
+        let mut by_name = Vec::with_capacity(names.len());
+        for (name, vids) in names {
+            // A fresh dictionary hands out ids 0, 1, 2, … in order.
+            let id = fresh.grams.insert(&name);
+            fresh.entries += vids.len();
+            fresh
+                .vids
+                .push(vids.into_iter().map(Vid::from_raw).collect());
+            by_name.push((name, id));
         }
+        fresh.by_name = by_name.into_iter().collect();
+        *self.inner.write() = fresh;
     }
 
     /// Number of distinct indexed names.
@@ -390,8 +411,8 @@ impl NameIndex {
         inner
             .by_name
             .iter()
-            .map(|(name, posting)| {
-                let vids = &posting.vids;
+            .map(|(name, &id)| {
+                let vids = &inner.vids[id as usize];
                 let mut bytes = name.len() + varint(vids.len() as u64) + 4;
                 let mut prev = 0u64;
                 for vid in vids {
@@ -601,6 +622,48 @@ mod tests {
         let restored = NameIndex::new();
         restored.import_names(index.export_names());
         assert_eq!(restored.matching_counted(&tex), (vec![vid(3), vid(4)], 2));
+    }
+
+    #[test]
+    fn a_reused_name_id_never_answers_with_the_old_vids() {
+        let index = NameIndex::new();
+        index.index(vid(1), "keep.tex");
+        index.index(vid(2), "old.tex");
+        index.index(vid(3), "old.tex");
+        index.remove(vid(2), "old.tex");
+        index.remove(vid(3), "old.tex");
+        // "old.tex" lost its last vid: its id is free, and the next new
+        // name takes it.
+        index.index(vid(4), "new.tex");
+        assert_eq!(index.name_count(), 2);
+        assert_eq!(index.exact("new.tex"), vec![vid(4)]);
+        assert!(index.exact("old.tex").is_empty());
+        assert_eq!(index.exact_count("old.tex"), 0);
+        assert_eq!(index.matching(&NamePattern::new("new*")), vec![vid(4)]);
+        assert!(index.matching(&NamePattern::new("old*")).is_empty());
+        assert_eq!(
+            index.matching(&NamePattern::new("*.tex")),
+            vec![vid(1), vid(4)]
+        );
+        assert!(index.matching(&NamePattern::new("*old*")).is_empty());
+        assert_eq!(index.exact_any(["old.tex", "new.tex"]), vec![vid(4)]);
+        // Removing the old name again touches nothing.
+        index.remove(vid(2), "old.tex");
+        assert_eq!(index.exact("new.tex"), vec![vid(4)]);
+        assert_eq!(index.entry_count(), 2);
+    }
+
+    #[test]
+    fn exact_any_restricts_to_the_given_names() {
+        let views = [(1, "a.tex"), (2, "b.tex"), (3, "b.tex"), (4, "c.txt")];
+        let index = NameIndex::new();
+        for (i, name) in views {
+            index.index(vid(i), name);
+        }
+        assert_eq!(
+            index.exact_any(["b.tex", "missing", "c.txt"]),
+            vec![vid(2), vid(3), vid(4)]
+        );
     }
 
     #[test]

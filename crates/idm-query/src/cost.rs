@@ -12,7 +12,7 @@
 
 use idm_core::prelude::*;
 
-use crate::ast::{Pred, Query};
+use crate::ast::{Axis, Pred, Query};
 use crate::exec::{resolve_attr, QueryProcessor};
 use crate::parser::parse;
 
@@ -119,6 +119,29 @@ impl QueryProcessor {
         }
     }
 
+    /// Estimates a path step that keeps the `candidates` related to some
+    /// view of `context` along `axis`. A view reaches the group
+    /// replica's average fan-out (edges per view) directly and its
+    /// square indirectly (two levels), so the context covers that share
+    /// of the universe, and the step keeps the same share of its
+    /// candidates: a step under one folder keeps a sliver of a common
+    /// glob's matches, a step under thousands of messages far more.
+    pub(crate) fn estimate_relate(
+        &self,
+        axis: Axis,
+        context: Estimate,
+        candidates: Estimate,
+    ) -> Estimate {
+        let universe = self.universe().max(1) as f64;
+        let fan_out = self.index_bundle().group.edge_count() as f64 / universe;
+        let reach = match axis {
+            Axis::Child => fan_out,
+            Axis::Descendant => fan_out * fan_out,
+        };
+        let covered = (context.rows as f64 * reach / universe).min(1.0);
+        Estimate::guess(((candidates.rows as f64 * covered) as usize).max(1))
+    }
+
     /// Estimates one path step's candidate set (name × predicate).
     fn estimate_step(&self, step: &crate::ast::Step) -> Estimate {
         let by_name = self.estimate_name(&step.name);
@@ -136,17 +159,15 @@ impl QueryProcessor {
         match query {
             Query::Filter(pred) => self.estimate_pred(pred),
             Query::Path(path) => {
-                // The final step bounds the result; earlier steps only
-                // filter it down (ancestry keeps a fraction, guess 50%
-                // per additional step).
-                let mut estimate = match path.steps.last() {
-                    Some(step) => self.estimate_step(step),
-                    None => Estimate::exact(0),
+                // Each step after the first relates its candidates to
+                // the steps before it.
+                let mut steps = path.steps.iter();
+                let Some(first) = steps.next() else {
+                    return Estimate::exact(0);
                 };
-                for _ in 1..path.steps.len() {
-                    estimate = Estimate::guess((estimate.rows / 2).max(1));
-                }
-                estimate
+                steps.fold(self.estimate_step(first), |context, step| {
+                    self.estimate_relate(step.axis, context, self.estimate_step(step))
+                })
             }
             Query::Union(members) => {
                 let rows: usize = members.iter().map(|m| self.estimate(m).rows).sum();

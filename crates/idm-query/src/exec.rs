@@ -7,7 +7,9 @@
 //! planned remedy for queries like Q8 where forward expansion processes
 //! many intermediate results. All three strategies are implemented here
 //! and selectable per query; `crates/idm-bench/examples/scaling_probe.rs`
-//! times them against each other.
+//! times them against each other. The planner takes that remedy itself
+//! for a join side fed its names sideways: its step is `Bidirectional`
+//! whatever the processor's strategy.
 //!
 //! Every expansion reads the group replica under one [`GroupRead`]
 //! guard per chunk of a walk, following the read discipline of
@@ -20,7 +22,8 @@
 //! read is the plan that ran — per-operator counts in
 //! [`ExecStats::ops`] make that checkable.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Sender};
@@ -39,6 +42,55 @@ use crate::request::QueryRequest;
 /// Capacity of the per-processor standing-result table (plain entries;
 /// those with listeners are held beside it).
 pub(crate) const RESULT_CACHE_CAPACITY: usize = 256;
+
+/// A join's build side: each build row with its key, the keys written
+/// end to end in one buffer and the rows sorted by key. Its distinct
+/// keys are what a sideways-keyed probe side reads. A table of one
+/// string and one vid list per key frees that many small blocks at the
+/// end of every join, and glibc merges them in whichever query next
+/// asks for a large block; two buffers free two.
+#[derive(Default)]
+struct JoinTable {
+    text: String,
+    /// `(start, end)` of the row's key in `text`, and the row.
+    rows: Vec<(usize, usize, Vid)>,
+}
+
+impl JoinTable {
+    fn key(&self, &(start, end, _): &(usize, usize, Vid)) -> &str {
+        &self.text[start..end]
+    }
+
+    /// Appends `other`'s rows (a later chunk of the build side).
+    fn append(&mut self, other: JoinTable) {
+        let base = self.text.len();
+        self.text.push_str(&other.text);
+        let rows = other.rows.into_iter();
+        self.rows
+            .extend(rows.map(|(start, end, vid)| (start + base, end + base, vid)));
+    }
+
+    /// Sorts the rows by key; rows with one key keep their order.
+    fn sort(&mut self) {
+        let mut rows = std::mem::take(&mut self.rows);
+        rows.sort_by(|a, b| self.key(a).cmp(self.key(b)));
+        self.rows = rows;
+    }
+
+    /// The build rows carrying `key`, in build order.
+    fn rows_of(&self, key: &str) -> impl Iterator<Item = Vid> + '_ {
+        let start = self.rows.partition_point(|row| self.key(row) < key);
+        let len = self.rows[start..].partition_point(|row| self.key(row) == key);
+        self.rows[start..start + len].iter().map(|&(_, _, vid)| vid)
+    }
+
+    /// Each distinct key once.
+    fn keys(&self) -> impl Iterator<Item = &str> + '_ {
+        self.rows
+            .chunk_by(|a, b| self.key(a) == self.key(b))
+            .map(|run| self.key(&run[0]))
+    }
+}
 
 /// How `//` (and `/`) steps relate candidates to the current context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -261,7 +313,7 @@ impl QueryProcessor {
     pub fn execute_plan_with(&self, plan: &Plan, budget: QueryBudget) -> Result<QueryResult> {
         let tracker = BudgetTracker::start(budget);
         let mut stats = ExecStats::default();
-        let rows = self.eval_node(&plan.root, &mut stats, &tracker)?;
+        let rows = self.eval_node(&plan.root, &mut stats, &tracker, None)?;
         stats.partial = tracker.tripped();
         stats.exhausted = tracker.exhaustion();
         stats.consumed = tracker.consumption();
@@ -371,11 +423,16 @@ impl QueryProcessor {
     /// [`IdmError::ResourceExhausted`]; no shard lock or scoped thread
     /// outlives the unwind (store reads release their shard on return,
     /// `par` helpers always join).
+    ///
+    /// `keys` is the enclosing hash join's build table when this node is
+    /// (part of) its probe side; only an [`AccessKind::NameByKeys`] leaf
+    /// reads it.
     fn eval_node(
         &self,
         node: &PlanNode,
         stats: &mut ExecStats,
         tracker: &BudgetTracker,
+        keys: Option<&JoinTable>,
     ) -> Result<ResultRows> {
         tracker.checkpoint(node.op.label())?;
         Ok(match &node.op {
@@ -384,7 +441,7 @@ impl QueryProcessor {
                 if tracker.tripped() {
                     return Ok(ResultRows::Views(Vec::new()));
                 }
-                let vids = self.eval_access(access);
+                let vids = self.eval_access(access, keys);
                 stats.candidates_examined += vids.len();
                 tracker.charge_rows(vids.len(), "index-access")?;
                 ResultRows::Views(vids)
@@ -412,11 +469,11 @@ impl QueryProcessor {
                 // intersection.
                 let mut iter = inputs.iter();
                 let mut acc = match iter.next() {
-                    Some(first) => self.eval_node(first, stats, tracker)?.into_views(),
+                    Some(first) => self.eval_node(first, stats, tracker, keys)?.into_views(),
                     None => Vec::new(),
                 };
                 for input in iter {
-                    let sorted = self.eval_node(input, stats, tracker)?.into_views();
+                    let sorted = self.eval_node(input, stats, tracker, keys)?.into_views();
                     acc.retain(|v| sorted.binary_search(v).is_ok());
                 }
                 stats.candidates_examined += acc.len();
@@ -427,7 +484,7 @@ impl QueryProcessor {
                 stats.ops.unions += 1;
                 let mut acc: Vec<Vid> = Vec::new();
                 for input in inputs {
-                    match self.eval_node(input, stats, tracker)? {
+                    match self.eval_node(input, stats, tracker, keys)? {
                         ResultRows::Views(v) => acc.extend(v),
                         ResultRows::Pairs(_) => {
                             return Err(IdmError::Parse {
@@ -445,7 +502,7 @@ impl QueryProcessor {
             PlanOp::Complement(exclude) => {
                 stats.ops.complements += 1;
                 let exclude: VidSet = self
-                    .eval_node(exclude, stats, tracker)?
+                    .eval_node(exclude, stats, tracker, keys)?
                     .into_views()
                     .into_iter()
                     .collect();
@@ -470,8 +527,10 @@ impl QueryProcessor {
                 strategy,
             } => {
                 stats.ops.relates += 1;
-                let ctx = self.eval_node(context, stats, tracker)?.into_views();
-                let cand = self.eval_node(candidates, stats, tracker)?.into_views();
+                let ctx = self.eval_node(context, stats, tracker, None)?.into_views();
+                let cand = self
+                    .eval_node(candidates, stats, tracker, keys)?
+                    .into_views();
                 ResultRows::Views(self.relate(&ctx, cand, *axis, *strategy, stats, tracker)?)
             }
             PlanOp::HashJoin {
@@ -483,11 +542,20 @@ impl QueryProcessor {
                 ..
             } => {
                 stats.ops.hash_joins += 1;
-                let left_rows = self.eval_node(left, stats, tracker)?.into_views();
-                let right_rows = self.eval_node(right, stats, tracker)?.into_views();
+                let (build_node, probe_node) = match build {
+                    BuildSide::Left => (left, right),
+                    BuildSide::Right => (right, left),
+                };
+                let build_rows = self
+                    .eval_node(build_node, stats, tracker, None)?
+                    .into_views();
                 self.hash_join(
-                    left_rows,
-                    right_rows,
+                    &build_rows,
+                    |table| {
+                        Ok(self
+                            .eval_node(probe_node, stats, tracker, Some(table))?
+                            .into_views())
+                    },
                     left_field,
                     right_field,
                     *build,
@@ -498,10 +566,18 @@ impl QueryProcessor {
     }
 
     /// One index posting-list read — the plan's leaf accesses. Every
-    /// index returns its vids sorted.
-    fn eval_access(&self, access: &AccessKind) -> Vec<Vid> {
+    /// index returns its vids sorted. `keys` are the join keys fed to
+    /// the leaf sideways.
+    fn eval_access(&self, access: &AccessKind, keys: Option<&JoinTable>) -> Vec<Vid> {
         match access {
             AccessKind::Name(pattern) => self.indexes.name.matching(pattern),
+            // One exact probe per key the pattern matches. Matching the
+            // keys costs no more than hashing them did in the build.
+            AccessKind::NameByKeys(pattern) => self.indexes.name.exact_any(
+                keys.into_iter()
+                    .flat_map(JoinTable::keys)
+                    .filter(|key| pattern.matches(key)),
+            ),
             AccessKind::Content(phrase) => self.indexes.content.phrase_query(phrase),
             AccessKind::Catalog(class_name) => self.class_members(class_name),
             AccessKind::Tuple { attr, op, value } => {
@@ -530,12 +606,23 @@ impl QueryProcessor {
         let Some(target) = registry.lookup(class_name) else {
             return Vec::new();
         };
-        let mut out = Vec::new();
-        for class in registry.subclasses(target) {
-            out.extend(self.indexes.catalog.by_class(&registry.name(class)));
+        // Each class list is vid-sorted; only a merge of several needs
+        // sorting again.
+        let mut lists = registry
+            .subclasses(target)
+            .into_iter()
+            .map(|class| self.indexes.catalog.by_class(&registry.name(class)))
+            .filter(|list| !list.is_empty());
+        let mut out = lists.next().unwrap_or_default();
+        let mut merged = false;
+        for list in lists {
+            out.extend(list);
+            merged = true;
         }
-        out.sort();
-        out.dedup();
+        if merged {
+            out.sort();
+            out.dedup();
+        }
         out
     }
 
@@ -588,7 +675,11 @@ impl QueryProcessor {
                 Ok(par::filter(candidates, threads, |v| reachable.contains(v)))
             }
             (ExpansionStrategy::Backward, _) => {
-                let ctx: VidSet = context.iter().copied().collect();
+                // Every operator's output is sorted, so a parent is
+                // checked by binary search in the context as it lies:
+                // hashing the whole context would cost more than the
+                // checks when the candidates are few.
+                debug_assert!(context.is_sorted(), "operator output is sorted");
                 // For the descendant axis each chunk keeps its own
                 // positive cache of nodes known to reach the context:
                 // the kept rows never depend on it, only
@@ -610,10 +701,10 @@ impl QueryProcessor {
                                 let parents = group.parents(v);
                                 expanded += parents.len();
                                 tracker.charge_nodes(parents.len(), "relate")?;
-                                parents.iter().any(|p| ctx.contains(p))
+                                parents.iter().any(|p| context.binary_search(p).is_ok())
                             }
                             Axis::Descendant => {
-                                search.reaches(&group, v, &ctx, &mut expanded, tracker)?
+                                search.reaches(&group, v, context, &mut expanded, tracker)?
                             }
                         };
                         if related {
@@ -686,92 +777,114 @@ impl QueryProcessor {
 
     // ---- joins ---------------------------------------------------------
 
-    fn field_key(&self, vid: Vid, field: &Field) -> Option<String> {
+    /// Appends the join key of `vid` to `out`: its name, class name or
+    /// tuple value as text. False when it has none. An empty string is no
+    /// key, whichever path read it — the name index and the catalog hold
+    /// no empty name either.
+    fn push_field_key(&self, vid: Vid, field: &Field, out: &mut String) -> bool {
+        let start = out.len();
         match field {
             // Borrow-based store reads: cloning a full catalog entry per
             // probe made the join build/probe loops allocation-bound. The
             // catalog remains the fallback so restored indexes answer
             // joins even when the view store is empty (restart path).
-            Field::Name => self
-                .store
-                .with_name(vid, |n| n.map(str::to_owned))
-                .ok()
-                .flatten()
-                .or_else(|| {
-                    let entry = self.indexes.catalog.entry(vid)?;
-                    (!entry.name.is_empty()).then_some(entry.name)
-                }),
-            Field::Class => self
-                .store
-                .class_name(vid)
-                .ok()
-                .flatten()
-                .or_else(|| self.indexes.catalog.entry(vid)?.class),
-            Field::TupleAttr(attr) => self
-                .indexes
-                .tuple
-                .value_of(vid, &resolve_attr(attr))
-                .map(|v| v.to_string()),
+            Field::Name => {
+                let in_store = self.store.with_name(vid, |n| n.map(|n| out.push_str(n)));
+                if !matches!(in_store, Ok(Some(()))) {
+                    if let Some(entry) = self.indexes.catalog.entry(vid) {
+                        out.push_str(&entry.name);
+                    }
+                }
+            }
+            Field::Class => {
+                let class = self.store.class_name(vid).ok().flatten();
+                if let Some(class) = class.or_else(|| self.indexes.catalog.entry(vid)?.class) {
+                    out.push_str(&class);
+                }
+            }
+            Field::TupleAttr(attr) => {
+                if let Some(value) = self.indexes.tuple.value_of(vid, &resolve_attr(attr)) {
+                    let _ = write!(out, "{value}");
+                }
+            }
         }
+        out.len() > start
     }
 
     /// Hash equi-join. The build side was chosen by the planner from
     /// cardinality estimates and is recorded in the plan node — binding
-    /// validation happened at plan time too.
+    /// validation happened at plan time too. The build side's rows are
+    /// hashed first; `probe_side` then yields the probe side's rows and
+    /// may read the table's keys (sideways key passing).
     fn hash_join(
         &self,
-        left_rows: Vec<Vid>,
-        right_rows: Vec<Vid>,
+        build_rows: &[Vid],
+        probe_side: impl FnOnce(&JoinTable) -> Result<Vec<Vid>>,
         left_field: &Field,
         right_field: &Field,
         build: BuildSide,
         tracker: &BudgetTracker,
     ) -> Result<ResultRows> {
-        if tracker.tripped() {
-            // Joining truncated inputs would be sound (subset × subset),
-            // but once tripped there is no point paying for the build.
-            return Ok(ResultRows::Pairs(Vec::new()));
-        }
-        let (build_rows, probe_rows, build_field, probe_field, build_is_left) = match build {
-            BuildSide::Left => (&left_rows, &right_rows, left_field, right_field, true),
-            BuildSide::Right => (&right_rows, &left_rows, right_field, left_field, false),
+        let (build_field, probe_field, build_is_left) = match build {
+            BuildSide::Left => (left_field, right_field, true),
+            BuildSide::Right => (right_field, left_field, false),
         };
 
-        // Hash-table build over chunks of the build side: workers extract
-        // `(key, vid)` pairs and the coordinator merges them in chunk
-        // order, so per-key row order is the input order at any
+        // Table build over chunks of the build side: workers key their
+        // rows and the coordinator appends the chunks in order and sorts
+        // stably, so per-key row order is the input order at any
         // parallelism. A build truncated mid-way keys a subset of rows;
-        // probing it yields a subset of the true pairs.
-        let mut table: HashMap<String, Vec<Vid>> = HashMap::with_capacity(build_rows.len());
-        for chunk in par::try_map_chunks(build_rows, self.threads(), |_, chunk| {
-            let mut out: Vec<(String, Vid)> = Vec::with_capacity(chunk.len());
-            for &vid in chunk {
-                if tracker.checkpoint("join-build")? == Tick::Truncate {
-                    break;
+        // probing it yields a subset of the true pairs. Once tripped
+        // there is no point paying for the build.
+        let mut table = JoinTable::default();
+        if !tracker.tripped() {
+            for chunk in par::try_map_chunks(build_rows, self.threads(), |_, chunk| {
+                let mut out = JoinTable {
+                    text: String::new(),
+                    rows: Vec::with_capacity(chunk.len()),
+                };
+                for &vid in chunk {
+                    if tracker.checkpoint("join-build")? == Tick::Truncate {
+                        break;
+                    }
+                    tracker.charge_nodes(1, "join-build")?;
+                    let start = out.text.len();
+                    if self.push_field_key(vid, build_field, &mut out.text) {
+                        out.rows.push((start, out.text.len(), vid));
+                    }
                 }
-                tracker.charge_nodes(1, "join-build")?;
-                if let Some(key) = self.field_key(vid, build_field) {
-                    out.push((key, vid));
+                Ok::<_, IdmError>(out)
+            })? {
+                if table.rows.is_empty() {
+                    table = chunk;
+                } else {
+                    table.append(chunk);
                 }
             }
-            Ok::<_, IdmError>(out)
-        })? {
-            for (key, vid) in chunk {
-                table.entry(key).or_default().push(vid);
-            }
+            table.sort();
+        }
+        let probe_rows = probe_side(&table)?;
+        if tracker.tripped() {
+            // Joining truncated inputs would be sound (subset × subset),
+            // but once tripped there is no point paying for the probe.
+            return Ok(ResultRows::Pairs(Vec::new()));
         }
         let mut pairs = Vec::new();
-        for &vid in probe_rows {
+        let mut key = String::new();
+        for vid in probe_rows {
             if tracker.checkpoint("join-probe")? == Tick::Truncate {
                 break;
             }
-            if let Some(key) = self.field_key(vid, probe_field) {
-                if let Some(matches) = table.get(&key) {
-                    tracker.charge_rows(matches.len(), "join-probe")?;
-                    for &m in matches {
-                        pairs.push(if build_is_left { (m, vid) } else { (vid, m) });
-                    }
-                }
+            key.clear();
+            if !self.push_field_key(vid, probe_field, &mut key) {
+                continue;
+            }
+            let before = pairs.len();
+            for m in table.rows_of(&key) {
+                pairs.push(if build_is_left { (m, vid) } else { (vid, m) });
+            }
+            if pairs.len() > before {
+                tracker.charge_rows(pairs.len() - before, "join-probe")?;
             }
         }
         pairs.sort();
@@ -791,13 +904,13 @@ struct ReverseSearch {
 }
 
 impl ReverseSearch {
-    /// Reverse BFS from `start` towards the context set, adding one to
-    /// `expanded` per in-edge scanned.
+    /// Reverse BFS from `start` towards the sorted context, adding one
+    /// to `expanded` per in-edge scanned.
     fn reaches(
         &mut self,
         group: &GroupRead<'_>,
         start: Vid,
-        ctx: &VidSet,
+        ctx: &[Vid],
         expanded: &mut usize,
         tracker: &BudgetTracker,
     ) -> Result<bool> {
@@ -813,7 +926,7 @@ impl ReverseSearch {
             for &parent in group.parents(vid) {
                 *expanded += 1;
                 tracker.charge_nodes(1, "relate")?;
-                if ctx.contains(&parent) || self.reaches_ctx.contains(&parent) {
+                if ctx.binary_search(&parent).is_ok() || self.reaches_ctx.contains(&parent) {
                     // A visited node reaches the context only if it lies
                     // on the path found; only the start surely does.
                     self.reaches_ctx.insert(start);
@@ -1030,6 +1143,29 @@ mod tests {
         let (a, b) = pairs[0];
         assert_ne!(a, b);
         assert_eq!(p.store.name(a).unwrap(), p.store.name(b).unwrap());
+    }
+
+    #[test]
+    fn an_empty_name_is_no_join_key() {
+        let store = Arc::new(ViewStore::new());
+        let indexes = Arc::new(IndexBundle::new());
+        for word in ["alpha", "beta"] {
+            for _ in 0..2 {
+                store.build("").text(word).insert();
+            }
+        }
+        for vid in store.vids() {
+            indexes.index_view(&store, vid, "test").unwrap();
+        }
+        let iql = r#"join( "alpha" as A, "beta" as B, A.name = B.name )"#;
+        // Through the store, and through the catalog alone (restored
+        // indexes over an empty store).
+        for store in [store, Arc::new(ViewStore::new())] {
+            let p = QueryProcessor::new(store, Arc::clone(&indexes));
+            assert_eq!(p.execute(r#""alpha""#).unwrap().rows.len(), 2);
+            let r = p.execute(iql).unwrap();
+            assert!(r.rows.is_empty(), "{:?}", r.rows);
+        }
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //!                 │  rewrites driven by `cost.rs` estimates:
 //!                 │   · conjuncts intersect smallest-estimate first
 //!                 │   · hash joins build on the smaller-estimate side
+//!                 │   · the build side's join keys feed the probe
+//!                 │     side's last name leaf (sideways key passing)
 //!                 │   · index access vs. full catalog scan per step
 //!                 ▼
 //!          physical execution (exec.rs walks the same tree)
@@ -51,9 +53,13 @@ pub enum AccessKind {
     },
     /// Catalog lookup of a class and its specializations.
     Catalog(String),
+    /// Name index probed once per join key of the enclosing hash join's
+    /// build side, for the keys the pattern matches: a probe side's
+    /// last-step `Name` leaf after sideways key passing.
+    NameByKeys(NamePattern),
 }
 
-/// Which join input the hash table is built on (a plan-time decision
+/// Which join input the key table is built on (a plan-time decision
 /// driven by cardinality estimates).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuildSide {
@@ -89,7 +95,8 @@ pub enum PlanOp {
         /// Forward, backward, or size-adaptive bidirectional expansion.
         strategy: ExpansionStrategy,
     },
-    /// Hash equi-join of two inputs on component fields.
+    /// Equi-join of two inputs on component fields: a key table built
+    /// on one side, probed by the other.
     HashJoin {
         /// Left input.
         left: Box<PlanNode>,
@@ -103,7 +110,9 @@ pub enum PlanOp {
         left_field: Field,
         /// Key field of the right input.
         right_field: Field,
-        /// Which side the hash table is built on (cost-chosen).
+        /// Which side the key table is built on (cost-chosen). The
+        /// build side runs first; its keys feed any
+        /// [`AccessKind::NameByKeys`] leaf of the probe side.
         build: BuildSide,
     },
 }
@@ -267,6 +276,10 @@ fn canonicalize(node: &PlanNode, out: &mut String) {
                 out.push_str("ia:catalog:");
                 out.push_str(class);
             }
+            AccessKind::NameByKeys(pattern) => {
+                out.push_str("ia:name-by-keys:");
+                out.push_str(pattern.as_str());
+            }
         },
         PlanOp::Scan => out.push_str("scan"),
         PlanOp::Intersect(inputs) => {
@@ -367,6 +380,12 @@ fn render_node(node: &PlanNode, depth: usize, estimates: bool, out: &mut String)
                 AccessKind::Catalog(class) => {
                     format!("Catalog class '{class}' (+ specializations)")
                 }
+                AccessKind::NameByKeys(pattern) => {
+                    format!(
+                        "NameIndex exact per join key matching '{}'",
+                        pattern.as_str()
+                    )
+                }
             };
             out.push_str(&format!("IndexAccess {what}{}\n", est_suffix(node)));
         }
@@ -426,27 +445,22 @@ fn render_node(node: &PlanNode, depth: usize, estimates: bool, out: &mut String)
             right_field,
             build,
         } => {
-            let build_text = if estimates {
-                format!(
-                    "build={} (est. {} vs {})",
-                    match build {
-                        BuildSide::Left => "left",
-                        BuildSide::Right => "right",
-                    },
-                    left.est.rows,
-                    right.est.rows
-                )
+            let (build_text, build_binding, probe) = match build {
+                BuildSide::Left => ("left", left_binding, right),
+                BuildSide::Right => ("right", right_binding, left),
+            };
+            let est_text = if estimates {
+                format!(" (est. {} vs {})", left.est.rows, right.est.rows)
             } else {
-                format!(
-                    "build={}",
-                    match build {
-                        BuildSide::Left => "left",
-                        BuildSide::Right => "right",
-                    }
-                )
+                String::new()
+            };
+            let keys_text = if reads_join_keys(probe) {
+                format!(", keys from {build_binding}")
+            } else {
+                String::new()
             };
             out.push_str(&format!(
-                "HashJoin on {left_binding}.{} = {right_binding}.{}, {build_text}\n",
+                "HashJoin on {left_binding}.{} = {right_binding}.{}, build={build_text}{est_text}{keys_text}\n",
                 field_name(left_field),
                 field_name(right_field),
             ));
@@ -466,8 +480,21 @@ impl QueryProcessor {
 
     /// Plans a parsed query: builds the cost-annotated operator tree
     /// and applies the rule-based rewrites (smallest-estimate-first
-    /// intersections, cost-chosen join build sides, index-vs-scan).
+    /// intersections, cost-chosen join build sides, index-vs-scan), then
+    /// passes each join's keys sideways: a probe side keyed by `name`
+    /// reads its last step's names from the build side's keys
+    /// ([`AccessKind::NameByKeys`]).
     pub fn plan(&self, query: &Query) -> Result<Plan> {
+        let mut plan = self.plan_without_key_passing(query)?;
+        pass_keys_sideways(&mut plan.root);
+        Ok(plan)
+    }
+
+    /// [`QueryProcessor::plan`] without the sideways key-passing pass:
+    /// every join input is evaluated on its own, as the paper's
+    /// processor does. The rows equal the full plan's, which makes it
+    /// the oracle of the rewrite's tests.
+    pub fn plan_without_key_passing(&self, query: &Query) -> Result<Plan> {
         Ok(Plan {
             root: self.plan_query(query)?,
         })
@@ -560,7 +587,7 @@ impl QueryProcessor {
                 // The first step has no ancestry constraint.
                 None => candidates,
                 Some(context) => {
-                    let est = Estimate::guess((candidates.est.rows / 2).max(1));
+                    let est = self.estimate_relate(step.axis, context.est, candidates.est);
                     PlanNode {
                         op: PlanOp::Relate {
                             context: Box::new(context),
@@ -645,6 +672,93 @@ impl QueryProcessor {
             },
             est,
         })
+    }
+}
+
+/// The sideways key-passing rewrite, applied to every hash join whose
+/// probe side is keyed by `name`: the build side runs first,
+/// and its distinct keys replace the `Name` leaf of the probe side's
+/// last path step, which becomes one exact name-index probe per key the
+/// leaf's pattern matches ([`AccessKind::NameByKeys`]). That step's
+/// `Relate` is planned `Bidirectional`: its candidates are now bounded
+/// by the key count, and the executor walks from whichever of them and
+/// the context is smaller.
+///
+/// The rows do not change. The probe side's rows are a subset of its
+/// last step's candidates, and a candidate whose name is no build key
+/// pairs with nothing in the hash join anyway; a truncated build side
+/// passes a subset of the keys, which keeps a subset of the pairs.
+fn pass_keys_sideways(node: &mut PlanNode) {
+    // Joins nest only as join inputs (a union of joins does not run).
+    let PlanOp::HashJoin {
+        left,
+        right,
+        left_field,
+        right_field,
+        build,
+        ..
+    } = &mut node.op
+    else {
+        return;
+    };
+    pass_keys_sideways(left);
+    pass_keys_sideways(right);
+    let (probe, probe_field) = match build {
+        BuildSide::Left => (right, right_field),
+        BuildSide::Right => (left, left_field),
+    };
+    if *probe_field == Field::Name {
+        feed_last_name_leaf(probe);
+    }
+}
+
+/// Whether a join's probe side reads the join's keys: whether it holds
+/// an [`AccessKind::NameByKeys`] leaf outside any join nested in it
+/// (a nested join feeds its own probe side).
+fn reads_join_keys(node: &PlanNode) -> bool {
+    match &node.op {
+        PlanOp::IndexAccess(access) => matches!(access, AccessKind::NameByKeys(_)),
+        PlanOp::Intersect(inputs) | PlanOp::UnionOp(inputs) => inputs.iter().any(reads_join_keys),
+        PlanOp::Complement(input) => reads_join_keys(input),
+        PlanOp::Relate {
+            context,
+            candidates,
+            ..
+        } => reads_join_keys(context) || reads_join_keys(candidates),
+        PlanOp::Scan | PlanOp::HashJoin { .. } => false,
+    }
+}
+
+/// Turns the `Name` leaf of a path plan's last step into a
+/// [`AccessKind::NameByKeys`] leaf and plans that step's `Relate`
+/// `Bidirectional`. Nothing changes when the last step has no name leaf
+/// — a bare `*` step, or no path at all.
+fn feed_last_name_leaf(path: &mut PlanNode) {
+    let (step, strategy) = match &mut path.op {
+        PlanOp::Relate {
+            candidates,
+            strategy,
+            ..
+        } => (&mut **candidates, Some(strategy)),
+        _ => (path, None),
+    };
+    // A step's candidates are its name leaf, or the name leaf and the
+    // step's predicate intersected.
+    let leaf = match &mut step.op {
+        PlanOp::Intersect(inputs) => inputs
+            .iter_mut()
+            .find(|input| matches!(input.op, PlanOp::IndexAccess(AccessKind::Name(_)))),
+        _ => Some(step),
+    };
+    let Some(leaf) = leaf else {
+        return;
+    };
+    let PlanOp::IndexAccess(AccessKind::Name(pattern)) = &leaf.op else {
+        return;
+    };
+    leaf.op = PlanOp::IndexAccess(AccessKind::NameByKeys(pattern.clone()));
+    if let Some(strategy) = strategy {
+        *strategy = ExpansionStrategy::Bidirectional;
     }
 }
 

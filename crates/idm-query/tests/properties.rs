@@ -6,7 +6,10 @@ use std::sync::Arc;
 
 use idm_core::prelude::*;
 use idm_index::IndexBundle;
-use idm_query::{parse, ExecOptions, ExpansionStrategy, QueryBudget, QueryProcessor, ResultRows};
+use idm_query::{
+    parse, AccessKind, ExecOptions, ExpansionStrategy, PlanOp, QueryBudget, QueryProcessor,
+    ResultRows,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -277,5 +280,226 @@ proptest! {
         manual.sort();
         manual.dedup();
         prop_assert_eq!(union, manual);
+    }
+}
+
+/// The names both sides of a join draw from: names repeated across
+/// the dataspace, globs' matches and misses, and the empty name (which
+/// is no join key).
+const NAME_POOL: [&str; 5] = ["", "a.tex", "b.tex", "ab", "b"];
+
+/// A random view graph for the sideways key-passing rewrite.
+#[derive(Debug, Clone)]
+struct JoinSpace {
+    /// (name, tuple attribute `x`, is a folder), names from [`NAME_POOL`].
+    views: Vec<(usize, usize, bool)>,
+    /// Group edges between views (cycles allowed).
+    edges: Vec<(usize, usize)>,
+    /// Folder links: a `folderlink` view in the first view's group whose
+    /// own group holds the second view.
+    links: Vec<(usize, usize)>,
+}
+
+fn arb_join_space() -> impl Strategy<Value = JoinSpace> {
+    (
+        proptest::collection::vec((0usize..5, 0usize..5, any::<bool>()), 1..14),
+        proptest::collection::vec((0usize..14, 0usize..14), 0..25),
+        proptest::collection::vec((0usize..14, 0usize..14), 0..4),
+    )
+        .prop_map(|(views, edges, links)| JoinSpace {
+            views,
+            edges,
+            links,
+        })
+}
+
+fn build_join_space(spec: &JoinSpace) -> (Arc<ViewStore>, Arc<IndexBundle>) {
+    let store = Arc::new(ViewStore::new());
+    let indexes = Arc::new(IndexBundle::new());
+    let vids: Vec<Vid> = spec
+        .views
+        .iter()
+        .map(|&(name, x, folder)| {
+            store
+                .build(NAME_POOL[name])
+                .tuple(TupleComponent::of(vec![(
+                    "x",
+                    Value::Text(NAME_POOL[x].to_owned()),
+                )]))
+                .class_named(if folder { "folder" } else { "file" })
+                .insert()
+        })
+        .collect();
+    let at = |i: usize| vids[i % vids.len()];
+    let mut groups: std::collections::BTreeMap<Vid, Vec<Vid>> = Default::default();
+    for &(a, b) in &spec.edges {
+        groups.entry(at(a)).or_default().push(at(b));
+    }
+    for &(parent, target) in &spec.links {
+        let link = store
+            .build("link")
+            .class_named("folderlink")
+            .children(vec![at(target)])
+            .insert();
+        groups.entry(at(parent)).or_default().push(link);
+    }
+    for (parent, children) in groups {
+        store.set_group(parent, Group::of_set(children)).unwrap();
+    }
+    for vid in store.vids() {
+        indexes.index_view(&store, vid, "test").unwrap();
+    }
+    (store, indexes)
+}
+
+/// Join inputs: `{n}` is a name, `{g}` a last-step pattern. All but the
+/// last have a name leaf in their last step.
+const JOIN_SIDES: [&str; 6] = [
+    "//{g}",
+    "//{n}//{g}",
+    "//{n}/{g}",
+    r#"//*[class="folder"]//{g}"#,
+    r#"//{n}//{g}[class="file"]"#,
+    "//{n}//*",
+];
+const STEP_NAMES: [&str; 5] = ["a.tex", "b.tex", "ab", "b", "link"];
+const STEP_GLOBS: [&str; 6] = ["*.tex", "a*", "*b", "b", "?b", "*"];
+const JOIN_CONDITIONS: [&str; 4] = [
+    "A.name = B.name",
+    "A.name = B.tuple.x",
+    "A.tuple.x = B.name",
+    "B.name = A.name",
+];
+/// Whether A's and B's key in each condition is the tuple attribute `x`
+/// (else the name).
+const JOIN_KEYS_ARE_X: [(bool, bool); 4] =
+    [(false, false), (false, true), (true, false), (false, false)];
+
+/// A join's pairs by nested loop over the rows of its two sides: what
+/// any build table must produce. An empty key pairs with nothing.
+fn nested_loop_join(
+    processor: &QueryProcessor,
+    store: &ViewStore,
+    indexes: &IndexBundle,
+    (a_iql, b_iql): (&str, &str),
+    (a_is_x, b_is_x): (bool, bool),
+) -> Vec<(Vid, Vid)> {
+    let key = |vid: Vid, is_x: bool| -> Option<String> {
+        let key = if is_x {
+            indexes.tuple.value_of(vid, "x").map(|v| v.to_string())
+        } else {
+            store.name(vid).unwrap()
+        };
+        key.filter(|key| !key.is_empty())
+    };
+    let a_rows = processor.execute(a_iql).unwrap().rows.into_views();
+    let b_rows = processor.execute(b_iql).unwrap().rows.into_views();
+    let mut pairs = Vec::new();
+    for &a in &a_rows {
+        for &b in &b_rows {
+            if let (Some(ka), Some(kb)) = (key(a, a_is_x), key(b, b_is_x)) {
+                if ka == kb {
+                    pairs.push((a, b));
+                }
+            }
+        }
+    }
+    pairs.sort();
+    pairs
+}
+
+fn join_side(shape: usize, name: usize, glob: usize) -> String {
+    JOIN_SIDES[shape]
+        .replace("{n}", STEP_NAMES[name])
+        .replace("{g}", STEP_GLOBS[glob])
+}
+
+/// Whether any leaf of the plan reads a join's keys sideways.
+fn passes_keys(node: &idm_query::PlanNode) -> bool {
+    match &node.op {
+        PlanOp::IndexAccess(access) => matches!(access, AccessKind::NameByKeys(_)),
+        PlanOp::Intersect(inputs) | PlanOp::UnionOp(inputs) => inputs.iter().any(passes_keys),
+        PlanOp::Complement(input) => passes_keys(input),
+        PlanOp::Relate {
+            context,
+            candidates,
+            ..
+        } => passes_keys(context) || passes_keys(candidates),
+        PlanOp::HashJoin { left, right, .. } => passes_keys(left) || passes_keys(right),
+        PlanOp::Scan => false,
+    }
+}
+
+proptest! {
+    /// Sideways key passing never changes a join's rows: the planned
+    /// query equals the same plan without the rewrite pass, and both the
+    /// nested loop over the two sides' rows, under every expansion
+    /// strategy at parallelism 1 and 4, and under a partial budget
+    /// tripped at any checkpoint its rows stay a subset.
+    #[test]
+    fn key_passing_keeps_the_rows_of_the_plan_without_it(
+        space in arb_join_space(),
+        left in (0usize..6, 0usize..5, 0usize..6),
+        right in (0usize..6, 0usize..5, 0usize..6),
+        condition in 0usize..4,
+    ) {
+        let (store, indexes) = build_join_space(&space);
+        let (a_iql, b_iql) = (join_side(left.0, left.1, left.2), join_side(right.0, right.1, right.2));
+        let iql = format!("join( {a_iql} as A, {b_iql} as B, {} )", JOIN_CONDITIONS[condition]);
+        let query = parse(&iql).unwrap();
+        let nested = nested_loop_join(
+            &QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes)),
+            &store,
+            &indexes,
+            (&a_iql, &b_iql),
+            JOIN_KEYS_ARE_X[condition],
+        );
+        for expansion in [
+            ExpansionStrategy::Forward,
+            ExpansionStrategy::Backward,
+            ExpansionStrategy::Bidirectional,
+        ] {
+            for parallelism in [1usize, 4] {
+                let processor = QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes))
+                    .with_options(ExecOptions { expansion, parallelism, ..ExecOptions::default() });
+                let rewritten = processor.plan(&query).unwrap();
+                let plain = processor.plan_without_key_passing(&query).unwrap();
+                prop_assert!(!passes_keys(&plain.root), "{}", iql);
+                let want = processor.execute_plan(&plain).unwrap().rows;
+                prop_assert_eq!(&want, &ResultRows::Pairs(nested.clone()), "{}", iql);
+                let got = processor.execute_plan(&rewritten).unwrap();
+                prop_assert_eq!(
+                    &got.rows, &want,
+                    "{} under {:?} at parallelism {}:\n{}", iql, expansion, parallelism,
+                    rewritten.render()
+                );
+                prop_assert_eq!(got.stats.ops, rewritten.operator_counts());
+
+                let ResultRows::Pairs(want) = want else {
+                    panic!("a join yields pairs");
+                };
+                let total = processor
+                    .execute_plan_with(&rewritten, QueryBudget::probe())
+                    .unwrap()
+                    .stats
+                    .consumed
+                    .checkpoints;
+                let step = (total / 16).max(1);
+                for k in (1..=total).step_by(step as usize) {
+                    let budget = QueryBudget {
+                        cancel_after_checks: Some(k),
+                        partial: true,
+                        ..QueryBudget::default()
+                    };
+                    let partial = processor.execute_plan_with(&rewritten, budget).unwrap();
+                    let ResultRows::Pairs(pairs) = &partial.rows else {
+                        panic!("a join yields pairs");
+                    };
+                    for pair in pairs {
+                        prop_assert!(want.contains(pair), "{} tripped at {}: {:?}", iql, k, pair);
+                    }
+                }
+            }
+        }
     }
 }
