@@ -5,82 +5,246 @@
 //! replica: term positions cannot reconstruct the original content
 //! (Section 5.2 makes this distinction explicitly).
 //!
-//! A change costs the terms it touches. The term dictionary is hashed,
-//! so each term of an indexed or removed document is one lookup, and
-//! each document keeps the list of its distinct terms, so removing it
-//! visits those posting lists and no others, each by binary search.
-//! What still grows with a list is the shift behind a posting inserted
-//! or removed in its middle. Terms are put in order only on export, so
-//! the persisted bytes never depend on hash order.
+//! As Lucene keys postings by term ordinal, a hashed dictionary (std's
+//! SipHash: terms come from untrusted e-mail bodies, and a custom hasher
+//! measured no better) gives each term an id, reused after its term's
+//! last posting goes. An id's posting list is three columns: vids
+//! ascending, each posting's end offset, and all positions end to end.
+//! Each document keeps its term ids, so removal sorts `(id, vid)` pairs
+//! and compacts the lists they name without hashing a term. What still
+//! grows with a list is the shift of its columns behind a posting
+//! inserted or removed in its middle. Terms are put in order only on
+//! export, so the persisted bytes never depend on hash order.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use idm_core::prelude::Vid;
 use parking_lot::RwLock;
 
-use crate::tokenizer::{terms, tokenize};
-use crate::{remove_positions, VidMap};
+use crate::tokenizer::{self, terms};
+use crate::VidMap;
 
-/// A posting: one document (view) and the positions of a term within it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Posting {
-    vid: Vid,
-    positions: Box<[u32]>,
+/// One term's postings, as columns: vids ascending, the end of each
+/// posting's positions, and all positions end to end.
+#[derive(Debug, Default)]
+pub(crate) struct PostingList {
+    vids: Vec<Vid>,
+    ends: Vec<u32>,
+    positions: Vec<u32>,
 }
 
-/// Ends each term in a document's term list. Terms are runs of
-/// alphanumeric characters, so it never occurs inside one.
-const TERM_END: char = '\0';
+impl PostingList {
+    /// Number of postings (documents holding the term).
+    pub(crate) fn len(&self) -> usize {
+        self.vids.len()
+    }
+
+    /// The vid of the last posting.
+    pub(crate) fn last_vid(&self) -> Option<Vid> {
+        self.vids.last().copied()
+    }
+
+    /// Appends a posting whose vid exceeds every vid in the list: the
+    /// decoder's insert. `false`, and nothing appended, when the list
+    /// would hold 2^32 positions.
+    pub(crate) fn push(&mut self, vid: Vid, positions: &[u32]) -> bool {
+        let Ok(end) = u32::try_from(self.positions.len() + positions.len()) else {
+            return false;
+        };
+        self.vids.push(vid);
+        self.ends.push(end);
+        self.positions.extend_from_slice(positions);
+        true
+    }
+
+    /// Where posting `i`'s positions start.
+    fn start(&self, i: usize) -> usize {
+        i.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize)
+    }
+
+    /// The postings in vid order: each vid with its positions.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Vid, &[u32])> {
+        self.vids.iter().enumerate().map(|(i, &vid)| {
+            let end = self.ends[i] as usize;
+            (vid, &self.positions[self.start(i)..end])
+        })
+    }
+
+    /// The positions of the term in `vid`, if it holds the term.
+    fn positions_of(&self, vid: Vid) -> Option<&[u32]> {
+        let i = self.vids.binary_search(&vid).ok()?;
+        Some(&self.positions[self.start(i)..self.ends[i] as usize])
+    }
+
+    /// Adds `positions` under `vid`: a new posting in vid order, or, if
+    /// `vid` holds the term already, after its positions. Returns
+    /// whether the posting is new.
+    fn add(&mut self, vid: Vid, positions: &[u32]) -> bool {
+        let (i, at, new) = match self.vids.last() {
+            Some(&last) if last >= vid => match self.vids.binary_search(&vid) {
+                Ok(i) => (i, self.ends[i] as usize, false),
+                Err(i) => (i, self.start(i), true),
+            },
+            _ => (self.vids.len(), self.positions.len(), true),
+        };
+        if new {
+            self.vids.insert(i, vid);
+            self.ends.insert(i, at as u32);
+        }
+        self.positions.splice(at..at, positions.iter().copied());
+        let added = u32::try_from(positions.len()).expect("fewer than 2^32 positions");
+        for end in &mut self.ends[i..] {
+            *end += added;
+        }
+        new
+    }
+
+    /// Drops the postings at the ascending, distinct indices `at`,
+    /// moving each run of kept postings down once. Returns the number of
+    /// positions dropped.
+    fn remove_at(&mut self, at: &[usize]) -> usize {
+        let (mut postings_gone, mut positions_gone) = (0, 0);
+        for (k, &i) in at.iter().enumerate() {
+            let end = self.ends[i] as usize;
+            positions_gone += end - self.start(i);
+            postings_gone += 1;
+            // The kept run up to the next removed posting.
+            let next = at.get(k + 1).copied().unwrap_or(self.vids.len());
+            let run_end = self.start(next);
+            self.vids.copy_within(i + 1..next, i + 1 - postings_gone);
+            for j in i + 1..next {
+                self.ends[j - postings_gone] = self.ends[j] - positions_gone as u32;
+            }
+            self.positions
+                .copy_within(end..run_end, end - positions_gone);
+        }
+        let kept = self.vids.len() - postings_gone;
+        self.vids.truncate(kept);
+        self.ends.truncate(kept);
+        self.positions
+            .truncate(self.positions.len() - positions_gone);
+        positions_gone
+    }
+}
 
 #[derive(Default)]
 struct Inner {
-    /// Term → postings sorted by vid; [`FullTextIndex::export_postings`]
-    /// puts the terms in order.
-    postings: HashMap<String, Vec<Posting>>,
-    /// Document → its distinct terms, each followed by [`TERM_END`]:
-    /// what removing the document has to visit.
-    terms: VidMap<String>,
+    /// Term → id. [`FullTextIndex::export_postings`] puts the terms in
+    /// order.
+    ids: HashMap<Arc<str>, u32>,
+    /// Id → term (the key's one allocation, shared); `None` at a free
+    /// id.
+    terms: Vec<Option<Arc<str>>>,
+    /// Id → posting list. A free id's list is empty but keeps its
+    /// capacity for the term that reuses the id.
+    lists: Vec<PostingList>,
+    /// Free ids, reused before the tables grow.
+    free: Vec<u32>,
+    /// Document → the ids of its distinct terms: what removing it
+    /// visits.
+    held: VidMap<Box<[u32]>>,
     /// Number of indexed documents.
     documents: usize,
     /// Total tokens indexed.
     tokens: u64,
 }
 
+impl Inner {
+    fn list(&self, term: &str) -> Option<&PostingList> {
+        self.ids.get(term).map(|&id| &self.lists[id as usize])
+    }
+
+    /// The id of `term`, entering it if the dictionary lacks it.
+    fn id_of(&mut self, term: &str) -> u32 {
+        if let Some(&id) = self.ids.get(term) {
+            return id;
+        }
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.terms.push(None);
+            self.lists.push(PostingList::default());
+            u32::try_from(self.terms.len() - 1).expect("fewer than 2^32 distinct terms")
+        });
+        let term: Arc<str> = term.into();
+        self.terms[id as usize] = Some(Arc::clone(&term));
+        self.ids.insert(term, id);
+        id
+    }
+}
+
 /// Exported posting lists: `(term, [(vid, positions)])`.
 pub type ExportedPostings = Vec<(String, Vec<(u64, Vec<u32>)>)>;
 
-/// A document pre-tokenized off the index lock: its distinct terms in
-/// ascending order, each with its positions, plus the total token count.
-/// Built by [`pretokenize`] (possibly on a worker thread) and applied
-/// with [`FullTextIndex::index_pretokenized`].
+/// A document pre-tokenized off the index lock: every token's text in
+/// one buffer, and its distinct terms in ascending order, each with its
+/// positions. Built by [`pretokenize`] (possibly on a worker thread)
+/// and applied with [`FullTextIndex::index_pretokenized`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PretokenizedDoc {
-    per_term: Vec<(String, Box<[u32]>)>,
-    tokens: u64,
+    /// The lowercased tokens, end to end.
+    text: String,
+    /// Per distinct term: its byte range in `text` and the end of its
+    /// positions in `positions`.
+    terms: Vec<(usize, usize, u32)>,
+    /// Every term's positions, ascending per term.
+    positions: Vec<u32>,
+}
+
+impl PretokenizedDoc {
+    /// The distinct terms in ascending order, each with its ascending
+    /// positions.
+    pub fn per_term(&self) -> impl Iterator<Item = (&str, &[u32])> {
+        let mut from = 0;
+        self.terms.iter().map(move |&(start, end, to)| {
+            let positions = &self.positions[from..to as usize];
+            from = to as usize;
+            (&self.text[start..end], positions)
+        })
+    }
 }
 
 /// Tokenizes `text` into the form [`FullTextIndex::index_pretokenized`]
 /// consumes — the CPU-heavy half of indexing, safe to run in parallel
-/// per document. Returns `None` when the text yields no tokens.
+/// per document. One [`tokenizer`] walk fills one buffer; sorting the
+/// tokens by term then groups each term's positions. Returns `None`
+/// when the text yields no tokens.
 pub fn pretokenize(text: &str) -> Option<PretokenizedDoc> {
-    let mut tokens = tokenize(text);
+    let mut buf = String::with_capacity(text.len());
+    // Per token: its first eight bytes as a big-endian key (no term holds
+    // a zero byte, so keys order as terms do up to a tie), where it
+    // starts in `buf`, its length and its position.
+    let mut tokens: Vec<(u64, usize, u32, u32)> = Vec::new();
+    tokenizer::walk(text, &mut buf, |term, start| {
+        let mut key = [0u8; 8];
+        let head = &term.as_bytes()[..term.len().min(8)];
+        key[..head.len()].copy_from_slice(head);
+        let len = u32::try_from(term.len()).expect("a term under 4 GiB");
+        let position = u32::try_from(tokens.len()).expect("fewer than 2^32 tokens");
+        tokens.push((u64::from_be_bytes(key), start, len, position));
+    });
     if tokens.is_empty() {
         return None;
     }
-    let count = tokens.len() as u64;
-    // Stable, so each term's positions stay ascending; every position
-    // list is then allocated once, at its size.
-    tokens.sort_by(|a, b| a.term.cmp(&b.term));
-    let per_term = tokens
-        .chunk_by_mut(|a, b| a.term == b.term)
-        .map(|run| {
-            let positions = run.iter().map(|t| t.position).collect();
-            (std::mem::take(&mut run[0].term), positions)
-        })
-        .collect();
+    // By term, then position: each term's positions come out ascending.
+    let term =
+        |&(_, start, len, _): &(u64, usize, u32, u32)| &buf.as_bytes()[start..start + len as usize];
+    tokens.sort_unstable_by(|a, b| {
+        a.0.cmp(&b.0)
+            .then_with(|| term(a).cmp(term(b)))
+            .then(a.3.cmp(&b.3))
+    });
+    let mut positions = Vec::with_capacity(tokens.len());
+    let mut terms = Vec::new();
+    for run in tokens.chunk_by(|a, b| a.0 == b.0 && term(a) == term(b)) {
+        positions.extend(run.iter().map(|&(.., position)| position));
+        let (_, start, len, _) = run[0];
+        terms.push((start, start + len as usize, positions.len() as u32));
+    }
     Some(PretokenizedDoc {
-        per_term,
-        tokens: count,
+        text: buf,
+        terms,
+        positions,
     })
 }
 
@@ -99,37 +263,31 @@ impl FullTextIndex {
     /// Indexes a document tokenized by [`pretokenize`] under `vid` — the
     /// cheap, lock-holding half of indexing, used by the segment merge.
     ///
-    /// A vid must be indexed at most once; re-indexing requires
-    /// [`FullTextIndex::remove`] first.
+    /// A vid should be indexed at most once; indexing it again without
+    /// [`FullTextIndex::remove`] appends the new positions to its
+    /// postings.
     pub fn index_pretokenized(&self, vid: Vid, doc: PretokenizedDoc) {
         let mut inner = self.inner.write();
-        let Inner {
-            postings,
-            terms,
-            documents,
-            tokens,
-        } = &mut *inner;
-        *documents += 1;
-        *tokens += doc.tokens;
-        let held = terms.entry(vid).or_default();
-        held.reserve_exact(doc.per_term.iter().map(|(t, _)| t.len() + 1).sum());
-        for (term, positions) in doc.per_term {
-            let listed = held.len();
-            held.push_str(&term);
-            held.push(TERM_END);
-            let postings = postings.entry(term).or_default();
-            // Insertion keeps vid order if vids are indexed in order;
-            // otherwise insert at the right position.
-            match postings.binary_search_by_key(&vid, |p| p.vid) {
-                Ok(i) => {
-                    // Indexed again without a removal: the term is
-                    // listed already.
-                    held.truncate(listed);
-                    let posting = &mut postings[i];
-                    posting.positions = [&posting.positions[..], &positions[..]].concat().into();
-                }
-                Err(i) => postings.insert(i, Posting { vid, positions }),
+        let inner = &mut *inner;
+        inner.tokens += doc.positions.len() as u64;
+        let mut ids = Vec::with_capacity(doc.terms.len());
+        for (term, positions) in doc.per_term() {
+            let id = inner.id_of(term);
+            if inner.lists[id as usize].add(vid, positions) {
+                ids.push(id);
             }
+        }
+        match inner.held.entry(vid) {
+            Entry::Vacant(entry) => {
+                inner.documents += 1;
+                entry.insert(ids.into_boxed_slice());
+            }
+            // Indexed again without a removal: add the new terms.
+            Entry::Occupied(mut entry) if !ids.is_empty() => {
+                let held = [&entry.get()[..], &ids].concat();
+                entry.insert(held.into_boxed_slice());
+            }
+            Entry::Occupied(_) => {}
         }
     }
 
@@ -138,48 +296,40 @@ impl FullTextIndex {
         self.remove_all(&[vid]);
     }
 
-    /// Removes a set of documents, visiting only the terms their term
-    /// lists name. Per term, the set's postings go in one pass: a
-    /// binary search and a `remove` for one posting, one compaction from
-    /// the first of several. Duplicates and vids never indexed are
-    /// no-ops. What stays O(posting list) is shifting the postings
-    /// behind a removed one.
+    /// Removes a set of documents, visiting only the lists their term
+    /// ids name: the set's `(id, vid)` pairs are sorted, and each list
+    /// loses its share in one compaction of its columns. No term is
+    /// hashed, except to drop one whose last posting went. Duplicates
+    /// and vids never indexed are no-ops. What stays O(posting list) is
+    /// shifting the columns behind a removed posting.
     pub fn remove_all(&self, vids: &[Vid]) {
         let mut inner = self.inner.write();
-        let Inner {
-            postings,
-            terms,
-            documents,
-            tokens,
-        } = &mut *inner;
-        let gone: Vec<(Vid, String)> = vids
-            .iter()
-            .filter_map(|&vid| terms.remove(&vid).map(|held| (vid, held)))
-            .collect();
-        *documents = documents.saturating_sub(gone.len());
-        // (term, holder), grouped by term, holders ascending per term.
-        let mut holders: Vec<(&str, Vid)> = gone
-            .iter()
-            .flat_map(|(vid, held)| held.split_terminator(TERM_END).map(|t| (t, *vid)))
-            .collect();
-        holders.sort_unstable();
-        holders.dedup();
-        let mut at: Vec<usize> = Vec::new();
-        for run in holders.chunk_by(|a, b| a.0 == b.0) {
-            let term = run[0].0;
-            let Some(list) = postings.get_mut(term) else {
-                continue;
-            };
-            at.clear();
-            for &(_, vid) in run {
-                if let Ok(i) = list.binary_search_by_key(&vid, |p| p.vid) {
-                    *tokens = tokens.saturating_sub(list[i].positions.len() as u64);
-                    at.push(i);
-                }
+        let inner = &mut *inner;
+        let mut pairs: Vec<(u32, Vid)> = Vec::new();
+        for vid in vids {
+            if let Some(ids) = inner.held.remove(vid) {
+                inner.documents = inner.documents.saturating_sub(1);
+                pairs.extend(ids.iter().map(|&id| (id, *vid)));
             }
-            remove_positions(list, &at);
-            if list.is_empty() {
-                postings.remove(term);
+        }
+        pairs.sort_unstable();
+        let mut at: Vec<usize> = Vec::new();
+        for run in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let id = run[0].0;
+            let list = &mut inner.lists[id as usize];
+            at.clear();
+            at.extend(
+                run.iter()
+                    .filter_map(|(_, vid)| list.vids.binary_search(vid).ok()),
+            );
+            let gone = list.remove_at(&at);
+            inner.tokens = inner.tokens.saturating_sub(gone as u64);
+            // The term's last posting went: free its id.
+            if list.vids.is_empty() {
+                if let Some(term) = inner.terms[id as usize].take() {
+                    inner.ids.remove(&term);
+                }
+                inner.free.push(id);
             }
         }
     }
@@ -192,9 +342,8 @@ impl FullTextIndex {
         };
         let inner = self.inner.read();
         inner
-            .postings
-            .get(term)
-            .map(|ps| ps.iter().map(|p| p.vid).collect())
+            .list(term)
+            .map(|list| list.vids.clone())
             .unwrap_or_default()
     }
 
@@ -208,9 +357,9 @@ impl FullTextIndex {
             _ => {}
         }
         let inner = self.inner.read();
-        let mut lists: Vec<&Vec<Posting>> = Vec::with_capacity(query_terms.len());
+        let mut lists: Vec<&PostingList> = Vec::with_capacity(query_terms.len());
         for term in &query_terms {
-            match inner.postings.get(term) {
+            match inner.list(term) {
                 Some(list) => lists.push(list),
                 None => return Vec::new(),
             }
@@ -224,14 +373,14 @@ impl FullTextIndex {
             .unwrap_or(0);
 
         let mut out = Vec::new();
-        'candidates: for posting in lists[driver] {
-            let vid = posting.vid;
+        let mut doc_positions: Vec<&[u32]> = Vec::with_capacity(lists.len());
+        'candidates: for &vid in &lists[driver].vids {
             // Gather positions of every term in this document.
-            let mut doc_positions: Vec<&[u32]> = Vec::with_capacity(lists.len());
+            doc_positions.clear();
             for list in &lists {
-                match list.binary_search_by_key(&vid, |p| p.vid) {
-                    Ok(i) => doc_positions.push(&list[i].positions),
-                    Err(_) => continue 'candidates,
+                match list.positions_of(vid) {
+                    Some(positions) => doc_positions.push(positions),
+                    None => continue 'candidates,
                 }
             }
             // Check adjacency: positions of term i must contain p0 + i.
@@ -275,71 +424,81 @@ impl FullTextIndex {
         out
     }
 
-    /// Exports the posting lists for persistence:
-    /// `(term, [(vid, positions)])`, terms sorted, so the bytes written
-    /// never depend on hash order.
-    pub fn export_postings(&self) -> ExportedPostings {
+    /// Calls `f` with every posting list, terms in order, under the read
+    /// lock: what [`persist`](crate::persist) encodes.
+    pub(crate) fn with_sorted_lists<R>(&self, f: impl FnOnce(&[(&str, &PostingList)]) -> R) -> R {
         let inner = self.inner.read();
-        let mut out: ExportedPostings = inner
-            .postings
+        let mut lists: Vec<(&str, &PostingList)> = inner
+            .ids
             .iter()
-            .map(|(term, postings)| {
-                (
-                    term.clone(),
-                    postings
-                        .iter()
-                        .map(|p| (p.vid.as_u64(), p.positions.to_vec()))
-                        .collect(),
-                )
-            })
+            .map(|(term, &id)| (&**term, &inner.lists[id as usize]))
             .collect();
-        out.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-        out
+        lists.sort_unstable_by_key(|&(term, _)| term);
+        f(&lists)
     }
 
-    /// Rebuilds the index from exported postings (plus the document and
-    /// token counters, which cannot be derived from postings alone).
-    /// Each document's term list is derived here, in two hash passes
-    /// over the postings: one sizes the lists, one fills them. Each
-    /// posting list is expected vid-ascending without repeats, as
-    /// [`FullTextIndex::export_postings`] writes it.
-    pub fn import_postings(&self, postings: ExportedPostings, documents: usize, tokens: u64) {
-        let mut sizes: VidMap<usize> = VidMap::default();
-        for (term, list) in &postings {
-            for &(vid, _) in list {
-                *sizes.entry(Vid::from_raw(vid)).or_default() += term.len() + 1;
-            }
-        }
-        let mut terms: VidMap<String> = sizes
-            .into_iter()
-            .map(|(vid, size)| (vid, String::with_capacity(size)))
-            .collect();
-        let postings = postings
-            .into_iter()
-            .map(|(term, list)| {
-                let list = list
-                    .into_iter()
-                    .map(|(vid, positions)| {
-                        let vid = Vid::from_raw(vid);
-                        if let Some(held) = terms.get_mut(&vid) {
-                            held.push_str(&term);
-                            held.push(TERM_END);
-                        }
-                        Posting {
-                            vid,
-                            positions: positions.into_boxed_slice(),
-                        }
-                    })
-                    .collect();
-                (term, list)
-            })
-            .collect();
-        *self.inner.write() = Inner {
-            postings,
-            terms,
+    /// Exports the posting lists: `(term, [(vid, positions)])`, terms
+    /// sorted, so the result never depends on hash order.
+    pub fn export_postings(&self) -> ExportedPostings {
+        self.with_sorted_lists(|lists| {
+            lists
+                .iter()
+                .map(|(term, list)| {
+                    let postings = list
+                        .iter()
+                        .map(|(vid, positions)| (vid.as_u64(), positions.to_vec()))
+                        .collect();
+                    (term.to_string(), postings)
+                })
+                .collect()
+        })
+    }
+
+    /// Rebuilds the index from decoded posting lists (plus the document
+    /// and token counters, which cannot be derived from postings alone).
+    /// Each list is expected vid-ascending without repeats, as
+    /// [`FullTextIndex::export_postings`] writes it. Each document's
+    /// term ids are derived here, in two hash passes over the postings:
+    /// one sizes them, one fills them.
+    pub(crate) fn import_lists(
+        &self,
+        lists: Vec<(String, PostingList)>,
+        documents: usize,
+        tokens: u64,
+    ) {
+        let mut inner = Inner {
             documents,
             tokens,
+            ..Inner::default()
         };
+        for (term, list) in lists {
+            // A repeated term replaces the earlier list.
+            match inner.ids.entry(term.into()) {
+                Entry::Occupied(entry) => inner.lists[*entry.get() as usize] = list,
+                Entry::Vacant(entry) => {
+                    inner.terms.push(Some(Arc::clone(entry.key())));
+                    entry.insert(u32::try_from(inner.lists.len()).expect("fewer than 2^32 terms"));
+                    inner.lists.push(list);
+                }
+            }
+        }
+        let mut sizes: VidMap<usize> = VidMap::default();
+        for &vid in inner.lists.iter().flat_map(|list| &list.vids) {
+            *sizes.entry(vid).or_default() += 1;
+        }
+        let mut held: VidMap<Vec<u32>> = sizes
+            .into_iter()
+            .map(|(vid, size)| (vid, Vec::with_capacity(size)))
+            .collect();
+        for (id, list) in (0u32..).zip(&inner.lists) {
+            for vid in &list.vids {
+                if let Some(ids) = held.get_mut(vid) {
+                    ids.push(id);
+                }
+            }
+        }
+        inner.held = held.into_iter().map(|(v, ids)| (v, ids.into())).collect();
+        *self.inner.write() = inner;
     }
 
     /// Total indexed tokens (persistence counter).
@@ -349,26 +508,26 @@ impl FullTextIndex {
 
     /// Number of distinct terms.
     pub fn term_count(&self) -> usize {
-        self.inner.read().postings.len()
+        self.inner.read().ids.len()
     }
 
-    /// How often `term` occurs in document `vid` (0 if absent).
+    /// How often `term` occurs in document `vid` (0 if absent). The
+    /// term is normalized first, as a query's would be.
     pub fn term_frequency(&self, vid: Vid, term: &str) -> usize {
-        let normalized = terms(term);
-        let Some(term) = normalized.first() else {
-            return 0;
-        };
+        terms(term)
+            .first()
+            .map_or(0, |term| self.normalized_frequency(vid, term))
+    }
+
+    /// How often the already-normalized `term` occurs in document
+    /// `vid`: the audit's read, which must not tokenize an indexed
+    /// term again.
+    pub(crate) fn normalized_frequency(&self, vid: Vid, term: &str) -> usize {
         let inner = self.inner.read();
         inner
-            .postings
-            .get(term)
-            .and_then(|postings| {
-                postings
-                    .binary_search_by_key(&vid, |p| p.vid)
-                    .ok()
-                    .map(|i| postings[i].positions.len())
-            })
-            .unwrap_or(0)
+            .list(term)
+            .and_then(|list| list.positions_of(vid))
+            .map_or(0, <[u32]>::len)
     }
 
     /// Number of documents containing `term` (document frequency).
@@ -377,12 +536,7 @@ impl FullTextIndex {
         let Some(term) = normalized.first() else {
             return 0;
         };
-        self.inner
-            .read()
-            .postings
-            .get(term)
-            .map(Vec::len)
-            .unwrap_or(0)
+        self.inner.read().list(term).map_or(0, PostingList::len)
     }
 
     /// Number of indexed documents.
@@ -399,17 +553,18 @@ impl FullTextIndex {
         }
         let inner = self.inner.read();
         inner
-            .postings
+            .ids
             .iter()
-            .map(|(term, postings)| {
-                let mut bytes = term.len() + varint(postings.len() as u64) + 8;
+            .map(|(term, &id)| {
+                let list = &inner.lists[id as usize];
+                let mut bytes = term.len() + varint(list.len() as u64) + 8;
                 let mut prev_vid = 0u64;
-                for posting in postings {
-                    bytes += varint(posting.vid.as_u64().wrapping_sub(prev_vid));
-                    prev_vid = posting.vid.as_u64();
-                    bytes += varint(posting.positions.len() as u64);
+                for (vid, positions) in list.iter() {
+                    bytes += varint(vid.as_u64().wrapping_sub(prev_vid));
+                    prev_vid = vid.as_u64();
+                    bytes += varint(positions.len() as u64);
                     let mut prev_pos = 0u32;
-                    for &pos in &posting.positions {
+                    for &pos in positions {
                         bytes += varint(u64::from(pos.wrapping_sub(prev_pos)));
                         prev_pos = pos;
                     }
@@ -519,6 +674,40 @@ mod tests {
         index_text(&index, vid(3), "alpha");
         index_text(&index, vid(5), "alpha");
         assert_eq!(index.term_query("alpha"), vec![vid(3), vid(5), vid(9)]);
+    }
+
+    /// Documents of fresh terms come and go for 1 000 rounds: every term
+    /// leaves the dictionary with its last posting, and its id is reused,
+    /// so the id tables never outgrow the peak number of live terms.
+    #[test]
+    fn churned_terms_free_their_ids() {
+        let index = sample();
+        let baseline = index.term_count();
+        let mut peak = baseline;
+        for round in 0..1_000u64 {
+            let vids: Vec<Vid> = (0..1 + round % 3).map(|i| vid(100 + i)).collect();
+            for (i, &v) in vids.iter().enumerate() {
+                index_text(
+                    &index,
+                    v,
+                    &format!("fresh{round}x{i} shared{round} database"),
+                );
+            }
+            peak = peak.max(index.term_count());
+            index.remove_all(&vids);
+            assert_eq!(index.term_count(), baseline, "round {round}");
+        }
+        let inner = index.inner.read();
+        assert!(
+            inner.lists.len() <= peak,
+            "{} ids for a peak of {peak}",
+            inner.lists.len()
+        );
+        assert_eq!(inner.terms.len(), inner.lists.len());
+        assert_eq!(inner.held.len(), 3);
+        drop(inner);
+        assert_eq!(index.term_query("database"), vec![vid(1), vid(2)]);
+        assert_eq!(index.token_count(), 5 + 3 + 5);
     }
 
     #[test]

@@ -21,9 +21,11 @@ use std::path::Path;
 use idm_core::durability::artifact;
 use idm_core::durability::codec::{get_tuple, put_tuple, Decoder, Encoder};
 use idm_core::durability::Artifact;
+use idm_core::prelude::Vid;
 
 use crate::bundle::IndexBundle;
 use crate::catalog::CatalogEntry;
+use crate::fulltext::PostingList;
 
 const MAGIC: &[u8; 8] = b"IDMIDX02";
 
@@ -90,25 +92,26 @@ fn put_sections(enc: &mut Encoder, bundle: &IndexBundle) {
     }
 
     // Section 4: content index.
-    let postings = bundle.content.export_postings();
     enc.put_u64(bundle.content.document_count() as u64);
     enc.put_u64(bundle.content.token_count());
-    enc.put_u64(postings.len() as u64);
-    for (term, list) in postings {
-        enc.put_str(&term);
-        enc.put_u64(list.len() as u64);
-        let mut prev_vid = 0u64;
-        for (vid, positions) in list {
-            enc.put_u64(vid.wrapping_sub(prev_vid));
-            prev_vid = vid;
-            enc.put_u64(positions.len() as u64);
-            let mut prev_pos = 0u32;
-            for pos in positions {
-                enc.put_u64(u64::from(pos.wrapping_sub(prev_pos)));
-                prev_pos = pos;
+    bundle.content.with_sorted_lists(|lists| {
+        enc.put_u64(lists.len() as u64);
+        for (term, list) in lists {
+            enc.put_str(term);
+            enc.put_u64(list.len() as u64);
+            let mut prev_vid = 0u64;
+            for (vid, positions) in list.iter() {
+                enc.put_u64(vid.as_u64().wrapping_sub(prev_vid));
+                prev_vid = vid.as_u64();
+                enc.put_u64(positions.len() as u64);
+                let mut prev_pos = 0u32;
+                for &pos in positions {
+                    enc.put_u64(u64::from(pos.wrapping_sub(prev_pos)));
+                    prev_pos = pos;
+                }
             }
         }
-    }
+    });
 
     // Section 5: group replica (forward side only).
     let edges = bundle.group.export_edges();
@@ -175,35 +178,41 @@ fn get_sections(dec: &mut Decoder) -> io::Result<IndexBundle> {
     }
     bundle.tuple.import_replica(tuples);
 
-    // Section 4: content index.
+    // Section 4: content index, decoded straight into its columns.
     let documents = dec.get_u64()? as usize;
     let tokens = dec.get_u64()?;
     let term_count = dec.get_u64()? as usize;
-    let mut postings = Vec::with_capacity(term_count.min(1 << 20));
+    let mut lists = Vec::with_capacity(term_count.min(1 << 20));
+    let mut positions = Vec::new();
     for _ in 0..term_count {
         let term = dec.get_str()?;
         let doc_count = dec.get_u64()? as usize;
-        let mut list: Vec<(u64, Vec<u32>)> = Vec::with_capacity(doc_count.min(1 << 20));
+        let mut list = PostingList::default();
         let mut prev_vid = 0u64;
         for _ in 0..doc_count {
             prev_vid = prev_vid.wrapping_add(dec.get_u64()?);
             // Vid-ascending without repeats, as written: what bounds
             // each document's term list by the bytes read.
-            if list.last().is_some_and(|&(last, _)| last >= prev_vid) {
+            if list
+                .last_vid()
+                .is_some_and(|last| last.as_u64() >= prev_vid)
+            {
                 return Err(Decoder::err("posting list not vid-ascending"));
             }
             let pos_count = dec.get_u64()? as usize;
-            let mut positions = Vec::with_capacity(pos_count.min(1 << 20));
+            positions.clear();
             let mut prev_pos = 0u32;
             for _ in 0..pos_count {
                 prev_pos = prev_pos.wrapping_add(dec.get_u64()? as u32);
                 positions.push(prev_pos);
             }
-            list.push((prev_vid, positions));
+            if !list.push(Vid::from_raw(prev_vid), &positions) {
+                return Err(Decoder::err("posting list too long"));
+            }
         }
-        postings.push((term, list));
+        lists.push((term, list));
     }
-    bundle.content.import_postings(postings, documents, tokens);
+    bundle.content.import_lists(lists, documents, tokens);
 
     // Section 5: group replica.
     let parent_count = dec.get_u64()? as usize;

@@ -1,5 +1,10 @@
 //! The analyzer feeding the full-text indexes: lowercased alphanumeric
 //! tokens with positions (positions make phrase queries possible).
+//!
+//! There is one token walk, [`walk`]. The content index's
+//! [`pretokenize`](crate::fulltext::pretokenize), [`tokenize`] and the
+//! query side's [`terms`] all read its output, so an indexed term and a
+//! queried one cannot disagree on what a token is.
 
 /// A token: the normalized term and its position in the token stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -10,37 +15,50 @@ pub struct Token {
     pub position: u32,
 }
 
-/// Tokenizes text: maximal runs of alphanumeric characters, lowercased.
-/// Everything else separates tokens.
-pub fn tokenize(text: &str) -> Vec<Token> {
-    let mut tokens = Vec::new();
-    let mut current = String::new();
-    let mut position = 0u32;
+/// The token walk: maximal runs of alphanumeric characters, each char
+/// lowercased by `char::to_lowercase`; everything else separates
+/// tokens. Appends each token's lowercased text to `buf` and calls
+/// `emit` with it and where it starts in `buf`; the n-th call is the
+/// token at position n. A lowercased char is not re-checked (`'İ'`
+/// becomes `"i\u{307}"`, and U+0307 is not alphanumeric), so
+/// tokenizing a term again need not return it.
+pub(crate) fn walk(text: &str, buf: &mut String, mut emit: impl FnMut(&str, usize)) {
+    let mut start = buf.len();
     for c in text.chars() {
-        if c.is_alphanumeric() {
-            for lower in c.to_lowercase() {
-                current.push(lower);
-            }
-        } else if !current.is_empty() {
-            tokens.push(Token {
-                term: std::mem::take(&mut current),
-                position,
-            });
-            position += 1;
+        if c.is_ascii_alphanumeric() {
+            buf.push(c.to_ascii_lowercase());
+        } else if !c.is_ascii() && c.is_alphanumeric() {
+            buf.extend(c.to_lowercase());
+        } else if buf.len() > start {
+            emit(&buf[start..], start);
+            start = buf.len();
         }
     }
-    if !current.is_empty() {
+    if buf.len() > start {
+        emit(&buf[start..], start);
+    }
+}
+
+/// Tokenizes text into its tokens, in order.
+pub fn tokenize(text: &str) -> Vec<Token> {
+    let mut tokens = Vec::new();
+    walk(text, &mut String::new(), |term, _| {
+        let position = u32::try_from(tokens.len()).expect("fewer than 2^32 tokens");
         tokens.push(Token {
-            term: current,
+            term: term.to_owned(),
             position,
         });
-    }
+    });
     tokens
 }
 
 /// Tokenizes a query phrase into its terms (no positions needed).
 pub fn terms(text: &str) -> Vec<String> {
-    tokenize(text).into_iter().map(|t| t.term).collect()
+    let mut terms = Vec::new();
+    walk(text, &mut String::new(), |term, _| {
+        terms.push(term.to_owned())
+    });
+    terms
 }
 
 #[cfg(test)]
@@ -74,6 +92,8 @@ mod tests {
     #[test]
     fn unicode_lowercasing() {
         assert_eq!(terms("Zürich ETH"), vec!["zürich", "eth"]);
+        assert_eq!(terms("İstanbul"), vec!["i\u{307}stanbul"]);
+        assert_eq!(terms("i\u{307}stanbul"), vec!["i", "stanbul"]);
     }
 
     #[test]

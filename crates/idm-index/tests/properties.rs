@@ -78,6 +78,180 @@ proptest! {
     }
 }
 
+// ---- One token definition -----------------------------------------------
+
+/// The reference tokenizer: char by char, maximal runs of alphanumeric
+/// chars, each lowercased by `char::to_lowercase` and not re-checked.
+fn naive_tokenize(text: &str) -> Vec<(String, u32)> {
+    let mut tokens = Vec::new();
+    let mut current = String::new();
+    let mut position = 0u32;
+    for c in text.chars() {
+        if c.is_alphanumeric() {
+            for lower in c.to_lowercase() {
+                current.push(lower);
+            }
+        } else if !current.is_empty() {
+            tokens.push((std::mem::take(&mut current), position));
+            position += 1;
+        }
+    }
+    if !current.is_empty() {
+        tokens.push((current, position));
+    }
+    tokens
+}
+
+/// ASCII letters, digits and punctuation, `'\0'`, chars whose lowercase
+/// is longer or context-dependent (`'İ'`, `'ẞ'`, `'Σ'`), a non-ASCII
+/// digit, a combining mark and the replacement char.
+const TOKEN_CHARS: &[char] = &[
+    'a', 'Z', 'q', '0', '7', ' ', '.', '-', '\'', '\0', 'İ', 'ẞ', 'Σ', '٣', '\u{301}', '\u{FFFD}',
+];
+
+/// Those chars, then words long enough to share a first eight bytes
+/// and differ after them.
+fn arb_token_text() -> impl Strategy<Value = String> {
+    (
+        proptest::collection::vec(0..TOKEN_CHARS.len(), 0..24),
+        proptest::collection::vec("[a]{8}[bZ]{0,2}", 0..6),
+    )
+        .prop_map(|(picks, words)| {
+            let chars: String = picks.into_iter().map(|i| TOKEN_CHARS[i]).collect();
+            format!("{chars} {}", words.join(" "))
+        })
+}
+
+proptest! {
+    /// `pretokenize`, `tokenize` and `terms` all read one walk, and it
+    /// tokenizes as the char-by-char reference does.
+    #[test]
+    fn every_tokenizer_equals_the_reference(text in arb_token_text()) {
+        let want = naive_tokenize(&text);
+        let got: Vec<(String, u32)> = tokenize(&text).into_iter().map(|t| (t.term, t.position)).collect();
+        prop_assert_eq!(&got, &want);
+        let want_terms: Vec<String> = want.iter().map(|(term, _)| term.clone()).collect();
+        prop_assert_eq!(idm_index::tokenizer::terms(&text), want_terms);
+
+        let mut per_term: std::collections::BTreeMap<String, Vec<u32>> = Default::default();
+        for (term, position) in want {
+            per_term.entry(term).or_default().push(position);
+        }
+        let got: Vec<(String, Vec<u32>)> = pretokenize(&text)
+            .iter()
+            .flat_map(|doc| doc.per_term())
+            .map(|(term, positions)| (term.to_owned(), positions.to_vec()))
+            .collect();
+        prop_assert_eq!(got, per_term.into_iter().collect::<Vec<_>>());
+    }
+}
+
+// ---- Content index scripts vs a rebuild of the survivors ------------------
+
+/// Everything the content index answers about the vids `0..12` and the
+/// words of `vocabulary`: its postings, counters, per-document term
+/// frequencies and phrase results.
+fn content_observable(
+    index: &FullTextIndex,
+    vocabulary: &[String],
+    phrases: &[String],
+) -> impl PartialEq + std::fmt::Debug {
+    let frequencies: Vec<usize> = (0..12)
+        .flat_map(|v| {
+            vocabulary
+                .iter()
+                .map(move |w| index.term_frequency(Vid::from_raw(v), w))
+        })
+        .collect();
+    let answers: Vec<Vec<Vid>> = phrases.iter().map(|p| index.phrase_query(p)).collect();
+    (
+        index.export_postings(),
+        index.document_count(),
+        index.token_count(),
+        index.term_count(),
+        frequencies,
+        answers,
+    )
+}
+
+proptest! {
+    /// After every op of a script — indexing a vid below ones already
+    /// indexed, indexing a vid again without removing it (its positions
+    /// are appended), removing sets of documents that share terms (with
+    /// duplicates and unknown vids) and a save → load — the postings are
+    /// the reference tokenizer's, and the content index answers as
+    /// indexing the survivors afresh, in vid order, does.
+    #[test]
+    fn any_content_script_equals_a_rebuild_of_the_survivors(
+        script in proptest::collection::vec(
+            (0u8..5, 0u64..12, "[a-d ]{0,16}", proptest::collection::vec(0u64..14, 0..5)),
+            1..25,
+        ),
+        phrases in proptest::collection::vec("[a-d]{1,2} [a-d]{1,2}", 1..4),
+    ) {
+        let vocabulary: Vec<String> = ["a", "b", "c", "d", "ab", "ba", "cd", "dd"]
+            .iter()
+            .map(|w| w.to_string())
+            .collect();
+        let mut bundle = idm_index::IndexBundle::new();
+        // Vid → the texts indexed under it since its last removal.
+        let mut model: std::collections::BTreeMap<u64, Vec<String>> = Default::default();
+        for (op, pick, text, set) in script {
+            match op {
+                // Index: vids arrive in any order.
+                0 | 1 => {
+                    if let std::collections::btree_map::Entry::Vacant(entry) = model.entry(pick) {
+                        index_text(&bundle.content, Vid::from_raw(pick), &text);
+                        entry.insert(vec![text]);
+                    }
+                }
+                // Index again without a removal.
+                2 => {
+                    if let Some(texts) = model.get_mut(&pick) {
+                        index_text(&bundle.content, Vid::from_raw(pick), &text);
+                        texts.push(text);
+                    }
+                }
+                // Remove a set.
+                3 => {
+                    let victims: Vec<Vid> = set.iter().map(|&v| Vid::from_raw(v)).collect();
+                    bundle.content.remove_all(&victims);
+                    for v in &set {
+                        model.remove(v);
+                    }
+                }
+                _ => {
+                    let bytes = idm_index::persist::to_bytes_with_epoch(&bundle, 0);
+                    bundle = idm_index::persist::from_bytes_with_epoch(&bytes).unwrap().0;
+                }
+            }
+            // The postings, read off the reference tokenizer: a text
+            // indexed again appends its positions.
+            let mut want: std::collections::BTreeMap<String, Vec<(u64, Vec<u32>)>> = Default::default();
+            for (&v, texts) in &model {
+                let mut per_term: std::collections::BTreeMap<String, Vec<u32>> = Default::default();
+                for (term, position) in texts.iter().flat_map(|text| naive_tokenize(text)) {
+                    per_term.entry(term).or_default().push(position);
+                }
+                for (term, positions) in per_term {
+                    want.entry(term).or_default().push((v, positions));
+                }
+            }
+            prop_assert_eq!(bundle.content.export_postings(), want.into_iter().collect::<Vec<_>>());
+            let rebuilt = FullTextIndex::new();
+            for (&v, texts) in &model {
+                for text in texts {
+                    index_text(&rebuilt, Vid::from_raw(v), text);
+                }
+            }
+            prop_assert_eq!(
+                content_observable(&bundle.content, &vocabulary, &phrases),
+                content_observable(&rebuilt, &vocabulary, &phrases)
+            );
+        }
+    }
+}
+
 // ---- Name pattern matching vs naive glob -------------------------------
 
 /// Naive recursive glob used as the reference semantics.
