@@ -1,15 +1,11 @@
-//! Manual timing aid for the two ablations: times the Table 4 mix per
-//! expansion strategy and executor thread count. (That the rows are the
-//! same at every thread count is a test, `tests/determinism.rs`.) Q8's
-//! email-side step is fed the other side's names and always plans
-//! `Bidirectional`, so for Q8 the strategy varies only the
-//! `//papers//*.tex` side; `plan_without_key_passing` is the plan in which
-//! every step follows the strategy.
+//! Manual timing aid for the thread-scaling ablation: times the Table 4
+//! mix per executor thread count. (That the rows are the same at every
+//! thread count is a test, `tests/determinism.rs`.)
 
 use std::time::Instant;
 
 use idm_bench::{build, cli_options, TABLE4_QUERIES};
-use idm_query::{ExecOptions, ExpansionStrategy};
+use idm_query::ExecOptions;
 
 fn main() {
     let mut options = cli_options();
@@ -23,49 +19,40 @@ fn main() {
         bench.system.indexes().catalog.len()
     );
 
-    for strategy in [
-        ExpansionStrategy::Forward,
-        ExpansionStrategy::Backward,
-        ExpansionStrategy::Bidirectional,
-    ] {
-        let mut base = 0.0f64;
-        for threads in [1usize, 2, 4, 8] {
-            let processor = bench.processor(strategy).with_options(ExecOptions {
-                expansion: strategy,
-                parallelism: threads,
-                ..ExecOptions::default()
-            });
-            // Warm up.
-            for (_, iql) in TABLE4_QUERIES {
-                processor.execute(iql).expect("warmup");
-            }
-            let runs = 5;
-            let start = Instant::now();
-            for _ in 0..runs {
-                for (_, iql) in TABLE4_QUERIES {
-                    std::hint::black_box(processor.execute(iql).expect("run"));
-                }
-            }
-            let secs = start.elapsed().as_secs_f64() / runs as f64;
-            if threads == 1 {
-                base = secs;
-            }
-            eprintln!(
-                "{strategy:?} threads={threads}: {:.1} ms/mix  speedup {:.2}x",
-                secs * 1e3,
-                base / secs
-            );
+    let mut base = 0.0f64;
+    for threads in [1usize, 2, 4, 8] {
+        let processor = bench.processor().with_options(ExecOptions {
+            parallelism: threads,
+            ..ExecOptions::default()
+        });
+        // Warm up.
+        for (_, iql) in TABLE4_QUERIES {
+            processor.execute(iql).expect("warmup");
         }
+        let runs = 5;
+        let start = Instant::now();
+        for _ in 0..runs {
+            for (_, iql) in TABLE4_QUERIES {
+                std::hint::black_box(processor.execute(iql).expect("run"));
+            }
+        }
+        let secs = start.elapsed().as_secs_f64() / runs as f64;
+        if threads == 1 {
+            base = secs;
+        }
+        eprintln!(
+            "threads={threads}: {:.1} ms/mix  speedup {:.2}x",
+            secs * 1e3,
+            base / secs
+        );
     }
 
-    // Per-query timing at 1 vs 4 threads, forward.
+    // Per-query timing at 1 vs 4 threads.
     for threads in [1usize, 4] {
-        let processor = bench
-            .processor(ExpansionStrategy::Forward)
-            .with_options(ExecOptions {
-                parallelism: threads,
-                ..ExecOptions::default()
-            });
+        let processor = bench.processor().with_options(ExecOptions {
+            parallelism: threads,
+            ..ExecOptions::default()
+        });
         for (name, iql) in TABLE4_QUERIES {
             processor.execute(iql).expect("warm");
             let start = Instant::now();

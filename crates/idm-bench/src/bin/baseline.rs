@@ -20,7 +20,6 @@
 
 use idm_bench::{build, cli_options};
 use idm_core::prelude::Vid;
-use idm_query::ExpansionStrategy;
 
 struct Need {
     label: &'static str,
@@ -59,7 +58,7 @@ fn main() {
     let bench = build(options);
     let indexes = bench.system.indexes();
     let store = bench.system.store();
-    let processor = bench.processor(ExpansionStrategy::Forward);
+    let processor = bench.processor();
 
     let is_base_item = |vid: Vid| {
         store.class_name(vid).ok().flatten().is_some_and(|c| {

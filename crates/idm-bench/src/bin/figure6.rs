@@ -1,13 +1,12 @@
 //! Regenerates **Figure 6** — warm-cache query response times for
 //! Q1–Q8, plus the execution-statistics view of why Q8 is the slowest
-//! (forward expansion through many intermediate results). Every query
-//! runs the `Forward` strategy except Q8's email-side step, which is fed
-//! the other side's names and always plans `Bidirectional`.
+//! (expansion through many intermediate results). Every path step walks
+//! from its smaller side: forward from the context, or backward from the
+//! candidates.
 //!
 //! `cargo run --release -p idm-bench --bin figure6 -- --sf 0.2`
 
 use idm_bench::{build, cli_options, TABLE4_QUERIES};
-use idm_query::ExpansionStrategy;
 
 fn main() {
     let mut options = cli_options();
@@ -24,11 +23,8 @@ fn main() {
     );
     let mut times = Vec::new();
     for (i, (name, iql)) in TABLE4_QUERIES.iter().enumerate() {
-        let avg = bench.time_query(iql, ExpansionStrategy::Forward, 9);
-        let result = bench
-            .processor(ExpansionStrategy::Forward)
-            .execute(iql)
-            .expect("query");
+        let avg = bench.time_query(iql, 9);
+        let result = bench.processor().execute(iql).expect("query");
         times.push((i, avg));
         println!(
             "{:<4} {:>12.3} {:>10} {:>16} {:>18}",

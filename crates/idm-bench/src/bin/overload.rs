@@ -15,7 +15,7 @@
 use std::time::{Duration, Instant};
 
 use idm_bench::{build, percentile, BuildOptions, Workbench, TABLE4_QUERIES};
-use idm_query::{ExecOptions, ExpansionStrategy, QueryBudget};
+use idm_query::{ExecOptions, QueryBudget};
 
 struct Args {
     scale: f64,
@@ -68,7 +68,7 @@ fn options_at(scale: f64) -> BuildOptions {
 /// mid-plan. Runs that finish under their deadline are not
 /// cancellations and yield no sample.
 fn cancel_overshoots(bench: &Workbench, parallelism: usize, reps: usize) -> Vec<Duration> {
-    let processor = bench.processor(ExpansionStrategy::Forward);
+    let processor = bench.processor();
     let options = ExecOptions {
         parallelism,
         ..processor.options()

@@ -16,7 +16,6 @@ use std::time::{Duration, Instant};
 
 use idm_bench::{build, percentile, BuildOptions};
 use idm_core::durability::Scrubber;
-use idm_query::ExpansionStrategy;
 use idm_system::Pdsms;
 
 struct Args {
@@ -57,7 +56,7 @@ fn query_latencies(bench: &idm_bench::Workbench, reps: usize) -> Vec<Duration> {
     let mut samples = Vec::with_capacity(reps);
     for i in 0..reps {
         let start = Instant::now();
-        let rows = bench.run_query(i % 8, ExpansionStrategy::Forward);
+        let rows = bench.run_query(i % 8);
         samples.push(start.elapsed());
         std::hint::black_box(rows);
     }

@@ -6,7 +6,6 @@
 //! reproduces paper-scale counts.
 
 use idm_bench::{build, cli_options, PAPER_RESULT_COUNTS, TABLE4_QUERIES};
-use idm_query::ExpansionStrategy;
 
 fn main() {
     let mut options = cli_options();
@@ -25,7 +24,7 @@ fn main() {
     );
     let mut all_match = true;
     for (i, (name, iql)) in TABLE4_QUERIES.iter().enumerate() {
-        let measured = bench.run_query(i, ExpansionStrategy::Forward);
+        let measured = bench.run_query(i);
         let ok = measured == expected[i];
         all_match &= ok;
         let display = if iql.len() > 72 {

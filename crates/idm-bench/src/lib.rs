@@ -10,7 +10,7 @@
 //! | Figure 5 (indexing times) | `figure5` |
 //! | Table 4 (queries + result counts) | `table4` |
 //! | Figure 6 (query response times) | `figure6` |
-//! | Expansion strategies × executor threads (ours) | example `scaling_probe` |
+//! | Executor threads (ours) | example `scaling_probe` |
 //! | Budget overshoot, scrub interference, chaos (ours) | `overload`, `scrub`, `chaos` |
 //!
 //! Run binaries as
@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use idm_dataset::{generate, DatasetConfig, GeneratedDataset};
 use idm_email::LatencyModel;
-use idm_query::{ExpansionStrategy, QueryProcessor};
+use idm_query::QueryProcessor;
 use idm_system::{FsPlugin, ImapPlugin, Pdsms, RssPlugin, SourceIngestStats};
 use idm_vfs::NodeId;
 
@@ -145,18 +145,16 @@ pub fn build(options: BuildOptions) -> Workbench {
 }
 
 impl Workbench {
-    /// A query processor with the given expansion strategy.
-    pub fn processor(&self, strategy: ExpansionStrategy) -> QueryProcessor {
-        let mut processor = self.system.query_processor();
-        processor.set_expansion(strategy);
-        processor
+    /// A query processor of its own over the workbench's dataspace.
+    pub fn processor(&self) -> QueryProcessor {
+        self.system.query_processor()
     }
 
     /// Executes one of the Table 4 queries (0-based index), returning
     /// the result count.
-    pub fn run_query(&self, index: usize, strategy: ExpansionStrategy) -> usize {
+    pub fn run_query(&self, index: usize) -> usize {
         let (_name, iql) = TABLE4_QUERIES[index];
-        self.processor(strategy)
+        self.processor()
             .execute(iql)
             .unwrap_or_else(|e| panic!("query {index} failed: {e}"))
             .rows
@@ -177,8 +175,8 @@ impl Workbench {
     /// Warm-cache timing of a query: runs it `warmup + runs` times,
     /// averaging the last `runs` (the paper reports warm-cache averages
     /// once the deviation is small).
-    pub fn time_query(&self, iql: &str, strategy: ExpansionStrategy, runs: usize) -> Duration {
-        let processor = self.processor(strategy);
+    pub fn time_query(&self, iql: &str, runs: usize) -> Duration {
+        let processor = self.processor();
         for _ in 0..2 {
             let _ = processor.execute(iql).expect("warmup run");
         }
@@ -267,30 +265,12 @@ mod tests {
         });
         let expected = bench.expected_counts();
         for (i, (name, _)) in TABLE4_QUERIES.iter().enumerate() {
-            let measured = bench.run_query(i, ExpansionStrategy::Forward);
+            let measured = bench.run_query(i);
             assert_eq!(
                 measured, expected[i],
                 "{name}: measured {measured} vs planted {}",
                 expected[i]
             );
-        }
-    }
-
-    #[test]
-    fn strategies_agree_on_table4() {
-        let bench = build(BuildOptions {
-            scale: 0.02,
-            imap_latency_scale: 0.0,
-            fs_latency_scale: 0.0,
-            imap_sleep: false,
-            with_rss: false,
-        });
-        for i in 0..TABLE4_QUERIES.len() {
-            let forward = bench.run_query(i, ExpansionStrategy::Forward);
-            let backward = bench.run_query(i, ExpansionStrategy::Backward);
-            let bidi = bench.run_query(i, ExpansionStrategy::Bidirectional);
-            assert_eq!(forward, backward, "Q{} fwd vs bwd", i + 1);
-            assert_eq!(forward, bidi, "Q{} fwd vs bidi", i + 1);
         }
     }
 

@@ -8,7 +8,7 @@
 
 use idm_bench::{build, BuildOptions, Workbench, TABLE4_QUERIES};
 use idm_core::error::BudgetKind;
-use idm_query::{ExecOptions, ExpansionStrategy, QueryBudget, QueryProcessor};
+use idm_query::{ExecOptions, QueryBudget, QueryProcessor};
 
 fn bench_options() -> BuildOptions {
     BuildOptions {
@@ -21,7 +21,7 @@ fn bench_options() -> BuildOptions {
 }
 
 fn processor(bench: &Workbench, parallelism: usize, budget: QueryBudget) -> QueryProcessor {
-    let processor = bench.processor(ExpansionStrategy::Forward);
+    let processor = bench.processor();
     let options = ExecOptions {
         parallelism,
         budget,
@@ -54,10 +54,7 @@ fn a_tripped_budget_stops_within_one_batch_per_worker() {
             processor(&bench, parallelism as usize, budget).execute(iql)
         };
         for (qname, iql) in TABLE4_QUERIES {
-            let plan = bench
-                .processor(ExpansionStrategy::Forward)
-                .plan_iql(iql)
-                .unwrap();
+            let plan = bench.processor().plan_iql(iql).unwrap();
             let plan_nodes = plan.operator_counts().total() as u64;
             let probe = run(QueryBudget::probe(), iql).unwrap().stats.consumed;
             assert!(probe.checkpoints > 0, "{qname}");

@@ -4,7 +4,7 @@
 //! execution because both walk the same plan object.
 
 use idm_bench::{build, BuildOptions, TABLE4_QUERIES};
-use idm_query::{BuildSide, ExecOptions, ExpansionStrategy, OperatorCounts, Plan, PlanOp};
+use idm_query::{BuildSide, ExecOptions, OperatorCounts, Plan, PlanOp};
 
 fn bench_options() -> BuildOptions {
     BuildOptions {
@@ -47,13 +47,11 @@ fn counts_from_text(rendered: &str) -> OperatorCounts {
 #[test]
 fn q1_to_q8_plans_agree_with_execution_at_any_parallelism() {
     let bench = build(bench_options());
-    let sequential = bench.processor(ExpansionStrategy::Forward);
-    let parallel = bench
-        .processor(ExpansionStrategy::Forward)
-        .with_options(ExecOptions {
-            parallelism: 4,
-            ..ExecOptions::default()
-        });
+    let sequential = bench.processor();
+    let parallel = bench.processor().with_options(ExecOptions {
+        parallelism: 4,
+        ..ExecOptions::default()
+    });
 
     for (qname, iql) in TABLE4_QUERIES {
         let plan = sequential.plan_iql(iql).expect(qname);
@@ -85,7 +83,7 @@ fn q1_to_q8_plans_agree_with_execution_at_any_parallelism() {
 #[test]
 fn q1_to_q8_explain_snapshots() {
     let bench = build(bench_options());
-    let processor = bench.processor(ExpansionStrategy::Forward);
+    let processor = bench.processor();
     let explain = |iql: &str| processor.explain(iql).expect("plan renders");
 
     let expectations: [(&str, &[&str]); 8] = [
@@ -105,8 +103,8 @@ fn q1_to_q8_explain_snapshots() {
         (
             "Q4",
             &[
-                "Relate indirectly-related (//), Forward expansion",
-                "Relate directly-related (/), Forward expansion",
+                "Relate indirectly-related (//)",
+                "Relate directly-related (/)",
                 "IndexAccess NameIndex exact 'papers'",
                 "IndexAccess NameIndex wildcard '*Vision'",
                 r#"IndexAccess ContentIndex phrase "Franklin""#,
@@ -165,7 +163,7 @@ fn q1_to_q8_explain_snapshots() {
 #[test]
 fn rewrites_follow_cost_estimates() {
     let bench = build(bench_options());
-    let processor = bench.processor(ExpansionStrategy::Forward);
+    let processor = bench.processor();
 
     fn walk(node: &idm_query::PlanNode, seen: &mut usize) {
         match &node.op {

@@ -5,8 +5,7 @@
 //! resource views retrieved from remote data sources. As a consequence
 //! queries referring to the group component can be executed exploiting
 //! the replicas only" — this is that replica. The query processor's
-//! forward/backward/bidirectional expansion strategies run entirely on
-//! this structure.
+//! forward and backward walks run entirely on this structure.
 //!
 //! A walk reads it through [`GroupReplica::read`]: one [`GroupRead`]
 //! guard lends each adjacency list as a slice, so a node costs one

@@ -222,8 +222,7 @@ fn injected_error(op: &str) -> IdmError {
 ///
 /// Keying on the plan rather than the query string means two spellings
 /// that plan identically (whitespace, conjunct order the optimizer
-/// normalizes away) share one entry, and a strategy change — which
-/// produces a different plan — correctly misses.
+/// normalizes away) share one entry.
 ///
 /// Each entry is stamped with the store's
 /// [`change_count`](ViewStore::change_count) read *before* the execution

@@ -1,15 +1,14 @@
 //! iQL physical execution: a walker over the plan IR of [`crate::plan`]
-//! plus the graph expansion strategies.
+//! plus the two group-edge walks behind a path step.
 //!
 //! The paper's processor "fetches the data via index accesses, \[then\]
 //! obtains indirectly related resource views by **forward expansion**"
 //! (Section 7.2) and names backward/bidirectional expansion \[30\] as the
 //! planned remedy for queries like Q8 where forward expansion processes
-//! many intermediate results. All three strategies are implemented here
-//! and selectable per query; `crates/idm-bench/examples/scaling_probe.rs`
-//! times them against each other. The planner takes that remedy itself
-//! for a join side fed its names sideways: its step is `Bidirectional`
-//! whatever the processor's strategy.
+//! many intermediate results. Every `//` and `/` step here takes that
+//! remedy: it walks forward from the context when the context is no
+//! larger than the candidates, and backward from the candidates
+//! otherwise. Both walks are tested against [`idm_core::graph`].
 //!
 //! Every expansion reads the group replica under one [`GroupRead`]
 //! guard per chunk of a walk, following the read discipline of
@@ -92,24 +91,9 @@ impl JoinTable {
     }
 }
 
-/// How `//` (and `/`) steps relate candidates to the current context.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExpansionStrategy {
-    /// Expand group edges forward from the context (the paper's
-    /// implemented strategy).
-    #[default]
-    Forward,
-    /// Walk reverse group edges from the candidates towards the context.
-    Backward,
-    /// Choose per step based on frontier sizes (the \[30\]-style hybrid).
-    Bidirectional,
-}
-
 /// Execution options.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
-    /// Expansion strategy for path steps.
-    pub expansion: ExpansionStrategy,
     /// The clock used by `yesterday()`/`today()`/`now()`.
     pub now: Timestamp,
     /// Worker threads for full scans, frontier expansion and join
@@ -128,7 +112,6 @@ pub struct ExecOptions {
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
-            expansion: ExpansionStrategy::Forward,
             // A fixed default clock keeps tests and benchmarks
             // deterministic; systems pass the wall clock.
             now: Timestamp::from_ymd(2006, 9, 12).expect("valid date"),
@@ -142,10 +125,13 @@ impl Default for ExecOptions {
 /// blow-up; these counters expose it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Graph nodes touched during expansions.
+    /// Group edges scanned by path steps: each child listed by a
+    /// forward walk from the context, each in-edge scanned by a
+    /// backward walk from the candidates.
     pub nodes_expanded: usize,
-    /// Candidate views produced by index accesses before ancestry
-    /// filtering.
+    /// Rows output by the index accesses, scans, intersections, unions
+    /// and complements, summed over those operators (a row two of them
+    /// output counts twice). Path steps and joins add nothing.
     pub candidates_examined: usize,
     /// Physical operators executed, by kind. Always equal to the plan's
     /// [`Plan::operator_counts`] — the plan/exec agreement invariant.
@@ -265,11 +251,6 @@ impl QueryProcessor {
     /// The current options.
     pub fn options(&self) -> ExecOptions {
         self.options
-    }
-
-    /// Sets the expansion strategy.
-    pub fn set_expansion(&mut self, strategy: ExpansionStrategy) {
-        self.options.expansion = strategy;
     }
 
     /// Sets the resource budget applied to every subsequent query.
@@ -524,14 +505,13 @@ impl QueryProcessor {
                 context,
                 candidates,
                 axis,
-                strategy,
             } => {
                 stats.ops.relates += 1;
                 let ctx = self.eval_node(context, stats, tracker, None)?.into_views();
                 let cand = self
                     .eval_node(candidates, stats, tracker, keys)?
                     .into_views();
-                ResultRows::Views(self.relate(&ctx, cand, *axis, *strategy, stats, tracker)?)
+                ResultRows::Views(self.relate(&ctx, cand, *axis, stats, tracker)?)
             }
             PlanOp::HashJoin {
                 left,
@@ -629,16 +609,15 @@ impl QueryProcessor {
     // ---- paths --------------------------------------------------------
 
     /// Filters `candidates` down to those related to some context view
-    /// along `axis`. The strategy comes from the plan node; the
-    /// `Bidirectional` hybrid is resolved here, at run time, from the
-    /// actual frontier sizes (the plan records the *policy*, the
-    /// executor the cheap side).
+    /// along `axis`, walking from the smaller side: forward from the
+    /// context when it is no larger than the candidates, backward from
+    /// the candidates otherwise. Both walks keep the same rows; only
+    /// the edges they scan differ.
     fn relate(
         &self,
         context: &[Vid],
         candidates: Vec<Vid>,
         axis: Axis,
-        strategy: ExpansionStrategy,
         stats: &mut ExecStats,
         tracker: &BudgetTracker,
     ) -> Result<Vec<Vid>> {
@@ -647,77 +626,90 @@ impl QueryProcessor {
             // lands here from later plan nodes at O(1) cost.
             return Ok(Vec::new());
         }
-        let strategy = match strategy {
-            ExpansionStrategy::Bidirectional => {
-                if context.len() <= candidates.len() {
-                    ExpansionStrategy::Forward
-                } else {
-                    ExpansionStrategy::Backward
-                }
-            }
-            other => other,
-        };
-        let threads = self.threads();
-        match (strategy, axis) {
-            (ExpansionStrategy::Forward, Axis::Child) => {
-                // Truncation soundness: stopping mid-context leaves
-                // `reachable` a subset, and filtering candidates against
-                // a subset keeps a subset.
+        if context.len() <= candidates.len() {
+            self.relate_forward(context, candidates, axis, stats, tracker)
+        } else {
+            self.relate_backward(context, candidates, axis, stats, tracker)
+        }
+    }
+
+    /// [`QueryProcessor::relate`] by expanding group edges forward from
+    /// the context. Truncation soundness: stopping mid-context leaves
+    /// the reachable set a subset, and filtering candidates against a
+    /// subset keeps a subset.
+    fn relate_forward(
+        &self,
+        context: &[Vid],
+        candidates: Vec<Vid>,
+        axis: Axis,
+        stats: &mut ExecStats,
+        tracker: &BudgetTracker,
+    ) -> Result<Vec<Vid>> {
+        let reachable = match axis {
+            Axis::Child => {
                 let mut reachable = VidSet::default();
                 for children in self.expand(context, "relate", tracker)? {
                     stats.nodes_expanded += children.len();
                     reachable.extend(children);
                 }
-                Ok(par::filter(candidates, threads, |v| reachable.contains(v)))
+                reachable
             }
-            (ExpansionStrategy::Forward, Axis::Descendant) => {
-                let reachable = self.multi_source_descendants(context, stats, tracker)?;
-                Ok(par::filter(candidates, threads, |v| reachable.contains(v)))
-            }
-            (ExpansionStrategy::Backward, _) => {
-                // Every operator's output is sorted, so a parent is
-                // checked by binary search in the context as it lies:
-                // hashing the whole context would cost more than the
-                // checks when the candidates are few.
-                debug_assert!(context.is_sorted(), "operator output is sorted");
-                // For the descendant axis each chunk keeps its own
-                // positive cache of nodes known to reach the context:
-                // the kept rows never depend on it, only
-                // `nodes_expanded` can (a candidate whose ancestor is a
-                // kept candidate of *another* chunk walks further).
-                // Chunking is deterministic, so repeated runs at the
-                // same parallelism agree exactly.
-                let chunks = par::try_map_chunks(&candidates, threads, |_, chunk| {
-                    let group = self.indexes.group.read();
-                    let mut search = ReverseSearch::default();
-                    let mut expanded = 0;
-                    let mut kept: Vec<Vid> = Vec::new();
-                    for &v in chunk {
-                        if tracker.checkpoint("relate")? == Tick::Truncate {
-                            break;
-                        }
-                        let related = match axis {
-                            Axis::Child => {
-                                let parents = group.parents(v);
-                                expanded += parents.len();
-                                tracker.charge_nodes(parents.len(), "relate")?;
-                                parents.iter().any(|p| context.binary_search(p).is_ok())
-                            }
-                            Axis::Descendant => {
-                                search.reaches(&group, v, context, &mut expanded, tracker)?
-                            }
-                        };
-                        if related {
-                            kept.push(v);
-                        }
+            Axis::Descendant => self.multi_source_descendants(context, stats, tracker)?,
+        };
+        Ok(par::filter(candidates, self.threads(), |v| {
+            reachable.contains(v)
+        }))
+    }
+
+    /// [`QueryProcessor::relate`] by walking reverse group edges from
+    /// each candidate towards the context.
+    fn relate_backward(
+        &self,
+        context: &[Vid],
+        candidates: Vec<Vid>,
+        axis: Axis,
+        stats: &mut ExecStats,
+        tracker: &BudgetTracker,
+    ) -> Result<Vec<Vid>> {
+        // Every operator's output is sorted, so a parent is checked by
+        // binary search in the context as it lies: hashing the whole
+        // context would cost more than the checks when the candidates
+        // are few.
+        debug_assert!(context.is_sorted(), "operator output is sorted");
+        // For the descendant axis each chunk keeps its own positive
+        // cache of nodes known to reach the context: the kept rows never
+        // depend on it, only `nodes_expanded` can (a candidate whose
+        // ancestor is a kept candidate of *another* chunk walks
+        // further). Chunking is deterministic, so repeated runs at the
+        // same parallelism agree exactly.
+        let chunks = par::try_map_chunks(&candidates, self.threads(), |_, chunk| {
+            let group = self.indexes.group.read();
+            let mut search = ReverseSearch::default();
+            let mut expanded = 0;
+            let mut kept: Vec<Vid> = Vec::new();
+            for &v in chunk {
+                if tracker.checkpoint("relate")? == Tick::Truncate {
+                    break;
+                }
+                let related = match axis {
+                    Axis::Child => {
+                        let parents = group.parents(v);
+                        expanded += parents.len();
+                        tracker.charge_nodes(parents.len(), "relate")?;
+                        parents.iter().any(|p| context.binary_search(p).is_ok())
                     }
-                    Ok::<_, IdmError>((kept, expanded))
-                })?;
-                stats.nodes_expanded += chunks.iter().map(|(_, expanded)| expanded).sum::<usize>();
-                Ok(par::concat(chunks.into_iter().map(|(kept, _)| kept)))
+                    Axis::Descendant => {
+                        search.reaches(&group, v, context, &mut expanded, tracker)?
+                    }
+                };
+                if related {
+                    kept.push(v);
+                }
             }
-            (ExpansionStrategy::Bidirectional, _) => unreachable!("resolved above"),
-        }
+            Ok::<_, IdmError>((kept, expanded))
+        })?;
+        stats.nodes_expanded += chunks.iter().map(|(_, expanded)| expanded).sum::<usize>();
+        Ok(par::concat(chunks.into_iter().map(|(kept, _)| kept)))
     }
 
     /// The group-replica edges out of every node of `frontier`: one
@@ -1031,23 +1023,21 @@ mod tests {
         (store, indexes)
     }
 
-    fn processor(strategy: ExpansionStrategy) -> QueryProcessor {
+    fn processor() -> QueryProcessor {
         let (store, indexes) = dataspace();
-        let mut p = QueryProcessor::new(store, indexes);
-        p.set_expansion(strategy);
-        p
+        QueryProcessor::new(store, indexes)
     }
 
     #[test]
     fn phrase_query() {
-        let p = processor(ExpansionStrategy::Forward);
+        let p = processor();
         let r = p.execute(r#""Mike Franklin""#).unwrap();
         assert_eq!(r.rows.len(), 1);
     }
 
     #[test]
     fn boolean_keywords() {
-        let p = processor(ExpansionStrategy::Forward);
+        let p = processor();
         let r = p.execute(r#""database" and "tuning""#).unwrap();
         assert_eq!(r.rows.len(), 1);
         let r = p.execute(r#""database" and "nonexistent""#).unwrap();
@@ -1058,7 +1048,7 @@ mod tests {
 
     #[test]
     fn attribute_predicate_with_alias() {
-        let p = processor(ExpansionStrategy::Forward);
+        let p = processor();
         let r = p
             .execute("[size > 420000 and lastmodified < @12.06.2005]")
             .unwrap();
@@ -1067,7 +1057,7 @@ mod tests {
 
     #[test]
     fn date_function_against_context_clock() {
-        let p = processor(ExpansionStrategy::Forward);
+        let p = processor();
         // options.now defaults to 2006-09-12; everything was modified
         // before yesterday().
         let r = p.execute("[lastmodified < yesterday()]").unwrap();
@@ -1076,7 +1066,7 @@ mod tests {
 
     #[test]
     fn path_with_class_and_phrase() {
-        let p = processor(ExpansionStrategy::Forward);
+        let p = processor();
         let r = p.execute(r#"//papers//*[class="latex_section"]"#).unwrap();
         assert_eq!(r.rows.len(), 2, "both sections under /papers");
 
@@ -1088,7 +1078,7 @@ mod tests {
 
     #[test]
     fn child_step_restricts_to_direct_relation() {
-        let p = processor(ExpansionStrategy::Forward);
+        let p = processor();
         // text node is a direct child of the Vision section.
         let r = p.execute(r#"//papers//*Vision/*["Franklin"]"#).unwrap();
         assert_eq!(r.rows.len(), 1);
@@ -1097,29 +1087,110 @@ mod tests {
         assert!(r.rows.is_empty());
     }
 
+    /// One of the two walks behind a path step.
+    type Walk = fn(
+        &QueryProcessor,
+        &[Vid],
+        Vec<Vid>,
+        Axis,
+        &mut ExecStats,
+        &BudgetTracker,
+    ) -> Result<Vec<Vid>>;
+
+    const WALKS: [(&str, Walk); 2] = [
+        ("forward", QueryProcessor::relate_forward),
+        ("backward", QueryProcessor::relate_backward),
+    ];
+
+    /// Runs a path query with every step walked by `walk`, whatever the
+    /// sizes of its sides.
+    fn run_walk(p: &QueryProcessor, iql: &str, walk: Walk) -> (Vec<Vid>, ExecStats) {
+        fn eval(
+            p: &QueryProcessor,
+            node: &PlanNode,
+            walk: Walk,
+            stats: &mut ExecStats,
+        ) -> Vec<Vid> {
+            let tracker = BudgetTracker::start(QueryBudget::none());
+            let PlanOp::Relate {
+                context,
+                candidates,
+                axis,
+            } = &node.op
+            else {
+                return p
+                    .eval_node(node, stats, &tracker, None)
+                    .unwrap()
+                    .into_views();
+            };
+            stats.ops.relates += 1;
+            let ctx = eval(p, context, walk, stats);
+            let cand = eval(p, candidates, walk, stats);
+            walk(p, &ctx, cand, *axis, stats, &tracker).unwrap()
+        }
+        let plan = p.plan_iql(iql).unwrap();
+        let mut stats = ExecStats::default();
+        let rows = eval(p, &plan.root, walk, &mut stats);
+        assert_eq!(stats.ops, plan.operator_counts(), "{iql}");
+        (rows, stats)
+    }
+
     #[test]
     fn all_strategies_agree() {
+        // (query, rows). The `*.tex` and "Franklin" steps have a
+        // candidate that is related to some view, just not to the
+        // context: the attachment under the email, the text under the
+        // section.
         let queries = [
-            r#"//papers//*[class="latex_section"]"#,
-            r#"//papers//*Vision/*["Franklin"]"#,
-            r#"//papers//?onclusion*"#,
-            r#"//papers//*["systems"]"#,
+            (r#"//papers//*[class="latex_section"]"#, 2),
+            (r#"//papers//*Vision/*["Franklin"]"#, 1),
+            (r#"//papers//?onclusion*"#, 1),
+            (r#"//papers//*["systems"]"#, 1),
+            (r#"//papers//*.tex"#, 1),
+            (r#"//papers/*.tex"#, 1),
+            (r#"//papers/*["Franklin"]"#, 0),
+            (r#"//*//*["systems"]"#, 1),
+            (r#"//*/*Vision"#, 1),
         ];
-        let forward = processor(ExpansionStrategy::Forward);
-        let backward = processor(ExpansionStrategy::Backward);
-        let bidi = processor(ExpansionStrategy::Bidirectional);
-        for q in queries {
-            let f = forward.execute(q).unwrap().rows;
-            let b = backward.execute(q).unwrap().rows;
-            let i = bidi.execute(q).unwrap().rows;
-            assert_eq!(f, b, "forward vs backward on {q}");
-            assert_eq!(f, i, "forward vs bidirectional on {q}");
+        let p = processor();
+        for (q, want) in queries {
+            let rows = p.execute(q).unwrap().rows.into_views();
+            assert_eq!(rows.len(), want, "{q}");
+            for (name, walk) in WALKS {
+                assert_eq!(run_walk(&p, q, walk).0, rows, "{name} walk on {q}");
+            }
         }
     }
 
     #[test]
+    fn a_step_walks_forward_unless_its_context_is_larger() {
+        // `a` lists three children, one of them `b`; `b` has one parent.
+        // A forward walk scans three edges, a backward walk one.
+        let store = Arc::new(ViewStore::new());
+        let indexes = Arc::new(IndexBundle::new());
+        let b = store.build("b").insert();
+        let x = store.build("x").insert();
+        let y = store.build("y").insert();
+        store.build("a").children(vec![x, y, b]).insert();
+        for vid in store.vids() {
+            indexes.index_view(&store, vid, "test").unwrap();
+        }
+        let p = QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes));
+        // |context| = |candidates| = 1: forward.
+        let tie = p.execute("//a/b").unwrap();
+        assert_eq!(tie.rows.views(), vec![b]);
+        assert_eq!(tie.stats.nodes_expanded, 3);
+        // A second, childless `a` makes the context the larger side.
+        let a2 = store.build("a").insert();
+        indexes.index_view(&store, a2, "test").unwrap();
+        let larger = p.execute("//a/b").unwrap();
+        assert_eq!(larger.rows.views(), vec![b]);
+        assert_eq!(larger.stats.nodes_expanded, 1);
+    }
+
+    #[test]
     fn union_dedups() {
-        let p = processor(ExpansionStrategy::Forward);
+        let p = processor();
         let r = p
             .execute(r#"union( //papers//*["systems"], //papers//?onclusion* )"#)
             .unwrap();
@@ -1130,7 +1201,7 @@ mod tests {
 
     #[test]
     fn join_across_subsystems_like_q8() {
-        let p = processor(ExpansionStrategy::Forward);
+        let p = processor();
         let r = p
             .execute(
                 r#"join ( //*[class = "emailmessage"]//*.tex as A, //papers//*.tex as B, A.name = B.name )"#,
@@ -1170,7 +1241,7 @@ mod tests {
 
     #[test]
     fn join_rejects_unknown_binding() {
-        let p = processor(ExpansionStrategy::Forward);
+        let p = processor();
         let err = p
             .execute(r#"join( //a as A, //b as B, C.name = B.name )"#)
             .unwrap_err();
@@ -1182,7 +1253,7 @@ mod tests {
         // Regression: the old validator's first clause was redundant and
         // `A.name = A.name` slipped through as a cross product of A with
         // every right row sharing a name. It is now a plan-time error.
-        let p = processor(ExpansionStrategy::Forward);
+        let p = processor();
         let err = p
             .execute(
                 r#"join( //papers//*.tex as A, //*[class="emailmessage"] as B, A.name = A.name )"#,
@@ -1197,7 +1268,7 @@ mod tests {
 
     #[test]
     fn executed_operators_match_the_plan() {
-        let p = processor(ExpansionStrategy::Forward);
+        let p = processor();
         for iql in [
             r#""Mike Franklin""#,
             r#"//papers//*Vision/*["Franklin"]"#,
@@ -1217,7 +1288,7 @@ mod tests {
 
     #[test]
     fn cached_execution_replays_rows_without_index_work() {
-        let p = processor(ExpansionStrategy::Forward);
+        let p = processor();
         let cached = |iql: &str| {
             p.run(&crate::request::QueryRequest::new(iql).cached())
                 .unwrap()
@@ -1247,7 +1318,7 @@ mod tests {
 
     #[test]
     fn not_complements_catalog() {
-        let p = processor(ExpansionStrategy::Forward);
+        let p = processor();
         let all = p.execute(r#"[not class="no-such-class"]"#).unwrap();
         assert_eq!(all.rows.len(), p.indexes.catalog.len());
         let none = p.execute(r#"[class="file" and not class="file"]"#).unwrap();
@@ -1256,7 +1327,7 @@ mod tests {
 
     #[test]
     fn class_predicate_includes_subclasses() {
-        let p = processor(ExpansionStrategy::Forward);
+        let p = processor();
         // `attachment` specializes `file`: class="file" finds both the
         // filesystem file and the attachment.
         let r = p.execute(r#"[class="file"]"#).unwrap();
@@ -1265,7 +1336,7 @@ mod tests {
 
     #[test]
     fn stats_reflect_expansion_work() {
-        let p = processor(ExpansionStrategy::Forward);
+        let p = processor();
         let r = p.execute(r#"//papers//*"#).unwrap();
         assert!(r.stats.nodes_expanded > 0);
         assert!(r.stats.candidates_examined > 0);
@@ -1293,57 +1364,58 @@ mod tests {
     #[test]
     fn one_body_per_operator_agrees_at_every_parallelism() {
         let (store, indexes) = wide_dataspace();
-        // (query, rows): a child step and a descendant step whose
-        // context (Forward) and candidate (Backward) frontiers are both
-        // 1 200 wide, plus a join whose build side is.
-        let queries = [
-            ("//d*/leaf*", 1_200),
-            ("//wide//leaf*", 1_200),
-            (
-                "join( //wide/d* as A, //wide//leaf* as B, A.name = B.name )",
-                0,
-            ),
-        ];
-        for strategy in [ExpansionStrategy::Forward, ExpansionStrategy::Backward] {
-            let run = |parallelism: usize, iql: &str| {
-                QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes))
-                    .with_options(ExecOptions {
-                        expansion: strategy,
-                        parallelism,
-                        ..ExecOptions::default()
-                    })
-                    .execute(iql)
-                    .unwrap()
-            };
-            for (iql, rows) in queries {
-                let one = run(1, iql);
-                assert_eq!(one.rows.len(), rows, "{iql} under {strategy:?}");
-                assert!(one.stats.nodes_expanded >= 1_200, "{iql}: a wide walk");
+        let at = |parallelism: usize| {
+            QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes)).with_options(
+                ExecOptions {
+                    parallelism,
+                    ..ExecOptions::default()
+                },
+            )
+        };
+        // A child step and a descendant step whose context (forward) and
+        // candidate (backward) frontiers are both 1 200 wide, and a child
+        // step whose context is every view, so the rule walks it
+        // backward from its 1 200 candidates.
+        for iql in ["//d*/leaf*", "//wide//leaf*", "//*/leaf*"] {
+            let rows = at(1).execute(iql).unwrap().rows.into_views();
+            assert_eq!(rows.len(), 1_200, "{iql}");
+            for (name, walk) in WALKS {
+                let one = run_walk(&at(1), iql, walk);
+                assert_eq!(one.0, rows, "{iql}: {name} walk");
+                assert!(one.1.nodes_expanded >= 1_200, "{iql}: a wide {name} walk");
                 for parallelism in [2, 4, 8] {
                     // Rows, row order and every counter: no candidate is
                     // another's ancestor here, so even the chunk-local
                     // reverse-reachability caches cannot differ.
                     assert_eq!(
-                        run(parallelism, iql),
+                        run_walk(&at(parallelism), iql, walk),
                         one,
-                        "{iql} under {strategy:?} at parallelism {parallelism}"
+                        "{iql}: {name} walk at parallelism {parallelism}"
                     );
                 }
             }
+        }
+        // A join whose build side is 1 200 wide.
+        let iql = "join( //wide/d* as A, //wide//leaf* as B, A.name = B.name )";
+        let one = at(1).execute(iql).unwrap();
+        assert!(one.rows.is_empty());
+        assert!(one.stats.nodes_expanded >= 1_200, "{iql}: a wide walk");
+        for parallelism in [2, 4, 8] {
+            assert_eq!(at(parallelism).execute(iql).unwrap(), one, "{iql}");
         }
     }
 
     // ---- resource governance -----------------------------------------
 
-    fn budgeted(strategy: ExpansionStrategy, budget: QueryBudget) -> QueryProcessor {
-        let mut p = processor(strategy);
+    fn budgeted(budget: QueryBudget) -> QueryProcessor {
+        let mut p = processor();
         p.set_budget(budget);
         p
     }
 
     #[test]
     fn unbudgeted_stats_carry_no_consumption() {
-        let p = processor(ExpansionStrategy::Forward);
+        let p = processor();
         let r = p.execute(r#"//papers//*"#).unwrap();
         assert!(!r.stats.partial);
         assert_eq!(r.stats.exhausted, None);
@@ -1355,13 +1427,10 @@ mod tests {
 
     #[test]
     fn strict_budget_returns_resource_exhausted() {
-        let p = budgeted(
-            ExpansionStrategy::Forward,
-            QueryBudget {
-                max_nodes: Some(1),
-                ..QueryBudget::default()
-            },
-        );
+        let p = budgeted(QueryBudget {
+            max_nodes: Some(1),
+            ..QueryBudget::default()
+        });
         let err = p.execute(r#"//papers//*"#).unwrap_err();
         assert_eq!(err.budget_kind(), Some(idm_core::error::BudgetKind::Nodes));
         assert!(!err.is_retryable());
@@ -1374,26 +1443,19 @@ mod tests {
     #[test]
     fn partial_budget_returns_sound_subset_and_keeps_ops_invariant() {
         let iql = r#"//papers//*[class="latex_section"]"#;
-        let full = processor(ExpansionStrategy::Forward)
-            .execute(iql)
-            .unwrap()
-            .rows
-            .views();
-        let plan = processor(ExpansionStrategy::Forward).plan_iql(iql).unwrap();
+        let full = processor().execute(iql).unwrap().rows.views();
+        let plan = processor().plan_iql(iql).unwrap();
         // Probe once to learn the checkpoint count, then truncate at
         // every possible checkpoint.
-        let probe = budgeted(ExpansionStrategy::Forward, QueryBudget::probe());
+        let probe = budgeted(QueryBudget::probe());
         let total = probe.execute(iql).unwrap().stats.consumed.checkpoints;
         assert!(total > 0);
         for k in 1..=total {
-            let p = budgeted(
-                ExpansionStrategy::Forward,
-                QueryBudget {
-                    cancel_after_checks: Some(k),
-                    partial: true,
-                    ..QueryBudget::default()
-                },
-            );
+            let p = budgeted(QueryBudget {
+                cancel_after_checks: Some(k),
+                partial: true,
+                ..QueryBudget::default()
+            });
             let r = p.execute(iql).unwrap();
             assert!(r.stats.partial, "k={k} tripped");
             assert_eq!(
@@ -1417,17 +1479,14 @@ mod tests {
         // return empty, never a superset. Truncate at every checkpoint
         // and require the result to be a subset of the true rows.
         let iql = r#"[class="file" and not class="file"]"#;
-        let probe = budgeted(ExpansionStrategy::Forward, QueryBudget::probe());
+        let probe = budgeted(QueryBudget::probe());
         let total = probe.execute(iql).unwrap().stats.consumed.checkpoints;
         for k in 1..=total {
-            let p = budgeted(
-                ExpansionStrategy::Forward,
-                QueryBudget {
-                    cancel_after_checks: Some(k),
-                    partial: true,
-                    ..QueryBudget::default()
-                },
-            );
+            let p = budgeted(QueryBudget {
+                cancel_after_checks: Some(k),
+                partial: true,
+                ..QueryBudget::default()
+            });
             let r = p.execute(iql).unwrap();
             // The true result is empty, so ANY returned row would be a
             // superset violation.
@@ -1438,21 +1497,18 @@ mod tests {
     #[test]
     fn partial_join_rows_are_a_subset() {
         let iql = r#"join ( //*[class = "emailmessage"]//*.tex as A, //papers//*.tex as B, A.name = B.name )"#;
-        let full = processor(ExpansionStrategy::Forward).execute(iql).unwrap();
+        let full = processor().execute(iql).unwrap();
         let ResultRows::Pairs(full_pairs) = &full.rows else {
             panic!()
         };
-        let probe = budgeted(ExpansionStrategy::Forward, QueryBudget::probe());
+        let probe = budgeted(QueryBudget::probe());
         let total = probe.execute(iql).unwrap().stats.consumed.checkpoints;
         for k in 1..=total {
-            let p = budgeted(
-                ExpansionStrategy::Forward,
-                QueryBudget {
-                    cancel_after_checks: Some(k),
-                    partial: true,
-                    ..QueryBudget::default()
-                },
-            );
+            let p = budgeted(QueryBudget {
+                cancel_after_checks: Some(k),
+                partial: true,
+                ..QueryBudget::default()
+            });
             let r = p.execute(iql).unwrap();
             let ResultRows::Pairs(pairs) = &r.rows else {
                 panic!()
@@ -1468,7 +1524,7 @@ mod tests {
         // Regression (satellite): a truncated result cached as complete
         // would be replayed until the next invalidating change event.
         let iql = r#"//papers//*[class="latex_section"]"#;
-        let p = processor(ExpansionStrategy::Forward);
+        let p = processor();
         let cached = |budget: QueryBudget| {
             p.run(
                 &crate::request::QueryRequest::new(iql)

@@ -24,11 +24,9 @@
 //! [`idm_index::IndexBundle`]. `EXPLAIN`
 //! ([`exec::QueryProcessor::explain`]) renders the identical plan
 //! object the executor runs, and [`plan::Plan::fingerprint`] keys the
-//! whole-result cache. Path steps relate to their context via forward,
-//! backward or bidirectional expansion ([`exec::ExpansionStrategy`]) —
-//! forward is what the paper's prototype shipped; the others are its
-//! stated future work, timed against it by
-//! `crates/idm-bench/examples/scaling_probe.rs`.
+//! whole-result cache. A path step walks group edges from its smaller
+//! side: forward from the context, as the paper's prototype always did,
+//! or backward from the candidates, the remedy the paper names for Q8.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -54,9 +52,7 @@ pub use cache::{
 };
 pub use cost::{explain_with_estimates, Estimate};
 pub use delta::{DeltaStats, MaintainedPlan, ResultDelta};
-pub use exec::{
-    ExecOptions, ExecStats, ExpansionStrategy, QueryProcessor, QueryResult, ResultRows,
-};
+pub use exec::{ExecOptions, ExecStats, QueryProcessor, QueryResult, ResultRows};
 pub use parser::parse;
 pub use plan::{AccessKind, BuildSide, OperatorCounts, Plan, PlanNode, PlanOp};
 pub use rank::{RankWeights, RankedResult};

@@ -32,7 +32,7 @@ use idm_index::tuple::CompareOp;
 
 use crate::ast::*;
 use crate::cost::Estimate;
-use crate::exec::{ExpansionStrategy, QueryProcessor};
+use crate::exec::QueryProcessor;
 use crate::parser::parse;
 
 /// Which index a leaf access reads, with its argument.
@@ -84,7 +84,7 @@ pub enum PlanOp {
     /// Complement of the input against the catalog.
     Complement(Box<PlanNode>),
     /// Keep the candidates related to some context view along `axis`,
-    /// using `strategy` to expand group edges.
+    /// walking group edges from the smaller of the two inputs.
     Relate {
         /// Produces the context views (the previous path steps).
         context: Box<PlanNode>,
@@ -92,8 +92,6 @@ pub enum PlanOp {
         candidates: Box<PlanNode>,
         /// `/` (direct) or `//` (indirect) relatedness.
         axis: Axis,
-        /// Forward, backward, or size-adaptive bidirectional expansion.
-        strategy: ExpansionStrategy,
     },
     /// Equi-join of two inputs on component fields: a key table built
     /// on one side, probed by the other.
@@ -307,9 +305,8 @@ fn canonicalize(node: &PlanNode, out: &mut String) {
             context,
             candidates,
             axis,
-            strategy,
         } => {
-            out.push_str(&format!("rel:{axis:?}:{strategy:?}("));
+            out.push_str(&format!("rel:{axis:?}("));
             canonicalize(context, out);
             out.push(',');
             canonicalize(candidates, out);
@@ -423,16 +420,12 @@ fn render_node(node: &PlanNode, depth: usize, estimates: bool, out: &mut String)
             context,
             candidates,
             axis,
-            strategy,
         } => {
             let axis_text = match axis {
                 Axis::Descendant => "indirectly-related (//)",
                 Axis::Child => "directly-related (/)",
             };
-            out.push_str(&format!(
-                "Relate {axis_text}, {strategy:?} expansion{}\n",
-                est_suffix(node)
-            ));
+            out.push_str(&format!("Relate {axis_text}{}\n", est_suffix(node)));
             render_node(context, depth + 1, estimates, out);
             render_node(candidates, depth + 1, estimates, out);
         }
@@ -579,7 +572,6 @@ impl QueryProcessor {
     }
 
     fn plan_path(&self, path: &PathExpr) -> PlanNode {
-        let strategy = self.options().expansion;
         let mut node: Option<PlanNode> = None;
         for step in &path.steps {
             let candidates = self.plan_step_candidates(step);
@@ -593,7 +585,6 @@ impl QueryProcessor {
                             context: Box::new(context),
                             candidates: Box::new(candidates),
                             axis: step.axis,
-                            strategy,
                         },
                         est,
                     }
@@ -680,9 +671,8 @@ impl QueryProcessor {
 /// and its distinct keys replace the `Name` leaf of the probe side's
 /// last path step, which becomes one exact name-index probe per key the
 /// leaf's pattern matches ([`AccessKind::NameByKeys`]). That step's
-/// `Relate` is planned `Bidirectional`: its candidates are now bounded
-/// by the key count, and the executor walks from whichever of them and
-/// the context is smaller.
+/// candidates are then bounded by the key count, so its `Relate`
+/// usually walks backward from them.
 ///
 /// The rows do not change. The probe side's rows are a subset of its
 /// last step's candidates, and a candidate whose name is no build key
@@ -730,17 +720,12 @@ fn reads_join_keys(node: &PlanNode) -> bool {
 }
 
 /// Turns the `Name` leaf of a path plan's last step into a
-/// [`AccessKind::NameByKeys`] leaf and plans that step's `Relate`
-/// `Bidirectional`. Nothing changes when the last step has no name leaf
-/// — a bare `*` step, or no path at all.
+/// [`AccessKind::NameByKeys`] leaf. Nothing changes when the last step
+/// has no name leaf — a bare `*` step, or no path at all.
 fn feed_last_name_leaf(path: &mut PlanNode) {
-    let (step, strategy) = match &mut path.op {
-        PlanOp::Relate {
-            candidates,
-            strategy,
-            ..
-        } => (&mut **candidates, Some(strategy)),
-        _ => (path, None),
+    let step = match &mut path.op {
+        PlanOp::Relate { candidates, .. } => &mut **candidates,
+        _ => path,
     };
     // A step's candidates are its name leaf, or the name leaf and the
     // step's predicate intersected.
@@ -757,9 +742,6 @@ fn feed_last_name_leaf(path: &mut PlanNode) {
         return;
     };
     leaf.op = PlanOp::IndexAccess(AccessKind::NameByKeys(pattern.clone()));
-    if let Some(strategy) = strategy {
-        *strategy = ExpansionStrategy::Bidirectional;
-    }
 }
 
 /// Rewrite rule: order intersection inputs by ascending estimate.
@@ -821,21 +803,19 @@ mod tests {
         assert!(plan.contains("NameIndex exact 'VLDB2006'"), "{plan}");
         assert!(plan.contains("NameIndex wildcard 'figure*'"), "{plan}");
         assert!(plan.contains("Catalog class 'texref'"), "{plan}");
-        assert!(plan.contains("Forward expansion"), "{plan}");
+        assert!(plan.contains("Relate indirectly-related (//)"), "{plan}");
         assert!(plan.contains("build="), "{plan}");
     }
 
     #[test]
     fn explains_filters_and_unions() {
-        let mut p = space();
-        p.set_expansion(ExpansionStrategy::Backward);
+        let p = space();
         let plan = p
             .explain(r#"union( //A//*["x" and size > 3], "y" )"#)
             .unwrap();
         assert!(plan.contains("Union (2 inputs"), "{plan}");
         assert!(plan.contains("ContentIndex phrase \"x\""), "{plan}");
         assert!(plan.contains("TupleIndex size"), "{plan}");
-        assert!(plan.contains("Backward expansion"), "{plan}");
     }
 
     #[test]

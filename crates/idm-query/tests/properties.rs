@@ -1,15 +1,13 @@
 //! Property-based tests: the iQL pipeline is total, predicates obey
-//! boolean algebra over the catalog, and expansion strategies agree on
-//! random graphs.
+//! boolean algebra over the catalog, and path steps keep exactly the
+//! views `idm_core::graph` relates on random graphs, whichever way
+//! they walk.
 
 use std::sync::Arc;
 
 use idm_core::prelude::*;
 use idm_index::IndexBundle;
-use idm_query::{
-    parse, AccessKind, ExecOptions, ExpansionStrategy, PlanOp, QueryBudget, QueryProcessor,
-    ResultRows,
-};
+use idm_query::{parse, AccessKind, ExecOptions, PlanOp, QueryBudget, QueryProcessor, ResultRows};
 use proptest::prelude::*;
 
 proptest! {
@@ -106,63 +104,75 @@ proptest! {
         prop_assert_eq!(a, aa);
     }
 
-    /// All three expansion strategies agree on random graphs for both
-    /// descendant and child steps.
+    /// Every `//` and `/` step keeps exactly the views `idm_core::graph`
+    /// relates to some context view, at parallelism 1 and 4. The `//*…`
+    /// shapes put a context of every view above the candidates and walk
+    /// backward; the others walk forward.
+    #[test]
+    fn descendant_step_semantics(space in arb_space(), ctx in "[ab]{1,4}", target in "[ab]{1,4}") {
+        let (store, indexes) = build_space(&space);
+        let named = |vid: Vid, name: &str| {
+            name == "*" || store.name(vid).unwrap().as_deref() == Some(name)
+        };
+        for (c, t) in [(ctx.as_str(), target.as_str()), (ctx.as_str(), "*"), ("*", target.as_str())] {
+            for axis in ["//", "/"] {
+                let query = format!("//{c}{axis}{t}");
+                let mut want: Vec<Vid> = Vec::new();
+                for vid in store.vids().into_iter().filter(|&vid| named(vid, t)) {
+                    let related = store.vids().into_iter().filter(|&src| named(src, c)).any(|src| {
+                        if axis == "//" {
+                            idm_core::graph::is_indirectly_related(&store, src, vid).unwrap()
+                        } else {
+                            idm_core::graph::directly_related(&store, src).unwrap().contains(&vid)
+                        }
+                    });
+                    if related {
+                        want.push(vid);
+                    }
+                }
+                want.sort();
+                for parallelism in [1usize, 4] {
+                    let processor = QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes))
+                        .with_options(ExecOptions { parallelism, ..ExecOptions::default() });
+                    let got = processor.execute(&query).unwrap().rows.into_views();
+                    prop_assert_eq!(&got, &want, "{} at parallelism {}", query, parallelism);
+                }
+            }
+        }
+    }
+
+    /// The forward and the backward walk keep the same rows on random
+    /// graphs for descendant and child steps. A step walks from its
+    /// smaller side, so padding the space with more isolated views than
+    /// it holds sends `//c//t` and `//c/t` (for `c` ≠ `t`) backward when
+    /// the padding is named `c` and forward when it is named `t`.
+    /// Isolated views relate to nothing, so every padded space must
+    /// answer as the bare one.
     #[test]
     fn strategies_agree_on_random_graphs(space in arb_space(),
                                          ctx in "[ab]{1,4}", target in "[ab]{1,4}") {
         let (store, indexes) = build_space(&space);
+        let bare = QueryProcessor::new(store, indexes);
+        let padded = |name: &str| {
+            let (store, indexes) = build_space(&space);
+            for _ in 0..=space.views.len() {
+                let vid = store.build(name).insert();
+                indexes.index_view(&store, vid, "test").unwrap();
+            }
+            QueryProcessor::new(store, indexes)
+        };
+        let backward = padded(&ctx);
+        let forward = padded(&target);
         for query in [
             format!("//{ctx}//{target}"),
             format!("//{ctx}/{target}"),
             format!("//{ctx}//*"),
             format!("//{ctx}/*"),
         ] {
-            let mut results = Vec::new();
-            for strategy in [
-                ExpansionStrategy::Forward,
-                ExpansionStrategy::Backward,
-                ExpansionStrategy::Bidirectional,
-            ] {
-                let mut processor =
-                    QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes));
-                processor.set_expansion(strategy);
-                results.push(processor.execute(&query).unwrap().rows);
-            }
-            prop_assert_eq!(&results[0], &results[1], "fwd vs bwd on {}", query);
-            prop_assert_eq!(&results[0], &results[2], "fwd vs bidi on {}", query);
+            let want = bare.execute(&query).unwrap().rows;
+            prop_assert_eq!(&backward.execute(&query).unwrap().rows, &want, "backward on {}", query);
+            prop_assert_eq!(&forward.execute(&query).unwrap().rows, &want, "forward on {}", query);
         }
-    }
-
-    /// `//a//b` results are exactly the b-named views reachable from
-    /// some a-named view (checked against core graph traversal).
-    #[test]
-    fn descendant_step_semantics(space in arb_space(), ctx in "[ab]{1,4}", target in "[ab]{1,4}") {
-        let (store, indexes) = build_space(&space);
-        let processor = QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes));
-        let got = processor
-            .execute(&format!("//{ctx}//{target}"))
-            .unwrap()
-            .rows
-            .views();
-
-        let mut want: Vec<Vid> = Vec::new();
-        for vid in store.vids() {
-            if store.name(vid).unwrap().as_deref() != Some(target.as_str()) {
-                continue;
-            }
-            let reachable = store.vids().into_iter().any(|src| {
-                store.name(src).unwrap().as_deref() == Some(ctx.as_str())
-                    && idm_core::graph::is_indirectly_related(&store, src, vid).unwrap()
-            });
-            if reachable {
-                want.push(vid);
-            }
-        }
-        want.sort();
-        let mut got = got;
-        got.sort();
-        prop_assert_eq!(got, want);
     }
 
     /// Cancellation soundness (the resource-governance satellite): for a
@@ -433,8 +443,8 @@ fn passes_keys(node: &idm_query::PlanNode) -> bool {
 proptest! {
     /// Sideways key passing never changes a join's rows: the planned
     /// query equals the same plan without the rewrite pass, and both the
-    /// nested loop over the two sides' rows, under every expansion
-    /// strategy at parallelism 1 and 4, and under a partial budget
+    /// nested loop over the two sides' rows, at parallelism 1 and 4,
+    /// and under a partial budget
     /// tripped at any checkpoint its rows stay a subset.
     #[test]
     fn key_passing_keeps_the_rows_of_the_plan_without_it(
@@ -454,50 +464,44 @@ proptest! {
             (&a_iql, &b_iql),
             JOIN_KEYS_ARE_X[condition],
         );
-        for expansion in [
-            ExpansionStrategy::Forward,
-            ExpansionStrategy::Backward,
-            ExpansionStrategy::Bidirectional,
-        ] {
-            for parallelism in [1usize, 4] {
-                let processor = QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes))
-                    .with_options(ExecOptions { expansion, parallelism, ..ExecOptions::default() });
-                let rewritten = processor.plan(&query).unwrap();
-                let plain = processor.plan_without_key_passing(&query).unwrap();
-                prop_assert!(!passes_keys(&plain.root), "{}", iql);
-                let want = processor.execute_plan(&plain).unwrap().rows;
-                prop_assert_eq!(&want, &ResultRows::Pairs(nested.clone()), "{}", iql);
-                let got = processor.execute_plan(&rewritten).unwrap();
-                prop_assert_eq!(
-                    &got.rows, &want,
-                    "{} under {:?} at parallelism {}:\n{}", iql, expansion, parallelism,
-                    rewritten.render()
-                );
-                prop_assert_eq!(got.stats.ops, rewritten.operator_counts());
+        for parallelism in [1usize, 4] {
+            let processor = QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes))
+                .with_options(ExecOptions { parallelism, ..ExecOptions::default() });
+            let rewritten = processor.plan(&query).unwrap();
+            let plain = processor.plan_without_key_passing(&query).unwrap();
+            prop_assert!(!passes_keys(&plain.root), "{}", iql);
+            let want = processor.execute_plan(&plain).unwrap().rows;
+            prop_assert_eq!(&want, &ResultRows::Pairs(nested.clone()), "{}", iql);
+            let got = processor.execute_plan(&rewritten).unwrap();
+            prop_assert_eq!(
+                &got.rows, &want,
+                "{} at parallelism {}:\n{}", iql, parallelism,
+                rewritten.render()
+            );
+            prop_assert_eq!(got.stats.ops, rewritten.operator_counts());
 
-                let ResultRows::Pairs(want) = want else {
+            let ResultRows::Pairs(want) = want else {
+                panic!("a join yields pairs");
+            };
+            let total = processor
+                .execute_plan_with(&rewritten, QueryBudget::probe())
+                .unwrap()
+                .stats
+                .consumed
+                .checkpoints;
+            let step = (total / 16).max(1);
+            for k in (1..=total).step_by(step as usize) {
+                let budget = QueryBudget {
+                    cancel_after_checks: Some(k),
+                    partial: true,
+                    ..QueryBudget::default()
+                };
+                let partial = processor.execute_plan_with(&rewritten, budget).unwrap();
+                let ResultRows::Pairs(pairs) = &partial.rows else {
                     panic!("a join yields pairs");
                 };
-                let total = processor
-                    .execute_plan_with(&rewritten, QueryBudget::probe())
-                    .unwrap()
-                    .stats
-                    .consumed
-                    .checkpoints;
-                let step = (total / 16).max(1);
-                for k in (1..=total).step_by(step as usize) {
-                    let budget = QueryBudget {
-                        cancel_after_checks: Some(k),
-                        partial: true,
-                        ..QueryBudget::default()
-                    };
-                    let partial = processor.execute_plan_with(&rewritten, budget).unwrap();
-                    let ResultRows::Pairs(pairs) = &partial.rows else {
-                        panic!("a join yields pairs");
-                    };
-                    for pair in pairs {
-                        prop_assert!(want.contains(pair), "{} tripped at {}: {:?}", iql, k, pair);
-                    }
+                for pair in pairs {
+                    prop_assert!(want.contains(pair), "{} tripped at {}: {:?}", iql, k, pair);
                 }
             }
         }

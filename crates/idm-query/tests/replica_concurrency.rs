@@ -10,14 +10,17 @@ use std::time::Duration;
 
 use idm_core::prelude::*;
 use idm_index::IndexBundle;
-use idm_query::{ExecOptions, ExpansionStrategy, QueryProcessor, ResultRows};
+use idm_query::{ExecOptions, QueryProcessor, ResultRows};
 
 /// Wide enough that every walk forks at parallelism 4 (> 64 × 4 nodes
 /// per frontier).
 const FOLDERS: usize = 300;
 /// Writer rounds; each re-indexes `wide` and one other group three times.
 const WRITES: usize = 200;
-const QUERIES: [&str; 3] = ["//wide//*", "//d*//*", "//wide//deep*"];
+/// The first three walk forward from a context smaller than their
+/// candidates; the last walks backward from 300 candidates towards a
+/// context of every view.
+const QUERIES: [&str; 4] = ["//wide//*", "//d*//*", "//wide//deep*", "//*//deep*"];
 
 /// `wide` holds folders `d<i>`, each holding `leaf<i>.txt` and a folder
 /// `s<i>` that holds `deep<i>.txt`. Returns the store and every group,
@@ -54,21 +57,14 @@ fn indexed(store: &ViewStore) -> Arc<IndexBundle> {
 }
 
 fn processors(store: &Arc<ViewStore>, indexes: &Arc<IndexBundle>) -> Vec<QueryProcessor> {
-    let mut out = Vec::new();
-    for expansion in [ExpansionStrategy::Forward, ExpansionStrategy::Backward] {
-        for parallelism in [1, 4] {
-            out.push(
-                QueryProcessor::new(Arc::clone(store), Arc::clone(indexes)).with_options(
-                    ExecOptions {
-                        expansion,
-                        parallelism,
-                        ..ExecOptions::default()
-                    },
-                ),
-            );
-        }
-    }
-    out
+    [1, 4]
+        .map(|parallelism| {
+            QueryProcessor::new(Arc::clone(store), Arc::clone(indexes)).with_options(ExecOptions {
+                parallelism,
+                ..ExecOptions::default()
+            })
+        })
+        .into()
 }
 
 /// Every processor's rows for every query, in a fixed order.
@@ -126,7 +122,7 @@ fn walks_beside_a_replica_writer_finish_and_leave_nothing_behind() {
     assert_eq!(after, fresh);
     let rows = |i: usize| after[i].len();
     assert_eq!(
-        (rows(0), rows(1), rows(2)),
-        (4 * FOLDERS, 3 * FOLDERS, FOLDERS)
+        (rows(0), rows(1), rows(2), rows(3)),
+        (4 * FOLDERS, 3 * FOLDERS, FOLDERS, FOLDERS)
     );
 }

@@ -61,7 +61,7 @@ use std::sync::Arc;
 use idm_core::lineage::LineageGraph;
 use idm_core::prelude::*;
 use idm_index::IndexBundle;
-use idm_query::{ExpansionStrategy, QueryProcessor};
+use idm_query::QueryProcessor;
 use parking_lot::Mutex;
 
 /// File name of the persisted index bundle inside a dataspace directory.
@@ -147,7 +147,7 @@ pub struct Pdsms {
     rvm: ResourceViewManager,
     durability: Option<Mutex<idm_core::durability::DurabilityManager>>,
     /// The one processor every query path of this system borrows; its
-    /// expansion strategy is the system's, its caches live as long.
+    /// caches live as long as the system.
     processor: QueryProcessor,
     /// Admission control over the query path, when enabled: max
     /// concurrent queries plus a bounded, deadline-shedding wait queue.
@@ -376,19 +376,6 @@ impl Pdsms {
         &self.lineage
     }
 
-    /// Sets the expansion strategy used by this system's queries (and
-    /// rendered in its plans).
-    pub fn set_expansion(&mut self, strategy: ExpansionStrategy) {
-        // Plans record the strategy, so the processor's caches need no
-        // flush: a different strategy yields a different fingerprint.
-        self.processor.set_expansion(strategy);
-    }
-
-    /// The configured expansion strategy.
-    pub fn expansion(&self) -> ExpansionStrategy {
-        self.processor.options().expansion
-    }
-
     /// The resource view store.
     pub fn store(&self) -> &Arc<ViewStore> {
         &self.store
@@ -450,12 +437,10 @@ impl Pdsms {
     }
 
     /// An *additional*, owned processor for a caller that wants options
-    /// of its own (parallelism, budget): the system's strategy, but
-    /// caches of its own, which die with it.
+    /// of its own (parallelism, budget), with caches of its own, which
+    /// die with it.
     pub fn query_processor(&self) -> QueryProcessor {
-        let mut processor = QueryProcessor::new(Arc::clone(&self.store), Arc::clone(&self.indexes));
-        processor.set_expansion(self.expansion());
-        processor
+        QueryProcessor::new(Arc::clone(&self.store), Arc::clone(&self.indexes))
     }
 
     /// Enables admission control: at most `config.max_concurrent`
@@ -498,9 +483,8 @@ impl Pdsms {
         self.processor.run(request)
     }
 
-    /// Renders the execution plan of a query — under the system's
-    /// configured expansion strategy, so EXPLAIN always matches what
-    /// [`Pdsms::run`] would run.
+    /// Renders the execution plan of a query — the plan [`Pdsms::run`]
+    /// would run.
     pub fn explain(&self, iql: &str) -> Result<String> {
         self.processor.explain(iql)
     }
@@ -626,20 +610,7 @@ mod tests {
         let plan = system
             .explain(r#"//PIM//Introduction["Mike Franklin"]"#)
             .unwrap();
-        assert!(plan.contains("Forward expansion"));
-    }
-
-    #[test]
-    fn explain_uses_the_configured_strategy() {
-        // Regression: explain used to hardcode forward expansion, so a
-        // backward-configured system rendered plans it would never run.
-        let mut system = Pdsms::new();
-        system.set_expansion(idm_query::ExpansionStrategy::Backward);
-        let plan = system
-            .explain(r#"//PIM//Introduction["Mike Franklin"]"#)
-            .unwrap();
-        assert!(plan.contains("Backward expansion"), "{plan}");
-        assert!(!plan.contains("Forward expansion"), "{plan}");
+        assert!(plan.contains("Relate indirectly-related (//)"), "{plan}");
     }
 
     #[test]

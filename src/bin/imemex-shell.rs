@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use imemex::core::durability::Scrubber;
 use imemex::dataset::{generate, DatasetConfig};
-use imemex::query::{ExpansionStrategy, QueryBudget, QueryRequest};
+use imemex::query::{QueryBudget, QueryRequest};
 use imemex::system::{
     FsPlugin, GovernorConfig, HealthMonitor, ImapPlugin, LiveQuery, Pdsms, RssPlugin,
 };
@@ -311,9 +311,8 @@ impl Shell {
         let dir = std::path::Path::new(path);
         if has_dataspace(dir) {
             match Pdsms::open(dir) {
-                Ok((mut system, report)) => {
+                Ok((system, report)) => {
                     println!("{report}");
-                    system.set_expansion(self.system.expansion());
                     self.system = system;
                     self.monitor = HealthMonitor::new();
                 }
@@ -392,7 +391,6 @@ impl Shell {
             mb(sizes.group),
             mb(sizes.catalog)
         );
-        println!("expansion:        {:?}", self.system.expansion());
         let results = self.system.processor().result_cache().counters();
         println!(
             "result cache:     {} hit(s), {} miss(es), {} maintained, {} invalidation(s)",
@@ -436,7 +434,6 @@ commands:
   :update <stmt>        update/delete, e.g. :update //a.txt set name = \"b.txt\"
   :estimate <iql>       cardinality-estimated plan (cost optimizer view)
   :explain <iql>        show the rule-based execution plan
-  :strategy <s>         forward | backward | bidirectional
   :save <path>          persist the index bundle to a file
   \\open <dir>           open a durable dataspace (prints the recovery
                         report: indexes loaded / caught up / rebuilt), or
@@ -528,19 +525,6 @@ fn main() {
                     Ok(plan) => print!("{plan}"),
                     Err(e) => println!("error: {e}"),
                 },
-                "strategy" => {
-                    let strategy = match arg.trim() {
-                        "forward" => ExpansionStrategy::Forward,
-                        "backward" => ExpansionStrategy::Backward,
-                        "bidirectional" => ExpansionStrategy::Bidirectional,
-                        other => {
-                            println!("unknown strategy '{other}'");
-                            continue;
-                        }
-                    };
-                    shell.system.set_expansion(strategy);
-                    println!("expansion strategy: {strategy:?}");
-                }
                 other => println!("unknown command ':{other}' — :help lists commands"),
             }
         } else {

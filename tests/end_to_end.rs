@@ -1,13 +1,13 @@
 //! End-to-end integration tests spanning every crate: generate a
 //! synthetic dataspace, ingest all sources through the PDSMS, and check
-//! the evaluation invariants (result counts, strategy agreement,
+//! the evaluation invariants (result counts, plan agreement,
 //! catalog consistency, index sizes).
 
 use std::sync::Arc;
 use std::sync::OnceLock;
 
 use imemex::dataset::{generate, DatasetConfig};
-use imemex::query::{ExpansionStrategy, QueryRequest};
+use imemex::query::{parse, QueryRequest};
 use imemex::system::{FsPlugin, ImapPlugin, Pdsms, RssPlugin};
 use imemex::vfs::NodeId;
 
@@ -76,24 +76,23 @@ fn table4_queries_return_planted_counts() {
     }
 }
 
+/// Every Table 4 query answers alike through the system, through an
+/// additional processor, and through its plan without sideways key
+/// passing, which hands Q8's email-side step every `.tex` view instead
+/// of the few named by the other side.
 #[test]
 fn expansion_strategies_agree_everywhere() {
     let w = world();
+    let processor = w.system.query_processor();
     for iql in TABLE4 {
-        let mut counts = Vec::new();
-        for strategy in [
-            ExpansionStrategy::Forward,
-            ExpansionStrategy::Backward,
-            ExpansionStrategy::Bidirectional,
-        ] {
-            let mut processor = w.system.query_processor();
-            processor.set_expansion(strategy);
-            counts.push(processor.execute(iql).expect("query").rows.len());
-        }
-        assert!(
-            counts.windows(2).all(|p| p[0] == p[1]),
-            "strategies disagree on '{iql}': {counts:?}"
-        );
+        let rows = w.system.run(&QueryRequest::new(iql)).expect("query");
+        let rows = rows.result.rows;
+        assert_eq!(processor.execute(iql).expect("query").rows, rows, "{iql}");
+        let plain = processor
+            .plan_without_key_passing(&parse(iql).expect("parses"))
+            .expect("plans");
+        let plain = processor.execute_plan(&plain).expect("query").rows;
+        assert_eq!(plain, rows, "{iql} without key passing");
     }
 }
 
@@ -195,8 +194,8 @@ fn indexes_survive_a_restart() {
     // restart did not re-scan the dataspace. Same here: persist the
     // index bundle, load it into a *fresh* system (empty view store),
     // and every Table 4 query still answers identically — the indexes
-    // and catalog are self-sufficient for query processing, under every
-    // expansion strategy and parallelism.
+    // and catalog are self-sufficient for query processing, at any
+    // parallelism.
     use imemex::index::persist;
     use imemex::query::{ExecOptions, QueryProcessor};
     let w = world();
@@ -209,25 +208,18 @@ fn indexes_survive_a_restart() {
         .iter()
         .map(|iql| w.system.run(&QueryRequest::new(*iql)).unwrap().result.rows)
         .collect();
-    for expansion in [
-        ExpansionStrategy::Forward,
-        ExpansionStrategy::Backward,
-        ExpansionStrategy::Bidirectional,
-    ] {
-        for parallelism in [1, 4] {
-            let processor = QueryProcessor::new(Arc::clone(&fresh_store), Arc::clone(&restored))
-                .with_options(ExecOptions {
-                    expansion,
-                    parallelism,
-                    ..ExecOptions::default()
-                });
-            for (iql, before) in TABLE4.iter().zip(&expected) {
-                let after = processor.execute(iql).unwrap().rows;
-                assert_eq!(
-                    *before, after,
-                    "restart changed '{iql}' ({expansion:?}, parallelism {parallelism})"
-                );
-            }
+    for parallelism in [1, 4] {
+        let processor = QueryProcessor::new(Arc::clone(&fresh_store), Arc::clone(&restored))
+            .with_options(ExecOptions {
+                parallelism,
+                ..ExecOptions::default()
+            });
+        for (iql, before) in TABLE4.iter().zip(&expected) {
+            let after = processor.execute(iql).unwrap().rows;
+            assert_eq!(
+                *before, after,
+                "restart changed '{iql}' (parallelism {parallelism})"
+            );
         }
     }
 }
