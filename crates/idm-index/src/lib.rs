@@ -43,7 +43,7 @@ pub use audit::{audit, repair, AuditMemo, AuditMismatch, AuditReport, AuditScope
 pub use bundle::{ContentIndexing, IndexBundle, IndexSizes};
 pub use catalog::{CatalogEntry, ResourceViewCatalog};
 pub use fulltext::FullTextIndex;
-pub use group::{GroupRead, GroupReplica};
+pub use group::{GroupRead, GroupReplica, Reach};
 pub use name::NameIndex;
 pub use segment::{IndexRun, IndexSegment, SEGMENT_VIEWS};
 pub use tokenizer::tokenize;

@@ -1,7 +1,7 @@
 //! The analyzer feeding the full-text indexes: lowercased alphanumeric
 //! tokens with positions (positions make phrase queries possible).
 //!
-//! There is one token walk, [`walk`]. The content index's
+//! There is one token walk, the private `walk`. The content index's
 //! [`pretokenize`](crate::fulltext::pretokenize), [`tokenize`] and the
 //! query side's [`terms`] all read its output, so an indexed term and a
 //! queried one cannot disagree on what a token is.

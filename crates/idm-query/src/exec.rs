@@ -1,18 +1,17 @@
 //! iQL physical execution: a walker over the plan IR of [`crate::plan`]
-//! plus the two group-edge walks behind a path step.
+//! plus the interval test behind a path step.
 //!
 //! The paper's processor "fetches the data via index accesses, \[then\]
 //! obtains indirectly related resource views by **forward expansion**"
-//! (Section 7.2) and names backward/bidirectional expansion \[30\] as the
-//! planned remedy for queries like Q8 where forward expansion processes
-//! many intermediate results. Every `//` and `/` step here takes that
-//! remedy: it walks forward from the context when the context is no
-//! larger than the candidates, and backward from the candidates
-//! otherwise. Both walks are tested against [`idm_core::graph`].
+//! (Section 7.2), and names that expansion as the cost of its slow
+//! queries. No step here expands. The group replica labels a spanning
+//! forest of the view graph with DFS intervals and sets the few other
+//! edges aside ([`idm_index::group`]); a `//` step is a range test over
+//! those labels, and a `/` step reads each candidate's in-edges. Both
+//! are tested against [`idm_core::graph`], a BFS over the store.
 //!
-//! Every expansion reads the group replica under one [`GroupRead`]
-//! guard per chunk of a walk, following the read discipline of
-//! [`idm_index::group`].
+//! A path step reads the replica under one [`idm_index::GroupRead`] guard,
+//! following the read discipline of [`idm_index::group`].
 //!
 //! The executor holds **no query-shape logic of its own**: every rule
 //! decision (which index to read, intersection order, join build side)
@@ -21,13 +20,12 @@
 //! read is the plan that ran — per-operator counts in
 //! [`ExecStats::ops`] make that checkable.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Sender};
 use idm_core::prelude::*;
-use idm_index::{GroupRead, IndexBundle, VidSet};
+use idm_index::{IndexBundle, Reach, VidSet};
 
 use crate::ast::*;
 use crate::budget::{BudgetConsumption, BudgetTracker, QueryBudget, Tick};
@@ -125,9 +123,11 @@ impl Default for ExecOptions {
 /// blow-up; these counters expose it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Group edges scanned by path steps: each child listed by a
-    /// forward walk from the context, each in-edge scanned by a
-    /// backward walk from the candidates.
+    /// Positions a `//` step enumerated in its reached ranges (overlay
+    /// views included) plus overlay edges walked: the parent-column steps
+    /// taken to decide a view the labels do not cover yet. Candidates
+    /// tested against the ranges are charged to the budget but not
+    /// counted here. This is not the paper's forward-expansion count.
     pub nodes_expanded: usize,
     /// Rows output by the index accesses, scans, intersections, unions
     /// and complements, summed over those operators (a row two of them
@@ -609,10 +609,14 @@ impl QueryProcessor {
     // ---- paths --------------------------------------------------------
 
     /// Filters `candidates` down to those related to some context view
-    /// along `axis`, walking from the smaller side: forward from the
-    /// context when it is no larger than the candidates, backward from
-    /// the candidates otherwise. Both walks keep the same rows; only
-    /// the edges they scan differ.
+    /// along `axis`, under one read guard of the group replica. A `/`
+    /// step reads each candidate's in-edges. A `//` step closes the
+    /// context's intervals over the side edges
+    /// ([`idm_index::GroupRead::reach`]) and then does the smaller of two
+    /// exactly known amounts of work: test each candidate against the
+    /// ranges, or enumerate the reached positions and probe the sorted
+    /// candidates. Truncation soundness: a chunk that stops early keeps a
+    /// subset of its true rows.
     fn relate(
         &self,
         context: &[Vid],
@@ -626,145 +630,121 @@ impl QueryProcessor {
             // lands here from later plan nodes at O(1) cost.
             return Ok(Vec::new());
         }
-        if context.len() <= candidates.len() {
-            self.relate_forward(context, candidates, axis, stats, tracker)
+        debug_assert!(
+            context.is_sorted() && candidates.is_sorted(),
+            "operator output is sorted"
+        );
+        let group = self.indexes.group.read();
+        if axis == Axis::Child {
+            let kept = self.keep(&candidates, tracker, |v, _| group.has_parent_in(v, context))?;
+            return Ok(kept.0);
+        }
+        let reach = group.reach(context);
+        stats.nodes_expanded += reach.walked();
+        tracker.charge_nodes(reach.walked(), "relate")?;
+        if candidates.len() <= reach.size() {
+            self.test_each(&candidates, &reach, stats, tracker)
         } else {
-            self.relate_backward(context, candidates, axis, stats, tracker)
+            self.enumerate(&candidates, &reach, stats, tracker)
         }
     }
 
-    /// [`QueryProcessor::relate`] by expanding group edges forward from
-    /// the context. Truncation soundness: stopping mid-context leaves
-    /// the reachable set a subset, and filtering candidates against a
-    /// subset keeps a subset.
-    fn relate_forward(
+    /// A `//` step by testing each candidate against the reached ranges.
+    fn test_each(
         &self,
-        context: &[Vid],
-        candidates: Vec<Vid>,
-        axis: Axis,
+        candidates: &[Vid],
+        reach: &Reach<'_>,
         stats: &mut ExecStats,
         tracker: &BudgetTracker,
     ) -> Result<Vec<Vid>> {
-        let reachable = match axis {
-            Axis::Child => {
-                let mut reachable = VidSet::default();
-                for children in self.expand(context, "relate", tracker)? {
-                    stats.nodes_expanded += children.len();
-                    reachable.extend(children);
-                }
-                reachable
-            }
-            Axis::Descendant => self.multi_source_descendants(context, stats, tracker)?,
-        };
-        Ok(par::filter(candidates, self.threads(), |v| {
-            reachable.contains(v)
-        }))
+        let (kept, walked) =
+            self.keep(candidates, tracker, |v, walked| reach.contains(v, walked))?;
+        stats.nodes_expanded += walked;
+        Ok(kept)
     }
 
-    /// [`QueryProcessor::relate`] by walking reverse group edges from
-    /// each candidate towards the context.
-    fn relate_backward(
+    /// A `//` step by enumerating the reached positions in chunks across
+    /// the workers, each probing the sorted candidates, then deciding the
+    /// overlay's views: one node per position or overlay view, plus one
+    /// per overlay edge walked.
+    fn enumerate(
         &self,
-        context: &[Vid],
-        candidates: Vec<Vid>,
-        axis: Axis,
+        candidates: &[Vid],
+        reach: &Reach<'_>,
         stats: &mut ExecStats,
         tracker: &BudgetTracker,
     ) -> Result<Vec<Vid>> {
-        // Every operator's output is sorted, so a parent is checked by
-        // binary search in the context as it lies: hashing the whole
-        // context would cost more than the checks when the candidates
-        // are few.
-        debug_assert!(context.is_sorted(), "operator output is sorted");
-        // For the descendant axis each chunk keeps its own positive
-        // cache of nodes known to reach the context: the kept rows never
-        // depend on it, only `nodes_expanded` can (a candidate whose
-        // ancestor is a kept candidate of *another* chunk walks
-        // further). Chunking is deterministic, so repeated runs at the
-        // same parallelism agree exactly.
-        let chunks = par::try_map_chunks(&candidates, self.threads(), |_, chunk| {
-            let group = self.indexes.group.read();
-            let mut search = ReverseSearch::default();
-            let mut expanded = 0;
-            let mut kept: Vec<Vid> = Vec::new();
-            for &v in chunk {
-                if tracker.checkpoint("relate")? == Tick::Truncate {
-                    break;
-                }
-                let related = match axis {
-                    Axis::Child => {
-                        let parents = group.parents(v);
-                        expanded += parents.len();
-                        tracker.charge_nodes(parents.len(), "relate")?;
-                        parents.iter().any(|p| context.binary_search(p).is_ok())
+        let chunks = par::try_map_chunks(reach.ranges(), self.threads(), |_, ranges| {
+            let mut hits: Vec<usize> = Vec::new();
+            let mut positions = 0;
+            if tracker.checkpoint("relate")? == Tick::Continue {
+                'ranges: for &range in ranges {
+                    for view in reach.positions(range) {
+                        positions += 1;
+                        if let Some(at) = view.and_then(|v| candidates.binary_search(&v).ok()) {
+                            par::append(&mut hits, &[at]);
+                        }
+                        if tracker.charge_nodes(1, "relate")? == Tick::Truncate {
+                            break 'ranges;
+                        }
                     }
-                    Axis::Descendant => {
-                        search.reaches(&group, v, context, &mut expanded, tracker)?
-                    }
-                };
-                if related {
-                    kept.push(v);
                 }
             }
-            Ok::<_, IdmError>((kept, expanded))
+            Ok::<_, IdmError>((hits, positions))
         })?;
-        stats.nodes_expanded += chunks.iter().map(|(_, expanded)| expanded).sum::<usize>();
-        Ok(par::concat(chunks.into_iter().map(|(kept, _)| kept)))
-    }
-
-    /// The group-replica edges out of every node of `frontier`: one
-    /// child list per chunk, in frontier order, read under one replica
-    /// guard per chunk. One checkpoint per expanded node; a truncated
-    /// walk expands a prefix of each chunk, which yields a subset of the
-    /// true edges.
-    fn expand(
-        &self,
-        frontier: &[Vid],
-        phase: &'static str,
-        tracker: &BudgetTracker,
-    ) -> Result<Vec<Vec<Vid>>> {
-        par::try_map_chunks(frontier, self.threads(), |_, chunk| {
-            let group = self.indexes.group.read();
-            let mut out: Vec<Vid> = Vec::with_capacity(chunk.len());
-            for &vid in chunk {
-                if tracker.checkpoint(phase)? == Tick::Truncate {
+        stats.nodes_expanded += chunks.iter().map(|(_, positions)| positions).sum::<usize>();
+        let mut hits = par::concat(chunks.into_iter().map(|(hits, _)| hits));
+        if reach.overlay().next().is_some() && tracker.checkpoint("relate")? == Tick::Continue {
+            let (mut examined, mut walked) = (0, 0);
+            for view in reach.overlay() {
+                examined += 1;
+                let before = walked;
+                if let Ok(at) = candidates.binary_search(&view) {
+                    if reach.contains(view, &mut walked) {
+                        par::append(&mut hits, &[at]);
+                    }
+                }
+                if tracker.charge_nodes(1 + walked - before, "relate")? == Tick::Truncate {
                     break;
                 }
-                let children = group.children(vid);
-                tracker.charge_nodes(children.len(), phase)?;
-                par::append(&mut out, children);
             }
-            Ok(out)
-        })
+            stats.nodes_expanded += examined + walked;
+        }
+        hits.sort_unstable();
+        Ok(hits.into_iter().map(|at| candidates[at]).collect())
     }
 
-    /// Level-synchronous BFS: every frontier node is expanded exactly
-    /// once (so `nodes_expanded`, the edges scanned, is the same at any
-    /// parallelism, and the visit order is the FIFO order); the
-    /// coordinator merges and dedups between levels. A truncated BFS
-    /// visits a prefix of the reachable set — a sound subset.
-    fn multi_source_descendants(
+    /// The candidates `related` accepts, tested in chunks across the
+    /// workers: one checkpoint per chunk, one node per candidate plus one
+    /// per overlay edge `related` walks. Returns them with the edges
+    /// walked.
+    fn keep(
         &self,
-        sources: &[Vid],
-        stats: &mut ExecStats,
+        candidates: &[Vid],
         tracker: &BudgetTracker,
-    ) -> Result<VidSet> {
-        let mut visited = VidSet::default();
-        let mut frontier: Vec<Vid> = sources.to_vec();
-        while !frontier.is_empty() {
-            if tracker.checkpoint("expand")? == Tick::Truncate {
-                break;
+        related: impl Fn(Vid, &mut usize) -> bool + Sync,
+    ) -> Result<(Vec<Vid>, usize)> {
+        let chunks = par::try_map_chunks(candidates, self.threads(), |_, chunk| {
+            let mut kept: Vec<Vid> = Vec::with_capacity(chunk.len());
+            let mut walked = 0;
+            if tracker.checkpoint("relate")? == Tick::Continue {
+                for &v in chunk {
+                    let before = walked;
+                    if related(v, &mut walked) {
+                        kept.push(v);
+                    }
+                    if tracker.charge_nodes(1 + walked - before, "relate")? == Tick::Truncate {
+                        break;
+                    }
+                }
             }
-            // The unvisited children, filtered in place in chunk order,
-            // are the next level: no buffer beside `expand`'s own.
-            let mut chunks = self.expand(&frontier, "expand", tracker)?;
-            for children in &mut chunks {
-                stats.nodes_expanded += children.len();
-                children.retain(|&child| visited.insert(child));
-            }
-            frontier = par::concat(chunks);
-        }
-        Ok(visited)
+            Ok::<_, IdmError>((kept, walked))
+        })?;
+        let walked = chunks.iter().map(|(_, walked)| walked).sum();
+        Ok((
+            par::concat(chunks.into_iter().map(|(kept, _)| kept)),
+            walked,
+        ))
     }
 
     // ---- joins ---------------------------------------------------------
@@ -882,54 +862,6 @@ impl QueryProcessor {
         pairs.sort();
         pairs.dedup();
         Ok(ResultRows::Pairs(pairs))
-    }
-}
-
-/// One backward chunk's reverse-reachability state: the positive cache
-/// of candidates known to reach the context, plus the visit set and
-/// queue that every candidate's search clears and reuses.
-#[derive(Default)]
-struct ReverseSearch {
-    reaches_ctx: VidSet,
-    visited: VidSet,
-    queue: VecDeque<Vid>,
-}
-
-impl ReverseSearch {
-    /// Reverse BFS from `start` towards the sorted context, adding one
-    /// to `expanded` per in-edge scanned.
-    fn reaches(
-        &mut self,
-        group: &GroupRead<'_>,
-        start: Vid,
-        ctx: &[Vid],
-        expanded: &mut usize,
-        tracker: &BudgetTracker,
-    ) -> Result<bool> {
-        self.visited.clear();
-        self.queue.clear();
-        self.queue.push_back(start);
-        while let Some(vid) = self.queue.pop_front() {
-            // A truncated search reports "not found", which *drops* the
-            // candidate — the kept set stays a subset of the true rows.
-            if tracker.checkpoint("relate")? == Tick::Truncate {
-                return Ok(false);
-            }
-            for &parent in group.parents(vid) {
-                *expanded += 1;
-                tracker.charge_nodes(1, "relate")?;
-                if ctx.binary_search(&parent).is_ok() || self.reaches_ctx.contains(&parent) {
-                    // A visited node reaches the context only if it lies
-                    // on the path found; only the start surely does.
-                    self.reaches_ctx.insert(start);
-                    return Ok(true);
-                }
-                if self.visited.insert(parent) {
-                    self.queue.push_back(parent);
-                }
-            }
-        }
-        Ok(false)
     }
 }
 
@@ -1087,28 +1019,46 @@ mod tests {
         assert!(r.rows.is_empty());
     }
 
-    /// One of the two walks behind a path step.
-    type Walk = fn(
-        &QueryProcessor,
-        &[Vid],
-        Vec<Vid>,
-        Axis,
-        &mut ExecStats,
-        &BudgetTracker,
-    ) -> Result<Vec<Vid>>;
+    /// How a test evaluates every path step of a plan: by one of the two
+    /// `//` kernels (a `/` step has one), or by [`idm_core::graph`], the
+    /// BFS over the store that never reads the replica.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Step {
+        TestEach,
+        Enumerate,
+        Graph,
+    }
 
-    const WALKS: [(&str, Walk); 2] = [
-        ("forward", QueryProcessor::relate_forward),
-        ("backward", QueryProcessor::relate_backward),
-    ];
+    const STEPS: [Step; 3] = [Step::TestEach, Step::Enumerate, Step::Graph];
 
-    /// Runs a path query with every step walked by `walk`, whatever the
-    /// sizes of its sides.
-    fn run_walk(p: &QueryProcessor, iql: &str, walk: Walk) -> (Vec<Vid>, ExecStats) {
+    /// The candidates some context view relates to along `axis`,
+    /// according to [`idm_core::graph`].
+    fn graph_step(
+        p: &QueryProcessor,
+        context: &[Vid],
+        candidates: Vec<Vid>,
+        axis: Axis,
+    ) -> Vec<Vid> {
+        let mut related = VidSet::default();
+        for &c in context {
+            related.extend(match axis {
+                Axis::Child => idm_core::graph::directly_related(&p.store, c).unwrap(),
+                Axis::Descendant => idm_core::graph::descendants(&p.store, c, usize::MAX).unwrap(),
+            });
+        }
+        candidates
+            .into_iter()
+            .filter(|v| related.contains(v))
+            .collect()
+    }
+
+    /// Runs a path query with every step evaluated by `step`, whatever
+    /// the sizes of its sides.
+    fn run_steps(p: &QueryProcessor, iql: &str, step: Step) -> (Vec<Vid>, ExecStats) {
         fn eval(
             p: &QueryProcessor,
             node: &PlanNode,
-            walk: Walk,
+            step: Step,
             stats: &mut ExecStats,
         ) -> Vec<Vid> {
             let tracker = BudgetTracker::start(QueryBudget::none());
@@ -1124,13 +1074,25 @@ mod tests {
                     .into_views();
             };
             stats.ops.relates += 1;
-            let ctx = eval(p, context, walk, stats);
-            let cand = eval(p, candidates, walk, stats);
-            walk(p, &ctx, cand, *axis, stats, &tracker).unwrap()
+            let ctx = eval(p, context, step, stats);
+            let cand = eval(p, candidates, step, stats);
+            if ctx.is_empty() || cand.is_empty() {
+                return Vec::new();
+            }
+            let group = p.indexes.group.read();
+            let reach = group.reach(&ctx);
+            let kernel = match (step, axis) {
+                (Step::Graph, _) => return graph_step(p, &ctx, cand, *axis),
+                (_, Axis::Child) => return p.relate(&ctx, cand, *axis, stats, &tracker).unwrap(),
+                (Step::TestEach, _) => QueryProcessor::test_each,
+                (Step::Enumerate, _) => QueryProcessor::enumerate,
+            };
+            stats.nodes_expanded += reach.walked();
+            kernel(p, &cand, &reach, stats, &tracker).unwrap()
         }
         let plan = p.plan_iql(iql).unwrap();
         let mut stats = ExecStats::default();
-        let rows = eval(p, &plan.root, walk, &mut stats);
+        let rows = eval(p, &plan.root, step, &mut stats);
         assert_eq!(stats.ops, plan.operator_counts(), "{iql}");
         (rows, stats)
     }
@@ -1152,20 +1114,32 @@ mod tests {
             (r#"//*//*["systems"]"#, 1),
             (r#"//*/*Vision"#, 1),
         ];
+        // Every view in the overlay, then every view labeled.
         let p = processor();
-        for (q, want) in queries {
-            let rows = p.execute(q).unwrap().rows.into_views();
-            assert_eq!(rows.len(), want, "{q}");
-            for (name, walk) in WALKS {
-                assert_eq!(run_walk(&p, q, walk).0, rows, "{name} walk on {q}");
+        for labeled in [false, true] {
+            if labeled {
+                p.indexes.group.relabel();
+            }
+            for (q, want) in queries {
+                let rows = p.execute(q).unwrap().rows.into_views();
+                assert_eq!(rows.len(), want, "{q}");
+                for step in STEPS {
+                    assert_eq!(
+                        run_steps(&p, q, step).0,
+                        rows,
+                        "{step:?} on {q}, labeled {labeled}"
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn a_step_walks_forward_unless_its_context_is_larger() {
-        // `a` lists three children, one of them `b`; `b` has one parent.
-        // A forward walk scans three edges, a backward walk one.
+        // A `//` step walks forward from its context, enumerating the
+        // positions the context reaches, unless those outnumber its
+        // candidates; then it tests each candidate against the ranges.
+        // `a` holds three views, one of them `b`.
         let store = Arc::new(ViewStore::new());
         let indexes = Arc::new(IndexBundle::new());
         let b = store.build("b").insert();
@@ -1175,17 +1149,21 @@ mod tests {
         for vid in store.vids() {
             indexes.index_view(&store, vid, "test").unwrap();
         }
+        indexes.group.relabel();
         let p = QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes));
-        // |context| = |candidates| = 1: forward.
-        let tie = p.execute("//a/b").unwrap();
-        assert_eq!(tie.rows.views(), vec![b]);
-        assert_eq!(tie.stats.nodes_expanded, 3);
-        // A second, childless `a` makes the context the larger side.
-        let a2 = store.build("a").insert();
-        indexes.index_view(&store, a2, "test").unwrap();
-        let larger = p.execute("//a/b").unwrap();
-        assert_eq!(larger.rows.views(), vec![b]);
-        assert_eq!(larger.stats.nodes_expanded, 1);
+        // One candidate, three positions: the candidate is tested.
+        let tested = p.execute("//a//b").unwrap();
+        assert_eq!(tested.rows.views(), vec![b]);
+        assert_eq!(tested.stats.nodes_expanded, 0);
+        // Three more `b`s outside the graph outnumber the positions.
+        for _ in 0..3 {
+            let vid = store.build("b").insert();
+            indexes.index_view(&store, vid, "test").unwrap();
+        }
+        let walked = p.execute("//a//b").unwrap();
+        assert_eq!(walked.rows.views(), vec![b]);
+        assert_eq!(walked.stats.nodes_expanded, 3);
+        assert_eq!(run_steps(&p, "//a//b", Step::Graph).0, vec![b]);
     }
 
     #[test]
@@ -1372,34 +1350,41 @@ mod tests {
                 },
             )
         };
-        // A child step and a descendant step whose context (forward) and
-        // candidate (backward) frontiers are both 1 200 wide, and a child
-        // step whose context is every view, so the rule walks it
-        // backward from its 1 200 candidates.
-        for iql in ["//d*/leaf*", "//wide//leaf*", "//*/leaf*"] {
-            let rows = at(1).execute(iql).unwrap().rows.into_views();
-            assert_eq!(rows.len(), 1_200, "{iql}");
-            for (name, walk) in WALKS {
-                let one = run_walk(&at(1), iql, walk);
-                assert_eq!(one.0, rows, "{iql}: {name} walk");
-                assert!(one.1.nodes_expanded >= 1_200, "{iql}: a wide {name} walk");
-                for parallelism in [2, 4, 8] {
-                    // Rows, row order and every counter: no candidate is
-                    // another's ancestor here, so even the chunk-local
-                    // reverse-reachability caches cannot differ.
-                    assert_eq!(
-                        run_walk(&at(parallelism), iql, walk),
-                        one,
-                        "{iql}: {name} walk at parallelism {parallelism}"
-                    );
+        // Two child steps with 1 200 candidates (one of them under a
+        // context of every view) and a descendant step whose context
+        // reaches 2 400 positions, each first as indexing left the
+        // replica and then relabeled.
+        for labeled in [false, true] {
+            if labeled {
+                indexes.group.relabel();
+            }
+            for iql in ["//d*/leaf*", "//wide//leaf*", "//*/leaf*"] {
+                let rows = at(1).execute(iql).unwrap().rows.into_views();
+                assert_eq!(rows.len(), 1_200, "{iql}");
+                for step in STEPS {
+                    let one = run_steps(&at(1), iql, step);
+                    assert_eq!(one.0, rows, "{iql}: {step:?}");
+                    for parallelism in [2, 4, 8] {
+                        // Rows, row order and every counter.
+                        assert_eq!(
+                            run_steps(&at(parallelism), iql, step),
+                            one,
+                            "{iql}: {step:?} at parallelism {parallelism}, labeled {labeled}"
+                        );
+                    }
                 }
             }
+            let enumerated = run_steps(&at(1), "//wide//leaf*", Step::Enumerate).1;
+            assert!(enumerated.nodes_expanded >= 2_400, "every position");
         }
         // A join whose build side is 1 200 wide.
         let iql = "join( //wide/d* as A, //wide//leaf* as B, A.name = B.name )";
         let one = at(1).execute(iql).unwrap();
         assert!(one.rows.is_empty());
-        assert!(one.stats.nodes_expanded >= 1_200, "{iql}: a wide walk");
+        assert!(
+            one.stats.candidates_examined >= 1_200,
+            "{iql}: a wide build side"
+        );
         for parallelism in [2, 4, 8] {
             assert_eq!(at(parallelism).execute(iql).unwrap(), one, "{iql}");
         }

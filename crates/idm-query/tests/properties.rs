@@ -1,8 +1,9 @@
 //! Property-based tests: the iQL pipeline is total, predicates obey
 //! boolean algebra over the catalog, and path steps keep exactly the
-//! views `idm_core::graph` relates on random graphs, whichever way
-//! they walk.
+//! views `idm_core::graph` relates on random graphs, in every state the
+//! group replica's labels can be in and after every kind of change.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use idm_core::prelude::*;
@@ -74,6 +75,40 @@ fn build_space(spec: &SpaceSpec) -> (Arc<ViewStore>, Arc<IndexBundle>) {
     (store, indexes)
 }
 
+/// The views named `target` that `idm_core::graph` relates to a view
+/// named `context` along `axis` (`"//"` or `"/"`), vid-sorted. `*`
+/// names every view.
+fn graph_rows(store: &ViewStore, context: &str, axis: &str, target: &str) -> Vec<Vid> {
+    let named =
+        |vid: Vid, name: &str| name == "*" || store.name(vid).unwrap().as_deref() == Some(name);
+    let mut related: HashSet<Vid> = HashSet::new();
+    for source in store.vids().into_iter().filter(|&vid| named(vid, context)) {
+        related.extend(if axis == "//" {
+            idm_core::graph::descendants(store, source, usize::MAX).unwrap()
+        } else {
+            idm_core::graph::directly_related(store, source).unwrap()
+        });
+    }
+    let mut rows: Vec<Vid> = store
+        .vids()
+        .into_iter()
+        .filter(|&vid| named(vid, target) && related.contains(&vid))
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// The path queries every replica state must answer as
+/// [`graph_rows`] does, as `(context, axis, target)`.
+fn path_shapes<'a>(ctx: &'a str, target: &'a str) -> [(&'a str, &'static str, &'a str); 4] {
+    [
+        (ctx, "//", target),
+        (ctx, "/", target),
+        (ctx, "//", "*"),
+        ("*", "//", target),
+    ]
+}
+
 proptest! {
     /// De Morgan over the catalog: NOT (a OR b) == (NOT a) AND (NOT b).
     #[test]
@@ -105,73 +140,63 @@ proptest! {
     }
 
     /// Every `//` and `/` step keeps exactly the views `idm_core::graph`
-    /// relates to some context view, at parallelism 1 and 4. The `//*…`
-    /// shapes put a context of every view above the candidates and walk
-    /// backward; the others walk forward.
+    /// relates to some context view, at parallelism 1 and 4, first with
+    /// every view in the replica's overlay (as indexing leaves a small
+    /// space) and then labeled. The `//*…` shapes put a context of every
+    /// view above the candidates.
     #[test]
     fn descendant_step_semantics(space in arb_space(), ctx in "[ab]{1,4}", target in "[ab]{1,4}") {
         let (store, indexes) = build_space(&space);
-        let named = |vid: Vid, name: &str| {
-            name == "*" || store.name(vid).unwrap().as_deref() == Some(name)
-        };
-        for (c, t) in [(ctx.as_str(), target.as_str()), (ctx.as_str(), "*"), ("*", target.as_str())] {
-            for axis in ["//", "/"] {
-                let query = format!("//{c}{axis}{t}");
-                let mut want: Vec<Vid> = Vec::new();
-                for vid in store.vids().into_iter().filter(|&vid| named(vid, t)) {
-                    let related = store.vids().into_iter().filter(|&src| named(src, c)).any(|src| {
-                        if axis == "//" {
-                            idm_core::graph::is_indirectly_related(&store, src, vid).unwrap()
-                        } else {
-                            idm_core::graph::directly_related(&store, src).unwrap().contains(&vid)
-                        }
-                    });
-                    if related {
-                        want.push(vid);
+        for labeled in [false, true] {
+            if labeled {
+                indexes.group.relabel();
+            }
+            for (c, t) in [(ctx.as_str(), target.as_str()), (ctx.as_str(), "*"), ("*", target.as_str())] {
+                for axis in ["//", "/"] {
+                    let query = format!("//{c}{axis}{t}");
+                    let want = graph_rows(&store, c, axis, t);
+                    for parallelism in [1usize, 4] {
+                        let processor = QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes))
+                            .with_options(ExecOptions { parallelism, ..ExecOptions::default() });
+                        let got = processor.execute(&query).unwrap().rows.into_views();
+                        prop_assert_eq!(&got, &want, "{} at parallelism {}, labeled {}", query, parallelism, labeled);
                     }
-                }
-                want.sort();
-                for parallelism in [1usize, 4] {
-                    let processor = QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes))
-                        .with_options(ExecOptions { parallelism, ..ExecOptions::default() });
-                    let got = processor.execute(&query).unwrap().rows.into_views();
-                    prop_assert_eq!(&got, &want, "{} at parallelism {}", query, parallelism);
                 }
             }
         }
     }
 
-    /// The forward and the backward walk keep the same rows on random
-    /// graphs for descendant and child steps. A step walks from its
-    /// smaller side, so padding the space with more isolated views than
-    /// it holds sends `//c//t` and `//c/t` (for `c` ≠ `t`) backward when
-    /// the padding is named `c` and forward when it is named `t`.
-    /// Isolated views relate to nothing, so every padded space must
-    /// answer as the bare one.
+    /// Both kernels of a `//` step keep the rows `idm_core::graph` keeps
+    /// on random graphs, in each state of the replica. With every view
+    /// in the overlay the step may take either kernel; labeled, the
+    /// candidates of a small space are usually fewer than the positions
+    /// and are tested; padded with more isolated views named `target`
+    /// than the space holds, the candidates outnumber the positions and
+    /// the step enumerates the ranges. Isolated views relate to nothing
+    /// and join no overlay, so every state must answer as the bare
+    /// graph.
     #[test]
     fn strategies_agree_on_random_graphs(space in arb_space(),
                                          ctx in "[ab]{1,4}", target in "[ab]{1,4}") {
         let (store, indexes) = build_space(&space);
-        let bare = QueryProcessor::new(store, indexes);
-        let padded = |name: &str| {
+        let overlay = QueryProcessor::new(Arc::clone(&store), indexes);
+        let labeled = |padding: usize| {
             let (store, indexes) = build_space(&space);
-            for _ in 0..=space.views.len() {
-                let vid = store.build(name).insert();
+            for _ in 0..padding {
+                let vid = store.build(target.as_str()).insert();
                 indexes.index_view(&store, vid, "test").unwrap();
             }
+            indexes.group.relabel();
             QueryProcessor::new(store, indexes)
         };
-        let backward = padded(&ctx);
-        let forward = padded(&target);
-        for query in [
-            format!("//{ctx}//{target}"),
-            format!("//{ctx}/{target}"),
-            format!("//{ctx}//*"),
-            format!("//{ctx}/*"),
-        ] {
-            let want = bare.execute(&query).unwrap().rows;
-            prop_assert_eq!(&backward.execute(&query).unwrap().rows, &want, "backward on {}", query);
-            prop_assert_eq!(&forward.execute(&query).unwrap().rows, &want, "forward on {}", query);
+        let states = [("overlay", overlay), ("labeled", labeled(0)), ("padded", labeled(space.views.len() + 1))];
+        for (c, axis, t) in path_shapes(&ctx, &target) {
+            let query = format!("//{c}{axis}{t}");
+            let want = graph_rows(&store, c, axis, t);
+            for (state, processor) in &states {
+                let got = processor.execute(&query).unwrap().rows.into_views();
+                prop_assert_eq!(&got, &want, "{} on {}", state, query);
+            }
         }
     }
 
@@ -290,6 +315,140 @@ proptest! {
         manual.sort();
         manual.dedup();
         prop_assert_eq!(union, manual);
+    }
+}
+
+/// One change of a mutation script, written to the store and to the
+/// indexes the way the sync managers write it. Indices pick among the
+/// live views, modulo their number.
+#[derive(Debug, Clone)]
+enum Mutation {
+    /// A new view `name` holding a new leaf `leaf`, attached under a view.
+    Attach {
+        under: usize,
+        name: String,
+        leaf: String,
+    },
+    /// A view gains an existing view as one more member: a side edge,
+    /// a repeated member, a self-loop or a cycle.
+    Link { from: usize, to: usize },
+    /// A view leaves the store and the indexes; edges into it dangle.
+    Remove { at: usize },
+    /// A view leaves every group that holds it and joins another's.
+    Move { at: usize, under: usize },
+    /// A view's unchanged members are indexed again.
+    Reindex { at: usize },
+    /// A folder of [`FLOOD`] new views attached under a view: more than
+    /// the overlay holds before the replica relabels.
+    Flood { under: usize },
+}
+
+/// Views a [`Mutation::Flood`] attaches besides its folder.
+const FLOOD: usize = 1_024;
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        3 => (0usize..64, "[ab]{1,4}", "[ab]{1,4}")
+            .prop_map(|(under, name, leaf)| Mutation::Attach { under, name, leaf }),
+        3 => (0usize..64, 0usize..64).prop_map(|(from, to)| Mutation::Link { from, to }),
+        2 => (0usize..64).prop_map(|at| Mutation::Remove { at }),
+        3 => (0usize..64, 0usize..64).prop_map(|(at, under)| Mutation::Move { at, under }),
+        2 => (0usize..64).prop_map(|at| Mutation::Reindex { at }),
+        1 => (0usize..64).prop_map(|under| Mutation::Flood { under }),
+    ]
+}
+
+/// Indexes `parent`'s members as the store holds them.
+fn index_group(store: &ViewStore, indexes: &IndexBundle, parent: Vid) {
+    let members = store.group(parent).unwrap().finite_members();
+    indexes.group.index(parent, &members);
+}
+
+/// Inserts and indexes a view named `name` holding `members`.
+fn insert_view(store: &ViewStore, indexes: &IndexBundle, name: &str, members: Vec<Vid>) -> Vid {
+    let vid = store.build(name).text("c").children(members).insert();
+    indexes.index_view(store, vid, "test").unwrap();
+    vid
+}
+
+fn apply(store: &ViewStore, indexes: &IndexBundle, mutation: &Mutation) {
+    if store.is_empty() {
+        insert_view(store, indexes, "a", Vec::new());
+    }
+    let live = store.vids();
+    let pick = |i: usize| live[i % live.len()];
+    let attach = |under: usize, root: Vid| {
+        let under = pick(under);
+        store.add_group_member(under, root, false).unwrap();
+        index_group(store, indexes, under);
+    };
+    match mutation {
+        Mutation::Attach { under, name, leaf } => {
+            let leaf = insert_view(store, indexes, leaf, Vec::new());
+            attach(*under, insert_view(store, indexes, name, vec![leaf]));
+        }
+        Mutation::Link { from, to } => attach(*from, pick(*to)),
+        Mutation::Remove { at } => {
+            let vid = pick(*at);
+            indexes.remove_view(vid);
+            store.remove(vid).unwrap();
+        }
+        Mutation::Move { at, under } => {
+            let vid = pick(*at);
+            for parent in live.iter().copied() {
+                let members = store.group(parent).unwrap().finite_members();
+                if members.contains(&vid) {
+                    let kept = members.into_iter().filter(|&m| m != vid).collect();
+                    store.set_group(parent, Group::of_set(kept)).unwrap();
+                    index_group(store, indexes, parent);
+                }
+            }
+            attach(*under, vid);
+        }
+        Mutation::Reindex { at } => index_group(store, indexes, pick(*at)),
+        Mutation::Flood { under } => {
+            let leaves = (0..FLOOD)
+                .map(|_| insert_view(store, indexes, "z", Vec::new()))
+                .collect();
+            attach(*under, insert_view(store, indexes, "z", leaves));
+        }
+    }
+}
+
+proptest! {
+    /// Path steps keep answering as `idm_core::graph` while the store
+    /// changes under labels computed once: after each step of a random
+    /// script, every path shape matches the graph at parallelism 1 and
+    /// 4. Moves and detaches must take the moved subtree out of the
+    /// intervals that no longer hold it; a flood crosses the overlay
+    /// limit, so the replica relabels inside one `index` call.
+    #[test]
+    fn relate_matches_the_store_under_mutation(space in arb_space(),
+                                               script in proptest::collection::vec(arb_mutation(), 1..=12),
+                                               ctx in "[ab]{1,4}", target in "[ab]{1,4}") {
+        let (store, indexes) = build_space(&space);
+        indexes.group.relabel();
+        let processors: Vec<QueryProcessor> = [1usize, 4]
+            .map(|parallelism| {
+                QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes))
+                    .with_options(ExecOptions { parallelism, ..ExecOptions::default() })
+            })
+            .into();
+        for (step, mutation) in script.iter().enumerate() {
+            apply(&store, &indexes, mutation);
+            for (c, axis, t) in path_shapes(&ctx, &target) {
+                let query = format!("//{c}{axis}{t}");
+                let want = graph_rows(&store, c, axis, t);
+                for processor in &processors {
+                    let got = processor.execute(&query).unwrap().rows.into_views();
+                    prop_assert_eq!(
+                        &got, &want,
+                        "{} after step {} ({:?}) at parallelism {}",
+                        query, step, mutation, processor.options().parallelism
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -288,6 +288,7 @@ impl Pdsms {
         for (source, vids) in by_source {
             bundle.index_views(store, &vids, source, idm_index::SEGMENT_VIEWS, 1)?;
         }
+        bundle.group.relabel();
         Ok(bundle)
     }
 

@@ -170,7 +170,7 @@ mod tests {
     }
 
     #[test]
-    fn identical_plans_share_an_entry_and_a_new_strategy_gets_its_own() {
+    fn identical_plans_share_an_entry() {
         let (_fs, system, _sync) = system_with_file("a.txt", "database tuning");
         let path = r#"//docs//*["database"]"#;
         let _a = system.subscribe(&QueryRequest::new(path)).unwrap();

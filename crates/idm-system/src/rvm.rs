@@ -265,6 +265,9 @@ impl ResourceViewManager {
             report.stats.push(stats);
             Ok(())
         });
+        // Label the group replica once more, so no view this ingest
+        // attached is left to its overlay.
+        self.indexes.group.relabel();
 
         // Close the window before sampling telemetry so the final
         // covering sync is counted — and surfaced: a failed sync means
