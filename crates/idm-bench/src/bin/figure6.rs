@@ -1,8 +1,8 @@
 //! Regenerates **Figure 6** — warm-cache query response times for
 //! Q1–Q8, plus the execution-statistics view of why Q8 is the slowest
-//! (expansion through many intermediate results). Every path step walks
-//! from its smaller side: forward from the context, or backward from the
-//! candidates.
+//! (expansion through many intermediate results). No path step walks
+//! group edges: a `//` step is a range test of its candidates against
+//! the context's DFS intervals in the group replica.
 //!
 //! `cargo run --release -p idm-bench --bin figure6 -- --sf 0.2`
 

@@ -223,3 +223,99 @@ fn rewrites_follow_cost_estimates() {
         "workload exercised too few cost decisions ({cost_decisions})"
     );
 }
+
+/// The Table 4 plans with their estimates, and their fingerprints,
+/// byte for byte at sf 0.02: a change to how the front end lexes,
+/// parses, estimates or canonicalizes must not move a decision, an
+/// estimate or a result-cache key. `estimate_iql` is each plan's root
+/// estimate.
+#[test]
+fn q1_to_q8_estimates_and_fingerprints_are_pinned() {
+    let bench = build(bench_options());
+    let processor = bench.processor();
+    let pinned: [(&str, u64); 8] = [
+        (
+            r#"IndexAccess ContentIndex phrase "database"  (est. 18 rows, exact)
+"#,
+            0xb763f604846090c0,
+        ),
+        (
+            r#"IndexAccess ContentIndex phrase "database tuning"  (est. 0 rows)
+"#,
+            0x76a00fb9d93008a9,
+        ),
+        (
+            r#"Intersect (2 inputs, smallest-estimate first)  (est. 94 rows)
+  IndexAccess TupleIndex lastmodified Lt Value(Date(Timestamp(1118534400)))  (est. 94 rows)
+  IndexAccess TupleIndex size Gt Value(Integer(420000))  (est. 136 rows)
+"#,
+            0x61c41eddc16ec055,
+        ),
+        (
+            r#"Relate directly-related (/)  (est. 1 rows)
+  Relate indirectly-related (//)  (est. 1 rows)
+    IndexAccess NameIndex exact 'papers'  (est. 1 rows, exact)
+    IndexAccess NameIndex wildcard '*Vision'  (est. 105 rows)
+  IndexAccess ContentIndex phrase "Franklin"  (est. 6 rows, exact)
+"#,
+            0x8e92a2f31f746a7a,
+        ),
+        (
+            r#"Relate directly-related (/)  (est. 1 rows)
+  Relate indirectly-related (//)  (est. 3 rows)
+    IndexAccess NameIndex wildcard 'VLDB200?'  (est. 105 rows)
+    IndexAccess NameIndex wildcard '?onclusion*'  (est. 105 rows)
+  IndexAccess ContentIndex phrase "systems"  (est. 3 rows, exact)
+"#,
+            0x60f2d3946a870c62,
+        ),
+        (
+            r#"Union (2 inputs, dedup)  (est. 2 rows)
+  Relate indirectly-related (//)  (est. 1 rows)
+    IndexAccess NameIndex exact 'VLDB2005'  (est. 1 rows, exact)
+    IndexAccess ContentIndex phrase "documents"  (est. 3 rows, exact)
+  Relate indirectly-related (//)  (est. 1 rows)
+    IndexAccess NameIndex exact 'VLDB2006'  (est. 1 rows, exact)
+    IndexAccess ContentIndex phrase "documents"  (est. 3 rows, exact)
+"#,
+            0xb663c319d4b52c1b,
+        ),
+        (
+            r#"HashJoin on A.name = B.tuple.label, build=left (est. 1 vs 1)
+  Relate indirectly-related (//)  (est. 1 rows)
+    IndexAccess NameIndex exact 'VLDB2006'  (est. 1 rows, exact)
+    IndexAccess Catalog class 'texref' (+ specializations)  (est. 2 rows, exact)
+  Relate indirectly-related (//)  (est. 1 rows)
+    Relate indirectly-related (//)  (est. 1 rows)
+      IndexAccess NameIndex exact 'VLDB2006'  (est. 1 rows, exact)
+      IndexAccess Catalog class 'environment' (+ specializations)  (est. 2 rows, exact)
+    IndexAccess NameIndex wildcard 'figure*'  (est. 105 rows)
+"#,
+            0x5589cba4b88f378a,
+        ),
+        (
+            r#"HashJoin on A.name = B.name, build=right (est. 3 vs 1), keys from B
+  Relate indirectly-related (//)  (est. 3 rows)
+    IndexAccess Catalog class 'emailmessage' (+ specializations)  (est. 127 rows, exact)
+    IndexAccess NameIndex exact per join key matching '*.tex'  (est. 105 rows)
+  Relate indirectly-related (//)  (est. 1 rows)
+    IndexAccess NameIndex exact 'papers'  (est. 1 rows, exact)
+    IndexAccess NameIndex wildcard '*.tex'  (est. 105 rows)
+"#,
+            0x0fc23cb9102f9bd2,
+        ),
+    ];
+    for ((qname, iql), (text, fingerprint)) in TABLE4_QUERIES.iter().zip(pinned) {
+        let plan = processor.plan_iql(iql).expect(qname);
+        assert_eq!(plan.render_with_estimates(), text, "{qname}");
+        assert_eq!(plan.fingerprint(), fingerprint, "{qname}");
+        let unpassed = processor
+            .plan_without_key_passing(&idm_query::parse(iql).expect(qname))
+            .expect(qname);
+        assert_eq!(
+            processor.estimate_iql(iql).expect(qname),
+            unpassed.root.est,
+            "{qname}: estimate_iql is the plan's root estimate"
+        );
+    }
+}

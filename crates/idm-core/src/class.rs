@@ -138,6 +138,19 @@ struct RegistryInner {
     by_name: HashMap<String, ClassId>,
 }
 
+impl RegistryInner {
+    fn is_subclass(&self, sub: ClassId, sup: ClassId) -> bool {
+        let mut cur = Some(sub);
+        while let Some(id) = cur {
+            if id == sup {
+                return true;
+            }
+            cur = self.defs.get(id.0 as usize).and_then(|d| d.parent);
+        }
+        false
+    }
+}
+
 impl ClassRegistry {
     /// An empty registry (no built-ins).
     pub fn empty() -> Self {
@@ -239,25 +252,22 @@ impl ClassRegistry {
     /// Whether `sub` is `sup` or a (transitive) specialization of it —
     /// i.e. a view of class `sub` automatically conforms to `sup`.
     pub fn is_subclass(&self, sub: ClassId, sup: ClassId) -> bool {
-        let inner = self.inner.read();
-        let mut cur = Some(sub);
-        while let Some(id) = cur {
-            if id == sup {
-                return true;
-            }
-            cur = inner.defs.get(id.0 as usize).and_then(|d| d.parent);
-        }
-        false
+        self.inner.read().is_subclass(sub, sup)
     }
 
-    /// All classes that are `sup` or a specialization of it (so views of
-    /// any returned class conform to `sup`). Used by class predicates.
-    pub fn subclasses(&self, sup: ClassId) -> Vec<ClassId> {
-        let count = self.len() as u32;
-        (0..count)
-            .map(ClassId)
-            .filter(|c| self.is_subclass(*c, sup))
-            .collect()
+    /// Calls `f` with the names of the named class and of every
+    /// specialization of it (the classes whose views conform to it), in
+    /// id order, under one read guard: what a class predicate reads.
+    /// `None` if the class is unknown. `f` runs under the guard, so it
+    /// must not call back into the registry.
+    pub fn with_conforming_names<R>(&self, class: &str, f: impl FnOnce(&[&str]) -> R) -> Option<R> {
+        let inner = self.inner.read();
+        let sup = *inner.by_name.get(class)?;
+        let names: Vec<&str> = (0..inner.defs.len() as u32)
+            .filter(|&id| inner.is_subclass(ClassId(id), sup))
+            .map(|id| inner.defs[id as usize].name.as_str())
+            .collect();
+        Some(f(&names))
     }
 
     /// Looks a class up by name, registering it with default

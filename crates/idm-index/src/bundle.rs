@@ -42,7 +42,8 @@ pub struct IndexBundle {
     pub tuple: TupleIndex,
     /// Content Index (full text; not a replica).
     pub content: FullTextIndex,
-    /// Group Replica (forward + reverse adjacency).
+    /// Group Replica (DFS intervals over a spanning forest of the
+    /// group edges, answering `//` by a range test).
     pub group: GroupReplica,
     /// Resource View Catalog.
     pub catalog: ResourceViewCatalog,

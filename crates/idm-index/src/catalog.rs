@@ -143,17 +143,45 @@ impl ResourceViewCatalog {
     /// knows the registry; the catalog stores flat class names like the
     /// paper's Derby tables did.
     pub fn by_class(&self, class: &str) -> Vec<Vid> {
-        self.inner
-            .read()
-            .by_class
-            .get(class)
-            .cloned()
-            .unwrap_or_default()
+        self.by_classes(&[class])
+    }
+
+    /// All views of any of the named classes, vid-ascending, under one
+    /// read guard: a copy of the one non-empty list, or the lists
+    /// merged.
+    pub fn by_classes(&self, classes: &[&str]) -> Vec<Vid> {
+        let inner = self.inner.read();
+        let mut lists = classes
+            .iter()
+            .filter_map(|class| inner.by_class.get(*class));
+        let mut out = lists.next().cloned().unwrap_or_default();
+        let mut merged = false;
+        for list in lists {
+            out.extend_from_slice(list);
+            merged = true;
+        }
+        drop(inner);
+        if merged {
+            out.sort();
+            out.dedup();
+        }
+        out
     }
 
     /// `by_class(class).len()` without reading the posting list.
     pub fn class_count(&self, class: &str) -> usize {
-        self.inner.read().by_class.get(class).map_or(0, Vec::len)
+        self.classes_count(&[class])
+    }
+
+    /// The summed sizes of the named classes' lists, under one read
+    /// guard.
+    pub fn classes_count(&self, classes: &[&str]) -> usize {
+        let inner = self.inner.read();
+        classes
+            .iter()
+            .filter_map(|class| inner.by_class.get(*class))
+            .map(Vec::len)
+            .sum()
     }
 
     /// All views registered from a data source, vid-ascending: a copy
@@ -167,9 +195,20 @@ impl ResourceViewCatalog {
             .unwrap_or_default()
     }
 
-    /// All registered vids.
+    /// All registered vids, ascending. Every row sits in exactly one
+    /// source list, each vid-ascending, so this merges those lists
+    /// rather than sorting the row map's hashed keys: the lists are
+    /// concatenated by first vid and the stable sort merges the runs,
+    /// one pass when the sources do not interleave.
     pub fn vids(&self) -> Vec<Vid> {
-        let mut out: Vec<Vid> = self.inner.read().rows.keys().copied().collect();
+        let inner = self.inner.read();
+        let mut lists: Vec<&Vec<Vid>> = inner.by_source.values().collect();
+        lists.sort_unstable_by_key(|list| list.first().copied());
+        let mut out = Vec::with_capacity(inner.rows.len());
+        for list in lists {
+            out.extend_from_slice(list);
+        }
+        drop(inner);
         out.sort();
         out
     }

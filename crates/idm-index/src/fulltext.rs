@@ -539,6 +539,19 @@ impl FullTextIndex {
         self.inner.read().list(term).map_or(0, PostingList::len)
     }
 
+    /// A phrase's term count and its rarest term's document frequency
+    /// (0 for no terms): one token walk, one read guard. The phrase's
+    /// rows are bounded by that frequency.
+    pub fn phrase_statistics(&self, phrase: &str) -> (usize, usize) {
+        let inner = self.inner.read();
+        let (mut count, mut rarest) = (0, usize::MAX);
+        tokenizer::walk(phrase, &mut String::new(), |term, _| {
+            count += 1;
+            rarest = rarest.min(inner.list(term).map_or(0, PostingList::len));
+        });
+        (count, if count == 0 { 0 } else { rarest })
+    }
+
     /// Number of indexed documents.
     pub fn document_count(&self) -> usize {
         self.inner.read().documents

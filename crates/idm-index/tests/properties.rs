@@ -524,6 +524,52 @@ proptest! {
     }
 }
 
+proptest! {
+    /// vids() — merged from the per-source lists — equals the sorted row
+    /// keys and a model's set after any register / re-register /
+    /// unregister_all script; by_classes and classes_count agree with
+    /// the per-class lists.
+    #[test]
+    fn vids_equal_the_sorted_row_keys(
+        script in proptest::collection::vec(
+            (0u64..24, 0usize..4, 0usize..3, proptest::collection::vec(0u64..24, 0..6)),
+            1..40,
+        ),
+    ) {
+        const SOURCES: [&str; 3] = ["filesystem", "imap", "rss"];
+        const CLASSES: [&str; 3] = ["file", "folder", "emailmessage"];
+        let catalog = ResourceViewCatalog::new();
+        let mut model = std::collections::BTreeSet::new();
+        for (vid, source, class, gone) in script {
+            if let Some(source) = SOURCES.get(source) {
+                catalog.register(CatalogEntry {
+                    vid,
+                    name: "n".to_owned(),
+                    class: Some(CLASSES[class].to_owned()),
+                    source: (*source).to_owned(),
+                    content_size: None,
+                    content_indexed: false,
+                });
+                model.insert(vid);
+            } else {
+                let gone: Vec<Vid> = gone.iter().copied().map(Vid::from_raw).collect();
+                catalog.unregister_all(&gone);
+                for vid in &gone {
+                    model.remove(&vid.as_u64());
+                }
+            }
+            let keys: Vec<Vid> = catalog.export_rows().iter().map(|r| Vid::from_raw(r.vid)).collect();
+            prop_assert_eq!(catalog.vids(), keys);
+            let modeled: Vec<Vid> = model.iter().copied().map(Vid::from_raw).collect();
+            prop_assert_eq!(catalog.vids(), modeled);
+            let mut by_class: Vec<Vid> = CLASSES.iter().flat_map(|c| catalog.by_class(c)).collect();
+            by_class.sort();
+            prop_assert_eq!(catalog.by_classes(&CLASSES), by_class);
+            prop_assert_eq!(catalog.classes_count(&CLASSES), model.len());
+        }
+    }
+}
+
 // ---- Group replica vs core traversal -------------------------------------
 
 proptest! {

@@ -12,6 +12,8 @@
 //! - `union(q1, q2, …)` and
 //!   `join(q1 as A, q2 as B, A.name = B.tuple.label)`.
 
+use std::fmt;
+
 use idm_core::prelude::{Timestamp, Value};
 use idm_index::name::NamePattern;
 use idm_index::tuple::CompareOp;
@@ -71,6 +73,16 @@ pub enum Field {
     TupleAttr(String),
     /// The resource view class name.
     Class,
+}
+
+impl fmt::Display for Field {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Field::Name => f.write_str("name"),
+            Field::Class => f.write_str("class"),
+            Field::TupleAttr(attr) => write!(f, "tuple.{attr}"),
+        }
+    }
 }
 
 /// A path expression: a sequence of steps.

@@ -5,16 +5,22 @@
 //! The estimator derives cardinalities from index **statistics alone**
 //! — dictionary document frequencies, catalog class counts, column
 //! sizes — without materializing any result, which is what lets a
-//! planner order work before doing it. [`QueryProcessor::estimate`]
-//! exposes the estimator; [`explain_with_estimates`] renders an
-//! annotated plan. The executor's conjunct ordering and join build-side
-//! choice validate against these estimates in the tests below.
+//! planner order work before doing it. Each plan node is estimated
+//! once, as the planner builds it: a leaf from its index's statistics,
+//! an inner node from its children's estimates. The universe and the
+//! group fan-out are read once per plan.
+//! [`QueryProcessor::estimate_iql`] returns a plan's root estimate;
+//! [`explain_with_estimates`] renders the annotated plan. The
+//! executor's conjunct ordering and join build-side choice validate
+//! against these estimates in the tests below.
 
 use idm_core::prelude::*;
+use idm_index::name::NamePattern;
+use idm_index::tuple::CompareOp;
 
-use crate::ast::{Axis, Pred, Query};
+use crate::ast::Axis;
 use crate::exec::{resolve_attr, QueryProcessor};
-use crate::parser::parse;
+use crate::plan::{PlanNode, Planner};
 
 /// A cardinality estimate (an upper bound except where noted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,156 +42,129 @@ impl Estimate {
     pub fn guess(rows: usize) -> Self {
         Estimate { rows, exact: false }
     }
+
+    /// An intersection or equi-join: bounded by its smallest input (0
+    /// for none).
+    pub(crate) fn smallest<'n>(inputs: impl IntoIterator<Item = &'n PlanNode>) -> Self {
+        Estimate::guess(inputs.into_iter().map(|n| n.est.rows).min().unwrap_or(0))
+    }
 }
 
-impl QueryProcessor {
-    /// Total number of catalogued views (the estimator's universe).
-    pub(crate) fn universe(&self) -> usize {
-        self.index_bundle().catalog.len()
-    }
-
-    /// Estimates the cardinality of a predicate from index statistics.
-    pub fn estimate_pred(&self, pred: &Pred) -> Estimate {
-        match pred {
-            Pred::Phrase(phrase) => {
-                // Phrase selectivity is bounded by the rarest term's
-                // document frequency.
-                let terms = idm_index::tokenizer::terms(phrase);
-                let rarest = terms
-                    .iter()
-                    .map(|t| self.index_bundle().content.document_frequency(t))
-                    .min()
-                    .unwrap_or(0);
-                Estimate {
-                    rows: rarest,
-                    exact: terms.len() == 1,
-                }
-            }
-            Pred::Class(class_name) => {
-                let registry = self.view_store().classes();
-                let Some(target) = registry.lookup(class_name) else {
-                    return Estimate::exact(0);
-                };
-                let rows = registry
-                    .subclasses(target)
-                    .into_iter()
-                    .map(|c| self.index_bundle().catalog.class_count(&registry.name(c)))
-                    .sum();
-                Estimate::exact(rows)
-            }
-            Pred::Cmp { attr, op, .. } => {
-                // Column size bounds the result; equality assumes a
-                // uniform 10% hit rate, ranges 33%.
-                let column = self
-                    .index_bundle()
-                    .tuple
-                    .attribute_count(&resolve_attr(attr));
-                let rows = match op {
-                    idm_index::tuple::CompareOp::Eq => column / 10,
-                    idm_index::tuple::CompareOp::Ne => column,
-                    _ => column / 3,
-                };
-                Estimate::guess(rows.max(usize::from(column > 0)))
-            }
-            Pred::And(members) => {
-                // Upper bound: the most selective conjunct.
-                let rows = members
-                    .iter()
-                    .map(|m| self.estimate_pred(m).rows)
-                    .min()
-                    .unwrap_or(0);
-                Estimate::guess(rows)
-            }
-            Pred::Or(members) => {
-                let rows: usize = members.iter().map(|m| self.estimate_pred(m).rows).sum();
-                Estimate::guess(rows.min(self.universe()))
-            }
-            Pred::Not(inner) => {
-                let inner_rows = self.estimate_pred(inner).rows;
-                Estimate::guess(self.universe().saturating_sub(inner_rows))
-            }
+impl<'p> Planner<'p> {
+    /// A planner over `processor`'s statistics: reads the universe
+    /// (catalogued views) and the group replica's fan-out (edges per
+    /// view) once.
+    pub(crate) fn new(processor: &'p QueryProcessor) -> Self {
+        let indexes = processor.index_bundle();
+        let universe = indexes.catalog.len();
+        let fan_out = indexes.group.edge_count() as f64 / universe.max(1) as f64;
+        Planner {
+            processor,
+            universe,
+            fan_out,
         }
     }
 
-    /// Estimates a name-pattern posting list from name-index statistics.
-    pub(crate) fn estimate_name(&self, pattern: &idm_index::name::NamePattern) -> Estimate {
-        if pattern.matches_all() {
-            Estimate::guess(self.universe())
-        } else if pattern.is_exact() {
-            Estimate::exact(self.index_bundle().name.exact_count(pattern.as_str()))
+    /// The whole catalog, exactly.
+    pub(crate) fn estimate_all(&self) -> Estimate {
+        Estimate::exact(self.universe)
+    }
+
+    /// A phrase is bounded by its rarest term's document frequency,
+    /// exactly so for a single term.
+    pub(crate) fn estimate_phrase(&self, phrase: &str) -> Estimate {
+        let (terms, rarest) = self
+            .processor
+            .index_bundle()
+            .content
+            .phrase_statistics(phrase);
+        Estimate {
+            rows: rarest,
+            exact: terms == 1,
+        }
+    }
+
+    /// A class and its specializations: their catalog counts, exactly.
+    pub(crate) fn estimate_class(&self, class: &str) -> Estimate {
+        let catalog = &self.processor.index_bundle().catalog;
+        let registry = self.processor.view_store().classes();
+        Estimate::exact(
+            registry
+                .with_conforming_names(class, |names| catalog.classes_count(names))
+                .unwrap_or(0),
+        )
+    }
+
+    /// The column size bounds a comparison; equality assumes a uniform
+    /// 10% hit rate, ranges 33%.
+    pub(crate) fn estimate_cmp(&self, attr: &str, op: CompareOp) -> Estimate {
+        let column = self
+            .processor
+            .index_bundle()
+            .tuple
+            .attribute_count(&resolve_attr(attr));
+        let rows = match op {
+            CompareOp::Eq => column / 10,
+            CompareOp::Ne => column,
+            _ => column / 3,
+        };
+        Estimate::guess(rows.max(usize::from(column > 0)))
+    }
+
+    /// A name-pattern posting list, from name-index statistics. A bare
+    /// `*` step plans no name leaf, so the pattern is selective.
+    pub(crate) fn estimate_name(&self, pattern: &NamePattern) -> Estimate {
+        let names = &self.processor.index_bundle().name;
+        if pattern.is_exact() {
+            Estimate::exact(names.exact_count(pattern.as_str()))
         } else {
             // Wildcards: assume they hit 5% of the (name, vid) entries.
-            Estimate::guess((self.index_bundle().name.entry_count() / 20).max(1))
+            Estimate::guess((names.entry_count() / 20).max(1))
         }
     }
 
-    /// Estimates a path step that keeps the `candidates` related to some
-    /// view of `context` along `axis`. A view reaches the group
-    /// replica's average fan-out (edges per view) directly and its
-    /// square indirectly (two levels), so the context covers that share
-    /// of the universe, and the step keeps the same share of its
-    /// candidates: a step under one folder keeps a sliver of a common
-    /// glob's matches, a step under thousands of messages far more.
+    /// A union or disjunction: its inputs' sum, capped at the universe.
+    pub(crate) fn estimate_sum(&self, inputs: &[PlanNode]) -> Estimate {
+        let rows: usize = inputs.iter().map(|n| n.est.rows).sum();
+        Estimate::guess(rows.min(self.universe))
+    }
+
+    /// A complement: the universe less the excluded input.
+    pub(crate) fn estimate_complement(&self, excluded: Estimate) -> Estimate {
+        Estimate::guess(self.universe.saturating_sub(excluded.rows))
+    }
+
+    /// A path step that keeps the `candidates` related to some view of
+    /// `context` along `axis`. A view reaches the group replica's
+    /// average fan-out (edges per view) directly and its square
+    /// indirectly (two levels), so the context covers that share of the
+    /// universe, and the step keeps the same share of its candidates: a
+    /// step under one folder keeps a sliver of a common glob's matches,
+    /// a step under thousands of messages far more.
     pub(crate) fn estimate_relate(
         &self,
         axis: Axis,
         context: Estimate,
         candidates: Estimate,
     ) -> Estimate {
-        let universe = self.universe().max(1) as f64;
-        let fan_out = self.index_bundle().group.edge_count() as f64 / universe;
+        let universe = self.universe.max(1) as f64;
         let reach = match axis {
-            Axis::Child => fan_out,
-            Axis::Descendant => fan_out * fan_out,
+            Axis::Child => self.fan_out,
+            Axis::Descendant => self.fan_out * self.fan_out,
         };
         let covered = (context.rows as f64 * reach / universe).min(1.0);
         Estimate::guess(((candidates.rows as f64 * covered) as usize).max(1))
     }
+}
 
-    /// Estimates one path step's candidate set (name × predicate).
-    fn estimate_step(&self, step: &crate::ast::Step) -> Estimate {
-        let by_name = self.estimate_name(&step.name);
-        match &step.pred {
-            Some(pred) => {
-                let by_pred = self.estimate_pred(pred);
-                Estimate::guess(by_name.rows.min(by_pred.rows))
-            }
-            None => by_name,
-        }
-    }
-
-    /// Estimates a whole query's result cardinality.
-    pub fn estimate(&self, query: &Query) -> Estimate {
-        match query {
-            Query::Filter(pred) => self.estimate_pred(pred),
-            Query::Path(path) => {
-                // Each step after the first relates its candidates to
-                // the steps before it.
-                let mut steps = path.steps.iter();
-                let Some(first) = steps.next() else {
-                    return Estimate::exact(0);
-                };
-                steps.fold(self.estimate_step(first), |context, step| {
-                    self.estimate_relate(step.axis, context, self.estimate_step(step))
-                })
-            }
-            Query::Union(members) => {
-                let rows: usize = members.iter().map(|m| self.estimate(m).rows).sum();
-                Estimate::guess(rows.min(self.universe()))
-            }
-            Query::Join(join) => {
-                let left = self.estimate(&join.left).rows;
-                let right = self.estimate(&join.right).rows;
-                // Keyed equi-join: bounded by the smaller input when the
-                // key is near-unique (names usually are).
-                Estimate::guess(left.min(right))
-            }
-        }
-    }
-
-    /// Parses a query and estimates it.
+impl QueryProcessor {
+    /// Parses and plans a query and returns the root estimate of the
+    /// plan (before sideways key passing, which changes no estimate).
     pub fn estimate_iql(&self, iql: &str) -> Result<Estimate> {
-        Ok(self.estimate(&parse(iql)?))
+        Ok(self
+            .plan_without_key_passing(&crate::parser::parse(iql)?)?
+            .root
+            .est)
     }
 }
 

@@ -582,28 +582,11 @@ impl QueryProcessor {
 
     /// All catalog members of the class or any of its specializations.
     fn class_members(&self, class_name: &str) -> Vec<Vid> {
-        let registry = self.store.classes();
-        let Some(target) = registry.lookup(class_name) else {
-            return Vec::new();
-        };
-        // Each class list is vid-sorted; only a merge of several needs
-        // sorting again.
-        let mut lists = registry
-            .subclasses(target)
-            .into_iter()
-            .map(|class| self.indexes.catalog.by_class(&registry.name(class)))
-            .filter(|list| !list.is_empty());
-        let mut out = lists.next().unwrap_or_default();
-        let mut merged = false;
-        for list in lists {
-            out.extend(list);
-            merged = true;
-        }
-        if merged {
-            out.sort();
-            out.dedup();
-        }
-        out
+        let catalog = &self.indexes.catalog;
+        self.store
+            .classes()
+            .with_conforming_names(class_name, |names| catalog.by_classes(names))
+            .unwrap_or_default()
     }
 
     // ---- paths --------------------------------------------------------

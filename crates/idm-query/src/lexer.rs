@@ -6,12 +6,15 @@
 //! `VLDB200?`) and dotted field references (`B.tuple.label`, split by
 //! the parser). Strings are double-quoted phrases; `@` introduces a date
 //! literal (`@12.06.2005`).
+//!
+//! The lexer makes one pass over the query's bytes and decodes a char
+//! only at a non-ASCII byte; words and phrases borrow the query text.
 
 use idm_core::prelude::{IdmError, Result, Timestamp};
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+/// A lexical token, borrowing its text from the query.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Token<'a> {
     /// `//`
     DoubleSlash,
     /// `/`
@@ -39,127 +42,96 @@ pub enum Token {
     /// `>=`
     Ge,
     /// A double-quoted phrase (quotes stripped).
-    Phrase(String),
+    Phrase(&'a str),
     /// A date literal `@dd.mm.yyyy`.
     Date(Timestamp),
     /// A word: identifier, keyword, number or name pattern.
-    Word(String),
+    Word(&'a str),
+}
+
+fn is_word_char(c: char) -> bool {
+    c.is_alphanumeric() || matches!(c, '_' | '*' | '?' | '.' | ':' | '-' | '\'')
+}
+
+/// The char starting at byte `at`, decoded only if it is not ASCII.
+fn char_at(input: &str, at: usize) -> char {
+    match input.as_bytes()[at] {
+        b if b.is_ascii() => char::from(b),
+        _ => input[at..]
+            .chars()
+            .next()
+            .expect("tokens end on char boundaries"),
+    }
 }
 
 /// Tokenizes an iQL query string.
-pub fn lex(input: &str) -> Result<Vec<Token>> {
-    let mut tokens = Vec::new();
-    let chars: Vec<char> = input.chars().collect();
+pub fn lex(input: &str) -> Result<Vec<Token<'_>>> {
+    let bytes = input.as_bytes();
+    // An iQL token averages three bytes or more (`//` and a name, a
+    // space and a keyword), so this is one allocation for most queries.
+    let mut tokens = Vec::with_capacity(bytes.len() / 3 + 1);
     let mut i = 0usize;
-
-    fn is_word_char(c: char) -> bool {
-        c.is_alphanumeric() || matches!(c, '_' | '*' | '?' | '.' | ':' | '-' | '\'')
-    }
-
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            c if c.is_whitespace() => i += 1,
-            '/' => {
-                if chars.get(i + 1) == Some(&'/') {
-                    tokens.push(Token::DoubleSlash);
-                    i += 2;
-                } else {
-                    tokens.push(Token::Slash);
-                    i += 1;
-                }
+    while i < bytes.len() {
+        let followed_by = |b: u8| bytes.get(i + 1) == Some(&b);
+        let (token, len) = match bytes[i] {
+            b'/' if followed_by(b'/') => (Token::DoubleSlash, 2),
+            b'/' => (Token::Slash, 1),
+            b'[' => (Token::LBracket, 1),
+            b']' => (Token::RBracket, 1),
+            b'(' => (Token::LParen, 1),
+            b')' => (Token::RParen, 1),
+            b',' => (Token::Comma, 1),
+            b'=' => (Token::Eq, 1),
+            b'!' if followed_by(b'=') => (Token::Ne, 2),
+            b'!' => {
+                return Err(IdmError::Parse {
+                    detail: "iql: lone '!' (did you mean '!=' or 'not'?)".into(),
+                })
             }
-            '[' => {
-                tokens.push(Token::LBracket);
-                i += 1;
-            }
-            ']' => {
-                tokens.push(Token::RBracket);
-                i += 1;
-            }
-            '(' => {
-                tokens.push(Token::LParen);
-                i += 1;
-            }
-            ')' => {
-                tokens.push(Token::RParen);
-                i += 1;
-            }
-            ',' => {
-                tokens.push(Token::Comma);
-                i += 1;
-            }
-            '=' => {
-                tokens.push(Token::Eq);
-                i += 1;
-            }
-            '!' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    tokens.push(Token::Ne);
-                    i += 2;
-                } else {
-                    return Err(IdmError::Parse {
-                        detail: "iql: lone '!' (did you mean '!=' or 'not'?)".into(),
-                    });
-                }
-            }
-            '<' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    tokens.push(Token::Le);
-                    i += 2;
-                } else {
-                    tokens.push(Token::Lt);
-                    i += 1;
-                }
-            }
-            '>' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    tokens.push(Token::Ge);
-                    i += 2;
-                } else {
-                    tokens.push(Token::Gt);
-                    i += 1;
-                }
-            }
-            '"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < chars.len() && chars[j] != '"' {
-                    j += 1;
-                }
-                if j == chars.len() {
+            b'<' if followed_by(b'=') => (Token::Le, 2),
+            b'<' => (Token::Lt, 1),
+            b'>' if followed_by(b'=') => (Token::Ge, 2),
+            b'>' => (Token::Gt, 1),
+            b'"' => {
+                let Some(len) = bytes[i + 1..].iter().position(|&b| b == b'"') else {
                     return Err(IdmError::Parse {
                         detail: "iql: unterminated string".into(),
                     });
+                };
+                (Token::Phrase(&input[i + 1..i + 1 + len]), len + 2)
+            }
+            b'@' => {
+                let len = bytes[i + 1..]
+                    .iter()
+                    .take_while(|&&b| b.is_ascii_digit() || b == b'.')
+                    .count();
+                let date = Timestamp::parse_dmy(&input[i + 1..i + 1 + len])?;
+                (Token::Date(date), len + 1)
+            }
+            _ => {
+                let c = char_at(input, i);
+                if c.is_whitespace() {
+                    i += c.len_utf8();
+                    continue;
                 }
-                tokens.push(Token::Phrase(chars[start..j].iter().collect()));
-                i = j + 1;
-            }
-            '@' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < chars.len() && (chars[j].is_ascii_digit() || chars[j] == '.') {
-                    j += 1;
+                if !is_word_char(c) {
+                    return Err(IdmError::Parse {
+                        detail: format!("iql: unexpected character '{c}'"),
+                    });
                 }
-                let text: String = chars[start..j].iter().collect();
-                tokens.push(Token::Date(Timestamp::parse_dmy(&text)?));
-                i = j;
-            }
-            c if is_word_char(c) => {
-                let start = i;
-                let mut j = i;
-                while j < chars.len() && is_word_char(chars[j]) {
-                    j += 1;
+                let mut end = i + c.len_utf8();
+                while end < bytes.len() {
+                    let c = char_at(input, end);
+                    if !is_word_char(c) {
+                        break;
+                    }
+                    end += c.len_utf8();
                 }
-                tokens.push(Token::Word(chars[start..j].iter().collect()));
-                i = j;
+                (Token::Word(&input[i..end]), end - i)
             }
-            other => {
-                return Err(IdmError::Parse {
-                    detail: format!("iql: unexpected character '{other}'"),
-                })
-            }
-        }
+        };
+        tokens.push(token);
+        i += len;
     }
     Ok(tokens)
 }
@@ -175,11 +147,11 @@ mod tests {
             tokens,
             vec![
                 Token::LBracket,
-                Token::Word("size".into()),
+                Token::Word("size"),
                 Token::Gt,
-                Token::Word("420000".into()),
-                Token::Word("and".into()),
-                Token::Word("lastmodified".into()),
+                Token::Word("420000"),
+                Token::Word("and"),
+                Token::Word("lastmodified"),
                 Token::Lt,
                 Token::Date(Timestamp::from_ymd(2005, 6, 12).unwrap()),
                 Token::RBracket,
@@ -194,13 +166,13 @@ mod tests {
             tokens,
             vec![
                 Token::DoubleSlash,
-                Token::Word("VLDB200?".into()),
+                Token::Word("VLDB200?"),
                 Token::DoubleSlash,
-                Token::Word("?onclusion*".into()),
+                Token::Word("?onclusion*"),
                 Token::Slash,
-                Token::Word("*".into()),
+                Token::Word("*"),
                 Token::LBracket,
-                Token::Phrase("systems".into()),
+                Token::Phrase("systems"),
                 Token::RBracket,
             ]
         );
@@ -209,8 +181,8 @@ mod tests {
     #[test]
     fn lexes_join_with_dotted_refs() {
         let tokens = lex("join( //a as A, //b as B, A.name=B.tuple.label)").unwrap();
-        assert!(tokens.contains(&Token::Word("A.name".into())));
-        assert!(tokens.contains(&Token::Word("B.tuple.label".into())));
+        assert!(tokens.contains(&Token::Word("A.name")));
+        assert!(tokens.contains(&Token::Word("B.tuple.label")));
     }
 
     #[test]
@@ -248,9 +220,9 @@ mod tests {
             tokens,
             vec![
                 Token::DoubleSlash,
-                Token::Word("papers".into()),
+                Token::Word("papers"),
                 Token::DoubleSlash,
-                Token::Word("vldb-2006.tex".into()),
+                Token::Word("vldb-2006.tex"),
             ]
         );
     }

@@ -24,11 +24,14 @@
 //! [`idm_index::IndexBundle`]. `EXPLAIN`
 //! ([`exec::QueryProcessor::explain`]) renders the identical plan
 //! object the executor runs, and [`plan::Plan::fingerprint`] keys the
-//! whole-result cache. A path step walks group edges from its smaller
-//! side: forward from the context, as the paper's prototype always did,
-//! or backward from the candidates, the remedy the paper names for Q8.
+//! whole-result cache. A path step walks no group edges: a `//` step is
+//! a range test over the group replica's DFS labels (each candidate
+//! tested against the context's intervals, or the reached positions
+//! enumerated against the candidates, whichever is less work), and a
+//! `/` step tests each candidate's parents.
 
 #![warn(missing_docs)]
+#![warn(clippy::format_push_string)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod ast;

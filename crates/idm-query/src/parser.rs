@@ -1,4 +1,7 @@
 //! The iQL parser: tokens → [`Query`] AST.
+//!
+//! Tokens borrow the query text and are read by copy; a string is
+//! allocated only where the AST keeps one.
 
 use idm_core::prelude::{IdmError, Result, Value};
 use idm_index::name::NamePattern;
@@ -11,23 +14,42 @@ use crate::lexer::{lex, Token};
 pub fn parse(input: &str) -> Result<Query> {
     let tokens = lex(input)?;
     let mut parser = Parser { tokens, pos: 0 };
-    let query = parser.parse_query()?;
+    let query = parser.parse_query(true)?;
     if parser.pos != parser.tokens.len() {
         return Err(parser.error("trailing tokens after query"));
     }
     Ok(query)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// The value of a bare word literal: an integer, a float, a boolean or
+/// else text. A word is a number only if it is digit-shaped (a digit or
+/// `.` first, after an optional `-`), so `nan` and `Infinity` stay text.
+pub(crate) fn word_value(word: &str) -> Value {
+    let unsigned = word.strip_prefix('-').unwrap_or(word);
+    if unsigned.starts_with(|c: char| c.is_ascii_digit() || c == '.') {
+        if let Ok(i) = word.parse::<i64>() {
+            return Value::Integer(i);
+        }
+        if let Ok(f) = word.parse::<f64>() {
+            return Value::Float(f);
+        }
+    }
+    if word.eq_ignore_ascii_case("true") || word.eq_ignore_ascii_case("false") {
+        return Value::Boolean(word.eq_ignore_ascii_case("true"));
+    }
+    Value::Text(word.to_owned())
+}
+
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-fn is_keyword(token: &Token, keyword: &str) -> bool {
+fn is_keyword(token: Token<'_>, keyword: &str) -> bool {
     matches!(token, Token::Word(w) if w.eq_ignore_ascii_case(keyword))
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn error(&self, message: impl Into<String>) -> IdmError {
         IdmError::Parse {
             detail: format!(
@@ -39,23 +61,23 @@ impl Parser {
         }
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+    fn peek(&self) -> Option<Token<'a>> {
+        self.tokens.get(self.pos).copied()
     }
 
-    fn peek2(&self) -> Option<&Token> {
-        self.tokens.get(self.pos + 1)
+    fn peek2(&self) -> Option<Token<'a>> {
+        self.tokens.get(self.pos + 1).copied()
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let token = self.tokens.get(self.pos).cloned();
+    fn next(&mut self) -> Option<Token<'a>> {
+        let token = self.peek();
         if token.is_some() {
             self.pos += 1;
         }
         token
     }
 
-    fn expect(&mut self, token: &Token, what: &str) -> Result<()> {
+    fn expect(&mut self, token: Token<'_>, what: &str) -> Result<()> {
         if self.peek() == Some(token) {
             self.pos += 1;
             Ok(())
@@ -64,81 +86,58 @@ impl Parser {
         }
     }
 
-    fn parse_query(&mut self) -> Result<Query> {
+    /// Parses a query. Only the top level accepts a bare predicate
+    /// word; a union member or join input stops before its ',' or ')'.
+    fn parse_query(&mut self, top: bool) -> Result<Query> {
         match self.peek() {
-            Some(t) if is_keyword(t, "union") && self.peek2() == Some(&Token::LParen) => {
+            Some(t) if is_keyword(t, "union") && self.peek2() == Some(Token::LParen) => {
                 self.parse_union()
             }
-            Some(t) if is_keyword(t, "join") && self.peek2() == Some(&Token::LParen) => {
+            Some(t) if is_keyword(t, "join") && self.peek2() == Some(Token::LParen) => {
                 self.parse_join()
             }
             Some(Token::DoubleSlash | Token::Slash) => Ok(Query::Path(self.parse_path()?)),
             Some(Token::LBracket) => {
                 self.next();
                 let pred = self.parse_pred_or()?;
-                self.expect(&Token::RBracket, "']'")?;
+                self.expect(Token::RBracket, "']'")?;
                 Ok(Query::Filter(pred))
             }
-            Some(Token::Phrase(_) | Token::Word(_)) => Ok(Query::Filter(self.parse_pred_or()?)),
-            _ => Err(self.error("expected a query")),
+            Some(Token::Phrase(_)) => Ok(Query::Filter(self.parse_pred_or()?)),
+            Some(Token::Word(_)) if top => Ok(Query::Filter(self.parse_pred_or()?)),
+            _ if top => Err(self.error("expected a query")),
+            _ => Err(self.error("expected a subquery")),
         }
     }
 
     fn parse_union(&mut self) -> Result<Query> {
         self.next(); // union
-        self.expect(&Token::LParen, "'(' after union")?;
-        let mut members = vec![self.parse_query_until_comma_or_rparen()?];
-        while self.peek() == Some(&Token::Comma) {
+        self.expect(Token::LParen, "'(' after union")?;
+        let mut members = vec![self.parse_query(false)?];
+        while self.peek() == Some(Token::Comma) {
             self.next();
-            members.push(self.parse_query_until_comma_or_rparen()?);
+            members.push(self.parse_query(false)?);
         }
-        self.expect(&Token::RParen, "')' closing union")?;
+        self.expect(Token::RParen, "')' closing union")?;
         if members.len() < 2 {
             return Err(self.error("union needs at least two members"));
         }
         Ok(Query::Union(members))
     }
 
-    /// Parses a nested query argument; stops at ',' or ')' at depth 0.
-    fn parse_query_until_comma_or_rparen(&mut self) -> Result<Query> {
-        // Sub-queries are themselves well-formed; recursive descent
-        // naturally stops before ',' / ')'.
-        self.parse_query_inner()
-    }
-
-    fn parse_query_inner(&mut self) -> Result<Query> {
-        match self.peek() {
-            Some(t) if is_keyword(t, "union") && self.peek2() == Some(&Token::LParen) => {
-                self.parse_union()
-            }
-            Some(t) if is_keyword(t, "join") && self.peek2() == Some(&Token::LParen) => {
-                self.parse_join()
-            }
-            Some(Token::DoubleSlash | Token::Slash) => Ok(Query::Path(self.parse_path()?)),
-            Some(Token::LBracket) => {
-                self.next();
-                let pred = self.parse_pred_or()?;
-                self.expect(&Token::RBracket, "']'")?;
-                Ok(Query::Filter(pred))
-            }
-            Some(Token::Phrase(_)) => Ok(Query::Filter(self.parse_pred_or()?)),
-            _ => Err(self.error("expected a subquery")),
-        }
-    }
-
     fn parse_join(&mut self) -> Result<Query> {
         self.next(); // join
-        self.expect(&Token::LParen, "'(' after join")?;
-        let left = self.parse_query_inner()?;
+        self.expect(Token::LParen, "'(' after join")?;
+        let left = self.parse_query(false)?;
         let left_binding = self.parse_as_binding()?;
-        self.expect(&Token::Comma, "',' after first join input")?;
-        let right = self.parse_query_inner()?;
+        self.expect(Token::Comma, "',' after first join input")?;
+        let right = self.parse_query(false)?;
         let right_binding = self.parse_as_binding()?;
-        self.expect(&Token::Comma, "',' after second join input")?;
+        self.expect(Token::Comma, "',' after second join input")?;
         let left_ref = self.parse_field_ref()?;
-        self.expect(&Token::Eq, "'=' in join condition")?;
+        self.expect(Token::Eq, "'=' in join condition")?;
         let right_ref = self.parse_field_ref()?;
-        self.expect(&Token::RParen, "')' closing join")?;
+        self.expect(Token::RParen, "')' closing join")?;
         Ok(Query::Join(Box::new(JoinExpr {
             left,
             left_binding,
@@ -153,21 +152,20 @@ impl Parser {
 
     fn parse_as_binding(&mut self) -> Result<String> {
         match self.next() {
-            Some(ref t) if is_keyword(t, "as") => {}
+            Some(t) if is_keyword(t, "as") => {}
             _ => return Err(self.error("expected 'as <binding>'")),
         }
         match self.next() {
-            Some(Token::Word(w)) => Ok(w),
+            Some(Token::Word(w)) => Ok(w.to_owned()),
             _ => Err(self.error("expected a binding name after 'as'")),
         }
     }
 
     fn parse_field_ref(&mut self) -> Result<FieldRef> {
-        let word = match self.next() {
-            Some(Token::Word(w)) => w,
-            _ => return Err(self.error("expected a field reference like A.name")),
+        let Some(Token::Word(word)) = self.next() else {
+            return Err(self.error("expected a field reference like A.name"));
         };
-        let mut parts = word.split('.');
+        let mut parts = word.splitn(3, '.');
         let binding = parts
             .next()
             .filter(|b| !b.is_empty())
@@ -176,13 +174,13 @@ impl Parser {
         let field = match parts.next() {
             Some("name") => Field::Name,
             Some("class") => Field::Class,
-            Some("tuple") => {
-                let attr: Vec<&str> = parts.collect();
-                if attr.is_empty() {
-                    return Err(self.error("tuple field reference misses an attribute"));
+            // Every dot-separated part of the attribute must be named.
+            Some("tuple") => match parts.next() {
+                Some(attr) if !attr.split('.').any(str::is_empty) => {
+                    Field::TupleAttr(attr.to_owned())
                 }
-                Field::TupleAttr(attr.join("."))
-            }
+                _ => return Err(self.error("tuple field reference misses an attribute")),
+            },
             Some(other) => {
                 return Err(self.error(format!(
                     "unknown field '{other}' (expected name, class or tuple.<attr>)"
@@ -206,16 +204,15 @@ impl Parser {
             // `//OLAP//[class="figure"]`).
             let name = match self.peek() {
                 Some(t @ Token::Word(w)) if !is_keyword(t, "and") && !is_keyword(t, "or") => {
-                    let w = w.clone();
                     self.next();
                     NamePattern::new(w)
                 }
                 _ => NamePattern::new("*"),
             };
-            let pred = if self.peek() == Some(&Token::LBracket) {
+            let pred = if self.peek() == Some(Token::LBracket) {
                 self.next();
                 let pred = self.parse_pred_or()?;
-                self.expect(&Token::RBracket, "']' closing step predicate")?;
+                self.expect(Token::RBracket, "']' closing step predicate")?;
                 Some(pred)
             } else {
                 None
@@ -229,42 +226,43 @@ impl Parser {
     }
 
     fn parse_pred_or(&mut self) -> Result<Pred> {
-        let mut members = vec![self.parse_pred_and()?];
-        while self.peek().is_some_and(|t| is_keyword(t, "or")) {
-            self.next();
-            members.push(self.parse_pred_and()?);
-        }
-        Ok(if members.len() == 1 {
-            members.pop().expect("non-empty")
-        } else {
-            Pred::Or(members)
-        })
+        self.parse_pred_list("or", Self::parse_pred_and, Pred::Or)
     }
 
     fn parse_pred_and(&mut self) -> Result<Pred> {
-        let mut members = vec![self.parse_pred_atom()?];
-        while self.peek().is_some_and(|t| is_keyword(t, "and")) {
-            self.next();
-            members.push(self.parse_pred_atom()?);
+        self.parse_pred_list("and", Self::parse_pred_atom, Pred::And)
+    }
+
+    /// Members joined by `keyword`; a single member is returned as is,
+    /// without a list.
+    fn parse_pred_list(
+        &mut self,
+        keyword: &str,
+        member: fn(&mut Self) -> Result<Pred>,
+        list: fn(Vec<Pred>) -> Pred,
+    ) -> Result<Pred> {
+        let first = member(self)?;
+        if !self.peek().is_some_and(|t| is_keyword(t, keyword)) {
+            return Ok(first);
         }
-        Ok(if members.len() == 1 {
-            members.pop().expect("non-empty")
-        } else {
-            Pred::And(members)
-        })
+        let mut members = vec![first];
+        while self.peek().is_some_and(|t| is_keyword(t, keyword)) {
+            self.next();
+            members.push(member(self)?);
+        }
+        Ok(list(members))
     }
 
     fn parse_pred_atom(&mut self) -> Result<Pred> {
         match self.peek() {
             Some(Token::Phrase(p)) => {
-                let p = p.clone();
                 self.next();
-                Ok(Pred::Phrase(p))
+                Ok(Pred::Phrase(p.to_owned()))
             }
             Some(Token::LParen) => {
                 self.next();
                 let pred = self.parse_pred_or()?;
-                self.expect(&Token::RParen, "')' closing group")?;
+                self.expect(Token::RParen, "')' closing group")?;
                 Ok(pred)
             }
             Some(t) if is_keyword(t, "not") => {
@@ -272,7 +270,6 @@ impl Parser {
                 Ok(Pred::Not(Box::new(self.parse_pred_atom()?)))
             }
             Some(Token::Word(attr)) => {
-                let attr = attr.clone();
                 self.next();
                 let op = match self.next() {
                     Some(Token::Eq) => CompareOp::Eq,
@@ -296,7 +293,11 @@ impl Parser {
                         _ => Err(self.error("class predicates support = and != with a string")),
                     };
                 }
-                Ok(Pred::Cmp { attr, op, value })
+                Ok(Pred::Cmp {
+                    attr: attr.to_owned(),
+                    op,
+                    value,
+                })
             }
             _ => Err(self.error("expected a predicate")),
         }
@@ -304,17 +305,18 @@ impl Parser {
 
     fn parse_literal(&mut self) -> Result<Literal> {
         match self.next() {
-            Some(Token::Phrase(s)) => Ok(Literal::Value(Value::Text(s))),
+            Some(Token::Phrase(s)) => Ok(Literal::Value(Value::Text(s.to_owned()))),
             Some(Token::Date(t)) => Ok(Literal::Value(Value::Date(t))),
             Some(Token::Word(w)) => {
                 // Date function call?
-                if self.peek() == Some(&Token::LParen) && self.peek2() == Some(&Token::RParen) {
-                    let date_fn = match w.to_ascii_lowercase().as_str() {
-                        "yesterday" => Some(DateFn::Yesterday),
-                        "today" => Some(DateFn::Today),
-                        "now" => Some(DateFn::Now),
-                        _ => None,
-                    };
+                if self.peek() == Some(Token::LParen) && self.peek2() == Some(Token::RParen) {
+                    let date_fn = [
+                        ("yesterday", DateFn::Yesterday),
+                        ("today", DateFn::Today),
+                        ("now", DateFn::Now),
+                    ]
+                    .into_iter()
+                    .find_map(|(name, date_fn)| w.eq_ignore_ascii_case(name).then_some(date_fn));
                     if let Some(date_fn) = date_fn {
                         self.next();
                         self.next();
@@ -322,20 +324,7 @@ impl Parser {
                     }
                     return Err(self.error(format!("unknown function '{w}()'")));
                 }
-                // Number?
-                if let Ok(i) = w.parse::<i64>() {
-                    return Ok(Literal::Value(Value::Integer(i)));
-                }
-                if let Ok(f) = w.parse::<f64>() {
-                    return Ok(Literal::Value(Value::Float(f)));
-                }
-                if w.eq_ignore_ascii_case("true") || w.eq_ignore_ascii_case("false") {
-                    return Ok(Literal::Value(Value::Boolean(
-                        w.eq_ignore_ascii_case("true"),
-                    )));
-                }
-                // Bare word: treat as text.
-                Ok(Literal::Value(Value::Text(w)))
+                Ok(Literal::Value(word_value(w)))
             }
             _ => Err(self.error("expected a literal")),
         }
@@ -502,6 +491,55 @@ mod tests {
         };
         assert_eq!(ors.len(), 2);
         assert_eq!(ors[1], Pred::Class("file".into()));
+    }
+
+    #[test]
+    fn only_digit_shaped_words_are_numbers() {
+        let value_of = |text: &str| match parse(&format!("[x = {text}]")).unwrap() {
+            Query::Filter(Pred::Cmp { value, .. }) => value,
+            other => panic!("{other:?}"),
+        };
+        for special in ["nan", "NaN", "inf", "Infinity", "-inf", "infinity"] {
+            assert_eq!(
+                value_of(special),
+                Literal::Value(Value::Text(special.into())),
+                "{special}"
+            );
+        }
+        assert_eq!(value_of("1e3"), Literal::Value(Value::Float(1000.0)));
+        assert_eq!(value_of("-0.5"), Literal::Value(Value::Float(-0.5)));
+        assert_eq!(value_of(".5"), Literal::Value(Value::Float(0.5)));
+        assert_eq!(value_of("420000"), Literal::Value(Value::Integer(420_000)));
+        assert_eq!(value_of("false"), Literal::Value(Value::Boolean(false)));
+        assert_eq!(value_of("v1.2"), Literal::Value(Value::Text("v1.2".into())));
+    }
+
+    #[test]
+    fn tuple_field_references_name_every_attribute_part() {
+        let field = |cond: &str| {
+            parse(&format!("join(//a as A, //b as B, {cond})")).map(|q| match q {
+                Query::Join(join) => join.condition.right.field,
+                other => panic!("{other:?}"),
+            })
+        };
+        assert_eq!(
+            field("A.name = B.tuple.label").unwrap(),
+            Field::TupleAttr("label".into())
+        );
+        assert_eq!(
+            field("A.name = B.tuple.a.b").unwrap(),
+            Field::TupleAttr("a.b".into())
+        );
+        for bad in [
+            "B.tuple",
+            "B.tuple.",
+            "B.tuple..x",
+            "B.tuple.x.",
+            "B.tuple.x..y",
+        ] {
+            let err = field(&format!("A.name = {bad}")).unwrap_err().to_string();
+            assert!(err.contains("misses an attribute"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -25,6 +25,8 @@
 //! used by the [`crate::cache::ResultCache`] and by the
 //! planner-determinism guard in `idm-bench`.
 
+use std::fmt::{self, Write};
+
 use idm_core::durability::codec::fnv1a64;
 use idm_core::prelude::{IdmError, Result};
 use idm_index::name::NamePattern;
@@ -83,8 +85,10 @@ pub enum PlanOp {
     UnionOp(Vec<PlanNode>),
     /// Complement of the input against the catalog.
     Complement(Box<PlanNode>),
-    /// Keep the candidates related to some context view along `axis`,
-    /// walking group edges from the smaller of the two inputs.
+    /// Keep the candidates related to some context view along `axis`:
+    /// for `//`, a range test of the candidates against the context's
+    /// DFS intervals in the group replica; for `/`, a test of each
+    /// candidate's parents.
     Relate {
         /// Produces the context views (the previous path steps).
         context: Box<PlanNode>,
@@ -194,7 +198,7 @@ impl Plan {
     /// prints the *same* tree the executor walks.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        render_node(&self.root, 0, false, &mut out);
+        render_node(&self.root, 0, false, &mut out).expect("a String takes every write");
         out
     }
 
@@ -202,7 +206,7 @@ impl Plan {
     /// "EXPLAIN (with estimates)" a cost-based optimizer starts from.
     pub fn render_with_estimates(&self) -> String {
         let mut out = String::new();
-        render_node(&self.root, 0, true, &mut out);
+        render_node(&self.root, 0, true, &mut out).expect("a String takes every write");
         out
     }
 
@@ -213,8 +217,8 @@ impl Plan {
     /// deterministic across runs, processes and platforms (unlike the
     /// std hasher, whose keys are unspecified).
     pub fn fingerprint(&self) -> u64 {
-        let mut canonical = String::new();
-        canonicalize(&self.root, &mut canonical);
+        let mut canonical = String::with_capacity(256);
+        canonicalize(&self.root, &mut canonical).expect("a String takes every write");
         fnv1a64(canonical.as_bytes())
     }
 }
@@ -256,7 +260,9 @@ fn count_ops(node: &PlanNode, counts: &mut OperatorCounts) {
     }
 }
 
-fn canonicalize(node: &PlanNode, out: &mut String) {
+/// Writes the node's canonical form into `out`, formatting no part of
+/// it into a buffer of its own. Writing into a `String` cannot fail.
+fn canonicalize(node: &PlanNode, out: &mut String) -> fmt::Result {
     match &node.op {
         PlanOp::IndexAccess(access) => match access {
             AccessKind::Name(pattern) => {
@@ -268,7 +274,7 @@ fn canonicalize(node: &PlanNode, out: &mut String) {
                 out.push_str(phrase);
             }
             AccessKind::Tuple { attr, op, value } => {
-                out.push_str(&format!("ia:tuple:{attr}:{op:?}:{value:?}"));
+                write!(out, "ia:tuple:{attr}:{op:?}:{value:?}")?
             }
             AccessKind::Catalog(class) => {
                 out.push_str("ia:catalog:");
@@ -280,25 +286,21 @@ fn canonicalize(node: &PlanNode, out: &mut String) {
             }
         },
         PlanOp::Scan => out.push_str("scan"),
-        PlanOp::Intersect(inputs) => {
-            out.push_str("and(");
+        PlanOp::Intersect(inputs) | PlanOp::UnionOp(inputs) => {
+            out.push_str(if matches!(node.op, PlanOp::Intersect(_)) {
+                "and("
+            } else {
+                "or("
+            });
             for input in inputs {
-                canonicalize(input, out);
-                out.push(',');
-            }
-            out.push(')');
-        }
-        PlanOp::UnionOp(inputs) => {
-            out.push_str("or(");
-            for input in inputs {
-                canonicalize(input, out);
+                canonicalize(input, out)?;
                 out.push(',');
             }
             out.push(')');
         }
         PlanOp::Complement(exclude) => {
             out.push_str("not(");
-            canonicalize(exclude, out);
+            canonicalize(exclude, out)?;
             out.push(')');
         }
         PlanOp::Relate {
@@ -306,10 +308,10 @@ fn canonicalize(node: &PlanNode, out: &mut String) {
             candidates,
             axis,
         } => {
-            out.push_str(&format!("rel:{axis:?}("));
-            canonicalize(context, out);
+            write!(out, "rel:{axis:?}(")?;
+            canonicalize(context, out)?;
             out.push(',');
-            canonicalize(candidates, out);
+            canonicalize(candidates, out)?;
             out.push(')');
         }
         PlanOp::HashJoin {
@@ -320,115 +322,57 @@ fn canonicalize(node: &PlanNode, out: &mut String) {
             build,
             ..
         } => {
-            out.push_str(&format!(
-                "join:{}:{}:{build:?}(",
-                field_name(left_field),
-                field_name(right_field)
-            ));
-            canonicalize(left, out);
+            write!(out, "join:{left_field}:{right_field}:{build:?}(")?;
+            canonicalize(left, out)?;
             out.push(',');
-            canonicalize(right, out);
+            canonicalize(right, out)?;
             out.push(')');
         }
     }
     out.push(';');
+    Ok(())
 }
 
-fn indent(depth: usize, out: &mut String) {
+fn render_node(node: &PlanNode, depth: usize, estimates: bool, out: &mut String) -> fmt::Result {
     for _ in 0..depth {
         out.push_str("  ");
     }
-}
-
-fn field_name(field: &Field) -> String {
-    match field {
-        Field::Name => "name".to_owned(),
-        Field::Class => "class".to_owned(),
-        Field::TupleAttr(attr) => format!("tuple.{attr}"),
-    }
-}
-
-fn render_node(node: &PlanNode, depth: usize, estimates: bool, out: &mut String) {
-    indent(depth, out);
-    let est_suffix = |node: &PlanNode| {
-        if estimates {
-            format!(
-                "  (est. {} rows{})",
-                node.est.rows,
-                if node.est.exact { ", exact" } else { "" }
-            )
-        } else {
-            String::new()
-        }
-    };
     match &node.op {
-        PlanOp::IndexAccess(access) => {
-            let what = match access {
-                AccessKind::Name(pattern) if pattern.is_exact() => {
-                    format!("NameIndex exact '{}'", pattern.as_str())
-                }
-                AccessKind::Name(pattern) => {
-                    format!("NameIndex wildcard '{}'", pattern.as_str())
-                }
-                AccessKind::Content(phrase) => format!("ContentIndex phrase \"{phrase}\""),
-                AccessKind::Tuple { attr, op, value } => {
-                    format!("TupleIndex {attr} {op:?} {value:?}")
-                }
-                AccessKind::Catalog(class) => {
-                    format!("Catalog class '{class}' (+ specializations)")
-                }
-                AccessKind::NameByKeys(pattern) => {
-                    format!(
-                        "NameIndex exact per join key matching '{}'",
-                        pattern.as_str()
-                    )
-                }
-            };
-            out.push_str(&format!("IndexAccess {what}{}\n", est_suffix(node)));
-        }
-        PlanOp::Scan => {
-            out.push_str(&format!("Scan (full catalog){}\n", est_suffix(node)));
-        }
-        PlanOp::Intersect(inputs) => {
-            out.push_str(&format!(
-                "Intersect ({} inputs, smallest-estimate first){}\n",
-                inputs.len(),
-                est_suffix(node)
-            ));
-            for input in inputs {
-                render_node(input, depth + 1, estimates, out);
+        PlanOp::IndexAccess(access) => match access {
+            AccessKind::Name(pattern) if pattern.is_exact() => {
+                write!(out, "IndexAccess NameIndex exact '{}'", pattern.as_str())?
             }
-        }
-        PlanOp::UnionOp(inputs) => {
-            out.push_str(&format!(
-                "Union ({} inputs, dedup){}\n",
-                inputs.len(),
-                est_suffix(node)
-            ));
-            for input in inputs {
-                render_node(input, depth + 1, estimates, out);
+            AccessKind::Name(pattern) => {
+                write!(out, "IndexAccess NameIndex wildcard '{}'", pattern.as_str())?
             }
-        }
-        PlanOp::Complement(exclude) => {
-            out.push_str(&format!(
-                "Complement (against catalog){}\n",
-                est_suffix(node)
-            ));
-            render_node(exclude, depth + 1, estimates, out);
-        }
-        PlanOp::Relate {
-            context,
-            candidates,
-            axis,
-        } => {
-            let axis_text = match axis {
-                Axis::Descendant => "indirectly-related (//)",
-                Axis::Child => "directly-related (/)",
-            };
-            out.push_str(&format!("Relate {axis_text}{}\n", est_suffix(node)));
-            render_node(context, depth + 1, estimates, out);
-            render_node(candidates, depth + 1, estimates, out);
-        }
+            AccessKind::Content(phrase) => {
+                write!(out, "IndexAccess ContentIndex phrase \"{phrase}\"")?
+            }
+            AccessKind::Tuple { attr, op, value } => {
+                write!(out, "IndexAccess TupleIndex {attr} {op:?} {value:?}")?
+            }
+            AccessKind::Catalog(class) => write!(
+                out,
+                "IndexAccess Catalog class '{class}' (+ specializations)"
+            )?,
+            AccessKind::NameByKeys(pattern) => write!(
+                out,
+                "IndexAccess NameIndex exact per join key matching '{}'",
+                pattern.as_str()
+            )?,
+        },
+        PlanOp::Scan => out.push_str("Scan (full catalog)"),
+        PlanOp::Intersect(inputs) => write!(
+            out,
+            "Intersect ({} inputs, smallest-estimate first)",
+            inputs.len()
+        )?,
+        PlanOp::UnionOp(inputs) => write!(out, "Union ({} inputs, dedup)", inputs.len())?,
+        PlanOp::Complement(_) => out.push_str("Complement (against catalog)"),
+        PlanOp::Relate { axis, .. } => out.push_str(match axis {
+            Axis::Descendant => "Relate indirectly-related (//)",
+            Axis::Child => "Relate directly-related (/)",
+        }),
         PlanOp::HashJoin {
             left,
             right,
@@ -442,28 +386,61 @@ fn render_node(node: &PlanNode, depth: usize, estimates: bool, out: &mut String)
                 BuildSide::Left => ("left", left_binding, right),
                 BuildSide::Right => ("right", right_binding, left),
             };
-            let est_text = if estimates {
-                format!(" (est. {} vs {})", left.est.rows, right.est.rows)
-            } else {
-                String::new()
-            };
-            let keys_text = if reads_join_keys(probe) {
-                format!(", keys from {build_binding}")
-            } else {
-                String::new()
-            };
-            out.push_str(&format!(
-                "HashJoin on {left_binding}.{} = {right_binding}.{}, build={build_text}{est_text}{keys_text}\n",
-                field_name(left_field),
-                field_name(right_field),
-            ));
-            render_node(left, depth + 1, estimates, out);
-            render_node(right, depth + 1, estimates, out);
+            write!(
+                out,
+                "HashJoin on {left_binding}.{left_field} = {right_binding}.{right_field}, build={build_text}"
+            )?;
+            if estimates {
+                write!(out, " (est. {} vs {})", left.est.rows, right.est.rows)?;
+            }
+            if reads_join_keys(probe) {
+                write!(out, ", keys from {build_binding}")?;
+            }
         }
     }
+    // A join prints its inputs' estimates instead of its own.
+    if estimates && !matches!(node.op, PlanOp::HashJoin { .. }) {
+        let exact = if node.est.exact { ", exact" } else { "" };
+        write!(out, "  (est. {} rows{exact})", node.est.rows)?;
+    }
+    out.push('\n');
+    match &node.op {
+        PlanOp::IndexAccess(_) | PlanOp::Scan => {}
+        PlanOp::Intersect(inputs) | PlanOp::UnionOp(inputs) => {
+            for input in inputs {
+                render_node(input, depth + 1, estimates, out)?;
+            }
+        }
+        PlanOp::Complement(exclude) => render_node(exclude, depth + 1, estimates, out)?,
+        PlanOp::Relate {
+            context: first,
+            candidates: second,
+            ..
+        }
+        | PlanOp::HashJoin {
+            left: first,
+            right: second,
+            ..
+        } => {
+            render_node(first, depth + 1, estimates, out)?;
+            render_node(second, depth + 1, estimates, out)?;
+        }
+    }
+    Ok(())
 }
 
 // ---- the planner -----------------------------------------------------
+
+/// Builds one plan. Each node is estimated once, from its index's
+/// statistics or its children's estimates (`cost.rs`); the statistics
+/// every estimate shares are read when planning starts.
+pub(crate) struct Planner<'p> {
+    pub(crate) processor: &'p QueryProcessor,
+    /// Catalogued views: the estimator's universe.
+    pub(crate) universe: usize,
+    /// The group replica's edges per view.
+    pub(crate) fan_out: f64,
+}
 
 impl QueryProcessor {
     /// Parses an iQL query and plans it under the current options.
@@ -489,7 +466,7 @@ impl QueryProcessor {
     /// the oracle of the rewrite's tests.
     pub fn plan_without_key_passing(&self, query: &Query) -> Result<Plan> {
         Ok(Plan {
-            root: self.plan_query(query)?,
+            root: Planner::new(self).plan_query(query)?,
         })
     }
 
@@ -498,7 +475,9 @@ impl QueryProcessor {
     pub fn explain(&self, iql: &str) -> Result<String> {
         Ok(self.plan_iql(iql)?.render())
     }
+}
 
+impl Planner<'_> {
     fn plan_query(&self, query: &Query) -> Result<PlanNode> {
         match query {
             Query::Filter(pred) => Ok(self.plan_pred(pred)),
@@ -508,10 +487,9 @@ impl QueryProcessor {
                     .iter()
                     .map(|m| self.plan_query(m))
                     .collect::<Result<_>>()?;
-                let est = self.estimate(query);
                 Ok(PlanNode {
+                    est: self.estimate_sum(&inputs),
                     op: PlanOp::UnionOp(inputs),
-                    est,
                 })
             }
             Query::Join(join) => self.plan_join(join),
@@ -519,54 +497,71 @@ impl QueryProcessor {
     }
 
     fn plan_pred(&self, pred: &Pred) -> PlanNode {
-        let est = self.estimate_pred(pred);
-        let op = match pred {
-            Pred::Phrase(phrase) => PlanOp::IndexAccess(AccessKind::Content(phrase.clone())),
-            Pred::Class(class) => PlanOp::IndexAccess(AccessKind::Catalog(class.clone())),
-            Pred::Cmp { attr, op, value } => PlanOp::IndexAccess(AccessKind::Tuple {
-                attr: attr.clone(),
-                op: *op,
-                value: value.clone(),
-            }),
+        let leaf = |est, access| PlanNode {
+            op: PlanOp::IndexAccess(access),
+            est,
+        };
+        match pred {
+            Pred::Phrase(phrase) => leaf(
+                self.estimate_phrase(phrase),
+                AccessKind::Content(phrase.clone()),
+            ),
+            Pred::Class(class) => leaf(
+                self.estimate_class(class),
+                AccessKind::Catalog(class.clone()),
+            ),
+            Pred::Cmp { attr, op, value } => leaf(
+                self.estimate_cmp(attr, *op),
+                AccessKind::Tuple {
+                    attr: attr.clone(),
+                    op: *op,
+                    value: value.clone(),
+                },
+            ),
             Pred::And(members) => {
-                let inputs = members.iter().map(|m| self.plan_pred(m)).collect();
-                PlanOp::Intersect(order_smallest_first(inputs))
+                let inputs: Vec<PlanNode> = members.iter().map(|m| self.plan_pred(m)).collect();
+                PlanNode {
+                    est: Estimate::smallest(&inputs),
+                    op: PlanOp::Intersect(order_smallest_first(inputs)),
+                }
             }
             Pred::Or(members) => {
-                PlanOp::UnionOp(members.iter().map(|m| self.plan_pred(m)).collect())
+                let inputs: Vec<PlanNode> = members.iter().map(|m| self.plan_pred(m)).collect();
+                PlanNode {
+                    est: self.estimate_sum(&inputs),
+                    op: PlanOp::UnionOp(inputs),
+                }
             }
-            Pred::Not(inner) => PlanOp::Complement(Box::new(self.plan_pred(inner))),
-        };
-        PlanNode { op, est }
+            Pred::Not(inner) => {
+                let excluded = self.plan_pred(inner);
+                PlanNode {
+                    est: self.estimate_complement(excluded.est),
+                    op: PlanOp::Complement(Box::new(excluded)),
+                }
+            }
+        }
     }
 
     /// Plans one path step's candidate set: index accesses intersected
     /// where available, an explicit full scan where not.
     fn plan_step_candidates(&self, step: &Step) -> PlanNode {
-        let by_name = if step.name.matches_all() {
-            None
-        } else {
-            Some(PlanNode {
-                est: self.estimate_name(&step.name),
-                op: PlanOp::IndexAccess(AccessKind::Name(step.name.clone())),
-            })
-        };
+        let by_name = (!step.name.matches_all()).then(|| PlanNode {
+            est: self.estimate_name(&step.name),
+            op: PlanOp::IndexAccess(AccessKind::Name(step.name.clone())),
+        });
         let by_pred = step.pred.as_ref().map(|pred| self.plan_pred(pred));
         match (by_name, by_pred) {
-            (Some(a), Some(b)) => {
-                let est = Estimate::guess(a.est.rows.min(b.est.rows));
-                PlanNode {
-                    op: PlanOp::Intersect(order_smallest_first(vec![a, b])),
-                    est,
-                }
-            }
+            (Some(a), Some(b)) => PlanNode {
+                est: Estimate::smallest([&a, &b]),
+                op: PlanOp::Intersect(order_smallest_first(vec![a, b])),
+            },
             (Some(a), None) => a,
             (None, Some(b)) => b,
             // Index-vs-scan as an explicit plan decision: nothing to
             // look up, so enumerate the catalog.
             (None, None) => PlanNode {
                 op: PlanOp::Scan,
-                est: Estimate::exact(self.universe()),
+                est: self.estimate_all(),
             },
         }
     }
@@ -578,22 +573,19 @@ impl QueryProcessor {
             node = Some(match node {
                 // The first step has no ancestry constraint.
                 None => candidates,
-                Some(context) => {
-                    let est = self.estimate_relate(step.axis, context.est, candidates.est);
-                    PlanNode {
-                        op: PlanOp::Relate {
-                            context: Box::new(context),
-                            candidates: Box::new(candidates),
-                            axis: step.axis,
-                        },
-                        est,
-                    }
-                }
+                Some(context) => PlanNode {
+                    est: self.estimate_relate(step.axis, context.est, candidates.est),
+                    op: PlanOp::Relate {
+                        context: Box::new(context),
+                        candidates: Box::new(candidates),
+                        axis: step.axis,
+                    },
+                },
             });
         }
         node.unwrap_or(PlanNode {
             op: PlanOp::Scan,
-            est: Estimate::exact(self.universe()),
+            est: self.estimate_all(),
         })
     }
 
@@ -650,7 +642,7 @@ impl QueryProcessor {
         } else {
             BuildSide::Right
         };
-        let est = Estimate::guess(left.est.rows.min(right.est.rows));
+        let est = Estimate::smallest([&left, &right]);
         Ok(PlanNode {
             op: PlanOp::HashJoin {
                 left: Box::new(left),

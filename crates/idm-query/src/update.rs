@@ -20,7 +20,7 @@ use idm_core::prelude::*;
 use crate::ast::Query;
 use crate::exec::{resolve_attr, QueryProcessor};
 use crate::lexer::{lex, Token};
-use crate::parser::parse;
+use crate::parser::{parse, word_value};
 
 /// A parsed update statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,7 +125,7 @@ fn find_set_keyword(body: &str) -> Result<usize> {
 fn parse_assignment(text: &str) -> Result<UpdateAction> {
     let tokens = lex(text)?;
     let (attr, value_tokens) = match tokens.split_first() {
-        Some((Token::Word(attr), [Token::Eq, rest @ ..])) => (attr.clone(), rest),
+        Some((Token::Word(attr), [Token::Eq, rest @ ..])) => (attr.to_string(), rest),
         _ => {
             return Err(IdmError::Parse {
                 detail: format!("iql: expected '<attr> = <literal>' after set, got '{text}'"),
@@ -133,19 +133,9 @@ fn parse_assignment(text: &str) -> Result<UpdateAction> {
         }
     };
     let value = match value_tokens {
-        [Token::Phrase(s)] => Value::Text(s.clone()),
+        [Token::Phrase(s)] => Value::Text(s.to_string()),
         [Token::Date(t)] => Value::Date(*t),
-        [Token::Word(w)] => {
-            if let Ok(i) = w.parse::<i64>() {
-                Value::Integer(i)
-            } else if let Ok(f) = w.parse::<f64>() {
-                Value::Float(f)
-            } else if w.eq_ignore_ascii_case("true") || w.eq_ignore_ascii_case("false") {
-                Value::Boolean(w.eq_ignore_ascii_case("true"))
-            } else {
-                Value::Text(w.clone())
-            }
-        }
+        [Token::Word(w)] => word_value(w),
         _ => {
             return Err(IdmError::Parse {
                 detail: format!("iql: expected one literal after '=', got '{text}'"),
@@ -289,6 +279,32 @@ mod tests {
         assert!(parse_update(r#"update //a set name = 42"#).is_err());
         // 'set' inside a phrase is not the keyword.
         assert!(parse_update(r#"update //a[" set "]"#).is_err());
+    }
+
+    #[test]
+    fn only_digit_shaped_words_are_numbers() {
+        let value_of = |text: &str| match parse_update(&format!("update //a set x = {text}"))
+            .unwrap()
+            .action
+        {
+            UpdateAction::SetAttr { value, .. } => value,
+            other => panic!("{other:?}"),
+        };
+        for special in ["nan", "NaN", "inf", "Infinity", "-inf", "infinity"] {
+            assert_eq!(value_of(special), Value::Text(special.into()), "{special}");
+        }
+        assert_eq!(value_of("1e3"), Value::Float(1000.0));
+        assert_eq!(value_of("-0.5"), Value::Float(-0.5));
+        assert_eq!(value_of("420000"), Value::Integer(420_000));
+        assert_eq!(value_of("TRUE"), Value::Boolean(true));
+        let p = space();
+        p.execute_update("update //draft.tex set title = Infinity")
+            .unwrap();
+        assert_eq!(
+            p.execute(r#"[title = "Infinity"]"#).unwrap().rows.len(),
+            1,
+            "stored as text"
+        );
     }
 
     #[test]

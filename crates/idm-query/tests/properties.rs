@@ -666,3 +666,342 @@ proptest! {
         }
     }
 }
+
+// ---- The lexer against the seed's, and the one estimator ---------------
+
+/// The seed's lexer, char-based and allocating, kept as the oracle of
+/// the borrowing one. Its variants carry owned text, so the two token
+/// streams compare as their `Debug` text.
+mod seed {
+    use idm_core::prelude::{IdmError, Result, Timestamp};
+
+    // The fields are read through `Debug` only.
+    #[allow(dead_code)]
+    #[derive(Debug)]
+    pub enum Token {
+        DoubleSlash,
+        Slash,
+        LBracket,
+        RBracket,
+        LParen,
+        RParen,
+        Comma,
+        Eq,
+        Ne,
+        Lt,
+        Le,
+        Gt,
+        Ge,
+        Phrase(String),
+        Date(Timestamp),
+        Word(String),
+    }
+
+    pub fn lex(input: &str) -> Result<Vec<Token>> {
+        let mut tokens = Vec::new();
+        let chars: Vec<char> = input.chars().collect();
+        let mut i = 0usize;
+
+        fn is_word_char(c: char) -> bool {
+            c.is_alphanumeric() || matches!(c, '_' | '*' | '?' | '.' | ':' | '-' | '\'')
+        }
+
+        while i < chars.len() {
+            let c = chars[i];
+            match c {
+                c if c.is_whitespace() => i += 1,
+                '/' => {
+                    if chars.get(i + 1) == Some(&'/') {
+                        tokens.push(Token::DoubleSlash);
+                        i += 2;
+                    } else {
+                        tokens.push(Token::Slash);
+                        i += 1;
+                    }
+                }
+                '[' => {
+                    tokens.push(Token::LBracket);
+                    i += 1;
+                }
+                ']' => {
+                    tokens.push(Token::RBracket);
+                    i += 1;
+                }
+                '(' => {
+                    tokens.push(Token::LParen);
+                    i += 1;
+                }
+                ')' => {
+                    tokens.push(Token::RParen);
+                    i += 1;
+                }
+                ',' => {
+                    tokens.push(Token::Comma);
+                    i += 1;
+                }
+                '=' => {
+                    tokens.push(Token::Eq);
+                    i += 1;
+                }
+                '!' => {
+                    if chars.get(i + 1) == Some(&'=') {
+                        tokens.push(Token::Ne);
+                        i += 2;
+                    } else {
+                        return Err(IdmError::Parse {
+                            detail: "iql: lone '!' (did you mean '!=' or 'not'?)".into(),
+                        });
+                    }
+                }
+                '<' => {
+                    if chars.get(i + 1) == Some(&'=') {
+                        tokens.push(Token::Le);
+                        i += 2;
+                    } else {
+                        tokens.push(Token::Lt);
+                        i += 1;
+                    }
+                }
+                '>' => {
+                    if chars.get(i + 1) == Some(&'=') {
+                        tokens.push(Token::Ge);
+                        i += 2;
+                    } else {
+                        tokens.push(Token::Gt);
+                        i += 1;
+                    }
+                }
+                '"' => {
+                    let start = i + 1;
+                    let mut j = start;
+                    while j < chars.len() && chars[j] != '"' {
+                        j += 1;
+                    }
+                    if j == chars.len() {
+                        return Err(IdmError::Parse {
+                            detail: "iql: unterminated string".into(),
+                        });
+                    }
+                    tokens.push(Token::Phrase(chars[start..j].iter().collect()));
+                    i = j + 1;
+                }
+                '@' => {
+                    let start = i + 1;
+                    let mut j = start;
+                    while j < chars.len() && (chars[j].is_ascii_digit() || chars[j] == '.') {
+                        j += 1;
+                    }
+                    let text: String = chars[start..j].iter().collect();
+                    tokens.push(Token::Date(Timestamp::parse_dmy(&text)?));
+                    i = j;
+                }
+                c if is_word_char(c) => {
+                    let start = i;
+                    let mut j = i;
+                    while j < chars.len() && is_word_char(chars[j]) {
+                        j += 1;
+                    }
+                    tokens.push(Token::Word(chars[start..j].iter().collect()));
+                    i = j;
+                }
+                other => {
+                    return Err(IdmError::Parse {
+                        detail: format!("iql: unexpected character '{other}'"),
+                    })
+                }
+            }
+        }
+        Ok(tokens)
+    }
+}
+
+/// What the lexers make of a text: the tokens' `Debug` text, or the
+/// error message.
+fn lexed<T: std::fmt::Debug>(tokens: Result<Vec<T>>) -> String {
+    match tokens {
+        Ok(tokens) => format!("{tokens:?}"),
+        Err(e) => format!("error: {e}"),
+    }
+}
+
+/// Pieces of iQL text and of what is not: non-ASCII letters and
+/// digits, Unicode whitespace (U+00A0, U+3000, U+0085, a vertical tab),
+/// a char whose lowercase is not alphanumeric, quotes, dates good and
+/// bad, `!`, and every operator.
+const LEX_PIECES: [&str; 44] = [
+    "a",
+    "Z",
+    "9",
+    "size",
+    "union",
+    " ",
+    "\t",
+    "\n",
+    "\u{b}",
+    "\u{85}",
+    "\u{a0}",
+    "\u{3000}",
+    "ß",
+    "é",
+    "漢",
+    "٣",
+    "İ",
+    "😀",
+    "\"",
+    "\"dat abase\"",
+    "@",
+    "@12.06.2005",
+    "@1.2",
+    "@99.99.9999",
+    "!",
+    "!=",
+    "<",
+    "<=",
+    ">",
+    ">=",
+    "=",
+    "/",
+    "//",
+    "[",
+    "]",
+    "(",
+    ")",
+    ",",
+    "*",
+    "?",
+    ".:-'_",
+    "#",
+    "%",
+    "+",
+];
+
+proptest! {
+    /// The borrowing lexer gives the seed's token stream, or fails with
+    /// the seed's message, on any text.
+    #[test]
+    fn lexer_agrees_with_the_seed(
+        picks in proptest::collection::vec(0usize..LEX_PIECES.len(), 0..30),
+        raw in ".{0,60}",
+    ) {
+        let text: String = picks.iter().map(|&i| LEX_PIECES[i]).collect();
+        for input in [text.as_str(), raw.as_str()] {
+            prop_assert_eq!(
+                lexed(idm_query::lexer::lex(input)),
+                lexed(seed::lex(input)),
+                "{:?}", input
+            );
+        }
+    }
+}
+
+/// A random query over [`arb_space`]'s names, words and sizes, drawn
+/// from `tape`: paths of up to three steps with predicates, filters
+/// with nested `and` / `or` / `not`, unions and joins.
+fn tape_query(tape: &mut impl Iterator<Item = usize>, depth: usize) -> String {
+    fn pred(tape: &mut impl Iterator<Item = usize>, depth: usize) -> String {
+        let mut pick = |n| tape.next().unwrap_or(0) % n;
+        match pick(if depth > 2 { 3 } else { 6 }) {
+            0 => ["\"c\"", "\"dd\"", "\"cd\"", "\"c d\""][pick(4)].to_owned(),
+            1 => ["class=\"file\"", "class=\"folder\"", "class=\"nope\""][pick(3)].to_owned(),
+            2 => format!("size {} {}", ["=", "!=", "<", ">="][pick(4)], pick(100)),
+            3 => format!("({} and {})", pred(tape, depth + 1), pred(tape, depth + 1)),
+            4 => format!("({} or {})", pred(tape, depth + 1), pred(tape, depth + 1)),
+            _ => format!("not {}", pred(tape, depth + 1)),
+        }
+    }
+    fn path(tape: &mut impl Iterator<Item = usize>) -> String {
+        let mut out = String::new();
+        for _ in 0..=tape.next().unwrap_or(0) % 3 {
+            let (axis, name, with_pred) = {
+                let mut pick = |n| tape.next().unwrap_or(0) % n;
+                (
+                    ["//", "/"][pick(2)],
+                    ["a", "ab", "*", "b*", "?"][pick(5)],
+                    pick(3) == 0,
+                )
+            };
+            out.push_str(axis);
+            out.push_str(name);
+            if with_pred {
+                out.push_str(&format!("[{}]", pred(tape, 0)));
+            }
+        }
+        out
+    }
+    match tape.next().unwrap_or(0) % if depth > 0 { 2 } else { 4 } {
+        0 => path(tape),
+        1 => format!("[{}]", pred(tape, 0)),
+        2 => format!(
+            "union({}, {})",
+            tape_query(tape, depth + 1),
+            tape_query(tape, depth + 1)
+        ),
+        _ => format!(
+            "join({} as A, {} as B, A.name = B.name)",
+            path(tape),
+            path(tape)
+        ),
+    }
+}
+
+/// Checks that every `Intersect`, `UnionOp` and `Complement` node is
+/// estimated from its children by the estimator's rule.
+fn check_estimates(node: &idm_query::PlanNode, universe: usize) {
+    fn child_rows(inputs: &[idm_query::PlanNode]) -> impl Iterator<Item = usize> + '_ {
+        inputs.iter().map(|n| n.est.rows)
+    }
+    match &node.op {
+        PlanOp::Intersect(inputs) => {
+            assert_eq!(node.est.rows, child_rows(inputs).min().unwrap_or(0));
+            inputs.iter().for_each(|n| check_estimates(n, universe));
+        }
+        PlanOp::UnionOp(inputs) => {
+            assert_eq!(
+                node.est.rows,
+                child_rows(inputs).sum::<usize>().min(universe)
+            );
+            inputs.iter().for_each(|n| check_estimates(n, universe));
+        }
+        PlanOp::Complement(inner) => {
+            assert_eq!(node.est.rows, universe.saturating_sub(inner.est.rows));
+            check_estimates(inner, universe);
+        }
+        PlanOp::Relate {
+            context,
+            candidates,
+            ..
+        } => {
+            check_estimates(context, universe);
+            check_estimates(candidates, universe);
+        }
+        PlanOp::HashJoin { left, right, .. } => {
+            assert_eq!(node.est.rows, left.est.rows.min(right.est.rows));
+            check_estimates(left, universe);
+            check_estimates(right, universe);
+        }
+        PlanOp::IndexAccess(_) | PlanOp::Scan => {}
+    }
+}
+
+proptest! {
+    /// `estimate_iql` is the root estimate of the plan without key
+    /// passing, and each inner node's estimate is its rule applied to
+    /// its children's, on random queries over random dataspaces.
+    #[test]
+    fn estimate_iql_is_the_plans_root_estimate(
+        space in arb_space(),
+        tapes in proptest::collection::vec(proptest::collection::vec(0usize..1000, 40), 8),
+    ) {
+        let (store, indexes) = build_space(&space);
+        let universe = indexes.catalog.len();
+        let processor = QueryProcessor::new(store, indexes);
+        for tape in tapes {
+            let iql = tape_query(&mut tape.into_iter(), 0);
+            let plan = processor
+                .plan_without_key_passing(&parse(&iql).unwrap())
+                .unwrap();
+            prop_assert_eq!(processor.estimate_iql(&iql).unwrap(), plan.root.est, "{}", iql);
+            check_estimates(&plan.root, universe);
+        }
+    }
+}
