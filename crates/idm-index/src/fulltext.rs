@@ -1,9 +1,9 @@
 //! A positional inverted keyword index (the Lucene stand-in).
 //!
-//! Supports single-term lookups, boolean AND/OR combinations and exact
-//! phrase queries via positional intersection. The index is **not** a
-//! replica: term positions cannot reconstruct the original content
-//! (Section 5.2 makes this distinction explicitly).
+//! Supports single-term lookups and exact phrase queries via positional
+//! intersection. The index is **not** a replica: term positions cannot
+//! reconstruct the original content (Section 5.2 makes this distinction
+//! explicitly).
 //!
 //! As Lucene keys postings by term ordinal, a hashed dictionary (std's
 //! SipHash: terms come from untrusted e-mail bodies, and a custom hasher
@@ -17,7 +17,7 @@
 //! export, so the persisted bytes never depend on hash order.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use idm_core::prelude::Vid;
@@ -206,40 +206,49 @@ impl PretokenizedDoc {
 
 /// Tokenizes `text` into the form [`FullTextIndex::index_pretokenized`]
 /// consumes — the CPU-heavy half of indexing, safe to run in parallel
-/// per document. One [`tokenizer`] walk fills one buffer; sorting the
-/// tokens by term then groups each term's positions. Returns `None`
-/// when the text yields no tokens.
+/// per document. One [`tokenizer`] walk fills one buffer and records
+/// each token as a `(key, position)` pair, the key being the token's
+/// first eight bytes big-endian. One sort of those primitive pairs
+/// groups the tokens by key, positions ascending. No term holds a zero
+/// byte, so a key run is one term unless a token in it is longer than
+/// eight bytes; only such a run is sorted again, by its bytes. Returns
+/// `None` when the text yields no tokens.
 pub fn pretokenize(text: &str) -> Option<PretokenizedDoc> {
     let mut buf = String::with_capacity(text.len());
-    // Per token: its first eight bytes as a big-endian key (no term holds
-    // a zero byte, so keys order as terms do up to a tie), where it
-    // starts in `buf`, its length and its position.
-    let mut tokens: Vec<(u64, usize, u32, u32)> = Vec::new();
+    let mut tokens: Vec<(u64, u32)> = Vec::new();
+    // Where each token starts in `buf`, by position. The walk writes
+    // the tokens end to end, so a token ends where the next one starts.
+    let mut starts: Vec<usize> = Vec::new();
     tokenizer::walk(text, &mut buf, |term, start| {
         let mut key = [0u8; 8];
         let head = &term.as_bytes()[..term.len().min(8)];
         key[..head.len()].copy_from_slice(head);
-        let len = u32::try_from(term.len()).expect("a term under 4 GiB");
         let position = u32::try_from(tokens.len()).expect("fewer than 2^32 tokens");
-        tokens.push((u64::from_be_bytes(key), start, len, position));
+        tokens.push((u64::from_be_bytes(key), position));
+        starts.push(start);
     });
     if tokens.is_empty() {
         return None;
     }
-    // By term, then position: each term's positions come out ascending.
-    let term =
-        |&(_, start, len, _): &(u64, usize, u32, u32)| &buf.as_bytes()[start..start + len as usize];
-    tokens.sort_unstable_by(|a, b| {
-        a.0.cmp(&b.0)
-            .then_with(|| term(a).cmp(term(b)))
-            .then(a.3.cmp(&b.3))
-    });
+    starts.push(buf.len());
+    let span = |position: u32| starts[position as usize]..starts[position as usize + 1];
+    let term = |position: u32| &buf.as_bytes()[span(position)];
+    tokens.sort_unstable();
     let mut positions = Vec::with_capacity(tokens.len());
     let mut terms = Vec::new();
-    for run in tokens.chunk_by(|a, b| a.0 == b.0 && term(a) == term(b)) {
-        positions.extend(run.iter().map(|&(.., position)| position));
-        let (_, start, len, _) = run[0];
-        terms.push((start, start + len as usize, positions.len() as u32));
+    for run in tokens.chunk_by_mut(|a, b| a.0 == b.0) {
+        // A key whose last byte is set came from a token of eight bytes
+        // or more; the run holds several terms only if one is longer.
+        let mixed =
+            run.len() > 1 && run[0].0 & 0xff != 0 && run.iter().any(|&(_, p)| span(p).len() > 8);
+        if mixed {
+            run.sort_unstable_by(|a, b| term(a.1).cmp(term(b.1)).then(a.1.cmp(&b.1)));
+        }
+        for same in run.chunk_by(|a, b| !mixed || term(a.1) == term(b.1)) {
+            positions.extend(same.iter().map(|&(_, position)| position));
+            let first = span(same[0].1);
+            terms.push((first.start, first.end, positions.len() as u32));
+        }
     }
     Some(PretokenizedDoc {
         text: buf,
@@ -393,34 +402,6 @@ impl FullTextIndex {
                 }
             }
         }
-        out
-    }
-
-    /// Documents containing **all** the given phrases (boolean AND).
-    pub fn all_of(&self, phrases: &[&str]) -> Vec<Vid> {
-        let mut sets: Vec<HashSet<Vid>> = phrases
-            .iter()
-            .map(|p| self.phrase_query(p).into_iter().collect())
-            .collect();
-        let Some(mut acc) = sets.pop() else {
-            return Vec::new();
-        };
-        for set in sets {
-            acc.retain(|v| set.contains(v));
-        }
-        let mut out: Vec<Vid> = acc.into_iter().collect();
-        out.sort();
-        out
-    }
-
-    /// Documents containing **any** of the given phrases (boolean OR).
-    pub fn any_of(&self, phrases: &[&str]) -> Vec<Vid> {
-        let mut acc: HashSet<Vid> = HashSet::new();
-        for phrase in phrases {
-            acc.extend(self.phrase_query(phrase));
-        }
-        let mut out: Vec<Vid> = acc.into_iter().collect();
-        out.sort();
         out
     }
 
@@ -639,16 +620,17 @@ mod tests {
     }
 
     #[test]
-    fn boolean_combinations() {
-        let index = sample();
-        assert_eq!(index.all_of(&["database", "tuning"]), vec![vid(1), vid(2)]);
-        assert_eq!(index.all_of(&["database", "systems"]), vec![vid(1)]);
+    fn terms_sharing_a_prefix_key_stay_apart() {
+        let doc = pretokenize("database databases database databasesystems").unwrap();
+        let got: Vec<(&str, &[u32])> = doc.per_term().collect();
         assert_eq!(
-            index.any_of(&["programming", "systems"]),
-            vec![vid(1), vid(3)]
+            got,
+            vec![
+                ("database", &[0, 2][..]),
+                ("databases", &[1][..]),
+                ("databasesystems", &[3][..]),
+            ]
         );
-        assert!(index.all_of(&[]).is_empty());
-        assert!(index.any_of(&[]).is_empty());
     }
 
     #[test]

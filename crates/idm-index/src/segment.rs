@@ -55,7 +55,6 @@ pub struct IndexRun {
 #[derive(Debug)]
 struct SegmentEntry {
     vid: Vid,
-    name: Option<String>,
     tuple: Option<TupleComponent>,
     doc: Option<PretokenizedDoc>,
     members: Option<Vec<Vid>>,
@@ -83,7 +82,7 @@ impl IndexSegment {
             net_input_bytes: 0,
         };
         for &vid in vids {
-            let name = store.with_name(vid, |name| name.map(ToOwned::to_owned))?;
+            let name = store.with_name(vid, |name| name.unwrap_or_default().to_owned())?;
             let tuple = store.with_tuple(vid, |tuple| tuple.cloned())?;
 
             let content = store.content(vid)?;
@@ -125,7 +124,7 @@ impl IndexSegment {
             };
             let catalog = CatalogEntry {
                 vid: vid.as_u64(),
-                name: name.clone().unwrap_or_default(),
+                name,
                 class: store.class(vid)?.map(|c| store.classes().name(c)),
                 source: source.to_owned(),
                 content_size,
@@ -134,7 +133,6 @@ impl IndexSegment {
 
             segment.entries.push(SegmentEntry {
                 vid,
-                name,
                 tuple,
                 doc,
                 members,
@@ -233,9 +231,7 @@ impl IndexBundle {
     /// happens in ascending-vid order.
     pub fn merge_segment(&self, segment: IndexSegment) {
         for entry in segment.entries {
-            if let Some(name) = &entry.name {
-                self.name.index(entry.vid, name);
-            }
+            self.name.index(entry.vid, &entry.catalog.name);
             if let Some(tuple) = &entry.tuple {
                 self.tuple.index(entry.vid, tuple);
             }

@@ -46,22 +46,6 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// all_of is the intersection of the individual phrase results.
-    #[test]
-    fn all_of_is_intersection(docs in proptest::collection::vec(arb_doc(), 1..10),
-                              p1 in "[a-d]{1,3}", p2 in "[a-d]{1,3}") {
-        let index = FullTextIndex::new();
-        for (i, doc) in docs.iter().enumerate() {
-            index_text(&index, Vid::from_raw(i as u64), doc);
-        }
-        let both = index.all_of(&[&p1, &p2]);
-        let s1: std::collections::HashSet<Vid> = index.phrase_query(&p1).into_iter().collect();
-        let s2: std::collections::HashSet<Vid> = index.phrase_query(&p2).into_iter().collect();
-        let mut want: Vec<Vid> = s1.intersection(&s2).copied().collect();
-        want.sort();
-        prop_assert_eq!(both, want);
-    }
-
     /// Removal really removes: after removing a document it never
     /// appears in any term query for its own words.
     #[test]
@@ -109,17 +93,19 @@ const TOKEN_CHARS: &[char] = &[
     'a', 'Z', 'q', '0', '7', ' ', '.', '-', '\'', '\0', 'İ', 'ẞ', 'Σ', '٣', '\u{301}', '\u{FFFD}',
 ];
 
-/// Those chars, then words long enough to share a first eight bytes
-/// and differ after them.
+/// Words that share a first eight bytes: one of exactly eight bytes,
+/// two that differ in the ninth, and a 17-byte one.
+const LONG_WORDS: &[&str] = &["aaaaaaaa", "aaaaaaaab", "aaaaaaaaZ", "aaaaaaaabaaaaaaaa"];
+
+/// Up to 200 pieces, each a run of those chars or one of those words,
+/// so that one eight-byte prefix covers several terms, each repeated.
 fn arb_token_text() -> impl Strategy<Value = String> {
-    (
-        proptest::collection::vec(0..TOKEN_CHARS.len(), 0..24),
-        proptest::collection::vec("[a]{8}[bZ]{0,2}", 0..6),
-    )
-        .prop_map(|(picks, words)| {
-            let chars: String = picks.into_iter().map(|i| TOKEN_CHARS[i]).collect();
-            format!("{chars} {}", words.join(" "))
-        })
+    let chars = |picks: Vec<usize>| picks.into_iter().map(|i| TOKEN_CHARS[i]).collect();
+    let piece = prop_oneof![
+        proptest::collection::vec(0..TOKEN_CHARS.len(), 1..6).prop_map(chars),
+        (0..LONG_WORDS.len()).prop_map(|i| LONG_WORDS[i].to_owned()),
+    ];
+    proptest::collection::vec(piece, 0..200).prop_map(|pieces| pieces.join(" "))
 }
 
 proptest! {

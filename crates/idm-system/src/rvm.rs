@@ -3,7 +3,7 @@
 //! component indexing — timing each phase separately so the paper's
 //! indexing-time breakdown can be regenerated.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -335,21 +335,7 @@ impl ResourceViewManager {
         stats.conversion = conversion_start.elapsed();
 
         // Collect the full view set of this source: base + derived.
-        let mut views = ingestion.base_views.clone();
-        {
-            let base: std::collections::HashSet<Vid> =
-                ingestion.base_views.iter().copied().collect();
-            for &root in &ingestion.base_views {
-                // Derived views hang under their base view's group.
-                for vid in idm_core::graph::descendants(&self.store, root, usize::MAX)? {
-                    if !base.contains(&vid) {
-                        views.push(vid);
-                    }
-                }
-            }
-            views.sort();
-            views.dedup();
-        }
+        let views = source_views(&self.store, &ingestion.base_views)?;
 
         // Phases 3 and 4 — component indexing (segment build) and
         // catalog insert (segment merge).
@@ -366,6 +352,37 @@ impl ResourceViewManager {
         *segments += run.segments;
         Ok(stats)
     }
+}
+
+/// A source's full view set, sorted: its base views and every view
+/// reachable from one (derived views hang under their base view's
+/// group). One BFS per base view not yet reached, sharing one `seen`
+/// set, reads each group once: a walk goes on to the whole subtree of
+/// every view it reaches, so a later walk need not enter it. The groups
+/// are read in the order a full walk from each base view in turn first
+/// reads them, so lazy groups are forced in the same order.
+fn source_views(store: &ViewStore, base_views: &[Vid]) -> Result<Vec<Vid>> {
+    let mut seen = HashSet::new();
+    let mut queue = VecDeque::new();
+    for &root in base_views {
+        if !seen.insert(root) {
+            continue;
+        }
+        queue.push_back(root);
+        while let Some(vid) = queue.pop_front() {
+            if !store.contains(vid) {
+                continue; // dangling reference
+            }
+            for child in store.group(vid)?.finite_members() {
+                if seen.insert(child) {
+                    queue.push_back(child);
+                }
+            }
+        }
+    }
+    let mut views: Vec<Vid> = seen.into_iter().collect();
+    views.sort_unstable();
+    Ok(views)
 }
 
 #[cfg(test)]
