@@ -457,6 +457,12 @@ impl ViewStore {
         Ok(())
     }
 
+    /// The vid the next insert gets: one past every vid handed out so
+    /// far.
+    pub fn next_vid(&self) -> u64 {
+        self.next_vid.load(Ordering::Relaxed)
+    }
+
     /// Advances the vid allocator to at least `next` (recovery: a
     /// snapshot's allocator may sit past the highest live vid when views
     /// were removed — their ids must never be reused).

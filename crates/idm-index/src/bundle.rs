@@ -90,6 +90,16 @@ impl IndexBundle {
         Ok(outcome)
     }
 
+    /// Lets the catalog's and the group replica's columns reach every
+    /// vid below `next`, the store's next vid
+    /// ([`ViewStore::next_vid`]). Every index write does this first;
+    /// after a load, which bounds the columns by the file's own entries,
+    /// the caller does.
+    pub fn reserve_vids(&self, next: u64) {
+        self.catalog.reserve_vids(next);
+        self.group.reserve_vids(next);
+    }
+
     /// Removes a view from every structure.
     pub fn remove_view(&self, vid: Vid) {
         self.remove_views(&[vid]);
@@ -102,11 +112,11 @@ impl IndexBundle {
     /// no-ops.
     pub fn remove_views(&self, vids: &[Vid]) {
         for &vid in vids {
-            if let Some(entry) = self.catalog.entry(vid) {
-                if !entry.name.is_empty() {
-                    self.name.remove(vid, &entry.name);
+            self.catalog.with_name(vid, |name| {
+                if let Some(name) = name.filter(|name| !name.is_empty()) {
+                    self.name.remove(vid, name);
                 }
-            }
+            });
             self.group.remove(vid);
         }
         self.tuple.remove_all(vids);

@@ -1,17 +1,23 @@
 //! The Resource View Catalog (Section 5.2): every managed resource view
 //! is registered here. The paper implemented it on Apache Derby; this is
-//! a from-scratch row store keyed by vid, with a secondary index on the
-//! resource view class (queries like `[class="latex_section"]` hit it)
-//! and serde serialization for size accounting (Table 3 reports the
-//! catalog as a separate size column).
+//! a column of fixed-size rows indexed by vid (the store hands vids out
+//! from one counter), each row a name id, a class id, a source id, the
+//! content size and two flags. Names, classes and sources are interned
+//! once per catalog with a count of the rows that use each, so a string
+//! goes with its last row. A sorted vid list per class answers
+//! `[class="latex_section"]`, and one per source the per-source reads.
+//! [`CatalogEntry`] is the row as a value, assembled on demand, and
+//! [`ResourceViewCatalog::footprint_bytes`] sizes a compact serialized
+//! row per view: the catalog column of Table 3.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use idm_core::prelude::Vid;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
-use crate::remove_positions;
+use crate::{dense_index, remove_positions};
 
 /// One catalog row.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,61 +38,253 @@ pub struct CatalogEntry {
     pub content_indexed: bool,
 }
 
-#[derive(Default)]
-struct Inner {
-    rows: HashMap<Vid, CatalogEntry>,
-    /// Class → its views, vid-ascending.
-    by_class: HashMap<String, Vec<Vid>>,
-    /// Source → its views, vid-ascending.
-    by_source: HashMap<String, Vec<Vid>>,
+/// No class (as a class id), or an empty slot (as a source id).
+const NONE: u32 = u32::MAX;
+/// Row flag: `content_size` holds the size.
+const HAS_SIZE: u32 = 1;
+/// Row flag: the content went to the content index.
+const CONTENT_INDEXED: u32 = 2;
+
+/// One view's row: ids into the catalog's string tables.
+#[derive(Clone, Copy)]
+struct Row {
+    content_size: u64,
+    name: u32,
+    /// [`NONE`] for a classless view.
+    class: u32,
+    /// [`NONE`] at an empty slot.
+    source: u32,
+    flags: u32,
 }
 
-/// Adds `vid` to the sorted list under `key`. New vids are the largest
-/// yet, so this is an append after a binary search.
-fn list_insert(lists: &mut HashMap<String, Vec<Vid>>, key: &str, vid: Vid) {
-    match lists.get_mut(key) {
-        Some(list) => {
-            if let Err(i) = list.binary_search(&vid) {
-                list.insert(i, vid);
-            }
+const EMPTY: Row = Row {
+    content_size: 0,
+    name: NONE,
+    class: NONE,
+    source: NONE,
+    flags: 0,
+};
+
+/// Strings interned with the number of rows that use each. An id whose
+/// last use goes frees its string, and a later new string reuses it.
+#[derive(Default)]
+struct Strings {
+    ids: HashMap<Arc<str>, u32>,
+    /// Id → string (the key's one allocation, shared); `None` at a free
+    /// id.
+    text: Vec<Option<Arc<str>>>,
+    /// Id → rows using it.
+    uses: Vec<u32>,
+    /// Free ids, reused before the tables grow.
+    free: Vec<u32>,
+}
+
+impl Strings {
+    fn id(&self, text: &str) -> Option<u32> {
+        self.ids.get(text).copied()
+    }
+
+    fn text(&self, id: u32) -> &str {
+        self.text[id as usize]
+            .as_deref()
+            .expect("a row's id holds its string")
+    }
+
+    /// The id of `text`, counting one more use; interns `text` if new.
+    fn acquire(&mut self, text: &str) -> u32 {
+        if let Some(&id) = self.ids.get(text) {
+            self.uses[id as usize] += 1;
+            return id;
         }
-        None => drop(lists.insert(key.to_owned(), vec![vid])),
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.text.push(None);
+            self.uses.push(0);
+            u32::try_from(self.text.len() - 1)
+                .ok()
+                .filter(|&id| id != NONE)
+                .expect("fewer than 2^32 - 1 distinct strings")
+        });
+        let text: Arc<str> = text.into();
+        self.text[id as usize] = Some(Arc::clone(&text));
+        self.uses[id as usize] = 1;
+        self.ids.insert(text, id);
+        id
+    }
+
+    /// Drops `n` uses of `id`; the last frees its string and the id.
+    fn release(&mut self, id: u32, n: usize) {
+        let uses = &mut self.uses[id as usize];
+        *uses -= u32::try_from(n).expect("no more releases than uses");
+        if *uses == 0 {
+            if let Some(text) = self.text[id as usize].take() {
+                self.ids.remove(&text);
+            }
+            self.free.push(id);
+        }
+    }
+
+    /// Each string in use, with its number of uses.
+    fn live(&self) -> impl Iterator<Item = (&str, usize)> {
+        self.text
+            .iter()
+            .zip(&self.uses)
+            .filter_map(|(text, &uses)| Some((text.as_deref()?, uses as usize)))
     }
 }
 
-/// Takes the rows of `run` (vid-ascending) out of the sorted list under
-/// `key`, found by binary search; a list nobody is left in goes with
-/// them.
-fn list_remove(lists: &mut HashMap<String, Vec<Vid>>, key: &str, run: &[CatalogEntry]) {
-    let Some(list) = lists.get_mut(key) else {
-        return;
-    };
-    let at: Vec<usize> = run
-        .iter()
-        .filter_map(|row| list.binary_search(&Vid::from_raw(row.vid)).ok())
-        .collect();
-    remove_positions(list, &at);
-    if list.is_empty() {
-        lists.remove(key);
+#[derive(Default)]
+struct Inner {
+    /// Row per vid; a slot without a source is empty.
+    rows: Vec<Row>,
+    /// The rows of vids past what [`dense_index`] lets `rows` reach:
+    /// vids from a damaged index file, or loaded ones behind a gap that
+    /// wait for [`ResourceViewCatalog::reserve_vids`]. They come from
+    /// outside the program, so the map keeps std's keyed hasher.
+    far: HashMap<Vid, Row>,
+    /// Registered rows.
+    len: usize,
+    names: Strings,
+    classes: Strings,
+    sources: Strings,
+    /// Class id → its views, vid-ascending.
+    by_class: Vec<Vec<Vid>>,
+    /// Source id → its views, vid-ascending.
+    by_source: Vec<Vec<Vid>>,
+}
+
+/// Adds `vid` to the sorted list of `id`. New vids are the largest yet,
+/// so this is an append after a binary search.
+fn list_insert(lists: &mut Vec<Vec<Vid>>, id: u32, vid: Vid) {
+    let id = id as usize;
+    if id >= lists.len() {
+        lists.resize_with(id + 1, Vec::new);
+    }
+    let list = &mut lists[id];
+    if let Err(i) = list.binary_search(&vid) {
+        list.insert(i, vid);
+    }
+}
+
+/// Takes each `(id, vid)` out of the sorted list of `id`, found by
+/// binary search, and drops as many uses of `id`: per list, one pass
+/// over the entries behind the first removed.
+fn list_remove(lists: &mut [Vec<Vid>], strings: &mut Strings, mut gone: Vec<(u32, Vid)>) {
+    gone.sort_unstable();
+    let mut at = Vec::new();
+    for run in gone.chunk_by(|a, b| a.0 == b.0) {
+        let id = run[0].0;
+        let list = &mut lists[id as usize];
+        at.clear();
+        at.extend(
+            run.iter()
+                .filter_map(|(_, vid)| list.binary_search(vid).ok()),
+        );
+        remove_positions(list, &at);
+        strings.release(id, run.len());
     }
 }
 
 impl Inner {
-    /// Drops the rows of `vids` and their entries in the class and
-    /// source lists: per list, one binary search per row and one pass
-    /// over the entries behind the first of them.
-    fn drop_rows(&mut self, vids: &[Vid]) {
-        let mut gone: Vec<CatalogEntry> = vids.iter().filter_map(|v| self.rows.remove(v)).collect();
-        gone.sort_unstable_by(|a, b| (&a.class, a.vid).cmp(&(&b.class, b.vid)));
-        for run in gone.chunk_by(|a, b| a.class == b.class) {
-            if let Some(class) = &run[0].class {
-                list_remove(&mut self.by_class, class, run);
+    fn row(&self, vid: Vid) -> Option<&Row> {
+        usize::try_from(vid.as_u64())
+            .ok()
+            .and_then(|index| self.rows.get(index))
+            .filter(|row| row.source != NONE)
+            .or_else(|| self.far.get(&vid))
+    }
+
+    fn take_row(&mut self, vid: Vid) -> Option<Row> {
+        let slot = usize::try_from(vid.as_u64())
+            .ok()
+            .and_then(|index| self.rows.get_mut(index))
+            .filter(|row| row.source != NONE);
+        match slot {
+            Some(slot) => Some(std::mem::replace(slot, EMPTY)),
+            None => self.far.remove(&vid),
+        }
+    }
+
+    /// Puts `row` at `index`, or aside when the column may not reach
+    /// `vid`.
+    fn put_row(&mut self, vid: Vid, index: Option<usize>, row: Row) {
+        match index {
+            Some(index) => {
+                if index >= self.rows.len() {
+                    self.rows.resize(index + 1, EMPTY);
+                }
+                self.rows[index] = row;
             }
+            None => drop(self.far.insert(vid, row)),
         }
-        gone.sort_unstable_by(|a, b| (&a.source, a.vid).cmp(&(&b.source, b.vid)));
-        for run in gone.chunk_by(|a, b| a.source == b.source) {
-            list_remove(&mut self.by_source, &run[0].source, run);
+        self.len += 1;
+    }
+
+    /// Registers (or replaces) `entry`'s row, at `index` in the column
+    /// when it may sit there.
+    fn register(&mut self, entry: CatalogEntry, index: Option<usize>) {
+        let vid = Vid::from_raw(entry.vid);
+        // The new row's uses first: a row replaced by one with the same
+        // strings keeps them instead of freeing and interning them again.
+        let row = Row {
+            content_size: entry.content_size.unwrap_or(0),
+            name: self.names.acquire(&entry.name),
+            class: entry
+                .class
+                .as_deref()
+                .map_or(NONE, |class| self.classes.acquire(class)),
+            source: self.sources.acquire(&entry.source),
+            flags: if entry.content_size.is_some() {
+                HAS_SIZE
+            } else {
+                0
+            } | if entry.content_indexed {
+                CONTENT_INDEXED
+            } else {
+                0
+            },
+        };
+        self.drop_rows(&[vid]);
+        if row.class != NONE {
+            list_insert(&mut self.by_class, row.class, vid);
         }
+        list_insert(&mut self.by_source, row.source, vid);
+        self.put_row(vid, index, row);
+    }
+
+    fn entry(&self, vid: u64, row: &Row) -> CatalogEntry {
+        CatalogEntry {
+            vid,
+            name: self.names.text(row.name).to_owned(),
+            class: (row.class != NONE).then(|| self.classes.text(row.class).to_owned()),
+            source: self.sources.text(row.source).to_owned(),
+            content_size: (row.flags & HAS_SIZE != 0).then_some(row.content_size),
+            content_indexed: row.flags & CONTENT_INDEXED != 0,
+        }
+    }
+
+    fn class_list(&self, class: &str) -> Option<&Vec<Vid>> {
+        self.classes.id(class).map(|id| &self.by_class[id as usize])
+    }
+
+    /// Drops the rows of `vids`, their uses of the strings, and their
+    /// entries in the class and source lists: per list, one binary
+    /// search per row and one pass over the entries behind the first of
+    /// them.
+    fn drop_rows(&mut self, vids: &[Vid]) {
+        let (mut classes, mut sources) = (Vec::new(), Vec::new());
+        for &vid in vids {
+            let Some(row) = self.take_row(vid) else {
+                continue;
+            };
+            self.len -= 1;
+            self.names.release(row.name, 1);
+            if row.class != NONE {
+                classes.push((row.class, vid));
+            }
+            sources.push((row.source, vid));
+        }
+        list_remove(&mut self.by_class, &mut self.classes, classes);
+        list_remove(&mut self.by_source, &mut self.sources, sources);
     }
 }
 
@@ -104,14 +302,9 @@ impl ResourceViewCatalog {
 
     /// Registers (or replaces) a view's row.
     pub fn register(&self, entry: CatalogEntry) {
-        let vid = Vid::from_raw(entry.vid);
         let mut inner = self.inner.write();
-        inner.drop_rows(&[vid]);
-        if let Some(class) = &entry.class {
-            list_insert(&mut inner.by_class, class, vid);
-        }
-        list_insert(&mut inner.by_source, &entry.source, vid);
-        inner.rows.insert(vid, entry);
+        let index = dense_index(Vid::from_raw(entry.vid), inner.rows.len(), inner.len);
+        inner.register(entry, index);
     }
 
     /// Unregisters a view.
@@ -128,12 +321,20 @@ impl ResourceViewCatalog {
 
     /// The row for a view.
     pub fn entry(&self, vid: Vid) -> Option<CatalogEntry> {
-        self.inner.read().rows.get(&vid).cloned()
+        let inner = self.inner.read();
+        inner.row(vid).map(|row| inner.entry(vid.as_u64(), row))
+    }
+
+    /// Calls `f` with a view's name, borrowed under the read guard
+    /// (`None` when the view is not registered).
+    pub fn with_name<T>(&self, vid: Vid, f: impl FnOnce(Option<&str>) -> T) -> T {
+        let inner = self.inner.read();
+        f(inner.row(vid).map(|row| inner.names.text(row.name)))
     }
 
     /// Whether a view is registered.
     pub fn contains(&self, vid: Vid) -> bool {
-        self.inner.read().rows.contains_key(&vid)
+        self.inner.read().row(vid).is_some()
     }
 
     /// All views of (exactly) the named class, vid-ascending: a copy of
@@ -151,9 +352,7 @@ impl ResourceViewCatalog {
     /// merged.
     pub fn by_classes(&self, classes: &[&str]) -> Vec<Vid> {
         let inner = self.inner.read();
-        let mut lists = classes
-            .iter()
-            .filter_map(|class| inner.by_class.get(*class));
+        let mut lists = classes.iter().filter_map(|class| inner.class_list(class));
         let mut out = lists.next().cloned().unwrap_or_default();
         let mut merged = false;
         for list in lists {
@@ -179,7 +378,7 @@ impl ResourceViewCatalog {
         let inner = self.inner.read();
         classes
             .iter()
-            .filter_map(|class| inner.by_class.get(*class))
+            .filter_map(|class| inner.class_list(class))
             .map(Vec::len)
             .sum()
     }
@@ -187,24 +386,24 @@ impl ResourceViewCatalog {
     /// All views registered from a data source, vid-ascending: a copy
     /// of the list, which is kept in that order.
     pub fn by_source(&self, source: &str) -> Vec<Vid> {
-        self.inner
-            .read()
-            .by_source
-            .get(source)
-            .cloned()
+        let inner = self.inner.read();
+        inner
+            .sources
+            .id(source)
+            .map(|id| inner.by_source[id as usize].clone())
             .unwrap_or_default()
     }
 
     /// All registered vids, ascending. Every row sits in exactly one
     /// source list, each vid-ascending, so this merges those lists
-    /// rather than sorting the row map's hashed keys: the lists are
+    /// rather than walking the row column and its holes: the lists are
     /// concatenated by first vid and the stable sort merges the runs,
     /// one pass when the sources do not interleave.
     pub fn vids(&self) -> Vec<Vid> {
         let inner = self.inner.read();
-        let mut lists: Vec<&Vec<Vid>> = inner.by_source.values().collect();
+        let mut lists: Vec<&Vec<Vid>> = inner.by_source.iter().collect();
         lists.sort_unstable_by_key(|list| list.first().copied());
-        let mut out = Vec::with_capacity(inner.rows.len());
+        let mut out = Vec::with_capacity(inner.len);
         for list in lists {
             out.extend_from_slice(list);
         }
@@ -216,25 +415,68 @@ impl ResourceViewCatalog {
     /// Exports all rows for persistence, sorted by vid.
     pub fn export_rows(&self) -> Vec<CatalogEntry> {
         let inner = self.inner.read();
-        let mut rows: Vec<CatalogEntry> = inner.rows.values().cloned().collect();
-        rows.sort_by_key(|r| r.vid);
+        let mut rows: Vec<CatalogEntry> = Vec::with_capacity(inner.len);
+        for (vid, row) in inner.rows.iter().enumerate() {
+            if row.source != NONE {
+                rows.push(inner.entry(vid as u64, row));
+            }
+        }
+        if !inner.far.is_empty() {
+            rows.extend(
+                inner
+                    .far
+                    .iter()
+                    .map(|(vid, row)| inner.entry(vid.as_u64(), row)),
+            );
+            rows.sort_by_key(|r| r.vid);
+        }
         rows
     }
 
-    /// Rebuilds the catalog (and its secondary indexes) from rows.
+    /// Rebuilds the catalog (and its secondary indexes) from rows. The
+    /// rows come from a file, so the column reaches only vids below
+    /// `2 · rows + 2^16`; the rest waits aside for
+    /// [`ResourceViewCatalog::reserve_vids`].
     pub fn import_rows(&self, rows: Vec<CatalogEntry>) {
-        {
-            let mut inner = self.inner.write();
-            *inner = Inner::default();
+        let mut inner = Inner::default();
+        let count = rows.len();
+        for entry in rows {
+            let index = dense_index(Vid::from_raw(entry.vid), 0, count);
+            inner.register(entry, index);
         }
-        for row in rows {
-            self.register(row);
+        *self.inner.write() = inner;
+    }
+
+    /// Lets the column reach every vid below `next`, the store's next
+    /// vid, and moves the rows kept aside below it into the column.
+    pub fn reserve_vids(&self, next: u64) {
+        let mut guard = self.inner.write();
+        let inner = &mut *guard;
+        let len = usize::try_from(next).unwrap_or(usize::MAX);
+        if len > inner.rows.len() {
+            inner.rows.resize(len, EMPTY);
         }
+        if inner.far.is_empty() {
+            return;
+        }
+        let rows = &mut inner.rows;
+        inner.far.retain(|&vid, row| {
+            match usize::try_from(vid.as_u64())
+                .ok()
+                .filter(|&i| i < rows.len())
+            {
+                Some(index) => {
+                    rows[index] = *row;
+                    false
+                }
+                None => true,
+            }
+        });
     }
 
     /// Number of registered views.
     pub fn len(&self) -> usize {
-        self.inner.read().rows.len()
+        self.inner.read().len
     }
 
     /// Whether the catalog is empty.
@@ -244,24 +486,21 @@ impl ResourceViewCatalog {
 
     /// Serialized size of the catalog in bytes — the Table 3 accounting.
     /// Uses a compact row serialization comparable to what the paper's
-    /// Derby tables stored per view.
+    /// Derby tables stored per view: per row the vid, flags, sizes, a
+    /// primary key entry and its strings, and per class and source list
+    /// 32 bytes. Each string's length counts once per row using it.
     pub fn footprint_bytes(&self) -> usize {
         let inner = self.inner.read();
-        inner
-            .rows
-            .values()
-            .map(|row| {
-                // vid + flags + sizes.
-                8 + 8
-                    + 2
-                    + row.name.len()
-                    + row.class.as_deref().map_or(0, str::len)
-                    + row.source.len()
-                    + 24 // row overhead / primary key index entry
-            })
-            .sum::<usize>()
-            + inner.by_class.len() * 32
-            + inner.by_source.len() * 32
+        let text = |strings: &Strings| -> usize {
+            strings.live().map(|(text, uses)| text.len() * uses).sum()
+        };
+        // vid + flags + sizes, then row overhead / primary key index entry.
+        inner.len * (8 + 8 + 2 + 24)
+            + text(&inner.names)
+            + text(&inner.classes)
+            + text(&inner.sources)
+            + inner.classes.live().count() * 32
+            + inner.sources.live().count() * 32
     }
 }
 
@@ -319,6 +558,54 @@ mod tests {
         catalog.register(entry(9, "free", None, "derived"));
         assert_eq!(catalog.by_class("anything"), Vec::<Vid>::new());
         assert_eq!(catalog.by_source("derived"), vec![Vid::from_raw(9)]);
+    }
+
+    #[test]
+    fn a_string_goes_with_its_last_row() {
+        let catalog = ResourceViewCatalog::new();
+        for round in 0..50u64 {
+            let name = format!("live-{round:05}.tex");
+            catalog.register(entry(round, &name, Some("file"), "filesystem"));
+            catalog.register(entry(round, &name, Some("latex"), "filesystem"));
+            catalog.unregister(Vid::from_raw(round));
+        }
+        catalog.register(entry(7, "kept", Some("file"), "filesystem"));
+        let inner = catalog.inner.read();
+        assert_eq!(inner.names.ids.len(), 1);
+        assert!(inner.names.text.len() <= 2, "{}", inner.names.text.len());
+        assert_eq!(inner.classes.ids.len(), 1);
+        assert_eq!(inner.len, 1);
+    }
+
+    /// Far more vids handed out than live: every row still sits in the
+    /// column, and a load that sets the newest rows aside gets them back
+    /// once told the store's next vid.
+    #[test]
+    fn churned_vids_stay_in_the_column() {
+        const LIVE: u64 = 100;
+        const NEXT: u64 = 3 << 16;
+        let catalog = ResourceViewCatalog::new();
+        for vid in 0..NEXT {
+            catalog.register(entry(vid, "live.tex", Some("file"), "filesystem"));
+            if vid >= LIVE {
+                catalog.unregister(Vid::from_raw(vid - LIVE));
+            }
+        }
+        let live: Vec<Vid> = (NEXT - LIVE..NEXT).map(Vid::from_raw).collect();
+        assert_eq!(catalog.vids(), live);
+        assert!(catalog.inner.read().far.is_empty());
+
+        let loaded = ResourceViewCatalog::new();
+        loaded.import_rows(catalog.export_rows());
+        assert_eq!(loaded.inner.read().far.len(), LIVE as usize);
+        loaded.reserve_vids(NEXT);
+        let inner = loaded.inner.read();
+        assert!(inner.far.is_empty());
+        assert_eq!(inner.rows.len(), NEXT as usize);
+        drop(inner);
+        assert_eq!(loaded.export_rows(), catalog.export_rows());
+        loaded.register(entry(NEXT, "next.tex", None, "filesystem"));
+        assert!(loaded.inner.read().far.is_empty());
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! member list (the forward edges) and answers reachability from labels:
 //!
 //! - a **spanning forest** of the edges, held as a parent column indexed
-//!   by vid (vids are dense counters);
+//!   by vid (the store hands vids out from one counter; a vid the
+//!   columns may not reach, such as one read from a damaged file, is
+//!   never labeled);
 //! - a DFS label `(pre, post)` per view of that forest, in the same
 //!   column, where `post` is the last pre-order number of the view's
 //!   subtree, plus the view at each pre-order position. `a` is a tree
@@ -53,7 +55,7 @@
 use idm_core::prelude::Vid;
 use parking_lot::{RwLock, RwLockReadGuard};
 
-use crate::{VidMap, VidSet};
+use crate::{dense_index, VidMap, VidSet};
 
 /// No parent, no label, no position.
 const NONE: u32 = u32::MAX;
@@ -75,13 +77,19 @@ const EMPTY: Slot = Slot {
     post: NONE,
 };
 
-/// The column index of `vid`, when it fits the columns. A vid that does
-/// not is never labeled, and every edge it ends is a side edge.
-fn column(vid: Vid) -> Option<usize> {
-    u32::try_from(vid.as_u64())
+/// The column index of `vid` in columns of `len` slots over a graph of
+/// `count` views and edges, when the columns may reach it
+/// ([`dense_index`], below [`NONE`]). A vid they may not is never
+/// labeled, and every edge it ends is a side edge.
+fn column(vid: Vid, len: usize, count: usize) -> Option<usize> {
+    dense_index(vid, len, count).filter(|&index| index < NONE as usize)
+}
+
+/// The slot index of `vid` if its column reaches it.
+fn slot_index(vid: Vid, slots: &[Slot]) -> Option<usize> {
+    usize::try_from(vid.as_u64())
         .ok()
-        .filter(|&raw| raw != NONE)
-        .map(|raw| raw as usize)
+        .filter(|&index| index < slots.len())
 }
 
 fn vid(raw: u32) -> Vid {
@@ -110,14 +118,21 @@ struct Inner {
 
 impl Inner {
     fn slot(&self, vid: Vid) -> Slot {
-        column(vid)
-            .and_then(|i| self.slots.get(i))
-            .copied()
-            .unwrap_or(EMPTY)
+        slot_index(vid, &self.slots).map_or(EMPTY, |i| self.slots[i])
     }
 
-    fn slot_mut(&mut self, index: usize) -> &mut Slot {
-        grow(&mut self.slots, index)
+    /// [`column`] for this graph.
+    fn column(&self, vid: Vid) -> Option<usize> {
+        column(vid, self.slots.len(), self.forward.len() + self.edges)
+    }
+
+    /// Whether the columns may reach `vid`; if so they do from now on.
+    fn fit(&mut self, vid: Vid) -> bool {
+        let index = self.column(vid);
+        if let Some(index) = index {
+            grow(&mut self.slots, index);
+        }
+        index.is_some()
     }
 
     /// The sources of the side edges into `vid`.
@@ -189,11 +204,16 @@ impl Inner {
     /// until the next relabel folds it into the forest.
     fn add_edge(&mut self, parent: Vid, child: Vid) {
         let slot = self.slot(child);
-        match (column(parent), column(child)) {
-            (Some(_), Some(index))
-                if slot.parent == NONE && slot.pre == NONE && !self.above(child, parent) =>
+        // Both ends get their slots, so a relabel reaches them too.
+        let fits = self.fit(parent) & self.fit(child);
+        match slot_index(child, &self.slots) {
+            Some(index)
+                if fits
+                    && slot.parent == NONE
+                    && slot.pre == NONE
+                    && !self.above(child, parent) =>
             {
-                self.slot_mut(index).parent = parent.as_u64() as u32;
+                self.slots[index].parent = parent.as_u64() as u32;
             }
             _ => {
                 self.grafts += usize::from(slot.parent == NONE && slot.pre != NONE);
@@ -211,8 +231,8 @@ impl Inner {
         // Not a side edge, so the tree edge: detach the subtree.
         debug_assert_eq!(self.slot(child).parent, parent.as_u64() as u32);
         self.unlabel_subtree(child);
-        if let Some(index) = column(child) {
-            self.slot_mut(index).parent = NONE;
+        if let Some(index) = slot_index(child, &self.slots) {
+            self.slots[index].parent = NONE;
         }
     }
 
@@ -244,13 +264,16 @@ impl Inner {
     }
 
     /// Labels every view: a DFS from each view without in-edges, in vid
-    /// order, then from each view left unvisited (those only cycles
-    /// reach). Members are followed in group order; an edge to a view
-    /// already visited is a side edge. The result depends on the edges
-    /// alone, never on the order they arrived in.
+    /// order, then from each view left unvisited (those only cycles or
+    /// views outside the columns reach). Members are followed in group
+    /// order; an edge to a view already visited is a side edge. The
+    /// result depends on the edges alone, never on the order they
+    /// arrived in. The columns keep their length and admit a vid as
+    /// [`Inner::add_edge`] does.
     fn relabel(&mut self) {
         let Inner {
             forward,
+            edges,
             slots,
             order,
             side,
@@ -260,25 +283,36 @@ impl Inner {
             ..
         } = self;
         *grafts = 0;
+        let len = slots.len();
         slots.clear();
+        slots.resize(len, EMPTY);
         order.clear();
         side.clear();
         overlay.clear();
         // While unlabeled, `post` marks a view with an in-edge.
         const HAS_IN_EDGE: u32 = 0;
-        // Each view's members by vid, so the DFS hashes nothing.
+        // Each view's members by vid, so the DFS hashes nothing. The
+        // bound is fixed before the columns grow, so the labels do not
+        // depend on the order `forward` is walked in.
+        let count = forward.len() + *edges;
+        let column = |vid| column(vid, len, count);
         let mut lists: Vec<&[Vid]> = Vec::new();
         for (&parent, members) in forward.iter() {
-            let Some(index) = column(parent) else {
-                side.extend(members.iter().map(|&child| (child, parent)));
-                overlay.insert(parent);
-                continue;
-            };
-            grow(slots, index);
-            if index >= lists.len() {
-                lists.resize(index + 1, &[]);
+            match column(parent) {
+                Some(index) => {
+                    grow(slots, index);
+                    if index >= lists.len() {
+                        lists.resize(index + 1, &[]);
+                    }
+                    lists[index] = members;
+                }
+                // No DFS starts here: its members are side edges, and
+                // the in-edge mark below has the second pass label them.
+                None => {
+                    side.extend(members.iter().map(|&child| (child, parent)));
+                    overlay.insert(parent);
+                }
             }
-            lists[index] = members;
             for &child in members {
                 match column(child) {
                     Some(index) => grow(slots, index).post = HAS_IN_EDGE,
@@ -340,7 +374,8 @@ fn dfs<'f>(
             continue;
         };
         *rest = tail;
-        match column(child) {
+        // Every child that fits the columns has its slot.
+        match slot_index(child, slots) {
             Some(index) if slots[index].pre == NONE => {
                 slots[index] = Slot {
                     parent,
@@ -605,6 +640,21 @@ impl GroupReplica {
     /// Labels every view now and empties the overlay.
     pub fn relabel(&self) {
         self.inner.write().relabel();
+    }
+
+    /// Lets the columns reach every vid below `next`, the store's next
+    /// vid. A view that waited outside them (a loaded file's vid behind
+    /// a gap) stays in the overlay until the next relabel labels it; one
+    /// runs now if the overlay is past its limit.
+    pub fn reserve_vids(&self, next: u64) {
+        let mut inner = self.inner.write();
+        let len = usize::try_from(next).map_or(NONE as usize, |len| len.min(NONE as usize));
+        if len > inner.slots.len() {
+            inner.slots.resize(len, EMPTY);
+            if inner.needs_relabel() {
+                inner.relabel();
+            }
+        }
     }
 
     /// A read guard that lends member lists and computes reach.
@@ -895,6 +945,55 @@ mod tests {
         // Re-indexing unchanged members keeps every label.
         replica.index(vid(0), &replica.children(vid(0)));
         assert_eq!(overlay_len(&replica), 0);
+    }
+
+    /// Far more vids handed out than live: a relabel labels every view,
+    /// and a load that leaves the newest outside the columns labels them
+    /// at the first relabel after it is told the store's next vid.
+    #[test]
+    fn churned_vids_are_labeled() {
+        const LIVE: u64 = 10;
+        const NEXT: u64 = 3 << 16;
+        let replica = GroupReplica::new();
+        for last in 1..NEXT {
+            let members: Vec<Vid> = (last.saturating_sub(LIVE - 1).max(1)..=last)
+                .map(vid)
+                .collect();
+            replica.index(vid(0), &members);
+        }
+        let live: Vec<Vid> = (NEXT - LIVE..NEXT).map(vid).collect();
+        replica.relabel();
+        assert_eq!(overlay_len(&replica), 0);
+        assert_eq!(replica.inner.read().labeled, LIVE as usize + 1);
+        assert_eq!(replica.descendants(vid(0)), live);
+
+        let loaded = GroupReplica::new();
+        loaded.import_edges(replica.export_edges());
+        loaded.relabel();
+        assert_eq!(overlay_len(&loaded), LIVE as usize);
+        loaded.reserve_vids(NEXT);
+        loaded.relabel();
+        assert_eq!(overlay_len(&loaded), 0);
+        assert_eq!(loaded.descendants(vid(0)), live);
+        assert_eq!(loaded.parents(vid(NEXT - 1)), vec![vid(0)]);
+    }
+
+    /// A view outside the columns is never labeled, but every member of
+    /// it is reached, and enumerated, like any other.
+    #[test]
+    fn members_of_a_view_outside_the_columns_are_reached() {
+        let far = 1u64 << 40;
+        let replica = GroupReplica::new();
+        replica.import_edges(vec![(1, vec![2]), (far, vec![3, 1, far + 1])]);
+        for _ in 0..2 {
+            let want = vec![vid(1), vid(2), vid(3), vid(far + 1)];
+            assert_eq!(sorted(replica.descendants(vid(far))), want);
+            assert_eq!(replica.parents(vid(3)), vec![vid(far)]);
+            assert!(replica.reaches(vid(far), vid(far + 1)));
+            assert!(!replica.reaches(vid(3), vid(1)));
+            replica.index(vid(4), &[vid(3)]);
+            replica.index(vid(4), &[]);
+        }
     }
 
     #[test]

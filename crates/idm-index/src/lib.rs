@@ -78,6 +78,24 @@ pub type VidMap<V> = HashMap<Vid, V, BuildHasherDefault<VidHasher>>;
 /// A set of vids, hashed with [`VidHasher`].
 pub type VidSet = HashSet<Vid, BuildHasherDefault<VidHasher>>;
 
+/// How far past its length, or past twice its live entries, a column
+/// indexed by vid may grow ([`dense_index`]).
+const DENSE_SLACK: usize = 1 << 16;
+
+/// The index of `vid` in a column of `len` slots indexed by vid that
+/// holds `count` live entries, when `vid` may sit there: below
+/// `max(len, 2 · count) + 2^16`. Every index write first lets the
+/// columns reach the store's next vid ([`IndexBundle::reserve_vids`]),
+/// so a vid the program makes always fits, however many views were
+/// removed before it. A vid past the bound (one read from a damaged
+/// index file) gets no slot, and each structure keeps it aside in O(1)
+/// instead of growing a column to its magnitude.
+fn dense_index(vid: Vid, len: usize, count: usize) -> Option<usize> {
+    let index = usize::try_from(vid.as_u64()).ok()?;
+    let bound = len.max(count.saturating_mul(2)).saturating_add(DENSE_SLACK);
+    (index < bound).then_some(index)
+}
+
 /// Drops the elements at the ascending, distinct positions `at` from
 /// `list`: a `remove` for one position, otherwise one compaction pass
 /// over the elements from the first position on.
@@ -101,7 +119,21 @@ fn remove_positions<T>(list: &mut Vec<T>, at: &[usize]) {
 
 #[cfg(test)]
 mod tests {
-    use super::remove_positions;
+    use super::{dense_index, remove_positions, DENSE_SLACK};
+    use idm_core::prelude::Vid;
+
+    #[test]
+    fn dense_index_bounds_a_column_by_its_length_and_live_entries() {
+        let at = |raw: u64, len, count| dense_index(Vid::from_raw(raw), len, count);
+        assert_eq!(at(5, 0, 0), Some(5));
+        assert_eq!(at(DENSE_SLACK as u64, 0, 0), None);
+        assert_eq!(at(DENSE_SLACK as u64, 1, 0), Some(DENSE_SLACK));
+        assert_eq!(at(DENSE_SLACK as u64 + 1, 0, 1), Some(DENSE_SLACK + 1));
+        // The next vid of a counter always fits, however few entries live.
+        assert_eq!(at(1 << 30, 1 << 30, 0), Some(1 << 30));
+        assert_eq!(at(1 << 40, 1 << 20, 1 << 20), None);
+        assert_eq!(at(u64::MAX - 1, 1 << 20, 1 << 20), None);
+    }
 
     #[test]
     fn remove_positions_keeps_order_of_the_rest() {

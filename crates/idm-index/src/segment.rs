@@ -192,6 +192,9 @@ impl IndexBundle {
         parallelism: usize,
         mut merged: impl FnMut(&IndexSegment),
     ) -> Result<IndexRun> {
+        // However many vids the store handed out that never reached the
+        // index, the columns reach the ones about to.
+        self.reserve_vids(store.next_vid());
         let mut run = IndexRun::default();
         let chunks: Vec<&[Vid]> = vids.chunks(segment_size.max(1)).collect();
         for wave in chunks.chunks(parallelism.max(1)) {
@@ -300,6 +303,30 @@ mod tests {
                     .insert()
             })
             .collect()
+    }
+
+    /// However many vids the store hands out without their reaching the
+    /// index, the views indexed after them get slots, not side entries.
+    #[test]
+    fn views_past_a_run_of_unindexed_vids_get_slots() {
+        let store = ViewStore::new();
+        let bundle = IndexBundle::new();
+        let first = store.build("first").insert();
+        bundle.index_view(&store, first, "fs").unwrap();
+        for _ in 0..(1 << 16) + 10 {
+            store.remove(store.build_unnamed().insert()).unwrap();
+        }
+        let leaf = store.build("leaf").insert();
+        let folder = store.build("folder").children(vec![leaf]).insert();
+        bundle
+            .index_views(&store, &[leaf, folder], "fs", SEGMENT_VIEWS, 1)
+            .unwrap();
+        bundle.group.relabel();
+        let group = bundle.group.read();
+        assert_eq!(group.reach(&[]).size(), 0, "every view is labeled");
+        assert_eq!(group.reach(&[folder]).size(), 1);
+        drop(group);
+        assert_eq!(bundle.catalog.vids(), [first, leaf, folder]);
     }
 
     #[test]

@@ -510,48 +510,108 @@ proptest! {
     }
 }
 
+/// The catalog's Table 3 size, computed from a model's rows.
+fn model_footprint(model: &std::collections::BTreeMap<u64, CatalogEntry>) -> usize {
+    let rows: usize = model
+        .values()
+        .map(|row| {
+            42 + row.name.len() + row.class.as_deref().map_or(0, str::len) + row.source.len()
+        })
+        .sum();
+    let classes: std::collections::BTreeSet<&str> = model
+        .values()
+        .filter_map(|row| row.class.as_deref())
+        .collect();
+    let sources: std::collections::BTreeSet<&str> =
+        model.values().map(|row| row.source.as_str()).collect();
+    rows + 32 * (classes.len() + sources.len())
+}
+
 proptest! {
-    /// vids() — merged from the per-source lists — equals the sorted row
-    /// keys and a model's set after any register / re-register /
-    /// unregister_all script; by_classes and classes_count agree with
-    /// the per-class lists.
+    /// The catalog equals a `BTreeMap<u64, CatalogEntry>` model after
+    /// every step of a script that registers, re-registers a vid under
+    /// another name, class or source, and unregisters sets with
+    /// duplicates: `entry`, `export_rows`, `by_class`, `by_classes`,
+    /// `classes_count`, `by_source`, `vids` (merged from the per-source
+    /// lists), `len` and `footprint_bytes`. Four of the vids lie far past
+    /// the others.
     #[test]
     fn vids_equal_the_sorted_row_keys(
         script in proptest::collection::vec(
-            (0u64..24, 0usize..4, 0usize..3, proptest::collection::vec(0u64..24, 0..6)),
+            (
+                0u64..26,
+                0usize..4,
+                0usize..5,
+                0usize..4,
+                0u64..12,
+                proptest::collection::vec(0u64..26, 0..6),
+            ),
             1..40,
         ),
     ) {
+        const NAMES: [&str; 4] = ["", "a.tex", "live-00001.tex", "Inbox"];
+        const CLASSES: [Option<&str>; 5] =
+            [Some("file"), Some("folder"), Some("emailmessage"), Some(""), None];
         const SOURCES: [&str; 3] = ["filesystem", "imap", "rss"];
-        const CLASSES: [&str; 3] = ["file", "folder", "emailmessage"];
+        let raw = |vid: u64| if vid >= 22 { (1 << 40) + vid } else { vid };
         let catalog = ResourceViewCatalog::new();
-        let mut model = std::collections::BTreeSet::new();
-        for (vid, source, class, gone) in script {
+        let mut model = std::collections::BTreeMap::new();
+        for (vid, name, class, source, content, gone) in script {
+            let vid = raw(vid);
             if let Some(source) = SOURCES.get(source) {
-                catalog.register(CatalogEntry {
+                let row = CatalogEntry {
                     vid,
-                    name: "n".to_owned(),
-                    class: Some(CLASSES[class].to_owned()),
+                    name: NAMES[name].to_owned(),
+                    class: CLASSES[class].map(str::to_owned),
                     source: (*source).to_owned(),
-                    content_size: None,
-                    content_indexed: false,
-                });
-                model.insert(vid);
+                    content_size: (content >= 2).then_some(content * 100),
+                    content_indexed: content % 2 == 1,
+                };
+                catalog.register(row.clone());
+                model.insert(vid, row);
             } else {
-                let gone: Vec<Vid> = gone.iter().copied().map(Vid::from_raw).collect();
+                let mut gone: Vec<Vid> = gone.iter().map(|&vid| Vid::from_raw(raw(vid))).collect();
+                gone.extend_from_slice(&gone.clone());
                 catalog.unregister_all(&gone);
                 for vid in &gone {
                     model.remove(&vid.as_u64());
                 }
             }
-            let keys: Vec<Vid> = catalog.export_rows().iter().map(|r| Vid::from_raw(r.vid)).collect();
-            prop_assert_eq!(catalog.vids(), keys);
-            let modeled: Vec<Vid> = model.iter().copied().map(Vid::from_raw).collect();
+            for vid in (0u64..26).map(raw) {
+                prop_assert_eq!(catalog.entry(Vid::from_raw(vid)).as_ref(), model.get(&vid));
+                prop_assert_eq!(catalog.contains(Vid::from_raw(vid)), model.contains_key(&vid));
+            }
+            let rows: Vec<CatalogEntry> = model.values().cloned().collect();
+            prop_assert_eq!(catalog.export_rows(), rows);
+            let modeled: Vec<Vid> = model.keys().copied().map(Vid::from_raw).collect();
             prop_assert_eq!(catalog.vids(), modeled);
-            let mut by_class: Vec<Vid> = CLASSES.iter().flat_map(|c| catalog.by_class(c)).collect();
-            by_class.sort();
-            prop_assert_eq!(catalog.by_classes(&CLASSES), by_class);
-            prop_assert_eq!(catalog.classes_count(&CLASSES), model.len());
+            prop_assert_eq!(catalog.len(), model.len());
+            prop_assert_eq!(catalog.footprint_bytes(), model_footprint(&model));
+            let of_class = |class: &str| -> Vec<Vid> {
+                model
+                    .values()
+                    .filter(|row| row.class.as_deref() == Some(class))
+                    .map(|row| Vid::from_raw(row.vid))
+                    .collect()
+            };
+            let classes: Vec<&str> = CLASSES.iter().flatten().copied().chain(["ghost"]).collect();
+            for class in &classes {
+                prop_assert_eq!(catalog.by_class(class), of_class(class));
+            }
+            for pick in [&classes[..], &classes[..2], &classes[1..3], &classes[4..]] {
+                let mut want: Vec<Vid> = pick.iter().flat_map(|class| of_class(class)).collect();
+                want.sort();
+                prop_assert_eq!(catalog.classes_count(pick), want.len());
+                prop_assert_eq!(catalog.by_classes(pick), want);
+            }
+            for source in SOURCES.iter().chain(&["ghost"]) {
+                let want: Vec<Vid> = model
+                    .values()
+                    .filter(|row| row.source == *source)
+                    .map(|row| Vid::from_raw(row.vid))
+                    .collect();
+                prop_assert_eq!(catalog.by_source(source), want);
+            }
         }
     }
 }

@@ -746,9 +746,8 @@ impl QueryProcessor {
             Field::Name => {
                 let in_store = self.store.with_name(vid, |n| n.map(|n| out.push_str(n)));
                 if !matches!(in_store, Ok(Some(()))) {
-                    if let Some(entry) = self.indexes.catalog.entry(vid) {
-                        out.push_str(&entry.name);
-                    }
+                    let catalog = &self.indexes.catalog;
+                    catalog.with_name(vid, |name| out.push_str(name.unwrap_or_default()));
                 }
             }
             Field::Class => {

@@ -215,6 +215,7 @@ impl Pdsms {
         let mut reindexed = store.len();
         let (indexes, fate) = match idm_index::persist::load_with_epoch(&index_path) {
             Ok((bundle, epoch)) if epoch == recovery.lsn => {
+                bundle.reserve_vids(store.next_vid());
                 reindexed = 0;
                 (bundle, IndexFate::Loaded)
             }
@@ -226,6 +227,7 @@ impl Pdsms {
                     .iter()
                     .map(|&vid| Vid::from_raw(vid))
                     .collect();
+                bundle.reserve_vids(store.next_vid());
                 reindexed = bundle.reindex_views(&store, &touched)?;
                 (bundle, IndexFate::CaughtUp)
             }

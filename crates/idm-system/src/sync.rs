@@ -7,7 +7,8 @@
 //! bypassing the RVM layer it also supports a full polling pass that
 //! diffs the source against the catalog.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
+use std::ops::Bound;
 use std::sync::Arc;
 
 use crossbeam::channel::Receiver;
@@ -53,10 +54,11 @@ impl SyncReport {
 
 /// Path → base view, and the base vids as a set: a derived subtree is
 /// removed on every change, and must never take a base view it reaches
-/// through a folder link with it.
+/// through a folder link with it. Paths are ordered, so the paths under
+/// one are a range.
 #[derive(Default)]
 struct BaseViews {
-    by_path: HashMap<String, Vid>,
+    by_path: BTreeMap<String, Vid>,
     vids: HashSet<Vid>,
 }
 
@@ -69,19 +71,23 @@ impl BaseViews {
     }
 
     /// Forgets `path` and the paths under it (sub-paths disappear with
-    /// their parent); returns the view `path` itself had.
+    /// their parent), which run from `"{path}/"` to the first path not
+    /// starting with it; returns the view `path` itself had.
     fn remove_tree(&mut self, path: &str) -> Option<Vid> {
         let vid = self.by_path.remove(path)?;
         self.vids.remove(&vid);
         let prefix = format!("{path}/");
-        let BaseViews { by_path, vids } = self;
-        by_path.retain(|p, v| {
-            let keep = !p.starts_with(&prefix);
-            if !keep {
-                vids.remove(v);
+        let under: Vec<String> = self
+            .by_path
+            .range::<str, _>((Bound::Included(prefix.as_str()), Bound::Unbounded))
+            .take_while(|(sub, _)| sub.starts_with(&prefix))
+            .map(|(sub, _)| sub.clone())
+            .collect();
+        for sub in under {
+            if let Some(gone) = self.by_path.remove(&sub) {
+                self.vids.remove(&gone);
             }
-            keep
-        });
+        }
         Some(vid)
     }
 }
@@ -619,6 +625,32 @@ mod tests {
             indexes,
             sync,
         }
+    }
+
+    #[test]
+    fn remove_tree_forgets_exactly_the_paths_under_it() {
+        let mut paths = BaseViews::default();
+        for (i, path) in ["/a", "/a/b", "/a/b/c", "/a/b2", "/a/bc", "/a/b/c/d"]
+            .into_iter()
+            .enumerate()
+        {
+            paths.insert(path.to_owned(), Vid::from_raw(i as u64));
+        }
+        let agree = |paths: &BaseViews| {
+            let from_paths: HashSet<Vid> = paths.by_path.values().copied().collect();
+            assert_eq!(from_paths, paths.vids);
+        };
+        agree(&paths);
+        assert_eq!(paths.remove_tree("/a/b"), Some(Vid::from_raw(1)));
+        let left: Vec<&str> = paths.by_path.keys().map(String::as_str).collect();
+        assert_eq!(left, ["/a", "/a/b2", "/a/bc"]);
+        agree(&paths);
+        assert_eq!(paths.remove_tree("/a/b"), None);
+        assert_eq!(paths.remove_tree("/a/bc"), Some(Vid::from_raw(4)));
+        agree(&paths);
+        assert_eq!(paths.remove_tree("/a"), Some(Vid::from_raw(0)));
+        assert!(paths.by_path.is_empty());
+        agree(&paths);
     }
 
     fn query(w: &World, iql: &str) -> usize {
