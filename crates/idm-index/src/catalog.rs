@@ -38,6 +38,30 @@ pub struct CatalogEntry {
     pub content_indexed: bool,
 }
 
+/// A row to register with its strings borrowed: what a segment merge
+/// hands the catalog, which interns them and keeps no copy.
+pub(crate) struct RowRef<'a> {
+    pub(crate) vid: u64,
+    pub(crate) name: &'a str,
+    pub(crate) class: Option<&'a str>,
+    pub(crate) source: &'a str,
+    pub(crate) content_size: Option<u64>,
+    pub(crate) content_indexed: bool,
+}
+
+impl CatalogEntry {
+    fn as_row(&self) -> RowRef<'_> {
+        RowRef {
+            vid: self.vid,
+            name: &self.name,
+            class: self.class.as_deref(),
+            source: &self.source,
+            content_size: self.content_size,
+            content_indexed: self.content_indexed,
+        }
+    }
+}
+
 /// No class (as a class id), or an empty slot (as a source id).
 const NONE: u32 = u32::MAX;
 /// Row flag: `content_size` holds the size.
@@ -221,18 +245,17 @@ impl Inner {
 
     /// Registers (or replaces) `entry`'s row, at `index` in the column
     /// when it may sit there.
-    fn register(&mut self, entry: CatalogEntry, index: Option<usize>) {
+    fn register(&mut self, entry: RowRef<'_>, index: Option<usize>) {
         let vid = Vid::from_raw(entry.vid);
         // The new row's uses first: a row replaced by one with the same
         // strings keeps them instead of freeing and interning them again.
         let row = Row {
             content_size: entry.content_size.unwrap_or(0),
-            name: self.names.acquire(&entry.name),
+            name: self.names.acquire(entry.name),
             class: entry
                 .class
-                .as_deref()
                 .map_or(NONE, |class| self.classes.acquire(class)),
-            source: self.sources.acquire(&entry.source),
+            source: self.sources.acquire(entry.source),
             flags: if entry.content_size.is_some() {
                 HAS_SIZE
             } else {
@@ -302,9 +325,15 @@ impl ResourceViewCatalog {
 
     /// Registers (or replaces) a view's row.
     pub fn register(&self, entry: CatalogEntry) {
+        self.register_row(entry.as_row());
+    }
+
+    /// [`ResourceViewCatalog::register`] with the row's strings
+    /// borrowed.
+    pub(crate) fn register_row(&self, row: RowRef<'_>) {
         let mut inner = self.inner.write();
-        let index = dense_index(Vid::from_raw(entry.vid), inner.rows.len(), inner.len);
-        inner.register(entry, index);
+        let index = dense_index(Vid::from_raw(row.vid), inner.rows.len(), inner.len);
+        inner.register(row, index);
     }
 
     /// Unregisters a view.
@@ -330,6 +359,14 @@ impl ResourceViewCatalog {
     pub fn with_name<T>(&self, vid: Vid, f: impl FnOnce(Option<&str>) -> T) -> T {
         let inner = self.inner.read();
         f(inner.row(vid).map(|row| inner.names.text(row.name)))
+    }
+
+    /// Calls `f` with a view's class name, borrowed under the read guard
+    /// (`None` when the view is not registered or has no class).
+    pub fn with_class<T>(&self, vid: Vid, f: impl FnOnce(Option<&str>) -> T) -> T {
+        let inner = self.inner.read();
+        let row = inner.row(vid).filter(|row| row.class != NONE);
+        f(row.map(|row| inner.classes.text(row.class)))
     }
 
     /// Whether a view is registered.
@@ -442,7 +479,7 @@ impl ResourceViewCatalog {
         let count = rows.len();
         for entry in rows {
             let index = dense_index(Vid::from_raw(entry.vid), 0, count);
-            inner.register(entry, index);
+            inner.register(entry.as_row(), index);
         }
         *self.inner.write() = inner;
     }

@@ -9,12 +9,16 @@
 //! SipHash: terms come from untrusted e-mail bodies, and a custom hasher
 //! measured no better) gives each term an id, reused after its term's
 //! last posting goes. An id's posting list is three columns: vids
-//! ascending, each posting's end offset, and all positions end to end.
-//! Each document keeps its term ids, so removal sorts `(id, vid)` pairs
-//! and compacts the lists they name without hashing a term. What still
-//! grows with a list is the shift of its columns behind a posting
-//! inserted or removed in its middle. Terms are put in order only on
-//! export, so the persisted bytes never depend on hash order.
+//! ascending, each posting's end offset, and every posting's positions
+//! as LEB128 deltas that restart at each posting, as Lucene stores them
+//! and as `IDMIDX02` writes them (about one byte a position). A phrase
+//! is matched by stepping the terms' decoders together, so no posting is
+//! decoded into a buffer. Each document keeps its term ids, so removal
+//! sorts `(id, vid)` pairs and compacts the lists they name without
+//! hashing a term. What still grows with a list is the shift of its
+//! columns behind a posting inserted or removed in its middle. Terms
+//! are put in order only on export, so the persisted bytes never depend
+//! on hash order.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -27,12 +31,75 @@ use crate::tokenizer::{self, terms};
 use crate::VidMap;
 
 /// One term's postings, as columns: vids ascending, the end of each
-/// posting's positions, and all positions end to end.
+/// posting's bytes, and each posting's positions as LEB128 deltas, the
+/// first from 0 — the bytes `IDMIDX02` writes per posting.
 #[derive(Debug, Default)]
 pub(crate) struct PostingList {
     vids: Vec<Vid>,
     ends: Vec<u32>,
-    positions: Vec<u32>,
+    positions: Vec<u8>,
+}
+
+/// Appends ascending `positions` to `out` as LEB128 deltas, the first
+/// from 0.
+fn encode(out: &mut Vec<u8>, positions: impl IntoIterator<Item = u32>) {
+    let mut prev = 0;
+    for position in positions {
+        let mut delta = position - prev;
+        prev = position;
+        while delta >= 0x80 {
+            out.push(delta as u8 | 0x80);
+            delta >>= 7;
+        }
+        out.push(delta as u8);
+    }
+}
+
+/// How many positions `bytes` codes: one byte of each delta lacks the
+/// continuation bit.
+fn count(bytes: &[u8]) -> usize {
+    bytes.iter().filter(|&&b| b & 0x80 == 0).count()
+}
+
+/// A decoder over one posting's positions, lent by [`PostingList`]:
+/// yields them ascending.
+#[derive(Debug, Default)]
+pub(crate) struct Positions<'a> {
+    bytes: &'a [u8],
+    prev: u32,
+}
+
+impl<'a> Positions<'a> {
+    /// The bytes not yet decoded: a fresh decoder's are its posting's,
+    /// as `IDMIDX02` writes them.
+    pub(crate) fn bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// Number of positions left.
+    pub(crate) fn len(&self) -> usize {
+        count(self.bytes)
+    }
+}
+
+impl Iterator for Positions<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        let mut delta = 0;
+        let mut shift = 0;
+        loop {
+            let (&byte, rest) = self.bytes.split_first()?;
+            self.bytes = rest;
+            delta |= u32::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                break;
+            }
+            shift += 7;
+        }
+        self.prev += delta;
+        Some(self.prev)
+    }
 }
 
 impl PostingList {
@@ -46,57 +113,80 @@ impl PostingList {
         self.vids.last().copied()
     }
 
-    /// Appends a posting whose vid exceeds every vid in the list: the
-    /// decoder's insert. `false`, and nothing appended, when the list
-    /// would hold 2^32 positions.
+    /// Appends a posting of ascending `positions` whose vid exceeds
+    /// every vid in the list: the decoder's insert. `false`, and nothing
+    /// appended, when the list would hold 2^32 bytes of positions.
     pub(crate) fn push(&mut self, vid: Vid, positions: &[u32]) -> bool {
-        let Ok(end) = u32::try_from(self.positions.len() + positions.len()) else {
+        let start = self.positions.len();
+        encode(&mut self.positions, positions.iter().copied());
+        let Ok(end) = u32::try_from(self.positions.len()) else {
+            self.positions.truncate(start);
             return false;
         };
         self.vids.push(vid);
         self.ends.push(end);
-        self.positions.extend_from_slice(positions);
         true
     }
 
-    /// Where posting `i`'s positions start.
+    /// Where posting `i`'s bytes start.
     fn start(&self, i: usize) -> usize {
         i.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize)
     }
 
+    /// The positions of posting `i`.
+    fn posting(&self, i: usize) -> Positions<'_> {
+        Positions {
+            bytes: &self.positions[self.start(i)..self.ends[i] as usize],
+            prev: 0,
+        }
+    }
+
     /// The postings in vid order: each vid with its positions.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (Vid, &[u32])> {
-        self.vids.iter().enumerate().map(|(i, &vid)| {
-            let end = self.ends[i] as usize;
-            (vid, &self.positions[self.start(i)..end])
-        })
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Vid, Positions<'_>)> {
+        (0..self.vids.len()).map(|i| (self.vids[i], self.posting(i)))
     }
 
     /// The positions of the term in `vid`, if it holds the term.
-    fn positions_of(&self, vid: Vid) -> Option<&[u32]> {
+    fn positions_of(&self, vid: Vid) -> Option<Positions<'_>> {
         let i = self.vids.binary_search(&vid).ok()?;
-        Some(&self.positions[self.start(i)..self.ends[i] as usize])
+        Some(self.posting(i))
     }
 
-    /// Adds `positions` under `vid`: a new posting in vid order, or, if
-    /// `vid` holds the term already, after its positions. Returns
-    /// whether the posting is new.
+    /// Adds ascending `positions` under `vid`: a new posting in vid
+    /// order, or, if `vid` holds the term already, merged into its
+    /// positions in order, duplicates kept. The bytes are encoded at the
+    /// tail and, unless the posting is the last, rotated into place.
+    /// Returns whether the posting is new.
     fn add(&mut self, vid: Vid, positions: &[u32]) -> bool {
-        let (i, at, new) = match self.vids.last() {
+        let (i, new) = match self.vids.last() {
             Some(&last) if last >= vid => match self.vids.binary_search(&vid) {
-                Ok(i) => (i, self.ends[i] as usize, false),
-                Err(i) => (i, self.start(i), true),
+                Ok(i) => (i, false),
+                Err(i) => (i, true),
             },
-            _ => (self.vids.len(), self.positions.len(), true),
+            _ => (self.vids.len(), true),
         };
+        let start = self.start(i);
+        let tail = self.positions.len();
+        let old = if new {
+            encode(&mut self.positions, positions.iter().copied());
+            0
+        } else {
+            let end = self.ends[i] as usize;
+            let mut merged: Vec<u32> = self.posting(i).chain(positions.iter().copied()).collect();
+            merged.sort_unstable();
+            encode(&mut self.positions, merged);
+            end - start
+        };
+        let added = self.positions.len() - tail;
+        self.positions[start..].rotate_right(added);
+        self.positions.drain(start + added..start + added + old);
         if new {
             self.vids.insert(i, vid);
-            self.ends.insert(i, at as u32);
+            self.ends.insert(i, start as u32);
         }
-        self.positions.splice(at..at, positions.iter().copied());
-        let added = u32::try_from(positions.len()).expect("fewer than 2^32 positions");
+        let fits = |end: usize| u32::try_from(end).expect("fewer than 2^32 bytes of positions");
         for end in &mut self.ends[i..] {
-            *end += added;
+            *end = fits(*end as usize + added - old);
         }
         new
     }
@@ -105,26 +195,25 @@ impl PostingList {
     /// moving each run of kept postings down once. Returns the number of
     /// positions dropped.
     fn remove_at(&mut self, at: &[usize]) -> usize {
-        let (mut postings_gone, mut positions_gone) = (0, 0);
+        let (mut postings_gone, mut bytes_gone, mut positions_gone) = (0, 0, 0);
         for (k, &i) in at.iter().enumerate() {
-            let end = self.ends[i] as usize;
-            positions_gone += end - self.start(i);
+            let (start, end) = (self.start(i), self.ends[i] as usize);
+            positions_gone += count(&self.positions[start..end]);
+            bytes_gone += end - start;
             postings_gone += 1;
             // The kept run up to the next removed posting.
             let next = at.get(k + 1).copied().unwrap_or(self.vids.len());
             let run_end = self.start(next);
             self.vids.copy_within(i + 1..next, i + 1 - postings_gone);
             for j in i + 1..next {
-                self.ends[j - postings_gone] = self.ends[j] - positions_gone as u32;
+                self.ends[j - postings_gone] = self.ends[j] - bytes_gone as u32;
             }
-            self.positions
-                .copy_within(end..run_end, end - positions_gone);
+            self.positions.copy_within(end..run_end, end - bytes_gone);
         }
         let kept = self.vids.len() - postings_gone;
         self.vids.truncate(kept);
         self.ends.truncate(kept);
-        self.positions
-            .truncate(self.positions.len() - positions_gone);
+        self.positions.truncate(self.positions.len() - bytes_gone);
         positions_gone
     }
 }
@@ -257,6 +346,60 @@ pub fn pretokenize(text: &str) -> Option<PretokenizedDoc> {
     })
 }
 
+/// One term of a phrase being matched: its list, where the search for
+/// the next candidate starts (candidates ascend, so none looks behind
+/// the last), and a decoder of its positions in the candidate with the
+/// position it read last.
+struct Cursor<'a> {
+    list: &'a PostingList,
+    from: usize,
+    positions: Positions<'a>,
+    head: u32,
+}
+
+impl Cursor<'_> {
+    /// Moves to `vid`'s posting and reads its first position; `false`
+    /// when the list lacks `vid`.
+    fn seek(&mut self, vid: Vid) -> bool {
+        let vids = &self.list.vids;
+        if vids.get(self.from).is_some_and(|&first| first < vid) {
+            self.from += vids[self.from..].partition_point(|&v| v < vid);
+        }
+        if vids.get(self.from) != Some(&vid) {
+            return false;
+        }
+        self.positions = self.list.posting(self.from);
+        self.positions.next().map(|head| self.head = head).is_some()
+    }
+}
+
+/// Whether some position p0 of the first cursor has p0 + i in cursor
+/// i, for every i. Each decoder steps forward only, so one pass over
+/// the postings decides.
+fn adjacent(cursors: &mut [Cursor<'_>]) -> bool {
+    let Some((first, rest)) = cursors.split_first_mut() else {
+        return false;
+    };
+    let mut start = Some(first.head);
+    'starts: while let Some(p0) = start {
+        for (cursor, i) in rest.iter_mut().zip(1u64..) {
+            let want = u64::from(p0) + i;
+            while u64::from(cursor.head) < want {
+                match cursor.positions.next() {
+                    Some(position) => cursor.head = position,
+                    None => return false,
+                }
+            }
+            if u64::from(cursor.head) > want {
+                start = first.positions.next();
+                continue 'starts;
+            }
+        }
+        return true;
+    }
+    false
+}
+
 /// The inverted full-text index.
 #[derive(Default)]
 pub struct FullTextIndex {
@@ -273,8 +416,8 @@ impl FullTextIndex {
     /// cheap, lock-holding half of indexing, used by the segment merge.
     ///
     /// A vid should be indexed at most once; indexing it again without
-    /// [`FullTextIndex::remove`] appends the new positions to its
-    /// postings.
+    /// [`FullTextIndex::remove`] merges the new positions into its
+    /// postings in order, duplicates kept.
     pub fn index_pretokenized(&self, vid: Vid, doc: PretokenizedDoc) {
         let mut inner = self.inner.write();
         let inner = &mut *inner;
@@ -366,40 +509,34 @@ impl FullTextIndex {
             _ => {}
         }
         let inner = self.inner.read();
-        let mut lists: Vec<&PostingList> = Vec::with_capacity(query_terms.len());
+        let mut cursors = Vec::with_capacity(query_terms.len());
         for term in &query_terms {
             match inner.list(term) {
-                Some(list) => lists.push(list),
+                Some(list) => cursors.push(Cursor {
+                    list,
+                    from: 0,
+                    positions: Positions::default(),
+                    head: 0,
+                }),
                 None => return Vec::new(),
             }
         }
         // Drive by the rarest list.
-        let driver = lists
+        let driver = cursors
             .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| l.len())
-            .map(|(i, _)| i)
-            .unwrap_or(0);
+            .map(|cursor| cursor.list)
+            .min_by_key(|list| list.len())
+            .expect("a phrase of two terms or more");
 
         let mut out = Vec::new();
-        let mut doc_positions: Vec<&[u32]> = Vec::with_capacity(lists.len());
-        'candidates: for &vid in &lists[driver].vids {
-            // Gather positions of every term in this document.
-            doc_positions.clear();
-            for list in &lists {
-                match list.positions_of(vid) {
-                    Some(positions) => doc_positions.push(positions),
-                    None => continue 'candidates,
+        'candidates: for &vid in &driver.vids {
+            for cursor in &mut cursors {
+                if !cursor.seek(vid) {
+                    continue 'candidates;
                 }
             }
-            // Check adjacency: positions of term i must contain p0 + i.
-            for &p0 in doc_positions[0] {
-                if (1..doc_positions.len())
-                    .all(|i| doc_positions[i].binary_search(&(p0 + i as u32)).is_ok())
-                {
-                    out.push(vid);
-                    break;
-                }
+            if adjacent(&mut cursors) {
+                out.push(vid);
             }
         }
         out
@@ -427,7 +564,7 @@ impl FullTextIndex {
                 .map(|(term, list)| {
                     let postings = list
                         .iter()
-                        .map(|(vid, positions)| (vid.as_u64(), positions.to_vec()))
+                        .map(|(vid, positions)| (vid.as_u64(), positions.collect()))
                         .collect();
                     (term.to_string(), postings)
                 })
@@ -508,7 +645,7 @@ impl FullTextIndex {
         inner
             .list(term)
             .and_then(|list| list.positions_of(vid))
-            .map_or(0, <[u32]>::len)
+            .map_or(0, |positions| positions.len())
     }
 
     /// Number of documents containing `term` (document frequency).
@@ -540,7 +677,8 @@ impl FullTextIndex {
 
     /// Serialized index size in bytes, modeling the compressed on-disk
     /// layout real keyword indexes (like the paper's Lucene) use:
-    /// delta-encoded varint document ids and positions per term.
+    /// delta-encoded varint document ids and positions per term. The
+    /// positions are held in that coding, so they count as held.
     pub fn footprint_bytes(&self) -> usize {
         fn varint(v: u64) -> usize {
             (64 - v.leading_zeros() as usize).max(1).div_ceil(7)
@@ -556,12 +694,7 @@ impl FullTextIndex {
                 for (vid, positions) in list.iter() {
                     bytes += varint(vid.as_u64().wrapping_sub(prev_vid));
                     prev_vid = vid.as_u64();
-                    bytes += varint(positions.len() as u64);
-                    let mut prev_pos = 0u32;
-                    for &pos in positions {
-                        bytes += varint(u64::from(pos.wrapping_sub(prev_pos)));
-                        prev_pos = pos;
-                    }
+                    bytes += varint(positions.len() as u64) + positions.bytes().len();
                 }
                 bytes
             })

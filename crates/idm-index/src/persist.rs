@@ -103,12 +103,10 @@ fn put_sections(enc: &mut Encoder, bundle: &IndexBundle) {
             for (vid, positions) in list.iter() {
                 enc.put_u64(vid.as_u64().wrapping_sub(prev_vid));
                 prev_vid = vid.as_u64();
+                // The list holds each posting's positions in this very
+                // coding: LEB128 deltas, the first from 0.
                 enc.put_u64(positions.len() as u64);
-                let mut prev_pos = 0u32;
-                for &pos in positions {
-                    enc.put_u64(u64::from(pos.wrapping_sub(prev_pos)));
-                    prev_pos = pos;
-                }
+                enc.put_raw(positions.bytes());
             }
         }
     });
@@ -203,7 +201,13 @@ fn get_sections(dec: &mut Decoder) -> io::Result<IndexBundle> {
             positions.clear();
             let mut prev_pos = 0u32;
             for _ in 0..pos_count {
-                prev_pos = prev_pos.wrapping_add(dec.get_u64()? as u32);
+                // A delta is never negative: one that wraps past 2^32
+                // is a position going backwards, which the list cannot
+                // hold.
+                prev_pos = u32::try_from(dec.get_u64()?)
+                    .ok()
+                    .and_then(|delta| prev_pos.checked_add(delta))
+                    .ok_or_else(|| Decoder::err("positions not ascending"))?;
                 positions.push(prev_pos);
             }
             if !list.push(Vid::from_raw(prev_vid), &positions) {

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use idm_core::prelude::*;
 
 use crate::bundle::{is_texty, ContentIndexing, IndexBundle};
-use crate::catalog::CatalogEntry;
+use crate::catalog::RowRef;
 use crate::fulltext::{pretokenize, PretokenizedDoc};
 
 /// Views per index segment when the caller has no reason to choose:
@@ -55,11 +55,14 @@ pub struct IndexRun {
 #[derive(Debug)]
 struct SegmentEntry {
     vid: Vid,
+    /// The name the name index and the catalog both read.
+    name: String,
+    class: Option<ClassId>,
+    content_size: Option<u64>,
     tuple: Option<TupleComponent>,
     doc: Option<PretokenizedDoc>,
     members: Option<Vec<Vid>>,
     outcome: ContentIndexing,
-    catalog: CatalogEntry,
 }
 
 /// A batch of views' index contributions, built off the live bundle
@@ -68,6 +71,10 @@ struct SegmentEntry {
 #[derive(Debug, Default)]
 pub struct IndexSegment {
     entries: Vec<SegmentEntry>,
+    /// The data source label of every view in the segment.
+    source: String,
+    /// The name of each class a view in the segment has.
+    classes: BTreeMap<ClassId, String>,
     /// Total bytes handed to the content index (net input size).
     net_input_bytes: u64,
 }
@@ -79,7 +86,8 @@ impl IndexSegment {
     pub fn build(store: &ViewStore, vids: &[Vid], source: &str) -> Result<IndexSegment> {
         let mut segment = IndexSegment {
             entries: Vec::with_capacity(vids.len()),
-            net_input_bytes: 0,
+            source: source.to_owned(),
+            ..IndexSegment::default()
         };
         for &vid in vids {
             let name = store.with_name(vid, |name| name.unwrap_or_default().to_owned())?;
@@ -122,22 +130,23 @@ impl IndexSegment {
                 ContentIndexing::Indexed { bytes } => Some(bytes as u64),
                 _ => content.size_hint(),
             };
-            let catalog = CatalogEntry {
-                vid: vid.as_u64(),
-                name,
-                class: store.class(vid)?.map(|c| store.classes().name(c)),
-                source: source.to_owned(),
-                content_size,
-                content_indexed: matches!(outcome, ContentIndexing::Indexed { .. }),
-            };
+            let class = store.class(vid)?;
+            if let Some(class) = class {
+                segment
+                    .classes
+                    .entry(class)
+                    .or_insert_with(|| store.classes().name(class));
+            }
 
             segment.entries.push(SegmentEntry {
                 vid,
+                name,
+                class,
+                content_size,
                 tuple,
                 doc,
                 members,
                 outcome,
-                catalog,
             });
         }
         Ok(segment)
@@ -234,7 +243,7 @@ impl IndexBundle {
     /// happens in ascending-vid order.
     pub fn merge_segment(&self, segment: IndexSegment) {
         for entry in segment.entries {
-            self.name.index(entry.vid, &entry.catalog.name);
+            self.name.index(entry.vid, &entry.name);
             if let Some(tuple) = &entry.tuple {
                 self.tuple.index(entry.vid, tuple);
             }
@@ -244,7 +253,14 @@ impl IndexBundle {
             if let Some(members) = &entry.members {
                 self.group.index(entry.vid, members);
             }
-            self.catalog.register(entry.catalog);
+            self.catalog.register_row(RowRef {
+                vid: entry.vid.as_u64(),
+                name: &entry.name,
+                class: entry.class.map(|class| segment.classes[&class].as_str()),
+                source: &segment.source,
+                content_size: entry.content_size,
+                content_indexed: matches!(entry.outcome, ContentIndexing::Indexed { .. }),
+            });
         }
     }
 

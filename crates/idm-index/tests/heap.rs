@@ -1,6 +1,7 @@
-//! Heap accounting of the catalog and the group replica under a counting
-//! global allocator that no other test binary shares. Each thread counts
-//! its own allocations, so the tests may run side by side.
+//! Heap accounting of the catalog, the content index and the group
+//! replica under a counting global allocator that no other test binary
+//! shares. Each thread counts its own allocations, so the tests may run
+//! side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -9,7 +10,10 @@ use std::collections::BTreeSet;
 use idm_core::graph;
 use idm_core::prelude::{Vid, ViewStore};
 use idm_index::catalog::{CatalogEntry, ResourceViewCatalog};
-use idm_index::GroupReplica;
+use idm_index::fulltext::pretokenize;
+use idm_index::{FullTextIndex, GroupReplica};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 thread_local! {
     /// Bytes this thread holds, and the most it held since [`measure`]
@@ -120,6 +124,45 @@ fn catalog_rows_cost_at_most_80_bytes_of_heap() {
     let per_row = held as f64 / ROWS as f64;
     eprintln!("catalog heap: {held} B, {per_row:.1} B per row");
     assert!(per_row <= 80.0, "{per_row:.1} B of heap per row");
+}
+
+/// 2 000 documents of 300 words, 19 in 20 of them from 30 common words
+/// and the rest from 3 000 rare ones, so that most positions sit in a
+/// few long lists: the content index holds at most 7 bytes of heap per
+/// position. Four-byte positions, with the vids, offsets and term ids
+/// beside them, take ≈ 9.5; LEB128 deltas ≈ 5.5.
+#[test]
+fn content_index_costs_at_most_7_bytes_of_heap_per_position() {
+    const DOCUMENTS: u64 = 2_000;
+    const WORDS: usize = 300;
+    let mut rng = StdRng::seed_from_u64(7);
+    let texts: Vec<String> = (0..DOCUMENTS)
+        .map(|_| {
+            let words: Vec<String> = (0..WORDS)
+                .map(|_| match rng.gen_range(0..20) {
+                    0 => format!("rare{}", rng.gen_range(0..3_000)),
+                    _ => format!("w{}", rng.gen_range(0..30)),
+                })
+                .collect();
+            words.join(" ")
+        })
+        .collect();
+    let (index, held, _) = measure(|| {
+        let index = FullTextIndex::new();
+        for (vid, text) in (1..).zip(&texts) {
+            let doc = pretokenize(text).expect("words");
+            index.index_pretokenized(Vid::from_raw(vid), doc);
+        }
+        index
+    });
+    let positions = index.token_count();
+    assert_eq!(positions, DOCUMENTS * WORDS as u64);
+    let per_position = held as f64 / positions as f64;
+    eprintln!("content index heap: {held} B, {per_position:.2} B per position");
+    assert!(
+        per_position <= 7.0,
+        "{per_position:.2} B of heap per position"
+    );
 }
 
 /// Vids far past the dense range are rows like any other and allocate

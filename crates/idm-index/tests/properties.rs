@@ -160,21 +160,65 @@ fn content_observable(
     )
 }
 
+/// Up to `max - 1` words: runs of `a`–`d`, and words of eight bytes
+/// or more that share their first eight.
+fn arb_words(max: usize) -> impl Strategy<Value = String> {
+    let word = prop_oneof![
+        "[a-d]{1,3}",
+        (0..LONG_WORDS.len()).prop_map(|i| LONG_WORDS[i].to_owned()),
+    ];
+    proptest::collection::vec(word, 0..max).prop_map(|words| words.join(" "))
+}
+
+/// The vids of `model` whose texts hold `phrase`: some position p0 of
+/// its first term with p0 + i among the positions of term i, for every
+/// i, read off the reference tokenizer.
+fn phrase_by_positions(
+    model: &std::collections::BTreeMap<u64, Vec<String>>,
+    phrase: &str,
+) -> Vec<Vid> {
+    let terms: Vec<String> = naive_tokenize(phrase)
+        .into_iter()
+        .map(|(term, _)| term)
+        .collect();
+    model
+        .iter()
+        .filter(|(_, texts)| {
+            let tokens: Vec<(String, u32)> =
+                texts.iter().flat_map(|text| naive_tokenize(text)).collect();
+            let holds = |term: &String, at: u32| tokens.iter().any(|(t, p)| t == term && *p == at);
+            let Some(first) = terms.first() else {
+                return false;
+            };
+            tokens.iter().any(|(t, p0)| {
+                t == first && terms.iter().zip(*p0..).all(|(term, at)| holds(term, at))
+            })
+        })
+        .map(|(&vid, _)| Vid::from_raw(vid))
+        .collect()
+}
+
 proptest! {
     /// After every op of a script — indexing a vid below ones already
     /// indexed, indexing a vid again without removing it (its positions
-    /// are appended), removing sets of documents that share terms (with
-    /// duplicates and unknown vids) and a save → load — the postings are
-    /// the reference tokenizer's, and the content index answers as
+    /// are merged in order), removing sets of documents that share terms
+    /// (with duplicates and unknown vids) and a save → load — the
+    /// postings are the reference tokenizer's, phrases of one to four
+    /// terms (a repeated term and terms past eight bytes among them)
+    /// match as the positions say, and the content index answers as
     /// indexing the survivors afresh, in vid order, does.
     #[test]
     fn any_content_script_equals_a_rebuild_of_the_survivors(
         script in proptest::collection::vec(
-            (0u8..5, 0u64..12, "[a-d ]{0,16}", proptest::collection::vec(0u64..14, 0..5)),
+            (0u8..5, 0u64..12, arb_words(8), proptest::collection::vec(0u64..14, 0..5)),
             1..25,
         ),
-        phrases in proptest::collection::vec("[a-d]{1,2} [a-d]{1,2}", 1..4),
+        phrases in proptest::collection::vec(arb_words(5), 1..4),
     ) {
+        let phrases: Vec<String> = phrases
+            .into_iter()
+            .chain(["a a".to_owned(), "aaaaaaaab aaaaaaaa".to_owned()])
+            .collect();
         let vocabulary: Vec<String> = ["a", "b", "c", "d", "ab", "ba", "cd", "dd"]
             .iter()
             .map(|w| w.to_string())
@@ -212,18 +256,22 @@ proptest! {
                 }
             }
             // The postings, read off the reference tokenizer: a text
-            // indexed again appends its positions.
+            // indexed again merges its positions in, ascending.
             let mut want: std::collections::BTreeMap<String, Vec<(u64, Vec<u32>)>> = Default::default();
             for (&v, texts) in &model {
                 let mut per_term: std::collections::BTreeMap<String, Vec<u32>> = Default::default();
                 for (term, position) in texts.iter().flat_map(|text| naive_tokenize(text)) {
                     per_term.entry(term).or_default().push(position);
                 }
-                for (term, positions) in per_term {
+                for (term, mut positions) in per_term {
+                    positions.sort_unstable();
                     want.entry(term).or_default().push((v, positions));
                 }
             }
             prop_assert_eq!(bundle.content.export_postings(), want.into_iter().collect::<Vec<_>>());
+            for phrase in &phrases {
+                prop_assert_eq!(bundle.content.phrase_query(phrase), phrase_by_positions(&model, phrase), "{:?}", phrase);
+            }
             let rebuilt = FullTextIndex::new();
             for (&v, texts) in &model {
                 for text in texts {
@@ -1060,38 +1108,69 @@ fn a_posting_near_the_largest_vid_loads() {
     assert_eq!(loaded.content.document_count(), 0);
 }
 
+/// A sealed `IDMIDX02` file whose one term holds `postings`, each a
+/// vid delta and its position deltas, as the format writes them.
+fn sealed_postings(postings: &[(u64, &[u64])]) -> Vec<u8> {
+    use idm_core::durability::artifact;
+    use idm_core::durability::codec::Encoder;
+
+    let mut sealed = Encoder::new();
+    sealed.put_raw(b"IDMIDX02");
+    sealed.put_u64(0); // epoch
+    sealed.put_u64(0); // catalog rows
+    sealed.put_u64(0); // names
+    sealed.put_u64(0); // tuples
+    sealed.put_u64(postings.len() as u64); // documents
+    sealed.put_u64(2); // tokens
+    sealed.put_u64(1); // terms
+    sealed.put_str("word");
+    sealed.put_u64(postings.len() as u64);
+    for &(delta, positions) in postings {
+        sealed.put_u64(delta);
+        sealed.put_u64(positions.len() as u64);
+        for &position in positions {
+            sealed.put_u64(position);
+        }
+    }
+    sealed.put_u64(0); // group parents
+    artifact::seal(sealed)
+}
+
 /// A posting list that names a vid twice, or descends, is damage: the
 /// sealed file is rejected, not loaded into a list binary search
 /// cannot read.
 #[test]
 fn a_posting_list_out_of_vid_order_is_an_error() {
-    use idm_core::durability::artifact;
-    use idm_core::durability::codec::Encoder;
-
     for deltas in [[7u64, 0], [u64::MAX, 2]] {
-        let mut sealed = Encoder::new();
-        sealed.put_raw(b"IDMIDX02");
-        sealed.put_u64(0); // epoch
-        sealed.put_u64(0); // catalog rows
-        sealed.put_u64(0); // names
-        sealed.put_u64(0); // tuples
-        sealed.put_u64(2); // documents
-        sealed.put_u64(2); // tokens
-        sealed.put_u64(1); // terms
-        sealed.put_str("word");
-        sealed.put_u64(2); // postings
-        for delta in deltas {
-            sealed.put_u64(delta);
-            sealed.put_u64(1); // positions
-            sealed.put_u64(0);
-        }
-        sealed.put_u64(0); // group parents
-        let sealed = artifact::seal(sealed);
+        let sealed = sealed_postings(&[(deltas[0], &[0]), (deltas[1], &[0])]);
         assert!(
             idm_index::persist::from_bytes_with_epoch(&sealed).is_err(),
             "{deltas:?}"
         );
     }
+}
+
+/// Positions that go backwards are damage too: a delta of 2^32 or more,
+/// or deltas whose sum passes `u32::MAX`, cannot be held as deltas, and
+/// the file is rejected. The largest position that fits loads.
+#[test]
+fn positions_that_go_backwards_are_an_error() {
+    let max = u64::from(u32::MAX);
+    for deltas in [&[3, 1 << 32][..], &[max, 1], &[5, u64::MAX]] {
+        let sealed = sealed_postings(&[(1, deltas)]);
+        assert!(
+            idm_index::persist::from_bytes_with_epoch(&sealed).is_err(),
+            "{deltas:?}"
+        );
+    }
+    let sealed = sealed_postings(&[(1, &[max - 1, 0, 1])]);
+    let (bundle, _) = idm_index::persist::from_bytes_with_epoch(&sealed).expect("loads");
+    let want = vec![u32::MAX - 1, u32::MAX - 1, u32::MAX];
+    assert_eq!(
+        bundle.content.export_postings(),
+        [("word".to_owned(), vec![(1, want)])]
+    );
+    assert_eq!(bundle.content.phrase_query("word word"), [Vid::from_raw(1)]);
 }
 
 /// The saved bytes do not depend on the order the term dictionary

@@ -750,12 +750,13 @@ impl QueryProcessor {
                     catalog.with_name(vid, |name| out.push_str(name.unwrap_or_default()));
                 }
             }
-            Field::Class => {
-                let class = self.store.class_name(vid).ok().flatten();
-                if let Some(class) = class.or_else(|| self.indexes.catalog.entry(vid)?.class) {
-                    out.push_str(&class);
+            Field::Class => match self.store.class_name(vid) {
+                Ok(Some(class)) => out.push_str(&class),
+                _ => {
+                    let catalog = &self.indexes.catalog;
+                    catalog.with_class(vid, |class| out.push_str(class.unwrap_or_default()));
                 }
-            }
+            },
             Field::TupleAttr(attr) => {
                 if let Some(value) = self.indexes.tuple.value_of(vid, &resolve_attr(attr)) {
                     let _ = write!(out, "{value}");
@@ -1197,6 +1198,25 @@ mod tests {
             let r = p.execute(iql).unwrap();
             assert!(r.rows.is_empty(), "{:?}", r.rows);
         }
+    }
+
+    /// A join keyed on class reads the store's class names, and the
+    /// catalog's when the store lacks the view: over indexes restored
+    /// into an empty store it answers as over the live store.
+    #[test]
+    fn a_class_join_over_restored_indexes_answers_as_over_the_store() {
+        let (store, indexes) = dataspace();
+        let bytes = idm_index::persist::to_bytes_with_epoch(&indexes, 0);
+        let (restored, _) = idm_index::persist::from_bytes_with_epoch(&bytes).unwrap();
+        let iql = r#"join( //papers//* as A, //*.tex as B, A.class = B.class )"#;
+        let live = QueryProcessor::new(store, indexes).execute(iql).unwrap();
+        let ResultRows::Pairs(pairs) = &live.rows else {
+            panic!("a join returns pairs")
+        };
+        assert_eq!(pairs.len(), 1, "vision.tex is the one file under papers");
+        let empty = Arc::new(ViewStore::new());
+        let from_catalog = QueryProcessor::new(empty, Arc::new(restored)).execute(iql);
+        assert_eq!(from_catalog.unwrap().rows, live.rows);
     }
 
     #[test]
