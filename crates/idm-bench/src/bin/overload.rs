@@ -2,20 +2,20 @@
 //! layer. Runs the Table 4 workload under wall-clock deadlines that fire
 //! mid-execution and prints the *overshoot*: how long past its deadline
 //! a query takes to unwind through the cooperative checkpoints and
-//! return `ResourceExhausted`, as p50/p99/max per parallelism level.
+//! return `ResourceExhausted`, as p50/p99/max.
 //!
 //! ```sh
 //! cargo run --release -p idm-bench --bin overload -- --sf 1 --reps 20
 //! ```
 //!
 //! It measures and gates nothing: that a tripped budget stops within one
-//! operator batch per worker is the counted test
+//! operator batch is the counted test
 //! `crates/idm-bench/tests/cancellation.rs`.
 
 use std::time::{Duration, Instant};
 
 use idm_bench::{build, percentile, BuildOptions, Workbench, TABLE4_QUERIES};
-use idm_query::{ExecOptions, QueryBudget};
+use idm_query::QueryBudget;
 
 struct Args {
     scale: f64,
@@ -61,19 +61,14 @@ fn options_at(scale: f64) -> BuildOptions {
     }
 }
 
-/// One cancellation-latency sweep: every Table 4 query, `reps` deadline
-/// runs each. Even reps use an already-expired deadline (overshoot is
+/// Cancellation overshoots: every Table 4 query, `reps` deadline runs
+/// each. Even reps use an already-expired deadline (overshoot is
 /// the full elapsed time: trip at the first checkpoint and unwind);
 /// odd reps use half the query's own baseline so the deadline fires
 /// mid-plan. Runs that finish under their deadline are not
 /// cancellations and yield no sample.
-fn cancel_overshoots(bench: &Workbench, parallelism: usize, reps: usize) -> Vec<Duration> {
-    let processor = bench.processor();
-    let options = ExecOptions {
-        parallelism,
-        ..processor.options()
-    };
-    let mut processor = processor.with_options(options);
+fn cancel_overshoots(bench: &Workbench, reps: usize) -> Vec<Duration> {
+    let mut processor = bench.processor();
 
     let mut samples = Vec::new();
     for (_name, iql) in TABLE4_QUERIES.iter() {
@@ -98,26 +93,6 @@ fn cancel_overshoots(bench: &Workbench, parallelism: usize, reps: usize) -> Vec<
     samples
 }
 
-struct Sweep {
-    parallelism: usize,
-    samples: usize,
-    p50: Duration,
-    p99: Duration,
-    max: Duration,
-}
-
-fn sweep(bench: &Workbench, parallelism: usize, reps: usize) -> Sweep {
-    let mut overshoots = cancel_overshoots(bench, parallelism, reps);
-    overshoots.sort();
-    Sweep {
-        parallelism,
-        samples: overshoots.len(),
-        p50: percentile(&overshoots, 0.50),
-        p99: percentile(&overshoots, 0.99),
-        max: overshoots.last().copied().unwrap_or(Duration::ZERO),
-    }
-}
-
 fn main() {
     let Args { scale, reps } = parse_args();
     let bench = build(options_at(scale));
@@ -125,15 +100,14 @@ fn main() {
         "Overload — cancellation overshoot past the deadline (sf {scale}, {} views)\n",
         bench.system.store().vids().len()
     );
+    let mut overshoots = cancel_overshoots(&bench, reps);
+    overshoots.sort();
+    println!("{:>8} {:>10} {:>10} {:>10}", "samples", "p50", "p99", "max");
     println!(
-        "{:>12} {:>8} {:>10} {:>10} {:>10}",
-        "parallelism", "samples", "p50", "p99", "max"
+        "{:>8} {:>10?} {:>10?} {:>10?}",
+        overshoots.len(),
+        percentile(&overshoots, 0.50),
+        percentile(&overshoots, 0.99),
+        overshoots.last().copied().unwrap_or(Duration::ZERO)
     );
-    for parallelism in [1, 4] {
-        let s = sweep(&bench, parallelism, reps);
-        println!(
-            "{:>12} {:>8} {:>10?} {:>10?} {:>10?}",
-            s.parallelism, s.samples, s.p50, s.p99, s.max
-        );
-    }
 }

@@ -10,7 +10,6 @@
 //! | Figure 5 (indexing times) | `figure5` |
 //! | Table 4 (queries + result counts) | `table4` |
 //! | Figure 6 (query response times) | `figure6` |
-//! | Executor threads (ours) | example `scaling_probe` |
 //! | Budget overshoot, scrub interference, chaos (ours) | `overload`, `scrub`, `chaos` |
 //!
 //! Run binaries as

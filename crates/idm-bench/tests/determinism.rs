@@ -1,10 +1,12 @@
-//! Parallel-execution determinism: `parallelism = 1` and `parallelism = N`
-//! must return identical, identically-ordered rows for the whole seed query
-//! suite on repeated runs (run this under
-//! `--release` too; the executor's chunking is deterministic by design).
+//! Determinism over the Table 4 workload: planning the same query over
+//! the same catalog statistics yields the same plan, and executing it
+//! again — on the same processor or on a fresh one — yields the same
+//! whole `QueryResult`: rows, row order and every `ExecStats` field,
+//! unbudgeted and under a probe budget (run this under `--release`
+//! too).
 
 use idm_bench::{build, BuildOptions, TABLE4_QUERIES};
-use idm_query::{ExecOptions, QueryResult};
+use idm_query::QueryBudget;
 
 fn bench_options() -> BuildOptions {
     BuildOptions {
@@ -16,42 +18,6 @@ fn bench_options() -> BuildOptions {
         fs_latency_scale: 0.0,
         imap_sleep: false,
         with_rss: false,
-    }
-}
-
-#[test]
-fn parallel_execution_matches_sequential_rows_exactly() {
-    let bench = build(bench_options());
-    // Several iterations: interleavings differ between runs, results must
-    // not. Q5 and Q8's email side walk backward, the other steps forward.
-    for round in 0..3 {
-        let baseline: Vec<QueryResult> = {
-            let processor = bench.processor();
-            TABLE4_QUERIES
-                .iter()
-                .map(|(_, iql)| processor.execute(iql).expect("sequential run"))
-                .collect()
-        };
-        for parallelism in [2usize, 4, 8] {
-            let processor = bench.processor().with_options(ExecOptions {
-                parallelism,
-                ..ExecOptions::default()
-            });
-            for ((qname, iql), expect) in TABLE4_QUERIES.iter().zip(&baseline) {
-                let got = processor.execute(iql).expect("parallel run");
-                assert_eq!(
-                    got.rows, expect.rows,
-                    "{qname} rows differ (round {round}, parallelism {parallelism})"
-                );
-                // Candidate counts are interleaving-independent; only
-                // `nodes_expanded` may legally differ (chunk-local
-                // reverse-reachability caches).
-                assert_eq!(
-                    got.stats.candidates_examined, expect.stats.candidates_examined,
-                    "{qname} candidate counts differ (parallelism {parallelism})"
-                );
-            }
-        }
     }
 }
 
@@ -93,18 +59,41 @@ fn planning_is_deterministic_for_fixed_catalog_stats() {
     }
 }
 
+/// Execution determinism: two runs on one processor and one run each on
+/// two fresh processors return equal `QueryResult`s, with every counter
+/// of `ExecStats` — the budget's consumption included under a probe.
 #[test]
-fn parallelism_one_is_the_default_and_bitwise_stable() {
+fn reruns_are_bitwise_stable() {
     let bench = build(bench_options());
-    let p1 = bench.processor();
-    assert_eq!(p1.options().parallelism, 1, "sequential by default");
-    for (qname, iql) in TABLE4_QUERIES {
-        let a = p1.execute(iql).expect("run a");
-        let b = p1.execute(iql).expect("run b");
-        assert_eq!(a.rows, b.rows, "{qname} not stable across runs");
-        assert_eq!(
-            a.stats.nodes_expanded, b.stats.nodes_expanded,
-            "{qname} sequential stats not stable"
-        );
+    for budget in [QueryBudget::none(), QueryBudget::probe()] {
+        let processor = || {
+            let mut processor = bench.processor();
+            processor.set_budget(budget);
+            processor
+        };
+        let (p, q, r) = (processor(), processor(), processor());
+        for (qname, iql) in TABLE4_QUERIES {
+            let first = p.execute(iql).expect(qname);
+            assert_eq!(
+                p.execute(iql).expect(qname),
+                first,
+                "{qname}: rerun differs"
+            );
+            assert_eq!(
+                q.execute(iql).expect(qname),
+                first,
+                "{qname}: a fresh processor differs"
+            );
+            assert_eq!(
+                r.execute(iql).expect(qname),
+                first,
+                "{qname}: a second fresh processor differs"
+            );
+            assert_eq!(
+                first.stats.consumed.checkpoints > 0,
+                budget.is_limited(),
+                "{qname}: the probe counts checkpoints, no budget counts none"
+            );
+        }
     }
 }

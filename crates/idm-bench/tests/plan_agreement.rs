@@ -1,10 +1,10 @@
 //! Plan/exec agreement over the paper's Q1–Q8 workload: the operators
 //! named in the rendered plan ARE the operators the executor counts in
-//! `ExecStats::ops`, at any parallelism — EXPLAIN cannot drift from
-//! execution because both walk the same plan object.
+//! `ExecStats::ops` — EXPLAIN cannot drift from execution because both
+//! walk the same plan object.
 
 use idm_bench::{build, BuildOptions, TABLE4_QUERIES};
-use idm_query::{BuildSide, ExecOptions, OperatorCounts, Plan, PlanOp};
+use idm_query::{BuildSide, OperatorCounts, Plan, PlanOp};
 
 fn bench_options() -> BuildOptions {
     BuildOptions {
@@ -45,16 +45,12 @@ fn counts_from_text(rendered: &str) -> OperatorCounts {
 }
 
 #[test]
-fn q1_to_q8_plans_agree_with_execution_at_any_parallelism() {
+fn q1_to_q8_plans_agree_with_execution() {
     let bench = build(bench_options());
-    let sequential = bench.processor();
-    let parallel = bench.processor().with_options(ExecOptions {
-        parallelism: 4,
-        ..ExecOptions::default()
-    });
+    let processor = bench.processor();
 
     for (qname, iql) in TABLE4_QUERIES {
-        let plan = sequential.plan_iql(iql).expect(qname);
+        let plan = processor.plan_iql(iql).expect(qname);
         let planned = plan.operator_counts();
         assert_eq!(
             counts_from_text(&plan.render()),
@@ -62,17 +58,10 @@ fn q1_to_q8_plans_agree_with_execution_at_any_parallelism() {
             "{qname}: rendered operators differ from the plan tree"
         );
 
-        let seq = sequential.execute(iql).expect(qname);
+        let executed = processor.execute(iql).expect(qname).stats.ops;
         assert_eq!(
-            seq.stats.ops, planned,
-            "{qname}: executed operators differ from the plan (sequential)"
-        );
-
-        let par = parallel.execute(iql).expect(qname);
-        assert_eq!(par.rows, seq.rows, "{qname}: parallel rows differ");
-        assert_eq!(
-            par.stats.ops, planned,
-            "{qname}: executed operators differ from the plan (parallelism 4)"
+            executed, planned,
+            "{qname}: executed operators differ from the plan"
         );
     }
 }

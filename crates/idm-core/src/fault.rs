@@ -338,10 +338,9 @@ impl FaultPoint {
 /// A shared cooperative-cancellation flag.
 ///
 /// The query executor's budget tracker raises it when a deadline or
-/// memory limit trips; parallel workers and retry loops poll it at
-/// their checkpoints and unwind within one batch. Cloning shares the
-/// flag (it is an `Arc` underneath), so one token fans out to any
-/// number of scoped worker threads.
+/// memory limit trips, and the executor's checkpoints poll it and
+/// unwind within one batch. Cloning shares the flag (it is an `Arc`
+/// underneath), so a clone held by another thread can cancel the query.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,

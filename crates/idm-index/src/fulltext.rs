@@ -638,9 +638,9 @@ impl FullTextIndex {
     }
 
     /// How often the already-normalized `term` occurs in document
-    /// `vid`: the audit's read, which must not tokenize an indexed
-    /// term again.
-    pub(crate) fn normalized_frequency(&self, vid: Vid, term: &str) -> usize {
+    /// `vid`: the read of the audit and of ranking, whose terms are
+    /// tokenized once, not again per document.
+    pub fn normalized_frequency(&self, vid: Vid, term: &str) -> usize {
         let inner = self.inner.read();
         inner
             .list(term)

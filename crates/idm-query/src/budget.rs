@@ -5,15 +5,13 @@
 //! step's fan-out is whatever the lazily-expanded sources produce — so
 //! bounds are enforced at *run time*: a [`QueryBudget`] rides in
 //! [`crate::ExecOptions`], the executor materializes it into one
-//! [`BudgetTracker`] per query, and every physical operator (and every
-//! parallel worker, via the shared [`CancelToken`]) polls the tracker at
-//! cooperative checkpoints. Exceeding any limit aborts within one
-//! operator batch:
+//! [`BudgetTracker`] per query, and every physical operator polls the
+//! tracker at cooperative checkpoints on the query's one thread.
+//! Exceeding any limit aborts within one operator batch:
 //!
 //! - **strict** (the default): the checkpoint returns
 //!   [`IdmError::ResourceExhausted`], which unwinds the plan walker —
-//!   scoped threads join on the way out, shard locks release, caches
-//!   stay consistent.
+//!   shard locks release on the way out, caches stay consistent.
 //! - **partial** ([`QueryBudget::partial`]): the checkpoint flips to
 //!   [`Tick::Truncate`] forever after; operators stop consuming input
 //!   but still produce *sound subsets* of their true result, and the
@@ -25,12 +23,16 @@
 //! is then a single untaken branch and no counter is touched, so
 //! ungoverned execution (including `ExecStats` equality across reruns)
 //! is bit-identical to what it was before this layer existed.
+//!
+//! The tracker's counters are plain [`Cell`]s: a query's operators all
+//! run on the thread that called the executor, so the tracker is not
+//! `Sync`. Its [`CancelToken`] is the one piece another thread may hold
+//! (a clone), to cancel the query from outside.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 use idm_core::prelude::*;
-use parking_lot::Mutex;
 
 /// Resource limits one query may consume. All limits are optional; the
 /// default ([`QueryBudget::none`]) is unlimited and adds no per-item
@@ -128,8 +130,7 @@ pub struct BudgetConsumption {
 type Exhaustion = (BudgetKind, u64, u64, &'static str);
 
 /// Per-query runtime state of a [`QueryBudget`]: the deadline instant,
-/// the shared cancel token, and atomic consumption counters that
-/// parallel workers update lock-free.
+/// the cancel token, and the consumption counters.
 #[derive(Debug)]
 pub struct BudgetTracker {
     enabled: bool,
@@ -138,11 +139,18 @@ pub struct BudgetTracker {
     started: Instant,
     deadline_at: Option<Instant>,
     cancel: CancelToken,
-    rows: AtomicU64,
-    nodes: AtomicU64,
-    bytes: AtomicU64,
-    checks: AtomicU64,
-    exhausted: Mutex<Option<Exhaustion>>,
+    rows: Cell<u64>,
+    nodes: Cell<u64>,
+    bytes: Cell<u64>,
+    checks: Cell<u64>,
+    exhausted: Cell<Option<Exhaustion>>,
+}
+
+/// Adds `n` to `counter` and returns the new count.
+fn add(counter: &Cell<u64>, n: u64) -> u64 {
+    let count = counter.get() + n;
+    counter.set(count);
+    count
 }
 
 impl BudgetTracker {
@@ -158,11 +166,11 @@ impl BudgetTracker {
             started,
             deadline_at: budget.deadline.map(|d| started + d),
             cancel: CancelToken::new(),
-            rows: AtomicU64::new(0),
-            nodes: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            checks: AtomicU64::new(0),
-            exhausted: Mutex::new(None),
+            rows: Cell::new(0),
+            nodes: Cell::new(0),
+            bytes: Cell::new(0),
+            checks: Cell::new(0),
+            exhausted: Cell::new(None),
         }
     }
 
@@ -171,8 +179,8 @@ impl BudgetTracker {
         self.enabled
     }
 
-    /// The shared cancellation flag — hand it to external observers or
-    /// sibling workers; raising it trips the next checkpoint with
+    /// The cancellation flag — a clone may be handed to another thread;
+    /// raising it trips the next checkpoint with
     /// [`BudgetKind::Cancelled`].
     pub fn cancel_token(&self) -> &CancelToken {
         &self.cancel
@@ -188,16 +196,16 @@ impl BudgetTracker {
 
     /// Which limit tripped first, if any.
     pub fn exhaustion(&self) -> Option<BudgetKind> {
-        self.exhausted.lock().map(|(kind, ..)| kind)
+        self.exhausted.get().map(|(kind, ..)| kind)
     }
 
     /// The consumption so far (deterministic counters only).
     pub fn consumption(&self) -> BudgetConsumption {
         BudgetConsumption {
-            rows: self.rows.load(Ordering::Relaxed),
-            nodes: self.nodes.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            checkpoints: self.checks.load(Ordering::Relaxed),
+            rows: self.rows.get(),
+            nodes: self.nodes.get(),
+            bytes: self.bytes.get(),
+            checkpoints: self.checks.get(),
         }
     }
 
@@ -216,37 +224,33 @@ impl BudgetTracker {
         limit: u64,
         phase: &'static str,
     ) -> Result<Tick> {
-        {
-            let mut slot = self.exhausted.lock();
-            if slot.is_none() {
-                *slot = Some((kind, consumed, limit, phase));
-            }
-        }
+        let first = self
+            .exhausted
+            .get()
+            .unwrap_or((kind, consumed, limit, phase));
+        self.exhausted.set(Some(first));
         self.cancel.cancel();
         if self.partial {
             Ok(Tick::Truncate)
         } else {
-            let (kind, consumed, limit, phase) = self
-                .exhausted
-                .lock()
-                .unwrap_or((kind, consumed, limit, phase));
+            let (kind, consumed, limit, phase) = first;
             Err(IdmError::resource_exhausted(kind, consumed, limit, phase))
         }
     }
 
     /// A cooperative checkpoint: counts itself, then checks the cancel
     /// flag, the injected cancel-at-check limit, and the wall-clock
-    /// deadline. Called at every operator entry and inside every
-    /// parallel worker's batch loop; with no budget armed it is one
+    /// deadline. Called at every operator entry and at the start of
+    /// every operator's batch loop; with no budget armed it is one
     /// untaken branch.
     #[inline]
     pub fn checkpoint(&self, phase: &'static str) -> Result<Tick> {
         if !self.enabled {
             return Ok(Tick::Continue);
         }
-        let checks = self.checks.fetch_add(1, Ordering::Relaxed) + 1;
+        let checks = add(&self.checks, 1);
         if self.cancel.is_cancelled() {
-            // Already tripped (by this thread or a sibling worker):
+            // Already tripped (by a limit or through the token):
             // re-raise the first exhaustion rather than minting a new
             // one, so the caller sees which limit actually fired.
             if self.partial {
@@ -254,7 +258,7 @@ impl BudgetTracker {
             }
             let (kind, consumed, limit, phase) =
                 self.exhausted
-                    .lock()
+                    .get()
                     .unwrap_or((BudgetKind::Cancelled, checks, checks, phase));
             return Err(IdmError::resource_exhausted(kind, consumed, limit, phase));
         }
@@ -279,7 +283,7 @@ impl BudgetTracker {
         if !self.enabled {
             return Ok(Tick::Continue);
         }
-        let rows = self.rows.fetch_add(n as u64, Ordering::Relaxed) + n as u64;
+        let rows = add(&self.rows, n as u64);
         if let Some(limit) = self.budget.max_rows {
             if rows > limit {
                 return self.trip(BudgetKind::Rows, rows, limit, phase);
@@ -294,7 +298,7 @@ impl BudgetTracker {
         if !self.enabled {
             return Ok(Tick::Continue);
         }
-        let nodes = self.nodes.fetch_add(n as u64, Ordering::Relaxed) + n as u64;
+        let nodes = add(&self.nodes, n as u64);
         if let Some(limit) = self.budget.max_nodes {
             if nodes > limit {
                 return self.trip(BudgetKind::Nodes, nodes, limit, phase);
@@ -309,7 +313,7 @@ impl BudgetTracker {
         if !self.enabled {
             return Ok(Tick::Continue);
         }
-        let bytes = self.bytes.fetch_add(n as u64, Ordering::Relaxed) + n as u64;
+        let bytes = add(&self.bytes, n as u64);
         if let Some(limit) = self.budget.max_bytes {
             if bytes > limit {
                 return self.trip(BudgetKind::MemoryBytes, bytes, limit, phase);

@@ -11,9 +11,9 @@
 //! something changed, never what to do.
 //!
 //! There is one implementation of every operator — the executor's — so
-//! **standing rows == a fresh execution** holds by construction, at any
-//! parallelism, and refreshing twice is a no-op: the second pass re-reads
-//! the same indexes.
+//! **standing rows == a fresh execution** holds by construction, and
+//! refreshing twice is a no-op: the second pass re-reads the same
+//! indexes.
 //!
 //! **What this gives up.** A change that cannot reach the plan's answer
 //! (an iQL `update` of an attribute or content the plan does not read)

@@ -31,7 +31,6 @@ use crate::ast::*;
 use crate::budget::{BudgetConsumption, BudgetTracker, QueryBudget, Tick};
 use crate::cache::{LiveQuery, ResultCache};
 use crate::delta::ResultDelta;
-use crate::par;
 use crate::parser::parse;
 use crate::plan::{AccessKind, BuildSide, OperatorCounts, Plan, PlanNode, PlanOp};
 use crate::request::QueryRequest;
@@ -56,15 +55,6 @@ struct JoinTable {
 impl JoinTable {
     fn key(&self, &(start, end, _): &(usize, usize, Vid)) -> &str {
         &self.text[start..end]
-    }
-
-    /// Appends `other`'s rows (a later chunk of the build side).
-    fn append(&mut self, other: JoinTable) {
-        let base = self.text.len();
-        self.text.push_str(&other.text);
-        let rows = other.rows.into_iter();
-        self.rows
-            .extend(rows.map(|(start, end, vid)| (start + base, end + base, vid)));
     }
 
     /// Sorts the rows by key; rows with one key keep their order.
@@ -94,11 +84,9 @@ impl JoinTable {
 pub struct ExecOptions {
     /// The clock used by `yesterday()`/`today()`/`now()`.
     pub now: Timestamp,
-    /// Worker threads for full scans, frontier expansion and join
-    /// builds. Every operator has one body, written over contiguous
-    /// chunks of its input ([`crate::par`]): `1` (the default) is that
-    /// body with one chunk on the calling thread, `N > 1` forks up to
-    /// `N` scoped threads where the input is large enough to pay.
+    /// Ignored: every query runs on the thread that calls the executor.
+    /// The field is kept so code that reads it still compiles; it will
+    /// be removed.
     pub parallelism: usize,
     /// Resource limits for each query this processor runs (deadline,
     /// memory/row/node caps, partial-result opt-in). The default is
@@ -218,6 +206,24 @@ pub fn resolve_attr(attr: &str) -> String {
         "created" | "creationtime" | "creation" => "creation time".to_owned(),
         _ => attr.to_owned(),
     }
+}
+
+/// Pushes `item` onto a result buffer that grows one element at a time.
+/// A full buffer moves to a fresh block of twice the size; it is not
+/// `realloc`ed. glibc grows a block inside the malloc arena the block
+/// came from, and its per-thread cache hands the query thread small
+/// blocks the *ingest workers'* arena once made. After a large teardown
+/// elsewhere in the process that arena's free lists take milliseconds
+/// to walk, once per query for as long as the same block keeps coming
+/// back. A fresh block is never grown, so it never enters that arena's
+/// allocator.
+fn push<T>(out: &mut Vec<T>, item: T) {
+    if out.len() == out.capacity() {
+        let mut grown = Vec::with_capacity((2 * out.capacity()).max(1));
+        grown.append(out);
+        *out = grown;
+    }
+    out.push(item);
 }
 
 /// The iQL query processor.
@@ -385,11 +391,6 @@ impl QueryProcessor {
         &self.results
     }
 
-    /// Worker-thread count for parallel sites (`>= 1`).
-    fn threads(&self) -> usize {
-        self.options.parallelism.max(1)
-    }
-
     // ---- the plan walker ---------------------------------------------
 
     /// Evaluates one plan node. Every node executes exactly once (no
@@ -401,9 +402,8 @@ impl QueryProcessor {
     ///
     /// Cooperative cancellation: every node entry is a checkpoint. In
     /// strict mode a tripped budget unwinds from here as
-    /// [`IdmError::ResourceExhausted`]; no shard lock or scoped thread
-    /// outlives the unwind (store reads release their shard on return,
-    /// `par` helpers always join).
+    /// [`IdmError::ResourceExhausted`]; no shard lock outlives the
+    /// unwind (store reads release their shard on return).
     ///
     /// `keys` is the enclosing hash join's build table when this node is
     /// (part of) its probe side; only an [`AccessKind::NameByKeys`] leaf
@@ -494,9 +494,9 @@ impl QueryProcessor {
                 if tracker.tripped() {
                     return Ok(ResultRows::Views(Vec::new()));
                 }
-                // Full scan over the catalog, chunked across the workers
-                // (order-preserving at any parallelism).
-                let vids = par::filter(self.all_vids(), self.threads(), |v| !exclude.contains(v));
+                // Full scan over the catalog, in vid order.
+                let mut vids = self.all_vids();
+                vids.retain(|v| !exclude.contains(v));
                 stats.candidates_examined += vids.len();
                 tracker.charge_rows(vids.len(), "complement")?;
                 ResultRows::Views(vids)
@@ -598,7 +598,7 @@ impl QueryProcessor {
     /// ([`idm_index::GroupRead::reach`]) and then does the smaller of two
     /// exactly known amounts of work: test each candidate against the
     /// ranges, or enumerate the reached positions and probe the sorted
-    /// candidates. Truncation soundness: a chunk that stops early keeps a
+    /// candidates. Truncation soundness: a step that stops early keeps a
     /// subset of its true rows.
     fn relate(
         &self,
@@ -646,10 +646,10 @@ impl QueryProcessor {
         Ok(kept)
     }
 
-    /// A `//` step by enumerating the reached positions in chunks across
-    /// the workers, each probing the sorted candidates, then deciding the
-    /// overlay's views: one node per position or overlay view, plus one
-    /// per overlay edge walked.
+    /// A `//` step by enumerating the reached positions, probing the
+    /// sorted candidates with each, then deciding the overlay's views:
+    /// one checkpoint per loop, one node per position or overlay view,
+    /// plus one per overlay edge walked.
     fn enumerate(
         &self,
         candidates: &[Vid],
@@ -657,26 +657,22 @@ impl QueryProcessor {
         stats: &mut ExecStats,
         tracker: &BudgetTracker,
     ) -> Result<Vec<Vid>> {
-        let chunks = par::try_map_chunks(reach.ranges(), self.threads(), |_, ranges| {
-            let mut hits: Vec<usize> = Vec::new();
-            let mut positions = 0;
-            if tracker.checkpoint("relate")? == Tick::Continue {
-                'ranges: for &range in ranges {
-                    for view in reach.positions(range) {
-                        positions += 1;
-                        if let Some(at) = view.and_then(|v| candidates.binary_search(&v).ok()) {
-                            par::append(&mut hits, &[at]);
-                        }
-                        if tracker.charge_nodes(1, "relate")? == Tick::Truncate {
-                            break 'ranges;
-                        }
+        let (mut hits, mut positions) = (Vec::new(), 0);
+        let ranges = reach.ranges();
+        if !ranges.is_empty() && tracker.checkpoint("relate")? == Tick::Continue {
+            'ranges: for &range in ranges {
+                for view in reach.positions(range) {
+                    positions += 1;
+                    if let Some(at) = view.and_then(|v| candidates.binary_search(&v).ok()) {
+                        push(&mut hits, at);
+                    }
+                    if tracker.charge_nodes(1, "relate")? == Tick::Truncate {
+                        break 'ranges;
                     }
                 }
             }
-            Ok::<_, IdmError>((hits, positions))
-        })?;
-        stats.nodes_expanded += chunks.iter().map(|(_, positions)| positions).sum::<usize>();
-        let mut hits = par::concat(chunks.into_iter().map(|(hits, _)| hits));
+        }
+        stats.nodes_expanded += positions;
         if reach.overlay().next().is_some() && tracker.checkpoint("relate")? == Tick::Continue {
             let (mut examined, mut walked) = (0, 0);
             for view in reach.overlay() {
@@ -684,7 +680,7 @@ impl QueryProcessor {
                 let before = walked;
                 if let Ok(at) = candidates.binary_search(&view) {
                     if reach.contains(view, &mut walked) {
-                        par::append(&mut hits, &[at]);
+                        push(&mut hits, at);
                     }
                 }
                 if tracker.charge_nodes(1 + walked - before, "relate")? == Tick::Truncate {
@@ -697,37 +693,29 @@ impl QueryProcessor {
         Ok(hits.into_iter().map(|at| candidates[at]).collect())
     }
 
-    /// The candidates `related` accepts, tested in chunks across the
-    /// workers: one checkpoint per chunk, one node per candidate plus one
-    /// per overlay edge `related` walks. Returns them with the edges
-    /// walked.
+    /// The candidates `related` accepts: one checkpoint for the loop, one
+    /// node per candidate plus one per overlay edge `related` walks.
+    /// Returns them with the edges walked.
     fn keep(
         &self,
         candidates: &[Vid],
         tracker: &BudgetTracker,
-        related: impl Fn(Vid, &mut usize) -> bool + Sync,
+        related: impl Fn(Vid, &mut usize) -> bool,
     ) -> Result<(Vec<Vid>, usize)> {
-        let chunks = par::try_map_chunks(candidates, self.threads(), |_, chunk| {
-            let mut kept: Vec<Vid> = Vec::with_capacity(chunk.len());
-            let mut walked = 0;
-            if tracker.checkpoint("relate")? == Tick::Continue {
-                for &v in chunk {
-                    let before = walked;
-                    if related(v, &mut walked) {
-                        kept.push(v);
-                    }
-                    if tracker.charge_nodes(1 + walked - before, "relate")? == Tick::Truncate {
-                        break;
-                    }
+        let mut kept: Vec<Vid> = Vec::with_capacity(candidates.len());
+        let mut walked = 0;
+        if tracker.checkpoint("relate")? == Tick::Continue {
+            for &v in candidates {
+                let before = walked;
+                if related(v, &mut walked) {
+                    kept.push(v);
+                }
+                if tracker.charge_nodes(1 + walked - before, "relate")? == Tick::Truncate {
+                    break;
                 }
             }
-            Ok::<_, IdmError>((kept, walked))
-        })?;
-        let walked = chunks.iter().map(|(_, walked)| walked).sum();
-        Ok((
-            par::concat(chunks.into_iter().map(|(kept, _)| kept)),
-            walked,
-        ))
+        }
+        Ok((kept, walked))
     }
 
     // ---- joins ---------------------------------------------------------
@@ -785,35 +773,22 @@ impl QueryProcessor {
             BuildSide::Right => (right_field, left_field, false),
         };
 
-        // Table build over chunks of the build side: workers key their
-        // rows and the coordinator appends the chunks in order and sorts
-        // stably, so per-key row order is the input order at any
-        // parallelism. A build truncated mid-way keys a subset of rows;
-        // probing it yields a subset of the true pairs. Once tripped
-        // there is no point paying for the build.
+        // Table build: each build row is keyed in input order and the
+        // table sorted stably, so per-key row order is the input order.
+        // A build truncated mid-way keys a subset of rows; probing it
+        // yields a subset of the true pairs. Once tripped there is no
+        // point paying for the build.
         let mut table = JoinTable::default();
         if !tracker.tripped() {
-            for chunk in par::try_map_chunks(build_rows, self.threads(), |_, chunk| {
-                let mut out = JoinTable {
-                    text: String::new(),
-                    rows: Vec::with_capacity(chunk.len()),
-                };
-                for &vid in chunk {
-                    if tracker.checkpoint("join-build")? == Tick::Truncate {
-                        break;
-                    }
-                    tracker.charge_nodes(1, "join-build")?;
-                    let start = out.text.len();
-                    if self.push_field_key(vid, build_field, &mut out.text) {
-                        out.rows.push((start, out.text.len(), vid));
-                    }
+            table.rows = Vec::with_capacity(build_rows.len());
+            for &vid in build_rows {
+                if tracker.checkpoint("join-build")? == Tick::Truncate {
+                    break;
                 }
-                Ok::<_, IdmError>(out)
-            })? {
-                if table.rows.is_empty() {
-                    table = chunk;
-                } else {
-                    table.append(chunk);
+                tracker.charge_nodes(1, "join-build")?;
+                let start = table.text.len();
+                if self.push_field_key(vid, build_field, &mut table.text) {
+                    table.rows.push((start, table.text.len(), vid));
                 }
             }
             table.sort();
@@ -1322,9 +1297,8 @@ mod tests {
         assert!(r.stats.candidates_examined > 0);
     }
 
-    /// A tree wide enough that every chunked operator really forks at
-    /// 8 threads (frontiers of 1 200 > 64 × 8): `wide` holds 1 200
-    /// folders `d<i>`, each holding one `leaf<i>.txt`.
+    /// A wide tree: `wide` holds 1 200 folders `d<i>`, each holding one
+    /// `leaf<i>.txt`.
     fn wide_dataspace() -> (Arc<ViewStore>, Arc<IndexBundle>) {
         let store = Arc::new(ViewStore::new());
         let indexes = Arc::new(IndexBundle::new());
@@ -1342,16 +1316,9 @@ mod tests {
     }
 
     #[test]
-    fn one_body_per_operator_agrees_at_every_parallelism() {
+    fn every_step_agrees_on_a_wide_dataspace() {
         let (store, indexes) = wide_dataspace();
-        let at = |parallelism: usize| {
-            QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes)).with_options(
-                ExecOptions {
-                    parallelism,
-                    ..ExecOptions::default()
-                },
-            )
-        };
+        let p = QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes));
         // Two child steps with 1 200 candidates (one of them under a
         // context of every view) and a descendant step whose context
         // reaches 2 400 positions, each first as indexing left the
@@ -1361,35 +1328,40 @@ mod tests {
                 indexes.group.relabel();
             }
             for iql in ["//d*/leaf*", "//wide//leaf*", "//*/leaf*"] {
-                let rows = at(1).execute(iql).unwrap().rows.into_views();
+                let rows = p.execute(iql).unwrap().rows.into_views();
                 assert_eq!(rows.len(), 1_200, "{iql}");
                 for step in STEPS {
-                    let one = run_steps(&at(1), iql, step);
-                    assert_eq!(one.0, rows, "{iql}: {step:?}");
-                    for parallelism in [2, 4, 8] {
-                        // Rows, row order and every counter.
-                        assert_eq!(
-                            run_steps(&at(parallelism), iql, step),
-                            one,
-                            "{iql}: {step:?} at parallelism {parallelism}, labeled {labeled}"
-                        );
-                    }
+                    assert_eq!(
+                        run_steps(&p, iql, step).0,
+                        rows,
+                        "{iql}: {step:?}, labeled {labeled}"
+                    );
                 }
             }
-            let enumerated = run_steps(&at(1), "//wide//leaf*", Step::Enumerate).1;
+            let enumerated = run_steps(&p, "//wide//leaf*", Step::Enumerate).1;
             assert!(enumerated.nodes_expanded >= 2_400, "every position");
         }
         // A join whose build side is 1 200 wide.
         let iql = "join( //wide/d* as A, //wide//leaf* as B, A.name = B.name )";
-        let one = at(1).execute(iql).unwrap();
-        assert!(one.rows.is_empty());
+        let joined = p.execute(iql).unwrap();
+        assert!(joined.rows.is_empty());
         assert!(
-            one.stats.candidates_examined >= 1_200,
+            joined.stats.candidates_examined >= 1_200,
             "{iql}: a wide build side"
         );
-        for parallelism in [2, 4, 8] {
-            assert_eq!(at(parallelism).execute(iql).unwrap(), one, "{iql}");
+    }
+
+    #[test]
+    fn push_keeps_order_and_grows_geometrically() {
+        let mut out: Vec<u32> = Vec::new();
+        let mut moves = 0;
+        for i in 0..400u32 {
+            let before = out.capacity();
+            push(&mut out, i);
+            moves += usize::from(out.capacity() != before);
         }
+        assert_eq!(out, (0..400).collect::<Vec<_>>());
+        assert_eq!(moves, 10, "capacities 1, 2, 4, …, 512");
     }
 
     // ---- resource governance -----------------------------------------
@@ -1539,29 +1511,18 @@ mod tests {
     }
 
     #[test]
-    fn deadline_budget_aborts_promptly_at_any_parallelism() {
+    fn deadline_budget_aborts_promptly() {
         use std::time::{Duration, Instant};
-        for parallelism in [1, 4] {
-            let (store, indexes) = dataspace();
-            let mut p = QueryProcessor::new(store, indexes);
-            p = p.with_options(ExecOptions {
-                parallelism,
-                budget: QueryBudget::with_deadline(Duration::ZERO),
-                ..ExecOptions::default()
-            });
-            let started = Instant::now();
-            let err = p.execute(r#"//papers//*"#).unwrap_err();
-            assert_eq!(
-                err.budget_kind(),
-                Some(idm_core::error::BudgetKind::WallClock)
-            );
-            assert!(
-                started.elapsed() < Duration::from_millis(50),
-                "parallelism={parallelism}"
-            );
-            // Shard locks were released on unwind: queries still run.
-            p.set_budget(QueryBudget::none());
-            assert!(p.execute(r#"//papers//*"#).is_ok());
-        }
+        let mut p = budgeted(QueryBudget::with_deadline(Duration::ZERO));
+        let started = Instant::now();
+        let err = p.execute(r#"//papers//*"#).unwrap_err();
+        assert_eq!(
+            err.budget_kind(),
+            Some(idm_core::error::BudgetKind::WallClock)
+        );
+        assert!(started.elapsed() < Duration::from_millis(50));
+        // Shard locks were released on unwind: queries still run.
+        p.set_budget(QueryBudget::none());
+        assert!(p.execute(r#"//papers//*"#).is_ok());
     }
 }

@@ -41,7 +41,6 @@ pub mod cost;
 pub mod delta;
 pub mod exec;
 pub mod lexer;
-pub mod par;
 pub mod parser;
 pub mod plan;
 pub mod rank;

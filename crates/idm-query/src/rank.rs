@@ -140,23 +140,25 @@ impl QueryProcessor {
             });
         }
 
+        let content = &self.index_bundle().content;
         let mut ranked: Vec<RankedResult> = rows
             .into_iter()
             .map(|vid| {
                 let mut score = 0.0;
                 // Content TF-IDF.
                 for term in &query_terms {
-                    let tf = self.index_bundle().content.term_frequency(vid, term) as f64;
+                    let tf = content.normalized_frequency(vid, term) as f64;
                     if tf > 0.0 {
                         score += weights.content * (1.0 + tf.ln()) * idf[term.as_str()];
                     }
                 }
                 // Name-component hits ("search over all resource view
-                // components").
-                if let Ok(Some(name)) = self.view_store().name(vid) {
-                    let name_terms = terms(&name);
+                // components"). With no query term no name is read.
+                let name_terms = (!query_terms.is_empty())
+                    .then(|| self.view_store().with_name(vid, |name| name.map(terms)));
+                if let Some(Ok(Some(name_terms))) = name_terms {
                     for term in &query_terms {
-                        if name_terms.iter().any(|t| t == term) {
+                        if name_terms.contains(term) {
                             score += weights.name * idf[term.as_str()];
                         }
                     }
@@ -256,6 +258,18 @@ mod tests {
             .unwrap();
         let top = p.view_store().name(ranked[0].vid).unwrap().unwrap();
         assert_eq!(top, "guide.txt");
+    }
+
+    #[test]
+    fn query_terms_are_normalized_once() {
+        let p = space();
+        let plan = |iql: &str| p.plan_iql(iql).unwrap();
+        let rows = p.execute(r#""database tuning""#).unwrap().rows;
+        let weights = RankWeights::default();
+        let lower = p.rank_rows(&plan(r#""database tuning""#), &rows, weights);
+        let mixed = p.rank_rows(&plan(r#""Database TUNING""#), &rows, weights);
+        assert_eq!(mixed, lower);
+        assert!(lower.iter().all(|r| r.score > 0.0));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! random store mutations with delta maintenance of standing queries
 //! spanning every maintainable plan shape (index leaves, intersection,
 //! union, complement, relate expansion, hash join) and assert after
-//! EVERY mutation, at parallelism 1 and 4, that the maintained rows are
+//! EVERY mutation that the maintained rows are
 //! byte-identical to a fresh recompute of the same plan — both when a
 //! standing result is maintained directly and when it is read through
 //! the processor's standing-result table (`.cached()` runs and
@@ -15,8 +15,7 @@ use std::sync::Arc;
 use idm_core::prelude::*;
 use idm_index::IndexBundle;
 use idm_query::{
-    ExecOptions, LiveQuery, MaintainedPlan, QueryBudget, QueryProcessor, QueryRequest, ResultDelta,
-    ResultRows,
+    LiveQuery, MaintainedPlan, QueryBudget, QueryProcessor, QueryRequest, ResultDelta, ResultRows,
 };
 use proptest::prelude::*;
 
@@ -235,65 +234,55 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The tentpole equivalence: maintained == recomputed after every
-    /// mutation of a random script, for every standing query shape, at
-    /// parallelism 1 and 4.
+    /// mutation of a random script, for every standing query shape.
     #[test]
     fn maintained_results_equal_recompute_after_every_mutation(
         script in arb_script(), ctx in "[ab]{1,3}", target in "[ab]{1,3}"
     ) {
-        for parallelism in [1usize, 4] {
-            let mut space = build_space(&script);
-            let processor = QueryProcessor::new(
-                Arc::clone(&space.store),
-                Arc::clone(&space.indexes),
-            )
-            .with_options(ExecOptions {
-                parallelism,
-                ..ExecOptions::default()
-            });
+        let mut space = build_space(&script);
+        let processor =
+            QueryProcessor::new(Arc::clone(&space.store), Arc::clone(&space.indexes));
 
-            let mut standings: Vec<MaintainedPlan> = standing_queries(&ctx, &target)
-                .iter()
-                .map(|iql| {
-                    let plan = processor.plan_iql(iql).unwrap();
-                    let (_, standing) = processor
-                        .execute_standing(&plan, QueryBudget::none())
-                        .unwrap();
-                    standing.expect("unbudgeted execution seeds standing state")
-                })
-                .collect();
+        let mut standings: Vec<MaintainedPlan> = standing_queries(&ctx, &target)
+            .iter()
+            .map(|iql| {
+                let plan = processor.plan_iql(iql).unwrap();
+                let (_, standing) = processor
+                    .execute_standing(&plan, QueryBudget::none())
+                    .unwrap();
+                standing.expect("unbudgeted execution seeds standing state")
+            })
+            .collect();
 
-            let rx = space.store.subscribe_records();
-            for mutation in &script.mutations {
-                space.apply(mutation);
-                let records: Vec<ChangeRecord> = rx.try_iter().collect();
-                for standing in &mut standings {
-                    let before = standing.rows();
-                    let delta = processor.maintain(standing, &records).unwrap();
-                    let fresh = processor.execute_plan(standing.plan()).unwrap();
-                    prop_assert_eq!(
-                        standing.rows(),
-                        fresh.rows,
-                        "maintained != recomputed for '{}' after {:?} (parallelism {})",
-                        standing.plan().render(),
-                        mutation,
-                        parallelism
-                    );
-                    prop_assert_eq!(
-                        delta.total,
-                        standing.rows().len(),
-                        "delta total out of sync"
-                    );
-                    if delta.is_empty() {
-                        prop_assert_eq!(before, standing.rows(), "empty delta changed the rows");
-                    }
+        let rx = space.store.subscribe_records();
+        for mutation in &script.mutations {
+            space.apply(mutation);
+            let records: Vec<ChangeRecord> = rx.try_iter().collect();
+            for standing in &mut standings {
+                let before = standing.rows();
+                let delta = processor.maintain(standing, &records).unwrap();
+                let fresh = processor.execute_plan(standing.plan()).unwrap();
+                prop_assert_eq!(
+                    standing.rows(),
+                    fresh.rows,
+                    "maintained != recomputed for '{}' after {:?}",
+                    standing.plan().render(),
+                    mutation
+                );
+                prop_assert_eq!(
+                    delta.total,
+                    standing.rows().len(),
+                    "delta total out of sync"
+                );
+                if delta.is_empty() {
+                    prop_assert_eq!(before, standing.rows(), "empty delta changed the rows");
                 }
             }
-
-            // The read/maintain path never corrupted the store.
-            let report = space.store.verify_invariants();
-            prop_assert!(report.violations.is_empty(), "{:?}", report.violations);
         }
+
+        // The read/maintain path never corrupted the store.
+        let report = space.store.verify_invariants();
+        prop_assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
     /// The same equivalence through the standing-result table: after
@@ -306,63 +295,53 @@ proptest! {
     fn cached_and_subscribed_results_equal_recompute_after_every_mutation(
         script in arb_script(), ctx in "[ab]{1,3}", target in "[ab]{1,3}"
     ) {
-        for parallelism in [1usize, 4] {
-            let mut space = build_space(&script);
-            let processor = QueryProcessor::new(
-                Arc::clone(&space.store),
-                Arc::clone(&space.indexes),
-            )
-            .with_options(ExecOptions {
-                parallelism,
-                ..ExecOptions::default()
-            });
+        let mut space = build_space(&script);
+        let processor =
+            QueryProcessor::new(Arc::clone(&space.store), Arc::clone(&space.indexes));
 
-            let mut handles: Vec<(String, LiveQuery, ResultRows)> =
-                standing_queries(&ctx, &target)
-                    .into_iter()
-                    .map(|iql| {
-                        let live = processor.subscribe(&QueryRequest::new(&iql)).unwrap();
-                        let rows = live.initial().rows.clone();
-                        (iql, live, rows)
-                    })
-                    .collect();
-            for (step, mutation) in script.mutations.iter().enumerate() {
-                space.apply(mutation);
-                let pump_first = step % 2 == 0;
-                if pump_first {
-                    processor.pump();
-                }
-                let mut fresh = Vec::new();
-                for (iql, ..) in &handles {
-                    let cached = processor.run(&QueryRequest::new(iql.as_str()).cached()).unwrap();
-                    let rows = processor.run(&QueryRequest::new(iql.as_str())).unwrap().result.rows;
-                    prop_assert_eq!(
-                        &cached.result.rows,
-                        &rows,
-                        "cached != fresh for '{}' after {:?} (parallelism {})",
-                        iql,
-                        mutation,
-                        parallelism
-                    );
-                    fresh.push(rows);
-                }
-                if !pump_first {
-                    processor.pump();
-                }
-                for ((iql, live, rows), fresh) in handles.iter_mut().zip(&fresh) {
-                    *rows = live.poll().iter().fold(rows.clone(), apply_delta);
-                    prop_assert_eq!(
-                        &*rows,
-                        fresh,
-                        "subscribed != fresh for '{}' after {:?} (parallelism {})",
-                        iql,
-                        mutation,
-                        parallelism
-                    );
-                }
+        let mut handles: Vec<(String, LiveQuery, ResultRows)> =
+            standing_queries(&ctx, &target)
+                .into_iter()
+                .map(|iql| {
+                    let live = processor.subscribe(&QueryRequest::new(&iql)).unwrap();
+                    let rows = live.initial().rows.clone();
+                    (iql, live, rows)
+                })
+                .collect();
+        for (step, mutation) in script.mutations.iter().enumerate() {
+            space.apply(mutation);
+            let pump_first = step % 2 == 0;
+            if pump_first {
+                processor.pump();
             }
-            prop_assert_eq!(processor.result_cache().counters().invalidations, 0);
+            let mut fresh = Vec::new();
+            for (iql, ..) in &handles {
+                let cached = processor.run(&QueryRequest::new(iql.as_str()).cached()).unwrap();
+                let rows = processor.run(&QueryRequest::new(iql.as_str())).unwrap().result.rows;
+                prop_assert_eq!(
+                    &cached.result.rows,
+                    &rows,
+                    "cached != fresh for '{}' after {:?}",
+                    iql,
+                    mutation
+                );
+                fresh.push(rows);
+            }
+            if !pump_first {
+                processor.pump();
+            }
+            for ((iql, live, rows), fresh) in handles.iter_mut().zip(&fresh) {
+                *rows = live.poll().iter().fold(rows.clone(), apply_delta);
+                prop_assert_eq!(
+                    &*rows,
+                    fresh,
+                    "subscribed != fresh for '{}' after {:?}",
+                    iql,
+                    mutation
+                );
+            }
         }
+        prop_assert_eq!(processor.result_cache().counters().invalidations, 0);
     }
 
     /// Replaying a batch the standing result already absorbed is a

@@ -140,7 +140,7 @@ proptest! {
     }
 
     /// Every `//` and `/` step keeps exactly the views `idm_core::graph`
-    /// relates to some context view, at parallelism 1 and 4, first with
+    /// relates to some context view, first with
     /// every view in the replica's overlay (as indexing leaves a small
     /// space) and then labeled. The `//*…` shapes put a context of every
     /// view above the candidates.
@@ -155,12 +155,9 @@ proptest! {
                 for axis in ["//", "/"] {
                     let query = format!("//{c}{axis}{t}");
                     let want = graph_rows(&store, c, axis, t);
-                    for parallelism in [1usize, 4] {
-                        let processor = QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes))
-                            .with_options(ExecOptions { parallelism, ..ExecOptions::default() });
-                        let got = processor.execute(&query).unwrap().rows.into_views();
-                        prop_assert_eq!(&got, &want, "{} at parallelism {}, labeled {}", query, parallelism, labeled);
-                    }
+                    let processor = QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes));
+                    let got = processor.execute(&query).unwrap().rows.into_views();
+                    prop_assert_eq!(&got, &want, "{}, labeled {}", query, labeled);
                 }
             }
         }
@@ -203,11 +200,10 @@ proptest! {
     /// Cancellation soundness (the resource-governance satellite): for a
     /// mixed Q1–Q8-shaped workload over random dataspaces, cancel at
     /// EVERY cooperative checkpoint (enumerated with a probe budget) and
-    /// assert, at parallelism 1 and 4:
+    /// assert:
     ///
     /// - strict mode surfaces `ResourceExhausted` (never a panic, never
-    ///   a hang — scoped threads always join, parking_lot locks cannot
-    ///   poison);
+    ///   a hang — parking_lot locks cannot poison);
     /// - partial mode returns a sound SUBSET of the true rows with the
     ///   plan/exec operator-count invariant intact;
     /// - the store's invariants still hold afterwards; and
@@ -227,68 +223,66 @@ proptest! {
             r#"[not "c"]"#.to_string(),
             format!("join( //{ctx}//* as A, //{target}//* as B, A.name = B.name )"),
         ];
-        for parallelism in [1usize, 4] {
-            let with_budget = |budget: QueryBudget| {
-                QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes)).with_options(
-                    ExecOptions { parallelism, budget, ..ExecOptions::default() },
-                )
-            };
-            for iql in &queries {
-                let baseline = with_budget(QueryBudget::none()).execute(iql).unwrap();
-                let plan = with_budget(QueryBudget::none()).plan_iql(iql).unwrap();
-                // A probe budget (enabled tracker, limits never trip)
-                // must not change the rows.
-                let probed = with_budget(QueryBudget::probe()).execute(iql).unwrap();
-                prop_assert_eq!(&probed.rows, &baseline.rows, "probe changed rows of {}", iql);
-                let total = probed.stats.consumed.checkpoints;
-                // Exhaustive for small checkpoint counts, sampled past 48
-                // to bound runtime.
-                let step = (total / 48).max(1);
-                let mut k = 1;
-                while k <= total {
-                    let strict = with_budget(QueryBudget {
-                        cancel_after_checks: Some(k),
-                        ..QueryBudget::default()
-                    });
-                    let err = strict.execute(iql).unwrap_err();
-                    prop_assert_eq!(
-                        err.budget_kind(),
-                        Some(idm_core::error::BudgetKind::Cancelled),
-                        "strict cancel at {} of {}", k, iql
-                    );
-                    // The aborted processor is not poisoned: lifting the
-                    // budget on the SAME processor reproduces baseline.
-                    let mut strict = strict;
-                    strict.set_budget(QueryBudget::none());
-                    let rerun = strict.execute(iql).unwrap();
-                    prop_assert_eq!(&rerun.rows, &baseline.rows, "rerun after abort at {}", k);
+        let with_budget = |budget: QueryBudget| {
+            QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes)).with_options(
+                ExecOptions { budget, ..ExecOptions::default() },
+            )
+        };
+        for iql in &queries {
+            let baseline = with_budget(QueryBudget::none()).execute(iql).unwrap();
+            let plan = with_budget(QueryBudget::none()).plan_iql(iql).unwrap();
+            // A probe budget (enabled tracker, limits never trip)
+            // must not change the rows.
+            let probed = with_budget(QueryBudget::probe()).execute(iql).unwrap();
+            prop_assert_eq!(&probed.rows, &baseline.rows, "probe changed rows of {}", iql);
+            let total = probed.stats.consumed.checkpoints;
+            // Exhaustive for small checkpoint counts, sampled past 48
+            // to bound runtime.
+            let step = (total / 48).max(1);
+            let mut k = 1;
+            while k <= total {
+                let strict = with_budget(QueryBudget {
+                    cancel_after_checks: Some(k),
+                    ..QueryBudget::default()
+                });
+                let err = strict.execute(iql).unwrap_err();
+                prop_assert_eq!(
+                    err.budget_kind(),
+                    Some(idm_core::error::BudgetKind::Cancelled),
+                    "strict cancel at {} of {}", k, iql
+                );
+                // The aborted processor is not poisoned: lifting the
+                // budget on the SAME processor reproduces baseline.
+                let mut strict = strict;
+                strict.set_budget(QueryBudget::none());
+                let rerun = strict.execute(iql).unwrap();
+                prop_assert_eq!(&rerun.rows, &baseline.rows, "rerun after abort at {}", k);
 
-                    let partial = with_budget(QueryBudget {
-                        cancel_after_checks: Some(k),
-                        partial: true,
-                        ..QueryBudget::default()
-                    });
-                    let r = partial.execute(iql).unwrap();
-                    prop_assert!(r.stats.partial, "partial flag at {} of {}", k, iql);
-                    prop_assert_eq!(
-                        r.stats.ops, plan.operator_counts(),
-                        "ops invariant under truncation at {} of {}", k, iql
-                    );
-                    match (&r.rows, &baseline.rows) {
-                        (ResultRows::Views(sub), ResultRows::Views(full)) => {
-                            for vid in sub {
-                                prop_assert!(full.contains(vid), "superset row at {}", k);
-                            }
+                let partial = with_budget(QueryBudget {
+                    cancel_after_checks: Some(k),
+                    partial: true,
+                    ..QueryBudget::default()
+                });
+                let r = partial.execute(iql).unwrap();
+                prop_assert!(r.stats.partial, "partial flag at {} of {}", k, iql);
+                prop_assert_eq!(
+                    r.stats.ops, plan.operator_counts(),
+                    "ops invariant under truncation at {} of {}", k, iql
+                );
+                match (&r.rows, &baseline.rows) {
+                    (ResultRows::Views(sub), ResultRows::Views(full)) => {
+                        for vid in sub {
+                            prop_assert!(full.contains(vid), "superset row at {}", k);
                         }
-                        (ResultRows::Pairs(sub), ResultRows::Pairs(full)) => {
-                            for pair in sub {
-                                prop_assert!(full.contains(pair), "superset pair at {}", k);
-                            }
-                        }
-                        _ => prop_assert!(false, "row shape changed under truncation"),
                     }
-                    k += step;
+                    (ResultRows::Pairs(sub), ResultRows::Pairs(full)) => {
+                        for pair in sub {
+                            prop_assert!(full.contains(pair), "superset pair at {}", k);
+                        }
+                    }
+                    _ => prop_assert!(false, "row shape changed under truncation"),
                 }
+                k += step;
             }
         }
         // The read path never mutated the store.
@@ -418,8 +412,7 @@ fn apply(store: &ViewStore, indexes: &IndexBundle, mutation: &Mutation) {
 proptest! {
     /// Path steps keep answering as `idm_core::graph` while the store
     /// changes under labels computed once: after each step of a random
-    /// script, every path shape matches the graph at parallelism 1 and
-    /// 4. Moves and detaches must take the moved subtree out of the
+    /// script, every path shape matches the graph. Moves and detaches must take the moved subtree out of the
     /// intervals that no longer hold it; a flood crosses the overlay
     /// limit, so the replica relabels inside one `index` call.
     #[test]
@@ -428,25 +421,14 @@ proptest! {
                                                ctx in "[ab]{1,4}", target in "[ab]{1,4}") {
         let (store, indexes) = build_space(&space);
         indexes.group.relabel();
-        let processors: Vec<QueryProcessor> = [1usize, 4]
-            .map(|parallelism| {
-                QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes))
-                    .with_options(ExecOptions { parallelism, ..ExecOptions::default() })
-            })
-            .into();
+        let processor = QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes));
         for (step, mutation) in script.iter().enumerate() {
             apply(&store, &indexes, mutation);
             for (c, axis, t) in path_shapes(&ctx, &target) {
                 let query = format!("//{c}{axis}{t}");
                 let want = graph_rows(&store, c, axis, t);
-                for processor in &processors {
-                    let got = processor.execute(&query).unwrap().rows.into_views();
-                    prop_assert_eq!(
-                        &got, &want,
-                        "{} after step {} ({:?}) at parallelism {}",
-                        query, step, mutation, processor.options().parallelism
-                    );
-                }
+                let got = processor.execute(&query).unwrap().rows.into_views();
+                prop_assert_eq!(&got, &want, "{} after step {} ({:?})", query, step, mutation);
             }
         }
     }
@@ -602,8 +584,7 @@ fn passes_keys(node: &idm_query::PlanNode) -> bool {
 proptest! {
     /// Sideways key passing never changes a join's rows: the planned
     /// query equals the same plan without the rewrite pass, and both the
-    /// nested loop over the two sides' rows, at parallelism 1 and 4,
-    /// and under a partial budget
+    /// nested loop over the two sides' rows, and under a partial budget
     /// tripped at any checkpoint its rows stay a subset.
     #[test]
     fn key_passing_keeps_the_rows_of_the_plan_without_it(
@@ -616,52 +597,45 @@ proptest! {
         let (a_iql, b_iql) = (join_side(left.0, left.1, left.2), join_side(right.0, right.1, right.2));
         let iql = format!("join( {a_iql} as A, {b_iql} as B, {} )", JOIN_CONDITIONS[condition]);
         let query = parse(&iql).unwrap();
+        let processor = QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes));
         let nested = nested_loop_join(
-            &QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes)),
+            &processor,
             &store,
             &indexes,
             (&a_iql, &b_iql),
             JOIN_KEYS_ARE_X[condition],
         );
-        for parallelism in [1usize, 4] {
-            let processor = QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes))
-                .with_options(ExecOptions { parallelism, ..ExecOptions::default() });
-            let rewritten = processor.plan(&query).unwrap();
-            let plain = processor.plan_without_key_passing(&query).unwrap();
-            prop_assert!(!passes_keys(&plain.root), "{}", iql);
-            let want = processor.execute_plan(&plain).unwrap().rows;
-            prop_assert_eq!(&want, &ResultRows::Pairs(nested.clone()), "{}", iql);
-            let got = processor.execute_plan(&rewritten).unwrap();
-            prop_assert_eq!(
-                &got.rows, &want,
-                "{} at parallelism {}:\n{}", iql, parallelism,
-                rewritten.render()
-            );
-            prop_assert_eq!(got.stats.ops, rewritten.operator_counts());
+        let rewritten = processor.plan(&query).unwrap();
+        let plain = processor.plan_without_key_passing(&query).unwrap();
+        prop_assert!(!passes_keys(&plain.root), "{}", iql);
+        let want = processor.execute_plan(&plain).unwrap().rows;
+        prop_assert_eq!(&want, &ResultRows::Pairs(nested), "{}", iql);
+        let got = processor.execute_plan(&rewritten).unwrap();
+        prop_assert_eq!(&got.rows, &want, "{}:\n{}", iql, rewritten.render());
+        prop_assert_eq!(got.stats.ops, rewritten.operator_counts());
 
-            let ResultRows::Pairs(want) = want else {
+        let ResultRows::Pairs(want) = want else {
+            panic!("a join yields pairs");
+        };
+        let total = processor
+            .execute_plan_with(&rewritten, QueryBudget::probe())
+            .unwrap()
+            .stats
+            .consumed
+            .checkpoints;
+        let step = (total / 16).max(1);
+        for k in (1..=total).step_by(step as usize) {
+            let budget = QueryBudget {
+                cancel_after_checks: Some(k),
+                partial: true,
+                ..QueryBudget::default()
+            };
+            let partial = processor.execute_plan_with(&rewritten, budget).unwrap();
+            let ResultRows::Pairs(pairs) = &partial.rows else {
                 panic!("a join yields pairs");
             };
-            let total = processor
-                .execute_plan_with(&rewritten, QueryBudget::probe())
-                .unwrap()
-                .stats
-                .consumed
-                .checkpoints;
-            let step = (total / 16).max(1);
-            for k in (1..=total).step_by(step as usize) {
-                let budget = QueryBudget {
-                    cancel_after_checks: Some(k),
-                    partial: true,
-                    ..QueryBudget::default()
-                };
-                let partial = processor.execute_plan_with(&rewritten, budget).unwrap();
-                let ResultRows::Pairs(pairs) = &partial.rows else {
-                    panic!("a join yields pairs");
-                };
-                for pair in pairs {
-                    prop_assert!(want.contains(pair), "{} tripped at {}: {:?}", iql, k, pair);
-                }
+            for pair in pairs {
+                prop_assert!(want.contains(pair), "{} tripped at {}: {:?}", iql, k, pair);
             }
         }
     }

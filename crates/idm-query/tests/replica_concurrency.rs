@@ -1,5 +1,5 @@
-//! Path steps read the group replica under one read guard per chunk of
-//! a walk. Queries running beside a writer that re-indexes and removes
+//! Path steps read the group replica under one read guard per step.
+//! Queries running beside a writer that re-indexes and removes
 //! group edges must neither hang — a re-entrant read queued behind a
 //! waiting writer would — nor leave anything behind once it stops.
 
@@ -10,10 +10,9 @@ use std::time::Duration;
 
 use idm_core::prelude::*;
 use idm_index::IndexBundle;
-use idm_query::{ExecOptions, QueryProcessor, ResultRows};
+use idm_query::{QueryProcessor, ResultRows};
 
-/// Wide enough that every walk forks at parallelism 4 (> 64 × 4 nodes
-/// per frontier).
+/// Folders under `wide`.
 const FOLDERS: usize = 300;
 /// Writer rounds; each re-indexes `wide` and one other group three times.
 const WRITES: usize = 200;
@@ -56,15 +55,11 @@ fn indexed(store: &ViewStore) -> Arc<IndexBundle> {
     indexes
 }
 
+/// Two processors over one store and bundle, each with caches of its own.
 fn processors(store: &Arc<ViewStore>, indexes: &Arc<IndexBundle>) -> Vec<QueryProcessor> {
-    [1, 4]
-        .map(|parallelism| {
-            QueryProcessor::new(Arc::clone(store), Arc::clone(indexes)).with_options(ExecOptions {
-                parallelism,
-                ..ExecOptions::default()
-            })
-        })
-        .into()
+    (0..2)
+        .map(|_| QueryProcessor::new(Arc::clone(store), Arc::clone(indexes)))
+        .collect()
 }
 
 /// Every processor's rows for every query, in a fixed order.

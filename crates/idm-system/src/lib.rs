@@ -440,7 +440,7 @@ impl Pdsms {
     }
 
     /// An *additional*, owned processor for a caller that wants options
-    /// of its own (parallelism, budget), with caches of its own, which
+    /// of its own (budget), with caches of its own, which
     /// die with it.
     pub fn query_processor(&self) -> QueryProcessor {
         QueryProcessor::new(Arc::clone(&self.store), Arc::clone(&self.indexes))

