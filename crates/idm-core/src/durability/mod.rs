@@ -15,7 +15,7 @@
 //!    freeze, write `snap-1` and arm logging into a fresh `wal-1` — no
 //!    mutation can slip between the image and the log.
 //! 2. **Log**: every `ViewStore` mutator appends its logical
-//!    [`record::ChangeRecord`]s under its shard write lock, through the
+//!    [`record::ChangeRecord`]s under the store's write lock, through the
 //!    one append path of [`wal::WalWriter`] (one write group, one
 //!    covering sync under [`SyncPolicy::Fsync`]; a [`BulkWalScope`]
 //!    defers its own thread's syncs to the window's end).

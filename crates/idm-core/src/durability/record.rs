@@ -1,7 +1,7 @@
 //! Logical change records — the unit of the write-ahead log.
 //!
 //! Every [`crate::store::ViewStore`] mutator appends exactly one record
-//! describing the change it committed, under the same shard lock that
+//! describing the change it committed, under the same store lock that
 //! serialized the change itself. Records are *logical* (redo-only,
 //! ARIES-style): replaying them through the ordinary mutators against
 //! the last snapshot reproduces the store byte for byte, including the

@@ -224,9 +224,8 @@ impl WalWriter {
     /// before returning — unless the calling thread has a
     /// [`BulkWalScope`] open, which defers the sync. Single-record
     /// callers pass [`std::slice::from_ref`]. Store mutators call this
-    /// under their shard's write lock, so per-vid record order in the
-    /// log matches commit order; the inner mutex serializes groups
-    /// across shards.
+    /// under the store's write lock, so record order in the log is
+    /// commit order.
     pub fn append(&self, records: &[ChangeRecord]) -> io::Result<()> {
         if records.is_empty() {
             return self.ensure_healthy();

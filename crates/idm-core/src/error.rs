@@ -56,7 +56,8 @@ pub enum BudgetKind {
     QueueWait,
     /// The admission queue was full — the query was shed, never run.
     Concurrency,
-    /// An external cancellation (cancel token) stopped the query.
+    /// An injected cancellation (a query budget's `cancel_after_checks`)
+    /// stopped the query.
     Cancelled,
 }
 

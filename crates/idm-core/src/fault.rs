@@ -22,7 +22,7 @@
 //!   wrapped around every plugin ingest, sync poll and lazy-provider
 //!   force.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -328,39 +328,6 @@ impl FaultPoint {
             Some(injector) => injector.on_call(source, op),
             None => Ok(FaultAction::Proceed),
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cooperative cancellation
-// ---------------------------------------------------------------------------
-
-/// A shared cooperative-cancellation flag.
-///
-/// The query executor's budget tracker raises it when a deadline or
-/// memory limit trips, and the executor's checkpoints poll it and
-/// unwind within one batch. Cloning shares the flag (it is an `Arc`
-/// underneath), so a clone held by another thread can cancel the query.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Raises the flag. Idempotent; never blocks.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
-    }
-
-    /// Whether cancellation was requested. A relaxed-cost atomic load —
-    /// cheap enough to poll per item in hot loops.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
     }
 }
 
@@ -758,18 +725,6 @@ impl SourceGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cancel_token_is_shared_across_clones() {
-        let token = CancelToken::new();
-        let clone = token.clone();
-        assert!(!token.is_cancelled());
-        assert!(!clone.is_cancelled());
-        clone.cancel();
-        assert!(token.is_cancelled(), "clones share one flag");
-        token.cancel();
-        assert!(token.is_cancelled(), "idempotent");
-    }
 
     #[test]
     fn fail_n_fails_then_heals() {

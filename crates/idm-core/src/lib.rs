@@ -52,7 +52,6 @@ pub mod lineage;
 pub mod store;
 pub mod validate;
 pub mod value;
-pub mod version;
 
 /// Commonly used types, re-exported.
 pub mod prelude {
@@ -64,8 +63,8 @@ pub mod prelude {
     };
     pub use crate::error::{BudgetKind, IdmError, Result, SubstrateFaultKind};
     pub use crate::fault::{
-        BreakerState, CancelToken, CircuitBreaker, FaultAction, FaultCounters, FaultInjector,
-        FaultPlan, FaultPoint, FaultStats, RetryPolicy, SourceGuard,
+        BreakerState, CircuitBreaker, FaultAction, FaultCounters, FaultInjector, FaultPlan,
+        FaultPoint, FaultStats, RetryPolicy, SourceGuard,
     };
     pub use crate::group::{Group, GroupData, GroupProvider, ViewSequenceSource};
     pub use crate::store::{

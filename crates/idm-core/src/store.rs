@@ -165,22 +165,13 @@ struct Slot {
     version: u64,
 }
 
-/// One lock shard. Views map to shards by the low bits of their `Vid`, so
-/// consecutive insertions spread round-robin across shards and concurrent
-/// readers/writers of unrelated views never contend on the same lock.
-struct Shard {
-    slots: RwLock<Vec<Option<Slot>>>,
-}
-
 /// The resource view store.
 ///
-/// Internally the store is split into a power-of-two number of lock shards
-/// (default: the number of available CPUs, rounded up). A view with id `v`
-/// lives in shard `v & (shards-1)` at slot `v >> shard_bits`; ids are handed
-/// out by a single atomic counter, so `Vid` order is still insertion order.
+/// One lock guards one slot column: the view with id `v` lives at slot
+/// `v`. Ids are handed out by a single atomic counter, so `Vid` order is
+/// insertion order and slot order.
 pub struct ViewStore {
-    shards: Box<[Shard]>,
-    shard_bits: u32,
+    slots: RwLock<Vec<Option<Slot>>>,
     next_vid: AtomicU64,
     classes: Arc<ClassRegistry>,
     subscribers: Mutex<Vec<Sender<ChangeEvent>>>,
@@ -191,24 +182,14 @@ pub struct ViewStore {
     record_fanout: std::sync::atomic::AtomicBool,
     /// Committed mutations since construction ([`ViewStore::change_count`]).
     changes: AtomicU64,
-    /// Occupied slots over all shards ([`ViewStore::len`]). Moved under
-    /// the write lock of the shard whose slot is filled or emptied; a
-    /// count that publishes no other data, so `Relaxed` throughout.
+    /// Occupied slots ([`ViewStore::len`]). Moved under the write lock
+    /// that fills or empties the slot; a count that publishes no other
+    /// data, so `Relaxed` throughout.
     live: AtomicUsize,
     /// The attached write-ahead log, if this store is durable. Mutators
-    /// append their change record under the shard write lock, so WAL
-    /// order per view matches commit order.
+    /// append their change record under the store's write lock, so WAL
+    /// order is commit order.
     wal: RwLock<Option<Arc<WalWriter>>>,
-}
-
-/// Default shard count: available parallelism rounded up to a power of two,
-/// capped so tiny stores do not pay for hundreds of locks.
-fn default_shard_count() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .next_power_of_two()
-        .min(64)
 }
 
 impl ViewStore {
@@ -219,26 +200,8 @@ impl ViewStore {
 
     /// A store with a caller-provided class registry.
     pub fn with_registry(classes: Arc<ClassRegistry>) -> Self {
-        ViewStore::with_registry_and_shards(classes, default_shard_count())
-    }
-
-    /// A store with an explicit shard count (rounded up to a power of two).
-    pub fn with_shards(shards: usize) -> Self {
-        ViewStore::with_registry_and_shards(Arc::new(ClassRegistry::with_builtins()), shards)
-    }
-
-    /// A store with a caller-provided registry and shard count.
-    pub fn with_registry_and_shards(classes: Arc<ClassRegistry>, shards: usize) -> Self {
-        let count = shards.max(1).next_power_of_two();
-        let shards = (0..count)
-            .map(|_| Shard {
-                slots: RwLock::new(Vec::new()),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         ViewStore {
-            shards,
-            shard_bits: count.trailing_zeros(),
+            slots: RwLock::new(Vec::new()),
             next_vid: AtomicU64::new(0),
             classes,
             subscribers: Mutex::new(Vec::new()),
@@ -297,20 +260,7 @@ impl ViewStore {
         &self.classes
     }
 
-    /// The number of lock shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_of(&self, vid: Vid) -> &Shard {
-        &self.shards[(vid.0 & (self.shards.len() as u64 - 1)) as usize]
-    }
-
-    fn slot_of(&self, vid: Vid) -> usize {
-        (vid.0 >> self.shard_bits) as usize
-    }
-
-    /// Number of live views: one counter read, no shard lock. Exact
+    /// Number of live views: one counter read, no lock. Exact
     /// whenever no writer is mid-commit; [`ViewStore::verify_invariants`]
     /// checks it against the slots.
     pub fn len(&self) -> usize {
@@ -324,43 +274,33 @@ impl ViewStore {
 
     /// All live view ids, in insertion order.
     pub fn vids(&self) -> Vec<Vid> {
-        let mut vids: Vec<Vid> = Vec::new();
-        for (shard_idx, shard) in self.shards.iter().enumerate() {
-            let slots = shard.slots.read();
-            vids.extend(slots.iter().enumerate().filter_map(|(slot, n)| {
-                n.as_ref()
-                    .map(|_| Vid(((slot as u64) << self.shard_bits) | shard_idx as u64))
-            }));
-        }
-        // Vids are allocated by one monotone counter, so numeric order is
-        // insertion order even though we collected shard-major.
-        vids.sort_unstable();
-        vids
+        self.slots
+            .read()
+            .iter()
+            .enumerate()
+            .filter(|(_, entry)| entry.is_some())
+            .map(|(v, _)| Vid(v as u64))
+            .collect()
     }
 
     /// Whether a view exists.
     pub fn contains(&self, vid: Vid) -> bool {
-        self.shard_of(vid)
-            .slots
+        self.slots
             .read()
-            .get(self.slot_of(vid))
+            .get(vid.0 as usize)
             .is_some_and(Option::is_some)
     }
 
     /// Inserts a view record, returning its new id.
     pub fn insert(&self, record: ViewRecord) -> Vid {
         let vid = Vid(self.next_vid.fetch_add(1, Ordering::Relaxed));
-        let slot_idx = self.slot_of(vid);
         let wal_rec = (self.wal_armed() || self.records_wanted()).then(|| ChangeRecord::Insert {
             vid: vid.0,
             view: SerialView::of(&record, &self.classes),
         });
         {
-            let mut slots = self.shard_of(vid).slots.write();
-            if slots.len() <= slot_idx {
-                slots.resize_with(slot_idx + 1, || None);
-            }
-            slots[slot_idx] = Some(Slot { record, version: 0 });
+            let mut slots = self.slots.write();
+            fill(&mut slots, vid, Slot { record, version: 0 });
             self.live.fetch_add(1, Ordering::Relaxed);
             if let Some(rec) = wal_rec.as_ref() {
                 self.wal_append(std::slice::from_ref(rec));
@@ -373,17 +313,13 @@ impl ViewStore {
         vid
     }
 
-    /// Inserts a batch of view records under one shard-lock acquisition
-    /// per involved shard and one WAL write group for the whole batch.
-    /// Vids are handed out contiguously by the same monotone counter as
-    /// [`ViewStore::insert`], so numeric order is still insertion order
-    /// and a bulk load produces the same store image as the equivalent
-    /// sequence of single inserts.
-    ///
-    /// Shard write locks are taken in ascending shard-index order — the
-    /// same order `frozen_export` uses — so a bulk insert can never
-    /// deadlock against a checkpoint freeze, and the batch commits
-    /// atomically with respect to snapshots.
+    /// Inserts a batch of view records under one write-lock acquisition
+    /// and one WAL write group for the whole batch. Vids are handed out
+    /// contiguously by the same monotone counter as [`ViewStore::insert`],
+    /// so numeric order is still insertion order and a bulk load produces
+    /// the same store image as the equivalent sequence of single inserts.
+    /// The batch commits atomically with respect to snapshots
+    /// ([`ViewStore::frozen_export`] reads under the same lock).
     pub fn insert_batch(&self, records: Vec<ViewRecord>) -> Vec<Vid> {
         if records.is_empty() {
             return Vec::new();
@@ -394,21 +330,8 @@ impl ViewStore {
         let armed = self.wal_armed();
         let want_recs = armed || self.records_wanted();
         let mut wal_recs = Vec::with_capacity(if want_recs { records.len() } else { 0 });
-
-        let mask = self.shards.len() as u64 - 1;
-        let mut involved: Vec<usize> = vids.iter().map(|v| (v.0 & mask) as usize).collect();
-        involved.sort_unstable();
-        involved.dedup();
-        let mut guard_pos = vec![usize::MAX; self.shards.len()];
-        for (pos, &shard) in involved.iter().enumerate() {
-            guard_pos[shard] = pos;
-        }
-
         {
-            let mut guards: Vec<_> = involved
-                .iter()
-                .map(|&i| self.shards[i].slots.write())
-                .collect();
+            let mut slots = self.slots.write();
             for (vid, record) in vids.iter().zip(records) {
                 if want_recs {
                     wal_recs.push(ChangeRecord::Insert {
@@ -416,12 +339,7 @@ impl ViewStore {
                         view: SerialView::of(&record, &self.classes),
                     });
                 }
-                let slots = &mut guards[guard_pos[(vid.0 & mask) as usize]];
-                let slot_idx = self.slot_of(*vid);
-                if slots.len() <= slot_idx {
-                    slots.resize_with(slot_idx + 1, || None);
-                }
-                slots[slot_idx] = Some(Slot { record, version: 0 });
+                fill(&mut slots, *vid, Slot { record, version: 0 });
             }
             self.live.fetch_add(vids.len(), Ordering::Relaxed);
             if armed {
@@ -442,17 +360,13 @@ impl ViewStore {
     /// allocator is advanced past `vid` so future inserts never collide.
     pub(crate) fn restore_insert(&self, vid: Vid, record: ViewRecord, version: u64) -> Result<()> {
         self.next_vid.fetch_max(vid.0 + 1, Ordering::Relaxed);
-        let slot_idx = self.slot_of(vid);
-        let mut slots = self.shard_of(vid).slots.write();
-        if slots.len() <= slot_idx {
-            slots.resize_with(slot_idx + 1, || None);
-        }
-        if slots[slot_idx].is_some() {
+        let mut slots = self.slots.write();
+        if slots.get(vid.0 as usize).is_some_and(Option::is_some) {
             return Err(IdmError::Parse {
                 detail: format!("duplicate {vid} during recovery"),
             });
         }
-        slots[slot_idx] = Some(Slot { record, version });
+        fill(&mut slots, vid, Slot { record, version });
         self.live.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -474,12 +388,8 @@ impl ViewStore {
     /// upgrades the stored group handle to the materialized members
     /// without a version bump (forcing is a read, not a mutation).
     pub(crate) fn apply_group_forced(&self, vid: Vid, data: GroupData) -> Result<()> {
-        let slot_idx = self.slot_of(vid);
-        let mut slots = self.shard_of(vid).slots.write();
-        let slot = slots
-            .get_mut(slot_idx)
-            .and_then(Option::as_mut)
-            .ok_or(IdmError::UnknownVid(vid))?;
+        let mut slots = self.slots.write();
+        let slot = occupied(&mut slots, vid)?;
         slot.record.group = Group::Materialized(Arc::new(data));
         Ok(())
     }
@@ -498,11 +408,13 @@ impl ViewStore {
     /// by the model (a dataspace is never globally consistent); traversals
     /// skip missing members.
     pub fn remove(&self, vid: Vid) -> Result<ViewRecord> {
-        let slot_idx = self.slot_of(vid);
         let record = {
-            let mut slots = self.shard_of(vid).slots.write();
-            let slot = slots.get_mut(slot_idx).ok_or(IdmError::UnknownVid(vid))?;
-            let record = slot.take().ok_or(IdmError::UnknownVid(vid))?.record;
+            let mut slots = self.slots.write();
+            let record = slots
+                .get_mut(vid.0 as usize)
+                .and_then(Option::take)
+                .ok_or(IdmError::UnknownVid(vid))?
+                .record;
             self.live.fetch_sub(1, Ordering::Relaxed);
             self.wal_append(&[ChangeRecord::Remove { vid: vid.0 }]);
             record
@@ -513,9 +425,9 @@ impl ViewStore {
     }
 
     fn with_slot<T>(&self, vid: Vid, f: impl FnOnce(&Slot) -> T) -> Result<T> {
-        let slots = self.shard_of(vid).slots.read();
+        let slots = self.slots.read();
         slots
-            .get(self.slot_of(vid))
+            .get(vid.0 as usize)
             .and_then(Option::as_ref)
             .map(f)
             .ok_or(IdmError::UnknownVid(vid))
@@ -622,13 +534,9 @@ impl ViewStore {
         f: impl FnOnce(&mut ViewRecord),
         wal_rec: Option<ChangeRecord>,
     ) -> Result<()> {
-        let slot_idx = self.slot_of(vid);
         {
-            let mut slots = self.shard_of(vid).slots.write();
-            let slot = slots
-                .get_mut(slot_idx)
-                .and_then(Option::as_mut)
-                .ok_or(IdmError::UnknownVid(vid))?;
+            let mut slots = self.slots.write();
+            let slot = occupied(&mut slots, vid)?;
             f(&mut slot.record);
             slot.version += 1;
             if let Some(rec) = wal_rec.as_ref() {
@@ -695,7 +603,7 @@ impl ViewStore {
     /// Lazy groups are forced first; infinite groups reject the operation.
     ///
     /// The update is atomic under concurrency: the new group is computed
-    /// outside the shard locks (so lazy forcing can insert child views)
+    /// outside the store lock (so lazy forcing can insert child views)
     /// and committed only if the view's version is still the one the
     /// snapshot was taken at, retrying otherwise. Concurrent adders to the
     /// same parent therefore never lose each other's members.
@@ -713,12 +621,8 @@ impl ViewStore {
             }
             let new_data = GroupData::new(set, seq).map_err(|_| IdmError::GroupOverlap(vid))?;
             let committed = {
-                let slot_idx = self.slot_of(vid);
-                let mut slots = self.shard_of(vid).slots.write();
-                let slot = slots
-                    .get_mut(slot_idx)
-                    .and_then(Option::as_mut)
-                    .ok_or(IdmError::UnknownVid(vid))?;
+                let mut slots = self.slots.write();
+                let slot = occupied(&mut slots, vid)?;
                 if slot.version == version {
                     slot.record.group = Group::Materialized(Arc::new(new_data));
                     slot.version += 1;
@@ -812,9 +716,8 @@ impl ViewStore {
         }
         let mut forced = None;
         {
-            let slot_idx = self.slot_of(vid);
-            let mut slots = self.shard_of(vid).slots.write();
-            let Some(slot) = slots.get_mut(slot_idx).and_then(Option::as_mut) else {
+            let mut slots = self.slots.write();
+            let Ok(slot) = occupied(&mut slots, vid) else {
                 return;
             };
             // Only promote the handle we actually forced — a concurrent
@@ -839,30 +742,28 @@ impl ViewStore {
         }
     }
 
-    /// Runs `f` with *every* shard read-locked — a frozen, globally
+    /// Runs `f` with the store read-locked — a frozen, globally
     /// consistent image of the store — and returns the exported state
     /// alongside `f`'s result. Checkpoints use the closure to rotate the
     /// WAL (and on first attach, to write the initial snapshot and arm
     /// logging) at an exact record boundary: no mutation can commit
     /// between the export and whatever `f` does.
     pub fn frozen_export<R>(&self, f: impl FnOnce(&StoreExport) -> R) -> (StoreExport, R) {
-        let guards: Vec<_> = self.shards.iter().map(|s| s.slots.read()).collect();
-        let mut views = Vec::new();
-        for (shard_idx, slots) in guards.iter().enumerate() {
-            for (slot_idx, entry) in slots.iter().enumerate() {
-                if let Some(slot) = entry {
-                    let vid = Vid(((slot_idx as u64) << self.shard_bits) | shard_idx as u64);
-                    views.push((vid, slot.version, slot.record.clone()));
-                }
-            }
-        }
-        views.sort_unstable_by_key(|(vid, _, _)| *vid);
+        let slots = self.slots.read();
+        let views = slots
+            .iter()
+            .enumerate()
+            .filter_map(|(v, entry)| {
+                let slot = entry.as_ref()?;
+                Some((Vid(v as u64), slot.version, slot.record.clone()))
+            })
+            .collect();
         let export = StoreExport {
             next_vid: self.next_vid.load(Ordering::Relaxed),
             views,
         };
         let result = f(&export);
-        drop(guards);
+        drop(slots);
         (export, result)
     }
 
@@ -881,13 +782,10 @@ impl ViewStore {
             versions: Vec::new(),
         };
         {
-            // Every shard read-locked: no slot can fill or empty, so the
-            // counter and the scan see the same store.
-            let guards: Vec<_> = self.shards.iter().map(|s| s.slots.read()).collect();
-            let occupied: usize = guards
-                .iter()
-                .map(|slots| slots.iter().filter(|n| n.is_some()).count())
-                .sum();
+            // Read-locked: no slot can fill or empty, so the counter and
+            // the scan see the same store.
+            let slots = self.slots.read();
+            let occupied = slots.iter().filter(|n| n.is_some()).count();
             let counted = self.len();
             if counted != occupied {
                 report.violations.push(format!(
@@ -928,6 +826,23 @@ impl ViewStore {
         }
         report
     }
+}
+
+/// Puts `slot` at `vid`'s position, growing the column as needed.
+fn fill(slots: &mut Vec<Option<Slot>>, vid: Vid, slot: Slot) {
+    let at = vid.0 as usize;
+    if slots.len() <= at {
+        slots.resize_with(at + 1, || None);
+    }
+    slots[at] = Some(slot);
+}
+
+/// The live slot at `vid`, or [`IdmError::UnknownVid`].
+fn occupied(slots: &mut [Option<Slot>], vid: Vid) -> Result<&mut Slot> {
+    slots
+        .get_mut(vid.0 as usize)
+        .and_then(Option::as_mut)
+        .ok_or(IdmError::UnknownVid(vid))
 }
 
 /// A frozen, consistent image of the store, as captured by
@@ -1348,30 +1263,20 @@ mod tests {
     }
 
     #[test]
-    fn sharded_store_preserves_insertion_order() {
-        for shards in [1usize, 2, 4, 8] {
-            let store = ViewStore::with_shards(shards);
-            assert_eq!(store.shard_count(), shards);
-            let mut inserted = Vec::new();
-            for i in 0..100 {
-                inserted.push(store.build(format!("v{i}")).insert());
-            }
-            assert_eq!(store.vids(), inserted, "vids() is insertion order");
-            assert_eq!(store.len(), 100);
-            // Removal leaves order of the remainder intact.
-            store.remove(inserted[3]).unwrap();
-            store.remove(inserted[97]).unwrap();
-            let mut expect = inserted.clone();
-            expect.retain(|v| *v != inserted[3] && *v != inserted[97]);
-            assert_eq!(store.vids(), expect);
+    fn vids_are_insertion_order() {
+        let store = ViewStore::new();
+        let mut inserted = Vec::new();
+        for i in 0..100 {
+            inserted.push(store.build(format!("v{i}")).insert());
         }
-    }
-
-    #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(ViewStore::with_shards(3).shard_count(), 4);
-        assert_eq!(ViewStore::with_shards(0).shard_count(), 1);
-        assert!(ViewStore::new().shard_count().is_power_of_two());
+        assert_eq!(store.vids(), inserted, "vids() is insertion order");
+        assert_eq!(store.len(), 100);
+        // Removal leaves order of the remainder intact.
+        store.remove(inserted[3]).unwrap();
+        store.remove(inserted[97]).unwrap();
+        let mut expect = inserted.clone();
+        expect.retain(|v| *v != inserted[3] && *v != inserted[97]);
+        assert_eq!(store.vids(), expect);
     }
 
     #[test]

@@ -2,9 +2,14 @@
 //! of a PDSMS (query processor, sync manager, push operators), so its
 //! guarantees under parallel access matter.
 
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 
+use idm_core::durability::record::view_bytes;
+use idm_core::durability::{DurabilityManager, SyncPolicy};
+use idm_core::lineage::LineageGraph;
 use idm_core::prelude::*;
 
 #[test]
@@ -84,7 +89,6 @@ fn readers_run_during_writes() {
 
 #[test]
 fn lazy_group_forced_from_many_threads_computes_once() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
     let store = Arc::new(ViewStore::new());
     static CALLS: AtomicUsize = AtomicUsize::new(0);
     let provider = Arc::new(|store: &ViewStore, _owner: Vid| {
@@ -108,18 +112,19 @@ fn lazy_group_forced_from_many_threads_computes_once() {
     assert_eq!(store.len(), 2, "one child only");
 }
 
-/// Stress the sharded store: ≥8 threads concurrently growing overlapping
+/// Stress the store: ≥8 threads concurrently growing overlapping
 /// subtrees (`add_group_member` = the `add_child` path) while as many
 /// readers walk the same subtrees through `group()`. The test asserts the
-/// whole thing terminates (no deadlock across shard locks) and that final
-/// child counts are exactly what the writers produced.
+/// whole thing terminates (no deadlock between the store lock and lazy
+/// forcing) and that final child counts are exactly what the writers
+/// produced.
 #[test]
 fn multi_writer_multi_reader_stress_over_overlapping_subtrees() {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::AtomicBool;
 
-    let store = Arc::new(ViewStore::with_shards(8));
+    let store = Arc::new(ViewStore::new());
     // Three roots; each writer appends to ALL of them so every pair of
-    // writers contends on every root's shard.
+    // writers contends on every root.
     let roots: Vec<Vid> = (0..3)
         .map(|i| store.build(format!("root{i}")).insert())
         .collect();
@@ -186,12 +191,12 @@ fn multi_writer_multi_reader_stress_over_overlapping_subtrees() {
     assert_eq!(store.len(), store.vids().len());
 }
 
-/// `len()` is a counter moved under the shard locks, not a scan: after
-/// writers that insert, batch-insert and remove at once — each batch
-/// spanning every shard — it still equals the occupied slots.
+/// `len()` is a counter moved under the store lock, not a scan: after
+/// writers that insert, batch-insert and remove at once it still equals
+/// the occupied slots.
 #[test]
 fn concurrent_inserts_batches_and_removes_keep_len_exact() {
-    let store = Arc::new(ViewStore::with_shards(4));
+    let store = Arc::new(ViewStore::new());
     let writers: Vec<_> = (0..6)
         .map(|t| {
             let store = Arc::clone(&store);
@@ -245,4 +250,88 @@ fn change_events_reach_every_subscriber_exactly_once() {
         assert_eq!(events.len(), 400, "each subscriber sees every event");
         assert!(events.iter().all(|e| e.kind == ChangeKind::Created));
     }
+}
+
+/// `insert_batch` commits atomically with respect to snapshots: while
+/// four writers insert named batches into a durable store, every
+/// `frozen_export` is vid-sorted without duplicates and holds each batch
+/// whole or not at all, checkpoints interleave with the writers, and a
+/// reopen after the writers join equals the live store.
+#[test]
+fn exports_and_checkpoints_beside_batch_writers_see_whole_batches() {
+    const WRITERS: usize = 4;
+    const BATCHES: usize = 60;
+    const BATCH: usize = 7;
+    let dir = std::env::temp_dir().join(format!("idm-concurrency-{}-batches", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(ViewStore::new());
+    let lineage = LineageGraph::new();
+    let (mut mgr, _) =
+        DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack).unwrap();
+
+    let finished = Arc::new(AtomicUsize::new(0));
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|t| {
+            let store = Arc::clone(&store);
+            let finished = Arc::clone(&finished);
+            thread::spawn(move || {
+                for b in 0..BATCHES {
+                    let batch = (0..BATCH)
+                        .map(|k| store.build(format!("w{t}-b{b}-{k}")).into_record())
+                        .collect();
+                    store.insert_batch(batch);
+                }
+                finished.fetch_add(1, Ordering::Release);
+            })
+        })
+        .collect();
+
+    let mut exports = 0;
+    loop {
+        let writers_done = finished.load(Ordering::Acquire) == WRITERS;
+        let (export, ()) = store.frozen_export(|_| ());
+        assert!(
+            export.views.windows(2).all(|w| w[0].0 < w[1].0),
+            "export is vid-sorted without duplicates"
+        );
+        let mut per_batch: HashMap<String, usize> = HashMap::new();
+        for (_, _, record) in &export.views {
+            let name = record.name.as_deref().expect("every view is named");
+            let batch = name.rsplit_once('-').expect("w<t>-b<b>-<k>").0;
+            *per_batch.entry(batch.to_owned()).or_default() += 1;
+        }
+        for (batch, seen) in per_batch {
+            assert_eq!(seen, BATCH, "batch {batch} is whole or absent");
+        }
+        exports += 1;
+        if exports % 8 == 0 {
+            mgr.checkpoint(&store, &lineage).unwrap();
+        }
+        if writers_done {
+            break;
+        }
+    }
+    for w in writers {
+        w.join().expect("writer ok");
+    }
+    mgr.checkpoint(&store, &lineage).unwrap();
+    // One more batch after the last checkpoint, so the reopen replays a
+    // WAL tail on top of the snapshot.
+    store.insert_batch(vec![store.build("tail").into_record()]);
+    drop(mgr);
+
+    let (reopened, _, _, _) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
+    let image = |s: &ViewStore| {
+        let (export, ()) = s.frozen_export(|_| ());
+        let views: Vec<_> = export
+            .views
+            .iter()
+            .map(|(vid, version, record)| (*vid, *version, view_bytes(record, s.classes())))
+            .collect();
+        (export.next_vid, views)
+    };
+    let live = image(&store);
+    assert_eq!(live.1.len(), WRITERS * BATCHES * BATCH + 1);
+    assert_eq!(image(&reopened), live, "a reopen equals the live store");
+    std::fs::remove_dir_all(&dir).ok();
 }

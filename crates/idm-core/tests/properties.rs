@@ -182,7 +182,7 @@ proptest! {
     /// ids stable.
     #[test]
     fn store_len_consistency(ops in proptest::collection::vec((0u8..4, 0usize..5), 1..60)) {
-        let store = ViewStore::with_shards(4);
+        let store = ViewStore::new();
         let mut live: Vec<Vid> = Vec::new();
         let mut removed: Vec<Vid> = Vec::new();
         for (i, (op, n)) in ops.into_iter().enumerate() {

@@ -81,8 +81,8 @@ pub struct IndexSegment {
 
 impl IndexSegment {
     /// Prepares the index contributions of `vids` (one contiguous chunk
-    /// of an ingest's view list). Reads the store — under its shard
-    /// read locks — and tokenizes content, but touches no index.
+    /// of an ingest's view list). Reads the store — under its read
+    /// lock — and tokenizes content, but touches no index.
     pub fn build(store: &ViewStore, vids: &[Vid], source: &str) -> Result<IndexSegment> {
         let mut segment = IndexSegment {
             entries: Vec::with_capacity(vids.len()),

@@ -11,7 +11,8 @@
 //!
 //! - **strict** (the default): the checkpoint returns
 //!   [`IdmError::ResourceExhausted`], which unwinds the plan walker —
-//!   shard locks release on the way out, caches stay consistent.
+//!   store and index guards release on the way out, caches stay
+//!   consistent.
 //! - **partial** ([`QueryBudget::partial`]): the checkpoint flips to
 //!   [`Tick::Truncate`] forever after; operators stop consuming input
 //!   but still produce *sound subsets* of their true result, and the
@@ -24,10 +25,9 @@
 //! ungoverned execution (including `ExecStats` equality across reruns)
 //! is bit-identical to what it was before this layer existed.
 //!
-//! The tracker's counters are plain [`Cell`]s: a query's operators all
-//! run on the thread that called the executor, so the tracker is not
-//! `Sync`. Its [`CancelToken`] is the one piece another thread may hold
-//! (a clone), to cancel the query from outside.
+//! The tracker's state is plain [`Cell`]s: a query's operators all run
+//! on the thread that called the executor, so the tracker is not
+//! `Sync`, and only its own checkpoints and charges can trip it.
 
 use std::cell::Cell;
 use std::time::{Duration, Instant};
@@ -130,7 +130,7 @@ pub struct BudgetConsumption {
 type Exhaustion = (BudgetKind, u64, u64, &'static str);
 
 /// Per-query runtime state of a [`QueryBudget`]: the deadline instant,
-/// the cancel token, and the consumption counters.
+/// the consumption counters and the first tripped limit.
 #[derive(Debug)]
 pub struct BudgetTracker {
     enabled: bool,
@@ -138,7 +138,6 @@ pub struct BudgetTracker {
     budget: QueryBudget,
     started: Instant,
     deadline_at: Option<Instant>,
-    cancel: CancelToken,
     rows: Cell<u64>,
     nodes: Cell<u64>,
     bytes: Cell<u64>,
@@ -165,7 +164,6 @@ impl BudgetTracker {
             budget,
             started,
             deadline_at: budget.deadline.map(|d| started + d),
-            cancel: CancelToken::new(),
             rows: Cell::new(0),
             nodes: Cell::new(0),
             bytes: Cell::new(0),
@@ -179,19 +177,12 @@ impl BudgetTracker {
         self.enabled
     }
 
-    /// The cancellation flag — a clone may be handed to another thread;
-    /// raising it trips the next checkpoint with
-    /// [`BudgetKind::Cancelled`].
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
-    }
-
     /// Whether a limit has already tripped. Operators consult this to
     /// decide between returning a subset and skipping unsound work —
     /// the complement of a truncated input is a *superset*, so
     /// `Complement` returns empty once the budget has tripped.
     pub fn tripped(&self) -> bool {
-        self.enabled && self.cancel.is_cancelled()
+        self.exhausted.get().is_some()
     }
 
     /// Which limit tripped first, if any.
@@ -214,9 +205,9 @@ impl BudgetTracker {
         self.started.elapsed()
     }
 
-    /// Records the first exhaustion and raises the cancel flag. In
-    /// strict mode the caller gets the structured error; in partial
-    /// mode it gets [`Tick::Truncate`] (forever after).
+    /// Records the first exhaustion. In strict mode the caller gets the
+    /// structured error; in partial mode it gets [`Tick::Truncate`]
+    /// (forever after).
     fn trip(
         &self,
         kind: BudgetKind,
@@ -229,7 +220,6 @@ impl BudgetTracker {
             .get()
             .unwrap_or((kind, consumed, limit, phase));
         self.exhausted.set(Some(first));
-        self.cancel.cancel();
         if self.partial {
             Ok(Tick::Truncate)
         } else {
@@ -238,8 +228,8 @@ impl BudgetTracker {
         }
     }
 
-    /// A cooperative checkpoint: counts itself, then checks the cancel
-    /// flag, the injected cancel-at-check limit, and the wall-clock
+    /// A cooperative checkpoint: counts itself, then checks for an
+    /// earlier trip, the injected cancel-at-check limit, and the wall-clock
     /// deadline. Called at every operator entry and at the start of
     /// every operator's batch loop; with no budget armed it is one
     /// untaken branch.
@@ -249,17 +239,12 @@ impl BudgetTracker {
             return Ok(Tick::Continue);
         }
         let checks = add(&self.checks, 1);
-        if self.cancel.is_cancelled() {
-            // Already tripped (by a limit or through the token):
-            // re-raise the first exhaustion rather than minting a new
-            // one, so the caller sees which limit actually fired.
+        if let Some((kind, consumed, limit, phase)) = self.exhausted.get() {
+            // Already tripped: re-raise the first exhaustion rather than
+            // minting a new one, so the caller sees which limit fired.
             if self.partial {
                 return Ok(Tick::Truncate);
             }
-            let (kind, consumed, limit, phase) =
-                self.exhausted
-                    .get()
-                    .unwrap_or((BudgetKind::Cancelled, checks, checks, phase));
             return Err(IdmError::resource_exhausted(kind, consumed, limit, phase));
         }
         if let Some(limit) = self.budget.cancel_after_checks {
@@ -386,7 +371,7 @@ mod tests {
         let tracker = BudgetTracker::start(QueryBudget::with_deadline(Duration::ZERO));
         let err = tracker.checkpoint("scan").unwrap_err();
         assert_eq!(err.budget_kind(), Some(BudgetKind::WallClock));
-        assert!(tracker.cancel_token().is_cancelled());
+        assert!(tracker.tripped());
     }
 
     #[test]
@@ -401,14 +386,6 @@ mod tests {
         assert_eq!(tracker.checkpoint("c"), Ok(Tick::Truncate));
         assert_eq!(tracker.exhaustion(), Some(BudgetKind::Cancelled));
         assert_eq!(tracker.consumption().checkpoints, 3);
-    }
-
-    #[test]
-    fn external_cancel_token_trips_checkpoints() {
-        let tracker = BudgetTracker::start(QueryBudget::probe());
-        assert_eq!(tracker.checkpoint("a"), Ok(Tick::Continue));
-        tracker.cancel_token().cancel();
-        assert!(tracker.checkpoint("b").is_err(), "strict probe errors");
     }
 
     #[test]

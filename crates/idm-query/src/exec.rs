@@ -296,7 +296,7 @@ impl QueryProcessor {
     }
 
     /// [`QueryProcessor::execute_plan`] under an explicit budget (a
-    /// request's own, or a federation peer's slice of the deadline).
+    /// request's own, or a standing result's re-execution).
     pub fn execute_plan_with(&self, plan: &Plan, budget: QueryBudget) -> Result<QueryResult> {
         let tracker = BudgetTracker::start(budget);
         let mut stats = ExecStats::default();
@@ -402,8 +402,8 @@ impl QueryProcessor {
     ///
     /// Cooperative cancellation: every node entry is a checkpoint. In
     /// strict mode a tripped budget unwinds from here as
-    /// [`IdmError::ResourceExhausted`]; no shard lock outlives the
-    /// unwind (store reads release their shard on return).
+    /// [`IdmError::ResourceExhausted`]; no store lock outlives the
+    /// unwind (store reads release the lock on return).
     ///
     /// `keys` is the enclosing hash join's build table when this node is
     /// (part of) its probe side; only an [`AccessKind::NameByKeys`] leaf
@@ -1521,7 +1521,7 @@ mod tests {
             Some(idm_core::error::BudgetKind::WallClock)
         );
         assert!(started.elapsed() < Duration::from_millis(50));
-        // Shard locks were released on unwind: queries still run.
+        // Store locks were released on unwind: queries still run.
         p.set_budget(QueryBudget::none());
         assert!(p.execute(r#"//papers//*"#).is_ok());
     }

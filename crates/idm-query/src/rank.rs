@@ -95,18 +95,8 @@ impl QueryProcessor {
         weights: RankWeights,
     ) -> Result<Vec<RankedResult>> {
         let plan = self.plan_iql(iql)?;
-        self.execute_ranked_plan(&plan, weights)
-    }
-
-    /// Executes an already-planned query and ranks its rows. Federation
-    /// uses this to plan once at the coordinator and rank per peer.
-    pub fn execute_ranked_plan(
-        &self,
-        plan: &Plan,
-        weights: RankWeights,
-    ) -> Result<Vec<RankedResult>> {
-        let result = self.execute_plan(plan)?;
-        Ok(self.rank_rows(plan, &result.rows, weights))
+        let result = self.execute_plan(&plan)?;
+        Ok(self.rank_rows(&plan, &result.rows, weights))
     }
 
     /// Scores already-computed result rows against the phrase and class

@@ -4,8 +4,7 @@
 //! explain, ranking, result caching. [`QueryRequest`] is one builder
 //! carrying all of them, and [`QueryProcessor::run`] plans **once** and
 //! feeds every requested view of the execution from that single plan
-//! object. `Pdsms::run` and `Federation::run` in `idm-system` take the
-//! same request.
+//! object. `Pdsms::run` in `idm-system` takes the same request.
 //!
 //! ```
 //! # use idm_core::prelude::*;

@@ -30,7 +30,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod converter;
-pub mod federation;
 pub mod govern;
 pub mod health;
 pub mod live;
@@ -40,7 +39,6 @@ pub mod source;
 pub mod sync;
 
 pub use converter::{Content2IdmConverter, ConverterRegistry};
-pub use federation::{FederatedResult, FederatedRow, Federation};
 pub use govern::{AdmissionGate, AdmissionPermit, AdmissionSnapshot, GovernorConfig};
 pub use health::{HealthMonitor, HealthReport, HealthStats};
 pub use idm_query::{QueryRequest, QueryResponse};
@@ -432,7 +430,7 @@ impl Pdsms {
     }
 
     /// The system's own query processor — the one [`Pdsms::run`],
-    /// [`Pdsms::explain`], [`Pdsms::subscribe`] and federation peers use,
+    /// [`Pdsms::explain`] and [`Pdsms::subscribe`] use,
     /// with caches that stay warm across calls. Calling it bypasses the
     /// admission gate.
     pub fn processor(&self) -> &QueryProcessor {

@@ -55,8 +55,8 @@ impl ContentProvider for FileContentProvider {
 /// components — necessary because folder links may point anywhere,
 /// including ancestors (cycles). Pass 1 collects the whole subtree's
 /// view records and inserts them through [`ViewStore::insert_batch`]:
-/// one shard-lock acquisition per involved shard and one WAL group
-/// commit for the entire subtree, with vids minted by the store's
+/// one store write-lock acquisition and one WAL group commit for the
+/// entire subtree, with vids minted by the store's
 /// monotone counter in walk order.
 pub fn materialize(fs: &Arc<VirtualFs>, store: &ViewStore, from: NodeId) -> Result<FsMapping> {
     let file_class = store

@@ -1,11 +1,10 @@
 //! Integration tests for the live half of the system: synchronization
 //! rounds after source changes, stream windows over IMAP, RSS polling,
-//! and versioning/lineage across the stack.
+//! and lineage across the stack.
 
 use std::sync::Arc;
 
 use imemex::core::prelude::*;
-use imemex::core::version::VersionLog;
 use imemex::email::message::EmailMessage;
 use imemex::email::ImapServer;
 use imemex::streams::{PushEngine, StreamWindow};
@@ -92,38 +91,6 @@ fn filesystem_changes_flow_to_queries() {
             .len(),
         0
     );
-}
-
-#[test]
-fn version_log_tracks_the_whole_dataspace() {
-    let fs = Arc::new(VirtualFs::new(t()));
-    let dir = fs.mkdir_p("/v", t()).unwrap();
-    fs.create_file(dir, "a.txt", "one", t()).unwrap();
-
-    let mut system = Pdsms::new();
-    let plugin = Arc::new(FsPlugin::new(Arc::clone(&fs), NodeId::ROOT));
-    system.register_source(Arc::clone(&plugin) as _);
-
-    let mut log = VersionLog::attach(system.store());
-    system.index_all().unwrap();
-    let after_ingest = {
-        log.drain(system.store());
-        log.current_version()
-    };
-    assert!(after_ingest >= 3, "ingest creates versions");
-
-    // A later change creates exactly one more version for the view.
-    let sync = SynchronizationManager::attach(
-        plugin,
-        Arc::clone(system.store()),
-        Arc::clone(system.indexes()),
-    )
-    .unwrap();
-    let file = fs.resolve("/v/a.txt").unwrap();
-    fs.write_file(file, "two", t().plus_days(1)).unwrap();
-    sync.sync_round().unwrap();
-    log.drain(system.store());
-    assert!(log.current_version() > after_ingest);
 }
 
 #[test]
