@@ -54,9 +54,7 @@ fn parse_args() -> Args {
 fn options_at(scale: f64) -> BuildOptions {
     BuildOptions {
         scale,
-        imap_latency_scale: 0.0,
-        fs_latency_scale: 0.0,
-        imap_sleep: false,
+        latency: false,
         with_rss: true,
     }
 }

@@ -88,9 +88,7 @@ fn main() {
     println!("building workbench at sf {} ...", args.scale);
     let mut bench = build(BuildOptions {
         scale: args.scale,
-        imap_latency_scale: 0.0,
-        fs_latency_scale: 0.0,
-        imap_sleep: false,
+        latency: false,
         with_rss: true,
     });
     bench.system.make_durable(&dir).expect("make durable");

@@ -1,19 +1,18 @@
 //! # idm-bench — the evaluation harness (Section 7)
 //!
-//! Shared machinery for regenerating every table and figure of the
-//! paper's evaluation over the synthetic personal dataspace:
+//! Shared machinery for regenerating the paper's evaluation over the
+//! synthetic personal dataspace. [`Paper::measure`] builds one
+//! dataspace and takes every number of Tables 2–4, Figures 5–6 and our
+//! baseline from it; the `paper` bin prints that value and
+//! `tests/paper.rs` asserts the paper's shape claims on it.
 //!
 //! | Target | Binary |
 //! |---|---|
-//! | Table 2 (dataset characteristics) | `table2` |
-//! | Table 3 (index sizes) | `table3` |
-//! | Figure 5 (indexing times) | `figure5` |
-//! | Table 4 (queries + result counts) | `table4` |
-//! | Figure 6 (query response times) | `figure6` |
+//! | Tables 2–4, Figures 5–6, baseline | `paper` |
 //! | Budget overshoot, scrub interference, chaos (ours) | `overload`, `scrub`, `chaos` |
 //!
-//! Run binaries as
-//! `cargo run --release -p idm-bench --bin table4 -- --sf 0.1`.
+//! Run the evaluation as
+//! `cargo run --release -p idm-bench --bin paper -- --sf 1.0`.
 //! Ingest throughput, WAL, index, converter and per-query latencies are
 //! measured by the end-to-end benchmark in `bench-e2e/` (see
 //! `BENCHMARK.json`), not here.
@@ -23,6 +22,8 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use idm_core::prelude::Vid;
+use idm_dataset::generator::DatasetCounts;
 use idm_dataset::{generate, DatasetConfig, GeneratedDataset};
 use idm_email::LatencyModel;
 use idm_query::QueryProcessor;
@@ -50,8 +51,31 @@ pub const TABLE4_QUERIES: [(&str, &str); 8] = [
     ),
 ];
 
+/// Table 3's index structures, in the order of [`Paper::index_bytes`].
+pub const INDEXES: [&str; 5] = ["Name", "Tuple", "Content", "Group", "RV Catalog"];
+
 /// Result counts the paper reports for Q1–Q8 (Table 4).
 pub const PAPER_RESULT_COUNTS: [usize; 8] = [941, 39, 88, 2, 2, 31, 21, 16];
+
+/// The baseline's information needs: the paper's Examples 1 and 2 and
+/// Q4, each as the phrase a keyword tool is given and as iQL.
+pub const BASELINE_NEEDS: [(&str, &str, &str); 3] = [
+    (
+        "Example 1: PIM Introduction sections mentioning Mike Franklin",
+        "Mike Franklin",
+        r#"//PIM//Introduction[class="latex_section" and "Mike Franklin"]"#,
+    ),
+    (
+        "Example 2-style: OLAP figures captioned 'Indexing Time'",
+        "Indexing Time",
+        r#"//OLAP//*[class="figure" and "Indexing Time"]"#,
+    ),
+    (
+        "Q4: Vision sections under /papers that cite Franklin",
+        "Franklin",
+        r#"//papers//*Vision/*["Franklin"]"#,
+    ),
+];
 
 /// A fully built dataspace system ready for measurements.
 pub struct Workbench {
@@ -61,8 +85,6 @@ pub struct Workbench {
     pub system: Pdsms,
     /// Per-source ingestion statistics.
     pub stats: Vec<SourceIngestStats>,
-    /// Wall time of the full ingestion.
-    pub ingest_time: Duration,
 }
 
 /// Workbench build options.
@@ -70,46 +92,30 @@ pub struct Workbench {
 pub struct BuildOptions {
     /// Dataset scale factor (1.0 ≈ paper size).
     pub scale: f64,
-    /// Scale of the simulated IMAP latency (0 disables it).
-    pub imap_latency_scale: f64,
-    /// Scale of the simulated IDE-disk latency (0 disables it).
-    pub fs_latency_scale: f64,
-    /// Whether the IMAP server sleeps its latency (end-to-end timing)
-    /// or only accounts it.
-    pub imap_sleep: bool,
+    /// Whether source access pays the 2005 latency models: the IMAP
+    /// network model at scale 1.0 (slept, so ingest times are end to
+    /// end) and the IDE-disk model at scale 0.25.
+    pub latency: bool,
     /// Whether to register the RSS source as well.
     pub with_rss: bool,
 }
 
-impl Default for BuildOptions {
-    fn default() -> Self {
-        BuildOptions {
-            scale: 0.05,
-            imap_latency_scale: 1.0,
-            fs_latency_scale: 0.25,
-            imap_sleep: true,
-            with_rss: false,
-        }
-    }
-}
-
-/// Generates the dataset and registers the sources, without ingesting.
-fn assemble(options: BuildOptions) -> (GeneratedDataset, Pdsms) {
+/// Builds a workbench: generate the dataset, register the sources,
+/// ingest and index everything.
+pub fn build(options: BuildOptions) -> Workbench {
     let config = DatasetConfig {
         scale: options.scale,
-        imap_latency: if options.imap_latency_scale > 0.0 {
-            LatencyModel::remote_2005(options.imap_latency_scale)
+        imap_latency: if options.latency {
+            LatencyModel::remote_2005(1.0)
         } else {
             LatencyModel::none()
         },
-        imap_sleep: options.imap_sleep,
+        imap_sleep: options.latency,
         ..DatasetConfig::default()
     };
     let dataset = generate(config);
-    if options.fs_latency_scale > 0.0 {
-        dataset
-            .fs
-            .set_latency(idm_vfs::DiskLatency::ide_2005(options.fs_latency_scale));
+    if options.latency {
+        dataset.fs.set_latency(idm_vfs::DiskLatency::ide_2005(0.25));
     }
 
     let mut system = Pdsms::new();
@@ -124,22 +130,11 @@ fn assemble(options: BuildOptions) -> (GeneratedDataset, Pdsms) {
             dataset.feed_urls.clone(),
         )));
     }
-    (dataset, system)
-}
-
-/// Builds a workbench: generate the dataset, register the sources,
-/// ingest and index everything.
-pub fn build(options: BuildOptions) -> Workbench {
-    let (dataset, system) = assemble(options);
-    let start = Instant::now();
     let stats = system.index_all().expect("ingestion succeeds");
-    let ingest_time = start.elapsed();
-
     Workbench {
         dataset,
         system,
         stats,
-        ingest_time,
     }
 }
 
@@ -160,71 +155,157 @@ impl Workbench {
             .len()
     }
 
-    /// The expected (planted) result counts at this scale.
-    pub fn expected_counts(&self) -> [usize; 8] {
-        let e = self.dataset.expected;
-        [e.q1, e.q2, e.q3, e.q4, e.q5, e.q6, e.q7, e.q8]
-    }
-
-    /// Total views by source, from the catalog.
-    pub fn views_by_source(&self, source: &str) -> usize {
-        self.system.indexes().catalog.by_source(source).len()
-    }
-
-    /// Warm-cache timing of a query: runs it `warmup + runs` times,
-    /// averaging the last `runs` (the paper reports warm-cache averages
-    /// once the deviation is small).
-    pub fn time_query(&self, iql: &str, runs: usize) -> Duration {
-        let processor = self.processor();
-        for _ in 0..2 {
-            let _ = processor.execute(iql).expect("warmup run");
-        }
-        let start = Instant::now();
-        for _ in 0..runs {
-            let _ = processor.execute(iql).expect("timed run");
-        }
-        start.elapsed() / runs as u32
+    /// Simulated latency both sources have charged so far.
+    fn source_latency(&self) -> Duration {
+        self.dataset.imap.simulated_latency() + self.dataset.fs.simulated_latency()
     }
 }
 
-/// Parses `--sf <f64>` (and `--imap-latency <f64>`) from argv, with
-/// defaults. Used by every harness binary.
-pub fn cli_options() -> BuildOptions {
-    let mut options = BuildOptions::default();
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--sf" | "--scale" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    options.scale = v;
+/// One Table 4 query, measured (Table 4 and Figure 6).
+#[derive(Debug, Clone)]
+pub struct QueryRow {
+    /// `Q1` … `Q8`.
+    pub name: &'static str,
+    /// The iQL text.
+    pub iql: &'static str,
+    /// Rows the query returned.
+    pub rows: usize,
+    /// Rows the generator planted for it.
+    pub planted: usize,
+    /// `ExecStats::nodes_expanded` (not the paper's forward-expansion
+    /// count, see EXPERIMENTS.md).
+    pub nodes_expanded: usize,
+    /// `ExecStats::candidates_examined`.
+    pub candidates: usize,
+    /// Warm-cache mean response time.
+    pub time: Duration,
+}
+
+/// One baseline information need, answered three ways.
+#[derive(Debug, Clone)]
+pub struct BaselineRow {
+    /// The need, as printed.
+    pub label: &'static str,
+    /// grep-style: base items (files, emails, attachments) whose bytes
+    /// contain the phrase.
+    pub grep: usize,
+    /// desktop search: every indexed view containing the phrase.
+    pub desktop: Vec<Vid>,
+    /// iDM + iQL: the structural answer.
+    pub iql: Vec<Vid>,
+}
+
+/// Every number of the paper's evaluation, taken from one dataspace.
+#[derive(Debug, Clone)]
+pub struct Paper {
+    /// Dataset scale factor (1.0 ≈ paper size).
+    pub scale: f64,
+    /// Cores of the measuring host.
+    pub cores: usize,
+    /// Per-source ingest statistics (Table 2, Table 3's net input,
+    /// Figure 5).
+    pub sources: Vec<SourceIngestStats>,
+    /// The generator's composition (Table 2).
+    pub composition: DatasetCounts,
+    /// Serialized bytes of each of [`INDEXES`] (Table 3).
+    pub index_bytes: [usize; 5],
+    /// Simulated IMAP latency charged by the ingest (Figure 5).
+    pub imap_latency: Duration,
+    /// Q1–Q8 (Table 4 and Figure 6).
+    pub queries: Vec<QueryRow>,
+    /// The baseline comparison.
+    pub baseline: Vec<BaselineRow>,
+    /// Simulated source latency charged while the queries and the
+    /// baseline ran: zero unless a query reads a source.
+    pub query_source_latency: Duration,
+}
+
+impl Paper {
+    /// Builds the dataspace once at `scale`, with the 2005 latency
+    /// models on so that Figure 5 times real source access, and takes
+    /// every table and figure from it.
+    pub fn measure(scale: f64) -> Paper {
+        let bench = build(BuildOptions {
+            scale,
+            latency: true,
+            with_rss: false,
+        });
+        let imap_latency = bench.dataset.imap.simulated_latency();
+        let before_queries = bench.source_latency();
+        let e = bench.dataset.expected;
+        let planted = [e.q1, e.q2, e.q3, e.q4, e.q5, e.q6, e.q7, e.q8];
+        let processor = bench.processor();
+        let queries = TABLE4_QUERIES
+            .iter()
+            .zip(planted)
+            .map(|(&(name, iql), planted)| {
+                let result = processor.execute(iql).expect("query runs");
+                QueryRow {
+                    name,
+                    iql,
+                    rows: result.rows.len(),
+                    planted,
+                    nodes_expanded: result.stats.nodes_expanded,
+                    candidates: result.stats.candidates_examined,
+                    time: warm_time(&processor, iql, 9),
                 }
-                i += 2;
-            }
-            "--fs-latency" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    options.fs_latency_scale = v;
-                }
-                i += 2;
-            }
-            "--imap-latency" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    options.imap_latency_scale = v;
-                }
-                i += 2;
-            }
-            "--no-imap-sleep" => {
-                options.imap_sleep = false;
-                i += 1;
-            }
-            "--rss" => {
-                options.with_rss = true;
-                i += 1;
-            }
-            _ => i += 1,
+            })
+            .collect();
+        let baseline = baseline(&bench, &processor);
+        Paper {
+            scale,
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            composition: bench.dataset.counts,
+            index_bytes: {
+                let s = bench.system.indexes().sizes();
+                [s.name, s.tuple, s.content, s.group, s.catalog]
+            },
+            imap_latency,
+            query_source_latency: bench.source_latency() - before_queries,
+            sources: bench.stats,
+            queries,
+            baseline,
         }
     }
-    options
+}
+
+/// Warm-cache timing of a query: two warm-up runs, then the mean of
+/// `runs` (the paper reports warm-cache averages).
+fn warm_time(processor: &QueryProcessor, iql: &str, runs: u32) -> Duration {
+    for _ in 0..2 {
+        processor.execute(iql).expect("warmup run");
+    }
+    let start = Instant::now();
+    for _ in 0..runs {
+        processor.execute(iql).expect("timed run");
+    }
+    start.elapsed() / runs
+}
+
+/// The Section 1 motivation, quantified: results a user must examine
+/// for each of [`BASELINE_NEEDS`].
+fn baseline(bench: &Workbench, processor: &QueryProcessor) -> Vec<BaselineRow> {
+    let store = bench.system.store();
+    let is_base_item = |vid: Vid| {
+        store.class_name(vid).ok().flatten().is_some_and(|c| {
+            matches!(
+                c.as_str(),
+                "file" | "xmlfile" | "latexfile" | "attachment" | "emailmessage"
+            )
+        })
+    };
+    BASELINE_NEEDS
+        .iter()
+        .map(|&(label, keyword, iql)| {
+            let desktop = bench.system.indexes().content.phrase_query(keyword);
+            BaselineRow {
+                label,
+                grep: desktop.iter().filter(|&&v| is_base_item(v)).count(),
+                iql: processor.execute(iql).expect("iql runs").rows.views(),
+                desktop,
+            }
+        })
+        .collect()
 }
 
 /// The `p`-quantile (`0.0..=1.0`) of ascending-sorted samples, by
@@ -242,58 +323,19 @@ pub fn mb(bytes: u64) -> String {
     format!("{:.1}", bytes as f64 / (1024.0 * 1024.0))
 }
 
-/// Formats a duration as seconds with three decimals.
-pub fn secs(duration: Duration) -> String {
-    format!("{:.3}", duration.as_secs_f64())
-}
+/// How the `paper` bin is called.
+pub const PAPER_USAGE: &str = "usage: paper [--sf <positive number>]   (default --sf 0.05)";
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The central reproduction check: the Table 4 queries return the
-    /// planted counts on a small-scale workbench.
-    #[test]
-    fn table4_counts_match_expectations_at_small_scale() {
-        let bench = build(BuildOptions {
-            scale: 0.02,
-            imap_latency_scale: 0.0,
-            fs_latency_scale: 0.0,
-            imap_sleep: false,
-            with_rss: false,
-        });
-        let expected = bench.expected_counts();
-        for (i, (name, _)) in TABLE4_QUERIES.iter().enumerate() {
-            let measured = bench.run_query(i);
-            assert_eq!(
-                measured, expected[i],
-                "{name}: measured {measured} vs planted {}",
-                expected[i]
-            );
-        }
-    }
-
-    #[test]
-    fn figure5_shape_email_access_dominates() {
-        let bench = build(BuildOptions {
-            scale: 0.02,
-            imap_latency_scale: 1.0,
-            fs_latency_scale: 1.0,
-            imap_sleep: true,
-            with_rss: false,
-        });
-        let email = bench
-            .stats
-            .iter()
-            .find(|s| s.source == "imap")
-            .expect("email stats");
-        // The paper's key observation: email indexing is dominated by
-        // data source access.
-        assert!(
-            email.data_source_access > email.component_indexing + email.catalog_insert,
-            "access {:?} vs rest {:?}",
-            email.data_source_access,
-            email.component_indexing + email.catalog_insert
-        );
+/// The scale factor from the `paper` bin's arguments (without the
+/// program name): none gives 0.05, `--sf <x>` gives `x` if it is a
+/// positive number. Anything else is an error naming what was wrong.
+pub fn paper_scale(args: &[String]) -> Result<f64, String> {
+    match args {
+        [] => Ok(0.05),
+        [flag, value] if flag == "--sf" => match value.parse::<f64>() {
+            Ok(sf) if sf.is_finite() && sf > 0.0 => Ok(sf),
+            _ => Err(format!("--sf takes a positive number, not '{value}'")),
+        },
+        _ => Err(format!("unexpected arguments {args:?}")),
     }
 }

@@ -17,9 +17,7 @@ const CHECKPOINTS_AFTER_TRIP: u64 = 3;
 fn bench_options() -> BuildOptions {
     BuildOptions {
         scale: 0.02,
-        imap_latency_scale: 0.0,
-        fs_latency_scale: 0.0,
-        imap_sleep: false,
+        latency: false,
         with_rss: false,
     }
 }

@@ -14,9 +14,7 @@ fn bench_options() -> BuildOptions {
             .ok()
             .and_then(|s| s.parse().ok())
             .unwrap_or(0.05),
-        imap_latency_scale: 0.0,
-        fs_latency_scale: 0.0,
-        imap_sleep: false,
+        latency: false,
         with_rss: false,
     }
 }

@@ -9,9 +9,7 @@ use idm_query::parse;
 fn bench_options() -> BuildOptions {
     BuildOptions {
         scale: 0.02,
-        imap_latency_scale: 0.0,
-        fs_latency_scale: 0.0,
-        imap_sleep: false,
+        latency: false,
         with_rss: false,
     }
 }

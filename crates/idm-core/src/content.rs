@@ -11,7 +11,7 @@
 //!   as a media stream, exposed as a pull cursor that never ends.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -47,10 +47,42 @@ pub trait SymbolSource: Send + Sync {
     fn next_chunk(&self) -> Result<Bytes>;
 }
 
-/// Shared lazily-computed cell used by lazy content.
-struct LazyCell {
-    provider: Arc<dyn ContentProvider>,
-    cached: Mutex<Option<Bytes>>,
+/// The force-once cell of intensional content and groups. The value
+/// lives in a `OnceLock`, so readers ([`ForceOnce::get`]) never wait:
+/// while a force runs they see nothing, exactly as before it started.
+/// Forcing is serialized by a mutex held across the computation, so
+/// concurrent forcers compute once, and a failed computation leaves the
+/// cell empty for the next force.
+pub(crate) struct ForceOnce<T> {
+    value: OnceLock<T>,
+    forcing: Mutex<()>,
+}
+
+impl<T> ForceOnce<T> {
+    pub(crate) fn new() -> Self {
+        ForceOnce {
+            value: OnceLock::new(),
+            forcing: Mutex::new(()),
+        }
+    }
+
+    /// The value, if a force has finished.
+    pub(crate) fn get(&self) -> Option<&T> {
+        self.value.get()
+    }
+
+    /// The value, computing it first if no force has finished.
+    pub(crate) fn force(&self, compute: impl FnOnce() -> Result<T>) -> Result<&T> {
+        if let Some(value) = self.value.get() {
+            return Ok(value);
+        }
+        let _forcing = self.forcing.lock();
+        if let Some(value) = self.value.get() {
+            return Ok(value);
+        }
+        let value = compute()?;
+        Ok(self.value.get_or_init(|| value))
+    }
 }
 
 /// The content component handle.
@@ -69,48 +101,41 @@ pub enum Content {
 
 /// Lazily computed finite content with caching.
 pub struct LazyContent {
-    cell: LazyCell,
+    provider: Arc<dyn ContentProvider>,
+    cell: ForceOnce<Bytes>,
 }
 
 impl LazyContent {
     /// Wraps a provider.
     pub fn new(provider: Arc<dyn ContentProvider>) -> Self {
         LazyContent {
-            cell: LazyCell {
-                provider,
-                cached: Mutex::new(None),
-            },
+            provider,
+            cell: ForceOnce::new(),
         }
     }
 
     /// Computes (or returns the cached) bytes.
     pub fn get(&self) -> Result<Bytes> {
-        let mut cached = self.cell.cached.lock();
-        if let Some(bytes) = cached.as_ref() {
-            return Ok(bytes.clone());
-        }
-        let bytes = self.cell.provider.compute()?;
-        *cached = Some(bytes.clone());
-        Ok(bytes)
+        self.cell.force(|| self.provider.compute()).cloned()
     }
 
     /// Whether the content has been materialized yet.
     pub fn is_materialized(&self) -> bool {
-        self.cell.cached.lock().is_some()
+        self.cell.get().is_some()
     }
 
-    /// The cached bytes, if already materialized — never computes.
-    /// Durability snapshots use this to persist what exists without
-    /// forcing intensional work.
+    /// The cached bytes, if already materialized — never computes, and
+    /// never waits for a computation in progress. Durability snapshots
+    /// use this to persist what exists without forcing intensional work.
     pub fn peek(&self) -> Option<Bytes> {
-        self.cell.cached.lock().clone()
+        self.cell.get().cloned()
     }
 
     fn size_hint(&self) -> Option<u64> {
-        if let Some(bytes) = self.cell.cached.lock().as_ref() {
-            return Some(bytes.len() as u64);
+        match self.cell.get() {
+            Some(bytes) => Some(bytes.len() as u64),
+            None => self.provider.size_hint(),
         }
-        self.cell.provider.size_hint()
     }
 }
 

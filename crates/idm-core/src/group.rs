@@ -13,8 +13,7 @@ use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
+use crate::content::ForceOnce;
 use crate::error::{IdmError, Result};
 use crate::store::{Vid, ViewStore};
 
@@ -126,7 +125,7 @@ pub trait ViewSequenceSource: Send + Sync {
 /// Lazily computed group with caching (force-once semantics).
 pub struct LazyGroup {
     provider: Arc<dyn GroupProvider>,
-    cached: Mutex<Option<Arc<GroupData>>>,
+    cell: ForceOnce<Arc<GroupData>>,
 }
 
 impl LazyGroup {
@@ -134,34 +133,34 @@ impl LazyGroup {
     pub fn new(provider: Arc<dyn GroupProvider>) -> Self {
         LazyGroup {
             provider,
-            cached: Mutex::new(None),
+            cell: ForceOnce::new(),
         }
     }
 
     /// Computes (or returns the cached) group data.
     pub fn force(&self, store: &ViewStore, owner: Vid) -> Result<Arc<GroupData>> {
-        let mut cached = self.cached.lock();
-        if let Some(data) = cached.as_ref() {
-            return Ok(Arc::clone(data));
-        }
-        let data = Arc::new(self.provider.compute(store, owner).map_err(|e| match e {
-            IdmError::GroupOverlap(_) => IdmError::GroupOverlap(owner),
-            other => other,
-        })?);
-        *cached = Some(Arc::clone(&data));
-        Ok(data)
+        self.cell
+            .force(|| {
+                let data = self.provider.compute(store, owner).map_err(|e| match e {
+                    IdmError::GroupOverlap(_) => IdmError::GroupOverlap(owner),
+                    other => other,
+                })?;
+                Ok(Arc::new(data))
+            })
+            .cloned()
     }
 
     /// Whether the group has been materialized yet.
     pub fn is_materialized(&self) -> bool {
-        self.cached.lock().is_some()
+        self.cell.get().is_some()
     }
 
-    /// The cached group data, if already materialized — never forces.
-    /// Durability snapshots use this to persist what exists without
-    /// triggering intensional work.
+    /// The cached group data, if already materialized — never forces,
+    /// and never waits for a force in progress, whose provider may be
+    /// inserting children. Durability snapshots use this to persist
+    /// what exists without triggering intensional work.
     pub fn peek(&self) -> Option<Arc<GroupData>> {
-        self.cached.lock().clone()
+        self.cell.get().cloned()
     }
 }
 

@@ -14,7 +14,7 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
@@ -129,33 +129,7 @@ impl GroupSnapshot {
     }
 }
 
-static EMPTY_GROUP: once::Lazy<Arc<GroupData>> = once::Lazy::new(|| Arc::new(GroupData::default()));
-
-/// Minimal lazy-static helper (avoids a dependency for one cell).
-mod once {
-    use std::sync::OnceLock;
-
-    pub struct Lazy<T> {
-        cell: OnceLock<T>,
-        init: fn() -> T,
-    }
-
-    impl<T> Lazy<T> {
-        pub const fn new(init: fn() -> T) -> Self {
-            Lazy {
-                cell: OnceLock::new(),
-                init,
-            }
-        }
-    }
-
-    impl<T> std::ops::Deref for Lazy<T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            self.cell.get_or_init(self.init)
-        }
-    }
-}
+static EMPTY_GROUP: LazyLock<Arc<GroupData>> = LazyLock::new(|| Arc::new(GroupData::default()));
 
 /// One stored record plus its mutation version. The version starts at 0 on
 /// insert and increments on every in-place mutation, letting caches validate

@@ -335,3 +335,79 @@ fn exports_and_checkpoints_beside_batch_writers_see_whole_batches() {
     assert_eq!(image(&reopened), live, "a reopen equals the live store");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A lazy group's first force beside `DurabilityManager::attach`: the
+/// provider signals, then pauses until `attach` has frozen the store,
+/// written its initial snapshot and returned, and only then inserts a
+/// child, which needs the store's write lock. `attach` must not wait on
+/// the running provider (it records the group as unforced), and a
+/// reopen sees the group's members, which the WAL carries with the
+/// child's insert.
+#[test]
+fn a_lazy_force_beside_attach_does_not_deadlock() {
+    use std::sync::mpsc;
+    use std::sync::Mutex;
+    use std::time::Duration;
+
+    const PATIENCE: Duration = Duration::from_secs(10);
+    let dir = std::env::temp_dir().join(format!(
+        "idm-concurrency-{}-force-attach",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(ViewStore::new());
+    let (started_tx, started_rx) = mpsc::channel();
+    let (resume_tx, resume_rx) = mpsc::channel::<()>();
+    let resume_rx = Mutex::new(resume_rx);
+    let provider = Arc::new(move |store: &ViewStore, _owner: Vid| {
+        started_tx.send(()).expect("the test waits for the start");
+        // Whether or not `attach` came back, go on: the test has failed
+        // by then, and the insert shows what the provider would do.
+        let _ = resume_rx.lock().unwrap().recv_timeout(PATIENCE);
+        let child = store.build("forced child").insert();
+        Ok(GroupData::of_set(vec![child]))
+    });
+    let lazy = store.build("lazy").group(Group::lazy(provider)).insert();
+
+    let (forced_tx, forced_rx) = mpsc::channel();
+    let forcer = {
+        let store = Arc::clone(&store);
+        thread::spawn(move || {
+            let members = store.group(lazy).unwrap().finite_members();
+            forced_tx.send(()).unwrap();
+            members
+        })
+    };
+    started_rx
+        .recv_timeout(PATIENCE)
+        .expect("the provider runs");
+    let (attached_tx, attached_rx) = mpsc::channel();
+    let attacher = {
+        let store = Arc::clone(&store);
+        let dir = dir.clone();
+        thread::spawn(move || {
+            let lineage = LineageGraph::new();
+            let attached = DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack);
+            attached_tx.send(()).unwrap();
+            attached.expect("attach").0
+        })
+    };
+    attached_rx
+        .recv_timeout(PATIENCE)
+        .expect("attach finishes while the provider runs");
+    resume_tx.send(()).unwrap();
+    forced_rx
+        .recv_timeout(PATIENCE)
+        .expect("the force finishes");
+    let members = forcer.join().expect("force ok");
+    drop(attacher.join().expect("attach ok"));
+
+    let (reopened, _, _, _) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
+    assert_eq!(members.len(), 1);
+    assert_eq!(reopened.group(lazy).unwrap().finite_members(), members);
+    assert_eq!(
+        reopened.name(members[0]).unwrap().as_deref(),
+        Some("forced child")
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
