@@ -14,39 +14,20 @@
 
 use std::time::{Duration, Instant};
 
-use idm_bench::{build, percentile, BuildOptions, Workbench, TABLE4_QUERIES};
+use idm_bench::{bin_args, build, percentile, BinArgs, BuildOptions, Workbench, TABLE4_QUERIES};
 use idm_query::QueryBudget;
 
-struct Args {
-    scale: f64,
-    reps: usize,
-}
+const USAGE: &str =
+    "usage: overload [--sf <positive number>] [--reps <positive integer>]   (default --sf 1 --reps 20)";
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        scale: 1.0,
-        reps: 20,
-    };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--sf" => {
-                if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                    args.scale = v;
-                }
-                i += 2;
-            }
-            "--reps" => {
-                if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                    args.reps = v;
-                }
-                i += 2;
-            }
-            _ => i += 1,
-        }
-    }
-    args
+/// The bin's arguments; a bad one prints the usage and exits 2.
+fn parse_args() -> BinArgs {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let defaults = BinArgs { sf: 1.0, reps: 20 };
+    bin_args(&args, defaults).unwrap_or_else(|e| {
+        eprintln!("{e}\n{USAGE}");
+        std::process::exit(2);
+    })
 }
 
 /// Dataset without simulated source latency: the cost being measured is
@@ -92,7 +73,7 @@ fn cancel_overshoots(bench: &Workbench, reps: usize) -> Vec<Duration> {
 }
 
 fn main() {
-    let Args { scale, reps } = parse_args();
+    let BinArgs { sf: scale, reps } = parse_args();
     let bench = build(options_at(scale));
     println!(
         "Overload — cancellation overshoot past the deadline (sf {scale}, {} views)\n",

@@ -14,40 +14,21 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use idm_bench::{build, percentile, BuildOptions};
+use idm_bench::{bin_args, build, percentile, BinArgs, BuildOptions};
 use idm_core::durability::Scrubber;
 use idm_system::Pdsms;
 
-struct Args {
-    scale: f64,
-    reps: usize,
-}
+const USAGE: &str =
+    "usage: scrub [--sf <positive number>] [--reps <positive integer>]   (default --sf 1 --reps 600)";
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        scale: 1.0,
-        reps: 600,
-    };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--sf" => {
-                if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                    args.scale = v;
-                }
-                i += 2;
-            }
-            "--reps" => {
-                if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                    args.reps = v;
-                }
-                i += 2;
-            }
-            _ => i += 1,
-        }
-    }
-    args
+/// The bin's arguments; a bad one prints the usage and exits 2.
+fn parse_args() -> BinArgs {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let defaults = BinArgs { sf: 1.0, reps: 600 };
+    bin_args(&args, defaults).unwrap_or_else(|e| {
+        eprintln!("{e}\n{USAGE}");
+        std::process::exit(2);
+    })
 }
 
 /// The foreground mix: one latency sample per preset workbench query,
@@ -85,9 +66,9 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("idm-bench-scrub-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    println!("building workbench at sf {} ...", args.scale);
+    println!("building workbench at sf {} ...", args.sf);
     let mut bench = build(BuildOptions {
-        scale: args.scale,
+        scale: args.sf,
         latency: false,
         with_rss: true,
     });

@@ -332,10 +332,49 @@ pub const PAPER_USAGE: &str = "usage: paper [--sf <positive number>]   (default 
 pub fn paper_scale(args: &[String]) -> Result<f64, String> {
     match args {
         [] => Ok(0.05),
-        [flag, value] if flag == "--sf" => match value.parse::<f64>() {
-            Ok(sf) if sf.is_finite() && sf > 0.0 => Ok(sf),
-            _ => Err(format!("--sf takes a positive number, not '{value}'")),
-        },
+        [flag, value] if flag == "--sf" => positive_sf(value),
         _ => Err(format!("unexpected arguments {args:?}")),
+    }
+}
+
+/// The scale factor and repetition count of the `overload` and `scrub`
+/// bins.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BinArgs {
+    /// `--sf`: the dataset scale factor.
+    pub sf: f64,
+    /// `--reps`: how many measured repetitions.
+    pub reps: usize,
+}
+
+/// Parses a bin's arguments (without the program name) as strictly as
+/// [`paper_scale`]: `--sf <x>` with `x` a positive number and
+/// `--reps <n>` with `n` a positive integer, each at most once, in
+/// either order; what is not given keeps its default. Anything else is
+/// an error naming what was wrong.
+pub fn bin_args(args: &[String], defaults: BinArgs) -> Result<BinArgs, String> {
+    let (mut sf, mut reps) = (None, None);
+    for pair in args.chunks(2) {
+        match pair {
+            [flag, value] if flag == "--sf" && sf.is_none() => sf = Some(positive_sf(value)?),
+            [flag, value] if flag == "--reps" && reps.is_none() => {
+                reps = match value.parse::<usize>() {
+                    Ok(n) if n > 0 => Some(n),
+                    _ => return Err(format!("--reps takes a positive integer, not '{value}'")),
+                }
+            }
+            _ => return Err(format!("unexpected arguments {args:?}")),
+        }
+    }
+    Ok(BinArgs {
+        sf: sf.unwrap_or(defaults.sf),
+        reps: reps.unwrap_or(defaults.reps),
+    })
+}
+
+fn positive_sf(value: &str) -> Result<f64, String> {
+    match value.parse::<f64>() {
+        Ok(sf) if sf.is_finite() && sf > 0.0 => Ok(sf),
+        _ => Err(format!("--sf takes a positive number, not '{value}'")),
     }
 }

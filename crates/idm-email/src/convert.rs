@@ -26,15 +26,21 @@ use crate::message::EmailMessage;
 
 /// Instantiates one message (and its attachments) as resource views.
 pub fn message_to_views(store: &ViewStore, message: &EmailMessage) -> Result<Vid> {
+    mint_message(store, message, &mut Vec::new())
+}
+
+/// [`message_to_views`], appending every vid it mints (attachments,
+/// then the message) to `minted`.
+fn mint_message(store: &ViewStore, message: &EmailMessage, minted: &mut Vec<Vid>) -> Result<Vid> {
     let attachment_class = store.classes().require(names::ATTACHMENT)?;
-    let mut attachment_vids = Vec::with_capacity(message.attachments.len());
+    let first = minted.len();
     for attachment in &message.attachments {
         let tuple = TupleComponent::of(vec![
             ("size", Value::Integer(attachment.content.len() as i64)),
             ("creation time", Value::Date(message.date)),
             ("last modified time", Value::Date(message.date)),
         ]);
-        attachment_vids.push(
+        minted.push(
             store
                 .build(attachment.filename.clone())
                 .tuple(tuple)
@@ -54,10 +60,12 @@ pub fn message_to_views(store: &ViewStore, message: &EmailMessage) -> Result<Vid
         .tuple(tuple)
         .content(Content::text(message.body.clone()))
         .class_named(names::EMAILMESSAGE);
-    if !attachment_vids.is_empty() {
-        builder = builder.children(attachment_vids);
+    if minted.len() > first {
+        builder = builder.children(minted[first..].to_vec());
     }
-    Ok(builder.insert())
+    let vid = builder.insert();
+    minted.push(vid);
+    Ok(vid)
 }
 
 /// Statistics of a mailbox materialization.
@@ -82,6 +90,9 @@ pub struct MailboxMapping {
     pub folders: std::collections::HashMap<MailboxId, Vid>,
     /// Message uid → emailmessage view.
     pub messages: std::collections::HashMap<Uid, Vid>,
+    /// Every view the materialization minted (folders, messages,
+    /// attachments), in mint order.
+    pub views: Vec<Vid>,
     /// Counters.
     pub stats: MailboxStats,
 }
@@ -92,14 +103,21 @@ impl Default for MailboxMapping {
             root: Vid::from_raw(u64::MAX),
             folders: Default::default(),
             messages: Default::default(),
+            views: Vec::new(),
             stats: MailboxStats::default(),
         }
     }
 }
 
+/// Messages per FETCH command of a mailbox snapshot. A window bounds
+/// what ingest holds at once to that many fetched messages.
+const FETCH_WINDOW: usize = 64;
+
 /// Option 1 — **model the state**: snapshots a mailbox subtree into
 /// finite `mailfolder`/`emailmessage` views. The state may be retrieved
-/// multiple times; nothing is removed from the server.
+/// multiple times; nothing is removed from the server. Each mailbox's
+/// messages are fetched as message sets of up to 64, one round trip per
+/// set, and converted in uid order.
 pub fn materialize_mailbox(
     server: &ImapServer,
     store: &ViewStore,
@@ -132,13 +150,14 @@ fn materialize_rec(
     for (sub, _name) in server.list_mailboxes(mailbox)? {
         children.push(materialize_rec(server, store, sub, mapping)?);
     }
-    for uid in server.list_messages(mailbox)? {
-        let message = server.fetch(uid)?;
-        let vid = message_to_views(store, &message)?;
-        mapping.stats.messages += 1;
-        mapping.stats.attachments += message.attachments.len();
-        mapping.messages.insert(uid, vid);
-        children.push(vid);
+    for window in server.list_messages(mailbox)?.chunks(FETCH_WINDOW) {
+        for (&uid, message) in window.iter().zip(server.fetch_many(window)?) {
+            let vid = mint_message(store, &message, &mut mapping.views)?;
+            mapping.stats.messages += 1;
+            mapping.stats.attachments += message.attachments.len();
+            mapping.messages.insert(uid, vid);
+            children.push(vid);
+        }
     }
     mapping.stats.folders += 1;
     let mut builder = store.build(name).class_named(names::MAILFOLDER);
@@ -146,6 +165,7 @@ fn materialize_rec(
         builder = builder.children(children);
     }
     let vid = builder.insert();
+    mapping.views.push(vid);
     mapping.folders.insert(mailbox, vid);
     Ok(vid)
 }

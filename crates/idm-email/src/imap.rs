@@ -4,7 +4,9 @@
 //! email indexing time dominated by data source access (network round
 //! trips + transfer), unlike the local filesystem. The latency model
 //! reproduces that cost structure deterministically: every operation
-//! pays a fixed per-round-trip cost plus a per-byte transfer cost.
+//! pays a fixed per-round-trip cost plus a per-byte transfer cost. A
+//! message set is one FETCH command ([`ImapServer::fetch_many`]), so it
+//! pays one round trip plus the transfer of all its messages.
 //! `LatencyModel::none()` turns the simulation off for unit tests.
 
 use std::collections::HashMap;
@@ -284,29 +286,74 @@ impl ImapServer {
             .ok_or_else(|| IdmError::provider(format!("imap: no mailbox {mailbox}")))
     }
 
-    /// Fetches a message (one FETCH round trip paying transfer cost).
+    /// Fetches a message: a one-element [`fetch_many`](Self::fetch_many).
     pub fn fetch(&self, uid: Uid) -> Result<EmailMessage> {
+        self.fetch_many(std::slice::from_ref(&uid))?
+            .pop()
+            .ok_or_else(|| IdmError::provider(format!("imap: no message {uid}")))
+    }
+
+    /// Fetches a message set in one FETCH round trip (RFC 3501
+    /// `UID FETCH <set>`): one fault check and one charge of `per_op`
+    /// plus the transfer of every message's wire bytes. The messages
+    /// come back in `uids` order; an empty set sends no command.
+    ///
+    /// A torn read (`Truncate(keep)`) cuts the set's concatenated wire
+    /// at `keep`. Messages before the cut parse whole, and the one the
+    /// cut lands in parses from its prefix, as a torn single fetch does.
+    /// If a requested message lies wholly past the cut, the call fails
+    /// with a transient error: a set never comes back short.
+    pub fn fetch_many(&self, uids: &[Uid]) -> Result<Vec<EmailMessage>> {
+        if uids.is_empty() {
+            return Ok(Vec::new());
+        }
         let action = self.fault_check("fetch")?;
-        let mut wire = {
+        let mut wires = {
             let inner = self.inner.read();
-            inner
-                .store
-                .get(&uid)
-                .cloned()
-                .ok_or_else(|| IdmError::provider(format!("imap: no message {uid}")))?
+            uids.iter()
+                .map(|uid| {
+                    inner
+                        .store
+                        .get(uid)
+                        .cloned()
+                        .ok_or_else(|| IdmError::provider(format!("imap: no message {uid}")))
+                })
+                .collect::<Result<Vec<String>>>()?
         };
         // Torn read: the FETCH transfer was cut short mid-wire.
         if let FaultAction::Truncate(keep) = action {
+            // The cut lands in the first message that ends past `keep`,
+            // or in the last one.
+            let (mut torn, mut start) = (0, 0);
+            while torn + 1 < wires.len() && start + wires[torn].len() <= keep {
+                start += wires[torn].len();
+                torn += 1;
+            }
+            let wire = &mut wires[torn];
             let keep = wire
                 .char_indices()
                 .map(|(i, _)| i)
-                .take_while(|i| *i <= keep)
+                .take_while(|i| *i <= keep - start)
                 .last()
                 .unwrap_or(0);
             wire.truncate(keep);
+            wires.truncate(torn + 1);
         }
-        self.pay(wire.len());
-        EmailMessage::from_wire(&wire)
+        self.pay(wires.iter().map(String::len).sum());
+        if wires.len() < uids.len() {
+            return Err(IdmError::transient(
+                "imap",
+                format!(
+                    "FETCH of {} messages cut short after {}",
+                    uids.len(),
+                    wires.len()
+                ),
+            ));
+        }
+        wires
+            .iter()
+            .map(|wire| EmailMessage::from_wire(wire))
+            .collect()
     }
 
     /// Fetches only a message's wire size (header-level round trip).

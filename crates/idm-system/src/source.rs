@@ -140,19 +140,13 @@ impl DataSourcePlugin for ImapPlugin {
     }
 
     fn ingest(&self, store: &ViewStore) -> Result<Ingestion> {
-        let before: std::collections::HashSet<Vid> = store.vids().into_iter().collect();
         let mapping = materialize_mailbox_mapped(&self.server, store, self.server.inbox())?;
-        let root = mapping.root;
+        let ingestion = Ingestion {
+            roots: vec![mapping.root],
+            base_views: mapping.views.clone(),
+        };
         *self.mapping.lock() = mapping;
-        let base_views: Vec<Vid> = store
-            .vids()
-            .into_iter()
-            .filter(|v| !before.contains(v))
-            .collect();
-        Ok(Ingestion {
-            roots: vec![root],
-            base_views,
-        })
+        Ok(ingestion)
     }
 }
 
@@ -228,6 +222,47 @@ mod tests {
         let ingestion = plugin.ingest(&store).unwrap();
         assert_eq!(ingestion.base_views.len(), 2); // INBOX + message
         assert_eq!(plugin.last_stats().messages, 1);
+    }
+
+    /// The IMAP base views are exactly the vids its ingest added to the
+    /// store, in vid order, also when another source ingested first.
+    #[test]
+    fn imap_base_views_are_the_views_its_ingest_added() {
+        use idm_email::message::{Attachment, EmailMessage};
+        let fs = Arc::new(VirtualFs::new(t()));
+        let dir = fs.mkdir_p("/docs", t()).unwrap();
+        fs.create_file(dir, "a.txt", "hello", t()).unwrap();
+        let server = Arc::new(ImapServer::in_process());
+        let projects = server.create_mailbox(server.inbox(), "Projects").unwrap();
+        for i in 0..70 {
+            let mailbox = if i % 3 == 0 { projects } else { server.inbox() };
+            let attachments = (i % 5 == 0)
+                .then(|| Attachment {
+                    filename: format!("a{i}.txt"),
+                    content: b"attached".to_vec().into(),
+                })
+                .into_iter()
+                .collect();
+            let message = EmailMessage {
+                subject: format!("s{i}"),
+                date: t(),
+                attachments,
+                ..EmailMessage::default()
+            };
+            server.append(mailbox, &message).unwrap();
+        }
+
+        let store = ViewStore::new();
+        FsPlugin::new(fs, NodeId::ROOT).ingest(&store).unwrap();
+        let before: std::collections::HashSet<Vid> = store.vids().into_iter().collect();
+        let ingestion = ImapPlugin::new(server).ingest(&store).unwrap();
+        let added: Vec<Vid> = store
+            .vids()
+            .into_iter()
+            .filter(|v| !before.contains(v))
+            .collect();
+        assert_eq!(ingestion.base_views, added);
+        assert_eq!(added.len(), 2 + 70 + 14);
     }
 
     #[test]
