@@ -223,8 +223,18 @@ fn figure5(paper: &Paper) {
         }
     }
     println!(
-        "\n(total simulated IMAP latency: {} s)\n",
+        "\n(total simulated IMAP latency: {} s)",
         secs(paper.imap_latency)
+    );
+    let phases: Duration = paper
+        .sources
+        .iter()
+        .map(SourceIngestStats::total_time)
+        .sum();
+    println!(
+        "(ingest wall time: {} s beside {} s of phases: the IMAP source is read while the filesystem ingests)\n",
+        secs(paper.ingest_wall),
+        secs(phases)
     );
 }
 

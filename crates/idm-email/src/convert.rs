@@ -15,7 +15,10 @@
 //! [`InboxStreamSource`] is the infinite message **stream** (Option 2) —
 //! delivered messages are consumed and cannot be pulled twice.
 
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use idm_core::class::builtin::names;
 use idm_core::prelude::*;
@@ -26,15 +29,17 @@ use crate::message::EmailMessage;
 
 /// Instantiates one message (and its attachments) as resource views.
 pub fn message_to_views(store: &ViewStore, message: &EmailMessage) -> Result<Vid> {
-    mint_message(store, message, &mut Vec::new())
+    mint_message(store, message.clone(), &mut Vec::new())
 }
 
-/// [`message_to_views`], appending every vid it mints (attachments,
-/// then the message) to `minted`.
-fn mint_message(store: &ViewStore, message: &EmailMessage, minted: &mut Vec<Vid>) -> Result<Vid> {
+/// [`message_to_views`] of an owned message, whose strings become the
+/// views' components; appends every vid it mints (attachments, then the
+/// message) to `minted`.
+fn mint_message(store: &ViewStore, message: EmailMessage, minted: &mut Vec<Vid>) -> Result<Vid> {
     let attachment_class = store.classes().require(names::ATTACHMENT)?;
     let first = minted.len();
-    for attachment in &message.attachments {
+    let size = message.content_size();
+    for attachment in message.attachments {
         let tuple = TupleComponent::of(vec![
             ("size", Value::Integer(attachment.content.len() as i64)),
             ("creation time", Value::Date(message.date)),
@@ -42,23 +47,23 @@ fn mint_message(store: &ViewStore, message: &EmailMessage, minted: &mut Vec<Vid>
         ]);
         minted.push(
             store
-                .build(attachment.filename.clone())
+                .build(attachment.filename)
                 .tuple(tuple)
-                .content(Content::inline(attachment.content.clone()))
+                .content(Content::inline(attachment.content))
                 .class(attachment_class)
                 .insert(),
         );
     }
     let tuple = TupleComponent::of(vec![
-        ("from", Value::Text(message.from.clone())),
-        ("to", Value::Text(message.to.clone())),
+        ("from", Value::Text(message.from)),
+        ("to", Value::Text(message.to)),
         ("date", Value::Date(message.date)),
-        ("size", Value::Integer(message.content_size() as i64)),
+        ("size", Value::Integer(size as i64)),
     ]);
     let mut builder = store
-        .build(message.subject.clone())
+        .build(message.subject)
         .tuple(tuple)
-        .content(Content::text(message.body.clone()))
+        .content(Content::text(message.body))
         .class_named(names::EMAILMESSAGE);
     if minted.len() > first {
         builder = builder.children(minted[first..].to_vec());
@@ -77,6 +82,11 @@ pub struct MailboxStats {
     pub messages: usize,
     /// Attachment views created.
     pub attachments: usize,
+    /// The reader thread's time in server calls (the Figure 5 source
+    /// access of this mailbox tree).
+    pub reading: Duration,
+    /// The materializing thread's time waiting for the reader.
+    pub waiting: Duration,
 }
 
 /// The node mapping produced by a mailbox materialization: what the
@@ -113,13 +123,228 @@ impl Default for MailboxMapping {
 /// what ingest holds at once to that many fetched messages.
 const FETCH_WINDOW: usize = 64;
 
+/// Replies a [`MailboxReader`] may queue ahead of its materialization.
+/// At the generator's ≈ 1.8 KB a message a window is ≈ 115 KB of wire,
+/// so the queue holds about 1 MiB; the generator's whole tree at sf
+/// 0.04 (6 mailboxes of one window each) is 12 replies.
+const READ_AHEAD: usize = 12;
+
+/// What a [`MailboxReader`] sends, in the order it reads the server.
+enum Reply {
+    /// A mailbox whose sub-mailboxes were all sent before it (their
+    /// folders are the last `subs` built); its messages follow as one
+    /// [`Reply::Window`] per `FETCH_WINDOW` uids.
+    Mailbox {
+        id: MailboxId,
+        name: String,
+        subs: usize,
+        uids: Vec<Uid>,
+    },
+    /// The messages of the next window, in uid-list order.
+    Window(Vec<EmailMessage>),
+}
+
+/// The reader thread: makes a snapshot's server calls in depth-first
+/// order and sends every result, stopping after the first error or
+/// once the materializer is gone.
+struct Reader<'a> {
+    server: &'a ImapServer,
+    replies: SyncSender<Result<Reply>>,
+    /// Time spent in server calls.
+    busy: Duration,
+}
+
+impl Reader<'_> {
+    /// One timed server call; an error is sent and stops the reading.
+    fn call<T>(&mut self, call: impl FnOnce(&ImapServer) -> Result<T>) -> Option<T> {
+        let start = Instant::now();
+        let result = call(self.server);
+        self.busy += start.elapsed();
+        match result {
+            Ok(value) => Some(value),
+            Err(err) => {
+                let _ = self.replies.send(Err(err));
+                None
+            }
+        }
+    }
+
+    fn send(&self, reply: Reply) -> Option<()> {
+        self.replies.send(Ok(reply)).ok()
+    }
+
+    fn read(&mut self, mailbox: MailboxId) -> Option<()> {
+        let name = self.call(|server| server.mailbox_name(mailbox))?;
+        let subs = self.call(|server| server.list_mailboxes(mailbox))?;
+        for &(sub, _) in &subs {
+            self.read(sub)?;
+        }
+        let uids = self.call(|server| server.list_messages(mailbox))?;
+        self.send(Reply::Mailbox {
+            id: mailbox,
+            name,
+            subs: subs.len(),
+            uids: uids.clone(),
+        })?;
+        for window in uids.chunks(FETCH_WINDOW) {
+            let messages = self.call(|server| server.fetch_many(window))?;
+            self.send(Reply::Window(messages))?;
+        }
+        Some(())
+    }
+}
+
+/// A mailbox tree read on a thread of its own, ahead of its
+/// materialization: the server calls of a snapshot, in the snapshot's
+/// order, with at most a fixed number of replies (about 1 MiB of
+/// wire) queued for the thread that converts them. Dropping the
+/// reader, materialized or not, stops the thread at its next send and
+/// joins it.
+pub struct MailboxReader {
+    replies: Option<Receiver<Result<Reply>>>,
+    thread: Option<JoinHandle<Duration>>,
+}
+
+impl MailboxReader {
+    /// Starts reading the tree under `mailbox`.
+    pub fn start(server: Arc<ImapServer>, mailbox: MailboxId) -> Result<MailboxReader> {
+        let (sender, replies) = sync_channel(READ_AHEAD);
+        let thread = std::thread::Builder::new()
+            .name("imap-reader".to_owned())
+            .spawn(move || {
+                let mut reader = Reader {
+                    server: &server,
+                    replies: sender,
+                    busy: Duration::ZERO,
+                };
+                reader.read(mailbox);
+                reader.busy
+            })
+            .map_err(|err| IdmError::provider(format!("imap: cannot start a reader: {err}")))?;
+        Ok(MailboxReader {
+            replies: Some(replies),
+            thread: Some(thread),
+        })
+    }
+
+    /// Mints the tree's views from what the reader reads, in the order
+    /// it reads them, then stops and joins the reader. A failed
+    /// materialization removes every view it minted before it returns
+    /// the error.
+    pub fn materialize(mut self, store: &ViewStore) -> Result<MailboxMapping> {
+        let mut mapping = MailboxMapping::default();
+        let built = match &self.replies {
+            Some(replies) => build(replies, store, &mut mapping),
+            None => Err(stopped_early()),
+        };
+        match self
+            .stop()
+            .and_then(|reading| built.map(|root| (root, reading)))
+        {
+            Ok((root, reading)) => {
+                mapping.root = root;
+                mapping.stats.reading = reading;
+                Ok(mapping)
+            }
+            Err(err) => {
+                for &vid in &mapping.views {
+                    store.remove(vid).ok();
+                }
+                Err(err)
+            }
+        }
+    }
+
+    /// Drops the receiver, so the reader's next send fails and it
+    /// stops, and joins it; returns its time in server calls.
+    fn stop(&mut self) -> Result<Duration> {
+        self.replies = None;
+        match self.thread.take() {
+            Some(thread) => thread
+                .join()
+                .map_err(|_| IdmError::provider("imap: the reader thread panicked")),
+            None => Ok(Duration::ZERO),
+        }
+    }
+}
+
+impl Drop for MailboxReader {
+    fn drop(&mut self) {
+        // Dropping must not panic: `materialize` is where a reader's
+        // panic is reported.
+        let _ = self.stop();
+    }
+}
+
+fn stopped_early() -> IdmError {
+    IdmError::provider("imap: the reader stopped before the mailbox tree was read")
+}
+
+/// Mints the views of the replies: each message in uid order, and a
+/// mailbox's folder after its sub-mailboxes' folders and its messages,
+/// exactly as a depth-first walk would. Returns the root folder; adds
+/// the time spent waiting for a reply to `mapping.stats.waiting`.
+fn build(
+    replies: &Receiver<Result<Reply>>,
+    store: &ViewStore,
+    mapping: &mut MailboxMapping,
+) -> Result<Vid> {
+    let next = |waiting: &mut Duration| -> Result<Option<Reply>> {
+        let start = Instant::now();
+        let reply = replies.recv();
+        *waiting += start.elapsed();
+        reply.ok().transpose()
+    };
+    // Folders built and not yet claimed by their parent.
+    let mut folders: Vec<Vid> = Vec::new();
+    while let Some(reply) = next(&mut mapping.stats.waiting)? {
+        let Reply::Mailbox {
+            id,
+            name,
+            subs,
+            uids,
+        } = reply
+        else {
+            return Err(stopped_early());
+        };
+        let first_sub = folders.len().checked_sub(subs).ok_or_else(stopped_early)?;
+        let mut children = folders.split_off(first_sub);
+        for window in uids.chunks(FETCH_WINDOW) {
+            let Some(Reply::Window(messages)) = next(&mut mapping.stats.waiting)? else {
+                return Err(stopped_early());
+            };
+            for (&uid, message) in window.iter().zip(messages) {
+                mapping.stats.messages += 1;
+                mapping.stats.attachments += message.attachments.len();
+                let vid = mint_message(store, message, &mut mapping.views)?;
+                mapping.messages.insert(uid, vid);
+                children.push(vid);
+            }
+        }
+        mapping.stats.folders += 1;
+        let mut builder = store.build(name).class_named(names::MAILFOLDER);
+        if !children.is_empty() {
+            builder = builder.children(children);
+        }
+        let vid = builder.insert();
+        mapping.views.push(vid);
+        mapping.folders.insert(id, vid);
+        folders.push(vid);
+    }
+    match folders[..] {
+        [root] => Ok(root),
+        _ => Err(stopped_early()),
+    }
+}
+
 /// Option 1 — **model the state**: snapshots a mailbox subtree into
 /// finite `mailfolder`/`emailmessage` views. The state may be retrieved
-/// multiple times; nothing is removed from the server. Each mailbox's
-/// messages are fetched as message sets of up to 64, one round trip per
-/// set, and converted in uid order.
+/// multiple times; nothing is removed from the server. A
+/// [`MailboxReader`] thread fetches each mailbox's messages as message
+/// sets of up to 64, one round trip per set, while the calling thread
+/// converts them in uid order; a failed snapshot leaves no view.
 pub fn materialize_mailbox(
-    server: &ImapServer,
+    server: &Arc<ImapServer>,
     store: &ViewStore,
     mailbox: MailboxId,
 ) -> Result<(Vid, MailboxStats)> {
@@ -129,45 +354,11 @@ pub fn materialize_mailbox(
 
 /// [`materialize_mailbox`] variant returning the full node mapping.
 pub fn materialize_mailbox_mapped(
-    server: &ImapServer,
+    server: &Arc<ImapServer>,
     store: &ViewStore,
     mailbox: MailboxId,
 ) -> Result<MailboxMapping> {
-    let mut mapping = MailboxMapping::default();
-    let root = materialize_rec(server, store, mailbox, &mut mapping)?;
-    mapping.root = root;
-    Ok(mapping)
-}
-
-fn materialize_rec(
-    server: &ImapServer,
-    store: &ViewStore,
-    mailbox: MailboxId,
-    mapping: &mut MailboxMapping,
-) -> Result<Vid> {
-    let name = server.mailbox_name(mailbox)?;
-    let mut children = Vec::new();
-    for (sub, _name) in server.list_mailboxes(mailbox)? {
-        children.push(materialize_rec(server, store, sub, mapping)?);
-    }
-    for window in server.list_messages(mailbox)?.chunks(FETCH_WINDOW) {
-        for (&uid, message) in window.iter().zip(server.fetch_many(window)?) {
-            let vid = mint_message(store, &message, &mut mapping.views)?;
-            mapping.stats.messages += 1;
-            mapping.stats.attachments += message.attachments.len();
-            mapping.messages.insert(uid, vid);
-            children.push(vid);
-        }
-    }
-    mapping.stats.folders += 1;
-    let mut builder = store.build(name).class_named(names::MAILFOLDER);
-    if !children.is_empty() {
-        builder = builder.children(children);
-    }
-    let vid = builder.insert();
-    mapping.views.push(vid);
-    mapping.folders.insert(mailbox, vid);
-    Ok(vid)
+    MailboxReader::start(Arc::clone(server), mailbox)?.materialize(store)
 }
 
 /// Option 2 — **model the stream**: an infinite group sequence of the
@@ -289,7 +480,7 @@ mod tests {
 
     #[test]
     fn option_1_state_snapshot() {
-        let server = ImapServer::in_process();
+        let server = Arc::new(ImapServer::in_process());
         let projects = server.create_mailbox(server.inbox(), "Projects").unwrap();
         server
             .append(server.inbox(), &msg("hello", vec![]))

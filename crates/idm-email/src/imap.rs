@@ -300,60 +300,65 @@ impl ImapServer {
     ///
     /// A torn read (`Truncate(keep)`) cuts the set's concatenated wire
     /// at `keep`. Messages before the cut parse whole, and the one the
-    /// cut lands in parses from its prefix, as a torn single fetch does.
-    /// If a requested message lies wholly past the cut, the call fails
-    /// with a transient error: a set never comes back short.
+    /// cut lands in parses from its prefix, as a torn single fetch does;
+    /// a cut at or past the end of the set's last message keeps it
+    /// whole. If a requested message lies wholly past the cut, the call
+    /// fails with a transient error: a set never comes back short.
     pub fn fetch_many(&self, uids: &[Uid]) -> Result<Vec<EmailMessage>> {
         if uids.is_empty() {
             return Ok(Vec::new());
         }
         let action = self.fault_check("fetch")?;
-        let mut wires = {
-            let inner = self.inner.read();
-            uids.iter()
-                .map(|uid| {
-                    inner
-                        .store
-                        .get(uid)
-                        .cloned()
-                        .ok_or_else(|| IdmError::provider(format!("imap: no message {uid}")))
-                })
-                .collect::<Result<Vec<String>>>()?
-        };
-        // Torn read: the FETCH transfer was cut short mid-wire.
-        if let FaultAction::Truncate(keep) = action {
-            // The cut lands in the first message that ends past `keep`,
-            // or in the last one.
-            let (mut torn, mut start) = (0, 0);
-            while torn + 1 < wires.len() && start + wires[torn].len() <= keep {
-                start += wires[torn].len();
-                torn += 1;
-            }
-            let wire = &mut wires[torn];
-            let keep = wire
-                .char_indices()
-                .map(|(i, _)| i)
-                .take_while(|i| *i <= keep - start)
-                .last()
-                .unwrap_or(0);
-            wire.truncate(keep);
-            wires.truncate(torn + 1);
-        }
-        self.pay(wires.iter().map(String::len).sum());
-        if wires.len() < uids.len() {
-            return Err(IdmError::transient(
-                "imap",
-                format!(
-                    "FETCH of {} messages cut short after {}",
-                    uids.len(),
-                    wires.len()
-                ),
-            ));
-        }
-        wires
-            .iter()
-            .map(|wire| EmailMessage::from_wire(wire))
-            .collect()
+        // Parsed from the stored wire under the read lock, so a FETCH
+        // copies no wire; the latency is paid after.
+        let (fetched, bytes) =
+            {
+                let inner = self.inner.read();
+                let mut wires =
+                    uids.iter()
+                        .map(|uid| {
+                            inner.store.get(uid).map(String::as_str).ok_or_else(|| {
+                                IdmError::provider(format!("imap: no message {uid}"))
+                            })
+                        })
+                        .collect::<Result<Vec<&str>>>()?;
+                // Torn read: the FETCH transfer was cut short mid-wire.
+                if let FaultAction::Truncate(keep) = action {
+                    // The cut lands in the first message that ends past
+                    // `keep`, or in the last one.
+                    let (mut torn, mut start) = (0, 0);
+                    while torn + 1 < wires.len() && start + wires[torn].len() <= keep {
+                        start += wires[torn].len();
+                        torn += 1;
+                    }
+                    let wire = wires[torn];
+                    let keep = wire
+                        .char_indices()
+                        .map(|(i, _)| i)
+                        .chain([wire.len()])
+                        .take_while(|i| *i <= keep - start)
+                        .last()
+                        .unwrap_or(0);
+                    wires[torn] = &wire[..keep];
+                    wires.truncate(torn + 1);
+                }
+                let bytes: usize = wires.iter().map(|wire| wire.len()).sum();
+                let fetched = if wires.len() < uids.len() {
+                    Err(IdmError::transient(
+                        "imap",
+                        format!(
+                            "FETCH of {} messages cut short after {}",
+                            uids.len(),
+                            wires.len()
+                        ),
+                    ))
+                } else {
+                    wires.into_iter().map(EmailMessage::from_wire).collect()
+                };
+                (fetched, bytes)
+            };
+        self.pay(bytes);
+        fetched
     }
 
     /// Fetches only a message's wire size (header-level round trip).

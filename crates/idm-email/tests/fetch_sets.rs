@@ -1,6 +1,7 @@
 //! Message-set FETCH: what a snapshot of a mailbox tree pays, what it
 //! builds, and how a set fails.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -55,8 +56,8 @@ fn populate(server: &ImapServer, inbox: usize) -> Vec<(MailboxId, usize)> {
     boxes
 }
 
-fn account_only(per_op: Duration, per_byte: Duration) -> ImapServer {
-    ImapServer::new(LatencyModel { per_op, per_byte }, false)
+fn account_only(per_op: Duration, per_byte: Duration) -> Arc<ImapServer> {
+    Arc::new(ImapServer::new(LatencyModel { per_op, per_byte }, false))
 }
 
 #[test]
@@ -110,7 +111,7 @@ fn materialize_per_uid(server: &ImapServer, store: &ViewStore, mailbox: MailboxI
 #[test]
 fn windowed_snapshot_builds_the_per_message_views_vid_for_vid() {
     // 150 INBOX messages: two full windows and a partial one.
-    let server = ImapServer::in_process();
+    let server = Arc::new(ImapServer::in_process());
     populate(&server, 150);
     let windowed = ViewStore::new();
     let mapping = materialize_mailbox_mapped(&server, &windowed, server.inbox()).unwrap();
@@ -153,11 +154,13 @@ fn a_faulted_multi_window_snapshot_fails_cleanly() {
         FaultPlan::fail_every(1),
         FaultPlan::torn_read(100),
     ] {
-        let server = ImapServer::in_process();
+        let server = Arc::new(ImapServer::in_process());
         populate(&server, 2 * WINDOW + 2);
         server.install_faults(plan.clone());
-        let result = materialize_mailbox(&server, &ViewStore::new(), server.inbox());
+        let store = ViewStore::new();
+        let result = materialize_mailbox(&server, &store, server.inbox());
         assert!(result.is_err(), "{plan:?} gave a snapshot");
+        assert!(store.is_empty(), "{plan:?} left {} views", store.len());
     }
 }
 
@@ -236,4 +239,22 @@ fn a_torn_set_parses_up_to_the_cut_or_fails() {
             "keep {keep}: {err}"
         );
     }
+}
+
+#[test]
+fn a_torn_read_that_keeps_everything_changes_nothing() {
+    let (server, uids, wires) = server_with(3);
+    let whole: Vec<EmailMessage> = wires
+        .iter()
+        .map(|w| EmailMessage::from_wire(w).unwrap())
+        .collect();
+    let total: usize = wires.iter().map(String::len).sum();
+    for keep in [total, total + 1, 1_000_000] {
+        server.install_faults(FaultPlan::torn_read(keep));
+        assert_eq!(server.fetch_many(&uids).unwrap(), whole, "keep {keep}");
+        assert_eq!(server.fetch(uids[2]).unwrap(), whole[2], "keep {keep}");
+    }
+    // A cut exactly at the end of a lone message keeps it whole too.
+    server.install_faults(FaultPlan::torn_read(wires[0].len()));
+    assert_eq!(server.fetch(uids[0]).unwrap(), whole[0]);
 }

@@ -47,7 +47,7 @@ pub use rvm::{
     BulkIngestOptions, IngestReport, IngestThroughput, ResourceViewManager, SourceIngestStats,
 };
 pub use sim::{run_sim, SimConfig, SimCounters, SimOutcome};
-pub use source::{DataSourcePlugin, FsPlugin, ImapPlugin, Ingestion, RssPlugin};
+pub use source::{DataSourcePlugin, FsPlugin, ImapPlugin, Ingestion, ReadAhead, RssPlugin};
 pub use sync::{ImapSynchronizationManager, SyncCoordinator, SyncDriver, SynchronizationManager};
 
 use std::collections::{BTreeMap, HashMap};

@@ -4,9 +4,10 @@
 //! exactly the three provided here.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use idm_core::prelude::*;
-use idm_email::convert::{materialize_mailbox_mapped, MailboxMapping, MailboxStats};
+use idm_email::convert::{MailboxMapping, MailboxReader, MailboxStats};
 use idm_email::{ImapServer, MailboxId, Uid};
 use idm_streams::sources::RssStreamSource;
 use idm_vfs::convert::{materialize, FsMapping};
@@ -22,6 +23,12 @@ pub struct Ingestion {
     /// All views created for *base items* (files, folders, emails,
     /// attachments, stream heads) — Table 2's "Base Items" column.
     pub base_views: Vec<Vid>,
+    /// For a source read on a thread of its own: that thread's time on
+    /// the source. Figure 5's source access counts it in place of
+    /// `read_wait`.
+    pub read_busy: Duration,
+    /// The time `ingest` waited for that thread.
+    pub read_wait: Duration,
 }
 
 /// A data source plugin.
@@ -30,8 +37,39 @@ pub trait DataSourcePlugin: Send + Sync {
     /// (`"filesystem"`, `"imap"`, `"rss"`).
     fn name(&self) -> &str;
 
-    /// Builds the initial iDM graph for this source's current state.
+    /// Builds the initial iDM graph for this source's current state. A
+    /// failed ingest leaves no view of its own in the store.
     fn ingest(&self, store: &ViewStore) -> Result<Ingestion>;
+
+    /// Starts reading the source on a thread of its own, so that its I/O
+    /// overlaps the ingest of other sources; the next
+    /// [`ingest`](Self::ingest) converts what it read. Dropping the
+    /// handle stops and joins that thread if no ingest took it. The
+    /// default reads nothing ahead.
+    fn read_ahead(&self) -> Option<ReadAhead> {
+        None
+    }
+}
+
+/// A source read started ahead of its ingest
+/// ([`DataSourcePlugin::read_ahead`]). Dropping it stops the reading
+/// and waits for it, whether an ingest used it or not.
+#[must_use = "dropping a ReadAhead stops the reading"]
+pub struct ReadAhead(Option<Box<dyn FnOnce() + Send>>);
+
+impl ReadAhead {
+    /// A handle that runs `stop` when dropped.
+    pub fn new(stop: impl FnOnce() + Send + 'static) -> Self {
+        ReadAhead(Some(Box::new(stop)))
+    }
+}
+
+impl Drop for ReadAhead {
+    fn drop(&mut self) {
+        if let Some(stop) = self.0.take() {
+            stop();
+        }
+    }
 }
 
 /// Filesystem plugin over a [`VirtualFs`].
@@ -84,7 +122,11 @@ impl DataSourcePlugin for FsPlugin {
         base_views.sort_unstable();
         let roots = vec![mapping.root];
         *self.mapping.lock() = Some(mapping);
-        Ok(Ingestion { roots, base_views })
+        Ok(Ingestion {
+            roots,
+            base_views,
+            ..Ingestion::default()
+        })
     }
 }
 
@@ -92,6 +134,9 @@ impl DataSourcePlugin for FsPlugin {
 pub struct ImapPlugin {
     server: Arc<ImapServer>,
     mapping: Mutex<MailboxMapping>,
+    /// The reader [`DataSourcePlugin::read_ahead`] started, until an
+    /// ingest takes it or its handle drops it.
+    ahead: Arc<Mutex<Option<MailboxReader>>>,
 }
 
 impl ImapPlugin {
@@ -100,6 +145,7 @@ impl ImapPlugin {
         ImapPlugin {
             server,
             mapping: Mutex::new(MailboxMapping::default()),
+            ahead: Arc::new(Mutex::new(None)),
         }
     }
 
@@ -132,6 +178,10 @@ impl ImapPlugin {
     pub fn forget_message(&self, uid: Uid) -> Option<Vid> {
         self.mapping.lock().messages.remove(&uid)
     }
+
+    fn reader(&self) -> Result<MailboxReader> {
+        MailboxReader::start(Arc::clone(&self.server), self.server.inbox())
+    }
 }
 
 impl DataSourcePlugin for ImapPlugin {
@@ -139,14 +189,36 @@ impl DataSourcePlugin for ImapPlugin {
         "imap"
     }
 
+    /// Converts the mailbox tree that [`read_ahead`](Self::read_ahead)
+    /// started reading, or starts a reader of its own (a first ingest
+    /// without read-ahead, or a retry).
     fn ingest(&self, store: &ViewStore) -> Result<Ingestion> {
-        let mapping = materialize_mailbox_mapped(&self.server, store, self.server.inbox())?;
+        let ahead = self.ahead.lock().take();
+        let reader = match ahead {
+            Some(reader) => reader,
+            None => self.reader()?,
+        };
+        let mapping = reader.materialize(store)?;
         let ingestion = Ingestion {
             roots: vec![mapping.root],
             base_views: mapping.views.clone(),
+            read_busy: mapping.stats.reading,
+            read_wait: mapping.stats.waiting,
         };
         *self.mapping.lock() = mapping;
         Ok(ingestion)
+    }
+
+    fn read_ahead(&self) -> Option<ReadAhead> {
+        let reader = self.reader().ok()?;
+        // A reader no ingest took is dropped (joined) outside the lock.
+        let unused = self.ahead.lock().replace(reader);
+        drop(unused);
+        let ahead = Arc::clone(&self.ahead);
+        Some(ReadAhead::new(move || {
+            let unused = ahead.lock().take();
+            drop(unused);
+        }))
     }
 }
 
@@ -177,6 +249,7 @@ impl DataSourcePlugin for RssPlugin {
         Ok(Ingestion {
             roots: roots.clone(),
             base_views: roots,
+            ..Ingestion::default()
         })
     }
 }

@@ -57,7 +57,8 @@ impl ContentProvider for FileContentProvider {
 /// view records and inserts them through [`ViewStore::insert_batch`]:
 /// one store write-lock acquisition and one WAL group commit for the
 /// entire subtree, with vids minted by the store's
-/// monotone counter in walk order.
+/// monotone counter in walk order. If pass 2 fails, the views pass 1
+/// inserted are removed before the error returns.
 pub fn materialize(fs: &Arc<VirtualFs>, store: &ViewStore, from: NodeId) -> Result<FsMapping> {
     let file_class = store
         .classes()
@@ -93,14 +94,37 @@ pub fn materialize(fs: &Arc<VirtualFs>, store: &ViewStore, from: NodeId) -> Resu
         };
         batch.push(builder.into_record());
     }
+    let vids = store.insert_batch(batch);
     let by_node: HashMap<NodeId, Vid> = nodes
         .iter()
         .map(|(node, _depth)| *node)
-        .zip(store.insert_batch(batch))
+        .zip(vids.iter().copied())
         .collect();
 
-    // Pass 2: wire groups.
-    for (node, _depth) in &nodes {
+    // Pass 2: wire groups. A failure here removes pass 1's views, so a
+    // failed materialization leaves none.
+    if let Err(err) = wire_groups(fs, store, &nodes, &by_node) {
+        for &vid in &vids {
+            store.remove(vid).ok();
+        }
+        return Err(err);
+    }
+
+    let root = by_node.get(&from).copied().ok_or_else(|| {
+        IdmError::provider(format!("vfs: walk of node {from:?} did not visit its root"))
+    })?;
+    Ok(FsMapping { root, by_node })
+}
+
+/// Pass 2 of [`materialize`]: a folder's group holds its children's
+/// views, a link's group its target folder's view.
+fn wire_groups(
+    fs: &VirtualFs,
+    store: &ViewStore,
+    nodes: &[(NodeId, usize)],
+    by_node: &HashMap<NodeId, Vid>,
+) -> Result<()> {
+    for (node, _depth) in nodes {
         // Pass 1 minted a view for every node of this same walk
         // snapshot, so the lookup cannot miss.
         let vid = by_node[node];
@@ -127,11 +151,7 @@ pub fn materialize(fs: &Arc<VirtualFs>, store: &ViewStore, from: NodeId) -> Resu
             NodeKind::File => {}
         }
     }
-
-    let root = by_node.get(&from).copied().ok_or_else(|| {
-        IdmError::provider(format!("vfs: walk of node {from:?} did not visit its root"))
-    })?;
-    Ok(FsMapping { root, by_node })
+    Ok(())
 }
 
 /// Instantiates a folder as a **lazy** resource view: its group component
