@@ -39,8 +39,7 @@ impl fmt::Display for SubstrateFaultKind {
 /// Query execution is governed at runtime (the nested model makes
 /// plan-time cost prediction unreliable): a query carries a budget of
 /// wall-clock time, accounted memory, produced rows and expanded graph
-/// nodes, and the admission gate in front of the executor adds queueing
-/// limits. Exceeding any of them raises
+/// nodes. Exceeding any of them raises
 /// [`IdmError::ResourceExhausted`] tagged with the kind that tripped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BudgetKind {
@@ -52,10 +51,6 @@ pub enum BudgetKind {
     Rows,
     /// The expanded-graph-node cap was exceeded.
     Nodes,
-    /// The query expired while waiting in the admission queue.
-    QueueWait,
-    /// The admission queue was full — the query was shed, never run.
-    Concurrency,
     /// An injected cancellation (a query budget's `cancel_after_checks`)
     /// stopped the query.
     Cancelled,
@@ -68,8 +63,6 @@ impl fmt::Display for BudgetKind {
             BudgetKind::MemoryBytes => write!(f, "memory bytes"),
             BudgetKind::Rows => write!(f, "result rows"),
             BudgetKind::Nodes => write!(f, "expanded nodes"),
-            BudgetKind::QueueWait => write!(f, "admission-queue wait"),
-            BudgetKind::Concurrency => write!(f, "concurrent queries"),
             BudgetKind::Cancelled => write!(f, "cancellation"),
         }
     }
@@ -129,12 +122,12 @@ pub enum IdmError {
         /// Which limit tripped.
         budget: BudgetKind,
         /// How much was consumed when it tripped (ms for wall clock,
-        /// bytes/rows/nodes for the others, queue depth for shedding).
+        /// bytes/rows/nodes for the others).
         consumed: u64,
         /// The configured limit.
         limit: u64,
         /// The execution phase that hit the limit (an operator label
-        /// such as `"relate"`, or `"admission"` for queue shedding).
+        /// such as `"relate"`).
         phase: String,
     },
     /// An operation that requires a finite component met an infinite one.

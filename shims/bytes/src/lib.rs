@@ -7,7 +7,6 @@
 //! relies on.
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
@@ -130,12 +129,6 @@ impl From<String> for Bytes {
     }
 }
 
-impl From<&'static [u8]> for Bytes {
-    fn from(s: &'static [u8]) -> Self {
-        Bytes::from_static(s)
-    }
-}
-
 impl From<&'static str> for Bytes {
     fn from(s: &'static str) -> Self {
         Bytes::from_static(s.as_bytes())
@@ -149,42 +142,6 @@ impl PartialEq for Bytes {
 }
 
 impl Eq for Bytes {}
-
-impl PartialEq<[u8]> for Bytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        self.as_slice() == other
-    }
-}
-
-impl PartialEq<Vec<u8>> for Bytes {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl PartialEq<&[u8]> for Bytes {
-    fn eq(&self, other: &&[u8]) -> bool {
-        self.as_slice() == *other
-    }
-}
-
-impl PartialOrd for Bytes {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Bytes {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
-    }
-}
-
-impl Hash for Bytes {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state)
-    }
-}
 
 impl fmt::Debug for Bytes {
     /// Renders like `b"ab\xff"`, close to `bytes`' Debug output.

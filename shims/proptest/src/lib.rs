@@ -7,8 +7,8 @@
 //!   optional `#![proptest_config(…)]` header),
 //! - [`strategy::Strategy`] with `prop_map` / `prop_filter` / `boxed`,
 //! - range, regex-literal, tuple and [`collection::vec`] strategies,
-//!   [`any`], [`Just`] and [`prop_oneof!`],
-//! - `prop_assert!` / `prop_assert_eq!` / `prop_assert_ne!`.
+//!   [`any`](strategy::any), [`Just`](strategy::Just) and [`prop_oneof!`],
+//! - `prop_assert!` / `prop_assert_eq!`.
 //!
 //! Differences from real proptest: cases are generated from a seed
 //! derived from the test name (fully deterministic across runs), and
@@ -40,10 +40,9 @@ pub mod prelude {
 
     pub use crate::strategy::{any, BoxedStrategy, Just, Strategy};
     pub use crate::test_runner::ProptestConfig;
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest};
+    pub use crate::{prop_assert, prop_assert_eq, prop_oneof, proptest};
 }
 
-pub use strategy::{any, BoxedStrategy, Just, Strategy};
 pub use test_runner::ProptestConfig;
 
 /// Defines property tests: each `fn name(arg in strategy, …) body` runs
@@ -107,10 +106,4 @@ macro_rules! prop_assert {
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($($t:tt)*) => { assert_eq!($($t)*) };
-}
-
-/// Asserts inequality of a property; panics (no shrinking) on failure.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($($t:tt)*) => { assert_ne!($($t)*) };
 }

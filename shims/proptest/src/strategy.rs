@@ -90,12 +90,6 @@ impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
 /// A type-erased strategy (see [`Strategy::boxed`]).
 pub struct BoxedStrategy<T>(std::rc::Rc<dyn Strategy<Value = T>>);
 
-impl<T> Clone for BoxedStrategy<T> {
-    fn clone(&self) -> Self {
-        BoxedStrategy(std::rc::Rc::clone(&self.0))
-    }
-}
-
 impl<T> Strategy for BoxedStrategy<T> {
     type Value = T;
     fn generate(&self, rng: &mut TestRng) -> T {
@@ -160,26 +154,11 @@ macro_rules! impl_arbitrary_int {
         }
     )*};
 }
-impl_arbitrary_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_arbitrary_int!(u8, i32, i64);
 
 impl ArbitraryPrim for bool {
     fn arbitrary(rng: &mut TestRng) -> Self {
         rng.next_u64() & 1 == 1
-    }
-}
-
-impl ArbitraryPrim for f64 {
-    fn arbitrary(rng: &mut TestRng) -> Self {
-        // Finite floats over a broad range, with occasional exact zero.
-        let mantissa = rng.unit_f64() * 2.0 - 1.0;
-        let exp = (rng.below(61) as i32) - 30;
-        mantissa * (2f64).powi(exp)
-    }
-}
-
-impl ArbitraryPrim for char {
-    fn arbitrary(rng: &mut TestRng) -> Self {
-        any_char(&mut *rng)
     }
 }
 
@@ -216,7 +195,7 @@ macro_rules! impl_range_strategy {
         }
     )*};
 }
-impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_range_strategy!(u8, u64, usize, i32, i64);
 
 impl Strategy for Range<f64> {
     type Value = f64;
@@ -302,13 +281,6 @@ impl<S: Strategy> Strategy for VecStrategy<S> {
 
 /// `&str` literals act as regex-subset strategies producing `String`s.
 impl Strategy for &str {
-    type Value = String;
-    fn generate(&self, rng: &mut TestRng) -> String {
-        generate_from_pattern(self, rng)
-    }
-}
-
-impl Strategy for String {
     type Value = String;
     fn generate(&self, rng: &mut TestRng) -> String {
         generate_from_pattern(self, rng)

@@ -49,9 +49,4 @@ impl TestRng {
     pub fn below(&mut self, bound: usize) -> usize {
         (self.next_u64() % bound as u64) as usize
     }
-
-    /// Uniform `f64` in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
 }

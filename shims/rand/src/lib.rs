@@ -4,7 +4,7 @@
 //! xoshiro256** seeded via SplitMix64 — *not* bit-compatible with the
 //! real `rand::rngs::StdRng`, but fully deterministic for a given
 //! seed, which is all the dataset generator promises), `SeedableRng::
-//! seed_from_u64`, and `Rng::{gen, gen_range, gen_bool}`.
+//! seed_from_u64`, and `Rng::{gen, gen_range}`.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -12,11 +12,6 @@ use std::ops::{Range, RangeInclusive};
 pub trait RngCore {
     /// The next raw 64-bit word.
     fn next_u64(&mut self) -> u64;
-
-    /// The next raw 32-bit word.
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
 }
 
 /// Construction of RNGs from seeds.
@@ -40,24 +35,12 @@ macro_rules! impl_standard_int {
         }
     )*};
 }
-impl_standard_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl Standard for bool {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
-    }
-}
+impl_standard_int!(u8, u64);
 
 impl Standard for f64 {
     /// Uniform in `[0, 1)` using the top 53 bits.
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl Standard for f32 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 }
 
@@ -88,7 +71,7 @@ macro_rules! impl_sample_range_int {
         }
     )*};
 }
-impl_sample_range_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_sample_range_int!(u8, u64, usize, i32, i64);
 
 impl SampleRange<f64> for Range<f64> {
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> f64 {
@@ -107,11 +90,6 @@ pub trait Rng: RngCore {
     /// Draws a value uniformly from `range`.
     fn gen_range<T, S: SampleRange<T>>(&mut self, range: S) -> T {
         range.sample_from(self)
-    }
-
-    /// Draws `true` with probability `p`.
-    fn gen_bool(&mut self, p: f64) -> bool {
-        f64::sample(self) < p
     }
 }
 

@@ -18,9 +18,7 @@ use std::time::Instant;
 use imemex::core::durability::Scrubber;
 use imemex::dataset::{generate, DatasetConfig};
 use imemex::query::{QueryBudget, QueryRequest};
-use imemex::system::{
-    FsPlugin, GovernorConfig, HealthMonitor, ImapPlugin, LiveQuery, Pdsms, RssPlugin,
-};
+use imemex::system::{FsPlugin, HealthMonitor, ImapPlugin, LiveQuery, Pdsms, RssPlugin};
 use imemex::vfs::NodeId;
 
 struct Shell {
@@ -92,8 +90,6 @@ impl Shell {
     }
 
     fn run_query(&self, iql: &str) {
-        // `Pdsms::run` goes through the admission gate when `\governor`
-        // enabled it, so overload behavior is observable interactively.
         let start = Instant::now();
         let request = QueryRequest::new(iql).cached().budget(self.budget);
         match self.system.run(&request) {
@@ -141,29 +137,13 @@ impl Shell {
 
     /// `\budget`: sets the per-query resource budget for this session.
     fn set_budget_cmd(&mut self, arg: &str) {
-        let arg = arg.trim();
-        if arg == "off" {
-            self.budget = QueryBudget::none();
-        } else {
-            let parse_u64 = |v: &str| v.parse::<u64>().ok();
-            for token in arg.split_whitespace() {
-                match token.split_once('=') {
-                    Some(("deadline", v)) => {
-                        self.budget.deadline = parse_u64(v).map(std::time::Duration::from_millis);
-                    }
-                    Some(("rows", v)) => self.budget.max_rows = parse_u64(v),
-                    Some(("nodes", v)) => self.budget.max_nodes = parse_u64(v),
-                    Some(("bytes", v)) => self.budget.max_bytes = parse_u64(v),
-                    None if token == "partial" => self.budget.partial = true,
-                    None if token == "strict" => self.budget.partial = false,
-                    _ => {
-                        println!("unknown budget token '{token}' — \\budget [deadline=<ms>] [rows=<n>] [nodes=<n>] [bytes=<n>] [partial|strict|off]");
-                        return;
-                    }
-                }
+        match parse_budget(self.budget, arg) {
+            Ok(budget) => {
+                self.budget = budget;
+                println!("budget: {}", self.describe_budget());
             }
+            Err(token) => println!("bad budget token '{token}' — {BUDGET_USAGE}"),
         }
-        println!("budget: {}", self.describe_budget());
     }
 
     fn describe_budget(&self) -> String {
@@ -192,28 +172,6 @@ impl Shell {
             .into(),
         );
         parts.join(", ")
-    }
-
-    /// `\governor`: enables admission control over shell queries.
-    fn governor_cmd(&mut self, arg: &str) {
-        let fields: Vec<&str> = arg.split_whitespace().collect();
-        let mut config = GovernorConfig::default();
-        if let Some(v) = fields.first().and_then(|v| v.parse().ok()) {
-            config.max_concurrent = v;
-        }
-        if let Some(v) = fields.get(1).and_then(|v| v.parse().ok()) {
-            config.max_queued = v;
-        }
-        if let Some(v) = fields.get(2).and_then(|v| v.parse().ok()) {
-            config.queue_deadline = std::time::Duration::from_millis(v);
-        }
-        self.system.enable_governor(config);
-        println!(
-            "governor: {} concurrent, {} queued, {}ms queue deadline",
-            config.max_concurrent,
-            config.max_queued,
-            config.queue_deadline.as_millis()
-        );
     }
 
     fn run_ranked(&self, iql: &str) {
@@ -408,13 +366,6 @@ impl Shell {
             live.dropped
         );
         println!("budget:           {}", self.describe_budget());
-        match self.system.governor_stats() {
-            Some(g) => println!(
-                "governor:         {} admitted, {} completed, {} shed (queue full), {} deadline-exceeded (expired while queued), {} running, {} queued",
-                g.admitted, g.completed, g.shed, g.deadline_exceeded, g.running, g.queued
-            ),
-            None => println!("governor:         off (\\governor enables admission control)"),
-        }
         let guards = self.system.rvm().guard_states();
         if !guards.is_empty() {
             let states: Vec<String> = guards
@@ -444,25 +395,69 @@ commands:
   \\health               one budgeted scrub/audit round + running totals
   \\budget [k=v …]       per-query resource budget: deadline=<ms> rows=<n>
                         nodes=<n> bytes=<n> partial|strict|off
-  \\governor [c q ms]    enable admission control (max concurrent, max
-                        queued, queue deadline ms; defaults 4 16 100)
   \\subscribe <iql>      register a standing query, kept current as
                         the dataspace changes; it shares
                         one standing result with the cached answer and
                         with any other subscription of the same plan
   \\live                 apply pending changes and print each standing
                         query's deltas
-  :stats                store, index, standing-result, budget and governor
-                        statistics
+  :stats                store, index, standing-result and budget statistics
   :help                 this text
   :quit                 exit
 (\\ and : are interchangeable command prefixes)";
 
+const USAGE: &str = "usage: imemex-shell [<scale factor: a positive number>]   (default 0.05)";
+
+const BUDGET_USAGE: &str =
+    "\\budget [deadline=<ms>] [rows=<n>] [nodes=<n>] [bytes=<n>] [partial|strict|off]";
+
+/// The scale factor from the shell's arguments (without the program
+/// name): none gives 0.05, one finite positive number gives itself,
+/// anything else `None`.
+fn parse_scale(args: &[String]) -> Option<f64> {
+    match args {
+        [] => Some(0.05),
+        [value] => value
+            .parse::<f64>()
+            .ok()
+            .filter(|sf| sf.is_finite() && *sf > 0.0),
+        _ => None,
+    }
+}
+
+/// `current` with the `\budget` argument applied: `off` clears every
+/// limit, each `key=value` token sets one, `partial` / `strict` pick
+/// the mode. The first token that does not parse is the error, and
+/// nothing of the argument is applied then.
+fn parse_budget(current: QueryBudget, arg: &str) -> Result<QueryBudget, &str> {
+    let arg = arg.trim();
+    if arg == "off" {
+        return Ok(QueryBudget::none());
+    }
+    let mut budget = current;
+    for token in arg.split_whitespace() {
+        let limit = |v: &str| v.parse::<u64>().map(Some).map_err(|_| token);
+        match token.split_once('=') {
+            Some(("deadline", v)) => {
+                budget.deadline = limit(v)?.map(std::time::Duration::from_millis);
+            }
+            Some(("rows", v)) => budget.max_rows = limit(v)?,
+            Some(("nodes", v)) => budget.max_nodes = limit(v)?,
+            Some(("bytes", v)) => budget.max_bytes = limit(v)?,
+            None if token == "partial" => budget.partial = true,
+            None if token == "strict" => budget.partial = false,
+            _ => return Err(token),
+        }
+    }
+    Ok(budget)
+}
+
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.05);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some(scale) = parse_scale(&args) else {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    };
     let mut shell = Shell::load(scale);
     println!("iMeMex iQL shell — :help for commands");
 
@@ -507,7 +502,6 @@ fn main() {
                 "health" => shell.health(),
                 "scrub" => shell.scrub(),
                 "budget" => shell.set_budget_cmd(arg),
-                "governor" => shell.governor_cmd(arg),
                 "subscribe" => shell.subscribe_cmd(arg.trim()),
                 "live" => shell.poll_live(),
                 "rank" => shell.run_ranked(arg.trim()),
@@ -554,4 +548,63 @@ fn atty_stdin() -> bool {
     // Safe portable heuristic: if IMEMEX_FORCE_PROMPT is set, prompt;
     // otherwise prompt only when stderr looks like a terminal is absent.
     std::env::var("IMEMEX_FORCE_PROMPT").is_ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    fn session_budget() -> QueryBudget {
+        QueryBudget {
+            deadline: Some(Duration::from_millis(50)),
+            max_nodes: Some(7),
+            ..QueryBudget::default()
+        }
+    }
+
+    #[test]
+    fn a_bad_budget_token_leaves_the_budget_unchanged() {
+        for arg in ["deadline=abc", "rows=", "deadline=100 bogus", "deadline=5O"] {
+            assert!(parse_budget(session_budget(), arg).is_err(), "{arg}");
+        }
+        assert_eq!(
+            parse_budget(session_budget(), "deadline=100 bogus"),
+            Err("bogus")
+        );
+    }
+
+    #[test]
+    fn budget_tokens_set_their_limits() {
+        let budget = parse_budget(QueryBudget::none(), "deadline=100 rows=5 partial").unwrap();
+        assert_eq!(budget.deadline, Some(Duration::from_millis(100)));
+        assert_eq!(budget.max_rows, Some(5));
+        assert!(budget.partial);
+        // Limits the argument does not name are kept.
+        let budget = parse_budget(session_budget(), "rows=5").unwrap();
+        assert_eq!(budget.max_nodes, Some(7));
+        assert_eq!(
+            parse_budget(session_budget(), "").unwrap(),
+            session_budget()
+        );
+    }
+
+    #[test]
+    fn budget_off_resets_every_limit() {
+        let budget = parse_budget(session_budget(), " off ").unwrap();
+        assert_eq!(budget, QueryBudget::none());
+        assert!(!budget.is_limited());
+    }
+
+    #[test]
+    fn scale_is_a_finite_positive_number() {
+        let scale =
+            |args: &[&str]| parse_scale(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>());
+        for bad in ["abc", "0,5", "0", "-1", "NaN", "inf"] {
+            assert_eq!(scale(&[bad]), None, "{bad}");
+        }
+        assert_eq!(scale(&["0.02"]), Some(0.02));
+        assert_eq!(scale(&[]), Some(0.05));
+        assert_eq!(scale(&["0.02", "0.5"]), None);
+    }
 }
