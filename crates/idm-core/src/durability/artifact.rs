@@ -6,15 +6,21 @@
 //! ```
 //!
 //! The checksum is FNV-1a-64 over *everything* before it (magic
-//! included), so any truncation or bit flip fails loudly. Artifacts are
-//! written to a temp file, fsynced and atomically renamed into place — a
-//! crash leaves either the old artifact or the new one, never a hybrid.
-//! The layout has two readers here, sharing one set of checks: [`unseal`]
-//! for a file loaded whole, and `scan_sealed`, the online scrub's
-//! budgeted, resumable check of a file on disk.
+//! included), so any truncation or bit flip fails loudly. The layout has
+//! one writer, [`SealedWriter`]: a format encodes its payload through it
+//! item by item, and the writer hands every 64 KiB to its sink,
+//! folding each chunk into the running checksum, so no artifact is ever
+//! held whole in memory. [`write_sealed`] runs it over a temp file, then
+//! fsyncs it and atomically renames it into place — a crash leaves
+//! either the old artifact or the new one, never a hybrid, and a failed
+//! write leaves no temp file behind. [`seal`] runs the same writer over
+//! a `Vec`. The layout has two readers here, sharing one set of checks:
+//! [`unseal`] for a file loaded whole, and `scan_sealed`, the online
+//! scrub's budgeted, resumable check of a file on disk.
 
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::ops::{Deref, DerefMut};
 use std::path::Path;
 
 use super::codec::{fnv1a64, fnv1a64_update, Decoder, Encoder, FNV_OFFSET};
@@ -24,13 +30,93 @@ use super::scrub::{Meter, Scan};
 /// has less left).
 const SLICE: u64 = 256 * 1024;
 
-/// Finishes an artifact whose encoder holds `magic + payload`: appends
-/// the trailing checksum over every byte written so far.
-pub fn seal(enc: Encoder) -> Vec<u8> {
-    let mut bytes = enc.into_bytes();
-    let checksum = fnv1a64(&bytes);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
-    bytes
+/// Bytes a [`SealedWriter`] buffers before it hands them to its sink.
+const SPILL: usize = 64 * 1024;
+
+/// The one writer of the sealed layout, run by [`write_sealed`] and
+/// [`seal`]. A format encodes its payload through the writer's
+/// [`Encoder`] (the writer derefs to it) and calls
+/// [`SealedWriter::spill`] between items; when the payload ends, the
+/// writer appends the checksum. What the writer holds is the bytes
+/// since the last spill: under 64 KiB plus the last item.
+pub struct SealedWriter<W: Write> {
+    enc: Encoder,
+    sink: W,
+    /// FNV-1a of every byte handed to the sink.
+    hash: u64,
+    /// Bytes handed to the sink.
+    len: u64,
+}
+
+impl<W: Write> SealedWriter<W> {
+    /// A writer into `sink` of an artifact that opens with `magic`.
+    fn new(sink: W, magic: &[u8; 8]) -> Self {
+        let mut enc = Encoder::new();
+        enc.put_raw(magic);
+        SealedWriter {
+            enc,
+            sink,
+            hash: FNV_OFFSET,
+            len: 0,
+        }
+    }
+
+    /// Hands the buffered bytes to the sink once they reach 64 KiB.
+    pub fn spill(&mut self) -> io::Result<()> {
+        if self.enc.as_bytes().len() >= SPILL {
+            self.drain()?;
+        }
+        Ok(())
+    }
+
+    fn drain(&mut self) -> io::Result<()> {
+        let bytes = self.enc.as_bytes();
+        self.sink.write_all(bytes)?;
+        self.hash = fnv1a64_update(self.hash, bytes);
+        self.len += bytes.len() as u64;
+        self.enc.clear();
+        Ok(())
+    }
+
+    /// Writes out what is buffered and the trailing checksum. Returns
+    /// the sink and the artifact's length in bytes.
+    fn finish(mut self) -> io::Result<(W, u64)> {
+        self.drain()?;
+        self.sink.write_all(&self.hash.to_le_bytes())?;
+        Ok((self.sink, self.len + 8))
+    }
+}
+
+impl<W: Write> Deref for SealedWriter<W> {
+    type Target = Encoder;
+
+    fn deref(&self) -> &Encoder {
+        &self.enc
+    }
+}
+
+impl<W: Write> DerefMut for SealedWriter<W> {
+    fn deref_mut(&mut self) -> &mut Encoder {
+        &mut self.enc
+    }
+}
+
+/// The sealed artifact that `body` encodes after `magic`, in memory:
+/// the [`SealedWriter`] over a `Vec` sink.
+///
+/// # Panics
+///
+/// If `body` fails. A `Vec` sink never does, so only an error of the
+/// body's own can.
+pub fn seal(
+    magic: &[u8; 8],
+    body: impl FnOnce(&mut SealedWriter<Vec<u8>>) -> io::Result<()>,
+) -> Vec<u8> {
+    let mut writer = SealedWriter::new(Vec::new(), magic);
+    let sealed = body(&mut writer).and_then(|()| writer.finish());
+    sealed
+        .expect("a sealed body over a Vec sink fails only on its own error")
+        .0
 }
 
 /// Verifies the framing of a sealed artifact — length, magic, trailing
@@ -123,21 +209,37 @@ fn check_trailer(hash: u64, trailer: &[u8]) -> Result<(), String> {
     Ok(())
 }
 
-/// Writes `bytes` to `path` atomically: temp file in the same directory,
-/// `fsync`, rename over the final name, then an fsync of the directory
-/// so the rename itself is durable (see [`sync_parent_dir`] for which
-/// failures are tolerated).
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Writes the sealed artifact that `body` encodes after `magic` to
+/// `path`, atomically: streamed through a [`SealedWriter`] into a temp
+/// file in the same directory, `fsync`, rename over the final name,
+/// then an fsync of the directory so the rename itself is durable (see
+/// [`sync_parent_dir`] for which failures are tolerated). Any error
+/// before the rename removes the temp file. Returns the artifact's
+/// length in bytes.
+pub fn write_sealed(
+    path: &Path,
+    magic: &[u8; 8],
+    body: impl FnOnce(&mut SealedWriter<File>) -> io::Result<()>,
+) -> io::Result<u64> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = Path::new(&tmp);
-    {
-        let mut file = File::create(tmp)?;
-        file.write_all(bytes)?;
+    let renamed = File::create(tmp).and_then(|file| {
+        let mut writer = SealedWriter::new(file, magic);
+        body(&mut writer)?;
+        let (file, len) = writer.finish()?;
         file.sync_all()?;
+        drop(file);
+        std::fs::rename(tmp, path)?;
+        Ok(len)
+    });
+    match renamed {
+        Ok(len) => sync_parent_dir(path).map(|()| len),
+        Err(e) => {
+            let _ = std::fs::remove_file(tmp);
+            Err(e)
+        }
     }
-    std::fs::rename(tmp, path)?;
-    sync_parent_dir(path)
 }
 
 /// Fsyncs the directory containing `path`, making a just-completed
@@ -173,4 +275,69 @@ pub fn sync_parent_dir(path: &Path) -> io::Result<()> {
 /// support directory syncing (kept literal to avoid a libc dependency).
 const fn libc_einval() -> i32 {
     22
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MAGIC: &[u8; 8] = b"IDMTEST1";
+
+    fn tmp(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("idm-artifact-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Four [`SPILL`]s of payload in 1 KiB items, spilled between them.
+    fn long_body<W: Write>(writer: &mut SealedWriter<W>) -> io::Result<()> {
+        for i in 0..4 * SPILL / 1024 {
+            writer.put_raw(&[i as u8; 1024]);
+            writer.spill()?;
+        }
+        Ok(())
+    }
+
+    /// The file and the `Vec` sink write the same bytes across spills,
+    /// and the trailer is the checksum of everything before it.
+    #[test]
+    fn file_and_vec_sinks_write_the_same_sealed_bytes() {
+        let dir = tmp("sinks");
+        let path = dir.join("a.idm");
+        let len = write_sealed(&path, MAGIC, long_body).unwrap();
+        let on_disk = std::fs::read(&path).unwrap();
+        assert_eq!(len, on_disk.len() as u64);
+        assert_eq!(on_disk, seal(MAGIC, long_body));
+        assert_eq!(unseal(&on_disk, MAGIC).unwrap().len(), 4 * SPILL);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A body that fails after its writer spilled leaves no temp file,
+    /// and the artifact it was to replace stays byte for byte.
+    #[test]
+    fn a_failed_write_removes_its_temp_file_and_keeps_the_old_artifact() {
+        let dir = tmp("failed");
+        let path = dir.join("a.idm");
+        let tmp = dir.join("a.idm.tmp");
+        write_sealed(&path, MAGIC, |w| {
+            w.put_str("the previous artifact");
+            Ok(())
+        })
+        .unwrap();
+        let before = std::fs::read(&path).unwrap();
+
+        let err = write_sealed(&path, MAGIC, |w| {
+            long_body(w)?;
+            let spilled = std::fs::metadata(&tmp)?.len();
+            assert!(spilled > SPILL as u64, "{spilled} byte(s) spilled");
+            Err(io::Error::other("body failed"))
+        })
+        .unwrap_err();
+
+        assert_eq!(err.to_string(), "body failed");
+        assert!(!tmp.exists(), "the temp file is removed");
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

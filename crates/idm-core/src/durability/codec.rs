@@ -16,7 +16,8 @@ use crate::value::{Attribute, Domain, Schema, Timestamp, TupleComponent, Value};
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Folds `bytes` into a running FNV-1a 64 state — the resumable form,
-/// for callers that see their input in slices (the budgeted scrubber).
+/// for callers that see their input in slices (the budgeted scrubber,
+/// the streamed sealed writer).
 pub fn fnv1a64_update(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
@@ -48,6 +49,16 @@ impl Encoder {
     /// The encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// The bytes encoded since the last [`Encoder::clear`].
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forgets the encoded bytes, keeping the buffer's capacity.
+    pub(crate) fn clear(&mut self) {
+        self.buf.clear();
     }
 
     /// Raw bytes, no length prefix (headers, magics).

@@ -21,8 +21,10 @@
 //!    defers its own thread's syncs to the window's end).
 //! 3. **Checkpoint** ([`DurabilityManager::checkpoint`]): freeze just
 //!    long enough to export the store and rotate the WAL into a new
-//!    segment, then write the snapshot outside the freeze (temp file +
-//!    fsync + atomic rename) and prune segments no recovery will need.
+//!    segment, then stream the snapshot from the export outside the
+//!    freeze, view by view ([`artifact::write_sealed`]: temp file +
+//!    fsync + atomic rename; the snapshot is never held whole in
+//!    memory) and prune segments no recovery will need.
 //! 4. **Recover** ([`DurabilityManager::open`]): load the newest *valid*
 //!    snapshot (corrupt ones are skipped and counted), replay every WAL
 //!    segment at or after it, truncate at the first torn or corrupt
@@ -55,9 +57,9 @@ use std::sync::Arc;
 use crate::class::ClassRegistry;
 use crate::fault::FaultPoint;
 use crate::lineage::LineageGraph;
-use crate::store::{StoreExport, Vid, ViewStore};
+use crate::store::{Vid, ViewStore};
 
-use record::{group_data, ChangeRecord, SerialView};
+use record::{group_data, ChangeRecord};
 use snapshot::SnapshotData;
 use wal::{read_segment, WalWriter};
 
@@ -210,31 +212,6 @@ fn scan_dir(dir: &Path) -> io::Result<(Vec<u64>, Vec<u64>)> {
     Ok((snaps, wals))
 }
 
-fn snapshot_of(
-    export: &StoreExport,
-    store: &ViewStore,
-    lineage: &LineageGraph,
-    base_lsn: u64,
-) -> SnapshotData {
-    SnapshotData {
-        base_lsn,
-        next_vid: export.next_vid,
-        classes: store.classes().export_defs(),
-        views: export
-            .views
-            .iter()
-            .map(|(vid, version, record)| {
-                (
-                    vid.as_u64(),
-                    *version,
-                    SerialView::of(record, store.classes()),
-                )
-            })
-            .collect(),
-        lineage: SnapshotData::lineage_from(lineage.export_edges()),
-    }
-}
-
 /// Applies one replayed change record through the store's ordinary
 /// mutators (the WAL is not armed during replay, so nothing re-logs).
 fn apply_record(store: &ViewStore, record: ChangeRecord) -> crate::error::Result<()> {
@@ -293,8 +270,7 @@ impl DurabilityManager {
         }
 
         let (export, frozen) = store.frozen_export(|export| -> io::Result<(Arc<WalWriter>, u64)> {
-            let data = snapshot_of(export, store, lineage, 0);
-            let bytes = snapshot::write(&snap_path(dir, 1), &data)?;
+            let bytes = snapshot::write(&snap_path(dir, 1), 0, export, store.classes(), lineage)?;
             let wal = Arc::new(WalWriter::create(&wal_path(dir, 1), 0, sync)?);
             store.set_wal(Arc::clone(&wal));
             Ok((wal, bytes))
@@ -514,11 +490,11 @@ impl DurabilityManager {
     }
 
     /// Writes a checkpoint: freeze the store just long enough to export
-    /// it and rotate the WAL, write the snapshot outside the freeze
-    /// (temp + fsync + atomic rename), then prune history no recovery
-    /// will need (everything older than the previous snapshot stays
-    /// until the *next* checkpoint, so one corrupt snapshot never
-    /// strands recovery).
+    /// it and rotate the WAL, stream the snapshot from the export
+    /// outside the freeze (temp + fsync + atomic rename), then prune
+    /// history no recovery will need (everything older than the previous
+    /// snapshot stays until the *next* checkpoint, so one corrupt
+    /// snapshot never strands recovery).
     pub fn checkpoint(
         &mut self,
         store: &Arc<ViewStore>,
@@ -541,8 +517,8 @@ impl DurabilityManager {
             .check("durability", "checkpoint-snapshot")
             .map_err(|e| io::Error::other(e.to_string()))?;
 
-        let data = snapshot_of(&export, store, lineage, lsn);
-        let bytes = snapshot::write(&snap_path(&self.dir, new_seq), &data)?;
+        let path = snap_path(&self.dir, new_seq);
+        let bytes = snapshot::write(&path, lsn, &export, store.classes(), lineage)?;
         let previous = self.seq;
         self.seq = new_seq;
 

@@ -406,10 +406,11 @@ mod tests {
     /// A sealed index-bundle stand-in: the index crate's magic over an
     /// arbitrary payload.
     fn write_index(path: &Path, payload: &[u8]) -> Artifact {
-        let mut enc = codec::Encoder::new();
-        enc.put_raw(b"IDMIDX02");
-        enc.put_raw(payload);
-        std::fs::write(path, artifact::seal(enc)).unwrap();
+        let sealed = artifact::seal(b"IDMIDX02", |w| {
+            w.put_raw(payload);
+            Ok(())
+        });
+        std::fs::write(path, sealed).unwrap();
         Artifact::Index {
             path: path.to_path_buf(),
             magic: *b"IDMIDX02",
@@ -424,7 +425,7 @@ mod tests {
             views: Vec::new(),
             lineage: vec![(1, 0, "some derivation".into())],
         };
-        snapshot::write(path, &data).unwrap();
+        std::fs::write(path, snapshot::to_bytes(&data)).unwrap();
         Artifact::Snapshot(path.to_path_buf())
     }
 

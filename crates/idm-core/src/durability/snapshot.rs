@@ -7,24 +7,32 @@
 //! `Encoder` stream: base LSN, next vid, the class registry (definitions
 //! in id order, so interned ids survive), every live view as
 //! `(vid, version, SerialView)`, and the lineage edges.
+//!
+//! The payload has one encoding body. A checkpoint runs it straight from
+//! the frozen [`StoreExport`] into the file ([`write()`]): each view's
+//! `SerialView` is made, encoded and dropped before the next, so the
+//! snapshot is never held whole in memory. [`to_bytes`] runs it over a
+//! decoded [`SnapshotData`], the reader's output.
 
-use std::io;
+use std::borrow::Borrow;
+use std::io::{self, Write};
 use std::path::Path;
 
 use crate::class::{
-    ChildClasses, ClassDef, ClassId, Constraints, Emptiness, Finiteness, SchemaConstraint,
+    ChildClasses, ClassDef, ClassId, ClassRegistry, Constraints, Emptiness, Finiteness,
+    SchemaConstraint,
 };
-use crate::durability::artifact;
+use crate::durability::artifact::{self, SealedWriter};
 use crate::durability::codec::{get_schema, put_schema, Decoder, Encoder};
 use crate::durability::record::SerialView;
 use crate::durability::scrub::{Meter, Scan};
-use crate::lineage::Derivation;
-use crate::store::Vid;
+use crate::lineage::{Derivation, LineageGraph};
+use crate::store::{StoreExport, Vid};
 
 /// Magic bytes opening every snapshot file.
 pub const SNAP_MAGIC: &[u8; 8] = b"IDMSNAP1";
 
-/// The decoded (or to-be-encoded) image of one checkpoint.
+/// The decoded image of one checkpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotData {
     /// LSN as of this snapshot: WAL records at or after it postdate the
@@ -41,14 +49,6 @@ pub struct SnapshotData {
 }
 
 impl SnapshotData {
-    /// Converts exported lineage edges into the serial form.
-    pub fn lineage_from(edges: Vec<Derivation>) -> Vec<(u64, u64, String)> {
-        edges
-            .into_iter()
-            .map(|e| (e.derived.as_u64(), e.source.as_u64(), e.transform))
-            .collect()
-    }
-
     /// Converts the serial lineage back into edges.
     pub fn lineage_edges(&self) -> Vec<Derivation> {
         self.lineage
@@ -184,41 +184,65 @@ fn class_id(raw: u32) -> ClassId {
     ClassId(raw)
 }
 
-/// Serializes a snapshot image (magic + payload + trailing checksum).
-pub fn to_bytes(data: &SnapshotData) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_raw(SNAP_MAGIC);
-    enc.put_u64(data.base_lsn);
-    enc.put_u64(data.next_vid);
+/// The one encoding of an `IDMSNAP1` payload, whether its views are
+/// owned images (a [`SnapshotData`]) or made one at a time from a store
+/// export. Spills after each view and each lineage edge.
+fn put_image<'a, W: Write, V: Borrow<SerialView>>(
+    w: &mut SealedWriter<W>,
+    (base_lsn, next_vid): (u64, u64),
+    classes: &[ClassDef],
+    views: impl ExactSizeIterator<Item = (u64, u64, V)>,
+    lineage: impl ExactSizeIterator<Item = (u64, u64, &'a str)>,
+) -> io::Result<()> {
+    w.put_u64(base_lsn);
+    w.put_u64(next_vid);
 
-    enc.put_u64(data.classes.len() as u64);
-    for def in &data.classes {
-        enc.put_str(&def.name);
+    w.put_u64(classes.len() as u64);
+    for def in classes {
+        w.put_str(&def.name);
         match def.parent {
             Some(parent) => {
-                enc.put_u8(1);
-                enc.put_u64(parent.as_u32() as u64);
+                w.put_u8(1);
+                w.put_u64(parent.as_u32() as u64);
             }
-            None => enc.put_u8(0),
+            None => w.put_u8(0),
         }
-        put_constraints(&mut enc, &def.constraints);
+        put_constraints(w, &def.constraints);
     }
 
-    enc.put_u64(data.views.len() as u64);
-    for (vid, version, view) in &data.views {
-        enc.put_u64(*vid);
-        enc.put_u64(*version);
-        view.encode_into(&mut enc);
+    w.put_u64(views.len() as u64);
+    for (vid, version, view) in views {
+        w.put_u64(vid);
+        w.put_u64(version);
+        view.borrow().encode_into(w);
+        w.spill()?;
     }
 
-    enc.put_u64(data.lineage.len() as u64);
-    for (derived, source, transform) in &data.lineage {
-        enc.put_u64(*derived);
-        enc.put_u64(*source);
-        enc.put_str(transform);
+    w.put_u64(lineage.len() as u64);
+    for (derived, source, transform) in lineage {
+        w.put_u64(derived);
+        w.put_u64(source);
+        w.put_str(transform);
+        w.spill()?;
     }
+    Ok(())
+}
 
-    artifact::seal(enc)
+/// Serializes a snapshot image (magic + payload + trailing checksum).
+pub fn to_bytes(data: &SnapshotData) -> Vec<u8> {
+    artifact::seal(SNAP_MAGIC, |w| {
+        put_image(
+            w,
+            (data.base_lsn, data.next_vid),
+            &data.classes,
+            data.views
+                .iter()
+                .map(|(vid, version, view)| (*vid, *version, view)),
+            data.lineage
+                .iter()
+                .map(|(derived, source, transform)| (*derived, *source, transform.as_str())),
+        )
+    })
 }
 
 /// Deserializes and fully validates a snapshot image.
@@ -279,12 +303,31 @@ pub fn from_bytes(bytes: &[u8]) -> io::Result<SnapshotData> {
     })
 }
 
-/// Writes a snapshot atomically ([`artifact::write_atomic`]). Returns
-/// the byte size.
-pub fn write(path: &Path, data: &SnapshotData) -> io::Result<u64> {
-    let bytes = to_bytes(data);
-    artifact::write_atomic(path, &bytes)?;
-    Ok(bytes.len() as u64)
+/// Writes the snapshot of `export`, the store's image as of `base_lsn`,
+/// to `path` atomically ([`artifact::write_sealed`]), view by view.
+/// Returns the byte size.
+pub fn write(
+    path: &Path,
+    base_lsn: u64,
+    export: &StoreExport,
+    classes: &ClassRegistry,
+    lineage: &LineageGraph,
+) -> io::Result<u64> {
+    let defs = classes.export_defs();
+    let edges = lineage.export_edges();
+    artifact::write_sealed(path, SNAP_MAGIC, |w| {
+        put_image(
+            w,
+            (base_lsn, export.next_vid),
+            &defs,
+            export.views.iter().map(|(vid, version, record)| {
+                (vid.as_u64(), *version, SerialView::of(record, classes))
+            }),
+            edges
+                .iter()
+                .map(|e| (e.derived.as_u64(), e.source.as_u64(), e.transform.as_str())),
+        )
+    })
 }
 
 /// Reads and validates a snapshot file.
@@ -401,17 +444,46 @@ mod tests {
         assert!(from_bytes(&bytes).is_err());
     }
 
+    /// A store export written straight to disk is the same file as its
+    /// [`SnapshotData`] encoded in memory, and reads back as it.
     #[test]
     fn atomic_write_roundtrips_through_disk() {
         let dir = std::env::temp_dir().join(format!("idm-snap-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap-1.idmsnap");
-        let data = sample();
-        let size = write(&path, &data).unwrap();
+
+        let store = crate::store::ViewStore::new();
+        let leaf = store
+            .build("a.txt")
+            .text("hello")
+            .class_named("file")
+            .insert();
+        store.build("dir").children(vec![leaf]).insert();
+        let lineage = LineageGraph::new();
+        lineage.record(leaf, leaf, "copy");
+        let (export, ()) = store.frozen_export(|_| ());
+
+        let size = write(&path, 42, &export, store.classes(), &lineage).unwrap();
+        let data = SnapshotData {
+            base_lsn: 42,
+            next_vid: export.next_vid,
+            classes: store.classes().export_defs(),
+            views: export
+                .views
+                .iter()
+                .map(|(vid, version, record)| {
+                    let view = SerialView::of(record, store.classes());
+                    (vid.as_u64(), *version, view)
+                })
+                .collect(),
+            lineage: vec![(leaf.as_u64(), leaf.as_u64(), "copy".into())],
+        };
+        assert_eq!(std::fs::read(&path).unwrap(), to_bytes(&data));
         assert_eq!(size, std::fs::metadata(&path).unwrap().len());
         assert_eq!(read(&path).unwrap(), data);
         // No temp file left behind.
         assert!(!path.with_extension("idmsnap.tmp").exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -15,6 +15,7 @@
 //! [`InboxStreamSource`] is the infinite message **stream** (Option 2) —
 //! delivered messages are consumed and cannot be pulled twice.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -194,6 +195,32 @@ impl Reader<'_> {
     }
 }
 
+/// [`MailboxReader`] threads whose work has not ended.
+static READERS: AtomicUsize = AtomicUsize::new(0);
+
+/// The number of [`MailboxReader`] threads whose work has not ended.
+/// Each reader's closure owns a guard that counts it down as the
+/// closure ends, so once a reader is joined it is no longer counted.
+pub fn readers_alive() -> usize {
+    READERS.load(Ordering::SeqCst)
+}
+
+/// One count in [`READERS`], for as long as it lives.
+struct Alive;
+
+impl Alive {
+    fn count() -> Alive {
+        READERS.fetch_add(1, Ordering::SeqCst);
+        Alive
+    }
+}
+
+impl Drop for Alive {
+    fn drop(&mut self) {
+        READERS.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// A mailbox tree read on a thread of its own, ahead of its
 /// materialization: the server calls of a snapshot, in the snapshot's
 /// order, with at most a fixed number of replies (about 1 MiB of
@@ -209,9 +236,11 @@ impl MailboxReader {
     /// Starts reading the tree under `mailbox`.
     pub fn start(server: Arc<ImapServer>, mailbox: MailboxId) -> Result<MailboxReader> {
         let (sender, replies) = sync_channel(READ_AHEAD);
+        let alive = Alive::count();
         let thread = std::thread::Builder::new()
             .name("imap-reader".to_owned())
             .spawn(move || {
+                let _alive = alive;
                 let mut reader = Reader {
                     server: &server,
                     replies: sender,

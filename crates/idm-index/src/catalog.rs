@@ -49,6 +49,19 @@ pub(crate) struct RowRef<'a> {
     pub(crate) content_indexed: bool,
 }
 
+impl RowRef<'_> {
+    fn to_entry(&self) -> CatalogEntry {
+        CatalogEntry {
+            vid: self.vid,
+            name: self.name.to_owned(),
+            class: self.class.map(str::to_owned),
+            source: self.source.to_owned(),
+            content_size: self.content_size,
+            content_indexed: self.content_indexed,
+        }
+    }
+}
+
 impl CatalogEntry {
     fn as_row(&self) -> RowRef<'_> {
         RowRef {
@@ -274,12 +287,12 @@ impl Inner {
         self.put_row(vid, index, row);
     }
 
-    fn entry(&self, vid: u64, row: &Row) -> CatalogEntry {
-        CatalogEntry {
+    fn row_ref(&self, vid: u64, row: &Row) -> RowRef<'_> {
+        RowRef {
             vid,
-            name: self.names.text(row.name).to_owned(),
-            class: (row.class != NONE).then(|| self.classes.text(row.class).to_owned()),
-            source: self.sources.text(row.source).to_owned(),
+            name: self.names.text(row.name),
+            class: (row.class != NONE).then(|| self.classes.text(row.class)),
+            source: self.sources.text(row.source),
             content_size: (row.flags & HAS_SIZE != 0).then_some(row.content_size),
             content_indexed: row.flags & CONTENT_INDEXED != 0,
         }
@@ -351,7 +364,9 @@ impl ResourceViewCatalog {
     /// The row for a view.
     pub fn entry(&self, vid: Vid) -> Option<CatalogEntry> {
         let inner = self.inner.read();
-        inner.row(vid).map(|row| inner.entry(vid.as_u64(), row))
+        inner
+            .row(vid)
+            .map(|row| inner.row_ref(vid.as_u64(), row).to_entry())
     }
 
     /// Calls `f` with a view's name, borrowed under the read guard
@@ -451,23 +466,38 @@ impl ResourceViewCatalog {
 
     /// Exports all rows for persistence, sorted by vid.
     pub fn export_rows(&self) -> Vec<CatalogEntry> {
+        self.with_rows(|_, rows| rows.map(|row| row.to_entry()).collect())
+    }
+
+    /// Calls `f` with the row count and every row, vid-ascending, under
+    /// the read lock: what [`persist`](crate::persist) encodes. The
+    /// column's rows merge with the ones kept aside, which are sorted.
+    pub(crate) fn with_rows<R>(
+        &self,
+        f: impl FnOnce(usize, &mut dyn Iterator<Item = RowRef<'_>>) -> R,
+    ) -> R {
         let inner = self.inner.read();
-        let mut rows: Vec<CatalogEntry> = Vec::with_capacity(inner.len);
-        for (vid, row) in inner.rows.iter().enumerate() {
-            if row.source != NONE {
-                rows.push(inner.entry(vid as u64, row));
-            }
-        }
-        if !inner.far.is_empty() {
-            rows.extend(
-                inner
-                    .far
-                    .iter()
-                    .map(|(vid, row)| inner.entry(vid.as_u64(), row)),
-            );
-            rows.sort_by_key(|r| r.vid);
-        }
-        rows
+        let mut dense = inner
+            .rows
+            .iter()
+            .enumerate()
+            .filter(|(_, row)| row.source != NONE)
+            .map(|(vid, row)| (vid as u64, row))
+            .peekable();
+        let mut far: Vec<(u64, &Row)> = inner
+            .far
+            .iter()
+            .map(|(vid, row)| (vid.as_u64(), row))
+            .collect();
+        far.sort_unstable_by_key(|&(vid, _)| vid);
+        let mut far = far.into_iter().peekable();
+        let mut rows = std::iter::from_fn(|| match (dense.peek(), far.peek()) {
+            (Some(d), Some(f)) if f.0 < d.0 => far.next(),
+            (Some(_), _) => dense.next(),
+            (None, _) => far.next(),
+        })
+        .map(|(vid, row)| inner.row_ref(vid, row));
+        f(inner.len, &mut rows)
     }
 
     /// Rebuilds the catalog (and its secondary indexes) from rows. The

@@ -722,19 +722,28 @@ impl GroupReplica {
     /// Exports the forward adjacency for persistence (the forest, labels
     /// and side edges are derived on import).
     pub fn export_edges(&self) -> Vec<(u64, Vec<u64>)> {
+        self.with_edges(|_, edges| {
+            edges
+                .map(|(parent, children)| (parent, children.iter().map(|c| c.as_u64()).collect()))
+                .collect()
+        })
+    }
+
+    /// Calls `f` with the parent count and every parent with its
+    /// members, parent-ascending, under the read lock: what
+    /// [`persist`](crate::persist) encodes. Only the parents are
+    /// copied, to sort them.
+    pub(crate) fn with_edges<R>(
+        &self,
+        f: impl FnOnce(usize, &mut dyn Iterator<Item = (u64, &[Vid])>) -> R,
+    ) -> R {
         let inner = self.inner.read();
-        let mut out: Vec<(u64, Vec<u64>)> = inner
-            .forward
+        let mut parents: Vec<Vid> = inner.forward.keys().copied().collect();
+        parents.sort_unstable();
+        let mut edges = parents
             .iter()
-            .map(|(parent, children)| {
-                (
-                    parent.as_u64(),
-                    children.iter().map(|c| c.as_u64()).collect(),
-                )
-            })
-            .collect();
-        out.sort_by_key(|(p, _)| *p);
-        out
+            .map(|parent| (parent.as_u64(), inner.forward[parent].as_slice()));
+        f(parents.len(), &mut edges)
     }
 
     /// Rebuilds the replica from exported edges and labels it.

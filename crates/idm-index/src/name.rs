@@ -362,15 +362,26 @@ impl NameIndex {
 
     /// Exports the name dictionary for persistence.
     pub fn export_names(&self) -> Vec<(String, Vec<u64>)> {
+        self.with_names(|_, names| {
+            names
+                .map(|(name, vids)| (name.to_owned(), vids.iter().map(|v| v.as_u64()).collect()))
+                .collect()
+        })
+    }
+
+    /// Calls `f` with the name count and every name with its vids, names
+    /// in order, under the read lock: what [`persist`](crate::persist)
+    /// encodes.
+    pub(crate) fn with_names<R>(
+        &self,
+        f: impl FnOnce(usize, &mut dyn Iterator<Item = (&str, &[Vid])>) -> R,
+    ) -> R {
         let inner = self.inner.read();
-        inner
+        let mut names = inner
             .by_name
             .iter()
-            .map(|(name, &id)| {
-                let vids = inner.vids[id as usize].iter().map(|v| v.as_u64()).collect();
-                (name.clone(), vids)
-            })
-            .collect()
+            .map(|(name, &id)| (name.as_str(), inner.vids[id as usize].as_slice()));
+        f(inner.by_name.len(), &mut names)
     }
 
     /// Rebuilds the index (and its k-gram dictionary) from an export.

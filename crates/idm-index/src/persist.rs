@@ -13,13 +13,16 @@
 //! was built against — the durability layer's recovery handshake)
 //! followed by five sections (catalog, name, tuple, content, group).
 //! Framing, checksum and the atomic save all belong to
-//! `idm-core::durability`; this module only knows the sections.
+//! `idm-core::durability`; this module only knows the sections. Each
+//! section is encoded straight from its index, under that index's read
+//! guard, into the streamed sealed writer, so saving holds neither a
+//! copy of an index nor the whole file in memory.
 
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 
-use idm_core::durability::artifact;
-use idm_core::durability::codec::{get_tuple, put_tuple, Decoder, Encoder};
+use idm_core::durability::artifact::{self, SealedWriter};
+use idm_core::durability::codec::{get_tuple, put_tuple, Decoder};
 use idm_core::durability::Artifact;
 use idm_core::prelude::Vid;
 
@@ -44,83 +47,106 @@ pub fn artifact_at(path: &Path) -> Artifact {
 /// Serializes the bundle in the `IDMIDX02` format: magic, epoch, the
 /// five sections, then the trailing checksum.
 pub fn to_bytes_with_epoch(bundle: &IndexBundle, epoch: u64) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_raw(MAGIC);
-    enc.put_u64(epoch);
-    put_sections(&mut enc, bundle);
-    artifact::seal(enc)
+    artifact::seal(MAGIC, |w| put_payload(w, bundle, epoch))
 }
 
-fn put_sections(enc: &mut Encoder, bundle: &IndexBundle) {
+/// The one encoding of an `IDMIDX02` payload: the epoch, then each
+/// section straight from its index under that index's read guard,
+/// spilling after every entry.
+fn put_payload<W: Write>(
+    w: &mut SealedWriter<W>,
+    bundle: &IndexBundle,
+    epoch: u64,
+) -> io::Result<()> {
+    w.put_u64(epoch);
+
     // Section 1: catalog.
-    let rows = bundle.catalog.export_rows();
-    enc.put_u64(rows.len() as u64);
-    for row in rows {
-        enc.put_u64(row.vid);
-        enc.put_str(&row.name);
-        enc.put_opt_str(row.class.as_deref());
-        enc.put_str(&row.source);
-        match row.content_size {
-            Some(size) => {
-                enc.put_u8(1);
-                enc.put_u64(size);
+    bundle.catalog.with_rows(|count, rows| -> io::Result<()> {
+        w.put_u64(count as u64);
+        for row in rows {
+            w.put_u64(row.vid);
+            w.put_str(row.name);
+            w.put_opt_str(row.class);
+            w.put_str(row.source);
+            match row.content_size {
+                Some(size) => {
+                    w.put_u8(1);
+                    w.put_u64(size);
+                }
+                None => w.put_u8(0),
             }
-            None => enc.put_u8(0),
+            w.put_u8(u8::from(row.content_indexed));
+            w.spill()?;
         }
-        enc.put_u8(u8::from(row.content_indexed));
-    }
+        Ok(())
+    })?;
 
     // Section 2: name index.
-    let names = bundle.name.export_names();
-    enc.put_u64(names.len() as u64);
-    for (name, vids) in names {
-        enc.put_str(&name);
-        enc.put_u64(vids.len() as u64);
-        let mut prev = 0u64;
-        for vid in vids {
-            enc.put_u64(vid.wrapping_sub(prev));
-            prev = vid;
+    bundle.name.with_names(|count, names| -> io::Result<()> {
+        w.put_u64(count as u64);
+        for (name, vids) in names {
+            w.put_str(name);
+            w.put_u64(vids.len() as u64);
+            let mut prev = 0u64;
+            for vid in vids {
+                w.put_u64(vid.as_u64().wrapping_sub(prev));
+                prev = vid.as_u64();
+            }
+            w.spill()?;
         }
-    }
+        Ok(())
+    })?;
 
     // Section 3: tuple replica.
-    let tuples = bundle.tuple.export_replica();
-    enc.put_u64(tuples.len() as u64);
-    for (vid, tuple) in tuples {
-        enc.put_u64(vid);
-        put_tuple(enc, &tuple);
-    }
+    bundle
+        .tuple
+        .with_replica(|count, tuples| -> io::Result<()> {
+            w.put_u64(count as u64);
+            for (vid, tuple) in tuples {
+                w.put_u64(vid);
+                put_tuple(w, tuple);
+                w.spill()?;
+            }
+            Ok(())
+        })?;
 
     // Section 4: content index.
-    enc.put_u64(bundle.content.document_count() as u64);
-    enc.put_u64(bundle.content.token_count());
-    bundle.content.with_sorted_lists(|lists| {
-        enc.put_u64(lists.len() as u64);
-        for (term, list) in lists {
-            enc.put_str(term);
-            enc.put_u64(list.len() as u64);
-            let mut prev_vid = 0u64;
-            for (vid, positions) in list.iter() {
-                enc.put_u64(vid.as_u64().wrapping_sub(prev_vid));
-                prev_vid = vid.as_u64();
-                // The list holds each posting's positions in this very
-                // coding: LEB128 deltas, the first from 0.
-                enc.put_u64(positions.len() as u64);
-                enc.put_raw(positions.bytes());
+    w.put_u64(bundle.content.document_count() as u64);
+    w.put_u64(bundle.content.token_count());
+    bundle
+        .content
+        .with_sorted_lists(|lists| -> io::Result<()> {
+            w.put_u64(lists.len() as u64);
+            for (term, list) in lists {
+                w.put_str(term);
+                w.put_u64(list.len() as u64);
+                let mut prev_vid = 0u64;
+                for (vid, positions) in list.iter() {
+                    w.put_u64(vid.as_u64().wrapping_sub(prev_vid));
+                    prev_vid = vid.as_u64();
+                    // The list holds each posting's positions in this very
+                    // coding: LEB128 deltas, the first from 0.
+                    w.put_u64(positions.len() as u64);
+                    w.put_raw(positions.bytes());
+                    w.spill()?;
+                }
             }
-        }
-    });
+            Ok(())
+        })?;
 
     // Section 5: group replica (forward side only).
-    let edges = bundle.group.export_edges();
-    enc.put_u64(edges.len() as u64);
-    for (parent, children) in edges {
-        enc.put_u64(parent);
-        enc.put_u64(children.len() as u64);
-        for child in children {
-            enc.put_u64(child);
+    bundle.group.with_edges(|count, edges| -> io::Result<()> {
+        w.put_u64(count as u64);
+        for (parent, children) in edges {
+            w.put_u64(parent);
+            w.put_u64(children.len() as u64);
+            for child in children {
+                w.put_u64(child.as_u64());
+            }
+            w.spill()?;
         }
-    }
+        Ok(())
+    })
 }
 
 fn get_sections(dec: &mut Decoder) -> io::Result<IndexBundle> {
@@ -248,12 +274,13 @@ pub fn from_bytes_with_epoch(bytes: &[u8]) -> io::Result<(IndexBundle, u64)> {
     Ok((bundle, epoch))
 }
 
-/// Saves the bundle atomically ([`artifact::write_atomic`]), stamping
+/// Saves the bundle atomically ([`artifact::write_sealed`]), stamping
 /// the store epoch it was built against (the recovery handshake: on
 /// open, a mismatched epoch means the index is stale and must be
-/// rebuilt).
+/// rebuilt). The sections stream into the file as they are encoded; no
+/// fsync happens under an index's guard.
 pub fn save_with_epoch(bundle: &IndexBundle, path: &Path, epoch: u64) -> io::Result<()> {
-    artifact::write_atomic(path, &to_bytes_with_epoch(bundle, epoch))
+    artifact::write_sealed(path, MAGIC, |w| put_payload(w, bundle, epoch)).map(drop)
 }
 
 /// Loads a bundle and its stored epoch.

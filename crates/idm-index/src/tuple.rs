@@ -367,14 +367,22 @@ impl TupleIndex {
     /// Exports the tuple replica for persistence (columns are derived on
     /// import), sorted by vid.
     pub fn export_replica(&self) -> Vec<(u64, TupleComponent)> {
+        self.with_replica(|_, rows| rows.map(|(vid, tuple)| (vid, tuple.clone())).collect())
+    }
+
+    /// Calls `f` with the replica's size and every `(vid, tuple)`,
+    /// vid-ascending, under the read lock: what
+    /// [`persist`](crate::persist) encodes. Only the vids are copied, to
+    /// sort them.
+    pub(crate) fn with_replica<R>(
+        &self,
+        f: impl FnOnce(usize, &mut dyn Iterator<Item = (u64, &TupleComponent)>) -> R,
+    ) -> R {
         let inner = self.inner.read();
-        let mut rows: Vec<(u64, TupleComponent)> = inner
-            .replica
-            .iter()
-            .map(|(vid, tuple)| (vid.as_u64(), tuple.clone()))
-            .collect();
-        rows.sort_by_key(|(v, _)| *v);
-        rows
+        let mut vids: Vec<Vid> = inner.replica.keys().copied().collect();
+        vids.sort_unstable();
+        let mut rows = vids.iter().map(|vid| (vid.as_u64(), &inner.replica[vid]));
+        f(vids.len(), &mut rows)
     }
 
     /// Rebuilds the index from an exported replica (a vid given twice

@@ -1112,28 +1112,27 @@ fn a_posting_near_the_largest_vid_loads() {
 /// vid delta and its position deltas, as the format writes them.
 fn sealed_postings(postings: &[(u64, &[u64])]) -> Vec<u8> {
     use idm_core::durability::artifact;
-    use idm_core::durability::codec::Encoder;
 
-    let mut sealed = Encoder::new();
-    sealed.put_raw(b"IDMIDX02");
-    sealed.put_u64(0); // epoch
-    sealed.put_u64(0); // catalog rows
-    sealed.put_u64(0); // names
-    sealed.put_u64(0); // tuples
-    sealed.put_u64(postings.len() as u64); // documents
-    sealed.put_u64(2); // tokens
-    sealed.put_u64(1); // terms
-    sealed.put_str("word");
-    sealed.put_u64(postings.len() as u64);
-    for &(delta, positions) in postings {
-        sealed.put_u64(delta);
-        sealed.put_u64(positions.len() as u64);
-        for &position in positions {
-            sealed.put_u64(position);
+    artifact::seal(b"IDMIDX02", |sealed| {
+        sealed.put_u64(0); // epoch
+        sealed.put_u64(0); // catalog rows
+        sealed.put_u64(0); // names
+        sealed.put_u64(0); // tuples
+        sealed.put_u64(postings.len() as u64); // documents
+        sealed.put_u64(2); // tokens
+        sealed.put_u64(1); // terms
+        sealed.put_str("word");
+        sealed.put_u64(postings.len() as u64);
+        for &(delta, positions) in postings {
+            sealed.put_u64(delta);
+            sealed.put_u64(positions.len() as u64);
+            for &position in positions {
+                sealed.put_u64(position);
+            }
         }
-    }
-    sealed.put_u64(0); // group parents
-    artifact::seal(sealed)
+        sealed.put_u64(0); // group parents
+        Ok(())
+    })
 }
 
 /// A posting list that names a vid twice, or descends, is damage: the
@@ -1325,11 +1324,11 @@ fn huge_tuple_arity_is_an_error_not_a_panic() {
     let legacy = [b"IDMIDX01".as_slice(), &sections].concat();
     assert!(idm_index::persist::from_bytes_with_epoch(&legacy).is_err());
 
-    let mut sealed = Encoder::new();
-    sealed.put_raw(b"IDMIDX02");
-    sealed.put_u64(0); // epoch
-    sealed.put_raw(&sections);
-    let sealed = artifact::seal(sealed);
+    let sealed = artifact::seal(b"IDMIDX02", |sealed| {
+        sealed.put_u64(0); // epoch
+        sealed.put_raw(&sections);
+        Ok(())
+    });
     assert!(idm_index::persist::from_bytes_with_epoch(&sealed).is_err());
 }
 

@@ -9,7 +9,7 @@ use std::time::Duration;
 use idm_core::class::builtin::names;
 use idm_core::fault::{CircuitBreaker, FaultPlan, RetryPolicy, SourceGuard};
 use idm_core::prelude::*;
-use idm_email::convert::message_to_views;
+use idm_email::convert::{message_to_views, readers_alive};
 use idm_email::message::{Attachment, EmailMessage};
 use idm_email::{ImapServer, MailboxId};
 use idm_system::{DataSourcePlugin, FsPlugin, ImapPlugin, Ingestion, Pdsms, RssPlugin};
@@ -30,18 +30,6 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Threads of this process named like the IMAP reader (0 where
-/// `/proc` is not mounted).
-fn readers_alive() -> usize {
-    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
-        return 0;
-    };
-    tasks
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .filter(|comm| comm.trim() == "imap-reader")
-        .count()
 }
 
 fn t() -> Timestamp {

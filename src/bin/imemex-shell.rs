@@ -11,7 +11,7 @@
 //! one of the `:commands` (`:help` lists them). Reads from stdin, so it
 //! also works non-interactively: `echo '"database"' | imemex-shell`.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, IsTerminal, Write};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -462,7 +462,9 @@ fn main() {
     println!("iMeMex iQL shell — :help for commands");
 
     let stdin = std::io::stdin();
-    let interactive = atty_stdin();
+    // At a terminal the shell prompts; piped, it echoes each line after
+    // the prompt, so the output reads as a transcript.
+    let interactive = stdin.is_terminal();
     loop {
         if interactive {
             print!("iql> ");
@@ -539,15 +541,6 @@ fn has_dataspace(dir: &std::path::Path) -> bool {
             })
         })
         .unwrap_or(false)
-}
-
-/// Minimal TTY check without a dependency: honor an env override, else
-/// assume non-interactive when stdin is redirected (heuristic via the
-/// TERM/CI environment is avoided; piping works either way).
-fn atty_stdin() -> bool {
-    // Safe portable heuristic: if IMEMEX_FORCE_PROMPT is set, prompt;
-    // otherwise prompt only when stderr looks like a terminal is absent.
-    std::env::var("IMEMEX_FORCE_PROMPT").is_ok()
 }
 
 #[cfg(test)]
