@@ -33,13 +33,17 @@
 //!    derived state saved since the snapshot is behind by.
 //!
 //! What survives a `kill -9`: every extensional component of every
-//! committed mutation, class bindings, version counters, the vid
-//! allocator, and lineage edges as of the last checkpoint. Intensional
+//! committed mutation, class bindings, version counters, every view's
+//! owner, and the vid allocator. Intensional
 //! (lazy) components that were not forced *when their view was logged*
 //! replay as empty — their providers are process-local closures; forced
 //! *groups* are made durable at force time via
 //! [`record::ChangeRecord::GroupForced`], lazy content forced later
 //! becomes durable only with the next snapshot.
+//!
+//! A directory written in an earlier format (`IDMSNAP1` snapshots,
+//! `IDMWAL01` segments, which carry no owners) is refused by
+//! [`DurabilityManager::open`] before anything in it is touched.
 
 pub mod artifact;
 pub mod codec;
@@ -56,7 +60,6 @@ use std::sync::Arc;
 
 use crate::class::ClassRegistry;
 use crate::fault::FaultPoint;
-use crate::lineage::LineageGraph;
 use crate::store::{Vid, ViewStore};
 
 use record::{group_data, ChangeRecord};
@@ -185,6 +188,34 @@ fn wal_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("wal-{seq}.idmlog"))
 }
 
+/// Magics of the formats this build no longer reads. Recovery would
+/// take such a snapshot for a corrupt one and such a segment for a
+/// torn one, and start the log afresh over it.
+const RETIRED_MAGICS: [&[u8; 8]; 2] = [b"IDMSNAP1", b"IDMWAL01"];
+
+/// Errors if `path` opens with a [retired](RETIRED_MAGICS) magic. A
+/// file too short to hold a magic is left to recovery (a torn one).
+fn refuse_retired(path: &Path) -> io::Result<()> {
+    let mut magic = [0u8; 8];
+    match io::Read::read_exact(&mut std::fs::File::open(path)?, &mut magic) {
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
+        read => read?,
+    }
+    if !RETIRED_MAGICS.contains(&&magic) {
+        return Ok(());
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!(
+            "{} is in the retired {} format; this build reads {} and {}",
+            path.display(),
+            String::from_utf8_lossy(&magic),
+            String::from_utf8_lossy(snapshot::SNAP_MAGIC),
+            String::from_utf8_lossy(wal::WAL_MAGIC),
+        ),
+    ))
+}
+
 /// Scans a dataspace directory for `snap-N.idmsnap` / `wal-N.idmlog`
 /// files, returning `(snapshot seqs, wal seqs)` ascending.
 fn scan_dir(dir: &Path) -> io::Result<(Vec<u64>, Vec<u64>)> {
@@ -254,7 +285,6 @@ impl DurabilityManager {
     pub fn attach(
         dir: &Path,
         store: &Arc<ViewStore>,
-        lineage: &LineageGraph,
         sync: SyncPolicy,
     ) -> io::Result<(DurabilityManager, CheckpointStats)> {
         std::fs::create_dir_all(dir)?;
@@ -270,7 +300,7 @@ impl DurabilityManager {
         }
 
         let (export, frozen) = store.frozen_export(|export| -> io::Result<(Arc<WalWriter>, u64)> {
-            let bytes = snapshot::write(&snap_path(dir, 1), 0, export, store.classes(), lineage)?;
+            let bytes = snapshot::write(&snap_path(dir, 1), 0, export, store.classes())?;
             let wal = Arc::new(WalWriter::create(&wal_path(dir, 1), 0, sync)?);
             store.set_wal(Arc::clone(&wal));
             Ok((wal, bytes))
@@ -303,17 +333,13 @@ impl DurabilityManager {
 
     /// Opens (recovers) a durable dataspace: newest valid snapshot, WAL
     /// tail replay, torn-tail truncation. Returns the recovered store,
-    /// its lineage graph, the manager now appending to the live segment,
-    /// and the recovery report.
+    /// the manager now appending to the live segment, and the recovery
+    /// report. A directory holding a file in a retired format is refused
+    /// with [`io::ErrorKind::InvalidData`] and left as it was.
     pub fn open(
         dir: &Path,
         sync: SyncPolicy,
-    ) -> io::Result<(
-        Arc<ViewStore>,
-        Arc<LineageGraph>,
-        DurabilityManager,
-        RecoveryReport,
-    )> {
+    ) -> io::Result<(Arc<ViewStore>, DurabilityManager, RecoveryReport)> {
         let (snaps, wals) = scan_dir(dir)?;
         if snaps.is_empty() && wals.is_empty() {
             return Err(io::Error::new(
@@ -323,6 +349,12 @@ impl DurabilityManager {
                     dir.display()
                 ),
             ));
+        }
+        for &seq in &snaps {
+            refuse_retired(&snap_path(dir, seq))?;
+        }
+        for &seq in &wals {
+            refuse_retired(&wal_path(dir, seq))?;
         }
 
         // Newest valid snapshot wins; corrupt ones are skipped, counted
@@ -343,7 +375,7 @@ impl DurabilityManager {
             }
         }
 
-        let (base_seq, registry, base_lsn, views, next_vid, lineage_edges) = match found {
+        let (base_seq, registry, base_lsn, views, next_vid) = match found {
             Some((seq, data)) => {
                 let registry = ClassRegistry::from_defs(data.classes)
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
@@ -353,17 +385,9 @@ impl DurabilityManager {
                     data.base_lsn,
                     data.views,
                     data.next_vid,
-                    data.lineage,
                 )
             }
-            None => (
-                None,
-                ClassRegistry::with_builtins(),
-                0,
-                Vec::new(),
-                0,
-                Vec::new(),
-            ),
+            None => (None, ClassRegistry::with_builtins(), 0, Vec::new(), 0),
         };
 
         let store = Arc::new(ViewStore::with_registry(Arc::new(registry)));
@@ -376,17 +400,6 @@ impl DurabilityManager {
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         }
         store.force_next_vid(next_vid);
-        let lineage = Arc::new(LineageGraph::new());
-        lineage.import_edges(
-            SnapshotData {
-                base_lsn: 0,
-                next_vid: 0,
-                classes: Vec::new(),
-                views: Vec::new(),
-                lineage: lineage_edges,
-            }
-            .lineage_edges(),
-        );
 
         // Replay segments at or after the snapshot, in contiguous
         // ascending order. A torn segment ends the chain there; later
@@ -477,7 +490,6 @@ impl DurabilityManager {
 
         Ok((
             store,
-            lineage,
             DurabilityManager {
                 dir: dir.to_path_buf(),
                 seq: base_seq.unwrap_or(0),
@@ -495,11 +507,7 @@ impl DurabilityManager {
     /// history no recovery will need (everything older than the previous
     /// snapshot stays until the *next* checkpoint, so one corrupt
     /// snapshot never strands recovery).
-    pub fn checkpoint(
-        &mut self,
-        store: &Arc<ViewStore>,
-        lineage: &LineageGraph,
-    ) -> io::Result<CheckpointStats> {
+    pub fn checkpoint(&mut self, store: &Arc<ViewStore>) -> io::Result<CheckpointStats> {
         self.wal.ensure_healthy()?;
         let new_seq = self.wal_seq + 1;
         let (export, rotated) = store.frozen_export(|_| -> io::Result<u64> {
@@ -518,7 +526,7 @@ impl DurabilityManager {
             .map_err(|e| io::Error::other(e.to_string()))?;
 
         let path = snap_path(&self.dir, new_seq);
-        let bytes = snapshot::write(&path, lsn, &export, store.classes(), lineage)?;
+        let bytes = snapshot::write(&path, lsn, &export, store.classes())?;
         let previous = self.seq;
         self.seq = new_seq;
 
@@ -603,7 +611,6 @@ impl DurabilityManager {
     pub fn scrub_round(
         &mut self,
         store: &Arc<ViewStore>,
-        lineage: &LineageGraph,
         scrubber: &mut Scrubber,
         artifacts: &[Artifact],
     ) -> io::Result<ScrubReport> {
@@ -617,7 +624,7 @@ impl DurabilityManager {
         for finding in rest {
             report.quarantined.push(scrub::quarantine(&finding.path)?);
         }
-        let stats = self.checkpoint(store, lineage)?;
+        let stats = self.checkpoint(store)?;
         for finding in live_damage {
             report.quarantined.push(scrub::quarantine(&finding.path)?);
         }
@@ -682,10 +689,9 @@ mod tests {
         let dir = tmp("roundtrip");
         let store = Arc::new(ViewStore::new());
         let a = store.build("a.txt").text("alpha").insert();
-        let lineage = LineageGraph::new();
 
         let (mut mgr, stats) =
-            DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack).unwrap();
+            DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
         assert_eq!(stats.seq, 1);
         assert_eq!(stats.views, 1);
         assert_eq!(stats.lsn, 0);
@@ -693,18 +699,16 @@ mod tests {
         // Post-attach mutations are logged.
         let b = store.build("b.txt").text("beta").insert();
         store.set_name(a, Some("a2.txt".into())).unwrap();
-        lineage.record(b, a, "copy");
         assert_eq!(mgr.lsn(), 2);
 
-        let stats = mgr.checkpoint(&store, &lineage).unwrap();
+        let stats = mgr.checkpoint(&store).unwrap();
         assert_eq!(stats.seq, 2);
         assert_eq!(stats.views, 2);
         assert_eq!(stats.lsn, 2);
         drop(store);
         drop(mgr);
 
-        let (store2, lineage2, mgr2, report) =
-            DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
+        let (store2, mgr2, report) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
         assert_eq!(report.snapshot_seq, Some(2));
         assert_eq!(report.records_replayed, 0, "checkpoint folded the log");
         assert!(report.touched_vids.is_empty());
@@ -713,7 +717,6 @@ mod tests {
         assert_eq!(store2.name(a).unwrap().as_deref(), Some("a2.txt"));
         assert_eq!(store2.name(b).unwrap().as_deref(), Some("b.txt"));
         assert_eq!(store2.version(a).unwrap(), 1);
-        assert_eq!(lineage2.provenance(b).len(), 1);
         assert_eq!(mgr2.lsn(), 2);
     }
 
@@ -721,16 +724,14 @@ mod tests {
     fn wal_tail_replays_without_checkpoint() {
         let dir = tmp("tail");
         let store = Arc::new(ViewStore::new());
-        let lineage = LineageGraph::new();
-        let (_mgr, _) =
-            DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack).unwrap();
+        let (_mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
 
         let v = store.build("doc").insert();
         store.set_content(v, Content::text("hello")).unwrap();
         store.set_name(v, Some("doc2".into())).unwrap();
         drop(store);
 
-        let (store2, _, _, report) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
+        let (store2, _, report) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
         assert_eq!(report.records_replayed, 3);
         assert_eq!(report.replay_errors, 0);
         assert_eq!(report.touched_vids, vec![v.as_u64()], "named once");
@@ -746,11 +747,9 @@ mod tests {
     fn attach_rejects_populated_directory() {
         let dir = tmp("populated");
         let store = Arc::new(ViewStore::new());
-        let lineage = LineageGraph::new();
-        DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack).unwrap();
+        DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
         let store2 = Arc::new(ViewStore::new());
-        let err =
-            DurabilityManager::attach(&dir, &store2, &lineage, SyncPolicy::WriteBack).unwrap_err();
+        let err = DurabilityManager::attach(&dir, &store2, SyncPolicy::WriteBack).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
         assert!(!store2.wal_armed());
     }
@@ -767,13 +766,11 @@ mod tests {
     fn corrupt_newest_snapshot_falls_back_to_previous() {
         let dir = tmp("fallback");
         let store = Arc::new(ViewStore::new());
-        let lineage = LineageGraph::new();
-        let (mut mgr, _) =
-            DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack).unwrap();
+        let (mut mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
         store.build("one").insert();
-        mgr.checkpoint(&store, &lineage).unwrap();
+        mgr.checkpoint(&store).unwrap();
         store.build("two").insert();
-        mgr.checkpoint(&store, &lineage).unwrap();
+        mgr.checkpoint(&store).unwrap();
         drop(store);
         drop(mgr);
 
@@ -784,7 +781,7 @@ mod tests {
         bytes[mid] ^= 0xFF;
         std::fs::write(&newest, &bytes).unwrap();
 
-        let (store2, _, _, report) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
+        let (store2, _, report) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
         assert_eq!(report.snapshots_skipped, 1);
         assert_eq!(report.snapshot_seq, Some(2));
         // Snapshot 2 plus wal-2's replay ("two" insert) and wal-3 (empty).
@@ -796,12 +793,10 @@ mod tests {
     fn checkpoint_prunes_old_history_but_keeps_previous() {
         let dir = tmp("prune");
         let store = Arc::new(ViewStore::new());
-        let lineage = LineageGraph::new();
-        let (mut mgr, _) =
-            DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack).unwrap();
+        let (mut mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
         for i in 0..4 {
             store.build(format!("v{i}")).insert();
-            mgr.checkpoint(&store, &lineage).unwrap();
+            mgr.checkpoint(&store).unwrap();
         }
         let (snaps, wals) = scan_dir(&dir).unwrap();
         assert_eq!(snaps, vec![4, 5], "current + previous snapshots kept");
@@ -829,16 +824,14 @@ mod tests {
     fn clean_scrub_round_finds_nothing_and_repairs_nothing() {
         let dir = tmp("scrubclean");
         let store = Arc::new(ViewStore::new());
-        let lineage = LineageGraph::new();
-        let (mut mgr, _) =
-            DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack).unwrap();
+        let (mut mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
         store.build("a").insert();
-        mgr.checkpoint(&store, &lineage).unwrap();
+        mgr.checkpoint(&store).unwrap();
         store.build("b").insert();
 
         let mut scrubber = Scrubber::new(None);
         let report = mgr
-            .scrub_round(&store, &lineage, &mut scrubber, &mgr.artifacts().unwrap())
+            .scrub_round(&store, &mut scrubber, &mgr.artifacts().unwrap())
             .unwrap();
         assert!(report.findings.is_empty(), "{report}");
         assert!(report.quarantined.is_empty());
@@ -855,17 +848,15 @@ mod tests {
     fn scrub_round_heals_a_flipped_snapshot_byte() {
         let dir = tmp("scrubsnap");
         let store = Arc::new(ViewStore::new());
-        let lineage = LineageGraph::new();
-        let (mut mgr, _) =
-            DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack).unwrap();
+        let (mut mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
         store.build("a").insert();
-        mgr.checkpoint(&store, &lineage).unwrap();
+        mgr.checkpoint(&store).unwrap();
         store.build("b").insert();
         flip_byte(&snap_path(&dir, 2), 20);
 
         let mut scrubber = Scrubber::new(None);
         let report = mgr
-            .scrub_round(&store, &lineage, &mut scrubber, &mgr.artifacts().unwrap())
+            .scrub_round(&store, &mut scrubber, &mgr.artifacts().unwrap())
             .unwrap();
         assert_eq!(report.findings.len(), 1, "{report}");
         assert_eq!(report.findings[0].kind, ArtifactKind::Snapshot);
@@ -877,8 +868,7 @@ mod tests {
         drop(store);
         drop(mgr);
 
-        let (store2, _, _, recovery) =
-            DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
+        let (store2, _, recovery) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
         assert_eq!(recovery.snapshots_skipped, 0, "repair left a clean chain");
         assert_eq!(names_of(&store2), vec!["a".to_string(), "b".to_string()]);
     }
@@ -887,17 +877,15 @@ mod tests {
     fn scrub_round_heals_a_flipped_sealed_wal_byte() {
         let dir = tmp("scrubwal");
         let store = Arc::new(ViewStore::new());
-        let lineage = LineageGraph::new();
-        let (mut mgr, _) =
-            DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack).unwrap();
+        let (mut mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
         store.build("a").insert();
-        mgr.checkpoint(&store, &lineage).unwrap(); // seals wal-1
+        mgr.checkpoint(&store).unwrap(); // seals wal-1
         store.build("b").insert();
         flip_byte(&wal_path(&dir, 1), 5);
 
         let mut scrubber = Scrubber::new(None);
         let report = mgr
-            .scrub_round(&store, &lineage, &mut scrubber, &mgr.artifacts().unwrap())
+            .scrub_round(&store, &mut scrubber, &mgr.artifacts().unwrap())
             .unwrap();
         assert_eq!(report.findings.len(), 1, "{report}");
         assert_eq!(report.findings[0].kind, ArtifactKind::WalSegment);
@@ -906,7 +894,7 @@ mod tests {
         drop(store);
         drop(mgr);
 
-        let (store2, _, _, _) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
+        let (store2, _, _) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
         assert_eq!(names_of(&store2), vec!["a".to_string(), "b".to_string()]);
     }
 
@@ -914,9 +902,7 @@ mod tests {
     fn scrub_round_heals_a_flipped_live_wal_byte() {
         let dir = tmp("scrublive");
         let store = Arc::new(ViewStore::new());
-        let lineage = LineageGraph::new();
-        let (mut mgr, _) =
-            DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack).unwrap();
+        let (mut mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
         store.build("a").insert();
         store.build("b").insert();
         // Damage a committed frame in the segment being appended to.
@@ -924,7 +910,7 @@ mod tests {
 
         let mut scrubber = Scrubber::new(None);
         let report = mgr
-            .scrub_round(&store, &lineage, &mut scrubber, &mgr.artifacts().unwrap())
+            .scrub_round(&store, &mut scrubber, &mgr.artifacts().unwrap())
             .unwrap();
         assert_eq!(report.findings.len(), 1, "{report}");
         assert!(report.repaired.is_some());
@@ -939,8 +925,7 @@ mod tests {
         store.build("c").insert();
         drop(store);
         drop(mgr);
-        let (store2, _, _, recovery) =
-            DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
+        let (store2, _, recovery) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
         assert_eq!(recovery.snapshots_skipped, 0);
         assert_eq!(
             names_of(&store2),
@@ -952,16 +937,14 @@ mod tests {
     fn pruning_quarantines_damaged_superseded_artifacts() {
         let dir = tmp("prunequarantine");
         let store = Arc::new(ViewStore::new());
-        let lineage = LineageGraph::new();
-        let (mut mgr, _) =
-            DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack).unwrap();
+        let (mut mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
         store.build("v0").insert();
-        mgr.checkpoint(&store, &lineage).unwrap(); // snap-2
+        mgr.checkpoint(&store).unwrap(); // snap-2
         store.build("v1").insert();
         // Damage snap-1 while it is still retained (previous = 1 set it
         // out of pruning range so far).
         flip_byte(&snap_path(&dir, 1), 12);
-        mgr.checkpoint(&store, &lineage).unwrap(); // snap-3: prunes < 2
+        mgr.checkpoint(&store).unwrap(); // snap-3: prunes < 2
         let (snaps, _) = scan_dir(&dir).unwrap();
         assert_eq!(snaps, vec![2, 3]);
         assert!(
@@ -975,13 +958,11 @@ mod tests {
     fn recovery_quarantines_corrupt_snapshots_and_orphan_segments() {
         let dir = tmp("recoveryquarantine");
         let store = Arc::new(ViewStore::new());
-        let lineage = LineageGraph::new();
-        let (mut mgr, _) =
-            DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack).unwrap();
+        let (mut mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
         store.build("one").insert();
-        mgr.checkpoint(&store, &lineage).unwrap();
+        mgr.checkpoint(&store).unwrap();
         store.build("two").insert();
-        mgr.checkpoint(&store, &lineage).unwrap();
+        mgr.checkpoint(&store).unwrap();
         drop(store);
         drop(mgr);
 
@@ -991,7 +972,7 @@ mod tests {
         let bytes = std::fs::read(&wal2).unwrap();
         std::fs::write(&wal2, &bytes[..bytes.len() - 3]).unwrap();
 
-        let (_, _, _, report) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
+        let (_, _, report) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
         assert_eq!(report.snapshots_skipped, 1);
         assert!(report.bytes_truncated > 0);
         assert!(dir.join("snap-3.idmsnap.quarantine").exists());
@@ -1005,8 +986,7 @@ mod tests {
     fn recovery_truncates_torn_tail_and_resumes_appending() {
         let dir = tmp("resume");
         let store = Arc::new(ViewStore::new());
-        let lineage = LineageGraph::new();
-        DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack).unwrap();
+        DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
         store.build("a").insert();
         store.build("b").insert();
         drop(store);
@@ -1016,7 +996,7 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
 
-        let (store2, lineage2, mut mgr, report) =
+        let (store2, mut mgr, report) =
             DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
         assert_eq!(report.records_replayed, 1, "torn insert discarded");
         assert!(report.bytes_truncated > 0);
@@ -1024,9 +1004,9 @@ mod tests {
 
         // The store keeps working and the next recovery sees new writes.
         store2.build("c").insert();
-        mgr.checkpoint(&store2, &lineage2).unwrap();
+        mgr.checkpoint(&store2).unwrap();
         drop(store2);
-        let (store3, _, _, report) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
+        let (store3, _, report) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
         assert_eq!(report.records_replayed, 0);
         assert_eq!(store3.len(), 2);
     }

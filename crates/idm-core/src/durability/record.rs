@@ -26,7 +26,7 @@ use crate::content::Content;
 use crate::durability::codec::{get_tuple, put_tuple, Decoder, Encoder};
 use crate::error::{IdmError, Result};
 use crate::group::{Group, GroupData};
-use crate::store::ViewRecord;
+use crate::store::{Vid, ViewRecord};
 use crate::value::TupleComponent;
 
 /// A durable image of a content component.
@@ -196,7 +196,9 @@ fn get_vids(dec: &mut Decoder) -> io::Result<Vec<u64>> {
 
 /// A durable image of a whole [`ViewRecord`]. Classes are carried by
 /// *name* so records stay valid across registries with different
-/// interned [`crate::class::ClassId`]s.
+/// interned [`crate::class::ClassId`]s. The owner is written relative to
+/// the view's own vid, which every encoding writes beside the image: a
+/// varint `vid − owner`, `0` for none (a view never owns itself).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SerialView {
     /// The name component.
@@ -209,6 +211,8 @@ pub struct SerialView {
     pub group: SerialGroup,
     /// The claimed class, by name.
     pub class: Option<String>,
+    /// The owner's raw vid ([`ViewRecord::owner`]).
+    pub owner: Option<u64>,
 }
 
 impl SerialView {
@@ -220,6 +224,7 @@ impl SerialView {
             content: SerialContent::of(&record.content),
             group: SerialGroup::of(&record.group),
             class: record.class.map(|c| classes.name(c)),
+            owner: record.owner().map(Vid::as_u64),
         }
     }
 
@@ -232,11 +237,12 @@ impl SerialView {
             content: self.content.into_content(),
             group: self.group.into_group()?,
             class: self.class.map(|n| classes.lookup_or_register(&n)),
+            owner: self.owner.map_or(Vid::INVALID, Vid::from_raw),
         })
     }
 
-    /// Serializes into an encoder.
-    pub fn encode_into(&self, enc: &mut Encoder) {
+    /// Serializes the image of view `vid` into an encoder.
+    pub fn encode_into(&self, vid: u64, enc: &mut Encoder) {
         enc.put_opt_str(self.name.as_deref());
         match &self.tuple {
             Some(tuple) => {
@@ -248,10 +254,11 @@ impl SerialView {
         self.content.encode_into(enc);
         self.group.encode_into(enc);
         enc.put_opt_str(self.class.as_deref());
+        enc.put_u64(self.owner.map_or(0, |owner| vid.wrapping_sub(owner)));
     }
 
-    /// Deserializes from a decoder.
-    pub fn decode_from(dec: &mut Decoder) -> io::Result<Self> {
+    /// Deserializes the image of view `vid` from a decoder.
+    pub fn decode_from(vid: u64, dec: &mut Decoder) -> io::Result<Self> {
         let name = dec.get_opt_str()?;
         let tuple = match dec.get_u8()? {
             0 => None,
@@ -261,22 +268,28 @@ impl SerialView {
         let content = SerialContent::decode_from(dec)?;
         let group = SerialGroup::decode_from(dec)?;
         let class = dec.get_opt_str()?;
+        let owner = match dec.get_u64()? {
+            0 => None,
+            delta => Some(vid.wrapping_sub(delta)),
+        };
         Ok(SerialView {
             name,
             tuple,
             content,
             group,
             class,
+            owner,
         })
     }
 }
 
-/// The canonical serialized form of a live record — the byte string the
-/// crash-recovery suite compares across stores (the model types carry
-/// shared lazy state and so do not implement `PartialEq` themselves).
-pub fn view_bytes(record: &ViewRecord, classes: &ClassRegistry) -> Vec<u8> {
+/// The canonical serialized form of the live record of `vid` — the byte
+/// string the crash-recovery suite compares across stores (the model
+/// types carry shared lazy state and so do not implement `PartialEq`
+/// themselves).
+pub fn view_bytes(vid: Vid, record: &ViewRecord, classes: &ClassRegistry) -> Vec<u8> {
     let mut enc = Encoder::new();
-    SerialView::of(record, classes).encode_into(&mut enc);
+    SerialView::of(record, classes).encode_into(vid.as_u64(), &mut enc);
     enc.into_bytes()
 }
 
@@ -375,7 +388,7 @@ impl ChangeRecord {
             ChangeRecord::Insert { vid, view } => {
                 enc.put_u8(0);
                 enc.put_u64(*vid);
-                view.encode_into(&mut enc);
+                view.encode_into(*vid, &mut enc);
             }
             ChangeRecord::Remove { vid } => {
                 enc.put_u8(1);
@@ -436,10 +449,11 @@ impl ChangeRecord {
     pub fn decode(bytes: &[u8]) -> io::Result<ChangeRecord> {
         let mut dec = Decoder::new(bytes);
         let record = match dec.get_u8()? {
-            0 => ChangeRecord::Insert {
-                vid: dec.get_u64()?,
-                view: SerialView::decode_from(&mut dec)?,
-            },
+            0 => {
+                let vid = dec.get_u64()?;
+                let view = SerialView::decode_from(vid, &mut dec)?;
+                ChangeRecord::Insert { vid, view }
+            }
             1 => ChangeRecord::Remove {
                 vid: dec.get_u64()?,
             },
@@ -511,6 +525,18 @@ mod tests {
                         seq: vec![3],
                     },
                     class: Some("file".into()),
+                    owner: Some(2),
+                },
+            },
+            ChangeRecord::Insert {
+                vid: 8,
+                view: SerialView {
+                    name: None,
+                    tuple: None,
+                    content: SerialContent::Empty,
+                    group: SerialGroup::Empty,
+                    class: None,
+                    owner: None,
                 },
             },
             ChangeRecord::Remove { vid: 3 },

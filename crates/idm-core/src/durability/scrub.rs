@@ -391,7 +391,7 @@ mod tests {
     use std::io::Write;
 
     use super::super::codec;
-    use super::super::record::ChangeRecord;
+    use super::super::record::{self, ChangeRecord};
     use super::super::snapshot::SnapshotData;
     use super::super::wal::{read_segment, SyncPolicy, WalWriter};
     use super::*;
@@ -422,8 +422,18 @@ mod tests {
             base_lsn: 3,
             next_vid: 2,
             classes: Vec::new(),
-            views: Vec::new(),
-            lineage: vec![(1, 0, "some derivation".into())],
+            views: vec![(
+                1,
+                0,
+                record::SerialView {
+                    name: Some("some view".into()),
+                    tuple: None,
+                    content: record::SerialContent::Empty,
+                    group: record::SerialGroup::Empty,
+                    class: None,
+                    owner: None,
+                },
+            )],
         };
         std::fs::write(path, snapshot::to_bytes(&data)).unwrap();
         Artifact::Snapshot(path.to_path_buf())

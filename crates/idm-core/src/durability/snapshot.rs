@@ -3,10 +3,12 @@
 //!
 //! ## On-disk format
 //!
-//! A sealed [`artifact`] with magic `IDMSNAP1`. The payload is one
+//! A sealed [`artifact`] with magic `IDMSNAP2`. The payload is one
 //! `Encoder` stream: base LSN, next vid, the class registry (definitions
-//! in id order, so interned ids survive), every live view as
-//! `(vid, version, SerialView)`, and the lineage edges.
+//! in id order, so interned ids survive), and every live view as
+//! `(vid, version, SerialView)` — the image ending in the view's owner.
+//! An `IDMSNAP1` file (no owners, a lineage section after the views) is
+//! refused, never misread.
 //!
 //! The payload has one encoding body. A checkpoint runs it straight from
 //! the frozen [`StoreExport`] into the file ([`write()`]): each view's
@@ -26,11 +28,10 @@ use crate::durability::artifact::{self, SealedWriter};
 use crate::durability::codec::{get_schema, put_schema, Decoder, Encoder};
 use crate::durability::record::SerialView;
 use crate::durability::scrub::{Meter, Scan};
-use crate::lineage::{Derivation, LineageGraph};
-use crate::store::{StoreExport, Vid};
+use crate::store::StoreExport;
 
 /// Magic bytes opening every snapshot file.
-pub const SNAP_MAGIC: &[u8; 8] = b"IDMSNAP1";
+pub const SNAP_MAGIC: &[u8; 8] = b"IDMSNAP2";
 
 /// The decoded image of one checkpoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,22 +45,6 @@ pub struct SnapshotData {
     pub classes: Vec<ClassDef>,
     /// Live views as `(raw vid, version, image)`, vid-ascending.
     pub views: Vec<(u64, u64, SerialView)>,
-    /// Lineage edges as `(derived, source, transform)`.
-    pub lineage: Vec<(u64, u64, String)>,
-}
-
-impl SnapshotData {
-    /// Converts the serial lineage back into edges.
-    pub fn lineage_edges(&self) -> Vec<Derivation> {
-        self.lineage
-            .iter()
-            .map(|(derived, source, transform)| Derivation {
-                derived: Vid::from_raw(*derived),
-                source: Vid::from_raw(*source),
-                transform: transform.clone(),
-            })
-            .collect()
-    }
 }
 
 fn put_emptiness(enc: &mut Encoder, e: Emptiness) {
@@ -184,15 +169,14 @@ fn class_id(raw: u32) -> ClassId {
     ClassId(raw)
 }
 
-/// The one encoding of an `IDMSNAP1` payload, whether its views are
+/// The one encoding of an `IDMSNAP2` payload, whether its views are
 /// owned images (a [`SnapshotData`]) or made one at a time from a store
-/// export. Spills after each view and each lineage edge.
-fn put_image<'a, W: Write, V: Borrow<SerialView>>(
+/// export. Spills after each view.
+fn put_image<W: Write, V: Borrow<SerialView>>(
     w: &mut SealedWriter<W>,
     (base_lsn, next_vid): (u64, u64),
     classes: &[ClassDef],
     views: impl ExactSizeIterator<Item = (u64, u64, V)>,
-    lineage: impl ExactSizeIterator<Item = (u64, u64, &'a str)>,
 ) -> io::Result<()> {
     w.put_u64(base_lsn);
     w.put_u64(next_vid);
@@ -214,15 +198,7 @@ fn put_image<'a, W: Write, V: Borrow<SerialView>>(
     for (vid, version, view) in views {
         w.put_u64(vid);
         w.put_u64(version);
-        view.borrow().encode_into(w);
-        w.spill()?;
-    }
-
-    w.put_u64(lineage.len() as u64);
-    for (derived, source, transform) in lineage {
-        w.put_u64(derived);
-        w.put_u64(source);
-        w.put_str(transform);
+        view.borrow().encode_into(vid, w);
         w.spill()?;
     }
     Ok(())
@@ -238,9 +214,6 @@ pub fn to_bytes(data: &SnapshotData) -> Vec<u8> {
             data.views
                 .iter()
                 .map(|(vid, version, view)| (*vid, *version, view)),
-            data.lineage
-                .iter()
-                .map(|(derived, source, transform)| (*derived, *source, transform.as_str())),
         )
     })
 }
@@ -278,17 +251,8 @@ pub fn from_bytes(bytes: &[u8]) -> io::Result<SnapshotData> {
     for _ in 0..view_count {
         let vid = dec.get_u64()?;
         let version = dec.get_u64()?;
-        let view = SerialView::decode_from(&mut dec)?;
+        let view = SerialView::decode_from(vid, &mut dec)?;
         views.push((vid, version, view));
-    }
-
-    let edge_count = dec.get_u64()? as usize;
-    let mut lineage = Vec::with_capacity(edge_count.min(1 << 20));
-    for _ in 0..edge_count {
-        let derived = dec.get_u64()?;
-        let source = dec.get_u64()?;
-        let transform = dec.get_str()?;
-        lineage.push((derived, source, transform));
     }
 
     if dec.remaining() != 0 {
@@ -299,7 +263,6 @@ pub fn from_bytes(bytes: &[u8]) -> io::Result<SnapshotData> {
         next_vid,
         classes,
         views,
-        lineage,
     })
 }
 
@@ -311,10 +274,8 @@ pub fn write(
     base_lsn: u64,
     export: &StoreExport,
     classes: &ClassRegistry,
-    lineage: &LineageGraph,
 ) -> io::Result<u64> {
     let defs = classes.export_defs();
-    let edges = lineage.export_edges();
     artifact::write_sealed(path, SNAP_MAGIC, |w| {
         put_image(
             w,
@@ -323,9 +284,6 @@ pub fn write(
             export.views.iter().map(|(vid, version, record)| {
                 (vid.as_u64(), *version, SerialView::of(record, classes))
             }),
-            edges
-                .iter()
-                .map(|e| (e.derived.as_u64(), e.source.as_u64(), e.transform.as_str())),
         )
     })
 }
@@ -364,6 +322,7 @@ mod tests {
                         content: SerialContent::Inline(bytes::Bytes::from_static(b"hello")),
                         group: SerialGroup::Empty,
                         class: Some("file".into()),
+                        owner: None,
                     },
                 ),
                 (
@@ -378,20 +337,32 @@ mod tests {
                             seq: vec![],
                         },
                         class: Some("folder".into()),
+                        owner: None,
+                    },
+                ),
+                (
+                    5,
+                    1,
+                    SerialView {
+                        name: Some("Intro".into()),
+                        tuple: None,
+                        content: SerialContent::Empty,
+                        group: SerialGroup::Empty,
+                        class: Some("latex_section".into()),
+                        owner: Some(1),
                     },
                 ),
             ],
-            lineage: vec![(2, 1, "copy".into())],
         }
     }
 
-    /// The `IDMSNAP1` bytes of [`sample`] are pinned: a change here is
+    /// The `IDMSNAP2` bytes of [`sample`] are pinned: a change here is
     /// a format change, and existing dataspace directories stop opening.
     #[test]
     fn format_is_pinned() {
         let bytes = to_bytes(&sample());
-        assert_eq!(bytes.len(), 721);
-        assert_eq!(fnv1a64(&bytes), 0x6e3a_8221_4a50_06f4);
+        assert_eq!(bytes.len(), 743);
+        assert_eq!(fnv1a64(&bytes), 0x2493_de8c_64d1_58fb);
     }
 
     #[test]
@@ -460,11 +431,10 @@ mod tests {
             .class_named("file")
             .insert();
         store.build("dir").children(vec![leaf]).insert();
-        let lineage = LineageGraph::new();
-        lineage.record(leaf, leaf, "copy");
+        store.build("Intro").owner(Some(leaf)).insert();
         let (export, ()) = store.frozen_export(|_| ());
 
-        let size = write(&path, 42, &export, store.classes(), &lineage).unwrap();
+        let size = write(&path, 42, &export, store.classes()).unwrap();
         let data = SnapshotData {
             base_lsn: 42,
             next_vid: export.next_vid,
@@ -477,8 +447,8 @@ mod tests {
                     (vid.as_u64(), *version, view)
                 })
                 .collect(),
-            lineage: vec![(leaf.as_u64(), leaf.as_u64(), "copy".into())],
         };
+        assert_eq!(data.views[2].2.owner, Some(leaf.as_u64()));
         assert_eq!(std::fs::read(&path).unwrap(), to_bytes(&data));
         assert_eq!(size, std::fs::metadata(&path).unwrap().len());
         assert_eq!(read(&path).unwrap(), data);

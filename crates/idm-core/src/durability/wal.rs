@@ -3,7 +3,7 @@
 //!
 //! ## On-disk format
 //!
-//! A segment starts with the 8-byte magic `IDMWAL01`, followed by zero
+//! A segment starts with the 8-byte magic `IDMWAL02`, followed by zero
 //! or more frames:
 //!
 //! ```text
@@ -44,7 +44,7 @@ use crate::durability::scrub::{Meter, Scan};
 use crate::fault::{FaultAction, FaultPoint};
 
 /// Magic bytes opening every WAL segment.
-pub const WAL_MAGIC: &[u8; 8] = b"IDMWAL01";
+pub const WAL_MAGIC: &[u8; 8] = b"IDMWAL02";
 
 /// Sanity cap on a single record: frames claiming more are treated as
 /// corruption, not as a 4 GiB allocation request.
@@ -662,6 +662,33 @@ mod tests {
         let segment = read_segment(&path).unwrap();
         assert_eq!(segment.records, records(1));
         assert!(segment.torn_bytes() > 0);
+    }
+
+    /// The `IDMWAL02` bytes of a two-record segment are pinned: a change
+    /// here is a format change, and existing dataspace directories stop
+    /// opening.
+    #[test]
+    fn format_is_pinned() {
+        use crate::durability::codec::fnv1a64;
+        use crate::durability::record::{SerialContent, SerialGroup, SerialView};
+        let path = tmp("pinned");
+        let wal = WalWriter::create(&path, 0, SyncPolicy::WriteBack).unwrap();
+        let view = SerialView {
+            name: Some("a.txt".into()),
+            tuple: None,
+            content: SerialContent::Inline(bytes::Bytes::from_static(b"hello")),
+            group: SerialGroup::Empty,
+            class: Some("file".into()),
+            owner: Some(3),
+        };
+        wal.append(&[ChangeRecord::Insert { vid: 5, view }])
+            .unwrap();
+        wal.append(&[ChangeRecord::Remove { vid: 3 }]).unwrap();
+        drop(wal);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(&bytes[..8], b"IDMWAL02");
+        assert_eq!(bytes.len(), 59);
+        assert_eq!(fnv1a64(&bytes), 0xbdf1_5f88_6f98_1aaf);
     }
 
     #[test]

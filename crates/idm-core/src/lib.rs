@@ -48,7 +48,6 @@ pub mod error;
 pub mod fault;
 pub mod graph;
 pub mod group;
-pub mod lineage;
 pub mod store;
 pub mod validate;
 pub mod value;

@@ -11,7 +11,7 @@
 //! store also emits change events so push-based stream operators
 //! (Section 4.4.2) can subscribe to component updates.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock};
@@ -53,8 +53,8 @@ impl fmt::Display for Vid {
 }
 
 /// The four components of one resource view `V = (η, τ, χ, γ)` plus its
-/// optional resource view class.
-#[derive(Debug, Clone, Default)]
+/// optional resource view class and, for a derived view, its owner.
+#[derive(Debug, Clone)]
 pub struct ViewRecord {
     /// The name component `η` (`None` = empty).
     pub name: Option<String>,
@@ -66,6 +66,34 @@ pub struct ViewRecord {
     pub group: Group,
     /// The resource view class this view claims, if any.
     pub class: Option<ClassId>,
+    /// See [`ViewRecord::owner`]; `Vid::INVALID` for a base view, so
+    /// the column costs one word per view.
+    pub(crate) owner: Vid,
+}
+
+impl ViewRecord {
+    /// The base view this view was derived from — the file whose
+    /// conversion minted it, or the message an attachment came with
+    /// (which also owns what the attachment converts to) — or `None`
+    /// for a base view. Ownership is inclusion, not reachability: a
+    /// group edge may point anywhere, but a view has at most one owner,
+    /// and an owner is a base view.
+    pub fn owner(&self) -> Option<Vid> {
+        (self.owner != Vid::INVALID).then_some(self.owner)
+    }
+}
+
+impl Default for ViewRecord {
+    fn default() -> Self {
+        ViewRecord {
+            name: None,
+            tuple: None,
+            content: Content::default(),
+            group: Group::default(),
+            class: None,
+            owner: Vid::INVALID,
+        }
+    }
 }
 
 /// What changed about a view (for push-based subscribers).
@@ -164,6 +192,10 @@ pub struct ViewStore {
     /// append their change record under the store's write lock, so WAL
     /// order is commit order.
     wal: RwLock<Option<Arc<WalWriter>>>,
+    /// Owner → the live views it owns, in mint order
+    /// ([`ViewStore::owned`]). Changed only under the `slots` write
+    /// lock, so it always agrees with the owner column.
+    owned: Mutex<HashMap<Vid, Vec<Vid>>>,
 }
 
 impl ViewStore {
@@ -184,6 +216,7 @@ impl ViewStore {
             changes: AtomicU64::new(0),
             live: AtomicUsize::new(0),
             wal: RwLock::new(None),
+            owned: Mutex::new(HashMap::new()),
         }
     }
 
@@ -274,8 +307,7 @@ impl ViewStore {
         });
         {
             let mut slots = self.slots.write();
-            fill(&mut slots, vid, Slot { record, version: 0 });
-            self.live.fetch_add(1, Ordering::Relaxed);
+            self.fill(&mut slots, vid, Slot { record, version: 0 });
             if let Some(rec) = wal_rec.as_ref() {
                 self.wal_append(std::slice::from_ref(rec));
             }
@@ -313,9 +345,8 @@ impl ViewStore {
                         view: SerialView::of(&record, &self.classes),
                     });
                 }
-                fill(&mut slots, *vid, Slot { record, version: 0 });
+                self.fill(&mut slots, *vid, Slot { record, version: 0 });
             }
-            self.live.fetch_add(vids.len(), Ordering::Relaxed);
             if armed {
                 self.wal_append(&wal_recs);
             }
@@ -340,9 +371,23 @@ impl ViewStore {
                 detail: format!("duplicate {vid} during recovery"),
             });
         }
-        fill(&mut slots, vid, Slot { record, version });
-        self.live.fetch_add(1, Ordering::Relaxed);
+        self.fill(&mut slots, vid, Slot { record, version });
         Ok(())
+    }
+
+    /// Puts `slot` at `vid`'s position, growing the column as needed,
+    /// and counts it live and under its owner. The caller holds the
+    /// `slots` write lock.
+    fn fill(&self, slots: &mut Vec<Option<Slot>>, vid: Vid, slot: Slot) {
+        if let Some(owner) = slot.record.owner() {
+            self.owned.lock().entry(owner).or_default().push(vid);
+        }
+        let at = vid.0 as usize;
+        if slots.len() <= at {
+            slots.resize_with(at + 1, || None);
+        }
+        slots[at] = Some(slot);
+        self.live.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The vid the next insert gets: one past every vid handed out so
@@ -390,6 +435,18 @@ impl ViewStore {
                 .ok_or(IdmError::UnknownVid(vid))?
                 .record;
             self.live.fetch_sub(1, Ordering::Relaxed);
+            if let Some(owner) = record.owner() {
+                let mut owned = self.owned.lock();
+                if let Some(views) = owned.get_mut(&owner) {
+                    // Owned views are usually removed newest first.
+                    if let Some(at) = views.iter().rposition(|&v| v == vid) {
+                        views.remove(at);
+                    }
+                    if views.is_empty() {
+                        owned.remove(&owner);
+                    }
+                }
+            }
             self.wal_append(&[ChangeRecord::Remove { vid: vid.0 }]);
             record
         };
@@ -474,6 +531,19 @@ impl ViewStore {
     /// The raw group handle without forcing (introspection, indexing).
     pub fn group_handle(&self, vid: Vid) -> Result<Group> {
         self.with_record(vid, |r| r.group.clone())
+    }
+
+    /// The base view that owns this one ([`ViewRecord::owner`]).
+    pub fn owner(&self, vid: Vid) -> Result<Option<Vid>> {
+        self.with_record(vid, ViewRecord::owner)
+    }
+
+    /// The live views `base` owns, in mint order: every view a
+    /// converter derived from it, directly or through a view it owns.
+    /// One lookup, O(owned) — never a walk of the graph, which a folder
+    /// link or a `\ref` would take across to views `base` does not own.
+    pub fn owned(&self, base: Vid) -> Vec<Vid> {
+        self.owned.lock().get(&base).cloned().unwrap_or_default()
     }
 
     /// The class the view claims, if any.
@@ -744,7 +814,9 @@ impl ViewStore {
     /// Checks the structural invariants of the store and reports on
     /// them. Violations (hard failures): [`ViewStore::len`] differing
     /// from the occupied slots, a group whose `S` contains duplicates or
-    /// whose `S ∩ Q ≠ ∅`. Warnings (allowed by the model, Section 4.2 —
+    /// whose `S ∩ Q ≠ ∅`, an owner that is not live or is owned itself,
+    /// and an owner lookup ([`ViewStore::owned`]) that disagrees with
+    /// the owner column. Warnings (allowed by the model, Section 4.2 —
     /// a dataspace is never globally consistent): group edges pointing
     /// at missing views, which traversals skip. Only already-materialized
     /// groups are inspected; verification never forces intensional work.
@@ -766,16 +838,39 @@ impl ViewStore {
                     "len() reads {counted} but {occupied} slot(s) are occupied"
                 ));
             }
+            let column = slots
+                .iter()
+                .flatten()
+                .filter(|slot| slot.record.owner().is_some())
+                .count();
+            let lookup: usize = self.owned.lock().values().map(Vec::len).sum();
+            if column != lookup {
+                report.violations.push(format!(
+                    "{column} view(s) have an owner but the owner lookup lists {lookup}"
+                ));
+            }
         }
         let vids = self.vids();
         let live: HashSet<Vid> = vids.iter().copied().collect();
         report.views = vids.len();
         for vid in vids {
-            let Ok((version, group)) = self.with_slot(vid, |s| (s.version, s.record.group.clone()))
-            else {
+            let Ok((version, group, owner)) = self.with_slot(vid, |s| {
+                (s.version, s.record.group.clone(), s.record.owner())
+            }) else {
                 continue; // removed between vids() and here
             };
             report.versions.push((vid, version));
+            if let Some(owner) = owner {
+                match self.owner(owner) {
+                    Err(_) => report
+                        .violations
+                        .push(format!("{vid}: owner {owner} is not live")),
+                    Ok(Some(above)) => report
+                        .violations
+                        .push(format!("{vid}: owner {owner} is owned by {above}")),
+                    Ok(None) => {}
+                }
+            }
             let data = match &group {
                 Group::Materialized(data) => Some(Arc::clone(data)),
                 Group::Lazy(lazy) => lazy.peek(),
@@ -802,15 +897,6 @@ impl ViewStore {
     }
 }
 
-/// Puts `slot` at `vid`'s position, growing the column as needed.
-fn fill(slots: &mut Vec<Option<Slot>>, vid: Vid, slot: Slot) {
-    let at = vid.0 as usize;
-    if slots.len() <= at {
-        slots.resize_with(at + 1, || None);
-    }
-    slots[at] = Some(slot);
-}
-
 /// The live slot at `vid`, or [`IdmError::UnknownVid`].
 fn occupied(slots: &mut [Option<Slot>], vid: Vid) -> Result<&mut Slot> {
     slots
@@ -834,7 +920,8 @@ pub struct StoreExport {
 pub struct InvariantReport {
     /// Number of live views inspected.
     pub views: usize,
-    /// Hard invariant violations (`S ∩ Q ≠ ∅`, duplicates in `S`).
+    /// Hard invariant violations (`S ∩ Q ≠ ∅`, duplicates in `S`, a
+    /// dead or owned owner).
     pub violations: Vec<String>,
     /// Group edges pointing at missing views — allowed by the model
     /// (traversals skip them), reported for diagnostics.
@@ -938,6 +1025,13 @@ impl<'a> ViewBuilder<'a> {
     /// Sets the class by id.
     pub fn class(mut self, class: ClassId) -> Self {
         self.record.class = Some(class);
+        self
+    }
+
+    /// Sets the owner ([`ViewRecord::owner`]); converters call it with
+    /// the base view they convert for.
+    pub fn owner(mut self, owner: Option<Vid>) -> Self {
+        self.record.owner = owner.unwrap_or(Vid::INVALID);
         self
     }
 
@@ -1283,6 +1377,53 @@ mod tests {
             .unwrap();
         assert_eq!(size, Some(Value::Integer(7)));
         assert!(store.with_name(Vid::from_raw(999), |_| ()).is_err());
+    }
+
+    #[test]
+    fn owned_follows_inserts_and_removes() {
+        let store = ViewStore::new();
+        let file = store.build("a.tex").insert();
+        let link = store.build("link").children(vec![file]).insert();
+        let doc = store.build("doc").owner(Some(file)).insert();
+        let batch = store.insert_batch(vec![
+            store.build("s1").owner(Some(file)).into_record(),
+            store.build("s2").owner(Some(file)).into_record(),
+        ]);
+        assert_eq!(store.owned(file), vec![doc, batch[0], batch[1]]);
+        assert_eq!(store.owner(doc).unwrap(), Some(file));
+        assert_eq!(store.owner(file).unwrap(), None);
+        // Reaching a view is not owning it.
+        assert!(store.owned(link).is_empty());
+
+        store.remove(batch[0]).unwrap();
+        assert_eq!(store.owned(file), vec![doc, batch[1]]);
+        store.remove(batch[1]).unwrap();
+        store.remove(doc).unwrap();
+        assert!(store.owned(file).is_empty());
+        assert!(store.verify_invariants().is_ok());
+    }
+
+    #[test]
+    fn invariants_report_a_dead_or_an_owned_owner() {
+        let store = ViewStore::new();
+        let file = store.build("a.tex").insert();
+        let doc = store.build("doc").owner(Some(file)).insert();
+        assert!(store.verify_invariants().is_ok());
+
+        let nested = store.build("nested").owner(Some(doc)).insert();
+        let report = store.verify_invariants();
+        assert_eq!(
+            report.violations,
+            vec![format!("{nested}: owner {doc} is owned by {file}")]
+        );
+
+        store.remove(nested).unwrap();
+        store.remove(file).unwrap();
+        let report = store.verify_invariants();
+        assert_eq!(
+            report.violations,
+            vec![format!("{doc}: owner {file} is not live")]
+        );
     }
 
     #[test]

@@ -7,7 +7,6 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use idm_core::durability::{DurabilityManager, SyncPolicy};
-use idm_core::lineage::LineageGraph;
 use idm_core::prelude::ViewStore;
 
 thread_local! {
@@ -97,7 +96,6 @@ fn a_checkpoint_holds_at_most_a_quarter_of_its_snapshot() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let store = Arc::new(ViewStore::new());
-    let lineage = LineageGraph::new();
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
     let mut files = Vec::with_capacity(VIEWS);
     for i in 0..VIEWS {
@@ -117,10 +115,9 @@ fn a_checkpoint_holds_at_most_a_quarter_of_its_snapshot() {
             .children(members.to_vec())
             .insert();
     }
-    let (mut manager, _) =
-        DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack).unwrap();
+    let (mut manager, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
 
-    let (stats, peak) = measure(|| manager.checkpoint(&store, &lineage).unwrap());
+    let (stats, peak) = measure(|| manager.checkpoint(&store).unwrap());
     assert_eq!(stats.views, VIEWS + 20);
     assert!(stats.bytes >= 8 * MB, "{} B snapshot", stats.bytes);
     eprintln!(

@@ -9,7 +9,6 @@ use std::thread;
 
 use idm_core::durability::record::view_bytes;
 use idm_core::durability::{DurabilityManager, SyncPolicy};
-use idm_core::lineage::LineageGraph;
 use idm_core::prelude::*;
 
 #[test]
@@ -265,9 +264,7 @@ fn exports_and_checkpoints_beside_batch_writers_see_whole_batches() {
     let dir = std::env::temp_dir().join(format!("idm-concurrency-{}-batches", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = Arc::new(ViewStore::new());
-    let lineage = LineageGraph::new();
-    let (mut mgr, _) =
-        DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack).unwrap();
+    let (mut mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
 
     let finished = Arc::new(AtomicUsize::new(0));
     let writers: Vec<_> = (0..WRITERS)
@@ -305,7 +302,7 @@ fn exports_and_checkpoints_beside_batch_writers_see_whole_batches() {
         }
         exports += 1;
         if exports % 8 == 0 {
-            mgr.checkpoint(&store, &lineage).unwrap();
+            mgr.checkpoint(&store).unwrap();
         }
         if writers_done {
             break;
@@ -314,19 +311,19 @@ fn exports_and_checkpoints_beside_batch_writers_see_whole_batches() {
     for w in writers {
         w.join().expect("writer ok");
     }
-    mgr.checkpoint(&store, &lineage).unwrap();
+    mgr.checkpoint(&store).unwrap();
     // One more batch after the last checkpoint, so the reopen replays a
     // WAL tail on top of the snapshot.
     store.insert_batch(vec![store.build("tail").into_record()]);
     drop(mgr);
 
-    let (reopened, _, _, _) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
+    let (reopened, _, _) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
     let image = |s: &ViewStore| {
         let (export, ()) = s.frozen_export(|_| ());
         let views: Vec<_> = export
             .views
             .iter()
-            .map(|(vid, version, record)| (*vid, *version, view_bytes(record, s.classes())))
+            .map(|(vid, version, record)| (*vid, *version, view_bytes(*vid, record, s.classes())))
             .collect();
         (export.next_vid, views)
     };
@@ -386,8 +383,7 @@ fn a_lazy_force_beside_attach_does_not_deadlock() {
         let store = Arc::clone(&store);
         let dir = dir.clone();
         thread::spawn(move || {
-            let lineage = LineageGraph::new();
-            let attached = DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack);
+            let attached = DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack);
             attached_tx.send(()).unwrap();
             attached.expect("attach").0
         })
@@ -402,7 +398,7 @@ fn a_lazy_force_beside_attach_does_not_deadlock() {
     let members = forcer.join().expect("force ok");
     drop(attacher.join().expect("attach ok"));
 
-    let (reopened, _, _, _) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
+    let (reopened, _, _) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
     assert_eq!(members.len(), 1);
     assert_eq!(reopened.group(lazy).unwrap().finite_members(), members);
     assert_eq!(

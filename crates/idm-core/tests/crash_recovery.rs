@@ -15,7 +15,6 @@ use std::sync::Arc;
 use idm_core::durability::record::view_bytes;
 use idm_core::durability::wal::read_segment;
 use idm_core::durability::{DurabilityManager, SyncPolicy};
-use idm_core::lineage::LineageGraph;
 use idm_core::prelude::*;
 
 // ---- deterministic PRNG ---------------------------------------------------
@@ -245,8 +244,8 @@ fn assert_same_state(recovered: &ViewStore, expected: &ViewStore, context: &str)
     // `remove`; the counter must have followed both.
     assert_eq!(recovered.len(), got.len(), "{context}: len() != live vids");
     for vid in want {
-        let got_bytes = view_bytes(&recovered.record(vid).unwrap(), recovered.classes());
-        let want_bytes = view_bytes(&expected.record(vid).unwrap(), expected.classes());
+        let got_bytes = view_bytes(vid, &recovered.record(vid).unwrap(), recovered.classes());
+        let want_bytes = view_bytes(vid, &expected.record(vid).unwrap(), expected.classes());
         assert_eq!(got_bytes, want_bytes, "{context}: {vid} differs");
         assert_eq!(
             recovered.version(vid).unwrap(),
@@ -269,9 +268,7 @@ fn tmp(name: &str) -> PathBuf {
 /// WAL record).
 fn run_durable(dir: &Path, ops: &[Op]) {
     let store = Arc::new(ViewStore::new());
-    let lineage = LineageGraph::new();
-    let (_mgr, _) =
-        DurabilityManager::attach(dir, &store, &lineage, SyncPolicy::WriteBack).expect("attach");
+    let (_mgr, _) = DurabilityManager::attach(dir, &store, SyncPolicy::WriteBack).expect("attach");
     for op in ops {
         apply(&store, op);
     }
@@ -306,7 +303,7 @@ fn truncation_at_every_record_boundary_recovers_the_exact_prefix() {
     boundaries.extend(&segment.boundaries);
     for (k, &offset) in boundaries.iter().enumerate() {
         let case = truncated_copy(&dir, &format!("b{k}"), &wal[..offset as usize]);
-        let (recovered, _, _, report) =
+        let (recovered, _, report) =
             DurabilityManager::open(&case, SyncPolicy::WriteBack).expect("recovery");
         assert_eq!(report.records_replayed, k as u64, "boundary {k}");
         assert_eq!(report.bytes_truncated, 0, "boundary {k}: clean cut");
@@ -336,7 +333,7 @@ fn truncation_mid_record_recovers_the_longest_valid_prefix() {
             continue; // exact boundary, covered by the other test
         }
         let case = truncated_copy(&dir, &format!("m{trial}"), &wal[..cut as usize]);
-        let (recovered, _, _, report) =
+        let (recovered, _, report) =
             DurabilityManager::open(&case, SyncPolicy::WriteBack).expect("recovery");
         assert_eq!(
             report.records_replayed, prefix as u64,
@@ -371,7 +368,7 @@ fn single_byte_corruption_recovers_the_records_before_it() {
         // the tail, but never resurrect a torn record.)
         let intact = boundaries.iter().filter(|&&b| b <= pos).count() - 1;
         let case = truncated_copy(&dir, &format!("c{trial}"), &corrupt);
-        let (recovered, _, _, report) =
+        let (recovered, _, report) =
             DurabilityManager::open(&case, SyncPolicy::WriteBack).expect("recovery");
         assert!(
             report.records_replayed <= OPS as u64,
@@ -392,23 +389,73 @@ fn checkpoint_then_reopen_replays_zero_records() {
     let ops = workload(SEED, OPS);
     let dir = tmp("checkpointed");
     let store = Arc::new(ViewStore::new());
-    let lineage = LineageGraph::new();
-    let (mut mgr, _) =
-        DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack).unwrap();
+    let (mut mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
     for op in &ops {
         apply(&store, op);
     }
-    let stats = mgr.checkpoint(&store, &lineage).unwrap();
+    let stats = mgr.checkpoint(&store).unwrap();
     assert_eq!(stats.lsn, OPS as u64);
     drop(store);
     drop(mgr);
 
-    let (recovered, _, _, report) =
+    let (recovered, _, report) =
         DurabilityManager::open(&dir, SyncPolicy::WriteBack).expect("recovery");
     assert_eq!(report.records_replayed, 0, "checkpoint folded the log");
     assert_eq!(report.snapshot_seq, Some(2));
     assert_same_state(&recovered, &reference(&ops, OPS), "checkpointed");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every view's owner, and each of some base views' owned views.
+type Ownership = (Vec<(Vid, Option<Vid>)>, Vec<Vec<Vid>>);
+
+/// The [`Ownership`] of `bases` as `store` sees it.
+fn ownership(store: &ViewStore, bases: &[Vid]) -> Ownership {
+    let owners = store
+        .vids()
+        .into_iter()
+        .map(|vid| (vid, store.owner(vid).unwrap()))
+        .collect();
+    (
+        owners,
+        bases.iter().map(|&base| store.owned(base)).collect(),
+    )
+}
+
+#[test]
+fn owners_survive_the_snapshot_and_the_wal_tail() {
+    let dir = tmp("owners");
+    let store = Arc::new(ViewStore::new());
+    // In the initial snapshot.
+    let tex = store.build("a.tex").text("\\section{A}").insert();
+    let section = store.build("A").owner(Some(tex)).insert();
+    let xml = store.build("b.xml").text("<b/>").insert();
+    let (_mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
+    // In the WAL tail only: owned views inserted, one owned view and
+    // one base view removed.
+    let doc = store.build("doc").owner(Some(xml)).insert();
+    store.build("b").owner(Some(xml)).insert();
+    store.build("B").owner(Some(tex)).insert();
+    store.remove(section).unwrap();
+    let gone = store.build("gone.txt").insert();
+    store.remove(gone).unwrap();
+    let bases = [tex, xml, doc, gone];
+    let before = ownership(&store, &bases);
+    assert_eq!(before.1[1].len(), 2);
+    drop(store); // the crash: nothing checkpointed since the attach
+
+    let (recovered, mut mgr, report) =
+        DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
+    assert_eq!(report.records_replayed, 6);
+    assert_eq!(ownership(&recovered, &bases), before, "WAL-tail replay");
+    assert!(recovered.verify_invariants().is_ok());
+
+    mgr.checkpoint(&recovered).unwrap();
+    drop((recovered, mgr));
+    let (reopened, _, report) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
+    assert_eq!(report.records_replayed, 0);
+    assert_eq!(ownership(&reopened, &bases), before, "snapshot");
+    assert!(reopened.verify_invariants().is_ok());
 }
 
 #[test]
@@ -421,7 +468,7 @@ fn mutations_after_recovery_survive_the_next_crash() {
     let wal = std::fs::read(dir.join("wal-1.idmlog")).unwrap();
     std::fs::write(dir.join("wal-1.idmlog"), &wal[..wal.len() - 5]).unwrap();
 
-    let (recovered, _, _, report) =
+    let (recovered, _, report) =
         DurabilityManager::open(&dir, SyncPolicy::WriteBack).expect("first recovery");
     let prefix = report.records_replayed as usize;
     assert_eq!(prefix, 79, "one torn record discarded");
@@ -434,7 +481,7 @@ fn mutations_after_recovery_survive_the_next_crash() {
     );
     drop(recovered);
 
-    let (again, _, _, report) =
+    let (again, _, report) =
         DurabilityManager::open(&dir, SyncPolicy::WriteBack).expect("second recovery");
     assert_eq!(report.records_replayed, 80);
     let expected = reference(&ops, prefix);
@@ -454,9 +501,7 @@ fn bulk_window_log_is_byte_identical_and_saves_fsyncs() {
 
     // Record-at-a-time under Fsync: one sync per append.
     let store = Arc::new(ViewStore::new());
-    let lineage = LineageGraph::new();
-    let (mgr, _) =
-        DurabilityManager::attach(&plain_dir, &store, &lineage, SyncPolicy::Fsync).unwrap();
+    let (mgr, _) = DurabilityManager::attach(&plain_dir, &store, SyncPolicy::Fsync).unwrap();
     for op in &ops {
         apply(&store, op);
     }
@@ -467,9 +512,7 @@ fn bulk_window_log_is_byte_identical_and_saves_fsyncs() {
     // The same appends inside a bulk WAL window: syncs deferred to
     // batch boundaries plus one covering sync at the end.
     let store = Arc::new(ViewStore::new());
-    let lineage = LineageGraph::new();
-    let (mgr, _) =
-        DurabilityManager::attach(&bulk_dir, &store, &lineage, SyncPolicy::Fsync).unwrap();
+    let (mgr, _) = DurabilityManager::attach(&bulk_dir, &store, SyncPolicy::Fsync).unwrap();
     let scope = store.wal_bulk_scope().expect("wal armed");
     for op in &ops {
         apply(&store, op);
@@ -502,8 +545,8 @@ fn bulk_window_log_is_byte_identical_and_saves_fsyncs() {
     assert_eq!(a, b, "bulk window altered the log bytes");
 
     // Both recover to the full workload state, byte for byte.
-    let (ra, _, _, _) = DurabilityManager::open(&plain_dir, SyncPolicy::WriteBack).unwrap();
-    let (rb, _, _, _) = DurabilityManager::open(&bulk_dir, SyncPolicy::WriteBack).unwrap();
+    let (ra, _, _) = DurabilityManager::open(&plain_dir, SyncPolicy::WriteBack).unwrap();
+    let (rb, _, _) = DurabilityManager::open(&bulk_dir, SyncPolicy::WriteBack).unwrap();
     assert_same_state(&ra, &reference(&ops, OPS), "plain recovery");
     assert_same_state(&rb, &reference(&ops, OPS), "bulk recovery");
     std::fs::remove_dir_all(&plain_dir).ok();
@@ -521,8 +564,7 @@ fn truncation_inside_coalesced_batches_recovers_the_exact_prefix() {
     const CHUNK: usize = 16;
     let dir = tmp("gc-batches");
     let store = Arc::new(ViewStore::new());
-    let lineage = LineageGraph::new();
-    let (mgr, _) = DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::Fsync).unwrap();
+    let (mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::Fsync).unwrap();
     let texts: Vec<(String, String)> = (0..N)
         .map(|i| (format!("batched-{i}.txt"), format!("bulk insert {i}")))
         .collect();
@@ -561,7 +603,7 @@ fn truncation_inside_coalesced_batches_recovers_the_exact_prefix() {
     };
     for (k, &offset) in boundaries.iter().enumerate() {
         let case = truncated_copy(&dir, &format!("gb{k}"), &wal[..offset as usize]);
-        let (recovered, _, _, report) =
+        let (recovered, _, report) =
             DurabilityManager::open(&case, SyncPolicy::WriteBack).expect("recovery");
         assert_eq!(report.records_replayed, k as u64, "boundary {k}");
         assert_same_state(
@@ -581,8 +623,7 @@ fn bulk_window_does_not_defer_another_threads_fsync() {
     // returns, window or no window.
     let dir = tmp("gc-other-thread");
     let store = Arc::new(ViewStore::new());
-    let lineage = LineageGraph::new();
-    let (_mgr, _) = DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::Fsync).unwrap();
+    let (_mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::Fsync).unwrap();
     let scope = store.wal_bulk_scope().expect("wal armed");
     let before = store.wal_telemetry().unwrap();
     std::thread::scope(|s| {
@@ -614,8 +655,7 @@ fn concurrent_durable_writers_log_every_record_and_recover_the_same_store() {
     const VIEWS: usize = 12;
     let dir = tmp("concurrent-writers");
     let store = Arc::new(ViewStore::new());
-    let lineage = LineageGraph::new();
-    let (mgr, _) = DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::Fsync).unwrap();
+    let (mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::Fsync).unwrap();
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let store = &store;
@@ -646,7 +686,7 @@ fn concurrent_durable_writers_log_every_record_and_recover_the_same_store() {
     assert_eq!(segment.records.len() as u64, records);
     assert_eq!(segment.torn_bytes(), 0, "the log decodes whole");
 
-    let (recovered, _, _, report) =
+    let (recovered, _, report) =
         DurabilityManager::open(&dir, SyncPolicy::WriteBack).expect("recovery");
     assert_eq!(report.records_replayed, records);
     assert_eq!(report.replay_errors, 0);
@@ -664,7 +704,11 @@ fn state_fingerprint(store: &ViewStore) -> u64 {
     for vid in store.vids() {
         bytes.extend_from_slice(&vid.as_u64().to_le_bytes());
         bytes.extend_from_slice(&store.version(vid).unwrap().to_le_bytes());
-        bytes.extend_from_slice(&view_bytes(&store.record(vid).unwrap(), store.classes()));
+        bytes.extend_from_slice(&view_bytes(
+            vid,
+            &store.record(vid).unwrap(),
+            store.classes(),
+        ));
     }
     idm_core::durability::codec::fnv1a64(&bytes)
 }
@@ -701,7 +745,7 @@ proptest::proptest! {
         }
         std::fs::write(dir.join("wal-1.idmlog"), &wal).unwrap();
 
-        let (recovered, _, _, report) =
+        let (recovered, _, report) =
             DurabilityManager::open(&dir, SyncPolicy::WriteBack).expect("damaged WAL must recover");
         prop_assert!(recovered.verify_invariants().is_ok());
         let got = state_fingerprint(&recovered);
@@ -729,9 +773,7 @@ mod injected {
         for crash_at in [1u64, 7, 60, 119] {
             let dir = tmp(&format!("crashat{crash_at}"));
             let store = Arc::new(ViewStore::new());
-            let lineage = LineageGraph::new();
-            let (mgr, _) =
-                DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack).unwrap();
+            let (mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
             mgr.wal()
                 .fault_point()
                 .install(FaultPlan::crash_at(crash_at));
@@ -743,7 +785,7 @@ mod injected {
             drop(mgr);
 
             let logged = (crash_at - 1) as usize;
-            let (recovered, _, _, report) =
+            let (recovered, _, report) =
                 DurabilityManager::open(&dir, SyncPolicy::WriteBack).expect("recovery");
             assert_eq!(report.records_replayed, logged as u64);
             assert_same_state(
@@ -761,9 +803,7 @@ mod injected {
         for (torn_at, keep) in [(5u64, 3usize), (50, 11), (99, 1)] {
             let dir = tmp(&format!("torn{torn_at}"));
             let store = Arc::new(ViewStore::new());
-            let lineage = LineageGraph::new();
-            let (mgr, _) =
-                DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack).unwrap();
+            let (mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
             mgr.wal()
                 .fault_point()
                 .install(FaultPlan::torn_write(torn_at, keep));
@@ -774,7 +814,7 @@ mod injected {
             drop(mgr);
 
             let logged = (torn_at - 1) as usize;
-            let (recovered, _, _, report) =
+            let (recovered, _, report) =
                 DurabilityManager::open(&dir, SyncPolicy::WriteBack).expect("recovery");
             assert_eq!(report.records_replayed, logged as u64);
             assert!(report.bytes_truncated > 0, "the torn half-record is cut");
@@ -810,9 +850,7 @@ mod injected {
         for keep in [0usize, 1, 9, 120, 700] {
             let dir = tmp(&format!("gctorn{keep}"));
             let store = Arc::new(ViewStore::new());
-            let lineage = LineageGraph::new();
-            let (mgr, _) =
-                DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::Fsync).unwrap();
+            let (mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::Fsync).unwrap();
             mgr.wal()
                 .fault_point()
                 .install(FaultPlan::torn_write(3, keep));
@@ -827,7 +865,7 @@ mod injected {
             drop(store);
             drop(mgr);
 
-            let (recovered, _, _, report) =
+            let (recovered, _, report) =
                 DurabilityManager::open(&dir, SyncPolicy::WriteBack).expect("recovery");
             let prefix = report.records_replayed as usize;
             assert!(
@@ -847,13 +885,11 @@ mod injected {
     fn checkpoint_refuses_a_dead_wal() {
         let dir = tmp("deadwal");
         let store = Arc::new(ViewStore::new());
-        let lineage = LineageGraph::new();
-        let (mut mgr, _) =
-            DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack).unwrap();
+        let (mut mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
         mgr.wal().fault_point().install(FaultPlan::crash_at(1));
         store.build("lost").insert();
         assert!(
-            mgr.checkpoint(&store, &lineage).is_err(),
+            mgr.checkpoint(&store).is_err(),
             "a checkpoint over a dead WAL would silently bless lost writes"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -884,14 +920,14 @@ fn crash_during_recovery_replay_recovers_the_same_prefix_on_reboot() {
     wal[cut] ^= 0x40;
     std::fs::write(&wal_file, &wal).unwrap();
 
-    let (first, _, _, report) =
+    let (first, _, report) =
         DurabilityManager::open(&dir, SyncPolicy::WriteBack).expect("first recovery");
     let prefix = report.records_replayed as usize;
     assert!(prefix < 160, "the flip must cost at least the tail");
     assert_same_state(&first, &reference(&ops, prefix), "first recovery");
     drop(first); // crash again: replay finished, nothing new was written
 
-    let (second, _, _, again) =
+    let (second, _, again) =
         DurabilityManager::open(&dir, SyncPolicy::WriteBack).expect("second recovery");
     assert_eq!(again.records_replayed as usize, prefix, "prefix is stable");
     assert_same_state(&second, &reference(&ops, prefix), "second recovery");
@@ -914,14 +950,11 @@ mod double_fault {
         let ops = workload(SEED, 160);
         let dir = tmp("scrub-ckpt-crash");
         let store = Arc::new(ViewStore::new());
-        let lineage = LineageGraph::new();
-        let (mut mgr, _) =
-            DurabilityManager::attach(&dir, &store, &lineage, SyncPolicy::WriteBack).unwrap();
+        let (mut mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
         for op in &ops[..120] {
             apply(&store, op);
         }
-        mgr.checkpoint(&store, &lineage)
-            .expect("healthy checkpoint");
+        mgr.checkpoint(&store).expect("healthy checkpoint");
         for op in &ops[120..] {
             apply(&store, op);
         }
@@ -935,7 +968,7 @@ mod double_fault {
 
         mgr.checkpoint_fault_point().install(FaultPlan::fail_n(1));
         let mut scrubber = Scrubber::new(None);
-        let err = mgr.scrub_round(&store, &lineage, &mut scrubber, &mgr.artifacts().unwrap());
+        let err = mgr.scrub_round(&store, &mut scrubber, &mgr.artifacts().unwrap());
         assert!(err.is_err(), "the repair checkpoint must die mid-flight");
         assert!(
             !snap.exists(),
@@ -944,7 +977,7 @@ mod double_fault {
         drop(store);
         drop(mgr); // crash: no shutdown path runs
 
-        let (recovered, _, _, report) =
+        let (recovered, _, report) =
             DurabilityManager::open(&dir, SyncPolicy::WriteBack).expect("recovery");
         assert_eq!(report.records_replayed, 160, "{report}");
         assert_same_state(
@@ -955,7 +988,7 @@ mod double_fault {
         drop(recovered);
 
         // Double fault: crash again immediately after that recovery.
-        let (again, _, _, second) =
+        let (again, _, second) =
             DurabilityManager::open(&dir, SyncPolicy::WriteBack).expect("second recovery");
         assert_eq!(second.records_replayed, 160, "{second}");
         assert_same_state(&again, &reference(&ops, 160), "second crash after repair");

@@ -34,12 +34,29 @@ pub fn message_to_views(store: &ViewStore, message: &EmailMessage) -> Result<Vid
 }
 
 /// [`message_to_views`] of an owned message, whose strings become the
-/// views' components; appends every vid it mints (attachments, then the
-/// message) to `minted`.
+/// views' components; appends every vid it mints (the message, then its
+/// attachments) to `minted`. The message owns its attachments, so it is
+/// minted first and given its group once they exist.
 fn mint_message(store: &ViewStore, message: EmailMessage, minted: &mut Vec<Vid>) -> Result<Vid> {
     let attachment_class = store.classes().require(names::ATTACHMENT)?;
-    let first = minted.len();
     let size = message.content_size();
+    let tuple = TupleComponent::of(vec![
+        ("from", Value::Text(message.from)),
+        ("to", Value::Text(message.to)),
+        ("date", Value::Date(message.date)),
+        ("size", Value::Integer(size as i64)),
+    ]);
+    let vid = store
+        .build(message.subject)
+        .tuple(tuple)
+        .content(Content::text(message.body))
+        .class_named(names::EMAILMESSAGE)
+        .insert();
+    minted.push(vid);
+    if message.attachments.is_empty() {
+        return Ok(vid);
+    }
+    let first = minted.len();
     for attachment in message.attachments {
         let tuple = TupleComponent::of(vec![
             ("size", Value::Integer(attachment.content.len() as i64)),
@@ -52,25 +69,11 @@ fn mint_message(store: &ViewStore, message: EmailMessage, minted: &mut Vec<Vid>)
                 .tuple(tuple)
                 .content(Content::inline(attachment.content))
                 .class(attachment_class)
+                .owner(Some(vid))
                 .insert(),
         );
     }
-    let tuple = TupleComponent::of(vec![
-        ("from", Value::Text(message.from)),
-        ("to", Value::Text(message.to)),
-        ("date", Value::Date(message.date)),
-        ("size", Value::Integer(size as i64)),
-    ]);
-    let mut builder = store
-        .build(message.subject)
-        .tuple(tuple)
-        .content(Content::text(message.body))
-        .class_named(names::EMAILMESSAGE);
-    if minted.len() > first {
-        builder = builder.children(minted[first..].to_vec());
-    }
-    let vid = builder.insert();
-    minted.push(vid);
+    store.set_group(vid, Group::of_set(minted[first..].to_vec()))?;
     Ok(vid)
 }
 

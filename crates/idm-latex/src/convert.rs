@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use idm_core::class::builtin::names;
 use idm_core::prelude::*;
 
-use crate::parser::{parse_latex, Inline, LatexBlock, LatexDocument, LatexEnv};
+use crate::parser::{parse_latex, Inline, LatexBlock, LatexEnv};
 
 /// Result of instantiating a LaTeX document in a view store.
 #[derive(Debug)]
@@ -49,13 +49,15 @@ struct Converter<'a> {
     table_counter: usize,
     /// Views inserted so far.
     derived: usize,
+    /// The base view every inserted view belongs to.
+    owner: Option<Vid>,
 }
 
 impl<'a> Converter<'a> {
-    /// Inserts one view of the subgraph, counting it.
+    /// Inserts one view of the subgraph, owned by `owner`, counting it.
     fn insert(&mut self, builder: ViewBuilder<'a>) -> Vid {
         self.derived += 1;
-        builder.insert()
+        builder.owner(self.owner).insert()
     }
 
     fn text_view(&mut self, text: &str) -> Vid {
@@ -206,8 +208,12 @@ fn section_deep_text(section: &crate::parser::LatexSection) -> String {
     out
 }
 
-/// Instantiates a parsed LaTeX document as resource views.
-pub fn document_to_views(store: &ViewStore, doc: &LatexDocument) -> Result<LatexMapping> {
+/// Parses LaTeX text and instantiates it as resource views owned by
+/// `owner`.
+fn owned_text_to_views(store: &ViewStore, latex: &str, owner: Option<Vid>) -> Result<LatexMapping> {
+    let doc = parse_latex(latex).map_err(|e| IdmError::Parse {
+        detail: e.to_string(),
+    })?;
     let classes = store.classes();
     let mut converter = Converter {
         store,
@@ -221,6 +227,7 @@ pub fn document_to_views(store: &ViewStore, doc: &LatexDocument) -> Result<Latex
         figure_counter: 0,
         table_counter: 0,
         derived: 0,
+        owner,
     };
 
     let mut doc_children = Vec::new();
@@ -268,20 +275,17 @@ pub fn document_to_views(store: &ViewStore, doc: &LatexDocument) -> Result<Latex
     })
 }
 
-/// Parses LaTeX text and instantiates it.
+/// Parses LaTeX text and instantiates it as views of no base view.
 pub fn text_to_views(store: &ViewStore, latex: &str) -> Result<LatexMapping> {
-    let doc = parse_latex(latex).map_err(|e| IdmError::Parse {
-        detail: e.to_string(),
-    })?;
-    document_to_views(store, &doc)
+    owned_text_to_views(store, latex, None)
 }
 
 /// Upgrades a `file` view whose content is LaTeX: instantiates the
-/// document subgraph and wires it as the file's group `⟨V_document⟩`,
-/// marking the file with class `latexfile`.
-pub fn latex_to_views(store: &ViewStore, file: Vid) -> Result<LatexMapping> {
+/// document subgraph, every view owned by `owner`, and wires it as the
+/// file's group `⟨V_document⟩`, marking the file with class `latexfile`.
+pub fn latex_to_views(store: &ViewStore, file: Vid, owner: Vid) -> Result<LatexMapping> {
     let latex = store.content(file)?.text_lossy()?;
-    let mapping = text_to_views(store, &latex)?;
+    let mapping = owned_text_to_views(store, &latex, Some(owner))?;
     store.set_group(file, Group::of_seq(vec![mapping.document]))?;
     store.set_class(file, store.classes().lookup(names::LATEX_FILE))?;
     Ok(mapping)
@@ -422,7 +426,8 @@ The results in Figure~\ref{fig:idx} show interactive times.
             .text(VLDB_TEX)
             .class_named(names::FILE)
             .insert();
-        let mapping = latex_to_views(&store, file).unwrap();
+        let mapping = latex_to_views(&store, file, file).unwrap();
+        assert_eq!(store.owned(file).len(), mapping.derived);
         assert!(store.conforms_to(file, names::LATEX_FILE).unwrap());
         assert!(store.conforms_to(file, names::FILE).unwrap());
         assert_eq!(

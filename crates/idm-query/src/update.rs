@@ -207,9 +207,15 @@ impl QueryProcessor {
                     store.set_class(vid, Some(class_id))?;
                 }
                 UpdateAction::Delete => {
-                    indexes.remove_view(vid);
-                    if store.contains(vid) {
-                        store.remove(vid)?;
+                    // A view goes with the views it owns: what its
+                    // conversion minted.
+                    let mut gone = store.owned(vid);
+                    gone.push(vid);
+                    indexes.remove_views(&gone);
+                    for view in gone {
+                        if store.contains(view) {
+                            store.remove(view)?;
+                        }
                     }
                     outcome.applied += 1;
                     continue;
@@ -359,6 +365,27 @@ mod tests {
         assert_eq!(p.execute("//final.tex").unwrap().rows.len(), 0);
         assert_eq!(p.execute(r#""camera ready""#).unwrap().rows.len(), 0);
         assert_eq!(p.index_bundle().catalog.len(), p.view_store().len());
+    }
+
+    #[test]
+    fn delete_takes_the_views_the_target_owns() {
+        let p = space();
+        let store = p.view_store();
+        let draft = p.execute("//draft.tex").unwrap().rows.views()[0];
+        let section = store
+            .build("Drafting")
+            .text("owned section")
+            .owner(Some(draft))
+            .insert();
+        p.index_bundle()
+            .index_view(store, section, "filesystem")
+            .unwrap();
+        let outcome = p.execute_update("delete //draft.tex").unwrap();
+        assert_eq!(outcome.applied, 1);
+        assert!(!store.contains(section));
+        assert_eq!(p.execute(r#""owned section""#).unwrap().rows.len(), 0);
+        assert_eq!(p.index_bundle().catalog.len(), store.len());
+        assert!(store.verify_invariants().is_ok());
     }
 
     #[test]

@@ -6,11 +6,9 @@
 //! which process them immediately, like the data-driven operators of
 //! specialized data stream management systems.
 //!
-//! Dispatch is explicit ([`PushEngine::pump`]) so tests and benchmarks
-//! are deterministic; [`PushEngine::spawn_pump`] provides a background
-//! dispatcher thread for live use.
+//! Dispatch is explicit ([`PushEngine::pump`]), so tests and benchmarks
+//! are deterministic and no thread of the engine's own is ever started.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::Receiver;
@@ -73,42 +71,6 @@ impl PushEngine {
             }
         }
     }
-
-    /// Spawns a background thread that dispatches events as they arrive
-    /// until the returned guard is dropped.
-    pub fn spawn_pump(self: Arc<Self>) -> PumpGuard {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let engine = Arc::clone(&self);
-        let handle = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Relaxed) {
-                match engine.rx.recv_timeout(std::time::Duration::from_millis(10)) {
-                    Ok(event) => engine.dispatch(&event),
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        });
-        PumpGuard {
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-/// Stops the background pump when dropped.
-pub struct PumpGuard {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for PumpGuard {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
 }
 
 /// A ready-made operator: collects the vids of created views whose
@@ -157,7 +119,7 @@ impl PushOperator for KeywordFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     struct Counter {
         kinds: Option<Vec<ChangeKind>>,
@@ -218,28 +180,5 @@ mod tests {
             .unwrap();
         engine.pump();
         assert_eq!(filter.matches().len(), 2);
-    }
-
-    #[test]
-    fn background_pump_processes_live_events() {
-        let store = Arc::new(ViewStore::new());
-        let engine = Arc::new(PushEngine::attach(Arc::clone(&store)));
-        let filter = Arc::new(KeywordFilter::new("stream"));
-        engine.register(Arc::clone(&filter) as Arc<dyn PushOperator>);
-        let guard = Arc::clone(&engine).spawn_pump();
-
-        store
-            .build("m")
-            .text("a new tuple on a data stream")
-            .insert();
-        // Wait (bounded) for the background thread to process it.
-        for _ in 0..200 {
-            if !filter.matches().is_empty() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        drop(guard);
-        assert_eq!(filter.matches().len(), 1);
     }
 }

@@ -27,6 +27,6 @@ pub mod engine;
 pub mod sources;
 pub mod window;
 
-pub use engine::{PumpGuard, PushEngine, PushOperator};
+pub use engine::{PushEngine, PushOperator};
 pub use sources::{GeneratorTupleStream, PollingStream, RssStreamSource};
 pub use window::StreamWindow;

@@ -1,7 +1,9 @@
 //! The Content2iDM Converter registry (Section 5.2, part 2): enriches
 //! the initial iDM graph by converting content components into resource
 //! view subgraphs. The paper's prototype provided converters for XML
-//! and LaTeX — so does this registry.
+//! and LaTeX — so does this registry. Every view a converter mints is
+//! owned by a base view ([`ViewRecord::owner`]), which
+//! [`ConverterRegistry::convert_view`] alone decides.
 
 use idm_core::prelude::*;
 
@@ -36,8 +38,9 @@ pub trait Content2IdmConverter: Send + Sync {
     fn applies(&self, store: &ViewStore, vid: Vid) -> Result<bool>;
 
     /// Converts the view's content component into a subgraph hanging
-    /// off its group component; returns counts.
-    fn convert(&self, store: &ViewStore, vid: Vid) -> Result<Conversion>;
+    /// off its group component, every view of it owned by `owner`;
+    /// returns counts.
+    fn convert(&self, store: &ViewStore, vid: Vid, owner: Vid) -> Result<Conversion>;
 }
 
 fn has_extension(store: &ViewStore, vid: Vid, extension: &str) -> Result<bool> {
@@ -59,8 +62,8 @@ impl Content2IdmConverter for XmlConverter {
         has_extension(store, vid, ".xml")
     }
 
-    fn convert(&self, store: &ViewStore, vid: Vid) -> Result<Conversion> {
-        let (_doc, derived) = idm_xml::convert::enrich_xml_file(store, vid)?;
+    fn convert(&self, store: &ViewStore, vid: Vid, owner: Vid) -> Result<Conversion> {
+        let (_doc, derived) = idm_xml::convert::enrich_xml_file(store, vid, owner)?;
         Ok(Conversion {
             derived_xml: derived,
             derived_latex: 0,
@@ -80,8 +83,8 @@ impl Content2IdmConverter for LatexConverter {
         has_extension(store, vid, ".tex")
     }
 
-    fn convert(&self, store: &ViewStore, vid: Vid) -> Result<Conversion> {
-        let mapping = idm_latex::convert::latex_to_views(store, vid)?;
+    fn convert(&self, store: &ViewStore, vid: Vid, owner: Vid) -> Result<Conversion> {
+        let mapping = idm_latex::convert::latex_to_views(store, vid, owner)?;
         Ok(Conversion {
             derived_xml: 0,
             derived_latex: mapping.derived,
@@ -108,20 +111,16 @@ impl Content2IdmConverter for OfficeConverter {
         Ok(false)
     }
 
-    fn convert(&self, store: &ViewStore, vid: Vid) -> Result<Conversion> {
+    fn convert(&self, store: &ViewStore, vid: Vid, owner: Vid) -> Result<Conversion> {
         let bytes = store.content(vid)?.bytes()?;
         if !idm_xml::zip::is_zip(&bytes) {
             return Err(IdmError::Parse {
                 detail: "office: not a zip container".into(),
             });
         }
-        let document_xml = idm_xml::zip::office_document_xml(&bytes)?;
-        let (doc_vid, derived) = idm_xml::convert::text_to_views(store, &document_xml)?;
-        store.set_group(vid, Group::of_seq(vec![doc_vid]))?;
         // The container is a file carrying an XML document: xmlfile.
-        if let Some(class) = store.classes().lookup("xmlfile") {
-            store.set_class(vid, Some(class))?;
-        }
+        let document_xml = idm_xml::zip::office_document_xml(&bytes)?;
+        let (_doc, derived) = idm_xml::convert::attach_document(store, vid, &document_xml, owner)?;
         Ok(Conversion {
             derived_xml: derived,
             derived_latex: 0,
@@ -129,7 +128,7 @@ impl Content2IdmConverter for OfficeConverter {
     }
 }
 
-/// The converter registry.
+/// The converter registry: the paper's converters, fixed.
 pub struct ConverterRegistry {
     converters: Vec<Box<dyn Content2IdmConverter>>,
 }
@@ -147,19 +146,10 @@ impl ConverterRegistry {
         }
     }
 
-    /// An empty registry.
-    pub fn empty() -> Self {
-        ConverterRegistry {
-            converters: Vec::new(),
-        }
-    }
-
-    /// Adds a converter.
-    pub fn register(&mut self, converter: Box<dyn Content2IdmConverter>) {
-        self.converters.push(converter);
-    }
-
-    /// Runs the first applicable converter on one view.
+    /// Runs the first applicable converter on one view. What it mints
+    /// is owned by the view's owner, or by the view itself if it is a
+    /// base view: ownership is never more than one step deep, so an
+    /// email attachment's converted views belong to the message.
     ///
     /// Malformed documents are tolerated: a converter parse failure
     /// leaves the view unconverted (a PDSMS must survive odd files),
@@ -167,7 +157,8 @@ impl ConverterRegistry {
     pub fn convert_view(&self, store: &ViewStore, vid: Vid) -> Result<Conversion> {
         for converter in &self.converters {
             if converter.applies(store, vid)? {
-                return match converter.convert(store, vid) {
+                let owner = store.owner(vid)?.unwrap_or(vid);
+                return match converter.convert(store, vid, owner) {
                     Ok(conversion) => Ok(conversion),
                     Err(IdmError::Parse { .. }) => Ok(Conversion::default()),
                     Err(other) => Err(other),
@@ -271,6 +262,7 @@ mod tests {
         let registry = ConverterRegistry::with_defaults();
         let conversion = registry.convert_view(&store, vid).unwrap();
         assert!(conversion.derived_xml >= 6, "{conversion:?}");
+        assert_eq!(store.owned(vid).len(), conversion.derived_xml);
         assert!(store.conforms_to(vid, "xmlfile").unwrap());
         // The inside of the container is queryable graph structure.
         let inside = idm_core::graph::descendants(&store, vid, usize::MAX).unwrap();

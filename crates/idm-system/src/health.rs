@@ -200,7 +200,7 @@ impl Pdsms {
             let mut guard = manager.lock();
             let artifacts = artifacts_of(&guard)?;
             let report = guard
-                .scrub_round(&self.store, &self.lineage, scrubber, &artifacts)
+                .scrub_round(&self.store, scrubber, &artifacts)
                 .map_err(durability_err)?;
             (report, guard.dir().to_path_buf())
         };

@@ -39,6 +39,7 @@ pub mod sync;
 
 pub use converter::{Content2IdmConverter, ConverterRegistry};
 pub use health::{HealthMonitor, HealthReport, HealthStats};
+pub use idm_index::AuditScope;
 pub use idm_query::{QueryRequest, QueryResponse};
 pub use live::{LiveQuery, LiveStats};
 pub use rvm::{
@@ -54,7 +55,6 @@ use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
-use idm_core::lineage::LineageGraph;
 use idm_core::prelude::*;
 use idm_index::IndexBundle;
 use idm_query::QueryProcessor;
@@ -139,7 +139,6 @@ fn durability_err(e: io::Error) -> IdmError {
 pub struct Pdsms {
     store: Arc<ViewStore>,
     indexes: Arc<IndexBundle>,
-    lineage: Arc<LineageGraph>,
     rvm: ResourceViewManager,
     durability: Option<Mutex<idm_core::durability::DurabilityManager>>,
     /// The one processor every query path of this system borrows; its
@@ -153,13 +152,12 @@ impl Pdsms {
     pub fn new() -> Self {
         let store = Arc::new(ViewStore::new());
         let indexes = Arc::new(IndexBundle::new());
-        Pdsms::assemble(store, indexes, Arc::new(LineageGraph::new()), None)
+        Pdsms::assemble(store, indexes, None)
     }
 
     fn assemble(
         store: Arc<ViewStore>,
         indexes: Arc<IndexBundle>,
-        lineage: Arc<LineageGraph>,
         durability: Option<idm_core::durability::DurabilityManager>,
     ) -> Self {
         let rvm = ResourceViewManager::new(Arc::clone(&store), Arc::clone(&indexes));
@@ -167,7 +165,6 @@ impl Pdsms {
         Pdsms {
             store,
             indexes,
-            lineage,
             rvm,
             durability: durability.map(Mutex::new),
             processor,
@@ -197,7 +194,7 @@ impl Pdsms {
         options: idm_core::durability::DurabilityOptions,
     ) -> Result<(Pdsms, OpenReport)> {
         let dir = dir.as_ref();
-        let (store, lineage, manager, recovery) =
+        let (store, manager, recovery) =
             idm_core::durability::DurabilityManager::open(dir, options.sync)
                 .map_err(durability_err)?;
 
@@ -245,7 +242,7 @@ impl Pdsms {
             ),
         };
 
-        let system = Pdsms::assemble(store, Arc::new(indexes), lineage, Some(manager));
+        let system = Pdsms::assemble(store, Arc::new(indexes), Some(manager));
         Ok((
             system,
             OpenReport {
@@ -314,13 +311,9 @@ impl Pdsms {
             });
         }
         let dir = dir.as_ref();
-        let (manager, stats) = idm_core::durability::DurabilityManager::attach(
-            dir,
-            &self.store,
-            &self.lineage,
-            options.sync,
-        )
-        .map_err(durability_err)?;
+        let (manager, stats) =
+            idm_core::durability::DurabilityManager::attach(dir, &self.store, options.sync)
+                .map_err(durability_err)?;
         idm_index::persist::save_with_epoch(&self.indexes, &dir.join(INDEX_FILE), stats.lsn)
             .map_err(durability_err)?;
         self.durability = Some(Mutex::new(manager));
@@ -336,7 +329,7 @@ impl Pdsms {
         })?;
         let stats = manager
             .lock()
-            .checkpoint(&self.store, &self.lineage)
+            .checkpoint(&self.store)
             .map_err(durability_err)?;
         idm_index::persist::save_with_epoch(
             &self.indexes,
@@ -366,11 +359,6 @@ impl Pdsms {
             .map(|m| m.lock().dir().to_path_buf())
     }
 
-    /// The lineage graph (durable as of the last checkpoint).
-    pub fn lineage(&self) -> &Arc<LineageGraph> {
-        &self.lineage
-    }
-
     /// The resource view store.
     pub fn store(&self) -> &Arc<ViewStore> {
         &self.store
@@ -384,11 +372,6 @@ impl Pdsms {
     /// The resource view manager.
     pub fn rvm(&self) -> &ResourceViewManager {
         &self.rvm
-    }
-
-    /// Mutable access to the resource view manager (plugin registration).
-    pub fn rvm_mut(&mut self) -> &mut ResourceViewManager {
-        &mut self.rvm
     }
 
     /// Registers a data source plugin.

@@ -206,16 +206,6 @@ impl ResourceViewManager {
         out
     }
 
-    /// Replaces the converter registry.
-    pub fn set_converters(&mut self, converters: ConverterRegistry) {
-        self.converters = converters;
-    }
-
-    /// The converter registry.
-    pub fn converters(&self) -> &ConverterRegistry {
-        &self.converters
-    }
-
     /// The store.
     pub fn store(&self) -> &Arc<ViewStore> {
         &self.store

@@ -6,8 +6,16 @@
 //! applies updates immediately at the next sync round; for updates done
 //! bypassing the RVM layer it also supports a full polling pass that
 //! diffs the source against the catalog.
+//!
+//! What a change takes with it is decided by ownership, not
+//! reachability: a base view (a file, folder, link or message) goes with
+//! exactly the views it owns ([`ViewStore::owned`]) — what its
+//! conversion minted, and for a message its attachments and theirs. A
+//! group edge is never followed, so removing `/Projects/PIM` leaves
+//! `/Projects`, which its `All Projects` link points back at, and every
+//! view under it alone.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -31,30 +39,22 @@ pub struct SyncReport {
     pub removed: usize,
 }
 
-/// Path → base view, and the base vids as a set: a derived subtree is
-/// removed on every change, and must never take a base view it reaches
-/// through a folder link with it. Paths are ordered, so the paths under
-/// one are a range.
+/// Path → base view. Paths are ordered, so the paths under one are a
+/// range.
 #[derive(Default)]
 struct BaseViews {
     by_path: BTreeMap<String, Vid>,
-    vids: HashSet<Vid>,
 }
 
 impl BaseViews {
-    fn insert(&mut self, path: String, vid: Vid) {
-        if let Some(old) = self.by_path.insert(path, vid) {
-            self.vids.remove(&old);
-        }
-        self.vids.insert(vid);
-    }
-
     /// Forgets `path` and the paths under it (sub-paths disappear with
     /// their parent), which run from `"{path}/"` to the first path not
-    /// starting with it; returns the view `path` itself had.
-    fn remove_tree(&mut self, path: &str) -> Option<Vid> {
-        let vid = self.by_path.remove(path)?;
-        self.vids.remove(&vid);
+    /// starting with it; returns their views, `path`'s own first, or
+    /// nothing if `path` is unknown.
+    fn remove_tree(&mut self, path: &str) -> Vec<Vid> {
+        let Some(vid) = self.by_path.remove(path) else {
+            return Vec::new();
+        };
         let prefix = format!("{path}/");
         let under: Vec<String> = self
             .by_path
@@ -62,12 +62,9 @@ impl BaseViews {
             .take_while(|(sub, _)| sub.starts_with(&prefix))
             .map(|(sub, _)| sub.clone())
             .collect();
-        for sub in under {
-            if let Some(gone) = self.by_path.remove(&sub) {
-                self.vids.remove(&gone);
-            }
-        }
-        Some(vid)
+        let mut gone = vec![vid];
+        gone.extend(under.iter().filter_map(|sub| self.by_path.remove(sub)));
+        gone
     }
 }
 
@@ -99,21 +96,33 @@ fn apply_in_order<E>(
     Ok(())
 }
 
-/// Indexes `root` and every descendant of it the catalog lacks, in one
+/// Indexes `base` and every view it owns that the catalog lacks, in one
 /// [`IndexBundle::index_views`] call; returns those views, vid-sorted.
 fn index_missing(
     store: &ViewStore,
     indexes: &IndexBundle,
-    root: Vid,
+    base: Vid,
     source: &str,
 ) -> Result<Vec<Vid>> {
-    let mut missing = vec![root];
-    missing.extend(idm_core::graph::descendants(store, root, usize::MAX)?);
+    let mut missing = store.owned(base);
+    missing.push(base);
     missing.sort_unstable();
-    missing.dedup();
-    missing.retain(|&member| !indexes.catalog.contains(member));
+    missing.retain(|&view| !indexes.catalog.contains(view));
     indexes.index_views(store, &missing, source, SEGMENT_VIEWS, 1)?;
     Ok(missing)
+}
+
+/// Removes every view `base` owns from the store, newest first, and
+/// returns them; the caller takes them out of the indexes, together
+/// with `base` itself, in one [`IndexBundle::remove_views`] call.
+fn remove_owned(store: &ViewStore, base: Vid) -> Result<Vec<Vid>> {
+    let owned = store.owned(base);
+    for &view in owned.iter().rev() {
+        if store.contains(view) {
+            store.remove(view)?;
+        }
+    }
+    Ok(owned)
 }
 
 /// A synchronization manager for one filesystem source.
@@ -145,7 +154,7 @@ impl SynchronizationManager {
         let mut paths = BaseViews::default();
         for (node, _depth) in fs.walk(NodeId::ROOT)? {
             if let Some(vid) = plugin.view_of(node) {
-                paths.insert(fs.path_of(node)?, vid);
+                paths.by_path.insert(fs.path_of(node)?, vid);
             }
         }
         Ok(SynchronizationManager {
@@ -201,7 +210,12 @@ impl SynchronizationManager {
         if self.paths.lock().by_path.contains_key(path) {
             return Ok(0);
         }
-        let node = self.fs.resolve(path)?;
+        // The node itself: `resolve` would take a new link to its target.
+        let (dir, name) = path.rsplit_once('/').unwrap_or(("", path));
+        let node = self
+            .fs
+            .child_named(self.fs.resolve(dir)?, name)?
+            .ok_or_else(|| IdmError::provider(format!("sync: '{path}' is gone")))?;
         self.create_node(node, path)
     }
 
@@ -251,7 +265,7 @@ impl SynchronizationManager {
                 .group
                 .index(parent, &self.store.group(parent)?.finite_members());
         }
-        self.paths.lock().insert(path.to_owned(), vid);
+        self.paths.lock().by_path.insert(path.to_owned(), vid);
         self.plugin.record_mapping(node, vid);
 
         // Convert + index the new subtree.
@@ -273,8 +287,8 @@ impl SynchronizationManager {
             _ => None,
         };
 
-        // Drop the stale derived subgraph.
-        let mut stale = self.remove_derived_subtree(vid)?;
+        // Drop the stale derived views.
+        let mut stale = remove_owned(&self.store, vid)?;
         stale.push(vid);
 
         self.store.set_tuple(vid, Some(meta.to_tuple()))?;
@@ -293,12 +307,17 @@ impl SynchronizationManager {
         Ok(1)
     }
 
+    /// Removes the base view of `path`, those of the paths under it, and
+    /// the views each of them owns.
     fn on_removed(&self, path: &str) -> Result<usize> {
-        let Some(vid) = self.paths.lock().remove_tree(path) else {
+        let bases = self.paths.lock().remove_tree(path);
+        let Some(&vid) = bases.first() else {
             return Ok(0);
         };
-        let mut gone = self.remove_derived_subtree(vid)?;
-        gone.push(vid);
+        let mut gone = Vec::new();
+        for &base in &bases {
+            gone.extend(remove_owned(&self.store, base)?);
+        }
         // Detach from the parent's group.
         if let Some(parent) = self.parent_view(path) {
             if let Ok(snapshot) = self.store.group(parent) {
@@ -312,30 +331,14 @@ impl SynchronizationManager {
                 self.indexes.group.index(parent, &members);
             }
         }
+        gone.extend(&bases);
         self.indexes.remove_views(&gone);
-        if self.store.contains(vid) {
-            self.store.remove(vid)?;
-        }
-        Ok(gone.len())
-    }
-
-    /// Removes every view derived from `vid`'s content (its descendant
-    /// subgraph) from the store and returns them; the caller takes them
-    /// out of the indexes, together with `vid` itself, in one
-    /// [`IndexBundle::remove_views`] call.
-    fn remove_derived_subtree(&self, vid: Vid) -> Result<Vec<Vid>> {
-        let mut derived = idm_core::graph::descendants(&self.store, vid, usize::MAX)?;
-        {
-            // Never remove other *base* views reachable via folder links.
-            let paths = self.paths.lock();
-            derived.retain(|member| *member != vid && !paths.vids.contains(member));
-        }
-        for &member in &derived {
-            if self.store.contains(member) {
-                self.store.remove(member)?;
+        for base in bases {
+            if self.store.contains(base) {
+                self.store.remove(base)?;
             }
         }
-        Ok(derived)
+        Ok(gone.len())
     }
 }
 
@@ -413,19 +416,13 @@ impl ImapSynchronizationManager {
         let Some(vid) = self.plugin.forget_message(uid) else {
             return Ok(0);
         };
-        let mut removed = 0;
-        // Remove the message and its derived subtree (attachments and
-        // their converted views belong exclusively to this message).
-        let mut subtree = vec![vid];
-        subtree.extend(idm_core::graph::descendants(&self.store, vid, usize::MAX)?);
-        subtree.sort();
-        subtree.dedup();
-        self.indexes.remove_views(&subtree);
-        for member in subtree {
-            if self.store.contains(member) {
-                self.store.remove(member)?;
-                removed += 1;
-            }
+        // Remove the message and what it owns: its attachments and
+        // their converted views.
+        let mut gone = remove_owned(&self.store, vid)?;
+        gone.push(vid);
+        self.indexes.remove_views(&gone);
+        if self.store.contains(vid) {
+            self.store.remove(vid)?;
         }
         // Detach the dangling reference from every group that still
         // holds it: the replica keeps a removed view's in-edges.
@@ -440,7 +437,7 @@ impl ImapSynchronizationManager {
                 self.indexes.group.index(parent, &kept);
             }
         }
-        Ok(removed)
+        Ok(gone.len())
     }
 }
 
@@ -491,23 +488,18 @@ mod tests {
             .into_iter()
             .enumerate()
         {
-            paths.insert(path.to_owned(), Vid::from_raw(i as u64));
+            paths
+                .by_path
+                .insert(path.to_owned(), Vid::from_raw(i as u64));
         }
-        let agree = |paths: &BaseViews| {
-            let from_paths: HashSet<Vid> = paths.by_path.values().copied().collect();
-            assert_eq!(from_paths, paths.vids);
-        };
-        agree(&paths);
-        assert_eq!(paths.remove_tree("/a/b"), Some(Vid::from_raw(1)));
+        let vids = |raw: &[u64]| -> Vec<Vid> { raw.iter().map(|&r| Vid::from_raw(r)).collect() };
+        assert_eq!(paths.remove_tree("/a/b"), vids(&[1, 2, 5]));
         let left: Vec<&str> = paths.by_path.keys().map(String::as_str).collect();
         assert_eq!(left, ["/a", "/a/b2", "/a/bc"]);
-        agree(&paths);
-        assert_eq!(paths.remove_tree("/a/b"), None);
-        assert_eq!(paths.remove_tree("/a/bc"), Some(Vid::from_raw(4)));
-        agree(&paths);
-        assert_eq!(paths.remove_tree("/a"), Some(Vid::from_raw(0)));
+        assert_eq!(paths.remove_tree("/a/b"), vids(&[]));
+        assert_eq!(paths.remove_tree("/a/bc"), vids(&[4]));
+        assert_eq!(paths.remove_tree("/a"), vids(&[0, 3]));
         assert!(paths.by_path.is_empty());
-        agree(&paths);
     }
 
     fn query(w: &World, iql: &str) -> usize {
@@ -648,6 +640,111 @@ mod tests {
         // The folder group no longer references the dead view.
         let folder = plugin.folder_view(olap).unwrap();
         assert_eq!(store.group(folder).unwrap().finite_members().len(), 1);
+    }
+
+    /// A delivered message owns its attachments and their converted
+    /// views, and nothing else; deleting it takes exactly those with it.
+    #[test]
+    fn imap_delete_removes_exactly_what_the_message_owns() {
+        use crate::source::{DataSourcePlugin, ImapPlugin};
+        use idm_core::durability::record::view_bytes;
+        use idm_email::message::{Attachment, EmailMessage};
+        use idm_email::ImapServer;
+
+        let server = Arc::new(ImapServer::in_process());
+        let olap = server.create_mailbox(server.inbox(), "OLAP").unwrap();
+        server.append(olap, &fresh_message()).unwrap();
+        let store = Arc::new(ViewStore::new());
+        let indexes = Arc::new(IndexBundle::new());
+        let rvm = ResourceViewManager::new(Arc::clone(&store), Arc::clone(&indexes));
+        let plugin = Arc::new(ImapPlugin::new(Arc::clone(&server)));
+        rvm.register_source(Arc::clone(&plugin) as Arc<dyn DataSourcePlugin>);
+        rvm.ingest_all().unwrap();
+        let sync = ImapSynchronizationManager::attach(
+            Arc::clone(&plugin),
+            Arc::clone(&store),
+            Arc::clone(&indexes),
+        );
+        // Every view with its serialized record, and the catalog.
+        let state = || {
+            let views: Vec<(Vid, Vec<u8>)> = store
+                .vids()
+                .into_iter()
+                .map(|vid| {
+                    (
+                        vid,
+                        view_bytes(vid, &store.record(vid).unwrap(), store.classes()),
+                    )
+                })
+                .collect();
+            (views, indexes.catalog.export_rows())
+        };
+        let before = state();
+
+        let attachment = |filename: &str, content: &str| Attachment {
+            filename: filename.into(),
+            content: content.to_owned().into(),
+        };
+        let uid = server
+            .append(
+                olap,
+                &EmailMessage {
+                    subject: "eval".into(),
+                    date: t(),
+                    attachments: vec![
+                        attachment("eval.tex", "\\section{Results}\nIndexing Time"),
+                        attachment("eval.xml", "<runs><run>42</run></runs>"),
+                    ],
+                    ..EmailMessage::default()
+                },
+            )
+            .unwrap();
+        sync.sync_round().unwrap();
+        let message = plugin.message_view(uid).unwrap();
+        let attachments = store.group(message).unwrap().finite_members();
+        assert_eq!(attachments.len(), 2);
+        for &a in &attachments {
+            assert!(store.owned(a).is_empty(), "an attachment owns nothing");
+            assert!(
+                store.group(a).unwrap().finite_members().len() == 1,
+                "converted"
+            );
+        }
+        // What the delivery minted besides the message, and nothing else.
+        let mut minted: Vec<Vid> = store
+            .vids()
+            .into_iter()
+            .filter(|&v| v != message && before.0.iter().all(|(old, _)| *old != v))
+            .collect();
+        minted.sort_unstable();
+        let mut owned = store.owned(message);
+        owned.sort_unstable();
+        assert_eq!(owned, minted);
+        assert!(owned.len() > attachments.len() + 4, "{owned:?}");
+
+        server.delete(olap, uid).unwrap();
+        let report = sync.sync_round().unwrap();
+        assert_eq!(report.removed, owned.len() + 1);
+        assert!(store.owned(message).is_empty());
+        assert_eq!(state(), before);
+    }
+
+    #[test]
+    fn a_new_folder_link_is_a_link_view_not_a_copy_of_its_target() {
+        let w = world();
+        let papers = w.fs.resolve("/papers").unwrap();
+        w.fs.create_link(papers, "up", NodeId::ROOT, t()).unwrap();
+        let report = w.sync.sync_round().unwrap();
+        assert_eq!(report.created, 1);
+        let link = w.indexes.name.exact("up")[0];
+        assert_eq!(
+            w.store.class_name(link).unwrap().as_deref(),
+            Some("folderlink")
+        );
+        let root = w.sync.paths.lock().by_path["/"];
+        assert_eq!(w.store.group(link).unwrap().finite_members(), vec![root]);
+        // The cycle /papers/up → / → /papers is walked, never copied.
+        assert_eq!(query(&w, r#"//papers//Alpha"#), 1);
     }
 
     #[test]

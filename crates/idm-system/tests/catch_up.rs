@@ -454,8 +454,7 @@ fn a_tail_with_replay_errors_still_catches_up() {
     drop(scripted);
 
     // Two records no store would accept, appended behind its back.
-    let (_store, _lineage, manager, recovery) =
-        DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
+    let (_store, manager, recovery) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
     assert_eq!(recovery.replay_errors, 0);
     let overlapping = SerialGroup::Finite {
         set: vec![1],
@@ -475,7 +474,7 @@ fn a_tail_with_replay_errors_still_catches_up() {
             name: Some("nobody".into()),
         }])
         .unwrap();
-    drop((_store, _lineage, manager));
+    drop((_store, manager));
 
     let (reopened, report) = reopen(&dir);
     assert_eq!(report.recovery.replay_errors, 2, "{report}");

@@ -303,22 +303,43 @@ fn torn_wal_tail_recovers_a_consistent_prefix_end_to_end() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A derived view's lineage is its owner, the base view whose
+/// conversion minted it — a file, or the message of an attachment. It
+/// survives a checkpoint and a reopen.
 #[test]
 fn lineage_survives_checkpoints() {
     let dir = tmp("lineage");
-    let mut system = Pdsms::new();
-    let a = system.store().build("a").text("original").insert();
-    let b = system.store().build("b").text("copy").insert();
-    system.lineage().record(b, a, "copy");
+    let mut system = populated_system();
+    let owners = |system: &Pdsms| -> Vec<(Vid, Option<Vid>)> {
+        let store = system.store();
+        store
+            .vids()
+            .into_iter()
+            .map(|vid| (vid, store.owner(vid).unwrap()))
+            .collect()
+    };
+    let before = owners(&system);
+    let bases: Vec<Vid> = before
+        .iter()
+        .filter_map(|&(vid, owner)| owner.is_none().then_some(vid))
+        .collect();
+    let owned: Vec<Vec<Vid>> = bases.iter().map(|&b| system.store().owned(b)).collect();
+    // The .tex file owns its sections; the message owns its attachment
+    // and the attachment's sections.
+    let file = system.indexes().name.exact("vldb2006.tex")[0];
+    let message = system.indexes().name.exact("figures")[0];
+    let attachment = system.indexes().name.exact("more.tex")[0];
+    assert!(system.store().owned(file).len() >= 3);
+    assert_eq!(system.store().owner(attachment).unwrap(), Some(message));
+    assert!(system.store().owned(message).len() >= 3);
     system.make_durable(&dir).unwrap();
     system.checkpoint().unwrap();
     drop(system);
 
     let (reopened, _) = Pdsms::open(&dir).unwrap();
-    let provenance = reopened.lineage().provenance(b);
-    assert_eq!(provenance.len(), 1);
-    assert_eq!(provenance[0].source, a);
-    assert_eq!(provenance[0].transform, "copy");
+    assert_eq!(owners(&reopened), before);
+    let reopened_owned: Vec<Vec<Vid>> = bases.iter().map(|&b| reopened.store().owned(b)).collect();
+    assert_eq!(reopened_owned, owned);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -8,14 +8,13 @@
 //! - a document item becomes a `xmldoc` view: `γ = (∅, ⟨V_root⟩)`,
 //! - an XML *file* view is upgraded to class `xmlfile` with
 //!   `γ = (∅, ⟨V_doc⟩)`, removing the boundary between the file on the
-//!   outside and its structure on the inside.
-
-use std::sync::Arc;
+//!   outside and its structure on the inside. Every view of the document
+//!   is minted with the base view the file belongs to as its owner.
 
 use idm_core::class::builtin::names;
 use idm_core::prelude::*;
 
-use crate::parser::{parse, XmlDocument, XmlElement, XmlNode};
+use crate::parser::{parse, XmlElement, XmlNode};
 
 /// Converts attributes to the element's tuple component `(W_E, T_E)`.
 ///
@@ -34,32 +33,33 @@ fn attributes_to_tuple(element: &XmlElement) -> Option<TupleComponent> {
     ))
 }
 
-/// Instantiates an element subtree; returns the `xmlelem` view.
-pub fn element_to_views(store: &ViewStore, element: &XmlElement) -> Result<Vid> {
-    let xmlelem = store.classes().require(names::XMLELEM)?;
-    let xmltext = store.classes().require(names::XMLTEXT)?;
-    element_to_views_inner(store, element, xmlelem, xmltext)
-}
-
-fn element_to_views_inner(
-    store: &ViewStore,
-    element: &XmlElement,
+/// The `xmlelem` and `xmltext` classes, and the owner every view is
+/// minted with.
+struct Minter {
     xmlelem: ClassId,
     xmltext: ClassId,
-) -> Result<Vid> {
+    owner: Option<Vid>,
+}
+
+/// Instantiates an element subtree; returns the `xmlelem` view.
+fn element_to_views(store: &ViewStore, element: &XmlElement, minter: &Minter) -> Result<Vid> {
     let mut children = Vec::with_capacity(element.children.len());
     for child in &element.children {
         let vid = match child {
-            XmlNode::Element(e) => element_to_views_inner(store, e, xmlelem, xmltext)?,
+            XmlNode::Element(e) => element_to_views(store, e, minter)?,
             XmlNode::Text(t) => store
                 .build_unnamed()
                 .content(Content::text(t.clone()))
-                .class(xmltext)
+                .class(minter.xmltext)
+                .owner(minter.owner)
                 .insert(),
         };
         children.push(vid);
     }
-    let mut builder = store.build(element.name.clone()).class(xmlelem);
+    let mut builder = store
+        .build(element.name.clone())
+        .class(minter.xmlelem)
+        .owner(minter.owner);
     if let Some(tuple) = attributes_to_tuple(element) {
         builder = builder.tuple(tuple);
     }
@@ -69,52 +69,61 @@ fn element_to_views_inner(
     Ok(builder.insert())
 }
 
-/// Instantiates a parsed document; returns the `xmldoc` view.
-pub fn document_to_views(store: &ViewStore, doc: &XmlDocument) -> Result<Vid> {
-    let xmldoc = store.classes().require(names::XMLDOC)?;
-    let root = element_to_views(store, &doc.root)?;
-    Ok(store
-        .build_unnamed()
-        .sequence(vec![root])
-        .class(xmldoc)
-        .insert())
-}
-
-/// Parses XML text and instantiates it; returns the `xmldoc` view and the
-/// number of views created.
-pub fn text_to_views(store: &ViewStore, xml: &str) -> Result<(Vid, usize)> {
+/// Parses XML text and instantiates it, every view owned by `owner`;
+/// returns the `xmldoc` view and the number of views created.
+fn owned_text_to_views(store: &ViewStore, xml: &str, owner: Option<Vid>) -> Result<(Vid, usize)> {
     let doc = parse(xml).map_err(|e| IdmError::Parse {
         detail: e.to_string(),
     })?;
-    let vid = document_to_views(store, &doc)?;
+    let classes = store.classes();
+    let xmldoc = classes.require(names::XMLDOC)?;
+    let minter = Minter {
+        xmlelem: classes.require(names::XMLELEM)?,
+        xmltext: classes.require(names::XMLTEXT)?,
+        owner,
+    };
+    let root = element_to_views(store, &doc.root, &minter)?;
+    let vid = store
+        .build_unnamed()
+        .sequence(vec![root])
+        .class(xmldoc)
+        .owner(owner)
+        .insert();
     // One view per information item, the document's included.
     Ok((vid, doc.item_count()))
 }
 
-/// Upgrades a `file` view whose content is XML into an `xmlfile` view:
-/// parses the content component, instantiates the document subgraph and
-/// wires it as the file's group sequence `⟨V_doc⟩`.
+/// Parses XML text and instantiates it as views of no base view;
+/// returns the `xmldoc` view and the number of views created.
+pub fn text_to_views(store: &ViewStore, xml: &str) -> Result<(Vid, usize)> {
+    owned_text_to_views(store, xml, None)
+}
+
+/// Upgrades `file` into an `xmlfile` view carrying the document `xml`:
+/// instantiates the document subgraph, every view owned by `owner`, and
+/// wires it as the file's group sequence `⟨V_doc⟩`. The document is the
+/// file's own content ([`enrich_xml_file`]) or, for an Office container,
+/// its main part.
 ///
 /// Returns the `xmldoc` view and the number of derived views.
-pub fn enrich_xml_file(store: &ViewStore, file: Vid) -> Result<(Vid, usize)> {
-    let xml = store.content(file)?.text_lossy()?;
-    let (doc_vid, derived) = text_to_views(store, &xml)?;
+pub fn attach_document(
+    store: &ViewStore,
+    file: Vid,
+    xml: &str,
+    owner: Vid,
+) -> Result<(Vid, usize)> {
+    let (doc_vid, derived) = owned_text_to_views(store, xml, Some(owner))?;
     let xmlfile = store.classes().require(names::XMLFILE)?;
     store.set_group(file, Group::of_seq(vec![doc_vid]))?;
     store.set_class(file, Some(xmlfile))?;
     Ok((doc_vid, derived))
 }
 
-/// A lazy variant of [`enrich_xml_file`]: the file keeps its original
-/// class but gains a **lazy group** that parses the content and builds
-/// the subgraph only when `getGroupComponent()` is first called.
-pub fn enrich_xml_file_lazily(store: &ViewStore, file: Vid) -> Result<()> {
-    let provider = Arc::new(move |store: &ViewStore, owner: Vid| {
-        let xml = store.content(owner)?.text_lossy()?;
-        let (doc_vid, _derived) = text_to_views(store, &xml)?;
-        Ok(GroupData::of_seq(vec![doc_vid]))
-    });
-    store.set_group(file, Group::lazy(provider))
+/// Upgrades a `file` view whose content is XML into an `xmlfile` view
+/// ([`attach_document`] of its content component).
+pub fn enrich_xml_file(store: &ViewStore, file: Vid, owner: Vid) -> Result<(Vid, usize)> {
+    let xml = store.content(file)?.text_lossy()?;
+    attach_document(store, file, &xml, owner)
 }
 
 #[cfg(test)]
@@ -200,8 +209,9 @@ mod tests {
             .class_named("file")
             .insert();
 
-        let (doc, derived) = enrich_xml_file(&store, file).unwrap();
+        let (doc, derived) = enrich_xml_file(&store, file, file).unwrap();
         assert_eq!(derived, 4);
+        assert_eq!(store.owned(file).len(), derived);
         assert!(store.conforms_to(file, "xmlfile").unwrap());
         assert!(store.conforms_to(file, "file").unwrap(), "still a file");
         // The inside structure is now indirectly related to the file view.
@@ -213,17 +223,6 @@ mod tests {
             .map(|v| store.content(*v).unwrap().text_lossy().unwrap())
             .collect();
         assert_eq!(texts, vec!["Mike Franklin"]);
-    }
-
-    #[test]
-    fn lazy_enrichment_defers_parsing() {
-        let store = ViewStore::new();
-        let file = store.build("a.xml").text("<r><x/></r>").insert();
-        enrich_xml_file_lazily(&store, file).unwrap();
-        assert_eq!(store.len(), 1, "no parsing yet");
-        let members = store.group(file).unwrap().finite_members();
-        assert_eq!(members.len(), 1);
-        assert_eq!(store.len(), 4, "doc + r + x created on demand");
     }
 
     #[test]

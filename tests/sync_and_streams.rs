@@ -1,6 +1,6 @@
 //! Integration tests for the live half of the system: synchronization
 //! rounds after source changes, stream windows over IMAP, RSS polling,
-//! and lineage across the stack.
+//! and lineage (view ownership) across the stack.
 
 use std::sync::Arc;
 
@@ -165,26 +165,49 @@ fn rss_source_polls_feed_changes_through_the_system() {
     assert!(store.conforms_to(doc, "xmldoc").unwrap());
 }
 
+/// Lineage is recorded as ownership: every view a conversion mints
+/// names the base view it came from, whatever the source (a file, a
+/// message) and the format (LaTeX, XML) — and a converted attachment's
+/// views name the message, not the attachment.
 #[test]
 fn lineage_spans_sources_and_formats() {
-    use imemex::core::lineage::LineageGraph;
+    use imemex::email::message::Attachment;
+    use imemex::system::ConverterRegistry;
 
-    // A file is copied, then converted: lineage keeps the whole chain.
     let store = ViewStore::new();
-    let original = store
+    let tex = store
         .build("report.tex")
         .text("\\section{S}\nbody")
         .insert();
-    let copy = store
-        .build("report-copy.tex")
-        .text("\\section{S}\nbody")
-        .insert();
-    let mapping = imemex::latex::convert::text_to_views(&store, "\\section{S}\nbody").unwrap();
+    let xml = store.build("data.xml").text("<r><e>x</e></r>").insert();
+    let message = imemex::email::convert::message_to_views(
+        &store,
+        &EmailMessage {
+            subject: "figures".into(),
+            date: t(),
+            attachments: vec![Attachment {
+                filename: "more.xml".into(),
+                content: "<r><e>y</e></r>".into(),
+            }],
+            ..EmailMessage::default()
+        },
+    )
+    .unwrap();
+    let attachment = store.group(message).unwrap().finite_members()[0];
+    let converters = ConverterRegistry::with_defaults();
+    converters
+        .convert_all(&store, &[tex, xml, attachment])
+        .unwrap();
 
-    let lineage = LineageGraph::new();
-    lineage.record(copy, original, "copy");
-    lineage.record(mapping.document, copy, "latex2idm");
-
-    assert_eq!(lineage.ancestors(mapping.document), vec![copy, original]);
-    assert_eq!(lineage.descendants(original).len(), 2);
+    for base in [tex, xml, message] {
+        assert_eq!(store.owner(base).unwrap(), None);
+        let owned = store.owned(base);
+        assert!(owned.len() >= 3, "{base} owns {owned:?}");
+        for view in owned {
+            assert_eq!(store.owner(view).unwrap(), Some(base));
+        }
+    }
+    assert!(store.owned(message).contains(&attachment));
+    assert!(store.owned(attachment).is_empty());
+    assert!(store.verify_invariants().is_ok());
 }
