@@ -24,7 +24,7 @@ use bytes::Bytes;
 use crate::class::ClassRegistry;
 use crate::content::Content;
 use crate::durability::codec::{get_tuple, put_tuple, Decoder, Encoder};
-use crate::error::{IdmError, Result};
+use crate::error::Result;
 use crate::group::{Group, GroupData};
 use crate::store::{Vid, ViewRecord};
 use crate::value::TupleComponent;
@@ -499,12 +499,6 @@ impl ChangeRecord {
         }
         Ok(record)
     }
-}
-
-/// Maps a group-overlap construction failure to an [`IdmError`] carrying
-/// the owner vid (used by recovery when applying records).
-pub fn overlap_at(vid: u64) -> IdmError {
-    IdmError::GroupOverlap(crate::store::Vid::from_raw(vid))
 }
 
 #[cfg(test)]

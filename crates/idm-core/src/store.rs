@@ -825,7 +825,6 @@ impl ViewStore {
             views: 0,
             violations: Vec::new(),
             dangling_edges: 0,
-            versions: Vec::new(),
         };
         {
             // Read-locked: no slot can fill or empty, so the counter and
@@ -854,12 +853,11 @@ impl ViewStore {
         let live: HashSet<Vid> = vids.iter().copied().collect();
         report.views = vids.len();
         for vid in vids {
-            let Ok((version, group, owner)) = self.with_slot(vid, |s| {
-                (s.version, s.record.group.clone(), s.record.owner())
-            }) else {
+            let Ok((group, owner)) =
+                self.with_slot(vid, |s| (s.record.group.clone(), s.record.owner()))
+            else {
                 continue; // removed between vids() and here
             };
-            report.versions.push((vid, version));
             if let Some(owner) = owner {
                 match self.owner(owner) {
                     Err(_) => report
@@ -926,25 +924,12 @@ pub struct InvariantReport {
     /// Group edges pointing at missing views — allowed by the model
     /// (traversals skip them), reported for diagnostics.
     pub dangling_edges: usize,
-    /// Per-view mutation versions at inspection time, vid-ascending.
-    pub versions: Vec<(Vid, u64)>,
 }
 
 impl InvariantReport {
     /// Whether no hard violation was found.
     pub fn is_ok(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// Whether every view present in `earlier` is either gone now or at
-    /// a version at least as high — i.e. version counters only moved
-    /// forward between the two inspections.
-    pub fn monotone_since(&self, earlier: &InvariantReport) -> bool {
-        let now: std::collections::HashMap<Vid, u64> = self.versions.iter().copied().collect();
-        earlier
-            .versions
-            .iter()
-            .all(|(vid, v)| now.get(vid).is_none_or(|cur| cur >= v))
     }
 }
 

@@ -126,11 +126,6 @@ impl Timestamp {
     pub fn plus_days(self, days: i64) -> Self {
         Timestamp(self.0 + days * 86_400)
     }
-
-    /// Returns a timestamp exactly `secs` seconds later.
-    pub fn plus_secs(self, secs: i64) -> Self {
-        Timestamp(self.0 + secs)
-    }
 }
 
 impl fmt::Display for Timestamp {

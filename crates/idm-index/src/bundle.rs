@@ -82,7 +82,7 @@ impl IndexBundle {
     /// replicated once something else has forced it.
     pub fn index_view(&self, store: &ViewStore, vid: Vid, source: &str) -> Result<ContentIndexing> {
         let mut outcome = ContentIndexing::Empty;
-        self.index_chunks(store, &[vid], source, 1, 1, |segment| {
+        self.index_chunks(store, &[vid], source, |segment| {
             if let Some((_, indexed)) = segment.outcomes().next() {
                 outcome = indexed;
             }

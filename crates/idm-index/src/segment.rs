@@ -1,23 +1,20 @@
 //! Index segments: the one write path into the indexes.
 //!
 //! Every view enters the bundle through [`IndexBundle::index_views`]:
-//! its views are cut into chunks, each chunk is *built* into an
-//! [`IndexSegment`] — all store reads and tokenization, no index locks —
-//! and the segment is *merged* into the live bundle
-//! ([`IndexBundle::merge_segment`]). Chunks are taken in waves of
-//! `parallelism`: the calling thread builds a wave's first chunk,
-//! scoped threads build the rest (none at parallelism 1), and the wave
-//! is merged in chunk order before the next one starts, so at most
-//! `parallelism` segments are alive. Ingest, sync events, audit repair,
-//! the reopen catch-up, a full rebuild and [`IndexBundle::index_view`]
-//! all go through it.
+//! its views are cut into chunks of [`SEGMENT_VIEWS`], each chunk is
+//! *built* into an [`IndexSegment`] — all store reads and tokenization,
+//! no index locks — and the segment is *merged* into the live bundle
+//! ([`IndexBundle::merge_segment`]) before the next chunk is built, so
+//! one segment is alive at a time. Everything runs on the calling
+//! thread. Ingest, sync events, audit repair, the reopen catch-up, a
+//! full rebuild and [`IndexBundle::index_view`] all go through it.
 //!
 //! Merge invariants:
 //!
 //! - Chunks partition the caller's vid-sorted view list contiguously,
 //!   and segments are merged in chunk order, so every per-index insert
-//!   happens in ascending-vid order whatever the chunk size or thread
-//!   count, keeping posting lists and replicas byte-identical.
+//!   happens in ascending-vid order, keeping posting lists and replicas
+//!   byte-identical to indexing the views one at a time.
 //! - A segment captures the view *at build time*; mutations racing an
 //!   ingest are reconciled by the later re-index, not by the segment.
 //! - Segments are process-local staging only — nothing here persists.
@@ -33,8 +30,8 @@ use crate::bundle::{is_texty, ContentIndexing, IndexBundle};
 use crate::catalog::RowRef;
 use crate::fulltext::{pretokenize, PretokenizedDoc};
 
-/// Views per index segment when the caller has no reason to choose:
-/// one thread's unit of build work, and the views between two merges.
+/// Views per index segment: the views built between two merges, which
+/// bounds the staging one segment holds.
 pub const SEGMENT_VIEWS: usize = 512;
 
 /// What one [`IndexBundle::index_views`] call did, split the way
@@ -65,9 +62,8 @@ struct SegmentEntry {
     outcome: ContentIndexing,
 }
 
-/// A batch of views' index contributions, built off the live bundle
-/// (typically on a worker thread) and merged in with
-/// [`IndexBundle::merge_segment`].
+/// A batch of views' index contributions, built off the live bundle and
+/// merged in with [`IndexBundle::merge_segment`].
 #[derive(Debug, Default)]
 pub struct IndexSegment {
     entries: Vec<SegmentEntry>,
@@ -152,16 +148,6 @@ impl IndexSegment {
         Ok(segment)
     }
 
-    /// Number of views in the segment.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the segment holds no views.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Total bytes handed to the content index.
     pub fn net_input_bytes(&self) -> u64 {
         self.net_input_bytes
@@ -176,61 +162,35 @@ impl IndexSegment {
 impl IndexBundle {
     /// Indexes `vids` (vid-sorted) under the data source label `source`:
     /// registers each in the catalog and inserts its components into the
-    /// four index structures, in chunks of `segment_size` taken in waves
-    /// of `parallelism` (see the module doc). The bundle is the same at
-    /// any parallelism or segment size.
-    pub fn index_views(
-        &self,
-        store: &ViewStore,
-        vids: &[Vid],
-        source: &str,
-        segment_size: usize,
-        parallelism: usize,
-    ) -> Result<IndexRun> {
-        self.index_chunks(store, vids, source, segment_size, parallelism, |_| {})
+    /// four index structures, one chunk of [`SEGMENT_VIEWS`] at a time
+    /// (see the module doc).
+    pub fn index_views(&self, store: &ViewStore, vids: &[Vid], source: &str) -> Result<IndexRun> {
+        self.index_chunks(store, vids, source, |_| {})
     }
 
-    /// The wave loop behind [`IndexBundle::index_views`]; `merged` sees
+    /// The chunk loop behind [`IndexBundle::index_views`]; `merged` sees
     /// each segment just before it is merged.
     pub(crate) fn index_chunks(
         &self,
         store: &ViewStore,
         vids: &[Vid],
         source: &str,
-        segment_size: usize,
-        parallelism: usize,
         mut merged: impl FnMut(&IndexSegment),
     ) -> Result<IndexRun> {
         // However many vids the store handed out that never reached the
         // index, the columns reach the ones about to.
         self.reserve_vids(store.next_vid());
         let mut run = IndexRun::default();
-        let chunks: Vec<&[Vid]> = vids.chunks(segment_size.max(1)).collect();
-        for wave in chunks.chunks(parallelism.max(1)) {
-            let (first, rest) = wave.split_first().expect("chunks are never empty");
+        for chunk in vids.chunks(SEGMENT_VIEWS) {
             let started = Instant::now();
-            let built: Vec<Result<IndexSegment>> = std::thread::scope(|scope| {
-                let workers: Vec<_> = rest
-                    .iter()
-                    .map(|chunk| scope.spawn(move || IndexSegment::build(store, chunk, source)))
-                    .collect();
-                let joined = workers
-                    .into_iter()
-                    .map(|w| w.join().expect("segment build panicked"));
-                std::iter::once(IndexSegment::build(store, first, source))
-                    .chain(joined)
-                    .collect()
-            });
+            let segment = IndexSegment::build(store, chunk, source)?;
             run.build += started.elapsed();
 
             let started = Instant::now();
-            for segment in built {
-                let segment = segment?;
-                run.net_input_bytes += segment.net_input_bytes();
-                run.segments += 1;
-                merged(&segment);
-                self.merge_segment(segment);
-            }
+            run.net_input_bytes += segment.net_input_bytes();
+            run.segments += 1;
+            merged(&segment);
+            self.merge_segment(segment);
             run.merge += started.elapsed();
         }
         Ok(run)
@@ -295,7 +255,7 @@ impl IndexBundle {
         self.remove_views(&known);
         let mut rebuilt = 0;
         for (source, vids) in by_source {
-            self.index_views(store, &vids, &source, SEGMENT_VIEWS, 1)?;
+            self.index_views(store, &vids, &source)?;
             rebuilt += vids.len();
         }
         Ok(rebuilt)
@@ -334,9 +294,7 @@ mod tests {
         }
         let leaf = store.build("leaf").insert();
         let folder = store.build("folder").children(vec![leaf]).insert();
-        bundle
-            .index_views(&store, &[leaf, folder], "fs", SEGMENT_VIEWS, 1)
-            .unwrap();
+        bundle.index_views(&store, &[leaf, folder], "fs").unwrap();
         bundle.group.relabel();
         let group = bundle.group.read();
         assert_eq!(group.reach(&[]).size(), 0, "every view is labeled");
@@ -345,10 +303,13 @@ mod tests {
         assert_eq!(bundle.catalog.vids(), [first, leaf, folder]);
     }
 
+    /// One `index_views` call over more than two segments' worth of
+    /// views builds the bundle that indexing them one at a time builds,
+    /// down to the persisted bytes.
     #[test]
     fn segment_merge_matches_sequential_indexing() {
         let store = ViewStore::new();
-        let vids = populate(&store, 8);
+        let vids = populate(&store, 2 * SEGMENT_VIEWS + 7);
 
         let sequential = IndexBundle::new();
         for &vid in &vids {
@@ -356,12 +317,9 @@ mod tests {
         }
 
         let bulk = IndexBundle::new();
-        // Two chunks, merged in order.
-        let seg_a = IndexSegment::build(&store, &vids[..4], "fs").unwrap();
-        let seg_b = IndexSegment::build(&store, &vids[4..], "fs").unwrap();
-        assert_eq!(seg_a.len() + seg_b.len(), 8);
-        bulk.merge_segment(seg_a);
-        bulk.merge_segment(seg_b);
+        let run = bulk.index_views(&store, &vids, "fs").unwrap();
+        assert_eq!(run.segments, vids.len().div_ceil(SEGMENT_VIEWS));
+        assert_eq!(run.segments, 3);
 
         assert_eq!(
             sequential.content.document_count(),
@@ -386,6 +344,11 @@ mod tests {
                 .compare("size", CompareOp::Eq, &Value::Integer(3)),
         );
         assert_eq!(sequential.sizes().total(), bulk.sizes().total());
+        assert!(
+            crate::persist::to_bytes_with_epoch(&sequential, 0)
+                == crate::persist::to_bytes_with_epoch(&bulk, 0),
+            "persisted index bytes differ"
+        );
     }
 
     #[test]

@@ -412,11 +412,6 @@ impl TupleIndex {
         self.inner.read().replica.len()
     }
 
-    /// Number of attribute columns.
-    pub fn column_count(&self) -> usize {
-        self.inner.read().columns.len()
-    }
-
     /// Approximate in-memory footprint in bytes (columns + replica).
     pub fn footprint_bytes(&self) -> usize {
         let inner = self.inner.read();

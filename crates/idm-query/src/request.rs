@@ -82,12 +82,6 @@ impl QueryRequest {
         self
     }
 
-    /// [`QueryRequest::ranked`] with explicit weights.
-    pub fn ranked_with(mut self, weights: RankWeights) -> Self {
-        self.ranked = Some(weights);
-        self
-    }
-
     /// Routes through the whole-result cache: a fingerprint hit serves
     /// the standing rows, brought up to date first; a miss executes and
     /// seeds a standing result (never from a partial execution).

@@ -277,7 +277,7 @@ impl Pdsms {
         }
         let bundle = IndexBundle::new();
         for (source, vids) in by_source {
-            bundle.index_views(store, &vids, source, idm_index::SEGMENT_VIEWS, 1)?;
+            bundle.index_views(store, &vids, source)?;
         }
         bundle.group.relabel();
         Ok(bundle)
@@ -352,13 +352,6 @@ impl Pdsms {
         self.durability.is_some()
     }
 
-    /// The dataspace directory, when durable.
-    pub fn dataspace_dir(&self) -> Option<std::path::PathBuf> {
-        self.durability
-            .as_ref()
-            .map(|m| m.lock().dir().to_path_buf())
-    }
-
     /// The resource view store.
     pub fn store(&self) -> &Arc<ViewStore> {
         &self.store
@@ -380,22 +373,19 @@ impl Pdsms {
     }
 
     /// Ingests and indexes every registered data source on the calling
-    /// thread — [`Pdsms::index_all_bulk`] with parallelism 1 — and
-    /// returns the per-source statistics (the Figure 5 / Table 2
-    /// numbers). Live queries are pumped afterwards, so the ingested
-    /// changes reach every subscription as one delta batch.
+    /// thread ([`ResourceViewManager::ingest_all`]) and returns the
+    /// per-source statistics (the Figure 5 / Table 2 numbers). Live
+    /// queries are pumped afterwards, so the ingested changes reach every
+    /// subscription as one delta batch.
     pub fn index_all(&self) -> Result<Vec<SourceIngestStats>> {
-        let stats = self.rvm.ingest_all()?;
-        self.pump_subscriptions();
-        Ok(stats)
+        self.index_all_bulk(&BulkIngestOptions::default())
+            .map(|report| report.stats)
     }
 
-    /// Ingests and indexes every registered data source: batched store
-    /// application, grouped WAL syncs, and index segments built in waves
-    /// of `options.parallelism` threads. Returns the full report
-    /// including [`IngestThroughput`] counters.
-    pub fn index_all_bulk(&self, options: &BulkIngestOptions) -> Result<IngestReport> {
-        let report = self.rvm.ingest_all_bulk(options)?;
+    /// [`Pdsms::index_all`], returning the full report including
+    /// [`IngestThroughput`] counters. `options` changes nothing.
+    pub fn index_all_bulk(&self, _options: &BulkIngestOptions) -> Result<IngestReport> {
+        let report = self.rvm.ingest_all()?;
         self.pump_subscriptions();
         Ok(report)
     }

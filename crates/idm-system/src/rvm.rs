@@ -3,13 +3,13 @@
 //! component indexing — timing each phase separately so the paper's
 //! indexing-time breakdown can be regenerated.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use idm_core::fault::{BreakerState, FaultStats, SourceGuard};
 use idm_core::prelude::*;
-use idm_index::{IndexBundle, SEGMENT_VIEWS};
+use idm_index::IndexBundle;
 use parking_lot::Mutex;
 
 use crate::converter::ConverterRegistry;
@@ -67,28 +67,13 @@ impl SourceIngestStats {
     }
 }
 
-/// Tuning knobs for ingest ([`ResourceViewManager::ingest_all_bulk`]);
-/// they change how fast the indexes are built, never what they hold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Options of [`crate::Pdsms::index_all_bulk`]. Nothing here changes an
+/// ingest: it runs on the calling thread and cuts its index segments at
+/// [`idm_index::SEGMENT_VIEWS`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BulkIngestOptions {
-    /// Threads building one wave of index segments, the calling thread
-    /// included: at most this many segments are alive at once, and none
-    /// is spawned at `1`.
+    /// Ignored. Kept so that callers which set it by name still build.
     pub parallelism: usize,
-    /// Views per index segment (one unit of build work; segments are
-    /// merged in chunk order).
-    pub segment_size: usize,
-}
-
-impl Default for BulkIngestOptions {
-    fn default() -> Self {
-        BulkIngestOptions {
-            parallelism: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            segment_size: SEGMENT_VIEWS,
-        }
-    }
 }
 
 /// Write-path throughput of one whole ingest run (all sources).
@@ -227,21 +212,10 @@ impl ResourceViewManager {
     }
 
     /// Ingests and indexes every registered source in registration
-    /// order on the calling thread; returns per-source statistics.
-    /// [`ResourceViewManager::ingest_all_bulk`] with parallelism 1.
-    pub fn ingest_all(&self) -> Result<Vec<SourceIngestStats>> {
-        self.ingest_all_bulk(&BulkIngestOptions {
-            parallelism: 1,
-            ..Default::default()
-        })
-        .map(|report| report.stats)
-    }
-
-    /// Ingests every registered source in registration order: the
-    /// filesystem's views inserted as one batch, WAL syncs deferred to
-    /// batch boundaries (records acknowledged only after the window's
-    /// final covering sync), and index segments built in waves of
-    /// `options.parallelism` and merged in chunk order. Fails fast on the
+    /// order on the calling thread: the filesystem's views inserted as
+    /// one batch, WAL syncs deferred to batch boundaries (records
+    /// acknowledged only after the window's final covering sync), and
+    /// index segments built and merged one at a time. Fails fast on the
     /// first failing source, after closing the WAL window.
     ///
     /// Every source that can [read ahead](DataSourcePlugin::read_ahead)
@@ -251,7 +225,7 @@ impl ResourceViewManager {
     /// and vid minting stay on the calling thread, in registration
     /// order. The handles drop on every return: no reader outlives the
     /// call, and nothing read ahead is kept for a later ingest.
-    pub fn ingest_all_bulk(&self, options: &BulkIngestOptions) -> Result<IngestReport> {
+    pub fn ingest_all(&self) -> Result<IngestReport> {
         let start = Instant::now();
         let wal_before = self.store.wal_telemetry();
         let sources = self.sources();
@@ -268,7 +242,7 @@ impl ResourceViewManager {
         let mut report = IngestReport::default();
         let mut segments = 0usize;
         let ingested = sources.iter().try_for_each(|plugin| {
-            let stats = self.ingest_source(plugin, options, &mut segments)?;
+            let stats = self.ingest_source(plugin, &mut segments)?;
             report.stats.push(stats);
             Ok(())
         });
@@ -305,7 +279,6 @@ impl ResourceViewManager {
     fn ingest_source(
         &self,
         plugin: &Arc<dyn DataSourcePlugin>,
-        options: &BulkIngestOptions,
         segments: &mut usize,
     ) -> Result<SourceIngestStats> {
         let mut stats = SourceIngestStats {
@@ -342,18 +315,13 @@ impl ResourceViewManager {
         stats.derived_latex = conversion.derived_latex;
         stats.conversion = conversion_start.elapsed();
 
-        // Collect the full view set of this source: base + derived.
-        let views = source_views(&self.store, &ingestion.base_views)?;
-
         // Phases 3 and 4 — component indexing (segment build) and
-        // catalog insert (segment merge).
-        let run = self.indexes.index_views(
-            &self.store,
-            &views,
-            plugin.name(),
-            options.segment_size,
-            options.parallelism,
-        )?;
+        // catalog insert (segment merge) of the source's full view set:
+        // its base views and the views they own.
+        let views = with_owned(&self.store, &ingestion.base_views);
+        let run = self
+            .indexes
+            .index_views(&self.store, &views, plugin.name())?;
         stats.net_input_bytes = run.net_input_bytes;
         stats.component_indexing = run.build;
         stats.catalog_insert = run.merge;
@@ -362,35 +330,18 @@ impl ResourceViewManager {
     }
 }
 
-/// A source's full view set, sorted: its base views and every view
-/// reachable from one (derived views hang under their base view's
-/// group). One BFS per base view not yet reached, sharing one `seen`
-/// set, reads each group once: a walk goes on to the whole subtree of
-/// every view it reaches, so a later walk need not enter it. The groups
-/// are read in the order a full walk from each base view in turn first
-/// reads them, so lazy groups are forced in the same order.
-fn source_views(store: &ViewStore, base_views: &[Vid]) -> Result<Vec<Vid>> {
-    let mut seen = HashSet::new();
-    let mut queue = VecDeque::new();
-    for &root in base_views {
-        if !seen.insert(root) {
-            continue;
-        }
-        queue.push_back(root);
-        while let Some(vid) = queue.pop_front() {
-            if !store.contains(vid) {
-                continue; // dangling reference
-            }
-            for child in store.group(vid)?.finite_members() {
-                if seen.insert(child) {
-                    queue.push_back(child);
-                }
-            }
-        }
+/// `base_views` and every view each of them owns
+/// ([`ViewStore::owned`]), sorted and deduplicated: the views a base
+/// view brings with it. Ownership, not reachability — a folder link or
+/// a `\ref` points across to views this set does not take.
+pub(crate) fn with_owned(store: &ViewStore, base_views: &[Vid]) -> Vec<Vid> {
+    let mut views = base_views.to_vec();
+    for &base in base_views {
+        views.extend(store.owned(base));
     }
-    let mut views: Vec<Vid> = seen.into_iter().collect();
     views.sort_unstable();
-    Ok(views)
+    views.dedup();
+    views
 }
 
 #[cfg(test)]
@@ -428,7 +379,7 @@ mod tests {
     #[test]
     fn phased_ingestion_counts_and_sizes() {
         let (rvm, fs) = rvm_with_fs();
-        let stats = rvm.ingest_all().unwrap();
+        let stats = rvm.ingest_all().unwrap().stats;
         assert_eq!(stats.len(), 1);
         let s = &stats[0];
         assert_eq!(s.source, "filesystem");
@@ -457,78 +408,68 @@ mod tests {
         assert_eq!(result.rows.len(), 2, "XML text content indexed");
     }
 
+    /// An ingest indexes every view it added to the store, into the
+    /// bundle that indexing them one at a time builds, and two ingests
+    /// of one source leave the same store image.
     #[test]
     fn bulk_ingest_matches_sequential() {
         use idm_core::durability::record::SerialView;
+        use idm_index::SEGMENT_VIEWS;
 
-        /// What the next checkpoint would write: the persisted index
-        /// bytes and the store image.
-        type Image = (Vec<u8>, u64, Vec<(Vid, u64, SerialView)>);
-        fn image(rvm: &ResourceViewManager) -> Image {
-            let (export, ()) = rvm.store().frozen_export(|_| ());
+        /// What the next checkpoint would write of the store.
+        type Image = (u64, Vec<(Vid, u64, SerialView)>);
+        fn image(store: &ViewStore) -> Image {
+            let (export, ()) = store.frozen_export(|_| ());
             let views = export
                 .views
                 .iter()
                 .map(|(vid, version, record)| {
-                    (
-                        *vid,
-                        *version,
-                        SerialView::of(record, rvm.store().classes()),
-                    )
+                    (*vid, *version, SerialView::of(record, store.classes()))
                 })
                 .collect();
-            let indexes = idm_index::persist::to_bytes_with_epoch(rvm.indexes(), 0);
-            (indexes, export.next_vid, views)
+            (export.next_vid, views)
         }
 
-        let (seq, _fs) = rvm_with_fs();
-        let seq_stats = seq.ingest_all().unwrap();
-        let s = &seq_stats[0];
-        let (seq_indexes, seq_next, seq_views) = image(&seq);
-        for parallelism in [1, 2, 4] {
-            for segment_size in [1, 3, 512] {
-                let (bulk, _fs) = rvm_with_fs();
-                let report = bulk
-                    .ingest_all_bulk(&BulkIngestOptions {
-                        parallelism,
-                        segment_size,
-                    })
-                    .unwrap();
-                let at = format!("parallelism {parallelism}, segment size {segment_size}");
-                assert_eq!(report.stats.len(), 1);
-                let b = &report.stats[0];
-                assert_eq!(
-                    (b.base_views, b.derived_xml, b.derived_latex),
-                    (s.base_views, s.derived_xml, s.derived_latex),
-                    "{at}"
-                );
-                assert_eq!(b.net_input_bytes, s.net_input_bytes, "{at}");
-                assert_eq!(
-                    report.throughput.segments,
-                    s.total_views().div_ceil(segment_size),
-                    "{at}"
-                );
+        let (bulk, _fs) = rvm_with_fs();
+        let report = bulk.ingest_all().unwrap();
+        assert_eq!(report.stats.len(), 1);
+        let s = &report.stats[0];
+        assert_eq!(
+            report.throughput.segments,
+            s.total_views().div_ceil(SEGMENT_VIEWS)
+        );
 
-                let (indexes, next, views) = image(&bulk);
-                assert!(indexes == seq_indexes, "persisted index bytes differ: {at}");
-                assert_eq!((next, &views), (seq_next, &seq_views), "{at}");
-            }
+        let sequential = IndexBundle::new();
+        for vid in bulk.store().vids() {
+            sequential
+                .index_view(bulk.store(), vid, "filesystem")
+                .unwrap();
         }
+        assert_eq!(sequential.catalog.len(), s.total_views());
+        assert!(
+            idm_index::persist::to_bytes_with_epoch(&sequential, 0)
+                == idm_index::persist::to_bytes_with_epoch(bulk.indexes(), 0),
+            "persisted index bytes differ"
+        );
+
+        let (again, _fs) = rvm_with_fs();
+        let again_stats = again.ingest_all().unwrap().stats;
+        let counts = |s: &SourceIngestStats| {
+            let views = (s.base_views, s.derived_xml, s.derived_latex);
+            (views, s.net_input_bytes)
+        };
+        assert_eq!(counts(&again_stats[0]), counts(s));
+        assert_eq!(image(again.store()), image(bulk.store()));
     }
 
     #[test]
     fn bulk_ingest_populates_throughput() {
         let (rvm, _fs) = rvm_with_fs();
-        let report = rvm
-            .ingest_all_bulk(&BulkIngestOptions {
-                parallelism: 1,
-                segment_size: 3,
-            })
-            .unwrap();
+        let report = rvm.ingest_all().unwrap();
         let t = &report.throughput;
         assert_eq!(t.views, report.total_views());
         assert!(t.views > 0);
-        assert!(t.segments >= 2, "chunking produced {} segments", t.segments);
+        assert_eq!(t.segments, t.views.div_ceil(idm_index::SEGMENT_VIEWS));
         assert!(t.views_per_sec() > 0.0);
         // Not durable: no WAL attached, so write-path counters are zero.
         assert_eq!(t.wal_records, 0);

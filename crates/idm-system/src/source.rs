@@ -21,7 +21,11 @@ pub struct Ingestion {
     /// The root views of the source's graph.
     pub roots: Vec<Vid>,
     /// All views created for *base items* (files, folders, emails,
-    /// attachments, stream heads) — Table 2's "Base Items" column.
+    /// attachments, stream heads) — Table 2's "Base Items" column. Every
+    /// view the plugin minted is listed here: the ingest indexes these
+    /// and the views each one owns ([`ViewStore::owned`]), which is how
+    /// it reaches the views a converter derives, and follows no group
+    /// edge.
     pub base_views: Vec<Vid>,
     /// For a source read on a thread of its own: that thread's time on
     /// the source. Figure 5's source access counts it in place of
@@ -37,8 +41,12 @@ pub trait DataSourcePlugin: Send + Sync {
     /// (`"filesystem"`, `"imap"`, `"rss"`).
     fn name(&self) -> &str;
 
-    /// Builds the initial iDM graph for this source's current state. A
-    /// failed ingest leaves no view of its own in the store.
+    /// Builds the initial iDM graph for this source's current state and
+    /// lists every view it minted in [`Ingestion::base_views`]; a view it
+    /// leaves out, and owned by none of them, is never indexed. A view
+    /// derived from one of them is reached through
+    /// [`ViewStore::owned`], so it need not be listed. A failed ingest
+    /// leaves no view of its own in the store.
     fn ingest(&self, store: &ViewStore) -> Result<Ingestion>;
 
     /// Starts reading the source on a thread of its own, so that its I/O

@@ -21,11 +21,12 @@ use std::sync::Arc;
 
 use crossbeam::channel::Receiver;
 use idm_core::prelude::*;
-use idm_index::{IndexBundle, SEGMENT_VIEWS};
+use idm_index::IndexBundle;
 use idm_vfs::{FsEvent, NodeId, NodeKind, VirtualFs};
 use parking_lot::Mutex;
 
 use crate::converter::ConverterRegistry;
+use crate::rvm::with_owned;
 use crate::source::{FsPlugin, ImapPlugin};
 
 /// What one sync round did.
@@ -104,11 +105,9 @@ fn index_missing(
     base: Vid,
     source: &str,
 ) -> Result<Vec<Vid>> {
-    let mut missing = store.owned(base);
-    missing.push(base);
-    missing.sort_unstable();
+    let mut missing = with_owned(store, &[base]);
     missing.retain(|&view| !indexes.catalog.contains(view));
-    indexes.index_views(store, &missing, source, SEGMENT_VIEWS, 1)?;
+    indexes.index_views(store, &missing, source)?;
     Ok(missing)
 }
 

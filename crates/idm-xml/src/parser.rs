@@ -6,7 +6,6 @@
 //! internal subsets are consumed and discarded; CDATA sections become
 //! character data; entity and character references are decoded.
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// An XML parse error with byte offset context.
@@ -470,15 +469,6 @@ fn decode_entities(raw: &str) -> Result<String, String> {
     }
     out.push_str(rest);
     Ok(out)
-}
-
-/// An attribute map helper for tests and converters.
-pub fn attr_map(element: &XmlElement) -> HashMap<&str, &str> {
-    element
-        .attributes
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.as_str()))
-        .collect()
 }
 
 #[cfg(test)]
