@@ -4,11 +4,13 @@
 //! Each seed generates the synthetic dataspace at sf 0.02, ingests it,
 //! then applies random filesystem changes — file writes (some with the
 //! same bytes), creates, removals, new folders, folder links to an
-//! ancestor (cycles), and the removal of `/Projects/PIM`, whose
-//! `All Projects` link points back at `/Projects` — with sync rounds at
-//! random points. The synced dataspace must then hold exactly the views
-//! a fresh ingest of the changed sources builds (compared by a vid-free
-//! dump), answer Q1–Q8 alike, and pass a full index audit.
+//! ancestor (cycles) and to a folder outside their own ancestry (which a
+//! later folder removal can take from under them), and the removal of
+//! `/Projects/PIM`, whose `All Projects` link points back at `/Projects`
+//! — with sync rounds at random points. The synced dataspace must then
+//! hold exactly the views a fresh ingest of the changed sources builds
+//! (compared by a vid-free dump), answer Q1–Q8 alike, hold as many group
+//! edges to missing views (none), and pass a full index audit.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -152,7 +154,13 @@ fn assert_matches_fresh_ingest(synced: &Pdsms, dataset: &GeneratedDataset, conte
     );
     let audit = synced.audit_indexes(AuditScope::Full, None).unwrap();
     assert!(audit.is_clean(), "{context}: {audit:?}");
-    assert!(synced.store().verify_invariants().is_ok(), "{context}");
+    let invariants = synced.store().verify_invariants();
+    assert!(invariants.is_ok(), "{context}");
+    assert_eq!(
+        invariants.dangling_edges,
+        fresh.store().verify_invariants().dangling_edges,
+        "{context}: group edges to missing views"
+    );
 }
 
 /// Live nodes of `kind`, in walk order (the root is a folder).
@@ -169,7 +177,7 @@ fn nodes(fs: &VirtualFs, kind: NodeKind) -> Vec<NodeId> {
 fn change(fs: &VirtualFs, rng: &mut SplitMix, step: usize, at: Timestamp) -> String {
     let files = nodes(fs, NodeKind::File);
     let folders = nodes(fs, NodeKind::Folder);
-    match rng.below(7) {
+    match rng.below(8) {
         0 => {
             let file = rng.pick(&files);
             let path = fs.path_of(file).unwrap();
@@ -228,6 +236,25 @@ fn change(fs: &VirtualFs, rng: &mut SplitMix, step: usize, at: Timestamp) -> Str
             let dir = rng.pick(&folders);
             fs.mkdir(dir, &format!("dir{step}"), at).unwrap();
             format!("mkdir {}/dir{step}", fs.path_of(dir).unwrap())
+        }
+        6 => {
+            // A link to a folder that is not its own folder's ancestor,
+            // so removing the target can leave the link behind.
+            let target = rng.pick(&folders[1..]);
+            let target_path = fs.path_of(target).unwrap();
+            let under = format!("{target_path}/");
+            let dirs: Vec<NodeId> = folders
+                .iter()
+                .copied()
+                .filter(|&dir| {
+                    let path = fs.path_of(dir).unwrap();
+                    path != target_path && !path.starts_with(&under)
+                })
+                .collect();
+            let dir = rng.pick(&dirs);
+            let name = format!("across{step}");
+            fs.create_link(dir, &name, target, at).unwrap();
+            format!("link {}/{name} -> {target_path}", fs.path_of(dir).unwrap())
         }
         _ => {
             let dir = rng.pick(&folders[1..]);

@@ -37,7 +37,7 @@ pub mod sim;
 pub mod source;
 pub mod sync;
 
-pub use converter::{Content2IdmConverter, ConverterRegistry};
+pub use converter::{convert_all, convert_view};
 pub use health::{HealthMonitor, HealthReport, HealthStats};
 pub use idm_index::AuditScope;
 pub use idm_query::{QueryRequest, QueryResponse};
@@ -147,8 +147,7 @@ pub struct Pdsms {
 }
 
 impl Pdsms {
-    /// A fresh, empty dataspace system with the default converter set
-    /// (XML and LaTeX).
+    /// A fresh, empty dataspace system.
     pub fn new() -> Self {
         let store = Arc::new(ViewStore::new());
         let indexes = Arc::new(IndexBundle::new());

@@ -12,7 +12,7 @@ use idm_core::prelude::*;
 use idm_index::IndexBundle;
 use parking_lot::Mutex;
 
-use crate::converter::ConverterRegistry;
+use crate::converter::convert_all;
 use crate::source::{DataSourcePlugin, ReadAhead};
 
 /// Per-source ingestion statistics: the raw material for Table 2
@@ -129,7 +129,6 @@ impl IngestReport {
 pub struct ResourceViewManager {
     store: Arc<ViewStore>,
     indexes: Arc<IndexBundle>,
-    converters: ConverterRegistry,
     plugins: Mutex<Vec<Arc<dyn DataSourcePlugin>>>,
     /// Shared fault counters across every source guard of this system.
     fault_stats: Arc<FaultStats>,
@@ -138,12 +137,11 @@ pub struct ResourceViewManager {
 }
 
 impl ResourceViewManager {
-    /// An RVM with the default converter registry (XML + LaTeX).
+    /// An RVM with no sources registered.
     pub fn new(store: Arc<ViewStore>, indexes: Arc<IndexBundle>) -> Self {
         ResourceViewManager {
             store,
             indexes,
-            converters: ConverterRegistry::with_defaults(),
             plugins: Mutex::new(Vec::new()),
             fault_stats: Arc::new(FaultStats::new()),
             guards: Mutex::new(HashMap::new()),
@@ -308,9 +306,7 @@ impl ResourceViewManager {
         // Phase 2 — Content2iDM conversion: enrich with the structural
         // subgraphs of XML and LaTeX content (Section 5.2, part 2).
         let conversion_start = Instant::now();
-        let conversion = self
-            .converters
-            .convert_all(&self.store, &ingestion.base_views)?;
+        let conversion = convert_all(&self.store, &ingestion.base_views)?;
         stats.derived_xml = conversion.derived_xml;
         stats.derived_latex = conversion.derived_latex;
         stats.conversion = conversion_start.elapsed();

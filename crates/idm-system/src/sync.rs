@@ -13,7 +13,12 @@
 //! conversion minted, and for a message its attachments and theirs. A
 //! group edge is never followed, so removing `/Projects/PIM` leaves
 //! `/Projects`, which its `All Projects` link points back at, and every
-//! view under it alone.
+//! view under it alone. Every reference to a base view goes with it: the
+//! folder, mailbox or folder link that held it loses the edge.
+//!
+//! Every handler brings views in through `admit` (convert, then index
+//! what the catalog lacks, as the ingest does) and takes base views out
+//! through `retire`.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -25,9 +30,9 @@ use idm_index::IndexBundle;
 use idm_vfs::{FsEvent, NodeId, NodeKind, VirtualFs};
 use parking_lot::Mutex;
 
-use crate::converter::ConverterRegistry;
+use crate::converter::convert_all;
 use crate::rvm::with_owned;
-use crate::source::{FsPlugin, ImapPlugin};
+use crate::source::{DataSourcePlugin, FsPlugin, ImapPlugin};
 
 /// What one sync round did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -97,31 +102,66 @@ fn apply_in_order<E>(
     Ok(())
 }
 
-/// Indexes `base` and every view it owns that the catalog lacks, in one
+/// Brings `bases` in as an ingest does: converts them, then indexes
+/// whatever of them and the views they own the catalog lacks, in one
 /// [`IndexBundle::index_views`] call; returns those views, vid-sorted.
-fn index_missing(
+fn admit(
     store: &ViewStore,
     indexes: &IndexBundle,
-    base: Vid,
+    bases: &[Vid],
     source: &str,
 ) -> Result<Vec<Vid>> {
-    let mut missing = with_owned(store, &[base]);
+    convert_all(store, bases)?;
+    let mut missing = with_owned(store, bases);
     missing.retain(|&view| !indexes.catalog.contains(view));
     indexes.index_views(store, &missing, source)?;
     Ok(missing)
 }
 
-/// Removes every view `base` owns from the store, newest first, and
-/// returns them; the caller takes them out of the indexes, together
-/// with `base` itself, in one [`IndexBundle::remove_views`] call.
-fn remove_owned(store: &ViewStore, base: Vid) -> Result<Vec<Vid>> {
-    let owned = store.owned(base);
-    for &view in owned.iter().rev() {
+/// Takes `bases` and every view they own out of the dataspace, and
+/// every reference to them with them: each group that holds one and is
+/// not itself retiring (an in-edge of the group replica) loses it,
+/// writing only the groups that change. Then the owned views (newest
+/// first) and `bases` leave the indexes in one
+/// [`IndexBundle::remove_views`] call, and the store. Returns them.
+fn retire(store: &ViewStore, indexes: &IndexBundle, bases: &[Vid]) -> Result<Vec<Vid>> {
+    let mut retiring = bases.to_vec();
+    retiring.sort_unstable();
+    let mut detach: BTreeMap<Vid, Vec<Vid>> = BTreeMap::new();
+    for &base in bases {
+        for parent in indexes.group.parents(base) {
+            if retiring.binary_search(&parent).is_err() {
+                detach.entry(parent).or_default().push(base);
+            }
+        }
+    }
+    for (parent, leaving) in detach {
+        if !store.contains(parent) {
+            continue;
+        }
+        let members = store.group(parent)?.finite_members();
+        let kept: Vec<Vid> = members
+            .iter()
+            .copied()
+            .filter(|member| !leaving.contains(member))
+            .collect();
+        if kept.len() < members.len() {
+            store.set_group(parent, Group::of_set(kept.clone()))?;
+            indexes.group.index(parent, &kept);
+        }
+    }
+    let mut gone: Vec<Vid> = bases
+        .iter()
+        .flat_map(|&base| store.owned(base).into_iter().rev())
+        .collect();
+    gone.extend(bases);
+    indexes.remove_views(&gone);
+    for &view in &gone {
         if store.contains(view) {
             store.remove(view)?;
         }
     }
-    Ok(owned)
+    Ok(gone)
 }
 
 /// A synchronization manager for one filesystem source.
@@ -134,7 +174,6 @@ pub struct SynchronizationManager {
     /// The event whose handler hit a passing source fault, for the next
     /// round to apply first (see `apply_in_order`).
     retry: Mutex<Option<FsEvent>>,
-    converters: ConverterRegistry,
     /// Maintained across events (needed because a removal notification
     /// arrives after the node is gone).
     paths: Mutex<BaseViews>,
@@ -163,7 +202,6 @@ impl SynchronizationManager {
             plugin,
             events,
             retry: Mutex::new(None),
-            converters: ConverterRegistry::with_defaults(),
             paths: Mutex::new(paths),
         })
     }
@@ -267,10 +305,8 @@ impl SynchronizationManager {
         self.paths.lock().by_path.insert(path.to_owned(), vid);
         self.plugin.record_mapping(node, vid);
 
-        // Convert + index the new subtree.
-        self.converters.convert_view(&self.store, vid)?;
-        let indexed = index_missing(&self.store, &self.indexes, vid, "filesystem")?;
-        Ok(1 + indexed.iter().filter(|&&member| member != vid).count())
+        // Convert + index the new view and what it owns.
+        Ok(admit(&self.store, &self.indexes, &[vid], self.plugin.name())?.len())
     }
 
     fn on_modified(&self, path: &str) -> Result<usize> {
@@ -286,8 +322,11 @@ impl SynchronizationManager {
             _ => None,
         };
 
-        // Drop the stale derived views.
-        let mut stale = remove_owned(&self.store, vid)?;
+        // Drop the stale derived views, newest first.
+        let mut stale = self.store.owned(vid);
+        for &view in stale.iter().rev() {
+            self.store.remove(view)?;
+        }
         stale.push(vid);
 
         self.store.set_tuple(vid, Some(meta.to_tuple()))?;
@@ -300,9 +339,8 @@ impl SynchronizationManager {
         }
 
         // Reconvert and reindex.
-        self.converters.convert_view(&self.store, vid)?;
         self.indexes.remove_views(&stale);
-        index_missing(&self.store, &self.indexes, vid, "filesystem")?;
+        admit(&self.store, &self.indexes, &[vid], self.plugin.name())?;
         Ok(1)
     }
 
@@ -310,34 +348,7 @@ impl SynchronizationManager {
     /// the views each of them owns.
     fn on_removed(&self, path: &str) -> Result<usize> {
         let bases = self.paths.lock().remove_tree(path);
-        let Some(&vid) = bases.first() else {
-            return Ok(0);
-        };
-        let mut gone = Vec::new();
-        for &base in &bases {
-            gone.extend(remove_owned(&self.store, base)?);
-        }
-        // Detach from the parent's group.
-        if let Some(parent) = self.parent_view(path) {
-            if let Ok(snapshot) = self.store.group(parent) {
-                let members: Vec<Vid> = snapshot
-                    .finite_members()
-                    .into_iter()
-                    .filter(|m| *m != vid)
-                    .collect();
-                self.store
-                    .set_group(parent, Group::of_set(members.clone()))?;
-                self.indexes.group.index(parent, &members);
-            }
-        }
-        gone.extend(&bases);
-        self.indexes.remove_views(&gone);
-        for base in bases {
-            if self.store.contains(base) {
-                self.store.remove(base)?;
-            }
-        }
-        Ok(gone.len())
+        Ok(retire(&self.store, &self.indexes, &bases)?.len())
     }
 }
 
@@ -351,7 +362,6 @@ pub struct ImapSynchronizationManager {
     events: Receiver<idm_email::imap::MailEvent>,
     /// As [`SynchronizationManager`]'s: the event to apply first.
     retry: Mutex<Option<idm_email::imap::MailEvent>>,
-    converters: ConverterRegistry,
 }
 
 impl ImapSynchronizationManager {
@@ -368,7 +378,6 @@ impl ImapSynchronizationManager {
             plugin,
             events,
             retry: Mutex::new(None),
-            converters: ConverterRegistry::with_defaults(),
         }
     }
 
@@ -403,40 +412,18 @@ impl ImapSynchronizationManager {
                 .index(folder, &self.store.group(folder)?.finite_members());
         }
 
-        // Convert structured attachments, then index the whole subtree.
-        let attachments = self.store.group(vid)?.finite_members();
-        for attachment in attachments {
-            self.converters.convert_view(&self.store, attachment)?;
-        }
-        Ok(index_missing(&self.store, &self.indexes, vid, "imap")?.len())
+        // The message and its attachments, converted as an ingest does.
+        let bases = with_owned(&self.store, &[vid]);
+        Ok(admit(&self.store, &self.indexes, &bases, self.plugin.name())?.len())
     }
 
+    /// Removes the message, and what it owns: its attachments and their
+    /// converted views.
     fn on_deleted(&self, uid: idm_email::Uid) -> Result<usize> {
         let Some(vid) = self.plugin.forget_message(uid) else {
             return Ok(0);
         };
-        // Remove the message and what it owns: its attachments and
-        // their converted views.
-        let mut gone = remove_owned(&self.store, vid)?;
-        gone.push(vid);
-        self.indexes.remove_views(&gone);
-        if self.store.contains(vid) {
-            self.store.remove(vid)?;
-        }
-        // Detach the dangling reference from every group that still
-        // holds it: the replica keeps a removed view's in-edges.
-        for parent in self.indexes.group.parents(vid) {
-            if !self.store.contains(parent) {
-                continue;
-            }
-            let members = self.store.group(parent)?.finite_members();
-            if members.contains(&vid) {
-                let kept: Vec<Vid> = members.into_iter().filter(|m| *m != vid).collect();
-                self.store.set_group(parent, Group::of_set(kept.clone()))?;
-                self.indexes.group.index(parent, &kept);
-            }
-        }
-        Ok(gone.len())
+        Ok(retire(&self.store, &self.indexes, &[vid])?.len())
     }
 }
 
@@ -478,6 +465,18 @@ mod tests {
             indexes,
             sync,
         }
+    }
+
+    /// A fresh ingest of one source into a new store.
+    fn ingest(
+        plugin: Arc<dyn crate::source::DataSourcePlugin>,
+    ) -> (Arc<ViewStore>, Arc<IndexBundle>) {
+        let store = Arc::new(ViewStore::new());
+        let indexes = Arc::new(IndexBundle::new());
+        let rvm = ResourceViewManager::new(Arc::clone(&store), Arc::clone(&indexes));
+        rvm.register_source(plugin);
+        rvm.ingest_all().unwrap();
+        (store, indexes)
     }
 
     #[test]
@@ -993,5 +992,72 @@ mod tests {
         assert!(report.created >= 1, "the second one applied: {report:?}");
         assert_eq!(fresh(), 1);
         assert_eq!(sync.sync_round().unwrap(), SyncReport::default());
+    }
+
+    /// Removing a folder takes every reference to it too: a link
+    /// elsewhere that pointed at it is left with an empty group, as a
+    /// fresh ingest builds it.
+    #[test]
+    fn a_link_that_outlives_its_target_loses_it() {
+        let w = world();
+        let other = w.fs.mkdir_p("/other", t()).unwrap();
+        let papers = w.fs.resolve("/papers").unwrap();
+        w.fs.create_link(other, "to-papers", papers, t()).unwrap();
+        w.sync.sync_round().unwrap();
+        let link = w.indexes.name.exact("to-papers")[0];
+        assert_eq!(w.indexes.group.children(link).len(), 1);
+
+        w.fs.remove(papers).unwrap();
+        let report = w.sync.sync_round().unwrap();
+        assert!(report.removed >= 3, "{report:?}");
+        assert!(w.store.group(link).unwrap().finite_members().is_empty());
+        assert!(w.indexes.group.children(link).is_empty());
+        let (fresh, _) = ingest(Arc::new(FsPlugin::new(Arc::clone(&w.fs), NodeId::ROOT)));
+        assert_eq!(
+            w.store.verify_invariants().dangling_edges,
+            fresh.verify_invariants().dangling_edges
+        );
+        assert_eq!(w.store.len(), fresh.len());
+    }
+
+    /// A delivered message is converted as an ingest converts it: the
+    /// message itself (its subject names a LaTeX file) and each
+    /// attachment.
+    #[test]
+    fn a_delivery_converts_like_an_ingest() {
+        use crate::source::ImapPlugin;
+        use idm_email::message::{Attachment, EmailMessage};
+
+        let (server, sync, _fresh) = mail_world();
+        server
+            .append(
+                server.inbox(),
+                &EmailMessage {
+                    subject: "notes.tex".into(),
+                    date: t(),
+                    body: "\\section{Notes}\nindexing time".into(),
+                    attachments: vec![Attachment {
+                        filename: "eval.xml".into(),
+                        content: "<runs><run>42</run></runs>".into(),
+                    }],
+                    ..EmailMessage::default()
+                },
+            )
+            .unwrap();
+        sync.sync_round().unwrap();
+        let (fresh, fresh_indexes) = ingest(Arc::new(ImapPlugin::new(server)));
+
+        let views = |store: &ViewStore| {
+            let mut views: Vec<_> = store
+                .vids()
+                .into_iter()
+                .map(|vid| (store.class_name(vid).unwrap(), store.name(vid).unwrap()))
+                .collect();
+            views.sort_unstable();
+            views
+        };
+        assert_eq!(sync.store.len(), fresh.len());
+        assert_eq!(sync.indexes.catalog.len(), fresh_indexes.catalog.len());
+        assert_eq!(views(&sync.store), views(&fresh));
     }
 }

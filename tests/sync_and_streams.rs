@@ -172,7 +172,7 @@ fn rss_source_polls_feed_changes_through_the_system() {
 #[test]
 fn lineage_spans_sources_and_formats() {
     use imemex::email::message::Attachment;
-    use imemex::system::ConverterRegistry;
+    use imemex::system::convert_all;
 
     let store = ViewStore::new();
     let tex = store
@@ -194,10 +194,7 @@ fn lineage_spans_sources_and_formats() {
     )
     .unwrap();
     let attachment = store.group(message).unwrap().finite_members()[0];
-    let converters = ConverterRegistry::with_defaults();
-    converters
-        .convert_all(&store, &[tex, xml, attachment])
-        .unwrap();
+    convert_all(&store, &[tex, xml, attachment]).unwrap();
 
     for base in [tex, xml, message] {
         assert_eq!(store.owner(base).unwrap(), None);
