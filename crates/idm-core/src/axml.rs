@@ -173,7 +173,8 @@ pub fn materialize_result(store: &ViewStore, registry: &ServiceRegistry, axml: V
 /// view's content with the fresh response — the building block of
 /// ActiveXML's pub/sub mode (Section 4.3.1 notes the pub/sub features
 /// "can also be instantiated in iDM"): a subscription is a periodic
-/// refresh, and the store's change events notify downstream push
+/// refresh, and the `SetContent` record it commits on the store's change
+/// feed ([`ViewStore::subscribe_records`]) notifies downstream push
 /// operators that the intensional data changed.
 ///
 /// Returns the result view and whether its content actually changed.
@@ -211,6 +212,7 @@ pub fn refresh_result(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durability::record::ChangeRecord;
 
     fn departments_service() -> Arc<dyn WebService> {
         Arc::new(|_args: &str| {
@@ -294,12 +296,12 @@ mod tests {
         );
 
         let dep = build_axml_element(&store, "dep", "svc/Departments()").unwrap();
-        let events = store.subscribe();
+        let records = store.subscribe_records();
         let (result, changed) = refresh_result(&store, &registry, dep).unwrap();
         assert!(!changed, "first refresh after materialization: same data");
 
         // The remote data changes; the next refresh picks it up and the
-        // store emits a content-change event (the pub/sub notification).
+        // store publishes a content-change record (the pub/sub notification).
         let (result2, changed) = refresh_result(&store, &registry, dep).unwrap();
         assert_eq!(result, result2);
         assert!(changed);
@@ -309,8 +311,9 @@ mod tests {
             .text_lossy()
             .unwrap()
             .contains("Research"));
-        let kinds: Vec<crate::store::ChangeKind> = events.try_iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&crate::store::ChangeKind::Content));
+        let records: Vec<ChangeRecord> = records.try_iter().collect();
+        assert!(records.iter().any(|r| matches!(r,
+            ChangeRecord::SetContent { vid, .. } if *vid == result.as_u64())));
     }
 
     #[test]

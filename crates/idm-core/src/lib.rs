@@ -67,8 +67,7 @@ pub mod prelude {
     };
     pub use crate::group::{Group, GroupData, GroupProvider, ViewSequenceSource};
     pub use crate::store::{
-        ChangeEvent, ChangeKind, GroupSnapshot, InvariantReport, StoreExport, Vid, ViewBuilder,
-        ViewRecord, ViewStore,
+        GroupSnapshot, InvariantReport, StoreExport, Vid, ViewBuilder, ViewRecord, ViewStore,
     };
     pub use crate::validate::{validate, validate_as, ValidationMode};
     pub use crate::value::{Attribute, Domain, Schema, Timestamp, TupleComponent, Value};

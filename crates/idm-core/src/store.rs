@@ -8,12 +8,12 @@
 //! The store realizes the paper's lazy-computation contract (Section 4.1):
 //! every component getter may trigger on-demand computation, and a view's
 //! record hides *how, when and where* its components are produced. The
-//! store also emits change events so push-based stream operators
-//! (Section 4.4.2) can subscribe to component updates.
+//! store also publishes every committed change record, so push-based
+//! stream operators (Section 4.4.2) can subscribe to component updates.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -96,32 +96,6 @@ impl Default for ViewRecord {
     }
 }
 
-/// What changed about a view (for push-based subscribers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChangeKind {
-    /// The view was inserted.
-    Created,
-    /// The name component changed.
-    Name,
-    /// The tuple component changed.
-    Tuple,
-    /// The content component changed.
-    Content,
-    /// The group component changed (including incremental member adds).
-    Group,
-    /// The view was removed.
-    Removed,
-}
-
-/// A change notification delivered to subscribers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChangeEvent {
-    /// The affected view.
-    pub vid: Vid,
-    /// What changed.
-    pub kind: ChangeKind,
-}
-
 /// Snapshot of a group component as seen by a reader.
 #[derive(Clone)]
 pub enum GroupSnapshot {
@@ -176,21 +150,19 @@ pub struct ViewStore {
     slots: RwLock<Vec<Option<Slot>>>,
     next_vid: AtomicU64,
     classes: Arc<ClassRegistry>,
-    subscribers: Mutex<Vec<Sender<ChangeEvent>>>,
-    /// Subscribers to the full logical change records (the same records
-    /// the WAL persists); the flag keeps the fan-out free for stores
-    /// nobody watches.
+    /// Subscribers to the change feed ([`ViewStore::subscribe_records`]);
+    /// the flag keeps the fan-out free for stores nobody watches.
     record_subscribers: Mutex<Vec<Sender<ChangeRecord>>>,
-    record_fanout: std::sync::atomic::AtomicBool,
+    record_fanout: AtomicBool,
     /// Committed mutations since construction ([`ViewStore::change_count`]).
     changes: AtomicU64,
     /// Occupied slots ([`ViewStore::len`]). Moved under the write lock
     /// that fills or empties the slot; a count that publishes no other
     /// data, so `Relaxed` throughout.
     live: AtomicUsize,
-    /// The attached write-ahead log, if this store is durable. Mutators
-    /// append their change record under the store's write lock, so WAL
-    /// order is commit order.
+    /// The attached write-ahead log, if this store is durable.
+    /// [`ViewStore::commit`] appends under the store's write lock, so
+    /// WAL order is commit order.
     wal: RwLock<Option<Arc<WalWriter>>>,
     /// Owner → the live views it owns, in mint order
     /// ([`ViewStore::owned`]). Changed only under the `slots` write
@@ -210,9 +182,8 @@ impl ViewStore {
             slots: RwLock::new(Vec::new()),
             next_vid: AtomicU64::new(0),
             classes,
-            subscribers: Mutex::new(Vec::new()),
             record_subscribers: Mutex::new(Vec::new()),
-            record_fanout: std::sync::atomic::AtomicBool::new(false),
+            record_fanout: AtomicBool::new(false),
             changes: AtomicU64::new(0),
             live: AtomicUsize::new(0),
             wal: RwLock::new(None),
@@ -235,16 +206,45 @@ impl ViewStore {
         self.wal.read().is_some()
     }
 
-    /// Appends records to the attached WAL, if any, as one write group
-    /// (one buffered write, one covering sync). Append errors are not
-    /// surfaced here — the writer goes sticky-dead and the next
-    /// checkpoint (or explicit health check) reports the failure; the
-    /// in-memory mutation has already committed either way.
-    fn wal_append(&self, records: &[ChangeRecord]) {
-        let wal = self.wal.read().clone();
-        if let Some(wal) = wal {
+    /// The one commit point of every mutation. The caller holds the
+    /// `slots` write lock and has applied the change; `records` are its
+    /// change records (a mutator builds them only when
+    /// [`ViewStore::records_wanted`] says so) and `counted` the
+    /// mutations they commit. Under that lock it appends `records` to
+    /// the attached WAL as one write group (one buffered write, one
+    /// covering sync), bumps [`ViewStore::change_count`] and sends each
+    /// record to the change feed, so the feed's order is the log's.
+    ///
+    /// Append errors are not surfaced here — the writer goes
+    /// sticky-dead and the next checkpoint (or explicit health check)
+    /// reports the failure; the in-memory mutation has already
+    /// committed either way.
+    fn commit(&self, records: &[ChangeRecord], counted: u64) {
+        if let Some(wal) = self.wal.read().as_ref() {
             let _ = wal.append(records);
         }
+        self.changes.fetch_add(counted, Ordering::Release);
+        if !self.record_fanout.load(Ordering::Acquire) {
+            return;
+        }
+        let mut subs = self.record_subscribers.lock();
+        for record in records {
+            subs.retain(|tx| tx.send(record.clone()).is_ok());
+        }
+        if subs.is_empty() {
+            // Every receiver is gone; stop building records on the next
+            // mutation (a later subscribe_records re-arms the flag).
+            self.record_fanout.store(false, Ordering::Release);
+        }
+    }
+
+    /// Whether a mutation must build its [`ChangeRecord`]: a WAL is
+    /// armed or the change feed has a subscriber. Mutators ask under
+    /// the `slots` write lock, so a WAL armed by a freeze
+    /// ([`ViewStore::frozen_export`]) logs every change the frozen
+    /// image lacks.
+    fn records_wanted(&self) -> bool {
+        self.wal_armed() || self.record_fanout.load(Ordering::Acquire)
     }
 
     /// Opens a bulk-ingest WAL window for the calling thread: while the
@@ -301,21 +301,13 @@ impl ViewStore {
     /// Inserts a view record, returning its new id.
     pub fn insert(&self, record: ViewRecord) -> Vid {
         let vid = Vid(self.next_vid.fetch_add(1, Ordering::Relaxed));
-        let wal_rec = (self.wal_armed() || self.records_wanted()).then(|| ChangeRecord::Insert {
+        let mut slots = self.slots.write();
+        let rec = self.records_wanted().then(|| ChangeRecord::Insert {
             vid: vid.0,
             view: SerialView::of(&record, &self.classes),
         });
-        {
-            let mut slots = self.slots.write();
-            self.fill(&mut slots, vid, Slot { record, version: 0 });
-            if let Some(rec) = wal_rec.as_ref() {
-                self.wal_append(std::slice::from_ref(rec));
-            }
-        }
-        self.emit(vid, ChangeKind::Created);
-        if let Some(rec) = wal_rec {
-            self.emit_record(rec);
-        }
+        self.fill(&mut slots, vid, Slot { record, version: 0 });
+        self.commit(rec.as_slice(), 1);
         vid
     }
 
@@ -333,36 +325,26 @@ impl ViewStore {
         let n = records.len() as u64;
         let base = self.next_vid.fetch_add(n, Ordering::Relaxed);
         let vids: Vec<Vid> = (base..base + n).map(Vid).collect();
-        let armed = self.wal_armed();
-        let want_recs = armed || self.records_wanted();
-        let mut wal_recs = Vec::with_capacity(if want_recs { records.len() } else { 0 });
-        {
-            let mut slots = self.slots.write();
-            for (vid, record) in vids.iter().zip(records) {
-                if want_recs {
-                    wal_recs.push(ChangeRecord::Insert {
-                        vid: vid.0,
-                        view: SerialView::of(&record, &self.classes),
-                    });
-                }
-                self.fill(&mut slots, *vid, Slot { record, version: 0 });
+        let mut slots = self.slots.write();
+        let wanted = self.records_wanted();
+        let mut recs = Vec::with_capacity(if wanted { records.len() } else { 0 });
+        for (vid, record) in vids.iter().zip(records) {
+            if wanted {
+                recs.push(ChangeRecord::Insert {
+                    vid: vid.0,
+                    view: SerialView::of(&record, &self.classes),
+                });
             }
-            if armed {
-                self.wal_append(&wal_recs);
-            }
+            self.fill(&mut slots, *vid, Slot { record, version: 0 });
         }
-        for &vid in &vids {
-            self.emit(vid, ChangeKind::Created);
-        }
-        for rec in wal_recs {
-            self.emit_record(rec);
-        }
+        self.commit(&recs, n);
         vids
     }
 
-    /// Re-inserts a view at an explicit id during recovery: no WAL
-    /// logging, no change event, version restored as given. The vid
-    /// allocator is advanced past `vid` so future inserts never collide.
+    /// Re-inserts a view at an explicit id during recovery: no commit
+    /// (nothing logged, counted or published), version restored as
+    /// given. The vid allocator is advanced past `vid` so future inserts
+    /// never collide.
     pub(crate) fn restore_insert(&self, vid: Vid, record: ViewRecord, version: u64) -> Result<()> {
         self.next_vid.fetch_max(vid.0 + 1, Ordering::Relaxed);
         let mut slots = self.slots.write();
@@ -427,31 +409,26 @@ impl ViewStore {
     /// by the model (a dataspace is never globally consistent); traversals
     /// skip missing members.
     pub fn remove(&self, vid: Vid) -> Result<ViewRecord> {
-        let record = {
-            let mut slots = self.slots.write();
-            let record = slots
-                .get_mut(vid.0 as usize)
-                .and_then(Option::take)
-                .ok_or(IdmError::UnknownVid(vid))?
-                .record;
-            self.live.fetch_sub(1, Ordering::Relaxed);
-            if let Some(owner) = record.owner() {
-                let mut owned = self.owned.lock();
-                if let Some(views) = owned.get_mut(&owner) {
-                    // Owned views are usually removed newest first.
-                    if let Some(at) = views.iter().rposition(|&v| v == vid) {
-                        views.remove(at);
-                    }
-                    if views.is_empty() {
-                        owned.remove(&owner);
-                    }
+        let mut slots = self.slots.write();
+        let record = slots
+            .get_mut(vid.0 as usize)
+            .and_then(Option::take)
+            .ok_or(IdmError::UnknownVid(vid))?
+            .record;
+        self.live.fetch_sub(1, Ordering::Relaxed);
+        if let Some(owner) = record.owner() {
+            let mut owned = self.owned.lock();
+            if let Some(views) = owned.get_mut(&owner) {
+                // Owned views are usually removed newest first.
+                if let Some(at) = views.iter().rposition(|&v| v == vid) {
+                    views.remove(at);
+                }
+                if views.is_empty() {
+                    owned.remove(&owner);
                 }
             }
-            self.wal_append(&[ChangeRecord::Remove { vid: vid.0 }]);
-            record
-        };
-        self.emit(vid, ChangeKind::Removed);
-        self.emit_record(ChangeRecord::Remove { vid: vid.0 });
+        }
+        self.commit(&[ChangeRecord::Remove { vid: vid.0 }], 1);
         Ok(record)
     }
 
@@ -571,73 +548,81 @@ impl ViewStore {
         self.with_record(vid, Clone::clone)
     }
 
+    /// Applies `f` to the view's record, bumps its version and commits
+    /// the record `log` reads off the changed view.
     fn mutate(
         &self,
         vid: Vid,
-        kind: ChangeKind,
         f: impl FnOnce(&mut ViewRecord),
-        wal_rec: Option<ChangeRecord>,
+        log: impl FnOnce(u64, &ViewRecord) -> ChangeRecord,
     ) -> Result<()> {
-        {
-            let mut slots = self.slots.write();
-            let slot = occupied(&mut slots, vid)?;
-            f(&mut slot.record);
-            slot.version += 1;
-            if let Some(rec) = wal_rec.as_ref() {
-                self.wal_append(std::slice::from_ref(rec));
-            }
-        }
-        self.emit(vid, kind);
-        if let Some(rec) = wal_rec {
-            self.emit_record(rec);
-        }
+        let mut slots = self.slots.write();
+        let slot = occupied(&mut slots, vid)?;
+        f(&mut slot.record);
+        slot.version += 1;
+        let rec = self.records_wanted().then(|| log(vid.0, &slot.record));
+        self.commit(rec.as_slice(), 1);
         Ok(())
     }
 
     /// Replaces the name component.
     pub fn set_name(&self, vid: Vid, name: Option<String>) -> Result<()> {
-        let wal_rec = (self.wal_armed() || self.records_wanted()).then(|| ChangeRecord::SetName {
-            vid: vid.0,
-            name: name.clone(),
-        });
-        self.mutate(vid, ChangeKind::Name, |r| r.name = name, wal_rec)
+        self.mutate(
+            vid,
+            |r| r.name = name,
+            |vid, r| ChangeRecord::SetName {
+                vid,
+                name: r.name.clone(),
+            },
+        )
     }
 
     /// Replaces the tuple component.
     pub fn set_tuple(&self, vid: Vid, tuple: Option<TupleComponent>) -> Result<()> {
-        let wal_rec = (self.wal_armed() || self.records_wanted()).then(|| ChangeRecord::SetTuple {
-            vid: vid.0,
-            tuple: tuple.clone(),
-        });
-        self.mutate(vid, ChangeKind::Tuple, |r| r.tuple = tuple, wal_rec)
+        self.mutate(
+            vid,
+            |r| r.tuple = tuple,
+            |vid, r| ChangeRecord::SetTuple {
+                vid,
+                tuple: r.tuple.clone(),
+            },
+        )
     }
 
     /// Replaces the content component.
     pub fn set_content(&self, vid: Vid, content: Content) -> Result<()> {
-        let wal_rec =
-            (self.wal_armed() || self.records_wanted()).then(|| ChangeRecord::SetContent {
-                vid: vid.0,
-                content: SerialContent::of(&content),
-            });
-        self.mutate(vid, ChangeKind::Content, |r| r.content = content, wal_rec)
+        self.mutate(
+            vid,
+            |r| r.content = content,
+            |vid, r| ChangeRecord::SetContent {
+                vid,
+                content: SerialContent::of(&r.content),
+            },
+        )
     }
 
     /// Replaces the group component.
     pub fn set_group(&self, vid: Vid, group: Group) -> Result<()> {
-        let wal_rec = (self.wal_armed() || self.records_wanted()).then(|| ChangeRecord::SetGroup {
-            vid: vid.0,
-            group: SerialGroup::of(&group),
-        });
-        self.mutate(vid, ChangeKind::Group, |r| r.group = group, wal_rec)
+        self.mutate(
+            vid,
+            |r| r.group = group,
+            |vid, r| ChangeRecord::SetGroup {
+                vid,
+                group: SerialGroup::of(&r.group),
+            },
+        )
     }
 
     /// Replaces the class.
     pub fn set_class(&self, vid: Vid, class: Option<ClassId>) -> Result<()> {
-        let wal_rec = (self.wal_armed() || self.records_wanted()).then(|| ChangeRecord::SetClass {
-            vid: vid.0,
-            class: class.map(|c| self.classes.name(c)),
-        });
-        self.mutate(vid, ChangeKind::Tuple, |r| r.class = class, wal_rec)
+        self.mutate(
+            vid,
+            |r| r.class = class,
+            |vid, r| ChangeRecord::SetClass {
+                vid,
+                class: r.class.map(|c| self.classes.name(c)),
+            },
+        )
     }
 
     /// Adds a member to a finite group component in place (used e.g. when
@@ -664,45 +649,26 @@ impl ViewStore {
                 set.push(member);
             }
             let new_data = GroupData::new(set, seq).map_err(|_| IdmError::GroupOverlap(vid))?;
-            let committed = {
-                let mut slots = self.slots.write();
-                let slot = occupied(&mut slots, vid)?;
-                if slot.version == version {
-                    slot.record.group = Group::Materialized(Arc::new(new_data));
-                    slot.version += 1;
-                    self.wal_append(&[ChangeRecord::AddGroupMember {
-                        vid: vid.0,
-                        member: member.0,
-                        ordered,
-                    }]);
-                    true
-                } else {
-                    false
-                }
-            };
-            if committed {
-                self.emit(vid, ChangeKind::Group);
-                self.emit_record(ChangeRecord::AddGroupMember {
+            let mut slots = self.slots.write();
+            let slot = occupied(&mut slots, vid)?;
+            if slot.version == version {
+                slot.record.group = Group::Materialized(Arc::new(new_data));
+                slot.version += 1;
+                let rec = ChangeRecord::AddGroupMember {
                     vid: vid.0,
                     member: member.0,
                     ordered,
-                });
+                };
+                self.commit(&[rec], 1);
                 return Ok(());
             }
         }
     }
 
-    /// Subscribes to change events (push-based protocol, Section 4.4.2).
-    pub fn subscribe(&self) -> Receiver<ChangeEvent> {
-        let (tx, rx) = unbounded();
-        self.subscribers.lock().push(tx);
-        rx
-    }
-
-    /// Subscribes to the full logical [`ChangeRecord`] stream — the same
-    /// records the WAL persists, carrying the changed component values
-    /// rather than just a [`ChangeKind`]. Only records committed after
-    /// subscription flow; construction of the records is skipped entirely
+    /// Subscribes to the change feed (the push-based protocol, Section
+    /// 4.4.2): every [`ChangeRecord`] committed after this call, the
+    /// same records the WAL persists, in the same order — each is sent
+    /// under the write lock that logs it. Records are not built at all
     /// while nobody is subscribed and no WAL is armed.
     pub fn subscribe_records(&self) -> Receiver<ChangeRecord> {
         let (tx, rx) = unbounded();
@@ -711,78 +677,41 @@ impl ViewStore {
         rx
     }
 
-    /// Whether any record subscriber is attached (cheap check mutators
-    /// use to decide whether to construct a [`ChangeRecord`] at all).
-    fn records_wanted(&self) -> bool {
-        self.record_fanout.load(Ordering::Acquire)
-    }
-
     /// How many mutations have committed since construction: every
     /// insert (one per view of a batch), remove, component change and
-    /// group-member add. The bump is a `Release` after the change is
-    /// applied and this load an `Acquire`, so a reader that reads the
-    /// count before reading the store sees every change it counts.
+    /// group-member add. The store's commit bumps it with a `Release`
+    /// after the change is applied and this load is an `Acquire`, so a
+    /// reader that reads the count before reading the store sees every
+    /// change it counts.
     pub fn change_count(&self) -> u64 {
         self.changes.load(Ordering::Acquire)
-    }
-
-    fn emit(&self, vid: Vid, kind: ChangeKind) {
-        self.changes.fetch_add(1, Ordering::Release);
-        let mut subs = self.subscribers.lock();
-        if subs.is_empty() {
-            return;
-        }
-        let event = ChangeEvent { vid, kind };
-        subs.retain(|tx| tx.send(event).is_ok());
-    }
-
-    fn emit_record(&self, record: ChangeRecord) {
-        if !self.records_wanted() {
-            return;
-        }
-        let mut subs = self.record_subscribers.lock();
-        subs.retain(|tx| tx.send(record.clone()).is_ok());
-        if subs.is_empty() {
-            // Every receiver is gone; stop building records on the next
-            // mutation (a later subscribe_records re-arms the flag).
-            self.record_fanout.store(false, Ordering::Release);
-        }
     }
 
     /// When a lazy group is first forced on a durable store, upgrade the
     /// stored handle to the materialized members and log the edge set.
     /// Without this a crash would lose child edges created by a
     /// converter force (the lazy cache dies with the process). No
-    /// version bump: forcing is a read, the group *value* is unchanged.
+    /// version bump and no change count (it commits with `counted = 0`):
+    /// forcing is a read, the group *value* is unchanged.
     fn promote_forced_group(&self, vid: Vid, lazy: &Arc<LazyGroup>, data: &Arc<GroupData>) {
-        if !self.wal_armed() && !self.records_wanted() {
+        if !self.records_wanted() {
             return;
         }
-        let mut forced = None;
-        {
-            let mut slots = self.slots.write();
-            let Ok(slot) = occupied(&mut slots, vid) else {
-                return;
+        let mut slots = self.slots.write();
+        let Ok(slot) = occupied(&mut slots, vid) else {
+            return;
+        };
+        // Only promote the handle we actually forced — a concurrent
+        // set_group may have replaced it, and that mutation (already
+        // logged) wins.
+        if matches!(&slot.record.group, Group::Lazy(current) if Arc::ptr_eq(current, lazy)) {
+            slot.record.group = Group::Materialized(Arc::clone(data));
+            let rec = ChangeRecord::GroupForced {
+                vid: vid.0,
+                set: data.set().iter().map(|v| v.0).collect(),
+                seq: data.seq().iter().map(|v| v.0).collect(),
             };
-            // Only promote the handle we actually forced — a concurrent
-            // set_group may have replaced it, and that mutation (already
-            // logged) wins.
-            match &slot.record.group {
-                Group::Lazy(current) if Arc::ptr_eq(current, lazy) => {
-                    slot.record.group = Group::Materialized(Arc::clone(data));
-                    let rec = ChangeRecord::GroupForced {
-                        vid: vid.0,
-                        set: data.set().iter().map(|v| v.0).collect(),
-                        seq: data.seq().iter().map(|v| v.0).collect(),
-                    };
-                    self.wal_append(std::slice::from_ref(&rec));
-                    forced = Some(rec);
-                }
-                _ => {}
-            }
-        }
-        if let Some(rec) = forced {
-            self.emit_record(rec);
+            self.commit(&[rec], 0);
         }
     }
 
@@ -1138,20 +1067,6 @@ mod tests {
         let members = store.group(parent).unwrap().finite_members();
         assert_eq!(members, vec![child], "reference remains");
         assert!(store.name(child).is_err(), "resolution fails gracefully");
-    }
-
-    #[test]
-    fn change_events_reach_subscribers() {
-        let store = ViewStore::new();
-        let rx = store.subscribe();
-        let vid = store.build("inbox").insert();
-        store.set_name(vid, Some("INBOX".into())).unwrap();
-        store.remove(vid).unwrap();
-        let kinds: Vec<ChangeKind> = rx.try_iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![ChangeKind::Created, ChangeKind::Name, ChangeKind::Removed]
-        );
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! guarantees under parallel access matter.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use idm_core::durability::record::view_bytes;
+use idm_core::durability::wal::read_segment;
 use idm_core::durability::{DurabilityManager, SyncPolicy};
 use idm_core::prelude::*;
 
@@ -229,7 +230,7 @@ fn concurrent_inserts_batches_and_removes_keep_len_exact() {
 #[test]
 fn change_events_reach_every_subscriber_exactly_once() {
     let store = Arc::new(ViewStore::new());
-    let receivers: Vec<_> = (0..4).map(|_| store.subscribe()).collect();
+    let receivers: Vec<_> = (0..4).map(|_| store.subscribe_records()).collect();
 
     let writers: Vec<_> = (0..4)
         .map(|t| {
@@ -245,10 +246,115 @@ fn change_events_reach_every_subscriber_exactly_once() {
         writer.join().unwrap();
     }
     for rx in receivers {
-        let events: Vec<ChangeEvent> = rx.try_iter().collect();
-        assert_eq!(events.len(), 400, "each subscriber sees every event");
-        assert!(events.iter().all(|e| e.kind == ChangeKind::Created));
+        let records: Vec<ChangeRecord> = rx.try_iter().collect();
+        assert_eq!(records.len(), 400, "each subscriber sees every record");
+        assert!(records
+            .iter()
+            .all(|r| matches!(r, ChangeRecord::Insert { .. })));
     }
+}
+
+/// The change feed is the log: while four writers rename one view of a
+/// durable store, the records the feed delivers equal the live WAL
+/// segment's tail, record for record — each record is sent under the
+/// write lock that appends it.
+#[test]
+fn the_change_feed_is_the_wal_in_log_order() {
+    const WRITERS: usize = 4;
+    const RENAMES: usize = 2_000;
+    let dir = std::env::temp_dir().join(format!("idm-concurrency-{}-feed", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(ViewStore::new());
+    let vid = store.build("renamed").insert();
+    let (mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
+    let feed = store.subscribe_records();
+
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|t| {
+            let store = Arc::clone(&store);
+            thread::spawn(move || {
+                for i in 0..RENAMES {
+                    store.set_name(vid, Some(format!("w{t}-{i}"))).unwrap();
+                }
+            })
+        })
+        .collect();
+    for writer in writers {
+        writer.join().expect("writer ok");
+    }
+
+    let fed: Vec<ChangeRecord> = feed.try_iter().collect();
+    assert_eq!(fed.len(), WRITERS * RENAMES);
+    let logged = read_segment(&dir.join("wal-1.idmlog")).unwrap().records;
+    assert!(logged.len() >= fed.len());
+    let tail = &logged[logged.len() - fed.len()..];
+    let differing = fed.iter().zip(tail).filter(|(a, b)| a != b).count();
+    assert_eq!(
+        differing, 0,
+        "feed and WAL order differ at {differing} position(s)"
+    );
+    drop(mgr);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Writers rename views while `attach` freezes the store, writes the
+/// initial snapshot and arms the WAL. A mutator decides whether to log
+/// under the write lock, so each rename lands in the snapshot or in the
+/// log, and a reopen equals the live store, versions included.
+#[test]
+fn renames_beside_attach_land_in_the_snapshot_or_the_log() {
+    const WRITERS: usize = 3;
+    let dir = std::env::temp_dir().join(format!("idm-concurrency-{}-attach", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(ViewStore::new());
+    let vids: Vec<Vid> = (0..WRITERS)
+        .map(|t| store.build(format!("w{t}")).insert())
+        .collect();
+    let start = Arc::new(Barrier::new(WRITERS + 1));
+    let attached = Arc::new(AtomicBool::new(false));
+    let writers: Vec<_> = vids
+        .iter()
+        .map(|&vid| {
+            let store = Arc::clone(&store);
+            let start = Arc::clone(&start);
+            let attached = Arc::clone(&attached);
+            thread::spawn(move || {
+                start.wait();
+                // Rename until 1 000 renames after `attach` returned.
+                let (mut i, mut after) = (0, 0);
+                while after < 1_000 {
+                    if attached.load(Ordering::Acquire) {
+                        after += 1;
+                    }
+                    store.set_name(vid, Some(format!("{vid}-{i}"))).unwrap();
+                    i += 1;
+                }
+            })
+        })
+        .collect();
+    start.wait();
+    let (mgr, _) = DurabilityManager::attach(&dir, &store, SyncPolicy::WriteBack).unwrap();
+    attached.store(true, Ordering::Release);
+    for writer in writers {
+        writer.join().expect("writer ok");
+    }
+    drop(mgr);
+
+    let (reopened, _, _) = DurabilityManager::open(&dir, SyncPolicy::WriteBack).unwrap();
+    let image = |s: &ViewStore| {
+        let (export, ()) = s.frozen_export(|_| ());
+        export
+            .views
+            .iter()
+            .map(|(vid, version, record)| (*vid, *version, view_bytes(*vid, record, s.classes())))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        image(&reopened),
+        image(&store),
+        "a reopen equals the live store"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `insert_batch` commits atomically with respect to snapshots: while

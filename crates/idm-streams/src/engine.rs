@@ -1,10 +1,12 @@
 //! Push-based stream operators (Section 4.4.2).
 //!
 //! Operators register with a [`PushEngine`] attached to a [`ViewStore`].
-//! Incoming change events on any resource view — a new email message, a
-//! new tuple on a data stream — are passed to all subscribed operators,
-//! which process them immediately, like the data-driven operators of
-//! specialized data stream management systems.
+//! Every change the store commits on any resource view — a new email
+//! message, a new tuple on a data stream — reaches the engine as the
+//! store's [`ChangeRecord`] (its change feed, in commit order) and is
+//! passed to every registered operator, which processes it immediately,
+//! like the data-driven operators of specialized data stream management
+//! systems.
 //!
 //! Dispatch is explicit ([`PushEngine::pump`]), so tests and benchmarks
 //! are deterministic and no thread of the engine's own is ever started.
@@ -15,29 +17,26 @@ use crossbeam::channel::Receiver;
 use idm_core::prelude::*;
 use parking_lot::Mutex;
 
-/// A push operator: receives change events the moment they occur.
+/// A push operator: receives change records the moment they are pumped.
 pub trait PushOperator: Send + Sync {
-    /// Which change kinds this operator wants (`None` = all).
-    fn interests(&self) -> Option<Vec<ChangeKind>> {
-        None
-    }
-
-    /// Processes one event. `store` gives access to the changed view's
-    /// components.
-    fn on_event(&self, store: &ViewStore, event: &ChangeEvent);
+    /// Processes one committed change; an operator matches the record
+    /// variants it wants and ignores the rest. `store` gives access to
+    /// the changed view's components.
+    fn on_record(&self, store: &ViewStore, record: &ChangeRecord);
 }
 
-/// The push engine: fans change events out to registered operators.
+/// The push engine: fans the store's change records out to registered
+/// operators.
 pub struct PushEngine {
     store: Arc<ViewStore>,
-    rx: Receiver<ChangeEvent>,
+    rx: Receiver<ChangeRecord>,
     operators: Mutex<Vec<Arc<dyn PushOperator>>>,
 }
 
 impl PushEngine {
-    /// Attaches an engine to a store. Only events after attachment flow.
+    /// Attaches an engine to a store. Only changes after attachment flow.
     pub fn attach(store: Arc<ViewStore>) -> Self {
-        let rx = store.subscribe();
+        let rx = store.subscribe_records();
         PushEngine {
             store,
             rx,
@@ -50,32 +49,24 @@ impl PushEngine {
         self.operators.lock().push(operator);
     }
 
-    /// Dispatches all pending events; returns how many were processed.
+    /// Dispatches all pending records; returns how many were processed.
     pub fn pump(&self) -> usize {
         let mut count = 0;
-        while let Ok(event) = self.rx.try_recv() {
-            self.dispatch(&event);
+        while let Ok(record) = self.rx.try_recv() {
+            let operators = self.operators.lock().clone();
+            for op in operators {
+                op.on_record(&self.store, &record);
+            }
             count += 1;
         }
         count
     }
-
-    fn dispatch(&self, event: &ChangeEvent) {
-        let operators = self.operators.lock().clone();
-        for op in operators {
-            let interested = op
-                .interests()
-                .is_none_or(|kinds| kinds.contains(&event.kind));
-            if interested {
-                op.on_event(&self.store, event);
-            }
-        }
-    }
 }
 
-/// A ready-made operator: collects the vids of created views whose
-/// content contains a phrase (a standing keyword filter — the
-/// information-filter use case the paper cites).
+/// A ready-made operator: collects the vids of views whose content
+/// contains a phrase when they are inserted or their content is
+/// replaced (a standing keyword filter — the information-filter use
+/// case the paper cites).
 pub struct KeywordFilter {
     phrase: String,
     matches: Mutex<Vec<Vid>>,
@@ -97,12 +88,15 @@ impl KeywordFilter {
 }
 
 impl PushOperator for KeywordFilter {
-    fn interests(&self) -> Option<Vec<ChangeKind>> {
-        Some(vec![ChangeKind::Created, ChangeKind::Content])
-    }
-
-    fn on_event(&self, store: &ViewStore, event: &ChangeEvent) {
-        let Ok(content) = store.content(event.vid) else {
+    fn on_record(&self, store: &ViewStore, record: &ChangeRecord) {
+        if !matches!(
+            record,
+            ChangeRecord::Insert { .. } | ChangeRecord::SetContent { .. }
+        ) {
+            return;
+        }
+        let vid = Vid::from_raw(record.vid());
+        let Ok(content) = store.content(vid) else {
             return;
         };
         if content.is_empty() || !content.is_finite() {
@@ -110,7 +104,7 @@ impl PushOperator for KeywordFilter {
         }
         if let Ok(text) = content.text_lossy() {
             if text.to_lowercase().contains(&self.phrase) {
-                self.matches.lock().push(event.vid);
+                self.matches.lock().push(vid);
             }
         }
     }
@@ -121,17 +115,17 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Counts every record, or only `SetName` records.
     struct Counter {
-        kinds: Option<Vec<ChangeKind>>,
+        only_names: bool,
         seen: AtomicUsize,
     }
 
     impl PushOperator for Counter {
-        fn interests(&self) -> Option<Vec<ChangeKind>> {
-            self.kinds.clone()
-        }
-        fn on_event(&self, _store: &ViewStore, _event: &ChangeEvent) {
-            self.seen.fetch_add(1, Ordering::SeqCst);
+        fn on_record(&self, _store: &ViewStore, record: &ChangeRecord) {
+            if !self.only_names || matches!(record, ChangeRecord::SetName { .. }) {
+                self.seen.fetch_add(1, Ordering::SeqCst);
+            }
         }
     }
 
@@ -140,11 +134,11 @@ mod tests {
         let store = Arc::new(ViewStore::new());
         let engine = PushEngine::attach(Arc::clone(&store));
         let all = Arc::new(Counter {
-            kinds: None,
+            only_names: false,
             seen: AtomicUsize::new(0),
         });
         let only_names = Arc::new(Counter {
-            kinds: Some(vec![ChangeKind::Name]),
+            only_names: true,
             seen: AtomicUsize::new(0),
         });
         engine.register(Arc::clone(&all) as Arc<dyn PushOperator>);

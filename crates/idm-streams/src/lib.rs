@@ -5,11 +5,12 @@
 //! stream processing, any system implementing iDM graphs has to provide
 //! push-based protocols". This crate supplies:
 //!
-//! - [`engine`] — the push-operator machinery: operators register for
-//!   change events on resource view components and process them
-//!   immediately, in the spirit of data-driven DSMS processing (standing
-//!   results need no engine: the standing-result table in `idm-query`,
-//!   which serves cached requests and live queries alike, watches
+//! - [`engine`] — the push-operator machinery: operators receive the
+//!   store's change feed (every committed change record, in log order)
+//!   and process each record immediately, in the spirit of data-driven
+//!   DSMS processing (standing results need no engine: the
+//!   standing-result table in `idm-query`, which serves cached requests
+//!   and live queries alike, watches
 //!   [`idm_core::store::ViewStore::change_count`]),
 //! - [`window`] — stream windows over infinite group components
 //!   (Section 5.2: "infinite group components are managed using a

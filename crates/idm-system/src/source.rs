@@ -18,8 +18,6 @@ use parking_lot::Mutex;
 /// The result of representing a data source as an initial iDM graph.
 #[derive(Debug, Clone, Default)]
 pub struct Ingestion {
-    /// The root views of the source's graph.
-    pub roots: Vec<Vid>,
     /// All views created for *base items* (files, folders, emails,
     /// attachments, stream heads) — Table 2's "Base Items" column. Every
     /// view the plugin minted is listed here: the ingest indexes these
@@ -128,10 +126,8 @@ impl DataSourcePlugin for FsPlugin {
         // every run.
         let mut base_views: Vec<Vid> = mapping.by_node.values().copied().collect();
         base_views.sort_unstable();
-        let roots = vec![mapping.root];
         *self.mapping.lock() = Some(mapping);
         Ok(Ingestion {
-            roots,
             base_views,
             ..Ingestion::default()
         })
@@ -208,7 +204,6 @@ impl DataSourcePlugin for ImapPlugin {
         };
         let mapping = reader.materialize(store)?;
         let ingestion = Ingestion {
-            roots: vec![mapping.root],
             base_views: mapping.views.clone(),
             read_busy: mapping.stats.reading,
             read_wait: mapping.stats.waiting,
@@ -249,14 +244,13 @@ impl DataSourcePlugin for RssPlugin {
     }
 
     fn ingest(&self, store: &ViewStore) -> Result<Ingestion> {
-        let mut roots = Vec::with_capacity(self.urls.len());
+        let mut base_views = Vec::with_capacity(self.urls.len());
         for url in &self.urls {
             let source = RssStreamSource::new(Arc::clone(&self.server), url.clone());
-            roots.push(source.into_stream_view(store)?);
+            base_views.push(source.into_stream_view(store)?);
         }
         Ok(Ingestion {
-            roots: roots.clone(),
-            base_views: roots,
+            base_views,
             ..Ingestion::default()
         })
     }
@@ -354,9 +348,9 @@ mod tests {
         let store = ViewStore::new();
         let plugin = RssPlugin::new(server, vec!["u1".into(), "u2".into()]);
         let ingestion = plugin.ingest(&store).unwrap();
-        assert_eq!(ingestion.roots.len(), 2);
-        for root in ingestion.roots {
-            assert!(store.conforms_to(root, "rssatom").unwrap());
+        assert_eq!(ingestion.base_views.len(), 2);
+        for view in ingestion.base_views {
+            assert!(store.conforms_to(view, "rssatom").unwrap());
         }
     }
 }

@@ -155,9 +155,8 @@ impl DataSourcePlugin for PerUidImap {
 
     fn ingest(&self, store: &ViewStore) -> Result<Ingestion> {
         let first = store.next_vid();
-        let root = self.folder(store, self.0.inbox())?;
+        self.folder(store, self.0.inbox())?;
         Ok(Ingestion {
-            roots: vec![root],
             base_views: (first..store.next_vid()).map(Vid::from_raw).collect(),
             ..Ingestion::default()
         })
