@@ -22,12 +22,13 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::hash::{BuildHasher, RandomState};
+use std::sync::{Arc, OnceLock};
 
 use idm_core::prelude::Vid;
 use parking_lot::RwLock;
 
-use crate::tokenizer::{self, terms};
+use crate::tokenizer;
 use crate::VidMap;
 
 /// One term's postings, as columns: vids ascending, the end of each
@@ -267,8 +268,8 @@ pub type ExportedPostings = Vec<(String, Vec<(u64, Vec<u32>)>)>;
 
 /// A document pre-tokenized off the index lock: every token's text in
 /// one buffer, and its distinct terms in ascending order, each with its
-/// positions. Built by [`pretokenize`] (possibly on a worker thread)
-/// and applied with [`FullTextIndex::index_pretokenized`].
+/// positions. Built by [`pretokenize`] and applied with
+/// [`FullTextIndex::index_pretokenized`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PretokenizedDoc {
     /// The lowercased tokens, end to end.
@@ -293,54 +294,153 @@ impl PretokenizedDoc {
     }
 }
 
+/// The key of the token hash, one per process, taken from std's
+/// `RandomState`: a crafted text cannot aim its tokens at one slot.
+fn hash_key() -> (u64, u64) {
+    static KEY: OnceLock<(u64, u64)> = OnceLock::new();
+    *KEY.get_or_init(|| {
+        let state = RandomState::new();
+        (state.hash_one(0u8), state.hash_one(1u8))
+    })
+}
+
+/// The two halves of the 128-bit product `a · b`, folded together.
+fn fold(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    product as u64 ^ (product >> 64) as u64
+}
+
+/// The first eight bytes of the token `bytes[start..end]`, zero-padded,
+/// big-endian. No token holds a zero byte, so heads order tokens as
+/// their bytes do, and a head is its token when that is at most eight
+/// bytes long.
+fn head(bytes: &[u8], start: usize, end: usize) -> u64 {
+    let len = end - start;
+    match bytes.get(start..start + 8) {
+        Some(word) => {
+            let word = u64::from_be_bytes(word.try_into().expect("eight bytes"));
+            if len >= 8 {
+                word
+            } else {
+                word & !(u64::MAX >> (8 * len))
+            }
+        }
+        None => {
+            let mut padded = [0u8; 8];
+            padded[..len.min(8)].copy_from_slice(&bytes[start..start + len.min(8)]);
+            u64::from_be_bytes(padded)
+        }
+    }
+}
+
+/// A distinct term of a document being pretokenized: its head, the
+/// bytes of its first occurrence, its number of tokens and its id (its
+/// rank by first occurrence).
+struct Term {
+    head: u64,
+    start: u32,
+    end: u32,
+    count: u32,
+    id: u32,
+}
+
+/// Slots of a hash table small enough to sit on the stack: documents of
+/// up to half as many tokens allocate none.
+const STACK_SLOTS: usize = 64;
+
 /// Tokenizes `text` into the form [`FullTextIndex::index_pretokenized`]
-/// consumes — the CPU-heavy half of indexing, safe to run in parallel
-/// per document. One [`tokenizer`] walk fills one buffer and records
-/// each token as a `(key, position)` pair, the key being the token's
-/// first eight bytes big-endian. One sort of those primitive pairs
-/// groups the tokens by key, positions ascending. No term holds a zero
-/// byte, so a key run is one term unless a token in it is longer than
-/// eight bytes; only such a run is sorted again, by its bytes. Returns
-/// `None` when the text yields no tokens.
+/// consumes — the CPU-heavy half of indexing, done before the index
+/// lock is taken. One [`tokenizer`] walk writes the tokens end to end.
+/// An open-addressing table of at least twice the token count groups
+/// them by term: linear probing on a hash of every byte under a
+/// per-process key, a match confirmed by head, length and bytes. Only
+/// the distinct terms are sorted, by head and then by bytes, and each
+/// token's position is scattered into its term's run, so positions
+/// ascend without a sort. Returns `None` when the text yields no tokens.
 pub fn pretokenize(text: &str) -> Option<PretokenizedDoc> {
-    let mut buf = String::with_capacity(text.len());
-    let mut tokens: Vec<(u64, u32)> = Vec::new();
-    // Where each token starts in `buf`, by position. The walk writes
-    // the tokens end to end, so a token ends where the next one starts.
-    let mut starts: Vec<usize> = Vec::new();
-    tokenizer::walk(text, &mut buf, |term, start| {
-        let mut key = [0u8; 8];
-        let head = &term.as_bytes()[..term.len().min(8)];
-        key[..head.len()].copy_from_slice(head);
-        let position = u32::try_from(tokens.len()).expect("fewer than 2^32 tokens");
-        tokens.push((u64::from_be_bytes(key), position));
-        starts.push(start);
-    });
-    if tokens.is_empty() {
+    let tokenizer::Tokens {
+        text,
+        starts: mut ids,
+    } = tokenizer::walk(text);
+    let count = ids.len() - 1;
+    if count == 0 {
         return None;
     }
-    starts.push(buf.len());
-    let span = |position: u32| starts[position as usize]..starts[position as usize + 1];
-    let term = |position: u32| &buf.as_bytes()[span(position)];
-    tokens.sort_unstable();
-    let mut positions = Vec::with_capacity(tokens.len());
-    let mut terms = Vec::new();
-    for run in tokens.chunk_by_mut(|a, b| a.0 == b.0) {
-        // A key whose last byte is set came from a token of eight bytes
-        // or more; the run holds several terms only if one is longer.
-        let mixed =
-            run.len() > 1 && run[0].0 & 0xff != 0 && run.iter().any(|&(_, p)| span(p).len() > 8);
-        if mixed {
-            run.sort_unstable_by(|a, b| term(a.1).cmp(term(b.1)).then(a.1.cmp(&b.1)));
+    let bytes = text.as_bytes();
+    let key = hash_key();
+    // Slot → 1 + the id of the term in it, or 0 when empty; at most
+    // half full.
+    let slots = (2 * count).next_power_of_two();
+    let (mut stack, mut heap) = ([0u32; STACK_SLOTS], Vec::new());
+    let table: &mut [u32] = if slots <= STACK_SLOTS {
+        &mut stack[..slots]
+    } else {
+        heap.resize(slots, 0);
+        &mut heap
+    };
+    let mut terms: Vec<Term> = Vec::new();
+    let mut end = ids[0] as usize;
+    for position in 0..count {
+        let start = end;
+        end = ids[position + 1] as usize;
+        let token_head = head(bytes, start, end);
+        let mut hash = fold(token_head ^ key.0, key.1);
+        for at in (start + 8..end).step_by(8) {
+            hash = fold(hash ^ head(bytes, at, end), key.1);
         }
-        for same in run.chunk_by(|a, b| !mixed || term(a.1) == term(b.1)) {
-            positions.extend(same.iter().map(|&(_, position)| position));
-            let first = span(same[0].1);
-            terms.push((first.start, first.end, positions.len() as u32));
-        }
+        let mut slot = hash as usize & (slots - 1);
+        let id = loop {
+            let Some(id) = (table[slot] as usize).checked_sub(1) else {
+                let id = terms.len();
+                terms.push(Term {
+                    head: token_head,
+                    start: start as u32,
+                    end: end as u32,
+                    count: 0,
+                    id: id as u32,
+                });
+                table[slot] = id as u32 + 1;
+                break id;
+            };
+            let term = &terms[id];
+            if term.head == token_head
+                && (term.end - term.start) as usize == end - start
+                && (end - start <= 8
+                    || bytes[term.start as usize..term.end as usize] == bytes[start..end])
+            {
+                break id;
+            }
+            slot = (slot + 1) & (slots - 1);
+        };
+        terms[id].count += 1;
+        // Token `position`'s start is read: its entry holds its term now.
+        ids[position] = id as u32;
+    }
+    terms.sort_unstable_by(|a, b| {
+        let bytes_of = |term: &Term| &bytes[term.start as usize..term.end as usize];
+        a.head
+            .cmp(&b.head)
+            .then_with(|| bytes_of(a).cmp(bytes_of(b)))
+    });
+    // The table is done with: it maps each id to where its term's next
+    // position goes.
+    let mut filled = 0;
+    let terms: Vec<(usize, usize, u32)> = terms
+        .iter()
+        .map(|term| {
+            table[term.id as usize] = filled;
+            filled += term.count;
+            (term.start as usize, term.end as usize, filled)
+        })
+        .collect();
+    let mut positions = vec![0u32; count];
+    for (position, &id) in (0u32..).zip(&ids[..count]) {
+        let next = &mut table[id as usize];
+        positions[*next as usize] = position;
+        *next += 1;
     }
     Some(PretokenizedDoc {
-        text: buf,
+        text,
         terms,
         positions,
     })
@@ -488,8 +588,8 @@ impl FullTextIndex {
 
     /// Documents containing `term` (normalized).
     pub fn term_query(&self, term: &str) -> Vec<Vid> {
-        let normalized = terms(term);
-        let Some(term) = normalized.first() else {
+        let tokens = tokenizer::walk(term);
+        let Some(term) = tokens.iter().next() else {
             return Vec::new();
         };
         let inner = self.inner.read();
@@ -502,15 +602,15 @@ impl FullTextIndex {
     /// Documents containing the exact phrase (terms at adjacent
     /// positions). A single-term phrase degrades to a term query.
     pub fn phrase_query(&self, phrase: &str) -> Vec<Vid> {
-        let query_terms = terms(phrase);
-        match query_terms.len() {
-            0 => return Vec::new(),
-            1 => return self.term_query(&query_terms[0]),
-            _ => {}
-        }
+        let tokens = tokenizer::walk(phrase);
         let inner = self.inner.read();
-        let mut cursors = Vec::with_capacity(query_terms.len());
-        for term in &query_terms {
+        if tokens.len() < 2 {
+            // Not through `term_query`: the phrase is tokenized already.
+            let list = tokens.iter().next().and_then(|term| inner.list(term));
+            return list.map(|list| list.vids.clone()).unwrap_or_default();
+        }
+        let mut cursors = Vec::with_capacity(tokens.len());
+        for term in tokens.iter() {
             match inner.list(term) {
                 Some(list) => cursors.push(Cursor {
                     list,
@@ -632,9 +732,9 @@ impl FullTextIndex {
     /// How often `term` occurs in document `vid` (0 if absent). The
     /// term is normalized first, as a query's would be.
     pub fn term_frequency(&self, vid: Vid, term: &str) -> usize {
-        terms(term)
-            .first()
-            .map_or(0, |term| self.normalized_frequency(vid, term))
+        let tokens = tokenizer::walk(term);
+        let term = tokens.iter().next();
+        term.map_or(0, |term| self.normalized_frequency(vid, term))
     }
 
     /// How often the already-normalized `term` occurs in document
@@ -650,8 +750,8 @@ impl FullTextIndex {
 
     /// Number of documents containing `term` (document frequency).
     pub fn document_frequency(&self, term: &str) -> usize {
-        let normalized = terms(term);
-        let Some(term) = normalized.first() else {
+        let tokens = tokenizer::walk(term);
+        let Some(term) = tokens.iter().next() else {
             return 0;
         };
         self.inner.read().list(term).map_or(0, PostingList::len)
@@ -662,12 +762,11 @@ impl FullTextIndex {
     /// rows are bounded by that frequency.
     pub fn phrase_statistics(&self, phrase: &str) -> (usize, usize) {
         let inner = self.inner.read();
-        let (mut count, mut rarest) = (0, usize::MAX);
-        tokenizer::walk(phrase, &mut String::new(), |term, _| {
-            count += 1;
-            rarest = rarest.min(inner.list(term).map_or(0, PostingList::len));
-        });
-        (count, if count == 0 { 0 } else { rarest })
+        let tokens = tokenizer::walk(phrase);
+        let rarest = tokens
+            .iter()
+            .map(|term| inner.list(term).map_or(0, PostingList::len));
+        (tokens.len(), rarest.min().unwrap_or(0))
     }
 
     /// Number of indexed documents.

@@ -46,7 +46,6 @@ pub use fulltext::FullTextIndex;
 pub use group::{GroupRead, GroupReplica, Reach};
 pub use name::NameIndex;
 pub use segment::{IndexRun, IndexSegment, SEGMENT_VIEWS};
-pub use tokenizer::tokenize;
 pub use tuple::TupleIndex;
 
 /// Hashes a [`Vid`] with one multiply: vids are dense counters, which

@@ -20,12 +20,16 @@ thread_local! {
     /// last started.
     static LIVE: Cell<isize> = const { Cell::new(0) };
     static PEAK: Cell<isize> = const { Cell::new(0) };
+    /// Allocations this thread made (`alloc`, `alloc_zeroed` and
+    /// `realloc` calls).
+    static CALLS: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Counts `delta` bytes for this thread. Const-initialized cells without
 /// a destructor never allocate, so the allocator may use them; a thread
 /// past its teardown counts nothing.
 fn count(delta: isize) {
+    let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
     let _ = LIVE.try_with(|live| {
         let now = live.get() + delta;
         live.set(now);
@@ -60,7 +64,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: `ptr` came from this allocator, that is from `System`,
         // with `layout`.
         unsafe { System.dealloc(ptr, layout) };
-        count(-(layout.size() as isize));
+        let _ = LIVE.try_with(|live| live.set(live.get() - layout.size() as isize));
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -86,6 +90,13 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     let held = LIVE.with(Cell::get) - start;
     let peak = PEAK.with(Cell::get) - start;
     (out, held.max(0) as usize, peak.max(0) as usize)
+}
+
+/// Runs `f` on this thread: its result and the allocations it made.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let start = CALLS.with(Cell::get);
+    let out = f();
+    (out, CALLS.with(Cell::get) - start)
 }
 
 const MB: usize = 1 << 20;
@@ -329,4 +340,50 @@ fn saving_an_index_file_allocates_at_most_a_quarter_of_it() {
     );
     assert!(len >= 4 * MB, "{len} B file");
     assert!(peak <= len / 4, "{peak} B allocated for a {len} B file");
+}
+
+/// `pretokenize` on a text of three tokens allocates five times: the
+/// token bytes, their starts, the distinct terms being grouped, and the
+/// terms and positions it returns. Most bodies of an ingest are this
+/// small (1 202 of the 1 773 texty bodies at sf 0.02 are under 64
+/// bytes), and sorting `(head, position)` pairs allocated five times too.
+#[test]
+fn pretokenizing_three_tokens_allocates_five_times() {
+    let (doc, calls) = allocations(|| pretokenize("Dataspace tuning guide"));
+    let terms: Vec<&str> = doc
+        .iter()
+        .flat_map(|doc| doc.per_term())
+        .map(|(t, _)| t)
+        .collect();
+    assert_eq!(terms, ["dataspace", "guide", "tuning"]);
+    eprintln!("pretokenize of three tokens: {calls} allocations");
+    assert!(calls <= 5, "{calls} allocations");
+}
+
+/// `pretokenize` on 1 MiB of ASCII words (215 297 tokens), 19 in 20 of
+/// them from 30 common words and the rest from 3 000 rare ones, holds
+/// at most 7 MiB of heap at once: ≈ 6.0 MiB with a hash table of
+/// `u32` slots, where sorting a `(head, position)` pair per token took
+/// 7.9 MiB.
+#[test]
+fn pretokenizing_a_megabyte_of_ascii_peaks_at_7_mib() {
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut text = String::new();
+    while text.len() < MB {
+        match rng.gen_range(0..20) {
+            0 => text.push_str(&format!("Rare{} ", rng.gen_range(0..3_000))),
+            _ => text.push_str(&format!("w{}, ", rng.gen_range(0..30))),
+        }
+    }
+    let (doc, _, peak) = measure(|| pretokenize(&text));
+    let positions: usize = doc
+        .iter()
+        .flat_map(|doc| doc.per_term())
+        .map(|(_, p)| p.len())
+        .sum();
+    eprintln!(
+        "pretokenize of {} B: {positions} tokens, {peak} B heap peak",
+        text.len()
+    );
+    assert!(peak <= 7 * MB, "{peak} B allocated");
 }

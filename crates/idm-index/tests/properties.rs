@@ -7,8 +7,9 @@ use idm_core::prelude::{Timestamp, TupleComponent, Value, Vid};
 use idm_index::catalog::{CatalogEntry, ResourceViewCatalog};
 use idm_index::fulltext::pretokenize;
 use idm_index::name::{NameIndex, NamePattern};
+use idm_index::tokenizer::terms;
 use idm_index::tuple::{CompareOp, TupleIndex};
-use idm_index::{tokenize, FullTextIndex, GroupReplica};
+use idm_index::{FullTextIndex, GroupReplica};
 use proptest::prelude::*;
 
 // ---- Full-text index vs naive scan ------------------------------------
@@ -38,8 +39,7 @@ proptest! {
         got.sort();
 
         let mut want: Vec<Vid> = docs.iter().enumerate().filter_map(|(i, doc)| {
-            let tokens: Vec<String> = tokenize(doc).into_iter().map(|t| t.term).collect();
-            let found = tokens.windows(phrase.len()).any(|w| w == phrase.as_slice());
+            let found = terms(doc).windows(phrase.len()).any(|w| w == phrase.as_slice());
             found.then_some(Vid::from_raw(i as u64))
         }).collect();
         want.sort();
@@ -56,8 +56,8 @@ proptest! {
         }
         let victim = victim % docs.len();
         index.remove(Vid::from_raw(victim as u64));
-        for token in tokenize(&docs[victim]) {
-            prop_assert!(!index.term_query(&token.term).contains(&Vid::from_raw(victim as u64)));
+        for term in terms(&docs[victim]) {
+            prop_assert!(!index.term_query(&term).contains(&Vid::from_raw(victim as u64)));
         }
     }
 }
@@ -86,9 +86,13 @@ fn naive_tokenize(text: &str) -> Vec<(String, u32)> {
     tokens
 }
 
-/// ASCII letters, digits and punctuation, `'\0'`, chars whose lowercase
-/// is longer or context-dependent (`'İ'`, `'ẞ'`, `'Σ'`), a non-ASCII
-/// digit, a combining mark and the replacement char.
+/// ASCII letters, digits and punctuation, and `'\0'`: texts of these
+/// take the tokenizer's ASCII walk.
+const ASCII_CHARS: &[char] = &['a', 'Z', 'q', '0', '7', ' ', '.', '-', '\'', '\0'];
+
+/// The ASCII chars, chars whose lowercase is longer or context-dependent
+/// (`'İ'`, `'ẞ'`, `'Σ'`), a non-ASCII digit, a combining mark and the
+/// replacement char.
 const TOKEN_CHARS: &[char] = &[
     'a', 'Z', 'q', '0', '7', ' ', '.', '-', '\'', '\0', 'İ', 'ẞ', 'Σ', '٣', '\u{301}', '\u{FFFD}',
 ];
@@ -97,39 +101,61 @@ const TOKEN_CHARS: &[char] = &[
 /// two that differ in the ninth, and a 17-byte one.
 const LONG_WORDS: &[&str] = &["aaaaaaaa", "aaaaaaaab", "aaaaaaaaZ", "aaaaaaaabaaaaaaaa"];
 
-/// Up to 200 pieces, each a run of those chars or one of those words,
-/// so that one eight-byte prefix covers several terms, each repeated.
-fn arb_token_text() -> impl Strategy<Value = String> {
-    let chars = |picks: Vec<usize>| picks.into_iter().map(|i| TOKEN_CHARS[i]).collect();
+/// Up to 200 pieces, each a run of `chars` or one of those words, so
+/// that one eight-byte prefix covers several terms, each repeated.
+fn arb_token_text(chars: &'static [char]) -> impl Strategy<Value = String> {
+    let run = |picks: Vec<usize>| picks.into_iter().map(|i| chars[i]).collect();
     let piece = prop_oneof![
-        proptest::collection::vec(0..TOKEN_CHARS.len(), 1..6).prop_map(chars),
+        proptest::collection::vec(0..chars.len(), 1..6).prop_map(run),
         (0..LONG_WORDS.len()).prop_map(|i| LONG_WORDS[i].to_owned()),
     ];
     proptest::collection::vec(piece, 0..200).prop_map(|pieces| pieces.join(" "))
 }
 
-proptest! {
-    /// `pretokenize`, `tokenize` and `terms` all read one walk, and it
-    /// tokenizes as the char-by-char reference does.
-    #[test]
-    fn every_tokenizer_equals_the_reference(text in arb_token_text()) {
-        let want = naive_tokenize(&text);
-        let got: Vec<(String, u32)> = tokenize(&text).into_iter().map(|t| (t.term, t.position)).collect();
-        prop_assert_eq!(&got, &want);
-        let want_terms: Vec<String> = want.iter().map(|(term, _)| term.clone()).collect();
-        prop_assert_eq!(idm_index::tokenizer::terms(&text), want_terms);
+/// `terms` and `pretokenize` read `text` as the reference does.
+fn assert_tokenized_as_the_reference(text: &str) {
+    let want = naive_tokenize(text);
+    let want_terms: Vec<String> = want.iter().map(|(term, _)| term.clone()).collect();
+    assert_eq!(terms(text), want_terms, "{text:?}");
 
-        let mut per_term: std::collections::BTreeMap<String, Vec<u32>> = Default::default();
-        for (term, position) in want {
-            per_term.entry(term).or_default().push(position);
-        }
-        let got: Vec<(String, Vec<u32>)> = pretokenize(&text)
-            .iter()
-            .flat_map(|doc| doc.per_term())
-            .map(|(term, positions)| (term.to_owned(), positions.to_vec()))
-            .collect();
-        prop_assert_eq!(got, per_term.into_iter().collect::<Vec<_>>());
+    let mut per_term: std::collections::BTreeMap<String, Vec<u32>> = Default::default();
+    for (term, position) in want {
+        per_term.entry(term).or_default().push(position);
     }
+    let got: Vec<(String, Vec<u32>)> = pretokenize(text)
+        .iter()
+        .flat_map(|doc| doc.per_term())
+        .map(|(term, positions)| (term.to_owned(), positions.to_vec()))
+        .collect();
+    assert_eq!(got, per_term.into_iter().collect::<Vec<_>>(), "{text:?}");
+}
+
+proptest! {
+    /// `pretokenize` and `terms` read one walk, and it tokenizes as the
+    /// char-by-char reference does: on text with non-ASCII chars (the
+    /// `char` walk) and on ASCII text (the table walk).
+    #[test]
+    fn every_tokenizer_equals_the_reference(
+        text in arb_token_text(TOKEN_CHARS),
+        ascii in arb_token_text(ASCII_CHARS),
+    ) {
+        assert_tokenized_as_the_reference(&text);
+        assert_tokenized_as_the_reference(&ascii);
+    }
+}
+
+/// 50 000 distinct terms that share their first eight bytes, each twice
+/// and the second time in reverse order, group and sort as the
+/// reference's: the term hash reads every byte, not just the head.
+#[test]
+fn terms_sharing_one_head_group_as_the_reference() {
+    let words: Vec<String> = (0..50_000).map(|i| format!("aaaaaaaa{i:x}")).collect();
+    let text = format!(
+        "{} {}",
+        words.join(" "),
+        words.iter().rev().cloned().collect::<Vec<_>>().join(" ")
+    );
+    assert_tokenized_as_the_reference(&text);
 }
 
 // ---- Content index scripts vs a rebuild of the survivors ------------------
